@@ -52,8 +52,8 @@ FUZZ_POINTS = [
     "disk.read", "disk.write",
     "wal.append", "wal.flush",
     "buffer.write_back",
-    "dispatch.storage.insert_batch",
-    "dispatch.attached.btree_index.insert_batch",
+    "dispatch.storage.insert",
+    "dispatch.attached.btree_index.insert",
 ]
 
 

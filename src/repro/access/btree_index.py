@@ -62,11 +62,7 @@ class _BTreeIndexHandler(ResourceHandler):
             return  # the instance was dropped later in the transaction
         tree = BTree(services.buffer, instance["tree"],
                      instance.get("max_entries", DEFAULT_MAX_ENTRIES))
-        if payload["op"] == "add":
-            tree.delete(tuple(payload["key"]), payload["value"])
-        elif payload["op"] == "remove":
-            tree.insert(tuple(payload["key"]), payload["value"])
-        elif payload["op"] == "add_many":
+        if payload["op"] == "add_many":
             for key, value in reversed(payload["entries"]):
                 tree.delete(tuple(key), value)
         elif payload["op"] == "remove_many":
@@ -277,21 +273,7 @@ class BTreeIndexAttachment(AttachmentType):
         return tuple(record[i] for i in instance["key_fields"])
 
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        for instance in field["instances"].values():
-            index_key = self._key_of(instance, new_record)
-            tree = BTree(ctx.buffer, instance["tree"],
-                         instance["max_entries"])
-            if instance["unique"] and tree.search(index_key):
-                raise UniqueViolation(
-                    self.name,
-                    f"duplicate key {index_key!r} in unique index "
-                    f"{instance['name']!r}")
-            tree.insert(index_key, key)
-            ctx.log(self.resource, {
-                "op": "add", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(index_key),
-                "value": key})
-            ctx.stats.bump("btree_index.maintenance_ops")
+        self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
 
     def on_update(self, ctx, handle, field, old_key, new_key, old_record,
                   new_record) -> None:
@@ -312,26 +294,17 @@ class BTreeIndexAttachment(AttachmentType):
             tree.delete(old_index_key, old_key)
             tree.insert(new_index_key, new_key)
             ctx.log(self.resource, {
-                "op": "remove", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(old_index_key),
-                "value": old_key})
+                "op": "remove_many", "relation_id": handle.relation_id,
+                "instance": instance["name"],
+                "entries": [[list(old_index_key), old_key]]})
             ctx.log(self.resource, {
-                "op": "add", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(new_index_key),
-                "value": new_key})
+                "op": "add_many", "relation_id": handle.relation_id,
+                "instance": instance["name"],
+                "entries": [[list(new_index_key), new_key]]})
             ctx.stats.bump("btree_index.maintenance_ops")
 
     def on_delete(self, ctx, handle, field, key, old_record) -> None:
-        for instance in field["instances"].values():
-            index_key = self._key_of(instance, old_record)
-            tree = BTree(ctx.buffer, instance["tree"],
-                         instance["max_entries"])
-            tree.delete(index_key, key)
-            ctx.log(self.resource, {
-                "op": "remove", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(index_key),
-                "value": key})
-            ctx.stats.bump("btree_index.maintenance_ops")
+        self.on_delete_batch(ctx, handle, field, ((key, old_record),))
 
     # -- set-at-a-time attached procedures ---------------------------------------
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
@@ -344,14 +317,14 @@ class BTreeIndexAttachment(AttachmentType):
                 (self._key_of(instance, record), key)
                 for key, record in zip(keys, new_records))
             if instance["unique"]:
-                seen = set()
+                previous = None  # sorted: in-batch duplicates are adjacent
                 for index_key, __ in entries:
-                    if index_key in seen or tree.search(index_key):
+                    if index_key == previous or tree.search(index_key):
                         raise UniqueViolation(
                             self.name,
                             f"duplicate key {index_key!r} in unique index "
                             f"{instance['name']!r}")
-                    seen.add(index_key)
+                    previous = index_key
             for index_key, value in entries:
                 tree.insert(index_key, value)
             ctx.log(self.resource, {

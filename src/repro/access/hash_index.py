@@ -20,9 +20,11 @@ from ..core.attachment import AttachmentType
 from ..core.context import ExecutionContext
 from ..core.records import RecordView
 from ..core.storage_method import RelationHandle
-from ..errors import PageError, ScanError, StorageError
+from ..errors import (BucketOverflowError, PageError, ScanError,
+                      StorageError)
 from ..query.cost import AccessCost
 from ..services.locks import LockMode
+from ..services.pages import HEADER_SIZE, SLOT_SIZE
 from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
@@ -40,11 +42,25 @@ def _bucket_read(buffer, page_id: int) -> List[Tuple[tuple, object]]:
         buffer.unpin(page_id)
 
 
-def _bucket_write(buffer, page_id: int, entries) -> None:
+def _pickle(entries) -> bytes:
+    return pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _pickle_grown(buffer, instance: dict, entries) -> bytes:
+    """Pickle a bucket that just gained entries, refusing one that no
+    longer fits its page's single slot — checked before any page is
+    touched, so the caller's structure is intact when this raises."""
+    raw = _pickle(entries)
+    if len(raw) > buffer.device.page_size - HEADER_SIZE - 2 * SLOT_SIZE:
+        raise BucketOverflowError(instance["name"], entries[-1][0],
+                                  len(entries))
+    return raw
+
+
+def _bucket_write(buffer, page_id: int, raw: bytes) -> None:
     page = buffer.fetch(page_id)
     try:
-        page.update(0, pickle.dumps(entries,
-                                    protocol=pickle.HIGHEST_PROTOCOL))
+        page.update(0, raw)
     finally:
         buffer.unpin(page_id, dirty=True)
 
@@ -52,7 +68,7 @@ def _bucket_write(buffer, page_id: int, entries) -> None:
 def _bucket_new(buffer) -> int:
     page = buffer.new_page(PAGE_TYPE_HASH_BUCKET)
     try:
-        page.insert(pickle.dumps([], protocol=pickle.HIGHEST_PROTOCOL))
+        page.insert(_pickle([]))
     finally:
         buffer.unpin(page.page_id, dirty=True)
     return page.page_id
@@ -79,13 +95,7 @@ class _HashIndexHandler(ResourceHandler):
         if instance is None:
             return
         op = payload["op"]
-        if op == "add":
-            self.attachment._remove(services.buffer, instance,
-                                    tuple(payload["key"]), payload["value"])
-        elif op == "remove":
-            self.attachment._add(services.buffer, instance,
-                                 tuple(payload["key"]), payload["value"])
-        elif op == "add_many":
+        if op == "add_many":
             for key, value in reversed(payload["entries"]):
                 self.attachment._remove(services.buffer, instance,
                                         tuple(key), value)
@@ -282,7 +292,8 @@ class HashIndexAttachment(AttachmentType):
         page_id = buckets[_hash_key(key, len(buckets))]
         entries = _bucket_read(buffer, page_id)
         entries.append((key, value))
-        _bucket_write(buffer, page_id, entries)
+        _bucket_write(buffer, page_id,
+                      _pickle_grown(buffer, instance, entries))
         instance["nentries"] += 1
         if instance["nentries"] > instance["max_load"] * len(buckets):
             self._double(buffer, instance)
@@ -294,7 +305,7 @@ class HashIndexAttachment(AttachmentType):
         for i, (k, v) in enumerate(entries):
             if k == key and v == value:
                 del entries[i]
-                _bucket_write(buffer, page_id, entries)
+                _bucket_write(buffer, page_id, _pickle(entries))
                 instance["nentries"] -= 1
                 return True
         return False
@@ -311,21 +322,14 @@ class HashIndexAttachment(AttachmentType):
             grouped[_hash_key(key, nbuckets)].append((key, value))
         for i, page_id in enumerate(new_pages):
             if grouped[i]:
-                _bucket_write(buffer, page_id, grouped[i])
+                _bucket_write(buffer, page_id, _pickle(grouped[i]))
         for page_id in old_pages:
             buffer.free_page(page_id)
         instance["buckets"] = new_pages
 
     # -- attached procedures -------------------------------------------------------------
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        for instance in field["instances"].values():
-            hash_key = self._key_of(instance, new_record)
-            self._add(ctx.buffer, instance, hash_key, key)
-            ctx.log(self.resource, {
-                "op": "add", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(hash_key),
-                "value": key})
-            ctx.stats.bump("hash_index.maintenance_ops")
+        self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
 
     def on_update(self, ctx, handle, field, old_key, new_key, old_record,
                   new_record) -> None:
@@ -336,26 +340,19 @@ class HashIndexAttachment(AttachmentType):
                 ctx.stats.bump("hash_index.update_skips")
                 continue
             self._remove(ctx.buffer, instance, old_hash_key, old_key)
+            ctx.log(self.resource, {
+                "op": "remove_many", "relation_id": handle.relation_id,
+                "instance": instance["name"],
+                "entries": [[list(old_hash_key), old_key]]})
             self._add(ctx.buffer, instance, new_hash_key, new_key)
             ctx.log(self.resource, {
-                "op": "remove", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(old_hash_key),
-                "value": old_key})
-            ctx.log(self.resource, {
-                "op": "add", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(new_hash_key),
-                "value": new_key})
+                "op": "add_many", "relation_id": handle.relation_id,
+                "instance": instance["name"],
+                "entries": [[list(new_hash_key), new_key]]})
             ctx.stats.bump("hash_index.maintenance_ops")
 
     def on_delete(self, ctx, handle, field, key, old_record) -> None:
-        for instance in field["instances"].values():
-            hash_key = self._key_of(instance, old_record)
-            self._remove(ctx.buffer, instance, hash_key, key)
-            ctx.log(self.resource, {
-                "op": "remove", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(hash_key),
-                "value": key})
-            ctx.stats.bump("hash_index.maintenance_ops")
+        self.on_delete_batch(ctx, handle, field, ((key, old_record),))
 
     # -- set-at-a-time attached procedures ---------------------------------------
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
@@ -373,10 +370,14 @@ class HashIndexAttachment(AttachmentType):
             for hash_key, value in entries:
                 page_id = buckets[_hash_key(hash_key, len(buckets))]
                 grouped.setdefault(page_id, []).append((hash_key, value))
+            grown = []
             for page_id, additions in grouped.items():
                 bucket = _bucket_read(ctx.buffer, page_id)
                 bucket.extend(additions)
-                _bucket_write(ctx.buffer, page_id, bucket)
+                grown.append((page_id,
+                              _pickle_grown(ctx.buffer, instance, bucket)))
+            for page_id, raw in grown:
+                _bucket_write(ctx.buffer, page_id, raw)
             instance["nentries"] += len(entries)
             ctx.log(self.resource, {
                 "op": "add_many", "relation_id": handle.relation_id,
@@ -402,7 +403,7 @@ class HashIndexAttachment(AttachmentType):
                             del bucket[i]
                             removed += 1
                             break
-                _bucket_write(ctx.buffer, page_id, bucket)
+                _bucket_write(ctx.buffer, page_id, _pickle(bucket))
             instance["nentries"] -= removed
             ctx.log(self.resource, {
                 "op": "remove_many", "relation_id": handle.relation_id,

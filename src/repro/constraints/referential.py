@@ -131,11 +131,7 @@ class ReferentialIntegrityAttachment(AttachmentType):
 
     # -- attached procedures -------------------------------------------------------------
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        for instance in field["instances"].values():
-            if instance["role"] != "child":
-                continue
-            self._check_child(ctx, instance, new_record)
-            ctx.stats.bump("referential.child_checks")
+        self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
 
     def on_update(self, ctx, handle, field, old_key, new_key, old_record,
                   new_record) -> None:
@@ -164,28 +160,7 @@ class ReferentialIntegrityAttachment(AttachmentType):
                 ctx.stats.bump("referential.parent_checks")
 
     def on_delete(self, ctx, handle, field, key, old_record) -> None:
-        for instance in field["instances"].values():
-            if instance["role"] != "parent":
-                continue
-            values = self._values(old_record, instance["parent_fields"])
-            if values is None:
-                continue
-            children = self._matching_children(ctx, instance, values)
-            if not children:
-                continue
-            if instance["on_delete"] == "restrict":
-                raise ReferentialViolation(
-                    instance["name"],
-                    f"cannot delete parent {values!r}: {len(children)} "
-                    f"child record(s) reference it")
-            # Cascade: delete children through the dispatch layer so their
-            # own attachments (including further referential instances)
-            # fire — "modifications may cascade in the database".
-            database = ctx.database
-            child_handle = database.catalog.handle(instance["child"])
-            for child_key in children:
-                database.data.delete(ctx, child_handle, child_key)
-                ctx.stats.bump("referential.cascaded_deletes")
+        self.on_delete_batch(ctx, handle, field, ((key, old_record),))
 
     # -- set-at-a-time attached procedures ---------------------------------------
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
@@ -203,7 +178,7 @@ class ReferentialIntegrityAttachment(AttachmentType):
                     distinct[values] = index
             if instance["deferred"]:
                 if distinct:
-                    self._defer_check_many(ctx, instance, list(distinct))
+                    self._defer_check(ctx, instance, list(distinct))
             else:
                 for values, index in distinct.items():
                     if not self._parent_exists(ctx, instance, values):
@@ -217,8 +192,10 @@ class ReferentialIntegrityAttachment(AttachmentType):
 
     def on_delete_batch(self, ctx, handle, field, items) -> None:
         """Restrict vetoes on the first referenced value; cascade collects
-        every matching child and deletes them in one batch operation, so
-        the cascade itself runs set-at-a-time."""
+        every matching child and deletes them in one batch operation
+        through the dispatch layer, so their own attachments (including
+        further referential instances) fire — "modifications may cascade
+        in the database"."""
         for instance in field["instances"].values():
             if instance["role"] != "parent":
                 continue
@@ -261,7 +238,7 @@ class ReferentialIntegrityAttachment(AttachmentType):
         if values is None:
             return
         if instance["deferred"]:
-            self._defer_check(ctx, instance, values)
+            self._defer_check(ctx, instance, [values])
             return
         if not self._parent_exists(ctx, instance, values):
             raise ReferentialViolation(
@@ -269,37 +246,9 @@ class ReferentialIntegrityAttachment(AttachmentType):
                 f"no parent record in {instance['parent']!r} with "
                 f"{list(zip(instance['parent_columns'], values))}")
 
-    def _defer_check(self, ctx, instance: dict, values: tuple) -> None:
-        """Queue the parent-existence test for just before prepare."""
-        database = ctx.database
-        instance_name = instance["name"]
-        child_name = instance["child"]
-
-        def recheck(txn_id: int, data) -> None:
-            entry = database.catalog.entry(child_name)
-            inner_field = entry.handle.descriptor.attachment_field(
-                self.type_id)
-            if inner_field is None:
-                return
-            inner = inner_field["instances"].get(instance_name)
-            if inner is None:
-                return
-            txn = database.services.transactions.get(txn_id)
-            from ..core.context import ExecutionContext
-            inner_ctx = ExecutionContext(txn, database.services, database)
-            if not self._parent_exists(inner_ctx, inner, data):
-                raise ReferentialViolation(
-                    instance_name,
-                    f"deferred check failed: no parent record in "
-                    f"{inner['parent']!r} with "
-                    f"{list(zip(inner['parent_columns'], data))}")
-            database.services.stats.bump("referential.deferred_checks")
-
-        ctx.defer(ev.BEFORE_PREPARE, recheck, values)
-
-    def _defer_check_many(self, ctx, instance: dict,
-                          values_list: list) -> None:
-        """One deferred-queue entry testing a whole set of FK values."""
+    def _defer_check(self, ctx, instance: dict, values_list: list) -> None:
+        """Queue the parent-existence test for just before prepare: one
+        deferred-queue entry testing a whole set of FK values."""
         database = ctx.database
         instance_name = instance["name"]
         child_name = instance["child"]

@@ -40,11 +40,7 @@ class _UniqueHandler(ResourceHandler):
         if instance is None:
             return
         tree = BTree(services.buffer, instance["tree"])
-        if payload["op"] == "add":
-            tree.delete(tuple(payload["key"]), payload["value"])
-        elif payload["op"] == "remove":
-            tree.insert(tuple(payload["key"]), payload["value"])
-        elif payload["op"] == "add_many":
+        if payload["op"] == "add_many":
             for key, value in reversed(payload["entries"]):
                 tree.delete(tuple(key), value)
         elif payload["op"] == "remove_many":
@@ -143,22 +139,7 @@ class UniqueConstraintAttachment(AttachmentType):
         return key
 
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        for instance in field["instances"].values():
-            unique_key = self._key_of(instance, new_record)
-            if unique_key is None:
-                continue
-            tree = BTree(ctx.buffer, instance["tree"])
-            if tree.search(unique_key):
-                raise UniqueViolation(
-                    instance["name"],
-                    f"duplicate value {unique_key!r} for UNIQUE "
-                    f"({', '.join(instance['columns'])})")
-            tree.insert(unique_key, key)
-            ctx.log(self.resource, {
-                "op": "add", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(unique_key),
-                "value": key})
-            ctx.stats.bump("unique.maintenance_ops")
+        self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
 
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
         """Batch existence probes: one tree per instance, the whole set
@@ -226,26 +207,16 @@ class UniqueConstraintAttachment(AttachmentType):
             if old_unique is not None:
                 tree.delete(old_unique, old_key)
                 ctx.log(self.resource, {
-                    "op": "remove", "relation_id": handle.relation_id,
-                    "instance": instance["name"], "key": list(old_unique),
-                    "value": old_key})
+                    "op": "remove_many", "relation_id": handle.relation_id,
+                    "instance": instance["name"],
+                    "entries": [[list(old_unique), old_key]]})
             if new_unique is not None:
                 tree.insert(new_unique, new_key)
                 ctx.log(self.resource, {
-                    "op": "add", "relation_id": handle.relation_id,
-                    "instance": instance["name"], "key": list(new_unique),
-                    "value": new_key})
+                    "op": "add_many", "relation_id": handle.relation_id,
+                    "instance": instance["name"],
+                    "entries": [[list(new_unique), new_key]]})
             ctx.stats.bump("unique.maintenance_ops")
 
     def on_delete(self, ctx, handle, field, key, old_record) -> None:
-        for instance in field["instances"].values():
-            unique_key = self._key_of(instance, old_record)
-            if unique_key is None:
-                continue
-            tree = BTree(ctx.buffer, instance["tree"])
-            tree.delete(unique_key, key)
-            ctx.log(self.resource, {
-                "op": "remove", "relation_id": handle.relation_id,
-                "instance": instance["name"], "key": list(unique_key),
-                "value": key})
-            ctx.stats.bump("unique.maintenance_ops")
+        self.on_delete_batch(ctx, handle, field, ((key, old_record),))

@@ -134,13 +134,15 @@ class AttachmentType(abc.ABC):
         """Called once per record delete with the old record value."""
 
     # -- set-at-a-time attached procedures -----------------------------------------
-    # Called once per relation modification *batch* (after the storage
-    # method has applied the whole set).  The defaults fan out to the
-    # per-record hooks, so existing attachment types work unchanged; types
-    # that profit from set-at-a-time maintenance (indexes sorting their
-    # entries, constraints batching existence probes) override these.  A
-    # veto raised anywhere rolls the whole batch back to the operation
-    # savepoint.
+    # The dispatch layer calls only these, once per relation modification
+    # (after the storage method has applied the whole set; a single record
+    # is a set of one).  A type implements one form per operation: the
+    # per-record hook above, reached through these defaults (which tag an
+    # escaping error with the record's batch index), or — when it profits
+    # from set-at-a-time maintenance (indexes sorting their entries,
+    # constraints batching existence probes) — the batch hook, with the
+    # per-record hook as the one-line batch of one.  A veto raised anywhere
+    # rolls the whole set back to the operation savepoint.
 
     def on_insert_batch(self, ctx: ExecutionContext, handle: RelationHandle,
                         field: dict, keys: Sequence,

@@ -51,11 +51,6 @@ class ExecutionContext:
         """Append a logical operation record for a recoverable extension."""
         return self.services.recovery.log_update(self.txn_id, resource, payload)
 
-    def log_batch(self, resource: str, payloads) -> list:
-        """Append a group of operation records occupying one LSN range."""
-        return self.services.recovery.log_update_batch(self.txn_id, resource,
-                                                       payloads)
-
     def lock(self, resource: Hashable, mode: LockMode) -> None:
         """Acquire a lock — unless this is a snapshot reader.
 

@@ -104,15 +104,12 @@ class DataManager:
     # attachments fail closed, because silently skipping enforcement would
     # corrupt data integrity.
 
-    def _fire_point(self, point: str) -> None:
-        faults = getattr(self.services, "faults", None)
-        if faults is not None and faults.armed:
-            faults.fire(point)
-
     def _storage_call(self, ctx: ExecutionContext, handle: RelationHandle,
                       op: str, proc, *args, **kwargs):
         try:
-            self._fire_point(f"dispatch.storage.{op}")
+            faults = self.services.faults
+            if faults.armed:
+                faults.fire(f"dispatch.storage.{op}")
             return proc(*args, **kwargs)
         except ReproError as exc:
             annotate = getattr(exc, "annotate", None)
@@ -131,7 +128,9 @@ class DataManager:
                        *args, **kwargs):
         attachment = self.registry.attachment_type(type_id)
         try:
-            self._fire_point(f"dispatch.attached.{attachment.name}.{op}")
+            faults = self.services.faults
+            if faults.armed:
+                faults.fire(f"dispatch.attached.{attachment.name}.{op}")
             return proc(*args, **kwargs)
         except ReproError as exc:
             annotate = getattr(exc, "annotate", None)
@@ -195,132 +194,72 @@ class DataManager:
     def offenses(self, relation_id: int, type_id: int) -> int:
         return self._offenses.get((relation_id, type_id), 0)
 
-    @staticmethod
-    def _active_attachments(handle: RelationHandle):
-        """Attachment fields with at least one in-service instance.
+    def _fan_out(self, ctx: ExecutionContext, handle: RelationHandle,
+                 op: str, vector: list, count: int, *args) -> None:
+        """Step two: drive one attached-procedure vector over the relation.
 
-        Quarantined or disabled instances are excluded from modification
-        fan-out — every hook services ``field["instances"]`` only, so a
-        field with none of them in service would be a guaranteed no-op
-        call.
+        Only fields with an in-service instance are called — quarantined
+        or disabled instances are excluded, and every hook services
+        ``field["instances"]`` only, so a field with none of them would be
+        a guaranteed no-op call.
         """
         for type_id, field in handle.descriptor.present_attachments():
             if field.get("instances"):
-                yield type_id, field
+                ctx.stats.bump("dispatch.attached_calls", count)
+                self._attached_call(ctx, handle, type_id, field, op,
+                                    vector[type_id], ctx, handle, field,
+                                    *args)
 
     # ------------------------------------------------------------------
     # Relation modification operations (two-step execution)
     # ------------------------------------------------------------------
-    def insert(self, ctx: ExecutionContext, handle: RelationHandle,
-               record: Tuple):
-        """Insert a record; returns its record key."""
-        record = handle.schema.check_record(record)
-        method = self._modifiable_method(handle)
-        self._check_writable(ctx, handle, "insert")
-        ctx.lock_relation(handle.relation_id, LockMode.IX)
-        with self._operation(ctx):
-            ctx.stats.bump("dispatch.inserts")
-            key = self._storage_call(
-                ctx, handle, "insert",
-                self.registry.storage_insert[method.method_id],
-                ctx, handle, record)
-            for type_id, field in self._active_attachments(handle):
-                ctx.stats.bump("dispatch.attached_calls")
-                self._attached_call(
-                    ctx, handle, type_id, field, "insert",
-                    self.registry.attached_insert[type_id],
-                    ctx, handle, field, key, record)
-        self._note_versions(ctx, handle, [(key, ABSENT)])
-        return key
-
-    def update(self, ctx: ExecutionContext, handle: RelationHandle, key,
-               new_record: Tuple):
-        """Replace the record at ``key``; returns the (possibly new) key.
-
-        The old record value is fetched first — it is "available to the
-        extension routines on updates and deletes".
-        """
-        new_record = handle.schema.check_record(new_record)
-        method = self._modifiable_method(handle)
-        self._check_writable(ctx, handle, "update")
-        ctx.lock_relation(handle.relation_id, LockMode.IX)
-        old_record = self._require_record(ctx, handle, key)
-        with self._operation(ctx):
-            ctx.stats.bump("dispatch.updates")
-            new_key = self._storage_call(
-                ctx, handle, "update",
-                self.registry.storage_update[method.method_id],
-                ctx, handle, key, old_record, new_record)
-            for type_id, field in self._active_attachments(handle):
-                ctx.stats.bump("dispatch.attached_calls")
-                self._attached_call(
-                    ctx, handle, type_id, field, "update",
-                    self.registry.attached_update[type_id],
-                    ctx, handle, field, key, new_key, old_record, new_record)
-        transitions = [(key, old_record)]
-        if new_key != key:  # relocated: the new key did not exist before
-            transitions.append((new_key, ABSENT))
-        self._note_versions(ctx, handle, transitions)
-        return new_key
-
-    def delete(self, ctx: ExecutionContext, handle: RelationHandle, key) -> None:
-        """Delete the record at ``key``."""
-        method = self._modifiable_method(handle)
-        self._check_writable(ctx, handle, "delete")
-        ctx.lock_relation(handle.relation_id, LockMode.IX)
-        old_record = self._require_record(ctx, handle, key)
-        with self._operation(ctx):
-            ctx.stats.bump("dispatch.deletes")
-            self._storage_call(
-                ctx, handle, "delete",
-                self.registry.storage_delete[method.method_id],
-                ctx, handle, key, old_record)
-            for type_id, field in self._active_attachments(handle):
-                ctx.stats.bump("dispatch.attached_calls")
-                self._attached_call(
-                    ctx, handle, type_id, field, "delete",
-                    self.registry.attached_delete[type_id],
-                    ctx, handle, field, key, old_record)
-        self._note_versions(ctx, handle, [(key, old_record)])
-
-    # ------------------------------------------------------------------
-    # Set-at-a-time relation modification operations
-    # ------------------------------------------------------------------
-    # The batch operations run the same two-step protocol as the
-    # per-record ones, but once per *set*: one operation savepoint, one
-    # relation lock, one storage-method call, and one attached-procedure
-    # call per attachment type for the whole batch.  A veto anywhere —
-    # by the storage method on the j-th record or by the k-th attachment
-    # type — rolls the entire batch back to the operation savepoint, so a
+    # There is one modification path and it is set-at-a-time: one
+    # operation savepoint, one relation lock, one storage-method call, and
+    # one attached-procedure call per attachment type for the whole set.
+    # A single-record modification is a set of one.  A veto anywhere — by
+    # the storage method on the j-th record or by the k-th attachment
+    # type — rolls the entire set back to the operation savepoint, so a
     # batch is atomic as one relation modification operation.
     #
     # Batches of at least LOCK_ESCALATION_THRESHOLD records escalate to a
     # relation-level X lock, after which record-at-a-time locking inside
     # the storage method and attachments is subsumed and skipped.
 
+    def insert(self, ctx: ExecutionContext, handle: RelationHandle,
+               record: Tuple):
+        """Insert a record; returns its record key."""
+        return self.insert_batch(ctx, handle, (record,))[0]
+
+    def update(self, ctx: ExecutionContext, handle: RelationHandle, key,
+               new_record: Tuple):
+        """Replace the record at ``key``; returns the (possibly new) key."""
+        return self.update_batch(ctx, handle, ((key, new_record),))[0]
+
+    def delete(self, ctx: ExecutionContext, handle: RelationHandle, key) -> None:
+        """Delete the record at ``key``."""
+        self.delete_batch(ctx, handle, (key,))
+
     def insert_batch(self, ctx: ExecutionContext, handle: RelationHandle,
                      records: Sequence[Tuple]) -> list:
         """Insert a set of records; returns their record keys in order."""
-        records = [handle.schema.check_record(r) for r in records]
+        check = handle.schema.check_record
+        records = [check(r) for r in records]
         if not records:
             return []
         method = self._modifiable_method(handle)
-        self._check_writable(ctx, handle, "insert_batch")
+        self._check_writable(ctx, handle, "insert")
         self._lock_for_batch(ctx, handle, len(records))
-        with self._operation(ctx):
+        with _OperationScope(self, ctx):
             ctx.stats.bump("dispatch.inserts", len(records))
             keys = self._storage_call(
-                ctx, handle, "insert_batch",
+                ctx, handle, "insert",
                 self.registry.storage_insert_batch[method.method_id],
                 ctx, handle, records)
-            for type_id, field in self._active_attachments(handle):
-                ctx.stats.bump("dispatch.attached_calls", len(records))
-                self._attached_call(
-                    ctx, handle, type_id, field, "insert_batch",
-                    self.registry.attached_insert_batch[type_id],
-                    ctx, handle, field, keys, records)
+            self._fan_out(ctx, handle, "insert",
+                          self.registry.attached_insert_batch, len(records),
+                          keys, records)
         self._note_versions(ctx, handle, [(k, ABSENT) for k in keys])
-        return list(keys)
+        return keys
 
     def update_batch(self, ctx: ExecutionContext, handle: RelationHandle,
                      items: Sequence[Tuple]) -> list:
@@ -335,32 +274,31 @@ class DataManager:
         if not items:
             return []
         method = self._modifiable_method(handle)
-        self._check_writable(ctx, handle, "update_batch")
+        self._check_writable(ctx, handle, "update")
         self._lock_for_batch(ctx, handle, len(items))
-        triples = [(key, self._require_record(ctx, handle, key),
-                    handle.schema.check_record(new))
-                   for key, new in items]
-        with self._operation(ctx):
+        check = handle.schema.check_record
+        olds = self._old_records(ctx, handle, method,
+                                 [key for key, __ in items])
+        triples = [(key, old, check(new))
+                   for (key, new), old in zip(items, olds)]
+        with _OperationScope(self, ctx):
             ctx.stats.bump("dispatch.updates", len(triples))
             new_keys = self._storage_call(
-                ctx, handle, "update_batch",
+                ctx, handle, "update",
                 self.registry.storage_update_batch[method.method_id],
                 ctx, handle, triples)
             quads = [(key, new_key, old, new)
                      for (key, old, new), new_key in zip(triples, new_keys)]
-            for type_id, field in self._active_attachments(handle):
-                ctx.stats.bump("dispatch.attached_calls", len(quads))
-                self._attached_call(
-                    ctx, handle, type_id, field, "update_batch",
-                    self.registry.attached_update_batch[type_id],
-                    ctx, handle, field, quads)
+            self._fan_out(ctx, handle, "update",
+                          self.registry.attached_update_batch, len(quads),
+                          quads)
         transitions = []
         for key, new_key, old, __ in quads:
             transitions.append((key, old))
-            if new_key != key:
+            if new_key != key:  # relocated: the new key did not exist before
                 transitions.append((new_key, ABSENT))
         self._note_versions(ctx, handle, transitions)
-        return list(new_keys)
+        return new_keys
 
     def delete_batch(self, ctx: ExecutionContext, handle: RelationHandle,
                      keys: Sequence) -> None:
@@ -368,22 +306,18 @@ class DataManager:
         if not keys:
             return
         method = self._modifiable_method(handle)
-        self._check_writable(ctx, handle, "delete_batch")
+        self._check_writable(ctx, handle, "delete")
         self._lock_for_batch(ctx, handle, len(keys))
-        pairs = [(key, self._require_record(ctx, handle, key))
-                 for key in keys]
-        with self._operation(ctx):
+        pairs = list(zip(keys, self._old_records(ctx, handle, method, keys)))
+        with _OperationScope(self, ctx):
             ctx.stats.bump("dispatch.deletes", len(pairs))
             self._storage_call(
-                ctx, handle, "delete_batch",
+                ctx, handle, "delete",
                 self.registry.storage_delete_batch[method.method_id],
                 ctx, handle, pairs)
-            for type_id, field in self._active_attachments(handle):
-                ctx.stats.bump("dispatch.attached_calls", len(pairs))
-                self._attached_call(
-                    ctx, handle, type_id, field, "delete_batch",
-                    self.registry.attached_delete_batch[type_id],
-                    ctx, handle, field, pairs)
+            self._fan_out(ctx, handle, "delete",
+                          self.registry.attached_delete_batch, len(pairs),
+                          pairs)
         self._note_versions(ctx, handle, pairs)
 
     # ------------------------------------------------------------------
@@ -452,7 +386,9 @@ class DataManager:
         instance = attachment.instance(field, access_path.instance_name)
         pairs = []
         for key in keys:
-            record_keys = attachment.fetch(ctx, handle, instance, key)
+            record_keys = self._attached_call(
+                ctx, handle, access_path.type_id, field, "fetch_many",
+                attachment.fetch, ctx, handle, instance, key)
             if record_keys:
                 pairs.append((key, record_keys))
         return pairs
@@ -618,15 +554,19 @@ class DataManager:
         else:
             ctx.lock_relation(handle.relation_id, LockMode.IX)
 
-    def _require_record(self, ctx, handle, key) -> Tuple:
-        method = self.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        old = self.registry.storage_fetch[method.method_id](
-            ctx, handle, key, None, None)
-        if old is None:
-            raise StorageError(
-                f"relation {handle.name!r} has no record with key {key!r}")
-        return old
+    def _old_records(self, ctx, handle, method, keys) -> list:
+        """The stored records at ``keys``, in order; every key must exist."""
+        fetch = self.registry.storage_fetch[method.method_id]
+        olds = []
+        for key in keys:
+            old = self._storage_call(ctx, handle, "fetch", fetch,
+                                     ctx, handle, key, None, None)
+            if old is None:
+                raise StorageError(
+                    f"relation {handle.name!r} has no record with key "
+                    f"{key!r}")
+            olds.append(old)
+        return olds
 
     def _attachment_field(self, handle: RelationHandle,
                           access_path: AccessPath) -> dict:
@@ -637,18 +577,16 @@ class DataManager:
                 f"{access_path.type_id}")
         return field
 
-    def _operation(self, ctx: ExecutionContext):
-        """Context manager: operation savepoint + rollback-on-error.
-
-        Every relation modification runs inside an internal savepoint so a
-        veto by the k-th attachment undoes the storage-method change and
-        the k−1 attached procedures that already ran (including any
-        cascaded modifications they performed on other relations).
-        """
-        return _OperationScope(self, ctx)
-
 
 class _OperationScope:
+    """Context manager: operation savepoint + rollback-on-error.
+
+    Every relation modification runs inside an internal savepoint so a
+    veto by the k-th attachment undoes the storage-method change and the
+    k−1 attached procedures that already ran (including any cascaded
+    modifications they performed on other relations).
+    """
+
     __slots__ = ("manager", "ctx", "name")
 
     def __init__(self, manager: DataManager, ctx: ExecutionContext):

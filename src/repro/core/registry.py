@@ -43,9 +43,10 @@ class ExtensionRegistry:
         self.storage_fetch_many: List[Optional[Callable]] = [None]
         self.storage_open_scan: List[Optional[Callable]] = [None]
 
-        # Set-at-a-time counterparts; the entries default to the base-class
-        # fallbacks (which loop the per-record routines) unless the method
-        # overrides a batch hook.
+        # Set-at-a-time counterparts — the ones dispatch drives for every
+        # modification.  The entries default to the base-class fallbacks
+        # (which loop the per-record routines) unless the method overrides
+        # a batch hook.
         self.storage_insert_batch: List[Optional[Callable]] = [None]
         self.storage_update_batch: List[Optional[Callable]] = [None]
         self.storage_delete_batch: List[Optional[Callable]] = [None]

@@ -123,13 +123,13 @@ class StorageMethod(abc.ABC):
         """Remove a record by key."""
 
     # -- set-at-a-time relation modification ---------------------------------------
-    # The batch hooks are the set-at-a-time counterparts of insert / update /
-    # delete.  The dispatch layer calls them once per relation modification
-    # batch (one operation savepoint, one relation lock for the whole set).
-    # The defaults degrade to the per-record routines, so every storage
-    # method keeps working without overriding anything; methods with a real
-    # bulk advantage (filling pages before unpinning them, logging one
-    # record group per page) override these.
+    # The dispatch layer calls only the batch hooks, once per relation
+    # modification (one operation savepoint, one relation lock for the
+    # whole set; a single record is a set of one).  A method implements one
+    # form per operation: the per-record routine above, reached through
+    # these defaults, or — when there is a real bulk advantage (filling
+    # pages before unpinning them, logging one record group per page) — the
+    # batch hook, with the per-record routine as the one-line batch of one.
 
     def insert_batch(self, ctx: ExecutionContext, handle: RelationHandle,
                      records: Sequence[Tuple]) -> list:

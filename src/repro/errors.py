@@ -15,6 +15,14 @@ class ReproError(Exception):
     """Base class for all errors raised by the library."""
 
 
+def _fill_unset(exc, fields: dict):
+    """Set the containment fields of ``exc`` that are still None."""
+    for name, value in fields.items():
+        if value is not None and getattr(exc, name, None) is None:
+            setattr(exc, name, value)
+    return exc
+
+
 class SchemaError(ReproError):
     """A record, field value, or schema definition is malformed."""
 
@@ -63,6 +71,30 @@ class ChecksumError(PageError):
     """A page read from the device failed its checksum (torn/corrupt page)."""
 
 
+class BucketOverflowError(StorageError):
+    """A hash-index bucket outgrew its page (too many entries hash
+    together — typically a low-cardinality key).  Raised before the page
+    is touched; carries the containment fields of :class:`VetoError`."""
+
+    def __init__(self, instance: str, key, entries: int, *,
+                 relation: str = None, attachment_id: str = None,
+                 operation: str = None, batch_index: int = None):
+        super().__init__(
+            f"hash index {instance!r}: bucket for key {key!r} would hold "
+            f"{entries} entries, more than one page fits")
+        self.instance = instance
+        self.key = key
+        self.entries = entries
+        self.relation = relation
+        self.attachment_id = attachment_id
+        self.operation = operation
+        self.batch_index = batch_index
+
+    def annotate(self, **fields) -> "BucketOverflowError":
+        """Fill containment fields that are still unset; returns self."""
+        return _fill_unset(self, fields)
+
+
 class BufferError_(ReproError):
     """Buffer pool protocol violation (unpin of unpinned page, ...)."""
 
@@ -94,10 +126,7 @@ class VetoError(ReproError):
 
     def annotate(self, **fields) -> "VetoError":
         """Fill containment fields that are still unset; returns self."""
-        for name, value in fields.items():
-            if value is not None and getattr(self, name, None) is None:
-                setattr(self, name, value)
-        return self
+        return _fill_unset(self, fields)
 
 
 class IntegrityError(VetoError):
@@ -272,7 +301,4 @@ class ExtensionFault(ReproError):
 
     def annotate(self, **fields) -> "ExtensionFault":
         """Fill containment fields that are still unset; returns self."""
-        for name, value in fields.items():
-            if value is not None and getattr(self, name, None) is None:
-                setattr(self, name, value)
-        return self
+        return _fill_unset(self, fields)

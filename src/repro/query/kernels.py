@@ -7,28 +7,21 @@ batch: the per-row work happens inside C-implemented primitives
 set membership).  Compare that with the row pipeline, which pays a
 tree-walking ``expr.eval`` plus a ``RecordView`` per row per operator.
 
-The filter side compiles a bound predicate expression into a kernel
-tree (:func:`compile_filter`).  Kernels produce **selection vectors** —
-sorted lists of qualifying row ordinals — and combine under AND by
-narrowing the selection (each conjunct only examines survivors) and
-under OR by set union, exactly mirroring SQL's three-valued logic:
-a row is selected iff the predicate is *true* (unknown rows are
-rejected, as in :meth:`Predicate.matches`).
-
-Expressions outside that structural whitelist no longer fall back to
-row-at-a-time evaluation: :func:`compile_expression` maps *any* bound
-scalar expression tree — arithmetic, comparisons, boolean connectives
-with three-valued logic, ``IS NULL`` / ``IN`` / ``BETWEEN`` / ``LIKE``,
-scalar functions, spatial operators — recursively onto composed
+There is one vector evaluator: :func:`compile_expression` maps *any*
+bound scalar expression tree — arithmetic, comparisons, boolean
+connectives with three-valued logic, ``IS NULL`` / ``IN`` / ``BETWEEN`` /
+``LIKE``, scalar functions, spatial operators — recursively onto composed
 :class:`ValueKernel` nodes whose per-batch work runs through a pluggable
-:mod:`.backends` backend, and :func:`compile_filter` wraps the compiled
-truth vector in a generic filter kernel.  NULL propagation matches
-:meth:`Expr.eval` exactly; only the dispatch count changes.
+:mod:`.backends` backend.  The filter side (:func:`compile_filter`) wraps
+the compiled truth vector in a filter kernel producing a **selection
+vector** — the sorted ordinals of qualifying rows: a row is selected iff
+the predicate is *true* (unknown rows are rejected, as in
+:meth:`Predicate.matches`).  NULL propagation matches :meth:`Expr.eval`
+exactly; only the dispatch count changes.
 """
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager
 from typing import List, Optional, Sequence
 
@@ -37,7 +30,7 @@ from ..errors import PredicateError
 from ..services import predicate as _predicate
 from ..services.predicate import (And, Arith, Between, Cmp, Col, Const,
                                   Func, InList, IsNull, Like, Neg, Not, Or,
-                                  Param, SPATIAL_OPS, simple_comparison)
+                                  Param, SPATIAL_OPS)
 from .columnar import ColumnBatch
 
 __all__ = ["compile_filter", "compile_expression", "ValueKernel",
@@ -45,13 +38,6 @@ __all__ = ["compile_filter", "compile_expression", "ValueKernel",
            "vector_filter_enabled", "vector_filtering"]
 
 _EMPTY_VIEW = RecordView({})
-
-_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-#: Negated comparison for compiling ``NOT (col op const)`` — NULL
-#: operands stay unknown (rejected) under both forms.
-_NEGATED = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
 # ---------------------------------------------------------------------------
@@ -93,242 +79,19 @@ class FilterKernel:
         raise NotImplementedError
 
 
-class _Compare(FilterKernel):
-    __slots__ = ("index", "op", "fn", "operand")
-
-    def __init__(self, index: int, op: str, operand):
-        self.index = index
-        self.op = op
-        self.fn = _OPS[op]
-        self.operand = operand
-
-    def select(self, batch, params, selection):
-        value = self.operand.eval(_EMPTY_VIEW, params)
-        if value is None:
-            return []  # comparison with NULL is unknown for every row
-        column = batch.column(self.index)
-        fn = self.fn
-        try:
-            if selection is None:
-                return [i for i, v in enumerate(column)
-                        if v is not None and fn(v, value)]
-            return [i for i in selection
-                    if column[i] is not None and fn(column[i], value)]
-        except TypeError as exc:
-            raise PredicateError(
-                f"cannot compare column {self.index} {self.op} "
-                f"{value!r}") from exc
-
-
-class _IsNull(FilterKernel):
-    __slots__ = ("index", "negated")
-
-    def __init__(self, index: int, negated: bool):
-        self.index = index
-        self.negated = negated
-
-    def select(self, batch, params, selection):
-        mask = batch.null_mask(self.index)
-        if mask is None:
-            if self.negated:
-                return (list(range(len(batch))) if selection is None
-                        else list(selection))
-            return []
-        want = not self.negated
-        if selection is None:
-            return [i for i, is_null in enumerate(mask)
-                    if bool(is_null) is want]
-        return [i for i in selection if bool(mask[i]) is want]
-
-
-class _Between(FilterKernel):
-    __slots__ = ("index", "lo", "hi", "negated")
-
-    def __init__(self, index: int, lo, hi, negated: bool):
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-        self.negated = negated
-
-    def select(self, batch, params, selection):
-        lo = self.lo.eval(_EMPTY_VIEW, params)
-        hi = self.hi.eval(_EMPTY_VIEW, params)
-        if lo is None or hi is None:
-            return []  # unknown for every non-null row either way
-        column = batch.column(self.index)
-        base = range(len(column)) if selection is None else selection
-        try:
-            if self.negated:
-                return [i for i in base if column[i] is not None
-                        and not lo <= column[i] <= hi]
-            return [i for i in base if column[i] is not None
-                    and lo <= column[i] <= hi]
-        except TypeError as exc:
-            raise PredicateError(
-                f"cannot range-compare column {self.index} against "
-                f"{lo!r}..{hi!r}") from exc
-
-
-class _InList(FilterKernel):
-    __slots__ = ("index", "values", "negated")
-
-    def __init__(self, index: int, values, negated: bool):
-        self.index = index
-        self.values = values
-        self.negated = negated
-
-    def select(self, batch, params, selection):
-        candidates = [v.eval(_EMPTY_VIEW, params) for v in self.values]
-        has_null = any(v is None for v in candidates)
-        members = {v for v in candidates if v is not None}
-        column = batch.column(self.index)
-        base = range(len(column)) if selection is None else selection
-        if self.negated:
-            if has_null:
-                # ``x NOT IN (..., NULL)`` is never true (match → false,
-                # no match → unknown).
-                return []
-            return [i for i in base if column[i] is not None
-                    and column[i] not in members]
-        return [i for i in base if column[i] is not None
-                and column[i] in members]
-
-
-class _BoolColumn(FilterKernel):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def select(self, batch, params, selection):
-        column = batch.column(self.index)
-        if selection is None:
-            return [i for i, v in enumerate(column) if v is True]
-        return [i for i in selection if column[i] is True]
-
-
-class _AndKernel(FilterKernel):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = tuple(children)
-
-    def select(self, batch, params, selection):
-        for child in self.children:
-            selection = child.select(batch, params, selection)
-            if not selection:
-                return []
-        return list(selection)
-
-
-class _OrKernel(FilterKernel):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = tuple(children)
-
-    def select(self, batch, params, selection):
-        union = set()
-        for child in self.children:
-            union.update(child.select(batch, params, selection))
-        return sorted(union)
-
-
 def compile_filter(expr) -> Optional[FilterKernel]:
-    """Compile a bound predicate expression into a filter-kernel tree.
+    """Compile a bound predicate expression into a filter kernel.
 
-    Structured shapes (column-vs-constant comparisons, IS NULL, BETWEEN,
-    IN, boolean combinations of those) compile to the cheap
-    selection-narrowing kernels above.  Anything else compiles through
-    :func:`compile_expression` into a generic truth-vector filter, so
-    every bound predicate vectorizes; ``None`` is returned only for
-    expressions referencing unbound columns.
+    Every bound predicate compiles through :func:`compile_expression`
+    into a truth-vector filter; ``None`` is returned only for expressions
+    referencing unbound columns.
     """
     if expr is None:
         return None
-    kernel = _compile_structured(expr)
-    if kernel is not None:
-        return kernel
     value = compile_expression(expr)
     if value is None:
         return None
     return _ExprFilter(value)
-
-
-def _compile_structured(expr) -> Optional[FilterKernel]:
-    if isinstance(expr, Cmp):
-        simple = simple_comparison(expr)
-        if simple is None:
-            return None
-        index, op, operand = simple
-        if op in SPATIAL_OPS or op not in _OPS:
-            return None
-        return _Compare(index, op, operand)
-    if isinstance(expr, IsNull):
-        if isinstance(expr.item, Col) and expr.item.index is not None:
-            return _IsNull(expr.item.index, expr.negated)
-        return None
-    if isinstance(expr, Between):
-        return _compile_between(expr, negated=False)
-    if isinstance(expr, InList):
-        return _compile_in_list(expr, negated=False)
-    if isinstance(expr, And):
-        return _compile_children(expr.items, _AndKernel)
-    if isinstance(expr, Or):
-        return _compile_children(expr.items, _OrKernel)
-    if isinstance(expr, Not):
-        return _compile_not(expr.item)
-    if isinstance(expr, Col) and expr.index is not None:
-        return _BoolColumn(expr.index)  # bare boolean column
-    return None
-
-
-def _compile_children(items, combiner) -> Optional[FilterKernel]:
-    children = [compile_filter(item) for item in items]
-    if any(child is None for child in children):
-        return None
-    return combiner(children)
-
-
-def _compile_between(expr: Between, negated: bool) -> Optional[FilterKernel]:
-    if not isinstance(expr.item, Col) or expr.item.index is None:
-        return None
-    if expr.lo.column_names() or expr.hi.column_names():
-        return None
-    return _Between(expr.item.index, expr.lo, expr.hi, negated)
-
-
-def _compile_in_list(expr: InList, negated: bool) -> Optional[FilterKernel]:
-    if not isinstance(expr.item, Col) or expr.item.index is None:
-        return None
-    if any(v.column_names() for v in expr.values):
-        return None
-    return _InList(expr.item.index, expr.values, negated)
-
-
-def _compile_not(inner) -> Optional[FilterKernel]:
-    """``NOT`` distributes only over kernels with an exact negated form
-    under three-valued logic (unknown stays unknown)."""
-    if isinstance(inner, Not):
-        return compile_filter(inner.item)
-    if isinstance(inner, Cmp):
-        simple = simple_comparison(inner)
-        if simple is None:
-            return None
-        index, op, operand = simple
-        negated_op = _NEGATED.get(op)
-        if negated_op is None:
-            return None
-        return _Compare(index, negated_op, operand)
-    if isinstance(inner, IsNull):
-        if isinstance(inner.item, Col) and inner.item.index is not None:
-            return _IsNull(inner.item.index, not inner.negated)
-        return None
-    if isinstance(inner, Between):
-        return _compile_between(inner, negated=True)
-    if isinstance(inner, InList):
-        return _compile_in_list(inner, negated=True)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ class FaultInjector:
     # -- the injection points call this ----------------------------------------
     def fire(self, point: str) -> None:
         """Raise the armed error if the point's schedule says so."""
+        if not self.armed:
+            return
         with self._lock:
             plan = self._plans.get(point)
             if plan is None:

@@ -114,17 +114,6 @@ class RecoveryManager:
         self.handler(resource)  # fail fast if nothing could ever undo it
         return self.wal.append(txn_id, wal_records.UPDATE, resource, payload)
 
-    def log_update_batch(self, txn_id: int, resource: str,
-                         payloads) -> list:
-        """Append a group of logical operation records with one LSN range.
-
-        One handler lookup and one log-manager call for the whole group —
-        the set-at-a-time counterpart of :meth:`log_update`.
-        """
-        self.handler(resource)
-        return self.wal.append_batch(txn_id, wal_records.UPDATE, resource,
-                                     payloads)
-
     # -- rollback (partial or total) ------------------------------------------------
     def rollback(self, txn_id: int, to_lsn: int = 0) -> int:
         """Undo the transaction's operations with LSN > ``to_lsn``.

@@ -213,11 +213,7 @@ class Standby:
         """
         payload = record.payload
         op = payload.get("op")
-        if op == "insert":
-            delta = 1
-        elif op == "delete":
-            delta = -1
-        elif op == "insert_multi":
+        if op == "insert_multi":
             delta = len(payload["slots"])
         elif op == "delete_multi":
             delta = -len(payload["slots"])

@@ -28,7 +28,7 @@ rewriting.
 from __future__ import annotations
 
 from copy import deepcopy
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..errors import RecoveryError
 
@@ -119,22 +119,6 @@ class LogManager:
             self._first_lsn[txn_id] = lsn
         self._maybe_auto_checkpoint()
         return record
-
-    def append_batch(self, txn_id: int, kind: str,
-                     resource: Optional[str] = None,
-                     payloads: Sequence[Optional[dict]] = ()) -> List[LogRecord]:
-        """Append one record per payload as a single contiguous group.
-
-        The group occupies one LSN range: the records are backchained in
-        order and no other record of any transaction can interleave (the
-        append is a single call).  Set-at-a-time modifications use this to
-        log a whole batch — e.g. one page-group record per filled page —
-        with one log-manager interaction instead of one per record.
-        """
-        records = []
-        for payload in payloads:
-            records.append(self.append(txn_id, kind, resource, payload))
-        return records
 
     def last_lsn(self, txn_id: int) -> int:
         return self._last_lsn.get(txn_id, 0)

@@ -81,7 +81,7 @@ class _BTreeFileHandler(ResourceHandler):
     def locked_records(self, payload: dict):
         op = payload.get("op")
         relation_id = payload["relation_id"]
-        if op in ("insert", "update", "delete"):
+        if op == "update":
             return [(relation_id, tuple(payload["key"]))]
         if op in ("insert_multi", "delete_multi"):
             return [(relation_id, tuple(key)) for key in payload["keys"]]
@@ -101,16 +101,7 @@ class _BTreeFileHandler(ResourceHandler):
         buffer = services.buffer
         page = buffer.fetch(payload["page"])
         try:
-            if op == "insert":
-                page.delete(payload["slot"])
-                _dir_remove(descriptor["directory"], tuple(payload["key"]))
-                descriptor["ntuples"] -= 1
-            elif op == "delete":
-                page.insert(payload["old_raw"], slot=payload["slot"])
-                _dir_insert(descriptor["directory"], tuple(payload["key"]),
-                            payload["page"], payload["slot"])
-                descriptor["ntuples"] += 1
-            elif op == "update":
+            if op == "update":
                 page.update(payload["slot"], payload["old_raw"])
             elif op == "insert_multi":
                 for slot, key in zip(payload["slots"], payload["keys"]):
@@ -160,11 +151,7 @@ class _BTreeFileHandler(ResourceHandler):
                                     len(payload.get("slots", ())) or 1)
                 return
             if payload.get("compensates") is not None:
-                if op == "insert":
-                    page.delete(payload["slot"])
-                elif op == "delete":
-                    page.insert(payload["old_raw"], slot=payload["slot"])
-                elif op == "update":
+                if op == "update":
                     page.update(payload["slot"], payload["old_raw"])
                 elif op == "insert_multi":
                     for slot in payload["slots"]:
@@ -173,10 +160,6 @@ class _BTreeFileHandler(ResourceHandler):
                     for slot, raw in zip(payload["slots"],
                                          payload["old_raws"]):
                         page.insert(raw, slot=slot)
-            elif op == "insert":
-                page.insert(payload["new_raw"], slot=payload["slot"])
-            elif op == "delete":
-                page.delete(payload["slot"])
             elif op == "update":
                 page.update(payload["slot"], payload["new_raw"])
             elif op == "insert_multi":
@@ -396,28 +379,7 @@ class BTreeFileStorageMethod(StorageMethod):
 
     # -- modification ---------------------------------------------------------------
     def insert(self, ctx, handle, record):
-        descriptor = handle.descriptor.storage_descriptor
-        key = self.key_of(handle, record)
-        if _dir_find(descriptor["directory"], key) is not None:
-            raise UniqueViolation(
-                self.name, f"duplicate storage key {key!r} in relation "
-                           f"{handle.name!r}")
-        ctx.lock_record(handle.relation_id, key, LockMode.X)
-        raw = encode_record(handle.schema, record)
-        page_id, page = self._page_with_room(ctx, descriptor, len(raw))
-        try:
-            slot = page.insert(raw)
-            log = ctx.log(self.resource, {
-                "op": "insert", "relation_id": descriptor["relation_id"],
-                "page": page_id, "slot": slot, "new_raw": raw,
-                "key": list(key)})
-            page.page_lsn = log.lsn
-        finally:
-            ctx.buffer.unpin(page_id, dirty=True)
-        _dir_insert(descriptor["directory"], key, page_id, slot)
-        descriptor["ntuples"] += 1
-        ctx.stats.bump("btree_file.inserts")
-        return key
+        return self.insert_batch(ctx, handle, (record,))[0]
 
     def update(self, ctx, handle, key, old_record, new_record):
         new_key = self.key_of(handle, new_record)
@@ -452,69 +414,56 @@ class BTreeFileStorageMethod(StorageMethod):
             ctx.buffer.unpin(page_id, dirty=True)
 
     def delete(self, ctx, handle, key, old_record) -> None:
-        descriptor = handle.descriptor.storage_descriptor
-        ctx.lock_record(handle.relation_id, tuple(key), LockMode.X)
-        page_id, slot = _dir_remove(descriptor["directory"], tuple(key))
-        page = ctx.buffer.fetch(page_id)
-        try:
-            old_raw = page.delete(slot)
-            log = ctx.log(self.resource, {
-                "op": "delete", "relation_id": descriptor["relation_id"],
-                "page": page_id, "slot": slot, "old_raw": old_raw,
-                "key": list(key)})
-            page.page_lsn = log.lsn
-        finally:
-            ctx.buffer.unpin(page_id, dirty=True)
-        descriptor["ntuples"] -= 1
-        ctx.stats.bump("btree_file.deletes")
+        self.delete_batch(ctx, handle, ((key, old_record),))
 
     # -- set-at-a-time modification -------------------------------------------------
     def insert_batch(self, ctx, handle, records):
-        """Sort the set by storage key, check uniqueness (against the
-        directory *and* within the batch) up front, then fill pages with
-        one log record per page."""
+        """Apply the set in storage-key order: check uniqueness (against
+        the directory *and* within the batch) up front, then fill pages
+        with one log record per page."""
         descriptor = handle.descriptor.storage_descriptor
-        entries = sorted(((self.key_of(handle, record), record)
-                          for record in records), key=lambda e: e[0])
-        seen = set()
-        for key, __ in entries:
-            if key in seen or _dir_find(descriptor["directory"], key) \
-                    is not None:
+        directory = descriptor["directory"]
+        keys = [self.key_of(handle, record) for record in records]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        previous = None
+        for position in order:
+            key = keys[position]
+            if key == previous or _dir_find(directory, key) is not None:
                 raise UniqueViolation(
                     self.name, f"duplicate storage key {key!r} in relation "
                                f"{handle.name!r}")
-            seen.add(key)
+            previous = key
             ctx.lock_record(handle.relation_id, key, LockMode.X)
-        keys_by_record = {id(record): key for key, record in entries}
+        raws = [encode_record(handle.schema, records[position])
+                for position in order]
         i = 0
-        while i < len(entries):
-            key, record = entries[i]
-            raw = encode_record(handle.schema, record)
-            page_id, page = self._page_with_room(ctx, descriptor, len(raw))
-            slots, raws, keys = [], [], []
+        while i < len(order):
+            page_id, page = self._page_with_room(ctx, descriptor,
+                                                 len(raws[i]))
+            slots, page_raws, page_keys = [], [], []
             try:
-                while i < len(entries):
-                    key, record = entries[i]
-                    raw = encode_record(handle.schema, record)
+                while i < len(order):
+                    raw = raws[i]
                     if slots and not page.fits(len(raw)):
                         break
+                    key = keys[order[i]]
                     slot = page.insert(raw)
                     slots.append(slot)
-                    raws.append(raw)
-                    keys.append(list(key))
-                    _dir_insert(descriptor["directory"], key, page_id, slot)
+                    page_raws.append(raw)
+                    page_keys.append(list(key))
+                    _dir_insert(directory, key, page_id, slot)
                     i += 1
                 log = ctx.log(self.resource, {
                     "op": "insert_multi",
                     "relation_id": descriptor["relation_id"],
-                    "page": page_id, "slots": slots, "new_raws": raws,
-                    "keys": keys})
+                    "page": page_id, "slots": slots, "new_raws": page_raws,
+                    "keys": page_keys})
                 page.page_lsn = log.lsn
                 descriptor["ntuples"] += len(slots)
             finally:
                 ctx.buffer.unpin(page_id, dirty=True)
         ctx.stats.bump("btree_file.inserts", len(records))
-        return [keys_by_record[id(record)] for record in records]
+        return keys
 
     def delete_batch(self, ctx, handle, items) -> None:
         """Remove directory entries first, then group victims by page for

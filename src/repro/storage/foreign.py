@@ -99,11 +99,7 @@ class _ForeignHandler(ResourceHandler):
 
         def compensate():
             _remote_call(services, descriptor, services.stats)
-            if op == "insert":
-                table.delete(payload["remote_key"])
-            elif op == "delete":
-                table.insert(payload["old"])
-            elif op == "update":
+            if op == "update":
                 schema = table.schema
                 changes = {schema.fields[i].name: value
                            for i, value in enumerate(payload["old"])}
@@ -252,18 +248,7 @@ class ForeignStorageMethod(StorageMethod):
 
     # -- modification ---------------------------------------------------------------
     def insert(self, ctx, handle, record):
-        descriptor = handle.descriptor.storage_descriptor
-        remote = descriptor["database"].table(descriptor["relation"])
-
-        def send():
-            _remote_call(ctx, descriptor, ctx.stats)
-            return remote.insert(record)
-
-        remote_key = _gateway(descriptor, ctx.stats, send)
-        ctx.log(self.resource, {"op": "insert", "remote_key": remote_key,
-                                "relation_id": descriptor["relation_id"]})
-        ctx.stats.bump("foreign.inserts")
-        return remote_key
+        return self.insert_batch(ctx, handle, (record,))[0]
 
     def update(self, ctx, handle, key, old_record, new_record):
         descriptor = handle.descriptor.storage_descriptor
@@ -284,17 +269,7 @@ class ForeignStorageMethod(StorageMethod):
         return new_key
 
     def delete(self, ctx, handle, key, old_record) -> None:
-        descriptor = handle.descriptor.storage_descriptor
-        remote = descriptor["database"].table(descriptor["relation"])
-
-        def send():
-            _remote_call(ctx, descriptor, ctx.stats)
-            remote.delete(key)
-
-        _gateway(descriptor, ctx.stats, send)
-        ctx.log(self.resource, {"op": "delete", "old": old_record,
-                                "relation_id": descriptor["relation_id"]})
-        ctx.stats.bump("foreign.deletes")
+        self.delete_batch(ctx, handle, ((key, old_record),))
 
     # -- set-at-a-time modification -------------------------------------------------
     def insert_batch(self, ctx, handle, records):

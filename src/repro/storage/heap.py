@@ -63,7 +63,7 @@ class _HeapHandler(ResourceHandler):
     def locked_records(self, payload: dict):
         op = payload.get("op")
         relation_id = payload["relation_id"]
-        if op in ("insert", "update", "delete"):
+        if op == "update":
             return [(relation_id, (payload["page"], payload["slot"]))]
         if op in ("insert_multi", "delete_multi"):
             return [(relation_id, (payload["page"], slot))
@@ -84,13 +84,7 @@ class _HeapHandler(ResourceHandler):
         buffer = services.buffer
         page = buffer.fetch(payload["page"])
         try:
-            if op == "insert":
-                page.delete(payload["slot"])
-                descriptor["ntuples"] -= 1
-            elif op == "delete":
-                page.insert(payload["old_raw"], slot=payload["slot"])
-                descriptor["ntuples"] += 1
-            elif op == "update":
+            if op == "update":
                 page.update(payload["slot"], payload["old_raw"])
             elif op == "insert_multi":
                 for slot in payload["slots"]:
@@ -150,10 +144,6 @@ class _HeapHandler(ResourceHandler):
             try:
                 if payload.get("compensates") is not None:
                     self._redo_compensation(page, payload)
-                elif op == "insert":
-                    page.insert(payload["new_raw"], slot=payload["slot"])
-                elif op == "delete":
-                    page.delete(payload["slot"])
                 elif op == "update":
                     page.update(payload["slot"], payload["new_raw"])
                 elif op == "insert_multi":
@@ -185,11 +175,7 @@ class _HeapHandler(ResourceHandler):
     def _redo_compensation(page: PageView, payload: dict) -> None:
         """A CLR's redo applies the *inverse* of the compensated operation."""
         op = payload["op"]
-        if op == "insert":
-            page.delete(payload["slot"])
-        elif op == "delete":
-            page.insert(payload["old_raw"], slot=payload["slot"])
-        elif op == "update":
+        if op == "update":
             page.update(payload["slot"], payload["old_raw"])
         elif op == "insert_multi":
             for slot in payload["slots"]:
@@ -366,28 +352,7 @@ class HeapStorageMethod(StorageMethod):
 
     # -- modification ---------------------------------------------------------------
     def insert(self, ctx, handle, record):
-        descriptor = handle.descriptor.storage_descriptor
-        raw = encode_record(handle.schema, record)
-        page_id, page = self._page_with_room(ctx, descriptor, len(raw))
-        try:
-            slot = page.insert(raw)
-            key = (page_id, slot)
-            ctx.lock_record(handle.relation_id, key, LockMode.X)
-            try:
-                log = ctx.log(self.resource, {
-                    "op": "insert", "relation_id": descriptor["relation_id"],
-                    "page": page_id, "slot": slot, "new_raw": raw})
-            except BaseException:
-                # WAL protocol: a page modification without a log record
-                # must not survive — rollback can only undo logged work.
-                page.delete(slot)
-                raise
-            page.page_lsn = log.lsn
-            descriptor["ntuples"] += 1
-            ctx.stats.bump("heap.inserts")
-            return key
-        finally:
-            ctx.buffer.unpin(page_id, dirty=True)
+        return self.insert_batch(ctx, handle, (record,))[0]
 
     def update(self, ctx, handle, key, old_record, new_record):
         descriptor = handle.descriptor.storage_descriptor
@@ -421,24 +386,7 @@ class HeapStorageMethod(StorageMethod):
             ctx.buffer.unpin(page_id, dirty=True)
 
     def delete(self, ctx, handle, key, old_record) -> None:
-        descriptor = handle.descriptor.storage_descriptor
-        page_id, slot = key
-        ctx.lock_record(handle.relation_id, key, LockMode.X)
-        page = ctx.buffer.fetch(page_id)
-        try:
-            old_raw = page.delete(slot)
-            try:
-                log = ctx.log(self.resource, {
-                    "op": "delete", "relation_id": descriptor["relation_id"],
-                    "page": page_id, "slot": slot, "old_raw": old_raw})
-            except BaseException:
-                page.insert(old_raw, slot=slot)  # unlogged: put it back
-                raise
-            page.page_lsn = log.lsn
-            descriptor["ntuples"] -= 1
-            ctx.stats.bump("heap.deletes")
-        finally:
-            ctx.buffer.unpin(page_id, dirty=True)
+        self.delete_batch(ctx, handle, ((key, old_record),))
 
     # -- set-at-a-time modification -------------------------------------------------
     def insert_batch(self, ctx, handle, records):
@@ -451,7 +399,8 @@ class HeapStorageMethod(StorageMethod):
         keys = []
         i = 0
         while i < len(raws):
-            page_id, page = self._page_with_room(ctx, descriptor, len(raws[i]))
+            page_id, page = self._page_with_room(
+                ctx, descriptor, len(raws[i]), fill_hint, page_size)
             slots, page_raws = [], []
             try:
                 while i < len(raws):
@@ -485,50 +434,33 @@ class HeapStorageMethod(StorageMethod):
         ctx.stats.bump("heap.inserts", len(records))
         return keys
 
-    #: Upper bound on pages held pinned while a delete group is logged as
-    #: one LSN range (well under the default buffer capacity of 256).
-    _DELETE_GROUP_PAGES = 64
-
     def delete_batch(self, ctx, handle, items) -> None:
-        """Group victims by page: one pin per page, and one log-record
-        group (a single contiguous LSN range) per run of pages."""
+        """Group victims by page: one pin and one log record per page."""
         descriptor = handle.descriptor.storage_descriptor
         by_page = {}
         for key, __ in items:
             page_id, slot = key
             ctx.lock_record(handle.relation_id, key, LockMode.X)
             by_page.setdefault(page_id, []).append(slot)
-        groups = list(by_page.items())
-        for start in range(0, len(groups), self._DELETE_GROUP_PAGES):
-            chunk = groups[start:start + self._DELETE_GROUP_PAGES]
-            pinned, payloads = [], []
+        for page_id, slots in by_page.items():
+            page = ctx.buffer.fetch(page_id)
             try:
-                for page_id, slots in chunk:
-                    page = ctx.buffer.fetch(page_id)
-                    pinned.append((page_id, page))
-                    old_raws = [page.delete(slot) for slot in slots]
-                    payloads.append({
+                old_raws = [page.delete(slot) for slot in slots]
+                try:
+                    log = ctx.log(self.resource, {
                         "op": "delete_multi",
                         "relation_id": descriptor["relation_id"],
                         "page": page_id, "slots": slots,
                         "old_raws": old_raws})
-                    descriptor["ntuples"] -= len(slots)
-                try:
-                    logs = ctx.log_batch(self.resource, payloads)
                 except BaseException:
-                    # Unlogged deletions must not stay: restore every
-                    # record of the chunk before the error escapes.
-                    for (__, page), payload in zip(pinned, payloads):
-                        for slot, raw in zip(payload["slots"],
-                                             payload["old_raws"]):
-                            page.insert(raw, slot=slot)
-                        descriptor["ntuples"] += len(payload["slots"])
+                    # Unlogged deletions must not stay: put them back.
+                    for slot, raw in zip(slots, old_raws):
+                        page.insert(raw, slot=slot)
                     raise
-                for (page_id, page), log in zip(pinned, logs):
-                    page.page_lsn = log.lsn
+                page.page_lsn = log.lsn
+                descriptor["ntuples"] -= len(slots)
             finally:
-                for page_id, __ in pinned:
-                    ctx.buffer.unpin(page_id, dirty=True)
+                ctx.buffer.unpin(page_id, dirty=True)
         ctx.stats.bump("heap.deletes", len(items))
 
     # -- access -------------------------------------------------------------------------
@@ -602,7 +534,8 @@ class HeapStorageMethod(StorageMethod):
         return len(handle.descriptor.storage_descriptor["pages"])
 
     # -- internals -----------------------------------------------------------------------------
-    def _page_with_room(self, ctx, descriptor: dict, length: int):
+    def _page_with_room(self, ctx, descriptor: dict, length: int,
+                        fill_hint: float, page_size: int):
         """Pin a page with room for ``length`` bytes (last page or a new one).
 
         The ``fill_hint`` attribute reserves free space on each page for
@@ -610,8 +543,6 @@ class HeapStorageMethod(StorageMethod):
         fraction would exceed the hint.
         """
         pages = descriptor["pages"]
-        fill_hint = descriptor.get("attributes", {}).get("fill_hint", 1.0)
-        page_size = ctx.buffer.device.page_size
         if pages:
             page_id = pages[-1]
             page = ctx.buffer.fetch(page_id)

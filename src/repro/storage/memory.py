@@ -151,7 +151,7 @@ class _MemoryHandler(ResourceHandler):
     def locked_records(self, payload: dict):
         op = payload.get("op")
         relation_id = payload["relation_id"]
-        if op in ("insert", "update", "delete"):
+        if op == "update":
             return [(relation_id, payload["key"])]
         if op in ("insert_multi", "delete_multi"):
             return [(relation_id, key) for key in payload["keys"]]
@@ -163,11 +163,7 @@ class _MemoryHandler(ResourceHandler):
             return  # the relation was dropped; nothing left to undo
         rows = descriptor["rows"]
         op = payload["op"]
-        if op == "insert":
-            rows.pop(payload["key"], None)
-        elif op == "delete":
-            rows[payload["key"]] = tuple(payload["old"])
-        elif op == "update":
+        if op == "update":
             rows[payload["key"]] = tuple(payload["old"])
         elif op == "insert_multi":
             for key in payload["keys"]:
@@ -233,15 +229,7 @@ class MemoryStorageMethod(StorageMethod):
 
     # -- modification ---------------------------------------------------------------
     def insert(self, ctx, handle, record):
-        descriptor = handle.descriptor.storage_descriptor
-        key = descriptor["next_key"]
-        descriptor["next_key"] = key + 1
-        ctx.lock_record(handle.relation_id, key, LockMode.X)
-        descriptor["rows"][key] = record
-        ctx.log(self.resource, {"op": "insert", "key": key,
-                                "relation_id": descriptor["relation_id"]})
-        ctx.stats.bump("memory.inserts")
-        return key
+        return self.insert_batch(ctx, handle, (record,))[0]
 
     def update(self, ctx, handle, key, old_record, new_record):
         descriptor = handle.descriptor.storage_descriptor
@@ -255,14 +243,7 @@ class MemoryStorageMethod(StorageMethod):
         return key
 
     def delete(self, ctx, handle, key, old_record) -> None:
-        descriptor = handle.descriptor.storage_descriptor
-        self._require(descriptor, key)
-        ctx.lock_record(handle.relation_id, key, LockMode.X)
-        del descriptor["rows"][key]
-        ctx.log(self.resource, {"op": "delete", "key": key,
-                                "old": old_record,
-                                "relation_id": descriptor["relation_id"]})
-        ctx.stats.bump("memory.deletes")
+        self.delete_batch(ctx, handle, ((key, old_record),))
 
     # -- set-at-a-time modification -------------------------------------------------
     def insert_batch(self, ctx, handle, records):

@@ -815,40 +815,20 @@ class ShardedStorageMethod(StorageMethod):
 
     # -- modification -----------------------------------------------------------
     def insert(self, ctx, handle, record):
-        descriptor = self._descriptor(handle)
-        ent = self._enlist(ctx, handle)
-        index = self._route(descriptor, record[descriptor["key_index"]])
-        participant = self._participant(ctx, handle, ent, index)
-        self._mark_write(ctx, handle, ent)
-        child_handle = self._child_handle(descriptor, participant)
-        remote_key = participant.call(
-            lambda: participant.database.data.insert(
-                participant.context(), child_handle, record))
-        participant.wrote = True
-        participant.stats.bump("remote.tuples_written")
-        ctx.stats.bump("sharded.inserts")
-        return (index, remote_key)
+        return self.insert_batch(ctx, handle, (record,))[0]
 
     def update(self, ctx, handle, key, old_record, new_record):
+        return self.update_batch(ctx, handle,
+                                 ((key, old_record, new_record),))[0]
+
+    def delete(self, ctx, handle, key, old_record) -> None:
+        self.delete_batch(ctx, handle, ((key, old_record),))
+
+    def _migrate(self, ctx, handle, ent, key, new_index, new_record):
+        """The partition key moved: migrate the record across shards —
+        delete here, insert there, both inside the same global txn."""
         descriptor = self._descriptor(handle)
-        ent = self._enlist(ctx, handle)
         old_index, remote_key = key
-        new_index = self._route(descriptor,
-                                new_record[descriptor["key_index"]])
-        self._mark_write(ctx, handle, ent)
-        if new_index == old_index:
-            participant = self._participant(ctx, handle, ent, old_index)
-            child_handle = self._child_handle(descriptor, participant)
-            new_remote = participant.call(
-                lambda: participant.database.data.update(
-                    participant.context(), child_handle, remote_key,
-                    new_record))
-            participant.wrote = True
-            participant.stats.bump("remote.tuples_written")
-            ctx.stats.bump("sharded.updates")
-            return (old_index, new_remote)
-        # The partition key moved: migrate the record across shards —
-        # delete here, insert there, both inside the same global txn.
         source = self._participant(ctx, handle, ent, old_index)
         target = self._participant(ctx, handle, ent, new_index)
         source_handle = self._child_handle(descriptor, source)
@@ -861,22 +841,8 @@ class ShardedStorageMethod(StorageMethod):
         target.wrote = True
         source.stats.bump("remote.tuples_written")
         target.stats.bump("remote.tuples_written")
-        ctx.stats.bump("sharded.updates")
         ctx.stats.bump("sharded.migrations")
         return (new_index, new_remote)
-
-    def delete(self, ctx, handle, key, old_record) -> None:
-        descriptor = self._descriptor(handle)
-        ent = self._enlist(ctx, handle)
-        index, remote_key = key
-        participant = self._participant(ctx, handle, ent, index)
-        self._mark_write(ctx, handle, ent)
-        child_handle = self._child_handle(descriptor, participant)
-        participant.call(lambda: participant.database.data.delete(
-            participant.context(), child_handle, remote_key))
-        participant.wrote = True
-        participant.stats.bump("remote.tuples_written")
-        ctx.stats.bump("sharded.deletes")
 
     # -- set-at-a-time modification ----------------------------------------------
     def insert_batch(self, ctx, handle, records):
@@ -921,8 +887,8 @@ class ShardedStorageMethod(StorageMethod):
                 in_place.setdefault(old_index, []).append(
                     (position, remote_key, new_record))
             else:
-                keys[position] = self.update(ctx, handle, key, old_record,
-                                             new_record)
+                keys[position] = self._migrate(ctx, handle, ent, key,
+                                               new_index, new_record)
         for index in sorted(in_place):
             group = in_place[index]
             participant = self._participant(ctx, handle, ent, index)

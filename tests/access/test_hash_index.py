@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AccessPath, Database
+from repro.errors import BucketOverflowError, StorageError
 
 
 @pytest.fixture
@@ -93,3 +94,47 @@ def test_multi_column_hash_key(db):
     ap = AccessPath(att.type_id, "mc_h")
     assert table.fetch((1, "x"), access_path=ap)
     assert table.fetch((1, "y"), access_path=ap) == []
+
+
+def test_bucket_that_outgrows_its_page_raises_a_typed_error():
+    """Eight distinct keys: every entry lands in one of eight buckets, so
+    a bucket's pickled entry list eventually exceeds the page.  The error
+    names the index, fires before any page is touched, and the failed
+    operation rolls back leaving relation and index intact."""
+    db = Database(page_size=1024)
+    table = db.create_table("t", [("id", "INT"), ("k", "INT")])
+    db.create_attachment("t", "hash_index", "t_k", {"columns": ["k"]})
+    ap = AccessPath(db.registry.attachment_type_by_name("hash_index").type_id,
+                    "t_k")
+    loaded = 0
+    with pytest.raises(BucketOverflowError) as excinfo:
+        for __ in range(100):
+            table.insert_many([(loaded + j, j % 8) for j in range(40)])
+            loaded += 40
+    error = excinfo.value
+    assert isinstance(error, StorageError)
+    assert (error.instance, error.relation, error.attachment_id,
+            error.operation) == ("t_k", "t", "hash_index", "insert")
+    assert error.key in [(k,) for k in range(8)] and error.entries > 1
+    assert "t_k" in str(error)
+
+    def state():
+        return (table.count(),
+                [len(table.fetch((k,), access_path=ap)) for k in range(8)])
+
+    assert state() == (loaded, [loaded // 8] * 8)
+    # A single record into the full bucket fails the same way ...
+    with pytest.raises(BucketOverflowError):
+        for i in range(40):
+            table.insert((loaded + i, error.key[0]))
+            loaded += 1
+    # ... and so does an update that moves a record into it.
+    victim = table.scan(where=f"k = {(error.key[0] + 1) % 8}")[0][0]
+    with pytest.raises(BucketOverflowError):
+        table.update(victim, {"k": error.key[0]})
+    counts = state()
+    assert counts[0] == loaded == sum(counts[1])
+    # Deletes still work and make room again.
+    table.delete_where(f"k = {error.key[0]}")
+    table.insert((10_000, error.key[0]))
+    assert len(table.fetch(error.key, access_path=ap)) == 1

@@ -1,11 +1,11 @@
-"""Set-at-a-time dispatch: one savepoint/lock per batch, fallbacks, parity.
+"""Set-at-a-time dispatch: one savepoint/lock per set, fallbacks.
 
-The batch generic operations run the paper's two-step protocol once per
-*set*: one operation savepoint, one IX relation lock, one storage-method
-call, and one attached-procedure call per attachment type.  Extensions
-that never heard of batches keep working through the base-class fallback
-hooks, and a batch of one leaves every counter exactly where the
-tuple-at-a-time path would.
+The generic modification operations run the paper's two-step protocol once
+per *set* — a single record is a set of one: one operation savepoint, one
+relation lock, one storage-method call, and one attached-procedure call
+per attachment type.  Extensions that never heard of batches keep working
+through the base-class fallback hooks.  Failures are covered by
+``test_batch_fault_matrix.py``.
 """
 
 import pytest
@@ -33,7 +33,7 @@ def build(storage="heap", index=True):
 
 
 # ----------------------------------------------------------------------
-# Equivalence with the tuple-at-a-time path
+# One set of N is equivalent to N sets of one
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("storage", ["heap", "btree_file", "memory"])
 def test_insert_batch_matches_per_record_contents(storage):
@@ -44,7 +44,7 @@ def test_insert_batch_matches_per_record_contents(storage):
     keys = batch.insert_many(ROWS)
     assert len(keys) == len(ROWS)
     assert sorted(one.rows()) == sorted(batch.rows()) == sorted(ROWS)
-    # The index saw every record on both paths.
+    # The index saw every record either way.
     assert sorted(one.rows(where="name = 'name7'")) == \
         sorted(batch.rows(where="name = 'name7'"))
 
@@ -84,7 +84,6 @@ class RecordingAttachment(AttachmentType):
 
     def __init__(self):
         self.calls = []
-        self.veto_key = None
 
     def create_instance(self, ctx, handle, instance_name, attributes):
         return {"name": instance_name}
@@ -94,8 +93,6 @@ class RecordingAttachment(AttachmentType):
 
     def on_insert(self, ctx, handle, field, key, new_record):
         self.calls.append(("insert", key))
-        if self.veto_key == new_record[0]:
-            raise VetoError(self.name, "insert rejected")
 
     def on_update(self, ctx, handle, field, old_key, new_key, old_record,
                   new_record):
@@ -106,12 +103,21 @@ class RecordingAttachment(AttachmentType):
 
 
 class PlainMemoryStorage(MemoryStorageMethod):
-    """Memory storage with the batch overrides stripped back out."""
+    """A tuple-at-a-time storage method: per-record bodies only, driven
+    by the base-class batch defaults."""
 
     name = "plainmem"
     insert_batch = StorageMethod.insert_batch
     update_batch = StorageMethod.update_batch
     delete_batch = StorageMethod.delete_batch
+
+    def insert(self, ctx, handle, record):
+        return MemoryStorageMethod.insert_batch(self, ctx, handle,
+                                                [record])[0]
+
+    def delete(self, ctx, handle, key, old_record):
+        MemoryStorageMethod.delete_batch(self, ctx, handle,
+                                         [(key, old_record)])
 
 
 def test_attachment_without_batch_hooks_sees_each_record():
@@ -146,19 +152,6 @@ def test_storage_method_without_batch_hooks_works_through_defaults():
     assert table.count() == sum(1 for r in ROWS[:10] if r[2] != "eng")
 
 
-def test_veto_in_attachment_rolls_back_whole_batch_via_fallback():
-    db = Database(page_size=1024)
-    recorder = RecordingAttachment()
-    db.registry.register_attachment_type(recorder)
-    table = db.create_table("t", SCHEMA)
-    db.create_attachment("t", "recording", "rec")
-    recorder.veto_key = ROWS[7][0]   # vetoes the 8th record of the batch
-    with pytest.raises(VetoError):
-        table.insert_many(ROWS[:10])
-    assert table.count() == 0
-    assert db.services.stats.get("dispatch.vetoed_operations") == 1
-
-
 # ----------------------------------------------------------------------
 # One savepoint, one lock call per batch
 # ----------------------------------------------------------------------
@@ -177,22 +170,6 @@ def test_batch_takes_one_savepoint_and_one_relation_lock_call():
     per_record = db_one.services.stats.delta(before)
     assert per_record["txn.savepoints_set"] == len(ROWS)
     assert delta["locks.acquire_calls"] < per_record["locks.acquire_calls"]
-
-
-def test_batch_of_one_leaves_identical_counters():
-    """Counter parity: insert_batch([r]) accounts exactly like insert(r)."""
-    db_one, one = build()
-    db_set, batch = build()
-    one.insert(ROWS[0])
-    batch.insert_many([ROWS[0]])
-    assert sorted(one.rows()) == sorted(batch.rows())
-    one_counts = db_one.services.stats.snapshot()
-    set_counts = db_set.services.stats.snapshot()
-    for name in ("dispatch.inserts", "dispatch.attached_calls",
-                 "txn.savepoints_set", "locks.acquire_calls",
-                 "buffer.pins", "heap.inserts",
-                 "btree_index.maintenance_ops"):
-        assert one_counts.get(name, 0) == set_counts.get(name, 0), name
 
 
 def test_empty_batch_is_a_no_op():

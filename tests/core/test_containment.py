@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database
+from repro import AccessPath, Database
 from repro.core.attachment import AttachmentType
 from repro.errors import (ExtensionFault, UniqueViolation,
                           UnknownObjectError, VetoError)
@@ -30,6 +30,11 @@ class BuggyAttachment(AttachmentType):
     def on_insert(self, ctx, handle, field, key, new_record):
         if self.fail:
             raise RuntimeError("wild pointer dereference")
+
+    def fetch(self, ctx, handle, instance, input_key):
+        if self.fail:
+            raise RuntimeError("wild pointer dereference")
+        return []
 
 
 class BuggyConstraint(BuggyAttachment):
@@ -181,7 +186,7 @@ def test_veto_error_carries_structured_fields():
     assert veto.relation == "t"
     assert veto.attachment_id == "unique"
     assert veto.operation == "insert"
-    assert veto.batch_index is None  # not a batch operation
+    assert veto.batch_index == 0  # a single record is a batch of one
 
 
 def test_storage_method_fault_converted_too():
@@ -194,3 +199,49 @@ def test_storage_method_fault_converted_too():
     assert excinfo.value.operation == "insert"
     assert isinstance(excinfo.value.__cause__, TypeError)
     assert table.rows() == []
+
+
+def test_fetch_many_via_access_path_runs_behind_the_barrier(buggy_db):
+    db, table, buggy = buggy_db
+    handle = db.catalog.handle("t")
+    buggy.fail = True
+    with db.autocommit() as ctx:
+        with pytest.raises(ExtensionFault) as excinfo:
+            db.data.fetch_many(ctx, handle, [(1,), (2,)],
+                               access_path=AccessPath(buggy.type_id, "bp1"))
+    fault = excinfo.value
+    assert isinstance(fault.__cause__, RuntimeError)
+    assert (fault.relation, fault.attachment_id, fault.operation) == \
+        ("t", "buggy_path", "fetch_many")
+    assert db.services.stats.get("containment.extension_faults") == 1
+    assert db.data.offenses(handle.relation_id, buggy.type_id) == 1
+
+
+def test_old_record_fetch_runs_behind_the_barrier():
+    """The pre-image fetch of update/delete is a storage-vector call like
+    any other: a foreign exception from it is converted and counted."""
+    from repro.storage.memory import MemoryStorageMethod
+
+    class BuggyStorage(MemoryStorageMethod):
+        name = "buggy_store"
+        fail = False
+
+        def fetch(self, ctx, handle, key, fields=None, predicate=None):
+            if self.fail:
+                raise KeyError("dangling directory entry")
+            return super().fetch(ctx, handle, key, fields, predicate)
+
+    db = Database(page_size=1024)
+    store = BuggyStorage()
+    db.registry.register_storage_method(store, db.services.recovery)
+    table = db.create_table("t", [("id", "INT")],
+                            storage_method="buggy_store")
+    key = table.insert((1,))
+    store.fail = True
+    with pytest.raises(ExtensionFault) as excinfo:
+        table.delete(key)
+    store.fail = False
+    assert isinstance(excinfo.value.__cause__, KeyError)
+    assert (excinfo.value.relation, excinfo.value.operation) == ("t", "fetch")
+    assert db.services.stats.get("containment.extension_faults") == 1
+    assert table.rows() == [(1,)]

@@ -81,16 +81,6 @@ def test_old_and_new_values_passed_on_update(db_with_recorder):
     assert old_key == new_key == key
 
 
-def test_veto_rolls_back_storage_change(db_with_recorder):
-    db, table, recorder = db_with_recorder
-    table.insert((1, "keep"))
-    recorder.veto_on = "insert"
-    with pytest.raises(VetoError):
-        table.insert((2, "rejected"))
-    assert table.count() == 1
-    assert db.services.stats.get("dispatch.vetoed_operations") == 1
-
-
 def test_veto_on_delete_keeps_record(db_with_recorder):
     db, table, recorder = db_with_recorder
     key = table.insert((1, "keep"))

@@ -338,3 +338,41 @@ def test_checkpoint_forces_pending_group_commits():
     assert db.services.transactions.pending_group_commits() == 0
     db.restart()
     assert table.count() == 3
+
+
+@pytest.mark.parametrize("storage", ["heap", "btree_file"])
+def test_single_record_insert_and_delete_redo_and_undo(db, storage):
+    """A single insert/delete is a batch of one all the way down to the
+    log record: the one payload kind per operation must carry it through
+    crash redo, rollback undo, and loser undo at restart."""
+    table = db.create_table(
+        "t", [("id", "INT", False), ("v", "STRING")], storage_method=storage,
+        attributes={"key": ["id"]} if storage == "btree_file" else None)
+    keep = table.insert((1, "keep"))
+    table.delete(table.insert((2, "gone")))
+    ops = {record.payload["op"] for record in db.services.wal.forward()
+           if record.resource == f"storage.{storage}"}
+    assert ops == {"new_page", "insert_multi", "delete_multi"}
+
+    # Crash redo: no data page reached the device.
+    before = db.services.stats.get("recovery.redo.applied")
+    db.restart()
+    assert db.services.stats.get("recovery.redo.applied") >= before + 3
+    assert table.rows() == [(1, "keep")]
+
+    # Rollback undo of a single insert and a single delete.
+    db.begin()
+    table.insert((3, "aborted"))
+    table.delete(keep)
+    assert table.rows() == [(3, "aborted")]
+    db.rollback()
+    assert table.rows() == [(1, "keep")]
+
+    # The same pair as a loser transaction, undone by restart.
+    db.begin()
+    table.insert((4, "lost"))
+    table.delete(keep)
+    db.services.wal.flush()
+    db.restart()
+    assert table.rows() == [(1, "keep")]
+    assert table.fetch(keep) == (1, "keep")
