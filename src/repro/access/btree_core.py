@@ -358,11 +358,18 @@ class BTree:
 
     def max_key(self) -> Optional[tuple]:
         """Largest key stored, or None when empty (for cost estimation)."""
-        page_id = self.state["root"]
-        node = self._read(page_id)
-        while not node.leaf:
-            node = self._read(node.children[-1])
-        return node.keys[-1] if node.keys else None
+        def largest(page_id: int) -> Optional[tuple]:
+            node = self._read(page_id)
+            if node.leaf:
+                return node.keys[-1] if node.keys else None
+            # Deletes leave emptied leaves in place: look left past them.
+            for child in reversed(node.children):
+                key = largest(child)
+                if key is not None:
+                    return key
+            return None
+
+        return largest(self.state["root"])
 
     def _leftmost_leaf(self) -> int:
         page_id = self.state["root"]

@@ -151,19 +151,24 @@ class BTreeIndexScan(Scan):
             entries = self._tree.entries_after(self.position, self.high,
                                                self.high_inclusive)
         batch: list = []
+        position, scanned = self.position, 0
         for key, value in entries:
-            self.position = (key, value)
-            self.state = ON
-            self.ctx.stats.bump("btree_index.entries_scanned")
+            position = (key, value)
+            scanned += 1
             view = RecordView.from_fields(self.key_fields, key)
             if self._filter_here and not self.predicate.matches(view):
                 continue
-            self.ctx.lock_record(self.handle.relation_id, value, LockMode.S)
             batch.append((value, view))
             if len(batch) >= n:
                 break
-        if not batch:
-            self.state = AFTER
+        if scanned:
+            self.ctx.stats.bump("btree_index.entries_scanned", scanned)
+        # One lock call for the batch; a conflict leaves the scan where it
+        # was, so a retry sees these entries again.
+        self.ctx.lock_records(self.handle.relation_id,
+                              [value for value, __ in batch], LockMode.S)
+        self.position = position
+        self.state = ON if batch else AFTER
         return batch
 
     def save_position(self) -> ScanPosition:

@@ -163,29 +163,30 @@ class HashIndexScan(Scan):
         buckets = self.instance["buckets"]
         bucket, index = (0, -1) if self.position is None else self.position
         batch: list = []
+        scanned = 0
         while bucket < len(buckets) and len(batch) < n:
             entries = _bucket_read(self.ctx.buffer, buckets[bucket])
             i = index + 1
             while i < len(entries) and len(batch) < n:
                 key, value = entries[i]
-                self.position = (bucket, i)
-                self.state = ON
-                self.ctx.stats.bump("hash_index.entries_scanned")
-                view = RecordView.from_fields(self.key_fields, key)
                 i += 1
+                scanned += 1
+                view = RecordView.from_fields(self.key_fields, key)
                 if self._filter_here and not self.predicate.matches(view):
                     continue
-                self.ctx.lock_record(self.handle.relation_id, value,
-                                     LockMode.S)
                 batch.append((value, view))
             if i >= len(entries):
-                bucket += 1
-                index = -1
-                self.position = (bucket, -1)
+                bucket, index = bucket + 1, -1
             else:
                 index = i - 1
-        if not batch:
-            self.state = AFTER
+        if scanned:
+            self.ctx.stats.bump("hash_index.entries_scanned", scanned)
+        # One lock call for the batch; a conflict leaves the scan where it
+        # was, so a retry sees these entries again.
+        self.ctx.lock_records(self.handle.relation_id,
+                              [value for value, __ in batch], LockMode.S)
+        self.position = (bucket, index)
+        self.state = ON if batch else AFTER
         return batch
 
     def save_position(self) -> ScanPosition:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from ..services import SystemServices
-from ..services.locks import LockMode
+from ..services.locks import LOCK_ESCALATION_THRESHOLD, LockMode
 from ..services.transactions import Transaction
 from ..services.wal import LogRecord
 
@@ -80,6 +80,36 @@ class ExecutionContext:
         intent = LockMode.IX if mode in (LockMode.X, LockMode.IX) else LockMode.IS
         self.lock(("rel", relation_id), intent)
         self.lock(("rec", relation_id, key), mode)
+
+    def lock_records(self, relation_id: int, keys, mode: LockMode) -> None:
+        """:meth:`lock_record` for a page's worth of keys at once: one
+        ``covers`` check, one intent lock, one ``acquire_many``.
+
+        Read escalation: once the transaction has taken
+        ``LOCK_ESCALATION_THRESHOLD`` S record locks on the relation this
+        way it *tries* for one relation-level S lock, which covers every
+        later page.  A transaction writing the relation (IX/SIX/X) makes
+        the try fail; nothing waits or raises, and record locking goes on.
+        """
+        if not keys:
+            return
+        if self.txn.snapshot is not None:  # what lock_record would bypass
+            self.services.stats.bump("mvcc.lock_bypasses", 2 * len(keys))
+            return
+        locks, txn_id = self.services.locks, self.txn_id
+        relation = ("rel", relation_id)
+        if locks.covers(txn_id, relation, mode):
+            return
+        locks.acquire(txn_id, relation, LockMode.IX
+                      if mode in (LockMode.X, LockMode.IX) else LockMode.IS)
+        taken = locks.acquire_many(
+            txn_id, [("rec", relation_id, key) for key in keys], mode)
+        if mode is LockMode.S and taken:
+            reads = self.txn.record_reads
+            reads[relation_id] = total = reads.get(relation_id, 0) + taken
+            if total >= LOCK_ESCALATION_THRESHOLD \
+                    and locks.try_acquire(txn_id, relation, LockMode.S):
+                self.services.stats.bump("locks.read_escalations")
 
     def defer(self, event: str, callback, data=None) -> None:
         self.services.events.defer(self.txn_id, event, callback, data)

@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 from ..errors import (ExtensionFault, ReadOnlyError,
                       ReadOnlyTransactionError, ReproError, StorageError,
                       UnknownObjectError)
-from ..services.locks import LockMode
+from ..services.locks import LOCK_ESCALATION_THRESHOLD, LockMode
 from ..services.predicate import Predicate
 from ..services.scans import ABSENT, SnapshotScan
 from .context import ExecutionContext
@@ -45,10 +45,6 @@ __all__ = ["DataManager", "AccessPath", "STORAGE_ACCESS"]
 
 #: The reserved access-path selector meaning "access via the storage method".
 STORAGE_ACCESS = 0
-
-#: Batches at least this large take one relation-level X lock instead of
-#: record-at-a-time locks (classic lock escalation for bulk operations).
-LOCK_ESCALATION_THRESHOLD = 64
 
 
 class AccessPath:

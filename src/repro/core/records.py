@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Tuple
 from ..errors import SchemaError
 
 __all__ = ["Box", "encode_value", "decode_value", "encode_record", "decode_record",
-           "record_fields", "RecordView"]
+           "compile_decoder", "record_fields", "RecordView"]
 
 
 class Box:
@@ -164,20 +164,79 @@ def encode_record(schema, record: Sequence) -> bytes:
     return b"".join(parts + body)
 
 
-def decode_record(schema, raw: bytes) -> Tuple:
-    """Decode the on-page wire form back to a value tuple."""
-    n = len(schema.fields)
-    buf = memoryview(raw)
-    bitmap = raw[: (n + 7) // 8]
-    offset = (n + 7) // 8
+def decode_record(schema, raw, offset: int = 0) -> Tuple:
+    """Decode the on-page wire form back to a value tuple.
+
+    ``raw`` is any buffer holding the record at ``offset`` — a pinned
+    page's ``bytearray`` as well as record bytes on their own — read by
+    the schema's compiled decoder (:func:`compile_decoder`).
+    """
+    return schema.decoder(raw, offset)
+
+
+def _decode_with_nulls(fields, buf, offset: int) -> Tuple:
+    """The general decode: one bitmap test and one ``decode_value`` a field."""
+    pos = offset + (len(fields) + 7) // 8
     values = []
-    for i, field in enumerate(schema.fields):
-        if bitmap[i // 8] & (1 << (i % 8)):
+    for i, field in enumerate(fields):
+        if buf[offset + i // 8] & (1 << (i % 8)):
             values.append(None)
         else:
-            value, offset = decode_value(field.type_code, buf, offset)
+            value, pos = decode_value(field.type_code, buf, pos)
             values.append(value)
     return tuple(values)
+
+
+_FIXED_FORMATS = {"INT": "q", "FLOAT": "d", "BOOL": "B", "BOX": "dddd"}
+
+
+def compile_decoder(fields):
+    """Build ``decode(buf, offset=0) -> tuple`` for one field list.
+
+    A record without NULLs has a layout the field types alone decide, so
+    the decoder is generated for it: each run of fixed-width fields, with
+    the length prefix of the variable-length field that follows, is one
+    ``unpack_from``, and strings are sliced straight out of ``buf``.  A
+    record with any NULL bit set takes :func:`_decode_with_nulls`.
+    """
+    bitmap = (len(fields) + 7) // 8
+    names = {"fields": fields, "general": _decode_with_nulls, "Box": Box}
+    null_test = "buf[off]" if bitmap == 1 else f"any(buf[off:off + {bitmap}])"
+    lines = ["def decode(buf, off=0):",
+             f"    if {null_test}: return general(fields, buf, off)",
+             f"    p = off + {bitmap}"]
+    values = []
+    i = 0
+    while i < len(fields):
+        fmt, targets, unpack = "<", [], f"s{i}"
+        while i < len(fields) and fields[i].type_code in _FIXED_FORMATS:
+            type_code = fields[i].type_code
+            fmt += _FIXED_FORMATS[type_code]
+            if type_code == "BOX":
+                corners = [f"v{i}_{c}" for c in range(4)]
+                targets += corners
+                values.append(f"Box({', '.join(corners)})")
+            else:
+                targets.append(f"v{i}")
+                values.append(f"v{i} != 0" if type_code == "BOOL" else f"v{i}")
+            i += 1
+        if i == len(fields):
+            names[unpack] = struct.Struct(fmt).unpack_from
+            lines.append(f"    {', '.join(targets)}, = {unpack}(buf, p)")
+            break
+        # A STRING or BYTES field ends the run: its length rides along.
+        run = struct.Struct(fmt + "H")
+        names[unpack] = run.unpack_from
+        value = "str(buf[p:e], 'utf-8')" \
+            if fields[i].type_code == "STRING" else "bytes(buf[p:e])"
+        lines += [f"    {', '.join(targets + ['n'])}, = {unpack}(buf, p)",
+                  f"    p += {run.size}", "    e = p + n",
+                  f"    v{i} = {value}", "    p = e"]
+        values.append(f"v{i}")
+        i += 1
+    lines.append(f"    return ({', '.join(values)},)")
+    exec("\n".join(lines), names)  # built from type codes only
+    return names["decode"]
 
 
 def record_fields(record: Sequence, indexes: Iterable[int]) -> Tuple:

@@ -8,10 +8,11 @@ when encoding, decoding, or projecting records.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence, Tuple
 
 from ..errors import SchemaError
-from .records import Box
+from .records import Box, compile_decoder
 
 __all__ = ["FIELD_TYPES", "Field", "Schema"]
 
@@ -105,6 +106,12 @@ class Schema:
 
     def indexes_of(self, names: Sequence[str]) -> Tuple[int, ...]:
         return tuple(self.field_index(n) for n in names)
+
+    @cached_property
+    def decoder(self):
+        """``decode(buf, offset=0) -> tuple`` for this record layout,
+        compiled on first use (join schemas never decode a page)."""
+        return compile_decoder(self.fields)
 
     # -- validation ----------------------------------------------------------
     def check_record(self, record: Sequence) -> Tuple:

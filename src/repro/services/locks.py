@@ -27,7 +27,13 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from ..errors import DeadlockError, LockConflictError, LockError
 
-__all__ = ["LockMode", "LockManager"]
+__all__ = ["LockMode", "LockManager", "LOCK_ESCALATION_THRESHOLD"]
+
+#: Record locks a transaction takes on one relation before it trades them
+#: for one relation-level lock: writers escalate a batch at least this
+#: large to X up front (``core.dispatch``), readers try for S once they
+#: have locked this many records (``ExecutionContext.lock_records``).
+LOCK_ESCALATION_THRESHOLD = 64
 
 
 class LockMode(enum.IntEnum):
@@ -99,6 +105,33 @@ class LockManager:
         """
         if self.stats is not None:
             self.stats.bump("locks.acquire_calls")
+        return self._grant(txn_id, resource, mode)
+
+    def acquire_many(self, txn_id: int, resources, mode: LockMode) -> int:
+        """:meth:`acquire` each resource in order under one counter bump.
+
+        A conflict on the k-th resource raises what ``acquire`` would
+        raise for it, with the resources before it still held.  Returns
+        how many locks the transaction did not hold before.
+        """
+        if self.stats is not None:
+            self.stats.bump("locks.acquire_calls", len(resources))
+        held = self._held.setdefault(txn_id, set())
+        before = len(held)
+        for resource in resources:
+            self._grant(txn_id, resource, mode)
+        return len(held) - before
+
+    def try_acquire(self, txn_id: int, resource: Hashable,
+                    mode: LockMode) -> bool:
+        """:meth:`acquire` without the wait: a conflicting request is
+        refused — no wait edge, no exception — and False returned."""
+        if self.stats is not None:
+            self.stats.bump("locks.acquire_calls")
+        return self._grant(txn_id, resource, mode, wait=False) is not None
+
+    def _grant(self, txn_id: int, resource: Hashable, mode: LockMode,
+               wait: bool = True) -> Optional[LockMode]:
         holders = self._holders.setdefault(resource, {})
         current = holders.get(txn_id)
         wanted = mode if current is None else join_modes(current, mode)
@@ -107,6 +140,8 @@ class LockManager:
         blockers = {t for t, m in holders.items()
                     if t != txn_id and not compatible(wanted, m)}
         if blockers:
+            if not wait:
+                return None
             # A transaction waits for exactly one request at a time, so a
             # new conflict *replaces* the wait edges — accumulating edges
             # from earlier retries on other resources manufactured

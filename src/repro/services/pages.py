@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Tuple
 
 from ..errors import PageError
 
-__all__ = ["PageView", "HEADER_SIZE", "SLOT_SIZE", "NO_PAGE",
+__all__ = ["PageView", "HEADER_SIZE", "SLOT_SIZE", "NO_PAGE", "TOMBSTONE",
            "page_checksum", "stamp_checksum", "verify_checksum"]
 
 # page_lsn, page_type, slot_count, free_off, next_page, checksum
@@ -38,7 +38,7 @@ _HEADER = struct.Struct("<qBHHqI")
 HEADER_SIZE = 28  # _HEADER.size == 25, padded for alignment headroom
 SLOT_SIZE = 4
 _SLOT = struct.Struct("<HH")  # offset, length
-_TOMBSTONE = 0xFFFF
+TOMBSTONE = 0xFFFF  # the offset of a deleted slot
 NO_PAGE = -1
 
 _CHECKSUM_OFF = 21  # byte offset of the checksum field within the header
@@ -155,7 +155,16 @@ class PageView:
 
     def slot_in_use(self, slot: int) -> bool:
         offset, _ = self._read_slot(slot)
-        return offset != _TOMBSTONE
+        return offset != TOMBSTONE
+
+    def directory(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The whole slot directory in one unpack: ``(offsets, lengths)``
+        indexed by slot, a deleted slot's offset being ``TOMBSTONE``."""
+        count = self.slot_count
+        flat = struct.unpack_from(f"<{2 * count}H", self.data,
+                                  len(self.data) - SLOT_SIZE * count)
+        # The directory grows backward, so the highest slot comes first.
+        return flat[-2::-2], flat[-1::-2]
 
     # -- free space -----------------------------------------------------------------
     def free_space(self) -> int:
@@ -172,20 +181,11 @@ class PageView:
             <= len(self.data) - HEADER_SIZE
 
     def _live_bytes(self) -> int:
-        total = 0
-        for slot in range(self.slot_count):
-            offset, length = self._read_slot(slot)
-            if offset != _TOMBSTONE:
-                total += length
-        return total
+        return sum(self.directory()[1])  # a tombstone's length is 0
 
     def compact(self) -> None:
         """Rewrite live records contiguously to defragment free space."""
-        live = []
-        for slot in range(self.slot_count):
-            offset, length = self._read_slot(slot)
-            if offset != _TOMBSTONE:
-                live.append((slot, bytes(self.data[offset:offset + length])))
+        live = list(self.records())
         write_at = HEADER_SIZE
         for slot, raw in live:
             self.data[write_at:write_at + len(raw)] = raw
@@ -232,7 +232,7 @@ class PageView:
         header = list(self._header())
         header[2] = slot + 1
         self._set_header(*header)
-        self._write_slot(slot, _TOMBSTONE, 0)
+        self._write_slot(slot, TOMBSTONE, 0)
         return slot
 
     def _materialise_slot(self, slot: int) -> None:
@@ -242,18 +242,18 @@ class PageView:
             header = list(self._header())
             header[2] = new + 1
             self._set_header(*header)
-            self._write_slot(new, _TOMBSTONE, 0)
+            self._write_slot(new, TOMBSTONE, 0)
 
     def read(self, slot: int) -> bytes:
         offset, length = self._read_slot(slot)
-        if offset == _TOMBSTONE:
+        if offset == TOMBSTONE:
             raise PageError(f"slot {slot} on page {self.page_id} is empty")
         return bytes(self.data[offset:offset + length])
 
     def delete(self, slot: int) -> bytes:
         """Tombstone a slot; returns the old record bytes (for undo logging)."""
         old = self.read(slot)
-        self._write_slot(slot, _TOMBSTONE, 0)
+        self._write_slot(slot, TOMBSTONE, 0)
         return old
 
     def update(self, slot: int, raw: bytes) -> bytes:
@@ -263,14 +263,14 @@ class PageView:
         re-inserted at the same slot (record keys stay stable).
         """
         offset, length = self._read_slot(slot)
-        if offset == _TOMBSTONE:
+        if offset == TOMBSTONE:
             raise PageError(f"slot {slot} on page {self.page_id} is empty")
         old = bytes(self.data[offset:offset + length])
         if len(raw) <= length:
             self.data[offset:offset + len(raw)] = raw
             self._write_slot(slot, offset, len(raw))
             return old
-        self._write_slot(slot, _TOMBSTONE, 0)
+        self._write_slot(slot, TOMBSTONE, 0)
         if not self.fits(len(raw)):
             # put the old record back before reporting failure
             self._write_slot(slot, offset, length)
@@ -289,13 +289,14 @@ class PageView:
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(slot, record bytes)`` for live slots in slot order."""
-        for slot in range(self.slot_count):
-            offset, length = self._read_slot(slot)
-            if offset != _TOMBSTONE:
-                yield slot, bytes(self.data[offset:offset + length])
+        offsets, lengths = self.directory()
+        for slot, offset in enumerate(offsets):
+            if offset != TOMBSTONE:
+                yield slot, bytes(self.data[offset:offset + lengths[slot]])
 
     def live_count(self) -> int:
-        return sum(1 for _ in self.records())
+        offsets = self.directory()[0]
+        return len(offsets) - offsets.count(TOMBSTONE)
 
     def __repr__(self) -> str:
         return (f"PageView(id={self.page_id}, type={self.page_type}, "

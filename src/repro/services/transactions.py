@@ -262,6 +262,9 @@ class Transaction:
         #: counter), so nested and cascaded operations in the same
         #: transaction get unique names without any global state.
         self.op_seq = 0
+        #: relation id -> S record locks taken a page at a time through
+        #: ``ExecutionContext.lock_records`` (the read-escalation count).
+        self.record_reads: Dict[int, int] = {}
 
     @property
     def active(self) -> bool:

@@ -253,7 +253,7 @@ class BTreeFileScan(Scan):
                                                     float("inf"), 0])
         buffer = self.ctx.buffer
         stats = self.ctx.stats
-        schema = self.handle.schema
+        decode = self.handle.schema.decoder
         batch: list = []
         past_high = False
         while index < len(directory) and len(batch) < n and not past_high:
@@ -278,8 +278,8 @@ class BTreeFileScan(Scan):
                 break  # the very next key is already past the high bound
             page = buffer.fetch(run_page)
             try:
-                records = [decode_record(schema, page.read(slot))
-                           for _, slot in run]
+                offsets, data = page.directory()[0], page.data
+                records = [decode(data, offsets[slot]) for _, slot in run]
             finally:
                 buffer.unpin(run_page)
             self.state = ON
@@ -288,16 +288,13 @@ class BTreeFileScan(Scan):
             else:
                 selected = self.predicate.match_indexes(records, stats)
             room = n - len(batch)
-            for i in selected[:room] if len(selected) > room else selected:
-                key = run[i][0]
-                self.ctx.lock_record(self.handle.relation_id, key,
-                                     LockMode.S)
-                if self.fields is None:
-                    batch.append((key, records[i]))
-                else:
-                    record = records[i]
-                    batch.append((key, tuple(record[f]
-                                             for f in self.fields)))
+            chosen = selected[:room] if len(selected) > room else selected
+            keys = [run[i][0] for i in chosen]
+            self.ctx.lock_records(self.handle.relation_id, keys, LockMode.S)
+            rows = [records[i] for i in chosen]
+            if self.fields is not None:
+                rows = [tuple([row[f] for f in self.fields]) for row in rows]
+            batch.extend(zip(keys, rows))
             if len(selected) >= room and selected:
                 # Batch filled mid-run: stop at the last consumed key so
                 # the entries past it are re-examined (and only then
@@ -525,12 +522,15 @@ class BTreeFileStorageMethod(StorageMethod):
             __, page_id, slot = directory[index]
             by_page.setdefault(page_id, []).append((key, slot))
         found = {}
+        decode = handle.schema.decoder
         for page_id, entries in by_page.items():
             page = ctx.buffer.fetch(page_id)
             try:
+                ctx.lock_records(handle.relation_id,
+                                 [key for key, __ in entries], LockMode.S)
+                offsets = page.directory()[0]
                 for key, slot in entries:
-                    ctx.lock_record(handle.relation_id, key, LockMode.S)
-                    record = decode_record(handle.schema, page.read(slot))
+                    record = decode(page.data, offsets[slot])
                     if predicate is not None and not predicate.matches(record):
                         continue
                     if fields is None:

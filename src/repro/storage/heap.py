@@ -26,7 +26,7 @@ from ..core.records import decode_record, encode_record
 from ..core.storage_method import RelationHandle, StorageMethod
 from ..errors import PageError, RecordNotFoundError, ScanError, StorageError
 from ..services.locks import LockMode
-from ..services.pages import HEADER_SIZE, PageView
+from ..services.pages import HEADER_SIZE, TOMBSTONE, PageView
 from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
@@ -255,18 +255,21 @@ class HeapScan(Scan):
         page_index, slot = (0, -1) if self.position is None else self.position
         buffer = self.ctx.buffer
         stats = self.ctx.stats
-        schema = self.handle.schema
+        decode = self.handle.schema.decoder
         batch: list = []
         while page_index < len(pages) and len(batch) < n:
             page_id = pages[page_index]
             page = buffer.fetch(page_id)
             try:
-                # Decode every remaining in-use slot under a single pin;
-                # the predicate then runs once over the whole page,
-                # column-at-a-time when it compiles to a kernel.
-                slots = [s for s in range(slot + 1, page.slot_count)
-                         if page.slot_in_use(s)]
-                records = [decode_record(schema, page.read(s)) for s in slots]
+                # One directory read, then every remaining live record is
+                # decoded where it lies, under a single pin; the predicate
+                # then runs once over the whole page, column-at-a-time
+                # when it compiles to a kernel.
+                offsets = page.directory()[0]
+                slots = [s for s in range(slot + 1, len(offsets))
+                         if offsets[s] != TOMBSTONE]
+                data = page.data
+                records = [decode(data, offsets[s]) for s in slots]
             finally:
                 buffer.unpin(page_id)
             if records:
@@ -276,16 +279,13 @@ class HeapScan(Scan):
             else:
                 selected = self.predicate.match_indexes(records, stats)
             room = n - len(batch)
-            for i in selected[:room] if len(selected) > room else selected:
-                key = (page_id, slots[i])
-                self.ctx.lock_record(self.handle.relation_id, key,
-                                     LockMode.S)
-                if self.fields is None:
-                    batch.append((key, records[i]))
-                else:
-                    record = records[i]
-                    batch.append((key, tuple(record[f]
-                                             for f in self.fields)))
+            chosen = selected[:room] if len(selected) > room else selected
+            keys = [(page_id, slots[i]) for i in chosen]
+            self.ctx.lock_records(self.handle.relation_id, keys, LockMode.S)
+            rows = [records[i] for i in chosen]
+            if self.fields is not None:
+                rows = [tuple([row[f] for f in self.fields]) for row in rows]
+            batch.extend(zip(keys, rows))
             if len(selected) >= room and selected:
                 # The batch filled on this page: stop at the last consumed
                 # slot.  Tuples past it are only accounted for when the
@@ -501,15 +501,17 @@ class HeapStorageMethod(StorageMethod):
             if page_id in page_set:
                 by_page.setdefault(page_id, []).append((page_id, slot))
         found = {}
+        decode = handle.schema.decoder
         for page_id, page_keys in by_page.items():
             page = ctx.buffer.fetch(page_id)
             try:
-                for key in page_keys:
-                    slot = key[1]
-                    if slot >= page.slot_count or not page.slot_in_use(slot):
-                        continue
-                    ctx.lock_record(handle.relation_id, key, LockMode.S)
-                    record = decode_record(handle.schema, page.read(slot))
+                offsets = page.directory()[0]
+                present = [key for key in page_keys
+                           if 0 <= key[1] < len(offsets)
+                           and offsets[key[1]] != TOMBSTONE]
+                ctx.lock_records(handle.relation_id, present, LockMode.S)
+                for key in present:
+                    record = decode(page.data, offsets[key[1]])
                     if predicate is not None and not predicate.matches(record):
                         continue
                     if fields is None:

@@ -111,16 +111,13 @@ class MemoryScan(Scan):
             else:
                 selected = self.predicate.match_indexes(chunk_records, stats)
             room = n - len(batch)
-            for i in selected[:room] if len(selected) > room else selected:
-                key = chunk_keys[i]
-                self.ctx.lock_record(self.handle.relation_id, key,
-                                     LockMode.S)
-                if self.fields is None:
-                    batch.append((key, chunk_records[i]))
-                else:
-                    record = chunk_records[i]
-                    batch.append((key, tuple(record[f]
-                                             for f in self.fields)))
+            chosen = selected[:room] if len(selected) > room else selected
+            picked = [chunk_keys[i] for i in chosen]
+            self.ctx.lock_records(self.handle.relation_id, picked, LockMode.S)
+            found = [chunk_records[i] for i in chosen]
+            if self.fields is not None:
+                found = [tuple([row[f] for f in self.fields]) for row in found]
+            batch.extend(zip(picked, found))
             if len(selected) >= room and selected:
                 # Batch filled mid-window: stop at the last consumed key;
                 # rows past it are re-examined (and only then counted) by
@@ -292,12 +289,11 @@ class MemoryStorageMethod(StorageMethod):
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Direct dict lookups for the whole key set; one stats bump."""
         rows = handle.descriptor.storage_descriptor["rows"]
+        present = [key for key in keys if key in rows]
+        ctx.lock_records(handle.relation_id, present, LockMode.S)
         pairs = []
-        for key in keys:
-            record = rows.get(key)
-            if record is None:
-                continue
-            ctx.lock_record(handle.relation_id, key, LockMode.S)
+        for key in present:
+            record = rows[key]
             if predicate is not None and not predicate.matches(record):
                 continue
             if fields is None:

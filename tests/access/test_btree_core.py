@@ -142,3 +142,19 @@ def test_property_delete_any_subset(inserts, data):
     tree.validate()
     got = {(k[0], v) for k, v in tree.range()}
     assert got == survivors
+
+
+def test_max_key_walks_past_leaves_emptied_by_deletes():
+    tree, __ = make_tree(max_entries=4)
+    for i in range(40):
+        tree.insert((i,), i)
+    assert tree.height > 2
+    # Delete from the top until well past the last leaf's own keys: the
+    # rightmost leaves stay in the tree, empty.
+    for top in range(39, 7, -1):
+        assert tree.delete((top,), top)
+        assert tree.max_key() == (top - 1,)
+        assert tree.min_key() == (0,)
+    for i in range(8):
+        tree.delete((i,), i)
+    assert tree.max_key() is None and tree.min_key() is None

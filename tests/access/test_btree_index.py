@@ -149,3 +149,19 @@ def test_index_rebuilt_after_crash(indexed):
     assert sorted(employee.fetch(("eng",),
                                  access_path=path(att, "emp_dept"))) \
         == sorted(k for k, r in employee.scan() if r[2] == "eng")
+
+
+def test_range_route_survives_deleting_the_highest_keys():
+    """The selectivity interpolation needs the tree's real maximum: with
+    the rightmost leaves emptied it used to read ``None``, fall back to
+    the default selectivity and send a 5 % range to a full heap scan."""
+    db = Database()  # 4 KiB pages: 3 000 narrow rows are a cheap full scan
+    table = db.create_table("big", [("id", "INT", False), ("n", "INT")])
+    table.insert_many([(i, i % 7) for i in range(3000)])
+    db.create_index("big_id", "big", ["id"], unique=True)
+    table.delete_many(table.insert_many([(i, 0) for i in range(3000, 3100)]))
+    query = "SELECT id, n FROM big WHERE id >= 100 AND id < 250"
+    assert "btree_index" in db.explain(query)["access"]["route"]
+    before = db.services.stats.get("heap.tuples_scanned")
+    assert db.execute(query) == [(i, i % 7) for i in range(100, 250)]
+    assert db.services.stats.get("heap.tuples_scanned") == before

@@ -5,7 +5,7 @@ import pytest
 from repro import Database
 from repro.core.context import ExecutionContext
 from repro.errors import RecoveryError
-from repro.services.locks import LockMode
+from repro.services.locks import LOCK_ESCALATION_THRESHOLD, LockMode
 
 
 @pytest.fixture
@@ -40,6 +40,52 @@ def test_lock_record_shared_takes_is(db, ctx):
     ctx.lock_record(7, "key", LockMode.S)
     locks = db.services.locks
     assert locks.held_mode(ctx.txn_id, ("rel", 7)) is LockMode.IS
+
+
+def test_lock_records_is_lock_record_for_each_key(db, ctx):
+    locks = db.services.locks
+    ctx.lock_records(7, ["k1", "k2"], LockMode.X)
+    assert locks.held_mode(ctx.txn_id, ("rel", 7)) is LockMode.IX
+    ctx.lock_records(8, ["k1", "k2"], LockMode.S)
+    assert locks.held_mode(ctx.txn_id, ("rel", 8)) is LockMode.IS
+    assert locks.locks_held(ctx.txn_id) == {
+        ("rel", 7), ("rec", 7, "k1"), ("rec", 7, "k2"),
+        ("rel", 8), ("rec", 8, "k1"), ("rec", 8, "k2")}
+    ctx.lock_records(9, [], LockMode.S)             # nothing to lock
+    assert locks.held_mode(ctx.txn_id, ("rel", 9)) is None
+
+
+def test_lock_records_escalates_reads_at_the_threshold(db, ctx):
+    locks, stats = db.services.locks, db.services.stats
+    ctx.lock_records(7, list(range(LOCK_ESCALATION_THRESHOLD - 1)),
+                     LockMode.S)
+    ctx.lock_records(7, [0, 1, 2], LockMode.S)      # held already: not counted
+    assert locks.held_mode(ctx.txn_id, ("rel", 7)) is LockMode.IS
+    ctx.lock_records(7, ["one more"], LockMode.S)
+    assert locks.held_mode(ctx.txn_id, ("rel", 7)) is LockMode.S
+    assert stats.get("locks.read_escalations") == 1
+    held = len(locks.locks_held(ctx.txn_id))
+    calls = stats.get("locks.acquire_calls")
+    ctx.lock_records(7, ["covered", "now"], LockMode.S)
+    assert len(locks.locks_held(ctx.txn_id)) == held
+    assert stats.get("locks.acquire_calls") == calls
+    # Another relation has its own count; X batches never escalate here
+    # (dispatch escalates writes before the storage method runs).
+    ctx.lock_records(8, list(range(200)), LockMode.X)
+    assert locks.held_mode(ctx.txn_id, ("rel", 8)) is LockMode.IX
+    assert stats.get("locks.read_escalations") == 1
+
+
+def test_lock_records_under_a_snapshot_takes_nothing(db):
+    session = db.connect()
+    ctx = ExecutionContext(session.begin(snapshot=True), db.services, db)
+    before = db.services.stats.snapshot()
+    ctx.lock_records(7, list(range(100)), LockMode.S)
+    delta = db.services.stats.delta(before)
+    # What one lock_record per key would have bypassed: intent + record.
+    assert delta == {"mvcc.lock_bypasses": 200}
+    assert db.services.locks.locks_held(ctx.txn_id) == frozenset()
+    session.commit()
 
 
 def test_defer_queues_on_event_service(db, ctx):

@@ -1,6 +1,8 @@
 """Record and field-value representation: encoding, views, boxes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.records import (Box, RecordView, decode_record,
                                 decode_value, encode_record, encode_value,
@@ -114,3 +116,68 @@ def test_box_equality_and_hash():
     assert Box(0, 0, 1, 1) == Box(0, 0, 1, 1)
     assert hash(Box(0, 0, 1, 1)) == hash(Box(0, 0, 1, 1))
     assert Box(0, 0, 1, 1) != Box(0, 0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The compiled decoder against a per-field reference decode
+# ---------------------------------------------------------------------------
+
+_VALUES = {
+    "INT": st.integers(-2**63, 2**63 - 1),
+    "FLOAT": st.floats(allow_nan=False),
+    "BOOL": st.booleans(),
+    "STRING": st.text(max_size=12),        # multi-byte and empty included
+    "BYTES": st.binary(max_size=12),
+    "BOX": st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+                     st.floats(0, 1e6), st.floats(0, 1e6))
+    .map(lambda b: Box(b[0], b[1], b[0] + b[2], b[1] + b[3])),
+}
+
+
+@st.composite
+def schema_and_record(draw):
+    codes = draw(st.lists(st.sampled_from(sorted(_VALUES)), min_size=1,
+                          max_size=12))   # up to two null-bitmap bytes
+    fields = [Field(f"f{i}", code) for i, code in enumerate(codes)]
+    record = tuple(draw(st.one_of(st.none(), _VALUES[code]))
+                   if draw(st.booleans()) else draw(_VALUES[code])
+                   for code in codes)
+    return Schema("t", fields), record
+
+
+def reference_decode(schema, buf, offset):
+    """One ``decode_value`` a field, NULLs from the bitmap — the decode the
+    compiled one must equal, kept here on purpose."""
+    n = len(schema.fields)
+    view = memoryview(bytes(buf))
+    pos = offset + (n + 7) // 8
+    values = []
+    for i, field in enumerate(schema.fields):
+        if view[offset + i // 8] & (1 << (i % 8)):
+            values.append(None)
+        else:
+            value, pos = decode_value(field.type_code, view, pos)
+            values.append(value)
+    return tuple(values), pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema_and_record(), st.integers(1, 40), st.binary(max_size=8))
+def test_compiled_decoder_in_place_equals_reference(pair, offset, tail):
+    schema, record = pair
+    raw = encode_record(schema, record)
+    page = bytearray(b"\xff" * offset) + raw + tail     # not at offset 0
+    want, end = reference_decode(schema, page, offset)
+    assert end == offset + len(raw)
+    assert want == record
+    for buf in (page, bytes(page), memoryview(page)):
+        got = decode_record(schema, buf, offset)
+        assert got == record
+        assert [type(v) for v in got] == [type(v) for v in want]
+    assert decode_record(schema, raw) == record
+
+
+def test_decoder_is_compiled_once_per_schema(schema):
+    assert schema.decoder is schema.decoder
+    other = Schema("u", schema.fields)
+    assert other.decoder is not schema.decoder

@@ -226,3 +226,59 @@ def test_deadlock_counter_and_wait_cleanup():
     # The loser's wait edge was cancelled when the deadlock was raised:
     # the graph holds only the survivor's genuine wait.
     assert locks.waits_for() == {1: frozenset({2})}
+
+
+# ---------------------------------------------------------------------------
+# Page-at-a-time acquisition and the non-waiting request
+# ---------------------------------------------------------------------------
+
+def test_acquire_many_is_acquire_in_order_under_one_bump():
+    from repro.services.stats import StatsService
+    stats = StatsService()
+    locks = LockManager(stats)
+    locks.acquire(1, "b", LockMode.S)
+    assert locks.acquire_many(1, ["a", "b", "c"], LockMode.S) == 2  # new ones
+    assert locks.locks_held(1) == {"a", "b", "c"}
+    assert stats.get("locks.acquire_calls") == 4  # locks requested
+
+
+def test_acquire_many_conflict_raises_what_acquire_raises_for_that_key():
+    locks = LockManager()
+    locks.acquire(2, "c", LockMode.X)
+    with pytest.raises(LockConflictError) as many:
+        locks.acquire_many(1, ["a", "b", "c", "d"], LockMode.S)
+    assert locks.locks_held(1) == {"a", "b"}     # keys before it stay held
+    assert locks.waits_for() == {1: frozenset({2})}
+    with pytest.raises(LockConflictError) as single:
+        locks.acquire(1, "c", LockMode.S)
+    assert (many.value.resource, many.value.mode, many.value.holders) \
+        == (single.value.resource, single.value.mode, single.value.holders)
+    assert str(many.value) == str(single.value)
+
+
+def test_acquire_many_closing_a_cycle_raises_deadlock():
+    locks = LockManager()
+    locks.acquire(1, "a", LockMode.X)
+    locks.acquire(2, "b", LockMode.X)
+    with pytest.raises(LockConflictError):
+        locks.acquire(1, "b", LockMode.X)
+    with pytest.raises(DeadlockError) as info:
+        locks.acquire_many(2, ["z", "a"], LockMode.S)
+    assert info.value.cycle == (1, 2) and info.value.victim == 2
+    assert locks.held_mode(2, "z") is LockMode.S
+
+
+def test_try_acquire_never_waits():
+    locks = LockManager()
+    locks.acquire(2, "rel", LockMode.IX)
+    locks.acquire(1, "rel", LockMode.IS)
+    assert locks.try_acquire(1, "rel", LockMode.S) is False
+    assert locks.waits_for() == {}                       # no wait edge
+    assert locks.held_mode(1, "rel") is LockMode.IS      # nothing changed
+    locks.release_all(2)
+    assert locks.try_acquire(1, "rel", LockMode.S) is True
+    assert locks.held_mode(1, "rel") is LockMode.S
+    # An upgrade joins modes the way acquire does.
+    locks.acquire(3, "other", LockMode.IX)
+    assert locks.try_acquire(3, "other", LockMode.S) is True
+    assert locks.held_mode(3, "other") is LockMode.SIX

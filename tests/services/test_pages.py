@@ -1,9 +1,11 @@
 """Slotted pages: insert/read/update/delete, tombstones, compaction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PageError
-from repro.services.pages import HEADER_SIZE, NO_PAGE, PageView
+from repro.services.pages import HEADER_SIZE, NO_PAGE, TOMBSTONE, PageView
 
 
 def make_page(size=512, page_type=1):
@@ -117,3 +119,54 @@ def test_oversize_record_rejected_cleanly():
     page = make_page(size=512)
     with pytest.raises(PageError):
         page.fits(0x10000)
+
+
+# ---------------------------------------------------------------------------
+# The one-unpack directory read against the per-slot walk
+# ---------------------------------------------------------------------------
+
+def slot_walk(page):
+    """The directory as the per-slot accessors report it (the old walk)."""
+    live = {}
+    for slot in range(page.slot_count):
+        if page.slot_in_use(slot):
+            live[slot] = page.read(slot)
+    return live
+
+
+def assert_directory_matches_walk(page):
+    offsets, lengths = page.directory()
+    assert len(offsets) == len(lengths) == page.slot_count
+    live = slot_walk(page)
+    assert {slot: bytes(page.data[off:off + lengths[slot]])
+            for slot, off in enumerate(offsets) if off != TOMBSTONE} == live
+    assert all(lengths[slot] == 0
+               for slot, off in enumerate(offsets) if off == TOMBSTONE)
+    assert dict(page.records()) == live
+    assert list(page.records()) == sorted(live.items())
+    assert page.live_count() == len(live)
+    assert page._live_bytes() == sum(len(raw) for raw in live.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "update",
+                                           "compact"]),
+                          st.integers(0, 40), st.binary(max_size=30)),
+                max_size=60))
+def test_directory_equals_slot_walk_under_any_history(operations):
+    page = make_page(size=512)
+    assert_directory_matches_walk(page)             # empty directory
+    for op, pick, raw in operations:
+        live = sorted(slot_walk(page))
+        try:
+            if op == "insert":
+                page.insert(raw)                    # reuses tombstones
+            elif op == "compact":
+                page.compact()
+            elif live and op == "delete":
+                page.delete(live[pick % len(live)])
+            elif live:
+                page.update(live[pick % len(live)], raw)
+        except PageError:
+            pass                                    # full: state unchanged
+        assert_directory_matches_walk(page)

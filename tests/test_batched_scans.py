@@ -299,3 +299,69 @@ def test_parameterised_executions_share_compiled_predicate(db, employee):
     assert db.execute(query, {"d": "finance"}) == [("dave",)]
     delta = stats.delta(before)
     assert delta.get("executor.predicate_compilations", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# The batch schedule is a counter contract: the page-at-a-time leaf must
+# examine, pin and deliver exactly what the per-slot loop did
+# ---------------------------------------------------------------------------
+
+#: ``buffer.pins`` of one full scan, measured before the scan leaf became
+#: page-at-a-time (PR 14's parent), per predicate and batch size.
+PARENT_PINS = {
+    "heap": {None: {1: 273, 7: 47, 64: 14, 1000: 10},
+             "n = 3": {1: 62, 7: 17, 64: 10, 1000: 10},
+             "id >= 40 AND id < 200": {1: 147, 7: 29, 64: 12, 1000: 10}},
+    "btree_file": {None: {1: 263, 7: 45, 64: 14, 1000: 10},
+                   "n = 3": {1: 60, 7: 17, 64: 10, 1000: 10},
+                   "id >= 40 AND id < 200": {1: 142, 7: 28, 64: 12,
+                                             1000: 10}},
+    "memory": {None: {}, "n = 3": {}, "id >= 40 AND id < 200": {}},
+}
+
+
+def holey_table(db, storage):
+    """300 rows, then tombstones on every page and a few reused slots."""
+    attrs = {"key": ["id"]} if storage == "btree_file" else None
+    table = db.create_table(
+        "t", [("id", "INT"), ("name", "STRING"), ("n", "INT")],
+        storage_method=storage, attributes=attrs)
+    keys = table.insert_many([(i, f"name_{i}", i % 5) for i in range(300)])
+    table.delete_many(keys[10:300:7])
+    table.insert_many([(1000 + i, "again", 9) for i in range(5)])
+    return table
+
+
+@pytest.mark.parametrize("storage", sorted(PARENT_PINS))
+@pytest.mark.parametrize("where", [None, "n = 3", "id >= 40 AND id < 200"])
+def test_batch_schedule_counters_are_unchanged(storage, where):
+    db = Database(page_size=1024, buffer_capacity=128)
+    table = holey_table(db, storage)
+    predicate = table._predicate(where, None) if where else None
+    with db.autocommit() as ctx:
+        expected = drain_next(storage_scan(db, "t", ctx, (0,), predicate))
+    stats = db.services.stats
+    for size in (1, 7, 64, 1000):
+        before = stats.snapshot()
+        with db.autocommit() as ctx:
+            got = drain_batches(
+                storage_scan(db, "t", ctx, (0,), predicate), size)
+        delta = stats.delta(before)
+        assert got == expected                       # same rows, same order
+        assert delta[f"{storage}.tuples_scanned"] == 263
+        assert delta.get("buffer.pins") == PARENT_PINS[storage][where].get(size)
+
+
+@pytest.mark.parametrize("storage", sorted(PARENT_PINS))
+def test_executor_batch_schedule_is_unchanged(storage):
+    db = Database(page_size=1024, buffer_capacity=128)
+    holey_table(db, storage)
+    stats = db.services.stats
+    for sql, batches in [("SELECT id FROM t WHERE n = 3", 3),
+                         ("SELECT n, COUNT(*) FROM t GROUP BY n", 2),
+                         ("SELECT id FROM t ORDER BY id DESC LIMIT 5", 5)]:
+        before = stats.snapshot()
+        db.execute(sql)
+        delta = stats.delta(before)
+        assert delta["executor.scan_batches"] == batches
+        assert delta[f"{storage}.tuples_scanned"] == 263

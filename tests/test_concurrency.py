@@ -10,6 +10,7 @@ import pytest
 
 from repro import Database, DeadlockError, LockConflictError
 from repro.core.context import ExecutionContext
+from repro.services.locks import LOCK_ESCALATION_THRESHOLD, LockMode
 
 
 def two_contexts(db):
@@ -107,3 +108,124 @@ def test_failed_operation_keeps_locks_until_txn_end(db, table):
     assert any(r[0] == "rec" for r in held)
     db.services.transactions.abort(ctx_a.txn)
     db.services.transactions.commit(ctx_b.txn)
+
+
+# ---------------------------------------------------------------------------
+# Read-lock escalation: a wide scan trades record locks for relation S
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def wide(db):
+    table = db.create_table("w", [("id", "INT"), ("v", "STRING")])
+    table.insert_many([(i, "v") for i in range(200)])
+    return table
+
+
+def scan_all(db, ctx, handle, batch=50):
+    scan = db.data.open_scan(ctx, handle)
+    rows = []
+    while True:
+        got = scan.next_batch(batch)
+        if not got:
+            return rows
+        rows.extend(got)
+
+
+def record_locks(db, ctx):
+    return {r for r in db.services.locks.locks_held(ctx.txn_id)
+            if r[0] == "rec"}
+
+
+def test_wide_scan_escalates_to_one_relation_lock(db, wide):
+    handle = db.catalog.handle("w")
+    ctx_a, ctx_b = two_contexts(db)
+    rows = scan_all(db, ctx_a, handle)
+    assert len(rows) == 200
+    locks = db.services.locks
+    relation = ("rel", handle.relation_id)
+    assert locks.held_mode(ctx_a.txn_id, relation) is LockMode.S
+    page_rows = max(sum(1 for key, __ in rows if key[0] == page)
+                    for page in {key[0] for key, __ in rows})
+    assert len(record_locks(db, ctx_a)) \
+        < LOCK_ESCALATION_THRESHOLD + page_rows
+    assert db.services.stats.get("locks.read_escalations") == 1
+    # Other readers share; a writer now meets the relation lock — which
+    # also closes the phantom window record locks never closed.
+    assert len(scan_all(db, ctx_b, handle)) == 200
+    ctx_c = ExecutionContext(db.services.transactions.begin(),
+                             db.services, db)
+    with pytest.raises(LockConflictError) as info:
+        db.data.insert(ctx_c, handle, (999, "phantom"))
+    assert info.value.resource == relation
+    for ctx in (ctx_a, ctx_b, ctx_c):
+        db.services.transactions.abort(ctx.txn)
+    assert len(wide.rows()) == 200
+
+
+def test_scan_beside_a_writer_keeps_locking_records(db, wide):
+    handle = db.catalog.handle("w")
+    ctx_a, ctx_b = two_contexts(db)
+    ctx_b.lock_relation(handle.relation_id, LockMode.IX)   # a live writer
+    rows = scan_all(db, ctx_a, handle)                     # raises nothing
+    locks = db.services.locks
+    assert locks.held_mode(ctx_a.txn_id, ("rel", handle.relation_id)) \
+        is LockMode.IS
+    assert record_locks(db, ctx_a) \
+        == {("rec", handle.relation_id, key) for key, __ in rows}
+    assert len(rows) == 200
+    assert locks.waits_for() == {}
+    assert db.services.stats.get("locks.read_escalations") == 0
+    # The writer is not shut out either: record granularity still holds.
+    db.data.insert(ctx_b, handle, (999, "new"))
+    db.services.transactions.commit(ctx_b.txn)
+    db.services.transactions.commit(ctx_a.txn)
+
+
+def test_scan_then_write_upgrades_the_escalated_lock(db, wide):
+    handle = db.catalog.handle("w")
+    ctx = ExecutionContext(db.services.transactions.begin(), db.services, db)
+    rows = scan_all(db, ctx, handle)
+    locks = db.services.locks
+    relation = ("rel", handle.relation_id)
+    db.data.update(ctx, handle, rows[0][0], (0, "changed"))
+    assert locks.held_mode(ctx.txn_id, relation) is LockMode.SIX
+    db.data.delete_batch(ctx, handle, [key for key, __ in rows[100:]])
+    assert locks.held_mode(ctx.txn_id, relation) is LockMode.X
+    db.services.transactions.commit(ctx.txn)
+    assert len(wide.rows()) == 100 and (0, "changed") in wide.rows()
+
+
+def test_deadlock_between_an_escalated_reader_and_a_writer(db, wide, table):
+    """The relation lock takes part in deadlock detection like any other."""
+    wide_handle, t_handle = db.catalog.handle("w"), db.catalog.handle("t")
+    key = next(k for k, __ in table.scan())
+    ctx_a, ctx_b = two_contexts(db)
+    scan_all(db, ctx_a, wide_handle)                      # A: S on w
+    db.data.update(ctx_b, t_handle, key, (1, "b"))        # B: X in t
+    with pytest.raises(LockConflictError):
+        db.data.fetch(ctx_a, t_handle, key)               # A waits for B
+    with pytest.raises(DeadlockError) as info:
+        db.data.insert(ctx_b, wide_handle, (999, "x"))    # B waits for A
+    assert info.value.victim == ctx_b.txn_id
+    db.services.transactions.abort(ctx_b.txn)
+    assert db.data.fetch(ctx_a, t_handle, key) == (1, "a")
+    db.services.transactions.commit(ctx_a.txn)
+
+
+def test_snapshot_scan_takes_no_locks_and_the_same_bypass_total(db, wide):
+    reader = db.connect()
+    reader.begin(snapshot=True)
+    before = db.services.stats.snapshot()
+    assert len(reader.table("w").rows()) == 200
+    delta = db.services.stats.delta(before)
+    assert reader_locks(db, reader) == 0
+    # One relation intent by dispatch, then intent + record per row: the
+    # total the per-record path always reported.
+    assert delta["mvcc.lock_bypasses"] == 401
+    assert "locks.read_escalations" not in delta
+    reader.commit()
+
+
+def reader_locks(db, session):
+    return db.services.stats.session_get(session.session_id,
+                                         "locks.acquire_calls")
