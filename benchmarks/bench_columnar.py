@@ -1,20 +1,21 @@
-"""E18 — columnar batch execution vs the row pipeline.
+"""E18 — columnar batch execution: dispatches per batch, not per row.
 
-The columnar path builds one :class:`ColumnBatch` per scan batch and runs
+The engine builds one :class:`ColumnBatch` per scan batch and runs
 column-at-a-time kernels over it: each filter, projection, and aggregate
-costs O(1) Python-level dispatches per *batch* instead of O(1) per *row*.
-The experiment runs the vectorizable query shapes down both paths on the
-same relation and compares the deterministic per-row operation counters:
+costs O(1) Python-level dispatches per *batch*.  The experiment runs the
+single-table query shapes and guards the deterministic counters:
 
-* row path work  = ``predicate.row_evals`` + ``executor.row_ops``
-  (one predicate evaluation and one projection slot per row);
-* columnar work  = ``predicate.vector_selects`` +
-  ``executor.columnar.kernel_calls`` (one kernel dispatch per batch).
+* ``predicate.vector_selects`` + ``executor.columnar.kernel_calls`` stay
+  a small constant per batch (``kernel_calls <= 4 * batches + 1``);
+* ``predicate.row_evals`` + ``executor.row_ops`` — Python-level work per
+  *row* — stay at zero, and no statement needed the Python-backend rerun.
 
-Acceptance: >= 5x fewer Python-level operations for every vectorizable
-filter/aggregate shape, bit-identical results, and — the cost-model half
-of the story — the planner demonstrably abandoning a low-cardinality
-index once a statistics attachment reveals its true selectivity.
+The comparison this experiment was first run for — the same shapes down
+a row-at-a-time pipeline, >= 5x fewer Python-level operations — ended
+with that pipeline; its last result is archived in ``BENCH_E18.json``.
+The cost-model half of the story is still measured here: the planner
+demonstrably abandoning a low-cardinality index once a statistics
+attachment reveals its true selectivity.
 
 Runnable directly for the CI smoke profile::
 
@@ -28,7 +29,6 @@ import sys
 import pytest
 
 from repro import Database
-from repro.query import kernels
 from repro.workloads import employee_records
 
 try:
@@ -38,7 +38,7 @@ except ImportError:          # executed directly: python benchmarks/bench_...
 
 N = 10_000
 
-#: The vectorizable shapes measured down both paths.
+#: The single-table shapes measured.
 QUERIES = {
     "filter": "SELECT id, salary FROM employee WHERE salary > 150000.0",
     "filter_and": ("SELECT id FROM employee WHERE salary "
@@ -48,14 +48,12 @@ QUERIES = {
     "topk": "SELECT id, salary FROM employee ORDER BY salary DESC LIMIT 10",
 }
 
-#: Shapes gated by the >= 5x acceptance criterion.  Top-k is measured
-#: too, but both paths pay one Python-level heap decoration per row (the
-#: kernel only batches the merge), so its op ratio is informational.
-GATED = ("filter", "filter_and", "aggregate")
-
-#: Counters composing each side's Python-level per-row operation count.
+#: Python-level operations per row (none expected) and per batch.
 ROW_OPS = ("predicate.row_evals", "executor.row_ops")
 COLUMNAR_OPS = ("predicate.vector_selects", "executor.columnar.kernel_calls")
+RECORDED = ROW_OPS + COLUMNAR_OPS + (
+    "executor.columnar.batches", "executor.columnar.rows",
+    "executor.columnar.fallbacks", "executor.scan_batches")
 
 
 def build_db(rows: int = N) -> Database:
@@ -74,22 +72,13 @@ def _measure(db, statement):
     return result, stats.delta(before)
 
 
-def _run_both(db, statement):
-    """Measure one warm execution per path; returns the two deltas."""
-    executor = db.query_engine.executor
-    db.execute(statement)  # warm the plan cache
-    executor.columnar_enabled = True
-    columnar_result, columnar = _measure(db, statement)
-    executor.columnar_enabled = False
-    with kernels.vector_filtering(False):
-        row_result, row = _measure(db, statement)
-    executor.columnar_enabled = True
-    assert columnar_result == row_result, statement
-    return columnar, row
-
-
-def _ops(delta, names):
-    return sum(delta.get(name, 0) for name in names)
+def _dispatch_guard(shape: dict) -> bool:
+    """Kernel dispatches bounded by a small constant per batch (one per
+    filter conjunct / aggregate column), nothing per row, no rerun."""
+    return (shape["executor.columnar.kernel_calls"]
+            <= 4 * shape["executor.columnar.batches"] + 1
+            and not any(shape[name] for name in ROW_OPS)
+            and shape["executor.columnar.fallbacks"] == 0)
 
 
 def planner_flip_profile(rows: int = 2_000) -> dict:
@@ -124,29 +113,15 @@ def planner_flip_profile(rows: int = 2_000) -> dict:
 
 
 def columnar_profile(rows: int = N) -> dict:
-    """Counter comparison of every vectorizable shape down both paths."""
+    """Warm counter deltas of every shape, and the guards over them."""
     db = build_db(rows)
     counters = {}
-    derived = {"op_ratio": {}}
     for name, statement in QUERIES.items():
-        columnar, row = _run_both(db, statement)
-        counters[name] = {
-            "columnar": {key: columnar.get(key, 0)
-                         for key in COLUMNAR_OPS + (
-                             "executor.columnar.batches",
-                             "executor.columnar.rows",
-                             "executor.scan_batches")},
-            "row": {key: row.get(key, 0)
-                    for key in ROW_OPS + ("executor.scan_batches",)},
-        }
-        derived["op_ratio"][name] = (
-            _ops(row, ROW_OPS) / max(1, _ops(columnar, COLUMNAR_OPS)))
-        # The batch schedule below the execution paths is shared.
-        assert (columnar.get("executor.scan_batches", 0)
-                == row.get("executor.scan_batches", 0)), name
-    derived["min_op_ratio"] = min(derived["op_ratio"][name]
-                                  for name in GATED)
-    derived["results_identical"] = True  # asserted per statement above
+        db.execute(statement)  # warm the plan cache
+        __, delta = _measure(db, statement)
+        counters[name] = {key: delta.get(key, 0) for key in RECORDED}
+    derived = {"per_batch_dispatch": all(
+        _dispatch_guard(shape) for shape in counters.values())}
 
     flip = planner_flip_profile()
     counters["planner_flip"] = {
@@ -176,28 +151,14 @@ def profile():
 # Acceptance: counter assertions
 # ---------------------------------------------------------------------------
 
-def test_every_gated_shape_cuts_python_ops_5x(profile):
-    for name in GATED:
-        assert profile["derived"]["op_ratio"][name] >= 5, name
-
-
 def test_columnar_dispatches_per_batch_not_per_row(profile):
     for name in QUERIES:
-        shape = profile["counters"][name]["columnar"]
-        batches = shape["executor.columnar.batches"]
+        shape = profile["counters"][name]
         rows = shape["executor.columnar.rows"]
         if name in ("aggregate", "topk"):  # no WHERE: every row flows up
             assert rows >= N * 0.9
-        assert 0 < batches < rows / 50
-        # Kernel dispatches are bounded by a small constant per batch
-        # (one per filter conjunct / aggregate column), never per row.
-        assert shape["executor.columnar.kernel_calls"] <= 4 * batches + 1
-
-
-def test_row_path_pays_per_row(profile):
-    filter_row = profile["counters"]["filter"]["row"]
-    assert filter_row["predicate.row_evals"] >= N
-    assert filter_row["executor.row_ops"] > 0
+        assert 0 < shape["executor.columnar.batches"] < rows / 50
+        assert _dispatch_guard(shape), (name, shape)
 
 
 def test_statistics_flip_the_access_path(profile):
@@ -224,20 +185,6 @@ def test_filter_query_columnar(benchmark):
     benchmark.extra_info["strategy"] = "columnar"
 
 
-def test_filter_query_row_at_a_time(benchmark):
-    db = build_db()
-    db.query_engine.executor.columnar_enabled = False
-    db.execute(QUERIES["filter"])
-
-    def run():
-        with kernels.vector_filtering(False):
-            return db.execute(QUERIES["filter"])
-
-    benchmark.pedantic(run, rounds=5, iterations=3)
-    benchmark.extra_info["rows"] = N
-    benchmark.extra_info["strategy"] = "row-at-a-time"
-
-
 def test_aggregate_query_columnar(benchmark):
     db = build_db()
     db.execute(QUERIES["aggregate"])
@@ -245,20 +192,6 @@ def test_aggregate_query_columnar(benchmark):
                        rounds=5, iterations=3)
     benchmark.extra_info["rows"] = N
     benchmark.extra_info["strategy"] = "columnar"
-
-
-def test_aggregate_query_row_at_a_time(benchmark):
-    db = build_db()
-    db.query_engine.executor.columnar_enabled = False
-    db.execute(QUERIES["aggregate"])
-
-    def run():
-        with kernels.vector_filtering(False):
-            return db.execute(QUERIES["aggregate"])
-
-    benchmark.pedantic(run, rounds=5, iterations=3)
-    benchmark.extra_info["rows"] = N
-    benchmark.extra_info["strategy"] = "row-at-a-time"
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +210,7 @@ def main(argv=None) -> int:
         with open(args.json, "w") as fh:
             fh.write(payload + "\n")
     print(payload)
-    ok = (result["derived"]["min_op_ratio"] >= 5
+    ok = (result["derived"]["per_batch_dispatch"]
           and result["derived"]["planner_flip"]["flipped"]
           and result["derived"]["planner_flip"]["results_identical"])
     return 0 if ok else 1

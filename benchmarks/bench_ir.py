@@ -1,34 +1,27 @@
 """E20 — columnar operator IR: joins, group-by, and compiled expressions.
 
-E18 measured the first columnar path, which stopped at single-table
-filter/project/aggregate shapes.  The operator IR extends vectorized
-execution to the shapes that previously always ran row-at-a-time —
-equi-joins (hash / sort-merge over selection-vector pairs), grouped
-aggregates via sort-based run detection, and arbitrary compiled scalar
-expressions — behind a pluggable kernel backend (pure Python by
-default, NumPy when importable).
+The operator IR runs whole plans batch-at-a-time — equi-joins (hash /
+sort-merge over selection-vector pairs), grouped aggregates via
+sort-based run detection, and arbitrary compiled scalar expressions —
+behind a pluggable kernel backend (pure Python by default, NumPy when
+importable).
 
-The experiment runs join, group-by, and expression workloads down three
-engines over the same relations:
+The experiment runs join, group-by, and expression workloads on both
+backends over the same relations and guards the deterministic counters:
 
-* **row** — tuple-at-a-time pipeline, kernel filtering disabled;
-* **columnar-python** — operator IR on the pure-Python backend;
-* **columnar-numpy** — the same IR on the NumPy backend (skipped when
-  NumPy is unavailable; results must be bit-identical when it runs).
+* one hash or merge pairing per join, and a dispatch count
+  (``executor.columnar.kernel_calls`` +
+  ``executor.columnar.ir.kernel_calls``; the scans add one
+  ``predicate.vector_selects`` per page) that is a small constant per
+  operator and batch, never per row or per join pair;
+* ``predicate.row_evals`` + ``executor.row_ops`` (Python-level work per
+  row) at zero, and no statement needing the Python-backend rerun;
+* results bit-identical between the Python and NumPy backends.
 
-Python-level per-row operation counters compare the engines:
-
-* row work      = ``predicate.row_evals`` + ``executor.row_ops``
-  (per-row predicate evaluations, inner-loop join comparisons, index
-  probes, cross-filter checks, and projection slots);
-* columnar work = ``predicate.vector_selects`` +
-  ``executor.columnar.kernel_calls`` + ``executor.columnar.ir.*`` kernel
-  dispatches (a small constant per batch / per operator).
-
-Acceptance: >= 5x fewer Python-level operations on the join and group-by
-workloads for the *pure-Python* columnar IR versus the row path (the
-speedup must come from batching, not from NumPy), and bit-identical
-results across all three engines.
+The comparison this experiment was first run for — the same shapes down
+a row-at-a-time pipeline, >= 5x fewer Python-level operations on the
+pure-Python backend — ended with that pipeline; its last result is
+archived in ``BENCH_E20.json``.
 
 Runnable directly for the CI smoke profile::
 
@@ -42,7 +35,7 @@ import sys
 import pytest
 
 from repro import Database
-from repro.query import backends, kernels
+from repro.query import backends
 
 try:
     from benchmarks._helpers import bench_payload
@@ -52,7 +45,7 @@ except ImportError:          # executed directly: python benchmarks/bench_ir.py
 N = 6_000
 DEPTS = 16
 
-#: The IR workloads measured down all engines.
+#: The IR workloads measured on each backend.
 QUERIES = {
     "join": ("SELECT emp.id, dept.budget FROM emp JOIN dept "
              "ON emp.dept_no = dept.dno"),
@@ -68,21 +61,18 @@ QUERIES = {
                      "FROM emp WHERE salary / 1000.0 > 110.0"),
 }
 
-#: Shapes gated by the >= 5x acceptance criterion (the ISSUE names join
-#: and group-by; the expression shapes clear the bar too and are gated
-#: to keep them honest).
-GATED = ("join", "join_filter", "join_group", "group_expr")
+JOINS = ("join", "join_filter", "join_group")
 
 ROW_OPS = ("predicate.row_evals", "executor.row_ops")
-COLUMNAR_OPS = ("predicate.vector_selects",
-                "executor.columnar.kernel_calls",
+COLUMNAR_OPS = ("executor.columnar.kernel_calls",
                 "executor.columnar.ir.kernel_calls")
-IR_COUNTERS = ("executor.columnar.batches", "executor.columnar.rows",
+IR_COUNTERS = ("predicate.vector_selects",
+               "executor.columnar.batches", "executor.columnar.rows",
                "executor.columnar.ir.join.hash",
                "executor.columnar.ir.join.merge",
                "executor.columnar.ir.join.pairs",
                "executor.columnar.ir.group.groups",
-               "executor.scan_batches")
+               "executor.columnar.fallbacks", "executor.scan_batches")
 
 
 def build_db(rows: int = N, backend: str = "python") -> Database:
@@ -100,72 +90,56 @@ def build_db(rows: int = N, backend: str = "python") -> Database:
     return db
 
 
-def _measure(db, statement):
+def _measure(db, statement) -> tuple:
+    """One warm execution: its result and the counters recorded."""
+    db.execute(statement)  # warm the plan cache and compiled program
     stats = db.services.stats
     before = stats.snapshot()
     result = db.execute(statement)
-    return result, stats.delta(before)
+    delta = stats.delta(before)
+    return result, {key: delta.get(key, 0)
+                    for key in ROW_OPS + COLUMNAR_OPS + IR_COUNTERS}
 
 
-def _measure_columnar(db, statement):
-    db.query_engine.executor.columnar_enabled = True
-    db.execute(statement)  # warm the plan cache and compiled program
-    return _measure(db, statement)
+def _ops(shape, names):
+    return sum(shape[name] for name in names)
 
 
-def _measure_row(db, statement):
-    executor = db.query_engine.executor
-    executor.columnar_enabled = False
-    db.execute(statement)  # warm the plan cache
-    try:
-        with kernels.vector_filtering(False):
-            return _measure(db, statement)
-    finally:
-        executor.columnar_enabled = True
-
-
-def _ops(delta, names):
-    return sum(delta.get(name, 0) for name in names)
+def _dispatch_guard(name: str, shape: dict, rows: int) -> bool:
+    """Dispatches per operator and batch, nothing per row, no rerun; a
+    join pairs its inputs exactly once."""
+    ok = (_ops(shape, COLUMNAR_OPS)
+          <= 6 * shape["executor.scan_batches"] + 16
+          and _ops(shape, ROW_OPS) == 0
+          and shape["executor.columnar.fallbacks"] == 0)
+    if name in JOINS:
+        ok = ok and (shape["executor.columnar.ir.join.hash"]
+                     + shape["executor.columnar.ir.join.merge"] == 1
+                     and shape["executor.columnar.ir.join.pairs"]
+                     >= rows * 0.9)
+    return ok
 
 
 def ir_profile(rows: int = N) -> dict:
-    db = build_db(rows, backend="python")
-    numpy_ok = backends.numpy_available()
-    db_np = build_db(rows, backend="numpy") if numpy_ok else None
+    names = ["python"] + (["numpy"] if backends.numpy_available() else [])
+    dbs = {name: build_db(rows, backend=name) for name in names}
     counters = {}
-    derived = {"op_ratio": {}, "numpy_available": numpy_ok}
-    identical = True
+    identical = guarded = True
     for name, statement in QUERIES.items():
-        columnar_result, columnar = _measure_columnar(db, statement)
-        row_result, row = _measure_row(db, statement)
-        identical &= (columnar_result == row_result)
-        assert columnar_result == row_result, name
-        assert columnar.get("executor.columnar.fallbacks", 0) == 0, name
-        counters[name] = {
-            "columnar_python": {
-                key: columnar.get(key, 0)
-                for key in COLUMNAR_OPS + IR_COUNTERS},
-            "row": {key: row.get(key, 0) for key in ROW_OPS},
-        }
-        if db_np is not None:
-            numpy_result, numpy_delta = _measure_columnar(db_np, statement)
-            identical &= (numpy_result == columnar_result)
-            assert numpy_result == columnar_result, name
-            counters[name]["columnar_numpy"] = {
-                key: numpy_delta.get(key, 0)
-                for key in COLUMNAR_OPS + IR_COUNTERS}
-        derived["op_ratio"][name] = (
-            _ops(row, ROW_OPS) / max(1, _ops(columnar, COLUMNAR_OPS)))
-    derived["min_op_ratio"] = min(derived["op_ratio"][name]
-                                  for name in GATED)
-    derived["results_identical"] = identical
-    derived["backends_compared"] = (["row", "columnar-python",
-                                     "columnar-numpy"] if numpy_ok
-                                    else ["row", "columnar-python"])
+        results = {}
+        for backend, db in dbs.items():
+            results[backend], shape = _measure(db, statement)
+            counters.setdefault(name, {})["columnar_" + backend] = shape
+            guarded &= _dispatch_guard(name, shape, rows)
+        identical &= all(result == results["python"]
+                         for result in results.values())
+    derived = {"numpy_available": "numpy" in dbs,
+               "backends_compared": ["columnar-" + name for name in names],
+               "results_identical": identical,
+               "per_operator_dispatch": guarded}
     return bench_payload(
         "E20-ir",
-        {"rows": rows, "depts": DEPTS, "queries": dict(QUERIES),
-         "gated": list(GATED)},
+        {"rows": rows, "depts": DEPTS, "queries": dict(QUERIES)},
         counters, derived)
 
 
@@ -178,32 +152,14 @@ def profile():
 # Acceptance: counter assertions
 # ---------------------------------------------------------------------------
 
-def test_gated_shapes_cut_python_ops_5x_on_pure_python(profile):
-    for name in GATED:
-        assert profile["derived"]["op_ratio"][name] >= 5, \
-            (name, profile["derived"]["op_ratio"][name])
-
-
-def test_results_identical_across_engines(profile):
+def test_results_identical_across_backends(profile):
     assert profile["derived"]["results_identical"]
 
 
-def test_join_dispatches_per_operator_not_per_row(profile):
-    for name in ("join", "join_filter", "join_group"):
-        shape = profile["counters"][name]["columnar_python"]
-        assert shape["executor.columnar.ir.join.hash"] \
-            + shape["executor.columnar.ir.join.merge"] == 1
-        assert shape["executor.columnar.ir.join.pairs"] >= N * 0.9
-        # Kernel dispatches stay a small constant per batch, never per
-        # row or per join pair.
-        batches = shape["executor.columnar.batches"]
-        assert _ops(shape, COLUMNAR_OPS) <= 6 * batches + 16, name
-
-
-def test_row_path_pays_per_pair_on_joins(profile):
-    row = profile["counters"]["join"]["row"]
-    # The nested loop compares every (outer, inner) pair in Python.
-    assert _ops(row, ROW_OPS) >= N * DEPTS * 0.9
+def test_dispatches_per_operator_not_per_row(profile):
+    for name, shapes in profile["counters"].items():
+        for backend, shape in shapes.items():
+            assert _dispatch_guard(name, shape, N), (name, backend, shape)
 
 
 def test_numpy_backend_measured_when_available(profile):
@@ -219,18 +175,8 @@ def test_numpy_backend_measured_when_available(profile):
 
 def _bench(benchmark, db, statement, strategy):
     db.execute(statement)
-
-    if strategy == "row":
-        db.query_engine.executor.columnar_enabled = False
-
-        def run():
-            with kernels.vector_filtering(False):
-                return db.execute(statement)
-    else:
-        def run():
-            return db.execute(statement)
-
-    benchmark.pedantic(run, rounds=5, iterations=3)
+    benchmark.pedantic(lambda: db.execute(statement), rounds=5,
+                       iterations=3)
     benchmark.extra_info["rows"] = N
     benchmark.extra_info["strategy"] = strategy
 
@@ -240,17 +186,9 @@ def test_join_columnar_python(benchmark):
            "columnar-python")
 
 
-def test_join_row_at_a_time(benchmark):
-    _bench(benchmark, build_db(), QUERIES["join"], "row")
-
-
 def test_group_expr_columnar_python(benchmark):
     _bench(benchmark, build_db(backend="python"), QUERIES["group_expr"],
            "columnar-python")
-
-
-def test_group_expr_row_at_a_time(benchmark):
-    _bench(benchmark, build_db(), QUERIES["group_expr"], "row")
 
 
 @pytest.mark.skipif(not backends.numpy_available(),
@@ -276,7 +214,7 @@ def main(argv=None) -> int:
         with open(args.json, "w") as fh:
             fh.write(payload + "\n")
     print(payload)
-    ok = (result["derived"]["min_op_ratio"] >= 5
+    ok = (result["derived"]["per_operator_dispatch"]
           and result["derived"]["results_identical"])
     return 0 if ok else 1
 

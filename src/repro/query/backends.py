@@ -359,7 +359,8 @@ class PythonBackend(KernelBackend):
 
         The sort key is ``repr`` so mixed-type and NULL keys order
         deterministically; stability preserves arrival order within each
-        group, which keeps float folds bit-identical to the row path.
+        group, so a float fold sees its values in the same order on every
+        backend.
         """
         n = len(keys)
         reprs = list(map(repr, keys))
@@ -393,7 +394,7 @@ class NumpyBackend(PythonBackend):
         Only exact-typed columns pack: all-int (int64 range), all-float,
         or — unless ``numeric_only`` — all-str.  Mixed int/float columns
         are refused because packing would turn exact int arithmetic into
-        float arithmetic and break bit-identity with the row path.
+        float arithmetic and break bit-identity with the Python backend.
         """
         np = self._np
         if isinstance(values, np.ndarray):
@@ -437,7 +438,7 @@ class NumpyBackend(PythonBackend):
             return (lhs * rhs).tolist()
         if op in ("/", "%"):
             if bool((rhs == 0).any()):
-                # The row path raises through ZeroDivisionError; NumPy
+                # Python raises through ZeroDivisionError; NumPy
                 # would answer inf/nan.  Delegate for identical errors.
                 return super().arith(op, left, right)
             divided = lhs / rhs if op == "/" else np.mod(lhs, rhs)

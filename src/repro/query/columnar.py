@@ -3,55 +3,47 @@
 The paper's cost-estimation interface has extensions reason about "the
 I/O and CPU costs to return the record fields or keys that satisfy the
 predicates"; this module attacks the CPU half.  Above the scan boundary,
-rows arrive in blocks (``next_batch``) but were historically *processed*
-one Python object at a time — a tree-walking predicate evaluation, a
-``RecordView`` construction, and several ``expr.eval`` calls per row.  A
-:class:`ColumnBatch` pivots one scan batch into columns exactly once, so
-the kernel library (:mod:`.kernels`) can touch each *column* with a
-constant number of Python-level operations per batch and let the
-C-implemented primitives (``zip``, ``sum``, ``min``, comprehension
-bytecode, ``array``) do the per-row work.
+rows arrive in blocks (``next_batch``); a :class:`ColumnBatch` pivots one
+block into columns exactly once, so the kernel library (:mod:`.kernels`)
+can touch each *column* with a constant number of Python-level operations
+per batch and let the C-implemented primitives (``zip``, ``sum``,
+``min``, comprehension bytecode) do the per-row work.
 
-Three ingredients of the representation:
+Two ingredients of the representation:
 
-* **typed columns** — each column is materialised by one ``zip``
-  transpose; INT/FLOAT columns can additionally be packed into
-  ``array.array`` typed storage on request (dense numeric kernels);
+* **lazy columns** — every column is materialised by one ``zip``
+  transpose, the first time any of them is asked for;
 * **null bitmaps** — per-column null masks computed once per batch, so
   SQL's NULL semantics cost one pass instead of one branch per operator
-  per row;
-* **selection vectors** — filters produce sorted lists of qualifying row
-  ordinals instead of copying rows; materialisation happens late, only
-  for the rows that survive every kernel (:meth:`ColumnBatch.take`).
+  per row.
+
+A batch answers ``len()``, ``column(i)``, ``rows()`` and
+``narrow(selection)`` — the protocol the operator IR's filter and sinks
+are written against (:class:`~.ir.PairBatch`, a join result held as
+selection-vector pairs, answers the same four).
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["ColumnBatch"]
 
-#: ``array`` typecodes for the schema types that pack into typed storage.
-_TYPED_CODES = {"INT": "q", "FLOAT": "d"}
-
 
 class ColumnBatch:
-    """One scan batch pivoted into columns.
+    """One batch of row tuples, pivoted into columns on demand.
 
-    ``rows`` is the batch in arrival order (tuples); columns, null
-    bitmaps, and typed arrays are derived lazily and cached, so a kernel
-    pipeline that only touches two columns never pays for the rest.
+    Columns and null bitmaps are derived lazily and cached, so a kernel
+    pipeline that only needs the rows never pays for the transpose.
     """
 
-    __slots__ = ("rows", "width", "_columns", "_nulls", "_typed")
+    __slots__ = ("_rows", "width", "_columns", "_nulls")
 
     def __init__(self, rows: Sequence[Tuple], width: int):
-        self.rows = rows
+        self._rows = rows
         self.width = width
         self._columns: Optional[List[tuple]] = None
         self._nulls: Dict[int, Optional[bytearray]] = {}
-        self._typed: Dict[int, Optional[array]] = {}
 
     @classmethod
     def from_rows(cls, rows: Sequence[Tuple], schema=None) -> "ColumnBatch":
@@ -65,20 +57,28 @@ class ColumnBatch:
         return cls(rows, width)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    # -- columns ---------------------------------------------------------------
+    def rows(self) -> Sequence[Tuple]:
+        """The batch in arrival order."""
+        return self._rows
+
     def column(self, index: int) -> tuple:
         """Column ``index`` as a tuple (transposed once per batch)."""
         columns = self._columns
         if columns is None:
-            if self.rows:
+            if self._rows:
                 # One C-level transpose materialises every column.
-                columns = list(zip(*self.rows))
+                columns = list(zip(*self._rows))
             else:
                 columns = [()] * self.width
             self._columns = columns
         return columns[index]
+
+    def narrow(self, selection: Sequence[int]) -> "ColumnBatch":
+        """The selected rows (in selection order) as a batch of their own."""
+        rows = self._rows
+        return ColumnBatch([rows[i] for i in selection], self.width)
 
     def null_mask(self, index: int) -> Optional[bytearray]:
         """Per-row null bitmap for one column, or ``None`` when the column
@@ -95,36 +95,5 @@ class ColumnBatch:
         self._nulls[index] = mask
         return mask
 
-    def typed_column(self, index: int, type_code: str) -> Optional[array]:
-        """The column packed into ``array.array`` typed storage, or ``None``
-        when the type does not pack (strings, NULLs present, mixed)."""
-        try:
-            return self._typed[index]
-        except KeyError:
-            pass
-        typed: Optional[array] = None
-        code = _TYPED_CODES.get(type_code)
-        if code is not None and self.null_mask(index) is None:
-            try:
-                typed = array(code, self.column(index))
-            except (TypeError, OverflowError):
-                typed = None
-        self._typed[index] = typed
-        return typed
-
-    # -- late materialisation -------------------------------------------------
-    def take(self, selection: Sequence[int]) -> List[Tuple]:
-        """Materialise the selected rows (in selection order)."""
-        rows = self.rows
-        return [rows[i] for i in selection]
-
-    def gather(self, selection: Optional[Sequence[int]],
-               index: int) -> list:
-        """Values of one column restricted to a selection vector."""
-        column = self.column(index)
-        if selection is None:
-            return list(column)
-        return [column[i] for i in selection]
-
     def __repr__(self) -> str:
-        return f"ColumnBatch({len(self.rows)} rows x {self.width} cols)"
+        return f"ColumnBatch({len(self._rows)} rows x {self.width} cols)"

@@ -1,10 +1,10 @@
 """The query engine: parse → (cached) bind → execute.
 
 Ties together the mini-SQL parser, the cost-based planner, the plan
-cache with dependency-driven invalidation, and the tuple-at-a-time
-executor.  DDL statements run immediately through the data definition
-layer (they are never cached); DML statements are translated once and
-re-executed from their bound plans.
+cache with dependency-driven invalidation, and the executor.  DDL
+statements run immediately through the data definition layer (they are
+never cached); DML statements are translated once and re-executed from
+their bound plans.
 """
 
 from __future__ import annotations

@@ -7,19 +7,19 @@ direct-by-key fetches ("first the access path is accessed to obtain a
 record key, which is then used to access the relation record in the
 storage method"), and the three join methods.
 
-Rows move through the pipeline in blocks: scans are consumed with
-``next_batch`` (one dispatch call and one page pin amortised over many
-tuples), index-probe routes translate a batch of record keys into one
-``fetch_many`` call, LIMIT stops pulling batches as soon as enough rows
-arrived, and ORDER BY + LIMIT keeps only the top-k rows in a bounded
-heap instead of sorting everything.  Filter predicates are compiled once
-per plan (see :class:`~.plans.CompiledPredicateCache`) rather than per
-execution.
+The executor owns the *access routes* and nothing else of a SELECT: it
+turns the plan's routes into a stream of batches — scans are consumed
+with ``next_batch`` (one dispatch call and one page pin amortised over
+many tuples), index-probe routes translate a batch of record keys into
+one ``fetch_many`` call, the keyed joins emit blocks of combined rows —
+and hands that stream to the plan's :class:`~.ir.Program`, the one
+engine that filters, folds, sorts and projects it.  Filter predicates
+are compiled once per plan (see :class:`~.plans.CompiledPredicateCache`)
+rather than per execution.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -27,9 +27,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..core.records import RecordView
 from ..errors import QueryError
 from . import fragments, ir
+from .backends import PythonBackend
+from .columnar import ColumnBatch
 from .cost import EligiblePredicate
-from .ir import KernelFallback as _ColumnarFallback
-from .ir import OrderKey as _OrderKey
 from .planner import JoinStep, SelectPlan, TableAccess
 
 __all__ = ["Executor"]
@@ -41,31 +41,27 @@ _EMPTY_VIEW = RecordView({})
 _BATCH_MIN = 32
 _BATCH_MAX = 512
 
+#: Cap (distinct inner keys) on the join-index right-record memo;
+#: least-recently-used entries are evicted past this, bounding a large
+#: join's memory by a constant instead of the inner table.
+_JOIN_MEMO_MAX = 1024
+
+#: Where a program is run again after its kernels failed on the
+#: database's configured backend.
+_RERUN_BACKEND = PythonBackend()
+
 
 class Executor:
     """Executes bound plans against one database."""
 
     def __init__(self, database):
         self.database = database
-        #: Route vectorizable plans down the columnar path (benchmarks
-        #: and equivalence tests toggle this to measure the row path).
-        self.columnar_enabled = True
         #: Offer eligible single-table plans to the storage method as
         #: pushed-down query fragments (sharded: parallel per-shard
         #: partial aggregation; foreign: the whole query in one remote
         #: message).  Results are bit-identical to the pull-up path —
         #: equivalence tests and benchmarks toggle this to compare.
         self.pushdown_enabled = True
-        #: Below this (statistics-attested) table size the columnar
-        #: path's per-batch setup outweighs its per-row savings; plans
-        #: on smaller relations stay row-at-a-time.  Only applies when a
-        #: statistics attachment is installed — without one the executor
-        #: has no row count to consult.
-        self.columnar_min_rows = 32
-        #: Cap (distinct inner keys) on the join-index right-record memo;
-        #: least-recently-used entries are evicted past this, bounding a
-        #: large join's memory by a constant instead of the inner table.
-        self.join_memo_capacity = 1024
 
     # ------------------------------------------------------------------
     # SELECT
@@ -79,25 +75,30 @@ class Executor:
         pushed = self._try_pushdown(ctx, plan, params)
         if pushed is not None:
             return pushed
-        program = (self._columnar_program(plan)
-                   if self.columnar_enabled else None)
-        if program is not None and program.join is not None \
-                and program.prefer_row_join and ctx.txn.snapshot is None:
-            # The keyed join route (index nested-loop / join index)
-            # undercuts a scan-both-sides hash join here.  Snapshot
-            # readers still vectorize: their row path downgrades index
-            # routes anyway, so the keyed advantage disappears.
-            ctx.stats.bump("executor.columnar.ir.row_path_selected")
-            program = None
-        if program is not None and self.columnar_enabled \
-                and self._columnar_worthwhile(ctx, plan):
-            try:
-                return self._run_columnar(ctx, plan, params, program)
-            except _ColumnarFallback:
-                # Kernel failure degrades to the row pipeline — the
-                # columnar path costs performance, never answers.
-                ctx.stats.bump("executor.columnar.fallbacks")
-        return self._run_rows(ctx, plan, params)
+        # The compiled program is cached on the bound plan; the plan
+        # cache's descriptor-version revalidation discards the whole
+        # plan — and with it this program — whenever a referenced
+        # relation changes shape.
+        program = plan.columnar
+        if program is None:
+            program = plan.columnar = ir.lower_select(plan)
+        ctx.stats.bump_many({"executor.columnar.plans": 1,
+                             "executor.columnar.ir.programs": 1})
+        try:
+            return self._run_program(ctx, plan, params, program,
+                                     self.database.kernel_backend)
+        except ir.KernelFallback:
+            # A kernel failure costs performance, never the answer: the
+            # same program runs once more on the reference backend.
+            ctx.stats.bump("executor.columnar.fallbacks")
+        try:
+            return self._run_program(ctx, plan, params, program,
+                                     _RERUN_BACKEND)
+        except ir.KernelFallback as exc:
+            raise QueryError(
+                "SELECT failed in the columnar engine, and again when "
+                f"rerun on the Python backend: {exc.__cause__!r}") \
+                from exc.__cause__
 
     def _try_pushdown(self, ctx, plan: SelectPlan,
                       params: dict) -> Optional[List[Tuple]]:
@@ -133,146 +134,58 @@ class Executor:
             ctx.stats.bump("executor.pushdown.fallbacks")
             return None
 
-    def _run_rows(self, ctx, plan: SelectPlan, params: dict) -> List[Tuple]:
-        left_handle = plan.handles[plan.alias]
-        rows: Iterator[Tuple]
-        if plan.join is None:
-            # Covering-index reads answer from index entries alone, which
-            # are not versioned — snapshot readers fall back to the
-            # (patched) storage route instead.
-            if getattr(plan, "covering", False) \
-                    and ctx.txn.snapshot is None:
-                rows = self._covering_rows(ctx, left_handle, plan, params)
-            else:
-                rows = (record for __, record in
-                        self._access_rows(ctx, left_handle, plan.access,
-                                          params, plan.limit))
-        else:
-            rows = self._join_rows(ctx, plan, params)
-        if plan.where is not None and plan.join is not None:
-            cross = plan.where_cache.get(plan.where, plan.combined_schema,
-                                         params, ctx.stats)
-            rows = self._cross_filter_rows(ctx, rows, cross)
-        if any(aggregate for __, __, aggregate in plan.items):
-            return self._aggregate(ctx, plan, list(rows), params)
-        if plan.order_by and plan.needs_sort:
-            if plan.limit is not None:
-                # Top-k: a bounded heap sees every row but keeps only
-                # ``limit`` of them; nothing else is ever sorted.
-                materialised = heapq.nsmallest(
-                    plan.limit, rows,
-                    key=lambda row: _OrderKey(row, plan.order_by))
-                ctx.stats.bump("executor.topk")
-            else:
-                materialised = list(rows)
-                for index, ascending in reversed(plan.order_by):
-                    materialised.sort(key=lambda row: row[index],
-                                      reverse=not ascending)
-                ctx.stats.bump("executor.sorts")
-        elif plan.limit is not None:
-            # Rows arrive in final order: stop pulling batches as soon
-            # as the limit is satisfied and shut the pipeline down.
-            materialised = list(islice(rows, plan.limit))
-            close = getattr(rows, "close", None)
-            if close is not None:
-                close()
-            ctx.stats.bump("executor.limit_short_circuits")
-        else:
-            materialised = list(rows)
-        if plan.limit is not None:
-            materialised = materialised[:plan.limit]
-        if plan.star:
-            return materialised
-        if materialised:
-            ctx.stats.bump_many({"executor.row_ops":
-                                 len(materialised) * len(plan.items)})
-        projected = []
-        for row in materialised:
-            view = RecordView.from_record(row)
-            projected.append(tuple(expr.eval(view, params)
-                                   for expr, __, __ in plan.items))
-        return projected
-
-    @staticmethod
-    def _cross_filter_rows(ctx, rows, cross) -> Iterator[Tuple]:
-        """Residual cross-table filter, tuple-at-a-time (one row op per
-        row examined — flushed when the pipeline closes)."""
-        examined = 0
-        try:
-            for row in rows:
-                examined += 1
-                if cross.matches(row):
-                    yield row
-        finally:
-            if examined:
-                ctx.stats.bump("executor.row_ops", examined)
-
-    # ------------------------------------------------------------------
-    # Columnar path
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _columnar_program(plan: SelectPlan) -> Optional[ir.Program]:
-        """The plan's compiled columnar program, or ``None`` (cached on
-        the bound plan; the plan cache's descriptor-version revalidation
-        discards the whole plan — and with it this program — whenever a
-        referenced relation changes shape)."""
-        program = plan.columnar
-        if program is None:
-            program = ir.lower_select(plan) or False
-            plan.columnar = program
-        return program or None
-
-    def _columnar_worthwhile(self, ctx, plan: SelectPlan) -> bool:
-        """Path selection from precomputed statistics: tiny relations
-        (attested by an installed statistics attachment) stay on the row
-        path, where per-batch setup cannot be amortised."""
-        if self.columnar_min_rows <= 0:
-            return True
-        from ..access.statistics import statistics_for
-        table_stats = statistics_for(ctx, plan.handles[plan.alias])
-        if table_stats is None or table_stats.row_count is None:
-            return True
-        if table_stats.row_count >= self.columnar_min_rows:
-            return True
-        ctx.stats.bump("executor.columnar.row_path_selected")
-        return False
-
-    def _run_columnar(self, ctx, plan: SelectPlan, params: dict,
-                      program: ir.Program) -> List[Tuple]:
-        ctx.stats.bump_many({"executor.columnar.plans": 1,
-                             "executor.columnar.ir.programs": 1})
-        left_handle = plan.handles[plan.alias]
-        if getattr(plan, "covering", False) and ctx.txn.snapshot is None \
-                and plan.join is None:
-            left_batches = self._covering_batches(ctx, left_handle, plan,
-                                                  params)
-        else:
-            left_batches = (
-                [record for __, record in batch] for batch in
-                self._access_key_batches(
-                    ctx, left_handle, plan.access, params,
-                    plan.limit if plan.join is None else None))
-        right_batches = None
-        if plan.join is not None:
-            right_handle = next(handle for alias, handle
-                                in plan.handles.items()
-                                if alias != plan.alias)
-            right_batches = (
-                [record for __, record in batch] for batch in
-                self._access_key_batches(ctx, right_handle,
-                                         plan.join.right_access, params,
-                                         None))
+    def _run_program(self, ctx, plan: SelectPlan, params: dict,
+                     program: ir.Program, backend) -> List[Tuple]:
         rt = ir.Runtime(ctx.stats, getattr(ctx.services, "faults", None),
-                        params, self.database.kernel_backend,
-                        plan.combined_schema.fields, left_batches,
-                        right_batches)
+                        params, backend)
+        rt.source = self._source(ctx, plan, params, program, rt)
         try:
             return program.run(rt)
         finally:
-            for source in (left_batches, right_batches):
-                close = getattr(source, "close", None)
-                if close is not None:
-                    close()
+            rt.source.close()
+
+    def _source(self, ctx, plan: SelectPlan, params: dict,
+                program: ir.Program, rt: ir.Runtime) -> Iterator:
+        """The plan's access routes as one stream of batches."""
+        left_handle = plan.handles[plan.alias]
+        join: JoinStep = plan.join
+        snapshot = ctx.txn.snapshot is not None
+        if join is None:
+            # Covering-index reads answer from index entries alone, which
+            # are not versioned — snapshot readers take the (patched)
+            # storage route instead.
+            if plan.covering and not snapshot:
+                batches = self._covering_batches(ctx, left_handle, plan,
+                                                 params)
+            else:
+                batches = self._record_batches(ctx, left_handle, plan.access,
+                                               params, plan.limit)
+            return (ColumnBatch(rows, program.width) for rows in batches)
+        right_handle = next(handle for alias, handle in plan.handles.items()
+                            if alias != plan.alias)
+        method = join.method
+        if method != "hash" and snapshot:
+            # Index probes and join-index pairs are not versioned either:
+            # the keyed joins downgrade to the hash source over (patched)
+            # scans, which returns the same rows.
+            ctx.stats.bump("mvcc.route_downgrades")
+            method = "hash"
+        if method == "hash":
+            # A snapshot scan appends resurrected rows after the live
+            # ones, so its output is not in route order.
+            return program.hash_join(
+                rt,
+                self._record_batches(ctx, left_handle, plan.access, params),
+                self._record_batches(ctx, right_handle, join.right_access,
+                                     params),
+                ordered=not snapshot)
+        if method == "join_index":
+            batches = self._join_via_index(ctx, plan, join, left_handle,
+                                           right_handle, params)
+        else:
+            batches = self._join_index_nl(ctx, plan, join, left_handle,
+                                          right_handle, params)
+        return (ColumnBatch(rows, program.width) for rows in batches)
 
     # ------------------------------------------------------------------
     # Access routes
@@ -285,14 +198,19 @@ class Executor:
                                               limit):
             yield from batch
 
+    def _record_batches(self, ctx, handle, access: TableAccess,
+                        params: dict, limit: Optional[int] = None
+                        ) -> Iterator[List[Tuple]]:
+        """The route's batches without their record keys."""
+        for batch in self._access_key_batches(ctx, handle, access, params,
+                                              limit):
+            yield [record for __, record in batch]
+
     def _access_key_batches(self, ctx, handle, access: TableAccess,
                             params: dict, limit: Optional[int]
                             ) -> Iterator[List[Tuple[object, Tuple]]]:
         """Yield batches of (record key, full record) through the chosen
-        route — the shared pump under both the row and columnar paths,
-        so batch schedules (and the ``executor.scan_batches``,
-        ``dispatch.*`` and ``buffer.*`` counters) are identical by
-        construction."""
+        route — the one pump under SELECT sources, UPDATE and DELETE."""
         database = self.database
         predicate = access.compiled_predicate(handle.schema, params,
                                               ctx.stats)
@@ -388,8 +306,7 @@ class Executor:
         cardinality — grounded in precomputed statistics when a
         statistics attachment is installed — sizes the first batch, so a
         scan expected to return thousands of rows skips the 32-row
-        warm-up doublings.  Both execution paths share this hint (the
-        batch schedule is part of the counter contract between them).
+        warm-up doublings.
         """
         if limit is not None:
             return _BATCH_MIN
@@ -401,11 +318,6 @@ class Executor:
             size *= 2
         ctx.stats.bump("executor.batch_size_hints")
         return size
-
-    def _covering_rows(self, ctx, handle, plan: SelectPlan,
-                       params: dict) -> Iterator[Tuple]:
-        for batch in self._covering_batches(ctx, handle, plan, params):
-            yield from batch
 
     def _covering_batches(self, ctx, handle, plan: SelectPlan,
                           params: dict) -> Iterator[List[Tuple]]:
@@ -488,43 +400,10 @@ class Executor:
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def _fetch_many(self, ctx, handle, method, keys, predicate):
-        """Batch record fetch, snapshot-aware.
-
-        Writers fetch straight from the storage method; snapshot readers
-        go through the dispatch layer, which patches each record to its
-        snapshot image (keys an index probe missed because the record was
-        deleted after the snapshot are the documented index-route
-        anomaly — see DESIGN.md).
-        """
-        if ctx.txn.snapshot is not None:
-            return self.database.data.fetch_many(ctx, handle, keys, None,
-                                                 predicate)
-        return method.fetch_many(ctx, handle, keys, None, predicate)
-
-    def _join_rows(self, ctx, plan: SelectPlan,
-                   params: dict) -> Iterator[Tuple]:
-        join: JoinStep = plan.join
-        left_handle = plan.handles[plan.alias]
-        right_handle = None
-        for alias, handle in plan.handles.items():
-            if alias != plan.alias:
-                right_handle = handle
-        if right_handle is None:
-            raise QueryError("join plan lost its right relation")
-        if join.method == "join_index":
-            yield from self._join_via_index(ctx, plan, join, left_handle,
-                                            right_handle, params)
-            return
-        if join.method == "index_nl":
-            yield from self._join_index_nl(ctx, plan, join, left_handle,
-                                           right_handle, params)
-            return
-        yield from self._join_nested_loop(ctx, plan, join, left_handle,
-                                          right_handle, params)
-
     def _join_via_index(self, ctx, plan, join, left_handle, right_handle,
-                        params):
+                        params) -> Iterator[List[Tuple]]:
+        """Join-index source: one batch of combined rows per chunk of
+        precomputed pairs."""
         database = self.database
         attachment = database.registry.attachment_type_by_name("join_index")
         field = left_handle.descriptor.attachment_field(attachment.type_id)
@@ -541,10 +420,9 @@ class Executor:
         # Many pairs share one inner record (foreign-key joins); memoise
         # right-side fetches for the duration of the operation (the locks
         # taken by the first fetch protect the cached copy).  The memo is
-        # LRU-bounded: past ``join_memo_capacity`` distinct keys the
-        # coldest entries are dropped and refetched on the next touch,
-        # so a huge inner relation costs repeat fetches, not memory.
-        capacity = self.join_memo_capacity
+        # LRU-bounded: past ``_JOIN_MEMO_MAX`` distinct keys the coldest
+        # entries are dropped and refetched on the next touch, so a huge
+        # inner relation costs repeat fetches, not memory.
         right_cache: "OrderedDict[object, Optional[Tuple]]" = OrderedDict()
         pairs = iter(attachment.pairs(instance))
         while True:
@@ -553,54 +431,65 @@ class Executor:
                 return
             ctx.stats.bump("executor.row_ops", len(chunk))
             left_keys = list(dict.fromkeys(lk for lk, __ in chunk))
-            left_found = dict(self._fetch_many(
-                ctx, left_handle, left_method, left_keys, left_predicate))
+            left_found = dict(left_method.fetch_many(
+                ctx, left_handle, left_keys, None, left_predicate))
             right_keys = []
-            for __, right_key in chunk:
+            for right_key in dict.fromkeys(rk for __, rk in chunk):
                 if right_key in right_cache:
                     right_cache.move_to_end(right_key)
-                elif right_key not in right_keys:
+                else:
                     right_keys.append(right_key)
             if right_keys:
-                right_found = dict(self._fetch_many(
-                    ctx, right_handle, right_method, right_keys,
-                    right_predicate))
+                right_found = dict(right_method.fetch_many(
+                    ctx, right_handle, right_keys, None, right_predicate))
                 for right_key in right_keys:
                     right_cache[right_key] = right_found.get(right_key)
+            rows = []
             for left_key, right_key in chunk:
                 left_record = left_found.get(left_key)
-                if left_record is None:
-                    continue
                 right_record = right_cache[right_key]
-                if right_record is None:
-                    continue
-                yield tuple(left_record) + tuple(right_record)
+                if left_record is not None and right_record is not None:
+                    rows.append(tuple(left_record) + tuple(right_record))
+            yield rows
             # Trim after the chunk is emitted — every key the chunk
             # needed is still present while it is being joined.
-            if capacity and len(right_cache) > capacity:
-                evicted = 0
-                while len(right_cache) > capacity:
+            if len(right_cache) > _JOIN_MEMO_MAX:
+                evicted = len(right_cache) - _JOIN_MEMO_MAX
+                for __ in range(evicted):
                     right_cache.popitem(last=False)
-                    evicted += 1
                 ctx.stats.bump("executor.join_memo_evictions", evicted)
 
     def _join_index_nl(self, ctx, plan, join, left_handle, right_handle,
-                       params):
-        database = self.database
-        right_method = database.registry.storage_method(
+                       params) -> Iterator[List[Tuple]]:
+        """Index nested-loop source: probe the inner index per outer row,
+        but resolve the resulting record keys a block of outer rows at a
+        time — one ``fetch_many`` call and one batch of combined rows
+        cover every inner record the block needs."""
+        right_method = self.database.registry.storage_method(
             right_handle.descriptor.storage_method_id)
         right_predicate = join.right_access.compiled_predicate(
             right_handle.schema, params, ctx.stats)
         probe = self._resolve_probe(right_handle, join.right_index)
         ctx.stats.bump("executor.index_nl_joins")
-        # Probe the inner index per outer row, but resolve the resulting
-        # record keys a block of outer rows at a time: one fetch_many
-        # call covers every inner record the block needs.
+
+        def emit(block):
+            keys = list(dict.fromkeys(
+                key for __, right_keys in block for key in right_keys))
+            found = dict(right_method.fetch_many(ctx, right_handle, keys,
+                                                 None, right_predicate))
+            rows = []
+            for left_record, right_keys in block:
+                for right_key in right_keys:
+                    right_record = found.get(right_key)
+                    if right_record is not None:
+                        rows.append(tuple(left_record) + tuple(right_record))
+            return rows
+
         block: List[Tuple[Tuple, List]] = []
         probe_ops = 0  # one op per outer-row index probe
         try:
-            for __, left_record in self._access_rows(ctx, left_handle,
-                                                     plan.access, params):
+            for __, left_record in self._access_rows(
+                    ctx, left_handle, plan.access, params, plan.limit):
                 value = left_record[join.left_index]
                 if value is None:
                     continue
@@ -609,29 +498,13 @@ class Executor:
                 if right_keys:
                     block.append((left_record, right_keys))
                 if len(block) >= _BATCH_MIN:
-                    yield from self._emit_index_nl(ctx, right_handle,
-                                                   right_method,
-                                                   right_predicate, block)
+                    yield emit(block)
                     block = []
             if block:
-                yield from self._emit_index_nl(ctx, right_handle,
-                                               right_method,
-                                               right_predicate, block)
+                yield emit(block)
         finally:
             if probe_ops:
                 ctx.stats.bump("executor.row_ops", probe_ops)
-
-    def _emit_index_nl(self, ctx, right_handle, right_method,
-                       right_predicate, block):
-        keys = list(dict.fromkeys(
-            key for __, right_keys in block for key in right_keys))
-        found = dict(self._fetch_many(ctx, right_handle, right_method, keys,
-                                      right_predicate))
-        for left_record, right_keys in block:
-            for right_key in right_keys:
-                right_record = found.get(right_key)
-                if right_record is not None:
-                    yield tuple(left_record) + tuple(right_record)
 
     def _resolve_probe(self, right_handle, right_index: int):
         """A callable mapping a join value to inner record keys."""
@@ -658,38 +531,12 @@ class Executor:
             return probe
         raise QueryError("index nested-loop plan lost its inner access path")
 
-    def _join_nested_loop(self, ctx, plan, join, left_handle, right_handle,
-                          params):
-        ctx.stats.bump("executor.nested_loop_joins")
-        right_rows = [record for __, record in
-                      self._access_rows(ctx, right_handle, join.right_access,
-                                        params)]
-        inner_ops = 0  # one op per inner comparison — flushed at close
-        try:
-            for __, left_record in self._access_rows(ctx, left_handle,
-                                                     plan.access, params):
-                value = left_record[join.left_index]
-                if value is None:
-                    continue
-                inner_ops += len(right_rows)
-                for right_record in right_rows:
-                    if right_record[join.right_index] == value:
-                        yield tuple(left_record) + tuple(right_record)
-        finally:
-            if inner_ops:
-                ctx.stats.bump("executor.row_ops", inner_ops)
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
     def _aggregate_fast_path(self, ctx, plan: SelectPlan) -> Optional[List]:
         """Answer ``SELECT COUNT(*)`` from a precomputed aggregate
         attachment when one exists (no scan at all)."""
-        if ctx.txn.snapshot is not None:
-            # Precomputed aggregates track *current* state; a snapshot
-            # reader must count through the patched scan instead.
-            ctx.stats.bump("mvcc.fast_path_bypasses")
-            return None
         if (plan.join is not None or plan.where is not None
                 or plan.group_index is not None or plan.star
                 or len(plan.items) != 1):
@@ -705,68 +552,14 @@ class Executor:
             return None
         for instance in field["instances"].values():
             if instance["function"] == "count":
+                if ctx.txn.snapshot is not None:
+                    # Precomputed aggregates track *current* state; a
+                    # snapshot reader counts through the patched scan.
+                    ctx.stats.bump("mvcc.fast_path_bypasses")
+                    return None
                 ctx.stats.bump("executor.aggregate_fast_paths")
                 return [(attachment.value(ctx, handle, instance),)]
         return None
-
-    def _aggregate(self, ctx, plan: SelectPlan, rows: List[Tuple],
-                   params: dict) -> List[Tuple]:
-        if plan.group_index is None:
-            self._count_row_ops(ctx, plan.items, len(rows))
-            return [self._fold(plan.items, rows, params)]
-        groups: Dict[object, List[Tuple]] = {}
-        for row in rows:
-            groups.setdefault(row[plan.group_index], []).append(row)
-        out = []
-        for value in sorted(groups, key=repr):
-            self._count_row_ops(ctx, plan.items, len(groups[value]))
-            out.append(self._fold(plan.items, groups[value], params))
-        return out
-
-    @staticmethod
-    def _count_row_ops(ctx, items, nrows: int) -> None:
-        """Account the fold's per-row expression evaluations (the work
-        the columnar path replaces with per-batch kernels)."""
-        ops = 0
-        for expr, __, aggregate in items:
-            if aggregate is None:
-                ops += 1 if nrows else 0
-            elif expr is not None:
-                ops += nrows
-        if ops:
-            ctx.stats.bump_many({"executor.row_ops": ops})
-
-    @staticmethod
-    def _fold(items, rows: List[Tuple], params: dict) -> Tuple:
-        result = []
-        for expr, __, aggregate in items:
-            if aggregate is None:
-                # A plain item inside an aggregate query: its value from
-                # the first row (the grouping column in GROUP BY queries).
-                view = RecordView.from_record(rows[0]) if rows else None
-                result.append(expr.eval(view, params) if view else None)
-                continue
-            if aggregate == "count" and expr is None:
-                result.append(len(rows))
-                continue
-            values = []
-            for row in rows:
-                value = expr.eval(RecordView.from_record(row), params)
-                if value is not None:
-                    values.append(value)
-            if aggregate == "count":
-                result.append(len(values))
-            elif not values:
-                result.append(None)
-            elif aggregate == "sum":
-                result.append(sum(values))
-            elif aggregate == "min":
-                result.append(min(values))
-            elif aggregate == "max":
-                result.append(max(values))
-            elif aggregate == "avg":
-                result.append(sum(values) / len(values))
-        return tuple(result)
 
     # ------------------------------------------------------------------
     # Modification statements

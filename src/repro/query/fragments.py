@@ -107,7 +107,7 @@ def plan_fragment(plan: SelectPlan) -> Optional[FragmentPlan]:
     fragment.limit = plan.limit
     fragment.group_index = plan.group_index
     if any(aggregate for __, __, aggregate in plan.items):
-        # The row path ignores ORDER BY/LIMIT on aggregate queries;
+        # Pull-up ignores ORDER BY/LIMIT on aggregate queries;
         # keep the shapes we push identical to the shapes we merge.
         if plan.order_by or plan.limit is not None:
             return None

@@ -1,69 +1,63 @@
-"""Columnar operator IR: whole plans compiled to column-level programs.
+"""Columnar operator IR: every bound SELECT runs as one of these programs.
 
-PR 5's columnar path stopped at single-table filter/project/aggregate
-shapes recognised by a structural whitelist.  This module replaces the
-whitelist with a real lowering step (TQP-style): a bound
-:class:`~.planner.SelectPlan` compiles into a :class:`Program` — a small
-pipeline of column-level operators (scan → join → filter →
-group/aggregate → project → order/limit) — that executes batch-at-a-time
-over :class:`~.columnar.ColumnBatch` with every vector primitive routed
-through a pluggable :mod:`.backends` backend.
+A bound :class:`~.planner.SelectPlan` lowers (:func:`lower_select`) to a
+:class:`Program`: *source → optional cross-table filter → one sink*.
 
-What lowering produces:
+* A **source** is an iterator of batches handed over by the executor,
+  which owns the access routes: a scan or covering-index read (one
+  :class:`~.columnar.ColumnBatch` per ``next_batch``), a keyed join —
+  index nested-loop or join index — yielding batches of combined rows,
+  or :meth:`Program.hash_join`, which materialises both inputs and
+  yields one :class:`PairBatch`.  Which join source runs is the
+  planner's decision (``JoinStep.method``); nothing here compares costs.
+* The **filter** applies the cross-table part of a join's WHERE (the
+  single-table parts were pushed into the scans) and narrows the batch.
+* The **sink** is one of three — plain rows (projection, ORDER BY,
+  LIMIT, bounded top-k), an ungrouped fold, or a sort-based GROUP BY —
+  each written once against the ``len()`` / ``column(i)`` / ``rows()`` /
+  ``narrow()`` protocol both batch classes answer, so payload columns of
+  a join are gathered only when a sink asks for them (late
+  materialisation) and full combined rows exist only for ``SELECT *`` or
+  ORDER BY.
 
-* **Scalar expressions** anywhere (filters, projections, aggregate
-  arguments) compile through :func:`~.kernels.compile_expression` into
-  composed value kernels, so computed projections and expression
-  aggregates vectorize instead of falling back to tuple-at-a-time
-  ``expr.eval``.
-* **Equi-joins** lower to a hash join that builds a key → ordinal-list
-  table on the smaller side (chosen from the statistics-grounded cost
-  estimates attached at planning time) and probes with the larger, or to
-  a sort-merge pairing when both inputs already arrive ordered on their
-  join columns.  Join output order matches the row path's nested loop —
-  outer arrival order, inner matches in inner arrival order — so results
-  are bit-identical, not merely equal as sets.
-* **Grouped aggregates** lower to sort-based grouping via run detection:
-  one stable sort of the key vector, run boundaries found in one pass,
-  folds over gathered value vectors.  Stability preserves arrival order
-  inside each group, which keeps float folds bit-identical to the row
-  path's hash grouping.
-* **Late materialisation** throughout: joins carry selection-vector
-  pairs plus key columns, cross filters evaluate over gathered columns,
-  and payload columns are materialised only at emit (never at all for
-  projection-only queries).
+Scalar expressions anywhere (filter, projections, aggregate arguments)
+are compiled by :func:`~.kernels.compile_expression` and run through
+:func:`~.kernels.evaluate`, whose per-row retry keeps short-circuit
+semantics; every vector primitive goes through the pluggable
+:mod:`.backends` backend.  Grouping is one stable sort of the key vector
+plus run detection, so arrival order inside a group — and with it every
+float fold — is the same on every backend.
 
 The compiled program is cached on ``SelectPlan.columnar``; the plan
 cache discards the whole payload when a referenced descriptor version
 changes, so the IR is invalidated exactly with the plan that produced
-it.  Kernel failures raise :class:`KernelFallback`, which the executor
-turns into a row-path rerun — the IR can cost performance, never
-answers.  Scan and dispatch errors pass through untouched (batch pulls
-happen outside the kernel try blocks), so storage faults fail
-identically on both paths.
+it.  Anything but a typed ``PredicateError`` raised inside the machinery
+surfaces as :class:`KernelFallback`, which the executor answers by
+running the same program once more on the pure-Python backend.  Scan,
+dispatch and fetch errors pass through untouched (batches are pulled
+outside the guarded sections), so storage faults fail as storage faults.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..errors import PredicateError, QueryError
 from ..services.predicate import Col
 from . import kernels
 from .columnar import ColumnBatch
-from .kernels import ValueKernel, compile_expression
+from .kernels import compile_expression, evaluate
 
 __all__ = ["Program", "Runtime", "KernelFallback", "OrderKey",
            "lower_select"]
 
-#: Aggregates the fold kernel implements (everything the parser accepts).
-VECTOR_AGGREGATES = frozenset({"count", "sum", "min", "max", "avg"})
-
 
 class KernelFallback(Exception):
-    """A columnar kernel failed; the executor reruns the plan
-    row-at-a-time.  Raised only for errors inside the columnar machinery
-    itself — scan and dispatch errors pass through untouched."""
+    """The columnar machinery itself failed (a bug, an injected fault);
+    ``__cause__`` is the original error.  Never raised for scan or
+    dispatch errors, nor for a ``PredicateError`` the statement earned."""
 
 
 class OrderKey:
@@ -95,36 +89,18 @@ class OrderKey:
 
 
 class Runtime:
-    """What one program execution needs from the executor: batch sources
-    through the shared access pump (so scan/dispatch/buffer counters
-    stay path-identical), the stats sink, the armed fault service, the
-    statement parameters, and the kernel backend."""
+    """What one program execution needs from the executor: the batch
+    source, the stats sink, the armed fault service, the statement
+    parameters, and the kernel backend."""
 
-    __slots__ = ("stats", "faults", "params", "backend", "fields",
-                 "left_batches", "right_batches")
+    __slots__ = ("stats", "faults", "params", "backend", "source")
 
-    def __init__(self, stats, faults, params, backend, fields,
-                 left_batches, right_batches=None):
+    def __init__(self, stats, faults, params, backend, source=None):
         self.stats = stats
         self.faults = faults
         self.params = params
         self.backend = backend
-        self.fields = fields
-        self.left_batches = left_batches
-        self.right_batches = right_batches
-
-
-class JoinOp:
-    """One equi-join lowered from a :class:`~.planner.JoinStep`."""
-
-    __slots__ = ("left_index", "right_index", "build_left", "merge_ok")
-
-    def __init__(self, left_index: int, right_index: int,
-                 build_left: bool, merge_ok: bool):
-        self.left_index = left_index      # join column, left base schema
-        self.right_index = right_index    # join column, right base schema
-        self.build_left = build_left      # hash-build side (smaller input)
-        self.merge_ok = merge_ok          # both inputs ordered on the keys
+        self.source = source
 
 
 class PairBatch:
@@ -171,234 +147,111 @@ class PairBatch:
                          self.left_width, backend)
 
     def rows(self) -> List[tuple]:
-        left_rows, right_rows = self.left.rows, self.right.rows
+        left_rows, right_rows = self.left.rows(), self.right.rows()
         return [tuple(left_rows[i]) + tuple(right_rows[j])
                 for i, j in zip(self.left_sel, self.right_sel)]
 
 
 class Program:
-    """A lowered SELECT: which operators run, with what compiled pieces.
+    """A lowered SELECT: the compiled pieces the filter and the sink use.
 
-    ``mode`` is ``"plain"`` (rows out) or ``"aggregate"`` (folds out).
-    Aggregate specs are ``(kind, column_index_or_None, value_kernel)``
-    tuples — the index is a fast path for plain-column arguments, the
-    kernel handles computed arguments; ``kind`` adds ``"first"`` (plain
-    item inside an aggregate query) and ``"count_star"`` to the fold
-    kinds.
+    ``mode`` names the sink — ``"plain"`` (rows out), ``"fold"`` (one
+    row of ungrouped aggregates) or ``"group"``.  ``cross_filter`` and
+    each of ``project_kernels`` are ``(expr, kernel)`` pairs; aggregate
+    specs are ``(kind, column_index_or_None, expr, kernel)`` — the index
+    is a fast path for plain-column arguments, the kernel handles
+    computed ones; ``kind`` adds ``"first"`` (plain item inside an
+    aggregate query) and ``"count_star"`` to the fold kinds.
     """
 
-    __slots__ = ("mode", "join", "cross_filter", "star", "project_indexes",
+    __slots__ = ("mode", "cross_filter", "star", "project_indexes",
                  "project_kernels", "aggregates", "group_index", "order_by",
-                 "needs_sort", "limit", "left_width", "right_width",
-                 "prefer_row_join")
+                 "sorting", "limit", "width", "left_width", "join_indexes",
+                 "merge_ok")
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw.get(name))
 
-    def describe(self) -> List[str]:
-        ops = ["scan"]
-        if self.join is not None:
-            ops.append("merge_join" if self.join.merge_ok else "hash_join")
-            if self.cross_filter is not None:
-                ops.append("filter")
-        if self.mode == "aggregate":
-            ops.append("group" if self.group_index is not None
-                       else "aggregate")
-        else:
-            if self.order_by and self.needs_sort:
-                ops.append("order")
-            if self.limit is not None:
-                ops.append("limit")
-            if not self.star:
-                ops.append("project")
-        return ops
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, rt: Runtime) -> List[tuple]:
-        if self.join is not None:
-            pair = self._execute_join(rt)
-            if self.mode == "aggregate":
-                return self._aggregate_pairs(rt, pair)
-            return self._plain_pairs(rt, pair)
-        if self.mode == "aggregate":
-            if self.group_index is not None:
-                return self._group_stream(rt)
-            return self._aggregate_stream(rt)
-        return self._plain_stream(rt)
-
-    # -- single-table plain: stream batches, keep limit/top-k behaviour
-    def _plain_stream(self, rt: Runtime) -> List[tuple]:
         stats = rt.stats
-        order_by, limit = self.order_by, self.limit
-        sorting = bool(order_by) and self.needs_sort
-        topk = sorting and limit is not None
-        top: list = []       # bounded top-k candidates (decorated)
-        collected: list = []
-        position = 0         # global row ordinal — the stable tiebreak
-        for batch_rows in rt.left_batches:
+        sink = _SINKS[self.mode](self, rt)
+        for batch in rt.source:  # scan / dispatch errors pass untouched
             try:
-                self._fire(rt)
+                faults = rt.faults
+                if faults is not None and faults.armed:
+                    faults.fire("columnar.kernel")
                 stats.bump_many({"executor.columnar.batches": 1,
-                                 "executor.columnar.rows": len(batch_rows),
-                                 "executor.columnar.kernel_calls": 1})
-                if topk:
-                    # Bounded top-k: merge the batch into the running
-                    # k-best; ties resolve by arrival order, exactly as
-                    # the row path's stable ``nsmallest`` over the whole
-                    # stream.
-                    decorated = [(OrderKey(row, order_by), position + i,
-                                  row) for i, row in enumerate(batch_rows)]
-                    position += len(batch_rows)
-                    top = heapq.nsmallest(limit, top + decorated)
-                else:
-                    collected.extend(batch_rows)
+                                 "executor.columnar.rows": len(batch)})
+                if self.cross_filter is not None:
+                    batch = self._filter(rt, batch)
+                done = sink.add(batch)
+            except (KernelFallback, PredicateError):
+                raise
             except Exception as exc:
                 raise KernelFallback from exc
-            if not sorting and limit is not None \
-                    and len(collected) >= limit:
-                break  # stop pulling batches, like the row path's islice
+            if done:
+                break  # LIMIT satisfied: stop pulling batches
         try:
-            if topk:
-                materialised = [row for __, __, row in top]
-                stats.bump("executor.topk")
-            elif sorting:
-                materialised = collected
-                for index, ascending in reversed(order_by):
-                    materialised.sort(key=lambda row: row[index],
-                                      reverse=not ascending)
-                stats.bump("executor.sorts")
-            else:
-                materialised = collected
-                if limit is not None:
-                    stats.bump("executor.limit_short_circuits")
-            if limit is not None:
-                materialised = materialised[:limit]
-            return self._emit_rows(rt, materialised)
+            return sink.finish()
+        except PredicateError:
+            raise
         except Exception as exc:
             raise KernelFallback from exc
 
-    def _emit_rows(self, rt: Runtime, rows: List[tuple]) -> List[tuple]:
-        """Final projection over materialised rows."""
+    def _filter(self, rt: Runtime, batch):
+        expr, kernel = self.cross_filter
+        truth = evaluate(expr, kernel, batch, rt.params, rt.backend,
+                         rt.stats)
+        selection = rt.backend.select_true(truth)
+        rt.stats.bump_many({"executor.columnar.kernel_calls": 1,
+                            "executor.columnar.ir.kernel_calls": 2,
+                            "executor.columnar.ir.filter.rows": len(truth)})
+        return batch.narrow(selection)
+
+    def project(self, rt: Runtime, batch) -> List[tuple]:
+        """The output rows of one batch."""
         if self.star:
-            return rows
-        rt.stats.bump("executor.columnar.kernel_calls")
+            return batch.rows()
         if self.project_indexes is not None:
-            return kernels.project_rows(rows, self.project_indexes)
-        if not rows:
-            return []
-        batch = ColumnBatch.from_rows(rows)
-        vectors = [kernel.run(batch, rt.params, rt.backend, None)
-                   for kernel in self.project_kernels]
+            return kernels.project_rows(batch, self.project_indexes)
+        vectors = [evaluate(expr, kernel, batch, rt.params, rt.backend,
+                            rt.stats)
+                   for expr, kernel in self.project_kernels]
         rt.stats.bump_many({"executor.columnar.ir.kernel_calls":
                             len(vectors),
-                            "executor.columnar.ir.project.rows": len(rows)})
-        return _zip_vectors(vectors)
+                            "executor.columnar.ir.project.rows": len(batch)})
+        return kernels.zip_vectors(vectors)
 
-    # -- single-table aggregate: stream value vectors, fold at the end
-    def _aggregate_stream(self, rt: Runtime) -> List[tuple]:
-        stats = rt.stats
-        specs = self.aggregates
-        value_lists: List[list] = [[] for __ in specs]
-        first_vals: Optional[list] = None
-        row_count = 0
-        for batch_rows in rt.left_batches:
-            try:
-                self._fire(rt)
-                stats.bump_many({"executor.columnar.batches": 1,
-                                 "executor.columnar.rows": len(batch_rows)})
-                batch = ColumnBatch.from_rows(batch_rows, rt.fields)
-                row_count += len(batch_rows)
-                if first_vals is None and batch_rows:
-                    first_vals = [
-                        kern.run(batch, rt.params, rt.backend, (0,))[0]
-                        if kind == "first" else None
-                        for kind, __, kern in specs]
-                for slot, (kind, index, kern) in enumerate(specs):
-                    if kind in ("count_star", "first"):
-                        continue
-                    if index is not None:
-                        value_lists[slot].extend(
-                            kernels.collect_nonnull(batch, index))
-                    else:
-                        vector = kern.run(batch, rt.params, rt.backend,
-                                          None)
-                        value_lists[slot].extend(
-                            v for v in vector if v is not None)
-                        stats.bump("executor.columnar.ir.kernel_calls")
-                    stats.bump("executor.columnar.kernel_calls")
-            except Exception as exc:
-                raise KernelFallback from exc
+    def hash_join(self, rt: Runtime, left_batches, right_batches,
+                  ordered: bool) -> Iterator[PairBatch]:
+        """The hash / sort-merge join source: both inputs materialised,
+        one :class:`PairBatch` out, outer-major with inner matches in
+        inner arrival order.  Builds on the smaller input; pairs by
+        merging instead when the plan's routes deliver both inputs
+        ``ordered`` on their join columns and no key is NULL."""
+        # Scan and dispatch errors propagate untouched.
+        left_rows = list(chain.from_iterable(left_batches))
+        right_rows = list(chain.from_iterable(right_batches))
+        stats, backend = rt.stats, rt.backend
+        left_index, right_index = self.join_indexes
         try:
-            return [self._finish_fold(specs, value_lists, row_count,
-                                      first_vals)]
-        except Exception as exc:
-            raise KernelFallback from exc
-
-    # -- single-table GROUP BY: accumulate columns, sort-group at the end
-    def _group_stream(self, rt: Runtime) -> List[tuple]:
-        stats = rt.stats
-        specs = self.aggregates
-        keys: list = []
-        vectors: List[Optional[list]] = [
-            None if kind == "count_star" else []
-            for kind, __, __k in specs]
-        for batch_rows in rt.left_batches:
-            try:
-                self._fire(rt)
-                stats.bump_many({"executor.columnar.batches": 1,
-                                 "executor.columnar.rows": len(batch_rows),
-                                 "executor.columnar.kernel_calls": 1})
-                batch = ColumnBatch.from_rows(batch_rows, rt.fields)
-                keys.extend(batch.column(self.group_index))
-                for slot, (kind, index, kern) in enumerate(specs):
-                    if kind == "count_star":
-                        continue
-                    if index is not None:
-                        vectors[slot].extend(batch.column(index))
-                    else:
-                        vectors[slot].extend(
-                            kern.run(batch, rt.params, rt.backend, None))
-                        stats.bump("executor.columnar.ir.kernel_calls")
-            except Exception as exc:
-                raise KernelFallback from exc
-        try:
-            return self._finish_groups(rt, keys, vectors)
-        except Exception as exc:
-            raise KernelFallback from exc
-
-    # -- join execution -------------------------------------------------
-    def _pull_side(self, rt: Runtime, batches) -> List[tuple]:
-        rows: List[tuple] = []
-        for batch in batches:  # scan/dispatch errors propagate untouched
-            try:
-                self._fire(rt)
-                rt.stats.bump_many({"executor.columnar.batches": 1,
-                                    "executor.columnar.rows": len(batch)})
-            except Exception as exc:
-                raise KernelFallback from exc
-            rows.extend(batch)
-        return rows
-
-    def _execute_join(self, rt: Runtime) -> PairBatch:
-        left_rows = self._pull_side(rt, rt.left_batches)
-        right_rows = self._pull_side(rt, rt.right_batches)
-        stats, backend, join = rt.stats, rt.backend, self.join
-        try:
-            left_batch = ColumnBatch(left_rows, self.left_width)
-            right_batch = ColumnBatch(right_rows, self.right_width)
-            left_keys = left_batch.column(join.left_index)
-            right_keys = right_batch.column(join.right_index)
-            if join.merge_ok and None not in left_keys \
-                    and None not in right_keys:
+            left = ColumnBatch(left_rows, self.left_width)
+            right = ColumnBatch(right_rows, self.width - self.left_width)
+            left_keys = left.column(left_index)
+            right_keys = right.column(right_index)
+            build_left = len(left_rows) <= len(right_rows)
+            if ordered and self.merge_ok \
+                    and left.null_mask(left_index) is None \
+                    and right.null_mask(right_index) is None:
                 left_sel, right_sel = backend.merge_pairs(left_keys,
                                                           right_keys)
                 stats.bump("executor.columnar.ir.join.merge")
-            elif join.build_left:
-                # Build on the (statistics-attested) smaller left input,
-                # probe with the right; one sort restores the row path's
+            elif build_left:
+                # Probe with the larger right input; one sort restores
                 # outer-major output order.
                 table = backend.hash_build(left_keys)
                 probe_idx, build_idx = backend.hash_probe(table, right_keys)
@@ -414,134 +267,157 @@ class Program:
                 "executor.columnar.kernel_calls": 2,
                 "executor.columnar.ir.kernel_calls": 2,
                 "executor.columnar.ir.join.build_rows":
-                    len(left_rows) if join.build_left else len(right_rows),
+                    len(left_rows) if build_left else len(right_rows),
                 "executor.columnar.ir.join.probe_rows":
-                    len(right_rows) if join.build_left else len(left_rows),
+                    len(right_rows) if build_left else len(left_rows),
                 "executor.columnar.ir.join.pairs": len(left_sel)})
-            pair = PairBatch(left_batch, right_batch, left_sel, right_sel,
-                             self.left_width, backend)
-            if self.cross_filter is not None:
-                truth = self.cross_filter.run(pair, rt.params, backend,
-                                              None)
-                selection = backend.select_true(truth)
-                stats.bump_many({
-                    "executor.columnar.kernel_calls": 1,
-                    "executor.columnar.ir.kernel_calls": 2,
-                    "executor.columnar.ir.filter.rows": len(truth)})
-                pair = pair.narrow(selection)
-            return pair
         except Exception as exc:
             raise KernelFallback from exc
+        yield PairBatch(left, right, left_sel, right_sel, self.left_width,
+                        backend)
 
-    def _plain_pairs(self, rt: Runtime, pair: PairBatch) -> List[tuple]:
-        stats = rt.stats
-        try:
-            if self.star or self.order_by:
-                rows = pair.rows()
-                rows = self._order_limit(rt, rows)
-                return self._emit_rows(rt, rows)
-            # Projection-only join: gather just the projected columns —
-            # full combined rows are never built (late materialisation).
-            if self.project_indexes is not None:
-                vectors = [pair.column(i) for i in self.project_indexes]
+
+# ---------------------------------------------------------------------------
+# Sinks
+# ---------------------------------------------------------------------------
+
+class _PlainSink:
+    """Rows out.  Without a sort each batch is projected as it arrives
+    (truncated first when it would overshoot LIMIT); under ORDER BY the
+    full rows are kept — all of them, or the running top-k under LIMIT —
+    and projected once, after the sort."""
+
+    def __init__(self, program: Program, rt: Runtime):
+        self.program = program
+        self.rt = rt
+        self.rows: list = []  # output rows, or full rows awaiting the sort
+        self.top: list = []   # bounded top-k candidates (decorated)
+        self.position = 0     # global row ordinal — the stable tiebreak
+
+    def add(self, batch) -> bool:
+        program, limit = self.program, self.program.limit
+        self.rt.stats.bump("executor.columnar.kernel_calls")
+        if not program.sorting:
+            room = None if limit is None else limit - len(self.rows)
+            if room is not None and len(batch) > room:
+                batch = batch.narrow(range(room))
+            self.rows.extend(program.project(self.rt, batch))
+            return room is not None and len(batch) >= room
+        rows = batch.rows()
+        if limit is None:
+            self.rows.extend(rows)
+        else:
+            # Bounded top-k: merge the batch into the running k-best;
+            # ties resolve by arrival order, exactly as a stable sort of
+            # the whole stream would.
+            order_by, position = program.order_by, self.position
+            decorated = [(OrderKey(row, order_by), position + i, row)
+                         for i, row in enumerate(rows)]
+            self.position += len(rows)
+            self.top = heapq.nsmallest(limit, self.top + decorated)
+        return False
+
+    def finish(self) -> List[tuple]:
+        program, stats = self.program, self.rt.stats
+        if not program.sorting:
+            if program.limit is not None:
+                stats.bump("executor.limit_short_circuits")
+            return self.rows
+        if program.limit is not None:
+            rows = [row for __, __, row in self.top]
+            stats.bump("executor.topk")
+        else:
+            rows = self.rows
+            for index, ascending in reversed(program.order_by):
+                rows.sort(key=lambda row: row[index], reverse=not ascending)
+            stats.bump("executor.sorts")
+        return program.project(self.rt, ColumnBatch(rows, program.width))
+
+
+class _FoldSink:
+    """Ungrouped aggregates: non-NULL value lists accumulate per batch,
+    folded once at the end (one row out, even over no input)."""
+
+    def __init__(self, program: Program, rt: Runtime):
+        self.program = program
+        self.rt = rt
+        self.values: List[list] = [[] for __ in program.aggregates]
+        self.first: Optional[list] = None
+        self.row_count = 0
+
+    def add(self, batch) -> bool:
+        rt, specs = self.rt, self.program.aggregates
+        if self.first is None and len(batch):
+            self.first = [
+                evaluate(expr, kernel, batch, rt.params, rt.backend,
+                         rt.stats, (0,))[0] if kind == "first" else None
+                for kind, __, expr, kernel in specs]
+        self.row_count += len(batch)
+        for slot, (kind, index, expr, kernel) in enumerate(specs):
+            if kind in ("count_star", "first"):
+                continue
+            if index is not None:
+                vector = batch.column(index)
             else:
-                vectors = [kernel.run(pair, rt.params, rt.backend, None)
-                           for kernel in self.project_kernels]
-            stats.bump_many({"executor.columnar.kernel_calls": 1,
-                             "executor.columnar.ir.kernel_calls":
-                                 len(vectors),
-                             "executor.columnar.ir.project.rows":
-                                 len(pair)})
-            if not len(pair):
-                return []
-            return _zip_vectors(vectors)
-        except KernelFallback:
-            raise
-        except Exception as exc:
-            raise KernelFallback from exc
+                vector = evaluate(expr, kernel, batch, rt.params,
+                                  rt.backend, rt.stats)
+                rt.stats.bump("executor.columnar.ir.kernel_calls")
+            self.values[slot].extend(
+                vector if None not in vector
+                else [v for v in vector if v is not None])
+            rt.stats.bump("executor.columnar.kernel_calls")
+        return False
 
-    def _aggregate_pairs(self, rt: Runtime, pair: PairBatch) -> List[tuple]:
-        specs = self.aggregates
-        try:
-            if self.group_index is not None:
-                keys = pair.column(self.group_index)
-                vectors: List[Optional[list]] = []
-                for kind, index, kern in specs:
-                    if kind == "count_star":
-                        vectors.append(None)
-                    elif index is not None:
-                        vectors.append(pair.column(index))
-                    else:
-                        vectors.append(kern.run(pair, rt.params, rt.backend,
-                                                None))
-                        rt.stats.bump("executor.columnar.ir.kernel_calls")
-                return self._finish_groups(rt, keys, vectors)
-            row_count = len(pair)
-            value_lists: List[list] = []
-            first_vals: Optional[list] = None
-            if row_count:
-                first_vals = [
-                    kern.run(pair, rt.params, rt.backend, (0,))[0]
-                    if kind == "first" else None
-                    for kind, __, kern in specs]
-            for kind, index, kern in specs:
-                if kind in ("count_star", "first"):
-                    value_lists.append([])
-                    continue
-                vector = (pair.column(index) if index is not None
-                          else kern.run(pair, rt.params, rt.backend, None))
-                value_lists.append([v for v in vector if v is not None])
-                rt.stats.bump("executor.columnar.kernel_calls")
-            return [self._finish_fold(specs, value_lists, row_count,
-                                      first_vals)]
-        except KernelFallback:
-            raise
-        except Exception as exc:
-            raise KernelFallback from exc
-
-    # -- shared tails ---------------------------------------------------
-    def _order_limit(self, rt: Runtime, rows: List[tuple]) -> List[tuple]:
-        stats = rt.stats
-        if self.order_by and self.needs_sort:
-            if self.limit is not None:
-                rows = heapq.nsmallest(
-                    self.limit, rows,
-                    key=lambda row: OrderKey(row, self.order_by))
-                stats.bump("executor.topk")
-            else:
-                for index, ascending in reversed(self.order_by):
-                    rows.sort(key=lambda row: row[index],
-                              reverse=not ascending)
-                stats.bump("executor.sorts")
-        if self.limit is not None:
-            rows = rows[:self.limit]
-        return rows
-
-    @staticmethod
-    def _finish_fold(specs, value_lists, row_count: int,
-                     first_vals: Optional[list]) -> tuple:
+    def finish(self) -> List[tuple]:
         result = []
-        for slot, (kind, __, __k) in enumerate(specs):
+        for slot, (kind, __, __e, __k) in enumerate(self.program.aggregates):
             if kind == "first":
-                result.append(first_vals[slot] if first_vals is not None
+                result.append(self.first[slot] if self.first is not None
                               else None)
-            elif kind == "count_star":
-                result.append(row_count)
             else:
                 result.append(kernels.fold_aggregate(
-                    kind, value_lists[slot], row_count))
-        return tuple(result)
+                    kind, self.values[slot], self.row_count))
+        return [tuple(result)]
 
-    def _finish_groups(self, rt: Runtime, keys: list,
-                       vectors: List[Optional[list]]) -> List[tuple]:
+
+class _GroupSink:
+    """GROUP BY: key and argument vectors accumulate per batch; one
+    stable sort groups them at the end."""
+
+    def __init__(self, program: Program, rt: Runtime):
+        self.program = program
+        self.rt = rt
+        self.keys: list = []
+        self.vectors: List[Optional[list]] = [
+            None if kind == "count_star" else []
+            for kind, __, __e, __k in program.aggregates]
+
+    def add(self, batch) -> bool:
+        rt, program = self.rt, self.program
+        rt.stats.bump("executor.columnar.kernel_calls")
+        self.keys.extend(batch.column(program.group_index))
+        for slot, (kind, index, expr, kernel) in enumerate(
+                program.aggregates):
+            if kind == "count_star":
+                continue
+            if index is not None:
+                self.vectors[slot].extend(batch.column(index))
+            else:
+                self.vectors[slot].extend(
+                    evaluate(expr, kernel, batch, rt.params, rt.backend,
+                             rt.stats))
+                rt.stats.bump("executor.columnar.ir.kernel_calls")
+        return False
+
+    def finish(self) -> List[tuple]:
         """Sort-based grouping: one stable sort, run boundaries in one
-        pass, folds over gathered ordinals.  Output groups emit sorted by
-        ``repr(key)`` with arrival order preserved inside each group —
-        both exactly as the row path's hash grouping."""
+        pass, folds over gathered ordinals.  Groups emit sorted by
+        ``repr(key)`` with arrival order preserved inside each group."""
+        keys, vectors = self.keys, self.vectors
         if not keys:
             return []
-        stats, specs = rt.stats, self.aggregates
-        order, starts = rt.backend.group_runs(keys)
+        stats, specs = self.rt.stats, self.program.aggregates
+        order, starts = self.rt.backend.group_runs(keys)
         stats.bump_many({"executor.columnar.kernel_calls": 1,
                          "executor.columnar.ir.kernel_calls": 1,
                          "executor.columnar.ir.group.rows": len(keys)})
@@ -551,11 +427,10 @@ class Program:
         for si, start in enumerate(starts):
             end = starts[si + 1] if si + 1 < len(starts) else total
             key = keys[order[start]]
-            ordinals = order[start:end] if isinstance(order, list) \
-                else [order[i] for i in range(start, end)]
+            ordinals = order[start:end]
             existing = groups.get(key)
             if existing is None:
-                groups[key] = list(ordinals)
+                groups[key] = ordinals
             else:
                 # Equal keys split across runs (mixed-repr equal values):
                 # merge and restore arrival order.
@@ -567,7 +442,7 @@ class Program:
         for key in sorted(groups, key=repr):
             ordinals = groups[key]
             row = []
-            for slot, (kind, __, __k) in enumerate(specs):
+            for slot, (kind, __, __e, __k) in enumerate(specs):
                 if kind == "first":
                     row.append(vectors[slot][ordinals[0]])
                 elif kind == "count_star":
@@ -582,106 +457,66 @@ class Program:
         stats.bump_many({"executor.columnar.ir.group.groups": len(groups)})
         return out
 
-    def _fire(self, rt: Runtime) -> None:
-        faults = rt.faults
-        if faults is not None and faults.armed:
-            faults.fire("columnar.kernel")
 
-
-def _zip_vectors(vectors: List[list]) -> List[tuple]:
-    if len(vectors) == 1:
-        return [(value,) for value in vectors[0]]
-    return list(zip(*vectors))
+_SINKS = {"plain": _PlainSink, "fold": _FoldSink, "group": _GroupSink}
 
 
 # ---------------------------------------------------------------------------
 # Lowering
 # ---------------------------------------------------------------------------
 
-def lower_select(plan) -> Optional[Program]:
-    """Compile a bound SELECT plan into a columnar program, or ``None``
-    when the row pipeline is structurally the better engine (streaming
-    LIMIT joins) or a piece does not compile."""
-    join_step = plan.join
-    join_op = None
-    cross_filter = None
-    left_width = len(plan.handles[plan.alias].schema.fields)
-    right_width = len(plan.combined_schema) - left_width
-    prefer_row_join = False
-    if join_step is not None:
-        if plan.limit is not None and not plan.order_by:
-            # LIMIT without ORDER BY: the row join streams and stops
-            # early; a materialising join cannot win.
-            return None
-        if plan.where is not None:
-            cross_filter = compile_expression(plan.where)
-            if cross_filter is None:
-                return None
-        left_cost = plan.access.cost
-        right_cost = join_step.right_access.cost
-        build_left = (left_cost.expected_tuples
-                      <= right_cost.expected_tuples)
-        merge_ok = bool(
-            left_cost.ordered_by
-            and left_cost.ordered_by[0] == join_step.left_index
-            and right_cost.ordered_by
-            and right_cost.ordered_by[0] == join_step.right_index)
-        join_op = JoinOp(join_step.left_index, join_step.right_index,
-                         build_left, merge_ok)
-        if join_step.method != "nested_loop":
-            # The row path holds a keyed route (index nested-loop or a
-            # join index).  Scan-both-sides hashing only wins when its
-            # cost estimate undercuts the keyed method's.
-            hash_cost = (left_cost.total + right_cost.total
-                         + left_cost.expected_tuples
-                         + right_cost.expected_tuples)
-            prefer_row_join = join_step.cost < hash_cost
+def lower_select(plan) -> Program:
+    """Compile a bound SELECT plan into its program."""
+    join = plan.join
+    common = dict(
+        width=len(plan.combined_schema),
+        left_width=len(plan.handles[plan.alias].schema.fields),
+        order_by=plan.order_by, limit=plan.limit,
+        sorting=bool(plan.order_by) and plan.needs_sort)
+    if join is not None:
+        left_order = plan.access.cost.ordered_by
+        right_order = join.right_access.cost.ordered_by
+        common.update(
+            join_indexes=(join.left_index, join.right_index),
+            merge_ok=bool(left_order and left_order[0] == join.left_index
+                          and right_order
+                          and right_order[0] == join.right_index),
+            cross_filter=_compile(plan.where))
 
     if any(aggregate for __, __, aggregate in plan.items):
         specs = []
         for expr, __, aggregate in plan.items:
-            if aggregate is None:
-                kern = compile_expression(expr)
-                if kern is None:
-                    return None
-                specs.append(("first", _plain_index(expr), kern))
-            elif aggregate == "count" and expr is None:
-                specs.append(("count_star", None, None))
-            elif aggregate in VECTOR_AGGREGATES:
-                kern = compile_expression(expr)
-                if kern is None:
-                    return None
-                specs.append((aggregate, _plain_index(expr), kern))
+            if aggregate == "count" and expr is None:
+                specs.append(("count_star", None, None, None))
             else:
-                return None
-        return Program(mode="aggregate", join=join_op,
-                       cross_filter=cross_filter, aggregates=specs,
-                       group_index=plan.group_index, star=False,
-                       order_by=plan.order_by, needs_sort=plan.needs_sort,
-                       limit=plan.limit, left_width=left_width,
-                       right_width=right_width,
-                       prefer_row_join=prefer_row_join)
+                specs.append((aggregate or "first", _plain_index(expr))
+                             + _compile(expr))
+        return Program(mode="fold" if plan.group_index is None else "group",
+                       aggregates=specs, group_index=plan.group_index,
+                       star=False, **common)
 
-    project_indexes: Optional[List[int]] = None
-    project_kernels: Optional[List[ValueKernel]] = None
+    project_indexes = project_kernels = None
     if not plan.star:
         indexes = [_plain_index(expr) for expr, __, __a in plan.items]
         if all(index is not None for index in indexes):
             project_indexes = indexes
         else:
-            project_kernels = []
-            for expr, __, __a in plan.items:
-                kern = compile_expression(expr)
-                if kern is None:
-                    return None
-                project_kernels.append(kern)
-    return Program(mode="plain", join=join_op, cross_filter=cross_filter,
-                   star=plan.star, project_indexes=project_indexes,
-                   project_kernels=project_kernels,
-                   group_index=None, order_by=plan.order_by,
-                   needs_sort=plan.needs_sort, limit=plan.limit,
-                   left_width=left_width, right_width=right_width,
-                   prefer_row_join=prefer_row_join)
+            project_kernels = [_compile(expr) for expr, __, __a in plan.items]
+    return Program(mode="plain", star=plan.star,
+                   project_indexes=project_indexes,
+                   project_kernels=project_kernels, **common)
+
+
+def _compile(expr) -> Optional[Tuple[object, kernels.ValueKernel]]:
+    """``(expr, kernel)`` for a bound expression (``None`` for none)."""
+    if expr is None:
+        return None
+    kernel = compile_expression(expr)
+    if kernel is None:
+        raise QueryError(
+            f"cannot compile {expr.to_text()}: unbound column or unknown "
+            "expression node")
+    return expr, kernel
 
 
 def _plain_index(expr) -> Optional[int]:

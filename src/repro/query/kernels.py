@@ -4,8 +4,8 @@ Each kernel performs one logical operation for a whole
 :class:`~.columnar.ColumnBatch` with O(1) Python-level dispatch per
 batch: the per-row work happens inside C-implemented primitives
 (comprehension loops over one column, ``zip``, ``sum``/``min``/``max``,
-set membership).  Compare that with the row pipeline, which pays a
-tree-walking ``expr.eval`` plus a ``RecordView`` per row per operator.
+set membership) instead of a tree-walking ``expr.eval`` plus a
+``RecordView`` per row per operator.
 
 There is one vector evaluator: :func:`compile_expression` maps *any*
 bound scalar expression tree — arithmetic, comparisons, boolean
@@ -17,12 +17,14 @@ the compiled truth vector in a filter kernel producing a **selection
 vector** — the sorted ordinals of qualifying rows: a row is selected iff
 the predicate is *true* (unknown rows are rejected, as in
 :meth:`Predicate.matches`).  NULL propagation matches :meth:`Expr.eval`
-exactly; only the dispatch count changes.
+exactly; only the dispatch count changes.  The one thing a vector kernel
+cannot reproduce is short-circuit evaluation, so every whole-batch
+evaluation goes through :func:`evaluate`, which re-evaluates a batch row
+by row when — and only when — a kernel raised a ``PredicateError``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import List, Optional, Sequence
 
 from ..core.records import Box, RecordView
@@ -33,35 +35,10 @@ from ..services.predicate import (And, Arith, Between, Cmp, Col, Const,
                                   Param, SPATIAL_OPS)
 from .columnar import ColumnBatch
 
-__all__ = ["compile_filter", "compile_expression", "ValueKernel",
-           "collect_nonnull", "project_rows", "fold_aggregate",
-           "vector_filter_enabled", "vector_filtering"]
+__all__ = ["compile_filter", "compile_expression", "evaluate",
+           "ValueKernel", "project_rows", "zip_vectors", "fold_aggregate"]
 
 _EMPTY_VIEW = RecordView({})
-
-
-# ---------------------------------------------------------------------------
-# Global toggle (benchmark baseline: measure the row pipeline untouched)
-# ---------------------------------------------------------------------------
-
-_VECTOR_FILTER = True
-
-
-def vector_filter_enabled() -> bool:
-    return _VECTOR_FILTER
-
-
-@contextmanager
-def vector_filtering(enabled: bool):
-    """Temporarily enable/disable vectorized filter evaluation (the
-    benchmark harness disables it to measure the row-at-a-time baseline)."""
-    global _VECTOR_FILTER
-    previous = _VECTOR_FILTER
-    _VECTOR_FILTER = bool(enabled)
-    try:
-        yield
-    finally:
-        _VECTOR_FILTER = previous
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +46,13 @@ def vector_filtering(enabled: bool):
 # ---------------------------------------------------------------------------
 
 class FilterKernel:
-    """Base: ``select`` returns the sorted ordinals where the predicate is
-    true, restricted to ``selection`` (``None`` = every row)."""
+    """Base: ``select`` returns the sorted ordinals of the batch's rows
+    where the predicate is true."""
 
     __slots__ = ()
 
     def select(self, batch: ColumnBatch, params: Optional[dict],
-               selection: Optional[Sequence[int]]) -> List[int]:
+               stats=None) -> List[int]:
         raise NotImplementedError
 
 
@@ -91,7 +68,7 @@ def compile_filter(expr) -> Optional[FilterKernel]:
     value = compile_expression(expr)
     if value is None:
         return None
-    return _ExprFilter(value)
+    return _ExprFilter(expr, value)
 
 
 # ---------------------------------------------------------------------------
@@ -447,53 +424,71 @@ def compile_expression(expr) -> Optional[ValueKernel]:
     return None
 
 
+def evaluate(expr, kernel: ValueKernel, batch, params: Optional[dict],
+             backend, stats=None,
+             selection: Optional[Sequence[int]] = None) -> list:
+    """``expr``'s value for each row of the batch (restricted to
+    ``selection``), through its compiled ``kernel``.
+
+    Vector kernels evaluate whole sub-expressions; ``Expr.eval``
+    short-circuits (``a = 0 OR 10 / a > 1`` never divides where ``a`` is
+    0).  When a kernel raises a ``PredicateError`` this batch is
+    re-evaluated row by row, so the error surfaces — or not — exactly as
+    the per-row definition says.
+    """
+    try:
+        return kernel.run(batch, params, backend, selection)
+    except PredicateError:
+        rows = batch.rows()
+        if selection is not None:
+            rows = [rows[i] for i in selection]
+        if stats is not None:
+            stats.bump_many({"predicate.row_evals": len(rows)})
+        return [expr.eval(RecordView.from_record(row), params)
+                for row in rows]
+
+
 class _ExprFilter(FilterKernel):
     """Generic filter: evaluate the compiled expression's truth vector
-    over the current selection and keep the rows where it is *true*
-    (unknown rejected, as in ``Predicate.matches``)."""
+    over the batch and keep the rows where it is *true* (unknown
+    rejected, as in ``Predicate.matches``)."""
 
-    __slots__ = ("kernel",)
+    __slots__ = ("expr", "kernel")
 
-    def __init__(self, kernel: ValueKernel):
+    def __init__(self, expr, kernel: ValueKernel):
+        self.expr = expr
         self.kernel = kernel
 
-    def select(self, batch, params, selection):
-        truth = self.kernel.run(batch, params, _expr_backend(), selection)
-        if selection is None:
-            return [i for i, t in enumerate(truth) if t is True]
-        return [i for i, t in zip(selection, truth) if t is True]
+    def select(self, batch, params, stats=None):
+        truth = evaluate(self.expr, self.kernel, batch, params,
+                         _expr_backend(), stats)
+        return [i for i, t in enumerate(truth) if t is True]
 
 
 # ---------------------------------------------------------------------------
 # Projection / aggregation kernels
 # ---------------------------------------------------------------------------
 
-def collect_nonnull(batch: ColumnBatch, index: int) -> list:
-    """The column's non-NULL values in row order (SQL aggregates skip
-    NULLs); one pass per batch."""
-    column = batch.column(index)
-    if batch.null_mask(index) is None:
-        return list(column)
-    return [v for v in column if v is not None]
+def zip_vectors(vectors: Sequence[Sequence]) -> List[tuple]:
+    """Row tuples from parallel value vectors."""
+    if len(vectors) == 1:
+        return [(value,) for value in vectors[0]]
+    return list(zip(*vectors))
 
 
-def project_rows(rows: Sequence[tuple], indexes: Sequence[int]) -> list:
-    """Project materialised rows onto ``indexes``: one transpose plus one
-    zip for the whole result set instead of per-row expression evaluation."""
-    if not rows:
+def project_rows(batch, indexes: Sequence[int]) -> List[tuple]:
+    """Project a batch onto ``indexes``: one column pick plus one zip for
+    the whole batch instead of per-row expression evaluation."""
+    if not len(batch):
         return []
-    columns = list(zip(*rows))
-    picked = [columns[i] for i in indexes]
-    if len(picked) == 1:
-        return [(value,) for value in picked[0]]
-    return list(zip(*picked))
+    return zip_vectors([batch.column(i) for i in indexes])
 
 
 def fold_aggregate(kind: str, values: list, row_count: int):
     """Finish one aggregate from its accumulated non-NULL value list.
 
-    Mirrors the row executor's fold exactly (same ``sum`` over the same
-    value order) so results are bit-identical between the two paths.
+    ``sum`` runs over the values in arrival order, so a float fold is
+    bit-identical on every backend and to a per-row fold over a scan.
     """
     if kind == "count_star":
         return row_count

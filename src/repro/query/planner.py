@@ -9,9 +9,12 @@ using a storage method or attachment to scan a relation in a random order
 or with the tuples ordered by particular record fields" — ordering
 properties ride along on the cost objects and let the planner skip sorts.
 
-Join planning considers three methods: a join index (when one exists for
+Join planning considers three methods — a join index (when one exists for
 the join predicate), index nested-loop (when the inner relation has a
-keyed access path on the join column), and plain nested-loop.
+keyed access path on the join column), and a hash join over both
+relations' chosen access routes — costed on one basis, the outer access
+plus what each of its expected rows costs on the inner side.  The choice
+made here is the one the executor runs.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ class JoinStep:
     def __init__(self, method: str, right: str, left_index: int,
                  right_index: int, right_access: Optional[TableAccess],
                  join_index_instance: Optional[str], cost: float):
-        self.method = method  # "join_index" | "index_nl" | "nested_loop"
+        self.method = method  # "join_index" | "index_nl" | "hash"
         self.right = right
         self.left_index = left_index      # join column in the left schema
         self.right_index = right_index    # join column in the right schema
@@ -297,7 +300,7 @@ def plan_select(ctx, statement: SelectStmt, text: str) -> SelectPlan:
         access = plan_table_access(ctx, left_handle, left_where,
                                    statement.table)
         join_step = _plan_join(ctx, statement, combined, left_handle,
-                               right_handle, right_where)
+                               right_handle, right_where, access)
         where = cross  # left/right parts are applied at their scans
 
     items, star = _bind_items(statement, combined)
@@ -367,8 +370,8 @@ def _bind_items(statement: SelectStmt, combined: QualifiedSchema):
 
 
 def _plan_join(ctx, statement: SelectStmt, combined: QualifiedSchema,
-               left_handle, right_handle,
-               right_where: Optional[Expr]) -> JoinStep:
+               left_handle, right_handle, right_where: Optional[Expr],
+               left_access: TableAccess) -> JoinStep:
     database = ctx.database
     registry = database.registry
     join = statement.join
@@ -386,46 +389,42 @@ def _plan_join(ctx, statement: SelectStmt, combined: QualifiedSchema,
     left_index = left_combined_index
     right_index = right_combined_index - left_width
 
-    left_method = registry.storage_method(
-        left_handle.descriptor.storage_method_id)
-    right_method = registry.storage_method(
-        right_handle.descriptor.storage_method_id)
-    left_rows = max(1, left_method.record_count(ctx, left_handle))
-    right_rows = max(1, right_method.record_count(ctx, right_handle))
-    right_pages = max(1, right_method.page_count(ctx, right_handle))
+    right_access = plan_table_access(ctx, right_handle, right_where,
+                                     join.table)
+    outer, inner = left_access.cost, right_access.cost
+    options: List[Tuple[str, float, Optional[str]]] = []
 
-    options: List[Tuple[str, float, Optional[str], Optional[TableAccess]]] = []
-
-    # 1. Join index: pairs precomputed for exactly this equi-join.
+    # 1. Join index: pairs precomputed for exactly this equi-join.  Every
+    # pair is walked whatever the outer filter, so the attachment's own
+    # estimate is the whole cost.
     join_attachment = registry.attachment_type_by_name("join_index")
     ji_field = left_handle.descriptor.attachment_field(
         join_attachment.type_id)
     if ji_field is not None:
         for instance_name, instance in ji_field["instances"].items():
-            if instance["role"] != "left":
-                continue
-            matches_forward = (
-                instance["other"] == right_handle.name
-                and instance["field_index"] == left_index
-                and instance["other_field_index"] == right_index)
-            if matches_forward:
-                cost = join_attachment.join_cost(instance)
-                options.append(("join_index", cost.total, instance_name,
-                                None))
+            if (instance["role"] == "left"
+                    and instance["other"] == right_handle.name
+                    and instance["field_index"] == left_index
+                    and instance["other_field_index"] == right_index):
+                options.append(("join_index",
+                                join_attachment.join_cost(instance).total,
+                                instance_name))
 
-    # 2. Index nested loop: keyed access path on the inner join column.
+    # 2. Index nested loop: one keyed probe on the inner join column per
+    # row the outer access is expected to return.
     probe_cost = _inner_probe_cost(ctx, right_handle, right_index)
     if probe_cost is not None:
-        options.append(("index_nl", left_rows * probe_cost, None, None))
+        options.append(("index_nl",
+                        outer.total + outer.expected_tuples * probe_cost,
+                        None))
 
-    # 3. Nested loop: rescan the inner relation per outer row.
-    options.append(("nested_loop",
-                    left_rows * (AccessCost.IO_WEIGHT * right_pages
-                                 + right_rows), None, None))
+    # 3. Hash join: read the inner relation through its own route and
+    # build on it once, then one hash probe per outer row.
+    options.append(("hash",
+                    outer.total + inner.total + inner.expected_tuples
+                    + outer.expected_tuples, None))
 
-    method, cost, instance_name, __ = min(options, key=lambda o: o[1])
-    right_access = plan_table_access(ctx, right_handle, right_where,
-                                     join.table)
+    method, cost, instance_name = min(options, key=lambda o: o[1])
     ctx.stats.bump("planner.join_selections")
     return JoinStep(method, join.table, left_index, right_index,
                     right_access, instance_name, cost)

@@ -891,10 +891,11 @@ class Predicate:
                       stats=None) -> List[int]:
         """Selection vector: sorted ordinals of ``records`` that match.
 
-        Vectorizable expressions are filtered column-at-a-time through the
-        kernel tree (compiled on first use, shared across parameter
-        clones); anything else falls back to row-at-a-time :meth:`matches`.
-        Both produce exactly the rows for which the predicate is *true*.
+        The expression is filtered column-at-a-time through its kernel
+        tree (compiled on first use, shared across parameter clones),
+        falling back to row-at-a-time evaluation for a batch whose kernel
+        raised (see :func:`~repro.query.kernels.evaluate`).  Either way
+        the result is exactly the rows for which the predicate is *true*.
         """
         global _kernels
         if _kernels is None:
@@ -904,20 +905,9 @@ class Predicate:
         if kernel is _KERNEL_UNSET:
             kernel = _kernels.compile_filter(self.expr)
             self._kernel_box[0] = kernel
-        if kernel is not None and _kernels.vector_filter_enabled():
+        if kernel is not None:
             batch = _kernels.ColumnBatch.from_rows(records, self.schema)
-            try:
-                selection = kernel.select(batch, self.params, None)
-            except PredicateError:
-                # Vector kernels evaluate whole sub-expressions; the row
-                # evaluator's short-circuiting (OR with an early True)
-                # may never reach the part that errored.  Re-run this
-                # batch row-at-a-time so errors surface — or not —
-                # exactly as they always did.
-                if stats is not None:
-                    stats.bump_many({"predicate.row_evals": len(records)})
-                return [i for i, record in enumerate(records)
-                        if self.matches(record)]
+            selection = kernel.select(batch, self.params, stats)
             if stats is not None:
                 stats.bump_many({"predicate.vector_selects": 1,
                                  "predicate.vector_rows": len(records)})

@@ -79,13 +79,14 @@ def test_abort_undoes_pair_changes(joined):
 
 
 def test_planner_chooses_join_index_when_relations_are_large():
-    """On tiny relations a nested loop is genuinely cheaper; once the
-    relations grow, the precomputed pairs win."""
+    """On tiny relations reading both sides is genuinely cheaper; once
+    the relations outgrow the set of joining pairs, the precomputed
+    pairs win."""
     db = Database(page_size=1024, buffer_capacity=256)
     dept = db.create_table("dept", [("dname", "STRING"), ("budget", "FLOAT")])
     emp = db.create_table("emp", [("id", "INT"), ("dept", "STRING")])
     dept.insert_many([(f"d{i}", float(i)) for i in range(40)])
-    emp.insert_many([(i, f"d{i % 40}") for i in range(200)])
+    emp.insert_many([(i, f"d{i}") for i in range(800)])
     db.create_attachment("emp", "join_index", "emp_dept_ji",
                          {"other": "dept", "column": "dept",
                           "other_column": "dname"})
@@ -93,8 +94,8 @@ def test_planner_chooses_join_index_when_relations_are_large():
     assert plan["join"]["method"] == "join_index"
     rows = db.execute(
         "SELECT e.id, d.budget FROM emp e JOIN dept d ON e.dept = d.dname")
-    assert len(rows) == 200
-    assert all(budget == float(i % 40) for i, budget in rows)
+    assert sorted(rows) == [(i, float(i)) for i in range(40)]
+    assert db.services.stats.get("executor.join_index_joins") == 1
 
 
 def test_small_join_executes_correctly_whatever_the_method(joined):

@@ -1,12 +1,14 @@
-"""Row ↔ columnar execution equivalence.
+"""Single-table SELECT shapes against the reference evaluator.
 
-Every supported query shape runs down both executor paths and must
-produce identical results (bit-identical floats included: both paths
-fold the same value lists in the same order).  The counter contract is
-checked too — the batch schedule (``executor.scan_batches``) and the
-dispatch/buffer work below it must not depend on the chosen path — and
-fault injection proves a kernel fault degrades to the row pipeline
-instead of answering wrong.
+Every supported query shape runs through the engine — on the pure-Python
+kernel backend and, when importable, the NumPy one — and must produce
+exactly what ``tests/query/reference.py`` computes row by row from
+``Relation.scan()`` (bit-identical floats included: engine and
+reference fold the same values in the same order).  The counter
+contract is checked too — the batch schedule
+(``executor.scan_batches``) and the dispatch/buffer work below it must
+not depend on the backend — and fault injection proves a kernel fault
+costs a rerun on the Python backend, never the answer.
 """
 
 from __future__ import annotations
@@ -14,9 +16,16 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
-from repro.query import kernels
+from repro.errors import QueryError
+from repro.query import backends
+
+from . import reference
 
 ROWS = 300  # several doubling batches (32+64+128+...)
+
+BACKENDS = ["python"]
+if backends.numpy_available():
+    BACKENDS.append("numpy")
 
 
 def _seed_rows():
@@ -30,27 +39,25 @@ def _seed_rows():
     return rows
 
 
-@pytest.fixture
-def cdb():
-    db = Database(page_size=1024, buffer_capacity=128)
+def make_db(backend=None, rows=ROWS):
+    db = Database(page_size=1024, buffer_capacity=128,
+                  kernel_backend=backend)
     table = db.create_table("emp", [
         ("id", "INT", False), ("name", "STRING"), ("dept", "STRING"),
         ("salary", "FLOAT"), ("active", "BOOL")])
-    table.insert_many(_seed_rows())
+    table.insert_many(_seed_rows()[:rows])
     return db
 
 
+@pytest.fixture
+def cdb():
+    return make_db()
+
+
 def both_paths(db, statement, params=None):
-    """Execute once columnar, once pure row-at-a-time (kernel filtering
-    off too); returns both result lists."""
-    executor = db.query_engine.executor
-    executor.columnar_enabled = True
-    columnar = db.execute(statement, params)
-    executor.columnar_enabled = False
-    with kernels.vector_filtering(False):
-        row = db.execute(statement, params)
-    executor.columnar_enabled = True
-    return columnar, row
+    """The engine's answer and the reference evaluator's."""
+    return db.execute(statement, params), reference.run(db, statement,
+                                                        params)
 
 
 QUERIES = [
@@ -88,10 +95,11 @@ QUERIES = [
 
 
 @pytest.mark.parametrize("statement", QUERIES)
-def test_equivalence_matrix(cdb, statement):
+def test_equivalence_matrix(statement):
     params = {"d": "eng", "s": 1100.0} if ":d" in statement else None
-    columnar, row = both_paths(cdb, statement, params)
-    assert columnar == row
+    for backend in BACKENDS:
+        engine, expected = both_paths(make_db(backend), statement, params)
+        assert engine == expected, backend
 
 
 def test_columnar_path_actually_taken(cdb):
@@ -103,61 +111,90 @@ def test_columnar_path_actually_taken(cdb):
 
 
 def test_computed_projection_vectorizes(cdb):
-    """Computed projections compile through the expression compiler and
-    run columnar (they stayed on the row path before the operator IR)."""
+    """Computed projections compile through the expression compiler:
+    kernel dispatches per batch, no per-row evaluation."""
     stats = cdb.services.stats
-    columnar, row = both_paths(cdb, "SELECT salary / 1000 FROM emp "
-                                    "WHERE id < 10")
-    assert columnar == row
-    assert stats.get("executor.columnar.plans") >= 1
+    engine, expected = both_paths(cdb, "SELECT salary / 1000 FROM emp "
+                                       "WHERE id < 10")
+    assert engine == expected
+    assert stats.get("executor.columnar.ir.project.rows") == 10
+    assert stats.get("predicate.row_evals") == 0
 
 
-def test_scan_counters_identical_between_paths(cdb):
+def test_tiny_table_with_statistics_runs_the_same_engine():
+    """A statistics attachment attesting a handful of rows selects no
+    other path: there is none."""
+    db = make_db(rows=20)
+    db.create_attachment("emp", "statistics", "emp_stats")
+    stats = db.services.stats
+    for statement in ("SELECT id, salary * 2 FROM emp WHERE id < 10",
+                      "SELECT dept, COUNT(*), SUM(salary) FROM emp "
+                      "GROUP BY dept",
+                      "SELECT id FROM emp WHERE salary IS NOT NULL "
+                      "ORDER BY salary DESC LIMIT 3"):
+        before = stats.get("executor.columnar.ir.programs")
+        engine, expected = both_paths(db, statement)
+        assert engine == expected
+        assert stats.get("executor.columnar.ir.programs") == before + 1
+
+
+SHORT_CIRCUIT = "id = 0 OR 10 / id > 1"
+
+
+def test_short_circuit_or_is_retried_per_row(cdb):
+    """A vector kernel evaluates both sides of the OR for every row and
+    divides by zero where ``id = 0``; ``Expr.eval`` never reaches the
+    division there.  The batch that raised is re-evaluated row by row —
+    as a projection and as an aggregate argument here, as the scan's
+    filter in the storage method — once, not per operator."""
+    stats = cdb.services.stats
+    for statement in (f"SELECT id, {SHORT_CIRCUIT} FROM emp",
+                      f"SELECT COUNT({SHORT_CIRCUIT}), MIN(id) FROM emp",
+                      f"SELECT dept, COUNT({SHORT_CIRCUIT}) FROM emp "
+                      "GROUP BY dept",
+                      f"SELECT id FROM emp WHERE {SHORT_CIRCUIT}"):
+        before = stats.snapshot()
+        engine, expected = both_paths(cdb, statement)
+        delta = stats.delta(before)
+        assert engine == expected
+        # Only the batch (or page) holding row 0 is retried.
+        assert 0 < delta["predicate.row_evals"] <= ROWS
+        assert delta.get("executor.columnar.fallbacks", 0) == 0
+
+
+def test_scan_counters_identical_between_paths():
     """The batch schedule and everything below it (dispatch, buffer,
-    storage counters) must not depend on the execution path."""
-    statement = "SELECT id, salary FROM emp WHERE salary > 1100.0"
-    executor = cdb.query_engine.executor
-    stats = cdb.services.stats
-    cdb.execute(statement)  # warm the plan cache on the columnar path
+    storage counters) must not depend on which kernel backend the
+    program runs on."""
+    if len(BACKENDS) < 2:
+        pytest.skip("NumPy not available")
+    _assert_backend_independent(
+        "SELECT id, salary FROM emp WHERE salary > 1100.0",
+        ("executor.scan_batches", "dispatch.", "buffer.", "heap.", "lock"))
 
-    executor.columnar_enabled = True
-    before = stats.snapshot()
-    cdb.execute(statement)
-    columnar_delta = stats.delta(before)
 
-    executor.columnar_enabled = False
-    before = stats.snapshot()
-    cdb.execute(statement)
-    row_delta = stats.delta(before)
+def test_aggregate_counters_identical_between_paths():
+    if len(BACKENDS) < 2:
+        pytest.skip("NumPy not available")
+    _assert_backend_independent(
+        "SELECT dept, COUNT(*), SUM(salary) FROM emp WHERE id < 200 "
+        "GROUP BY dept",
+        ("executor.scan_batches", "dispatch.", "buffer.", "heap."))
 
-    families = ("executor.scan_batches", "dispatch.", "buffer.",
-                "heap.", "lock")
-    for name in set(columnar_delta) | set(row_delta):
+
+def _assert_backend_independent(statement, families):
+    deltas = []
+    for backend in BACKENDS:
+        db = make_db(backend)
+        db.execute(statement)  # warm the plan cache
+        before = db.services.stats.snapshot()
+        db.execute(statement)
+        deltas.append(db.services.stats.delta(before))
+    first, second = deltas
+    for name in set(first) | set(second):
         if name.startswith(families):
-            assert columnar_delta.get(name, 0) == row_delta.get(name, 0), \
-                f"{name}: {columnar_delta.get(name)} != {row_delta.get(name)}"
-
-
-def test_aggregate_counters_identical_between_paths(cdb):
-    statement = ("SELECT dept, COUNT(*), SUM(salary) FROM emp "
-                 "WHERE id < 200 GROUP BY dept")
-    executor = cdb.query_engine.executor
-    stats = cdb.services.stats
-    cdb.execute(statement)
-
-    before = stats.snapshot()
-    cdb.execute(statement)
-    columnar_delta = stats.delta(before)
-
-    executor.columnar_enabled = False
-    before = stats.snapshot()
-    cdb.execute(statement)
-    row_delta = stats.delta(before)
-
-    for name in set(columnar_delta) | set(row_delta):
-        if name.startswith(("executor.scan_batches", "dispatch.",
-                            "buffer.", "heap.")):
-            assert columnar_delta.get(name, 0) == row_delta.get(name, 0)
+            assert first.get(name, 0) == second.get(name, 0), \
+                f"{name}: {first.get(name)} != {second.get(name)}"
 
 
 # ---------------------------------------------------------------------------
@@ -165,34 +202,48 @@ def test_aggregate_counters_identical_between_paths(cdb):
 # ---------------------------------------------------------------------------
 
 def test_kernel_fault_falls_back_to_row_path(cdb):
+    """One kernel fault: the answer comes from rerunning the program on
+    the Python backend."""
     statement = "SELECT dept, COUNT(*), AVG(salary) FROM emp GROUP BY dept"
-    expected = cdb.execute(statement)
+    expected = reference.run(cdb, statement)
     cdb.services.faults.arm("columnar.kernel", error=RuntimeError("kernel"),
                             nth=1)
+    stats = cdb.services.stats
+    programs = stats.get("executor.columnar.ir.programs")
     assert cdb.execute(statement) == expected
-    assert cdb.services.stats.get("executor.columnar.fallbacks") == 1
-    # The one-shot fault fired and the path is healthy again.
+    assert stats.get("executor.columnar.fallbacks") == 1
+    assert stats.get("executor.columnar.ir.programs") == programs + 1
+    # The one-shot fault fired and the engine is healthy again.
     assert cdb.execute(statement) == expected
-    assert cdb.services.stats.get("executor.columnar.fallbacks") == 1
+    assert stats.get("executor.columnar.fallbacks") == 1
 
 
-def test_kernel_fault_point_not_reached_on_row_path(cdb):
-    """The injection point lives in the columnar machinery only: the row
-    path never passes it, so the same armed fault cannot touch it."""
+def test_persistent_kernel_fault_surfaces_as_query_error(cdb):
+    """Armed for every fire, the rerun fails too: a typed error with the
+    cause chained, and the transaction left as after any failed
+    statement."""
     statement = "SELECT id FROM emp WHERE dept = 'eng'"
-    executor = cdb.query_engine.executor
-    expected = cdb.execute(statement)
-    executor.columnar_enabled = False
-    cdb.services.faults.arm("columnar.kernel", error=RuntimeError("kernel"),
-                            nth=1)
+    expected = reference.run(cdb, statement)
+    cause = RuntimeError("kernel")
+    cdb.services.faults.arm("columnar.kernel", error=cause, nth=1,
+                            one_shot=False)
+    cdb.begin()
+    cdb.execute("INSERT INTO emp VALUES (1000, 'zed', 'eng', 1.0, TRUE)")
+    with pytest.raises(QueryError) as excinfo:
+        cdb.execute(statement)
+    assert excinfo.value.__cause__ is cause
+    assert cdb.services.stats.get("executor.columnar.fallbacks") == 1
+    cdb.services.faults.disarm("columnar.kernel")
+    # The transaction is still open and usable; its insert is intact.
+    assert sorted(cdb.execute(statement)) == sorted(expected + [(1000,)])
+    cdb.rollback()
     assert cdb.execute(statement) == expected
-    assert cdb.services.faults.is_armed("columnar.kernel")
 
 
 def test_fallback_preserves_projection_and_topk(cdb):
     statement = ("SELECT id, salary FROM emp WHERE salary IS NOT NULL "
                  "ORDER BY salary DESC LIMIT 5")
-    expected = cdb.execute(statement)
+    expected = reference.run(cdb, statement)
     cdb.services.faults.arm("columnar.kernel", error=RuntimeError("kernel"),
                             nth=1)
     assert cdb.execute(statement) == expected

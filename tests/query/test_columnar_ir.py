@@ -1,12 +1,14 @@
 """Columnar operator IR: joins, grouped aggregates, compiled scalar
 expressions, backend parity, snapshot reads, and program caching.
 
-Extends the row ↔ columnar equivalence matrix of
-``test_columnar_equivalence.py`` to the shapes the operator IR added:
-equi-joins (duplicate and NULL keys), grouped aggregates over joins,
-computed projections with NULL-propagating expression kernels, and the
-pure-Python versus NumPy kernel backends — every comparison is ``==``
-on ordered result lists, i.e. bit-identical, not equal-as-sets.
+Extends the engine-versus-reference matrix of
+``test_columnar_equivalence.py`` to joins and compiled expressions:
+equi-joins (duplicate and NULL keys) through all three join sources,
+grouped aggregates over joins, computed projections with
+NULL-propagating expression kernels, and the pure-Python versus NumPy
+kernel backends.  Where engine and reference both read in scan order
+the comparison is ``==`` on ordered result lists, i.e. bit-identical;
+where an index decides the engine's arrival order it is a multiset.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
-from repro.query import backends, ir, kernels
+from repro.errors import QueryError
+from repro.query import backends, executor as executor_module, ir
+
+from . import reference
+from .test_joins_execution import run_forced
 
 pytestmark = []
 
@@ -50,14 +56,9 @@ def jdb(request):
 
 
 def both_paths(db, statement, params=None):
-    executor = db.query_engine.executor
-    executor.columnar_enabled = True
-    columnar = db.execute(statement, params)
-    executor.columnar_enabled = False
-    with kernels.vector_filtering(False):
-        row = db.execute(statement, params)
-    executor.columnar_enabled = True
-    return columnar, row
+    """The engine's answer and the reference evaluator's."""
+    return db.execute(statement, params), reference.run(db, statement,
+                                                        params)
 
 
 JOIN_QUERIES = [
@@ -81,8 +82,8 @@ JOIN_QUERIES = [
 
 @pytest.mark.parametrize("statement", JOIN_QUERIES)
 def test_join_equivalence(jdb, statement):
-    columnar, row = both_paths(jdb, statement)
-    assert columnar == row
+    engine, expected = both_paths(jdb, statement)
+    assert engine == expected
     assert jdb.services.stats.get("executor.columnar.ir.join.hash") \
         + jdb.services.stats.get("executor.columnar.ir.join.merge") >= 1
 
@@ -103,8 +104,8 @@ EXPRESSION_QUERIES = [
 
 @pytest.mark.parametrize("statement", EXPRESSION_QUERIES)
 def test_compiled_expression_equivalence(jdb, statement):
-    columnar, row = both_paths(jdb, statement)
-    assert columnar == row
+    engine, expected = both_paths(jdb, statement)
+    assert engine == expected
 
 
 def test_expression_queries_actually_vectorize(jdb):
@@ -130,17 +131,17 @@ def test_disable_env_forces_python_backend(monkeypatch):
     assert backends.resolve(None).name == "python"
     db = _seed(Database(page_size=1024, buffer_capacity=256))
     assert db.kernel_backend.name == "python"
-    columnar, row = both_paths(
+    engine, expected = both_paths(
         db, "SELECT emp.eid, dept.dname FROM emp JOIN dept "
             "ON emp.dno = dept.dno")
-    assert columnar == row
+    assert engine == expected
 
 
 # ---------------------------------------------------------------------------
 # Sort-merge join over ordered inputs
 # ---------------------------------------------------------------------------
 
-def test_merge_join_on_ordered_storage():
+def _ordered_pair():
     db = Database(page_size=1024, buffer_capacity=256,
                   kernel_backend="python")
     db.create_table("a", [("k", "INT", False), ("av", "STRING")],
@@ -149,10 +150,33 @@ def test_merge_join_on_ordered_storage():
                     storage_method="btree_file", attributes={"key": ["k"]})
     db.table("a").insert_many([(i, f"a{i}") for i in range(120)])
     db.table("b").insert_many([(i * 2, float(i)) for i in range(90)])
-    statement = "SELECT a.k, b.bv FROM a JOIN b ON a.k = b.k"
-    columnar, row = both_paths(db, statement)
-    assert sorted(columnar) == sorted(row)
+    return db
+
+
+MERGE_JOIN = "SELECT a.k, b.bv FROM a JOIN b ON a.k = b.k"
+
+
+def test_merge_join_on_ordered_storage():
+    db = _ordered_pair()
+    engine, expected = both_paths(db, MERGE_JOIN)
+    assert reference.same_rows(engine, expected)
     assert db.services.stats.get("executor.columnar.ir.join.merge") >= 1
+
+
+def test_snapshot_join_over_ordered_storage_does_not_merge():
+    """A snapshot scan appends the rows it resurrects after the live
+    ones, so its output is not in key order: merging it dropped rows."""
+    db = _ordered_pair()
+    quiesced = db.execute(MERGE_JOIN)
+    reader, writer = db.connect(), db.connect()
+    reader.begin(snapshot=True)
+    with writer.transaction():
+        writer.table("a").delete_where("k < 10")
+        writer.table("b").delete_where("k = 4")
+    merges = db.services.stats.get("executor.columnar.ir.join.merge")
+    assert reference.same_rows(reader.execute(MERGE_JOIN), quiesced)
+    assert db.services.stats.get("executor.columnar.ir.join.merge") == merges
+    reader.commit()
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +202,16 @@ def test_snapshot_read_is_columnar_and_bit_identical(statement):
     stats = db.services.stats
     before = stats.get("executor.columnar.plans")
     under_snapshot = reader.execute(statement)
-    # The snapshot reader went down the columnar path and computed,
-    # over patched batches, exactly the quiesced values (deleted rows
+    # The snapshot reader ran the same program and computed, over
+    # patched batches, exactly the quiesced values (deleted rows
     # come back via resurrection, which appends them in key order — so
     # row *order* may differ from the quiesced scan, the content is
     # bit-identical).
     assert stats.get("executor.columnar.plans") == before + 1
     assert sorted(under_snapshot, key=repr) == sorted(quiesced, key=repr)
-    # The two executor paths agree exactly under the same snapshot
+    # The reference, reading through the same snapshot, agrees exactly
     # (identical row order included).
-    db.query_engine.executor.columnar_enabled = False
-    try:
-        with kernels.vector_filtering(False):
-            assert reader.execute(statement) == under_snapshot
-    finally:
-        db.query_engine.executor.columnar_enabled = True
+    assert reference.run(reader, statement) == under_snapshot
     reader.commit()
     assert db.execute(statement) != quiesced  # the writes are real
 
@@ -201,29 +220,18 @@ def test_snapshot_read_is_columnar_and_bit_identical(statement):
 # Join-index memo: LRU bound
 # ---------------------------------------------------------------------------
 
-def test_join_index_memo_lru_bound():
+def test_join_index_memo_lru_bound(monkeypatch):
     db = _seed(Database(page_size=1024, buffer_capacity=256))
     db.create_attachment("emp", "join_index", "emp_dept_ji",
                          {"other": "dept", "column": "dno",
                           "other_column": "dno"})
     statement = ("SELECT emp.eid, dept.dname FROM emp JOIN dept "
                  "ON emp.dno = dept.dno")
-    executor = db.query_engine.executor
-    executor.columnar_enabled = False
-
-    def run_join_index():
-        with db.autocommit() as ctx:
-            from repro.query.parser import parse_statement
-            from repro.query.planner import plan_select
-            plan = plan_select(ctx, parse_statement(statement), statement)
-            plan.join.method = "join_index"
-            plan.join.join_index_instance = "emp_dept_ji"
-            return executor.run_select(ctx, plan, None)
-
-    unbounded = run_join_index()
+    unbounded = run_forced(db, statement, "join_index", "emp_dept_ji")
     assert db.services.stats.get("executor.join_memo_evictions") == 0
-    executor.join_memo_capacity = 4  # far below the 12 distinct depts
-    bounded = run_join_index()
+    # Far below the 12 distinct depts.
+    monkeypatch.setattr(executor_module, "_JOIN_MEMO_MAX", 4)
+    bounded = run_forced(db, statement, "join_index", "emp_dept_ji")
     assert bounded == unbounded
     assert db.services.stats.get("executor.join_memo_evictions") > 0
 
@@ -250,11 +258,158 @@ def test_program_compiled_once_and_invalidated_by_ddl(monkeypatch):
 
 
 def test_join_kernel_fault_falls_back_to_row_path():
+    """One kernel fault under a join: both inputs are read again and the
+    answer comes from the rerun on the Python backend."""
     db = _seed(Database(page_size=1024, buffer_capacity=256))
     statement = ("SELECT emp.eid, dept.dname FROM emp JOIN dept "
                  "ON emp.dno = dept.dno WHERE emp.sal > 1050.0")
-    expected = db.execute(statement)
+    expected = reference.run(db, statement)
     db.services.faults.arm("columnar.kernel",
                            error=RuntimeError("kernel"), nth=1)
     assert db.execute(statement) == expected
     assert db.services.stats.get("executor.columnar.fallbacks") == 1
+    db.services.faults.arm("columnar.kernel", error=RuntimeError("kernel"),
+                           nth=1, one_shot=False)
+    with pytest.raises(QueryError) as excinfo:
+        db.execute(statement)
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
+    assert db.services.stats.get("executor.columnar.fallbacks") == 2
+
+
+# ---------------------------------------------------------------------------
+# The three join sources
+# ---------------------------------------------------------------------------
+
+def _orders_db(rows=400):
+    """``orders`` ⨝ ``customer``, a unique index on each side's key."""
+    db = Database(page_size=1024, buffer_capacity=512)
+    orders = db.create_table("orders", [("oid", "INT", False),
+                                        ("cid", "INT"), ("total", "INT")])
+    customer = db.create_table("customer", [("cid", "INT", False),
+                                            ("cname", "STRING")])
+    customer.insert_many([(i, f"c{i:04d}") for i in range(rows)])
+    orders.insert_many([(i, (i * 7) % rows, i % 50) for i in range(rows)])
+    db.create_index("orders_oid", "orders", ["oid"], unique=True)
+    db.create_index("customer_cid", "customer", ["cid"], unique=True)
+    return db
+
+
+ONE_ORDER = ("SELECT o.oid, c.cname FROM orders o JOIN customer c "
+             "ON o.cid = c.cid WHERE o.oid = 7")
+
+
+def test_one_row_outer_join_probes_the_inner_index_once():
+    """The keyed join is costed on what the outer access returns, not on
+    the outer relation: one order, one probe, under default settings."""
+    db = _orders_db()
+    assert db.explain(ONE_ORDER)["join"]["method"] == "index_nl"
+    stats = db.services.stats
+    before = stats.snapshot()
+    engine = db.execute(ONE_ORDER)
+    delta = stats.delta(before)
+    assert engine == reference.run(db, ONE_ORDER) == [(7, "c0049")]
+    assert delta["executor.index_nl_joins"] == 1
+    assert delta.get("executor.columnar.ir.join.hash", 0) == 0
+    # Neither relation was scanned: one index probe and fetch on each.
+    assert delta.get("heap.tuples_scanned", 0) <= 2
+
+
+def test_one_row_outer_join_under_snapshot_runs_the_hash_source():
+    db = _orders_db()
+    quiesced = db.execute(ONE_ORDER)
+    reader = db.connect()
+    reader.begin(snapshot=True)
+    stats = db.services.stats
+    before = stats.snapshot()
+    assert reader.execute(ONE_ORDER) == quiesced
+    delta = stats.delta(before)
+    reader.commit()
+    assert delta.get("executor.index_nl_joins", 0) == 0
+    assert delta["executor.columnar.ir.join.hash"] == 1
+    assert delta["mvcc.route_downgrades"] >= 1
+
+
+def test_join_index_join_under_defaults():
+    """A sparse join — few pairs between sizeable relations — is where
+    the precomputed pairs undercut reading either relation."""
+    db = Database(page_size=1024, buffer_capacity=512)
+    dept = db.create_table("dept", [("dname", "STRING"),
+                                    ("budget", "FLOAT")])
+    emp = db.create_table("emp", [("id", "INT"), ("dept", "STRING")])
+    dept.insert_many([(f"d{i}", float(i)) for i in range(300)])
+    emp.insert_many([(i, f"x{i}" if i % 40 else f"d{i // 40 * 30}")
+                     for i in range(400)])
+    db.create_attachment("emp", "join_index", "emp_dept_ji",
+                         {"other": "dept", "column": "dept",
+                          "other_column": "dname"})
+    statement = ("SELECT e.id, d.budget FROM emp e JOIN dept d "
+                 "ON e.dept = d.dname WHERE d.budget >= 50")
+    assert db.explain(statement)["join"]["method"] == "join_index"
+    engine, expected = both_paths(db, statement)
+    assert reference.same_rows(engine, expected) and len(engine) == 8
+    assert db.services.stats.get("executor.join_index_joins") == 1
+    assert db.services.stats.get("executor.columnar.ir.join.hash") == 0
+
+
+JOIN_LIMIT = ("SELECT o.oid, c.cname FROM orders o JOIN customer c "
+              "ON o.cid = c.cid LIMIT 5")
+
+
+@pytest.mark.parametrize("method", ["hash", "index_nl", "join_index"])
+def test_join_limit_without_order_by(method):
+    """Any five joined rows are a right answer (the route decides which);
+    the keyed sources stop pulling once the sink has them, the hash
+    source has materialised both inputs by then and is truncated."""
+    db = _orders_db()
+    db.create_attachment("orders", "join_index", "orders_customer_ji",
+                         {"other": "customer", "column": "cid",
+                          "other_column": "cid"})
+    everything = set(reference.run(db, JOIN_LIMIT.replace(" LIMIT 5", "")))
+    stats = db.services.stats
+    before = stats.snapshot()
+    rows = run_forced(db, JOIN_LIMIT, method,
+                      "orders_customer_ji" if method == "join_index"
+                      else None)
+    delta = stats.delta(before)
+    assert len(rows) == len(set(rows)) == 5 and set(rows) <= everything
+    assert delta["executor.limit_short_circuits"] == 1
+    if method == "hash":
+        assert delta["heap.tuples_scanned"] == 800
+        assert delta["executor.columnar.ir.join.pairs"] == 400
+    else:
+        # One block of outer rows / one chunk of pairs, not 400 of each.
+        assert delta.get("heap.tuples_scanned", 0) <= 64
+        assert delta["executor.columnar.batches"] == 1
+
+
+def test_forced_join_sources_agree_with_the_reference():
+    db = _orders_db()
+    db.create_attachment("orders", "join_index", "orders_customer_ji",
+                         {"other": "customer", "column": "cid",
+                          "other_column": "cid"})
+    statement = ("SELECT o.oid, c.cname, o.total FROM orders o "
+                 "JOIN customer c ON o.cid = c.cid "
+                 "WHERE o.total > 10 AND c.cid < 300 AND o.oid + c.cid > 90")
+    expected = reference.run(db, statement)
+    for method, instance in (("hash", None), ("index_nl", None),
+                             ("join_index", "orders_customer_ji")):
+        assert reference.same_rows(
+            run_forced(db, statement, method, instance), expected), method
+
+
+def test_short_circuit_or_as_a_cross_table_filter(jdb):
+    """``dept.dno = 0 OR 10 / dept.dno > 1`` divides by zero in a vector
+    kernel for every pair whose dept is 0; the batch is re-evaluated per
+    row, where the OR never reaches the division."""
+    statement = ("SELECT emp.eid, dept.dname FROM emp JOIN dept "
+                 "ON emp.dno = dept.dno "
+                 "WHERE emp.eid < 100 AND (dept.dno = 0 OR "
+                 "10 / dept.dno > emp.eid - 50)")
+    stats = jdb.services.stats
+    before = stats.snapshot()
+    engine, expected = both_paths(jdb, statement)
+    delta = stats.delta(before)
+    assert engine == expected and engine
+    assert delta["predicate.row_evals"] == \
+        delta["executor.columnar.ir.join.pairs"]
+    assert delta.get("executor.columnar.fallbacks", 0) == 0

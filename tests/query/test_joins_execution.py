@@ -23,12 +23,30 @@ QUERY = ("SELECT e.id, d.budget FROM emp e JOIN dept d "
          "AND e.id + d.budget > 50")
 
 
-def run_with(db, method, instance=None):
+#: The counter each join source bumps once per execution.
+RAN = {"hash": "executor.columnar.ir.join.hash",
+       "index_nl": "executor.index_nl_joins",
+       "join_index": "executor.join_index_joins"}
+
+
+def run_forced(db, statement, method, instance=None):
+    """Run ``statement`` with its join method overridden; the forced
+    source must be the one that ran, and the only one."""
+    stats = db.services.stats
+    before = stats.snapshot()
     with db.autocommit() as ctx:
-        plan = plan_select(ctx, parse_statement(QUERY), QUERY)
+        plan = plan_select(ctx, parse_statement(statement), statement)
         plan.join.method = method
         plan.join.join_index_instance = instance
-        return sorted(db.query_engine.executor.run_select(ctx, plan, None))
+        rows = db.query_engine.executor.run_select(ctx, plan, None)
+    delta = stats.delta(before)
+    assert {name: delta.get(name, 0) for name in RAN.values()} \
+        == {name: int(name == RAN[method]) for name in RAN.values()}
+    return rows
+
+
+def run_with(db, method, instance=None):
+    return sorted(run_forced(db, QUERY, method, instance))
 
 
 def reference(db):
@@ -43,7 +61,9 @@ def reference(db):
 
 
 def test_nested_loop_matches_reference(joined):
-    assert run_with(joined, "nested_loop") == reference(joined)
+    """The hash source — what runs where no keyed route exists — against
+    the nested loop of ``reference``."""
+    assert run_with(joined, "hash") == reference(joined)
 
 
 def test_index_nested_loop_matches_reference(joined):

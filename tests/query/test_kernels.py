@@ -1,6 +1,6 @@
 """Columnar kernel micro-tests.
 
-Correctness is checked against the row evaluator (``Predicate.matches``
+Correctness is checked against per-row evaluation (``Predicate.matches``
 is the ground truth for selection vectors), and the O(1)-dispatch claim
 is checked through counters: kernel invocations must scale with the
 number of *batches*, never with the number of rows.
@@ -12,6 +12,7 @@ import pytest
 
 from repro import Database
 from repro.core.schema import Field, Schema
+from repro.errors import PredicateError
 from repro.query import kernels
 from repro.query.columnar import ColumnBatch
 from repro.services.predicate import Predicate
@@ -67,10 +68,19 @@ def test_kernel_selection_matches_row_evaluation(text):
 
 @pytest.mark.parametrize("text", FILTERS)
 def test_match_indexes_agrees_with_row_fallback(text):
+    """A kernel that raises ``PredicateError`` sends its batch down
+    ``kernels.evaluate``'s per-row retry; both ways select the same rows."""
     predicate = Predicate.parse(text, SCHEMA)
     vectorized = predicate.match_indexes(ROWS)
-    with kernels.vector_filtering(False):
-        fallback = predicate.match_indexes(ROWS)
+
+    class Raising(kernels.ValueKernel):
+        def run(self, batch, params, backend, selection):
+            raise PredicateError("forced")
+
+    predicate._kernel_box[0].kernel = Raising()
+    stats = Database().services.stats
+    fallback = predicate.match_indexes(ROWS, stats)
+    assert stats.get("predicate.row_evals") == len(ROWS)
     assert vectorized == fallback == selection_by_rows(predicate)
 
 
@@ -81,9 +91,8 @@ def test_match_indexes_agrees_with_row_fallback(text):
     "NOT (id > 1 AND score > 0)",  # NOT over a conjunction
 ])
 def test_general_shapes_compile_via_expression_kernels(text):
-    """Shapes outside the structured whitelist compile through the
-    generic expression compiler now (they fell back to row-at-a-time
-    evaluation before the operator IR) and still agree with it."""
+    """Shapes beyond column-vs-constant comparisons compile through the
+    same expression compiler and agree with per-row evaluation."""
     predicate = Predicate.parse(text, SCHEMA)
     kernel = kernels.compile_filter(predicate.expr)
     assert kernel is not None
@@ -118,27 +127,11 @@ def test_column_batch_columns_and_null_masks():
     assert list(mask) == [0, 1, 0, 0, 0, 1, 0]
 
 
-def test_column_batch_typed_columns():
-    batch = ColumnBatch.from_rows(ROWS, SCHEMA)
-    typed = batch.typed_column(0, "INT")
-    assert typed is not None and typed.typecode == "q"
-    assert list(typed) == list(range(7))
-    assert batch.typed_column(2, "FLOAT") is None  # has NULLs
-    assert batch.typed_column(1, "STRING") is None
-
-
-def test_column_batch_late_materialization():
-    batch = ColumnBatch.from_rows(ROWS, SCHEMA)
-    assert batch.take([1, 4]) == [ROWS[1], ROWS[4]]
-    assert batch.gather([0, 3, 6], 2) == [1.5, 8.25, 0.0]
-    assert batch.gather(None, 3) == [row[3] for row in ROWS]
-
-
 def test_project_rows_kernel():
-    rows = [(1, "a", 2.0), (3, "b", 4.0)]
-    assert kernels.project_rows(rows, [2, 0]) == [(2.0, 1), (4.0, 3)]
-    assert kernels.project_rows(rows, [1]) == [("a",), ("b",)]
-    assert kernels.project_rows([], [0]) == []
+    batch = ColumnBatch.from_rows([(1, "a", 2.0), (3, "b", 4.0)])
+    assert kernels.project_rows(batch, [2, 0]) == [(2.0, 1), (4.0, 3)]
+    assert kernels.project_rows(batch, [1]) == [("a",), ("b",)]
+    assert kernels.project_rows(ColumnBatch.from_rows([]), [0]) == []
 
 
 def test_fold_aggregate_kernel():
@@ -194,17 +187,3 @@ def test_aggregate_kernel_calls_scale_with_batches():
     # their own lists) -> at most two kernel calls per batch.
     assert delta["executor.columnar.kernel_calls"] <= 2 * batches
     assert delta.get("executor.row_ops", 0) == 0
-
-
-def test_row_path_counts_row_ops():
-    db = _bulk_db(500)
-    db.query_engine.executor.columnar_enabled = False
-    stats = db.services.stats
-    with kernels.vector_filtering(False):
-        db.execute("SELECT id FROM n WHERE val > 50.0")
-        before = stats.snapshot()
-        db.execute("SELECT id FROM n WHERE val > 50.0")
-        delta = stats.delta(before)
-    assert delta["predicate.row_evals"] == 500
-    assert delta["executor.row_ops"] > 0
-    assert delta.get("executor.columnar.batches", 0) == 0

@@ -56,22 +56,44 @@ def test_explain_reports_estimates(db, big):
 
 
 def test_join_method_selection_index_nested_loop(db):
+    """A few outer rows probing a keyed inner relation undercut reading
+    the inner relation whole; many outer rows do not."""
     left = db.create_table("l", [("id", "INT"), ("fk", "INT")])
     right = db.create_table("r", [("k", "INT"), ("v", "STRING")])
-    right.insert_many([(i, f"v{i}") for i in range(200)])
+    right.insert_many([(i, f"v{i}") for i in range(2000)])
     left.insert_many([(i, i % 200) for i in range(50)])
     db.create_index("r_k", "r", ["k"], unique=True)
     plan = db.explain("SELECT * FROM l JOIN r ON l.fk = r.k")
     assert plan["join"]["method"] == "index_nl"
+    plan = db.explain("SELECT * FROM r JOIN l ON l.fk = r.k")
+    assert plan["join"]["method"] == "hash"
+
+
+def test_keyed_join_is_costed_on_the_filtered_outer(db):
+    """The outer side of a keyed join costs what its access returns —
+    one row here — not what the relation holds."""
+    left = db.create_table("l", [("id", "INT"), ("fk", "INT")])
+    right = db.create_table("r", [("k", "INT"), ("v", "STRING")])
+    right.insert_many([(i, f"v{i}") for i in range(400)])
+    left.insert_many([(i, i % 400) for i in range(400)])
+    db.create_index("l_id", "l", ["id"], unique=True)
+    db.create_index("r_k", "r", ["k"], unique=True)
+    join = "SELECT * FROM l JOIN r ON l.fk = r.k"
+    assert db.explain(join)["join"]["method"] == "hash"
+    plan = db.explain(join + " WHERE l.id = 7")
+    assert plan["join"]["method"] == "index_nl"
+    assert plan["join"]["estimated_cost"] < 100
 
 
 def test_join_falls_back_to_nested_loop(db):
+    """No keyed route on the inner join column: the hash join (which
+    replaced the nested loop as the method of last resort)."""
     left = db.create_table("l", [("id", "INT"), ("fk", "INT")])
     right = db.create_table("r", [("k", "INT")])
     left.insert((1, 1))
     right.insert((1,))
     plan = db.explain("SELECT * FROM l JOIN r ON l.fk = r.k")
-    assert plan["join"]["method"] == "nested_loop"
+    assert plan["join"]["method"] == "hash"
 
 
 def test_order_by_satisfied_by_btree_file_storage(db):
