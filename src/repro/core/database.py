@@ -12,7 +12,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Optional, Sequence, Union
 
-from ..errors import AdmissionError, TransactionError
+from ..errors import (AdmissionError, TransactionError,
+                      UnknownCheckpointModeError)
 from ..services import SystemServices
 from ..services import wal as wal_records
 from ..services.transactions import TxnState
@@ -315,7 +316,7 @@ class Database:
         redo/undo point (LSN addressing stays stable).
         """
         if mode not in ("fuzzy", "sharp"):
-            raise ValueError(f"unknown checkpoint mode {mode!r}")
+            raise UnknownCheckpointModeError(mode)
         info = self.services.checkpoint(truncate=truncate,
                                         flush_pages=(mode == "sharp"))
         self.services.stats.bump("db.checkpoints")

@@ -511,7 +511,7 @@ class DataManager:
         if fields is None and predicate is not None \
                 and hasattr(predicate, "match_indexes"):
             # Full-record reads filter the whole patched batch through
-            # the predicate's vector kernels — the same set-at-a-time
+            # the predicate's batch entry point — the same set-at-a-time
             # filtering a quiesced storage scan gets from pushdown.
             def batch_transform(pairs):
                 records = [record for __, record in pairs]

@@ -215,6 +215,25 @@ class RecoveryError(ReproError):
     """The recovery protocol detected an inconsistency."""
 
 
+class UnknownCheckpointModeError(RecoveryError, ValueError):
+    """``Database.checkpoint`` was asked for a mode that does not exist."""
+
+    def __init__(self, mode):
+        super().__init__(f"unknown checkpoint mode {mode!r}")
+        self.mode = mode
+
+
+class UnknownEventError(ReproError, ValueError):
+    """A subscription or deferred action named an event that is never
+    fired; ``expected`` lists the ones that are."""
+
+    def __init__(self, event, expected):
+        super().__init__(f"unknown event {event!r} (expected one of "
+                         f"{sorted(expected)})")
+        self.event = event
+        self.expected = frozenset(expected)
+
+
 class AuthorizationError(ReproError):
     """The uniform authorization facility denied an operation."""
 

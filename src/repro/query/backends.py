@@ -11,7 +11,8 @@ Two backends ship:
 
 * :class:`PythonBackend` — the default.  Per-row work stays inside
   C-implemented primitives (comprehension bytecode, ``zip``, ``sorted``,
-  ``dict``), exactly like the PR-5 kernel library.
+  ``dict``).  Its scalar-expression primitives are the predicate
+  service's :class:`~repro.services.vectors.VectorOps`, unchanged.
 * :class:`NumpyBackend` — optional (``pip install repro[numpy]``).  It
   packs homogeneous columns into ``ndarray`` storage per call and runs
   comparisons, float arithmetic, stable sorts, and the hash-join
@@ -36,6 +37,7 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PredicateError
+from ..services.vectors import VectorOps
 
 __all__ = ["KernelBackend", "PythonBackend", "NumpyBackend",
            "numpy_available", "resolve"]
@@ -79,59 +81,19 @@ def resolve(spec=None) -> "KernelBackend":
     raise PredicateError(f"cannot resolve kernel backend from {spec!r}")
 
 
-class KernelBackend:
+class KernelBackend(VectorOps):
     """The vector-primitive protocol the IR programs against.
 
-    Every method takes and returns plain Python sequences; ``None``
-    elements are SQL NULL.  Truth vectors hold ``True``/``False``/``None``
-    (three-valued logic).  Selection vectors are sorted lists of row
-    ordinals.
+    The scalar-expression half (``arith`` … ``apply``, ``select_true``,
+    ``gather``) is inherited from the predicate service's
+    :class:`~repro.services.vectors.VectorOps`, the pure-Python reference
+    that storage scans filter their batches with; a backend adds the join
+    and grouping primitives below and may override any inherited one with
+    a faster body that answers bit-identically.
     """
 
     name = "abstract"
 
-    # -- scalar expression primitives ----------------------------------
-    def arith(self, op: str, left, right) -> list:
-        raise NotImplementedError
-
-    def neg(self, values) -> list:
-        raise NotImplementedError
-
-    def compare(self, op: str, left, right) -> list:
-        raise NotImplementedError
-
-    def logical_not(self, values) -> list:
-        raise NotImplementedError
-
-    def logical_and(self, vectors: Sequence[list]) -> list:
-        raise NotImplementedError
-
-    def logical_or(self, vectors: Sequence[list]) -> list:
-        raise NotImplementedError
-
-    def is_null(self, values, negated: bool) -> list:
-        raise NotImplementedError
-
-    def between(self, values, lo, hi) -> list:
-        raise NotImplementedError
-
-    def in_list(self, values, members: set, has_null: bool) -> list:
-        raise NotImplementedError
-
-    def like(self, values, regex) -> list:
-        raise NotImplementedError
-
-    def apply(self, name: str, fn, arg_vectors: Sequence[list]) -> list:
-        raise NotImplementedError
-
-    # -- selection / materialisation -----------------------------------
-    def select_true(self, values) -> List[int]:
-        raise NotImplementedError
-
-    def gather(self, values, selection: Sequence[int]) -> list:
-        raise NotImplementedError
-
-    # -- join / group primitives ---------------------------------------
     def hash_build(self, keys) -> Dict[object, List[int]]:
         raise NotImplementedError
 
@@ -147,10 +109,6 @@ class KernelBackend:
         raise NotImplementedError
 
 
-def _broadcast(value, n: int) -> list:
-    return [value] * n
-
-
 class PythonBackend(KernelBackend):
     """Pure-Python vector primitives (the default backend).
 
@@ -160,135 +118,6 @@ class PythonBackend(KernelBackend):
     """
 
     name = "python"
-
-    # -- scalar expression primitives ----------------------------------
-    def arith(self, op: str, left, right) -> list:
-        try:
-            if op == "+":
-                return [None if a is None or b is None else a + b
-                        for a, b in zip(left, right)]
-            if op == "-":
-                return [None if a is None or b is None else a - b
-                        for a, b in zip(left, right)]
-            if op == "*":
-                return [None if a is None or b is None else a * b
-                        for a, b in zip(left, right)]
-            if op == "/":
-                return [None if a is None or b is None else a / b
-                        for a, b in zip(left, right)]
-            if op == "%":
-                return [None if a is None or b is None else a % b
-                        for a, b in zip(left, right)]
-        except (TypeError, ZeroDivisionError) as exc:
-            raise PredicateError(f"cannot evaluate vector {op}: {exc}") \
-                from exc
-        raise PredicateError(f"unknown arithmetic operator {op!r}")
-
-    def neg(self, values) -> list:
-        try:
-            return [None if v is None else -v for v in values]
-        except TypeError as exc:
-            raise PredicateError(f"cannot negate: {exc}") from exc
-
-    def compare(self, op: str, left, right) -> list:
-        try:
-            if op == "=":
-                return [None if a is None or b is None else a == b
-                        for a, b in zip(left, right)]
-            if op == "!=":
-                return [None if a is None or b is None else a != b
-                        for a, b in zip(left, right)]
-            if op == "<":
-                return [None if a is None or b is None else a < b
-                        for a, b in zip(left, right)]
-            if op == "<=":
-                return [None if a is None or b is None else a <= b
-                        for a, b in zip(left, right)]
-            if op == ">":
-                return [None if a is None or b is None else a > b
-                        for a, b in zip(left, right)]
-            if op == ">=":
-                return [None if a is None or b is None else a >= b
-                        for a, b in zip(left, right)]
-        except TypeError as exc:
-            raise PredicateError(f"cannot compare vector {op}: {exc}") \
-                from exc
-        raise PredicateError(f"unknown comparison operator {op!r}")
-
-    def logical_not(self, values) -> list:
-        return [None if v is None else not v for v in values]
-
-    def logical_and(self, vectors: Sequence[list]) -> list:
-        # SQL three-valued AND: False dominates, then unknown.
-        out = list(vectors[0])
-        for vector in vectors[1:]:
-            out = [False if a is False or b is False
-                   else (None if a is None or b is None else True)
-                   for a, b in zip(out, vector)]
-        return out
-
-    def logical_or(self, vectors: Sequence[list]) -> list:
-        out = list(vectors[0])
-        for vector in vectors[1:]:
-            out = [True if a is True or b is True
-                   else (None if a is None or b is None else False)
-                   for a, b in zip(out, vector)]
-        return out
-
-    def is_null(self, values, negated: bool) -> list:
-        if negated:
-            return [v is not None for v in values]
-        return [v is None for v in values]
-
-    def between(self, values, lo, hi) -> list:
-        try:
-            return [None if v is None or a is None or b is None
-                    else a <= v <= b
-                    for v, a, b in zip(values, lo, hi)]
-        except TypeError as exc:
-            raise PredicateError(f"cannot range-compare: {exc}") from exc
-
-    def in_list(self, values, members: set, has_null: bool) -> list:
-        if has_null:
-            # ``x IN (..., NULL)``: a match is True, a miss is unknown.
-            return [None if v is None else (True if v in members else None)
-                    for v in values]
-        return [None if v is None else v in members for v in values]
-
-    def like(self, values, regex) -> list:
-        out = []
-        match = regex.match
-        for v in values:
-            if v is None:
-                out.append(None)
-            elif not isinstance(v, str):
-                raise PredicateError(f"LIKE needs a string, got {v!r}")
-            else:
-                out.append(match(v) is not None)
-        return out
-
-    def apply(self, name: str, fn, arg_vectors: Sequence[list]) -> list:
-        out = []
-        for args in zip(*arg_vectors):
-            if any(a is None for a in args):
-                out.append(None)
-                continue
-            try:
-                out.append(fn(*args))
-            except PredicateError:
-                raise
-            except Exception as exc:
-                raise PredicateError(
-                    f"function {name}({list(args)!r}) failed: {exc}") \
-                    from exc
-        return out
-
-    # -- selection / materialisation -----------------------------------
-    def select_true(self, values) -> List[int]:
-        return [i for i, v in enumerate(values) if v is True]
-
-    def gather(self, values, selection: Sequence[int]) -> list:
-        return [values[i] for i in selection]
 
     # -- join / group primitives ---------------------------------------
     def hash_build(self, keys) -> Dict[object, List[int]]:

@@ -26,9 +26,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.records import RecordView
 from ..errors import QueryError
+from ..services.vectors import ColumnBatch
 from . import fragments, ir
 from .backends import PythonBackend
-from .columnar import ColumnBatch
 from .cost import EligiblePredicate
 from .planner import JoinStep, SelectPlan, TableAccess
 

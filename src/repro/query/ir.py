@@ -5,8 +5,9 @@ A bound :class:`~.planner.SelectPlan` lowers (:func:`lower_select`) to a
 
 * A **source** is an iterator of batches handed over by the executor,
   which owns the access routes: a scan or covering-index read (one
-  :class:`~.columnar.ColumnBatch` per ``next_batch``), a keyed join —
-  index nested-loop or join index — yielding batches of combined rows,
+  :class:`~repro.services.vectors.ColumnBatch` per ``next_batch``), a
+  keyed join — index nested-loop or join index — yielding batches of
+  combined rows,
   or :meth:`Program.hash_join`, which materialises both inputs and
   yields one :class:`PairBatch`.  Which join source runs is the
   planner's decision (``JoinStep.method``); nothing here compares costs.
@@ -21,10 +22,10 @@ A bound :class:`~.planner.SelectPlan` lowers (:func:`lower_select`) to a
   ORDER BY.
 
 Scalar expressions anywhere (filter, projections, aggregate arguments)
-are compiled by :func:`~.kernels.compile_expression` and run through
-:func:`~.kernels.evaluate`, whose per-row retry keeps short-circuit
-semantics; every vector primitive goes through the pluggable
-:mod:`.backends` backend.  Grouping is one stable sort of the key vector
+are the plan's bound :class:`~repro.services.predicate.Expr` trees, run
+through :func:`~.kernels.evaluate`, whose per-row retry keeps
+short-circuit semantics; every vector primitive goes through the
+pluggable :mod:`.backends` backend.  Grouping is one stable sort of the key vector
 plus run detection, so arrival order inside a group — and with it every
 float fold — is the same on every backend.
 
@@ -42,13 +43,13 @@ from __future__ import annotations
 
 import heapq
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..errors import PredicateError, QueryError
+from ..errors import PredicateError
 from ..services.predicate import Col
+from ..services.vectors import ColumnBatch
 from . import kernels
-from .columnar import ColumnBatch
-from .kernels import compile_expression, evaluate
+from .kernels import evaluate
 
 __all__ = ["Program", "Runtime", "KernelFallback", "OrderKey",
            "lower_select"]
@@ -153,19 +154,19 @@ class PairBatch:
 
 
 class Program:
-    """A lowered SELECT: the compiled pieces the filter and the sink use.
+    """A lowered SELECT: the pieces the filter and the sink use.
 
     ``mode`` names the sink — ``"plain"`` (rows out), ``"fold"`` (one
     row of ungrouped aggregates) or ``"group"``.  ``cross_filter`` and
-    each of ``project_kernels`` are ``(expr, kernel)`` pairs; aggregate
-    specs are ``(kind, column_index_or_None, expr, kernel)`` — the index
-    is a fast path for plain-column arguments, the kernel handles
-    computed ones; ``kind`` adds ``"first"`` (plain item inside an
-    aggregate query) and ``"count_star"`` to the fold kinds.
+    each of ``project_exprs`` are bound expressions; aggregate specs are
+    ``(kind, column_index_or_None, expr)`` — the index is a fast path
+    for plain-column arguments, the expression handles computed ones;
+    ``kind`` adds ``"first"`` (plain item inside an aggregate query) and
+    ``"count_star"`` to the fold kinds.
     """
 
     __slots__ = ("mode", "cross_filter", "star", "project_indexes",
-                 "project_kernels", "aggregates", "group_index", "order_by",
+                 "project_exprs", "aggregates", "group_index", "order_by",
                  "sorting", "limit", "width", "left_width", "join_indexes",
                  "merge_ok")
 
@@ -203,8 +204,7 @@ class Program:
             raise KernelFallback from exc
 
     def _filter(self, rt: Runtime, batch):
-        expr, kernel = self.cross_filter
-        truth = evaluate(expr, kernel, batch, rt.params, rt.backend,
+        truth = evaluate(self.cross_filter, batch, rt.params, rt.backend,
                          rt.stats)
         selection = rt.backend.select_true(truth)
         rt.stats.bump_many({"executor.columnar.kernel_calls": 1,
@@ -218,9 +218,8 @@ class Program:
             return batch.rows()
         if self.project_indexes is not None:
             return kernels.project_rows(batch, self.project_indexes)
-        vectors = [evaluate(expr, kernel, batch, rt.params, rt.backend,
-                            rt.stats)
-                   for expr, kernel in self.project_kernels]
+        vectors = [evaluate(expr, batch, rt.params, rt.backend, rt.stats)
+                   for expr in self.project_exprs]
         rt.stats.bump_many({"executor.columnar.ir.kernel_calls":
                             len(vectors),
                             "executor.columnar.ir.project.rows": len(batch)})
@@ -349,18 +348,18 @@ class _FoldSink:
         rt, specs = self.rt, self.program.aggregates
         if self.first is None and len(batch):
             self.first = [
-                evaluate(expr, kernel, batch, rt.params, rt.backend,
-                         rt.stats, (0,))[0] if kind == "first" else None
-                for kind, __, expr, kernel in specs]
+                evaluate(expr, batch, rt.params, rt.backend, rt.stats,
+                         (0,))[0] if kind == "first" else None
+                for kind, __, expr in specs]
         self.row_count += len(batch)
-        for slot, (kind, index, expr, kernel) in enumerate(specs):
+        for slot, (kind, index, expr) in enumerate(specs):
             if kind in ("count_star", "first"):
                 continue
             if index is not None:
                 vector = batch.column(index)
             else:
-                vector = evaluate(expr, kernel, batch, rt.params,
-                                  rt.backend, rt.stats)
+                vector = evaluate(expr, batch, rt.params, rt.backend,
+                                  rt.stats)
                 rt.stats.bump("executor.columnar.ir.kernel_calls")
             self.values[slot].extend(
                 vector if None not in vector
@@ -370,7 +369,7 @@ class _FoldSink:
 
     def finish(self) -> List[tuple]:
         result = []
-        for slot, (kind, __, __e, __k) in enumerate(self.program.aggregates):
+        for slot, (kind, __, __e) in enumerate(self.program.aggregates):
             if kind == "first":
                 result.append(self.first[slot] if self.first is not None
                               else None)
@@ -390,22 +389,20 @@ class _GroupSink:
         self.keys: list = []
         self.vectors: List[Optional[list]] = [
             None if kind == "count_star" else []
-            for kind, __, __e, __k in program.aggregates]
+            for kind, __, __e in program.aggregates]
 
     def add(self, batch) -> bool:
         rt, program = self.rt, self.program
         rt.stats.bump("executor.columnar.kernel_calls")
         self.keys.extend(batch.column(program.group_index))
-        for slot, (kind, index, expr, kernel) in enumerate(
-                program.aggregates):
+        for slot, (kind, index, expr) in enumerate(program.aggregates):
             if kind == "count_star":
                 continue
             if index is not None:
                 self.vectors[slot].extend(batch.column(index))
             else:
                 self.vectors[slot].extend(
-                    evaluate(expr, kernel, batch, rt.params, rt.backend,
-                             rt.stats))
+                    evaluate(expr, batch, rt.params, rt.backend, rt.stats))
                 rt.stats.bump("executor.columnar.ir.kernel_calls")
         return False
 
@@ -442,7 +439,7 @@ class _GroupSink:
         for key in sorted(groups, key=repr):
             ordinals = groups[key]
             row = []
-            for slot, (kind, __, __e, __k) in enumerate(specs):
+            for slot, (kind, __, __e) in enumerate(specs):
                 if kind == "first":
                     row.append(vectors[slot][ordinals[0]])
                 elif kind == "count_star":
@@ -481,42 +478,29 @@ def lower_select(plan) -> Program:
             merge_ok=bool(left_order and left_order[0] == join.left_index
                           and right_order
                           and right_order[0] == join.right_index),
-            cross_filter=_compile(plan.where))
+            cross_filter=plan.where)
 
     if any(aggregate for __, __, aggregate in plan.items):
         specs = []
         for expr, __, aggregate in plan.items:
             if aggregate == "count" and expr is None:
-                specs.append(("count_star", None, None, None))
+                specs.append(("count_star", None, None))
             else:
-                specs.append((aggregate or "first", _plain_index(expr))
-                             + _compile(expr))
+                specs.append((aggregate or "first", _plain_index(expr),
+                              expr))
         return Program(mode="fold" if plan.group_index is None else "group",
                        aggregates=specs, group_index=plan.group_index,
                        star=False, **common)
 
-    project_indexes = project_kernels = None
+    project_indexes = project_exprs = None
     if not plan.star:
-        indexes = [_plain_index(expr) for expr, __, __a in plan.items]
+        project_exprs = [expr for expr, __, __a in plan.items]
+        indexes = [_plain_index(expr) for expr in project_exprs]
         if all(index is not None for index in indexes):
             project_indexes = indexes
-        else:
-            project_kernels = [_compile(expr) for expr, __, __a in plan.items]
     return Program(mode="plain", star=plan.star,
                    project_indexes=project_indexes,
-                   project_kernels=project_kernels, **common)
-
-
-def _compile(expr) -> Optional[Tuple[object, kernels.ValueKernel]]:
-    """``(expr, kernel)`` for a bound expression (``None`` for none)."""
-    if expr is None:
-        return None
-    kernel = compile_expression(expr)
-    if kernel is None:
-        raise QueryError(
-            f"cannot compile {expr.to_text()}: unbound column or unknown "
-            "expression node")
-    return expr, kernel
+                   project_exprs=project_exprs, **common)
 
 
 def _plain_index(expr) -> Optional[int]:

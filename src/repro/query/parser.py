@@ -170,7 +170,7 @@ def _parse_select(tokens: _Tokens) -> SelectStmt:
     limit = None
     if _accept_keyword(tokens, "limit"):
         kind, value = tokens.next()
-        if kind != "number" or "." in value:
+        if kind != "number" or not value.isdigit():
             raise QueryError(f"LIMIT expects an integer, got {value!r}")
         limit = int(value)
     return SelectStmt(items, star, table, alias, join, where, order_by,

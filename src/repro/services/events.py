@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
+from ..errors import UnknownEventError
+
 __all__ = ["EventService",
            "BEFORE_PREPARE", "AT_COMMIT", "AT_ABORT", "AT_END",
            "SAVEPOINT_SET", "SAVEPOINT_ROLLBACK"]
@@ -91,5 +93,4 @@ class EventService:
 
     def _check(self, event: str) -> None:
         if event not in _EVENTS:
-            raise ValueError(f"unknown event {event!r} (expected one of "
-                             f"{sorted(_EVENTS)})")
+            raise UnknownEventError(event, _EVENTS)

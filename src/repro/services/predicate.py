@@ -15,7 +15,11 @@ This module provides exactly that shared facility:
   three-valued (Kleene) logic, ``IS [NOT] NULL``, ``IN``, ``BETWEEN``,
   ``LIKE``, registered scalar functions, and the spatial predicates the
   paper names for the R-tree access path (``ENCLOSES``, plus
-  ``ENCLOSED_BY`` and ``OVERLAPS``);
+  ``ENCLOSED_BY`` and ``OVERLAPS``) — one tree with two entry points,
+  ``eval`` for one record and ``run`` for a batch
+  (:mod:`.vectors`), both reading each operator's meaning from the same
+  scalar tables, and :func:`evaluate`, which makes the batch answer
+  agree with the per-record one where short-circuit evaluation matters;
 * a text parser (``parse_expression`` / :meth:`Predicate.parse`), used both
   by the mini-SQL front end and by DDL attribute lists (check-constraint
   predicates arrive as strings);
@@ -29,29 +33,77 @@ This module provides exactly that shared facility:
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..errors import PredicateError
 from ..core.records import Box, RecordView
+from .vectors import ColumnBatch, VectorOps
 
 __all__ = ["Expr", "Const", "Col", "Param", "Cmp", "And", "Or", "Not",
            "Arith", "Neg", "IsNull", "InList", "Between", "Like", "Func",
            "Predicate", "parse_expression", "conjuncts", "simple_comparison",
-           "register_function", "COMPARISON_OPS", "SPATIAL_OPS"]
-
-COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
-SPATIAL_OPS = frozenset({"ENCLOSES", "ENCLOSED_BY", "OVERLAPS"})
-
-_NEGATED = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-_FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
+           "register_function", "evaluate", "COMPARISON_OPS", "SPATIAL_OPS"]
 
 # ---------------------------------------------------------------------------
+# What each operator means, once: the scalar tables both entry points
+# (``Expr.eval`` per record, ``Expr.run`` per batch) read.
+# ---------------------------------------------------------------------------
+
+_ARITHMETIC: Dict[str, Callable] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod}
+
+
+def _spatial(op: str, test: Callable) -> Callable:
+    def fn(lhs, rhs):
+        if not isinstance(lhs, Box) or not isinstance(rhs, Box):
+            raise PredicateError(
+                f"{op} needs BOX operands, got "
+                f"{type(lhs).__name__} and {type(rhs).__name__}")
+        return test(lhs, rhs)
+    return fn
+
+
+_SPATIAL_TESTS = {"ENCLOSES": Box.encloses, "ENCLOSED_BY": Box.enclosed_by,
+                  "OVERLAPS": Box.overlaps}
+_COMPARISON: Dict[str, Callable] = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    **{op: _spatial(op, test) for op, test in _SPATIAL_TESTS.items()}}
+
+SPATIAL_OPS = frozenset(_SPATIAL_TESTS)
+COMPARISON_OPS = frozenset(_COMPARISON) - SPATIAL_OPS
+
+_FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
+            "ENCLOSES": "ENCLOSED_BY", "ENCLOSED_BY": "ENCLOSES"}
+
+
+def _member(needle, candidates):
+    """``needle IN candidates`` under three-valued logic.  ``candidates``
+    is consumed lazily: nothing after the first hit is evaluated."""
+    if needle is None:
+        return None
+    unknown = False
+    for candidate in candidates:
+        if candidate is None:
+            unknown = True
+        elif candidate == needle:
+            return True
+    return None if unknown else False
+
+
+def _box(*coordinates):
+    if len(coordinates) != 4:
+        raise PredicateError("box() takes four coordinates")
+    return Box(*coordinates)
+
+
 # Scalar function registry (the paper's evaluator "will be able to call
-# functions that are passed to it").
-# ---------------------------------------------------------------------------
-
+# functions that are passed to it").  Looked up by name at every
+# evaluation, so a function registered after a plan was cached is seen.
 _FUNCTIONS: Dict[str, Callable] = {}
 
 
@@ -70,6 +122,7 @@ for _name, _fn in [
     ("min", min),
     ("max", max),
     ("area", lambda b: b.area()),
+    ("box", _box),
 ]:
     register_function(_name, _fn)
 
@@ -78,23 +131,95 @@ for _name, _fn in [
 # Expression AST
 # ---------------------------------------------------------------------------
 
+def _domain_size(batch, selection) -> int:
+    return len(batch) if selection is None else len(selection)
+
+
+def _eval_rows(expr: "Expr", batch, params, selection) -> list:
+    """``expr.eval`` for each row of the batch restricted to ``selection``."""
+    rows = batch.rows()
+    if selection is not None:
+        rows = [rows[i] for i in selection]
+    return [expr.eval(RecordView.from_record(row), params) for row in rows]
+
+
+def _operand(expr: "Expr", level: int) -> str:
+    """``expr``'s text for a position that binds at ``level``, in
+    parentheses when ``expr`` binds looser (the levels are the parser's:
+    OR 1, AND 2, NOT 3, comparison 4, additive 5, multiplicative 6,
+    unary minus 7, primary 8)."""
+    text = expr.to_text()
+    return f"({text})" if expr._level < level else text
+
+
 class Expr:
-    """Base expression node."""
+    """Base expression node: one tree, two entry points.
+
+    ``eval(view, params)`` is the value for one record, computed while
+    the record is in the buffer pool; ``run(batch, params, backend,
+    selection)`` is the value for each row of a batch restricted to
+    ``selection`` (``None`` = every row), as a list with ``None`` for SQL
+    NULL, computed by handing whole vectors to ``backend`` (a
+    :class:`~.vectors.VectorOps`) so dispatch cost is O(tree size) per
+    batch, not per row.  ``run`` evaluates every sub-expression over the
+    whole batch and so cannot short-circuit: call it through
+    :func:`evaluate`.  A node class that defines only ``eval`` inherits a
+    row-at-a-time ``run``.
+    """
+
+    __slots__ = ()
+    #: Attributes holding sub-expressions (one node or a tuple of nodes),
+    #: in evaluation order — what ``bind``/``columns``/``column_names`` walk.
+    _children: Tuple[str, ...] = ()
+    #: Binding strength of the node's text (see :func:`_operand`).
+    _level = 8
 
     def eval(self, view: RecordView, params: Optional[dict] = None):
         raise NotImplementedError
 
+    def run(self, batch, params: Optional[dict], backend,
+            selection: Optional[Sequence[int]]) -> list:
+        return _eval_rows(self, batch, params, selection)
+
+    def children(self) -> List["Expr"]:
+        out: List[Expr] = []
+        for name in self._children:
+            child = getattr(self, name)
+            if isinstance(child, Expr):
+                out.append(child)
+            else:
+                out.extend(child)
+        return out
+
     def bind(self, schema) -> "Expr":
-        """Resolve column names to field indexes; returns a bound copy."""
-        raise NotImplementedError
+        """Resolve column names to field indexes; returns a bound copy,
+        rebuilt through the constructor (whose arguments are the class's
+        ``__slots__``, in order)."""
+        children = self._children
+        if not children:
+            return self
+        arguments = []
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if name in children:
+                value = (value.bind(schema) if isinstance(value, Expr)
+                         else [v.bind(schema) for v in value])
+            arguments.append(value)
+        return type(self)(*arguments)
 
     def columns(self) -> Set[int]:
         """Field indexes referenced (bound expressions only)."""
-        raise NotImplementedError
+        out: Set[int] = set()
+        for child in self.children():
+            out |= child.columns()
+        return out
 
     def column_names(self) -> Set[str]:
         """Column names referenced (works bound or unbound)."""
-        raise NotImplementedError
+        out: Set[str] = set()
+        for child in self.children():
+            out |= child.column_names()
+        return out
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_text()})"
@@ -112,14 +237,8 @@ class Const(Expr):
     def eval(self, view, params=None):
         return self.value
 
-    def bind(self, schema):
-        return self
-
-    def columns(self):
-        return set()
-
-    def column_names(self):
-        return set()
+    def run(self, batch, params, backend, selection):
+        return [self.value] * _domain_size(batch, selection)
 
     def to_text(self):
         if isinstance(self.value, str):
@@ -143,6 +262,13 @@ class Col(Expr):
         if self.index is None:
             raise PredicateError(f"column {self.name!r} is unbound")
         return view[self.index]
+
+    def run(self, batch, params, backend, selection):
+        index, = self.columns()
+        column = batch.column(index)
+        if selection is None:
+            return column
+        return backend.gather(column, selection)
 
     def bind(self, schema):
         return Col(self.name, schema.field_index(self.name))
@@ -172,14 +298,8 @@ class Param(Expr):
             raise PredicateError(f"parameter :{self.name} was not supplied")
         return params[self.name]
 
-    def bind(self, schema):
-        return self
-
-    def columns(self):
-        return set()
-
-    def column_names(self):
-        return set()
+    def run(self, batch, params, backend, selection):
+        return [self.eval(None, params)] * _domain_size(batch, selection)
 
     def to_text(self):
         return f":{self.name}"
@@ -189,9 +309,11 @@ class Cmp(Expr):
     """A comparison.  NULL operands make the result unknown (``None``)."""
 
     __slots__ = ("op", "left", "right")
+    _children = ("left", "right")
+    _level = 4
 
     def __init__(self, op: str, left: Expr, right: Expr):
-        if op not in COMPARISON_OPS and op not in SPATIAL_OPS:
+        if op not in _COMPARISON:
             raise PredicateError(f"unknown comparison operator {op!r}")
         self.op = op
         self.left = left
@@ -202,47 +324,28 @@ class Cmp(Expr):
         rhs = self.right.eval(view, params)
         if lhs is None or rhs is None:
             return None
-        if self.op in SPATIAL_OPS:
-            if not isinstance(lhs, Box) or not isinstance(rhs, Box):
-                raise PredicateError(
-                    f"{self.op} needs BOX operands, got "
-                    f"{type(lhs).__name__} and {type(rhs).__name__}")
-            if self.op == "ENCLOSES":
-                return lhs.encloses(rhs)
-            if self.op == "ENCLOSED_BY":
-                return lhs.enclosed_by(rhs)
-            return lhs.overlaps(rhs)
         try:
-            if self.op == "=":
-                return lhs == rhs
-            if self.op == "!=":
-                return lhs != rhs
-            if self.op == "<":
-                return lhs < rhs
-            if self.op == "<=":
-                return lhs <= rhs
-            if self.op == ">":
-                return lhs > rhs
-            return lhs >= rhs
+            return _COMPARISON[self.op](lhs, rhs)
         except TypeError as exc:
             raise PredicateError(
                 f"cannot compare {lhs!r} {self.op} {rhs!r}") from exc
 
-    def bind(self, schema):
-        return Cmp(self.op, self.left.bind(schema), self.right.bind(schema))
-
-    def columns(self):
-        return self.left.columns() | self.right.columns()
-
-    def column_names(self):
-        return self.left.column_names() | self.right.column_names()
+    def run(self, batch, params, backend, selection):
+        left = self.left.run(batch, params, backend, selection)
+        right = self.right.run(batch, params, backend, selection)
+        if self.op in SPATIAL_OPS:
+            return backend.apply(_COMPARISON[self.op], [left, right])
+        return backend.compare(self.op, left, right)
 
     def to_text(self):
-        return f"{self.left.to_text()} {self.op} {self.right.to_text()}"
+        return (f"{_operand(self.left, 5)} {self.op} "
+                f"{_operand(self.right, 5)}")
 
 
 class And(Expr):
     __slots__ = ("items",)
+    _children = ("items",)
+    _level = 2
 
     def __init__(self, items: Sequence[Expr]):
         self.items = tuple(items)
@@ -257,23 +360,19 @@ class And(Expr):
                 unknown = True
         return None if unknown else True
 
-    def bind(self, schema):
-        return And([i.bind(schema) for i in self.items])
-
-    def columns(self):
-        return set().union(*(i.columns() for i in self.items))
-
-    def column_names(self):
-        return set().union(*(i.column_names() for i in self.items))
+    def run(self, batch, params, backend, selection):
+        return backend.logical_and(
+            [item.run(batch, params, backend, selection)
+             for item in self.items])
 
     def to_text(self):
-        return " AND ".join(
-            f"({i.to_text()})" if isinstance(i, Or) else i.to_text()
-            for i in self.items)
+        return " AND ".join(_operand(i, 3) for i in self.items)
 
 
 class Or(Expr):
     __slots__ = ("items",)
+    _children = ("items",)
+    _level = 1
 
     def __init__(self, items: Sequence[Expr]):
         self.items = tuple(items)
@@ -288,21 +387,19 @@ class Or(Expr):
                 unknown = True
         return None if unknown else False
 
-    def bind(self, schema):
-        return Or([i.bind(schema) for i in self.items])
-
-    def columns(self):
-        return set().union(*(i.columns() for i in self.items))
-
-    def column_names(self):
-        return set().union(*(i.column_names() for i in self.items))
+    def run(self, batch, params, backend, selection):
+        return backend.logical_or(
+            [item.run(batch, params, backend, selection)
+             for item in self.items])
 
     def to_text(self):
-        return " OR ".join(i.to_text() for i in self.items)
+        return " OR ".join(_operand(i, 2) for i in self.items)
 
 
 class Not(Expr):
     __slots__ = ("item",)
+    _children = ("item",)
+    _level = 3
 
     def __init__(self, item: Expr):
         self.item = item
@@ -311,28 +408,28 @@ class Not(Expr):
         value = self.item.eval(view, params)
         return None if value is None else not value
 
-    def bind(self, schema):
-        return Not(self.item.bind(schema))
-
-    def columns(self):
-        return self.item.columns()
-
-    def column_names(self):
-        return self.item.column_names()
+    def run(self, batch, params, backend, selection):
+        return backend.logical_not(
+            self.item.run(batch, params, backend, selection))
 
     def to_text(self):
-        return f"NOT ({self.item.to_text()})"
+        return f"NOT {_operand(self.item, 3)}"
 
 
 class Arith(Expr):
     __slots__ = ("op", "left", "right")
+    _children = ("left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
-        if op not in ("+", "-", "*", "/", "%"):
+        if op not in _ARITHMETIC:
             raise PredicateError(f"unknown arithmetic operator {op!r}")
         self.op = op
         self.left = left
         self.right = right
+
+    @property
+    def _level(self):
+        return 5 if self.op in "+-" else 6
 
     def eval(self, view, params=None):
         lhs = self.left.eval(view, params)
@@ -340,57 +437,50 @@ class Arith(Expr):
         if lhs is None or rhs is None:
             return None
         try:
-            if self.op == "+":
-                return lhs + rhs
-            if self.op == "-":
-                return lhs - rhs
-            if self.op == "*":
-                return lhs * rhs
-            if self.op == "/":
-                return lhs / rhs
-            return lhs % rhs
+            return _ARITHMETIC[self.op](lhs, rhs)
         except (TypeError, ZeroDivisionError) as exc:
             raise PredicateError(
                 f"cannot evaluate {lhs!r} {self.op} {rhs!r}") from exc
 
-    def bind(self, schema):
-        return Arith(self.op, self.left.bind(schema), self.right.bind(schema))
-
-    def columns(self):
-        return self.left.columns() | self.right.columns()
-
-    def column_names(self):
-        return self.left.column_names() | self.right.column_names()
+    def run(self, batch, params, backend, selection):
+        return backend.arith(self.op,
+                             self.left.run(batch, params, backend, selection),
+                             self.right.run(batch, params, backend, selection))
 
     def to_text(self):
-        return f"({self.left.to_text()} {self.op} {self.right.to_text()})"
+        # Left-associative: an equal-strength right operand keeps its
+        # parentheses (``a - (b - c)``).
+        level = self._level
+        return (f"{_operand(self.left, level)} {self.op} "
+                f"{_operand(self.right, level + 1)}")
 
 
 class Neg(Expr):
     __slots__ = ("item",)
+    _children = ("item",)
+    _level = 7
 
     def __init__(self, item: Expr):
         self.item = item
 
     def eval(self, view, params=None):
         value = self.item.eval(view, params)
-        return None if value is None else -value
+        try:
+            return None if value is None else -value
+        except TypeError as exc:
+            raise PredicateError(f"cannot negate {value!r}") from exc
 
-    def bind(self, schema):
-        return Neg(self.item.bind(schema))
-
-    def columns(self):
-        return self.item.columns()
-
-    def column_names(self):
-        return self.item.column_names()
+    def run(self, batch, params, backend, selection):
+        return backend.neg(self.item.run(batch, params, backend, selection))
 
     def to_text(self):
-        return f"-{self.item.to_text()}"
+        return f"-{_operand(self.item, 7)}"
 
 
 class IsNull(Expr):
     __slots__ = ("item", "negated")
+    _children = ("item",)
+    _level = 4
 
     def __init__(self, item: Expr, negated: bool = False):
         self.item = item
@@ -400,63 +490,55 @@ class IsNull(Expr):
         is_null = self.item.eval(view, params) is None
         return not is_null if self.negated else is_null
 
-    def bind(self, schema):
-        return IsNull(self.item.bind(schema), self.negated)
-
-    def columns(self):
-        return self.item.columns()
-
-    def column_names(self):
-        return self.item.column_names()
+    def run(self, batch, params, backend, selection):
+        return backend.is_null(
+            self.item.run(batch, params, backend, selection), self.negated)
 
     def to_text(self):
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
-        return f"{self.item.to_text()} {suffix}"
+        return f"{_operand(self.item, 5)} {suffix}"
 
 
 class InList(Expr):
     __slots__ = ("item", "values")
+    _children = ("item", "values")
+    _level = 4
 
     def __init__(self, item: Expr, values: Sequence[Expr]):
         self.item = item
         self.values = tuple(values)
 
     def eval(self, view, params=None):
-        needle = self.item.eval(view, params)
-        if needle is None:
-            return None
-        unknown = False
-        for value in self.values:
-            candidate = value.eval(view, params)
-            if candidate is None:
-                unknown = True
-            elif candidate == needle:
-                return True
-        return None if unknown else False
+        return _member(self.item.eval(view, params),
+                       (value.eval(view, params) for value in self.values))
 
-    def bind(self, schema):
-        return InList(self.item.bind(schema),
-                      [v.bind(schema) for v in self.values])
-
-    def columns(self):
-        out = self.item.columns()
-        for value in self.values:
-            out |= value.columns()
-        return out
-
-    def column_names(self):
-        out = self.item.column_names()
-        for value in self.values:
-            out |= value.column_names()
-        return out
+    def run(self, batch, params, backend, selection):
+        needles = self.item.run(batch, params, backend, selection)
+        if not all(isinstance(v, (Const, Param)) for v in self.values):
+            # Candidates that may depend on the row: x IN (a, b) ≡
+            # x = a OR x = b under three-valued logic, as in ``_member``.
+            return backend.logical_or(
+                [backend.compare(
+                    "=", needles, value.run(batch, params, backend, selection))
+                 for value in self.values])
+        # Constants and parameters: evaluated once per batch.
+        candidates = [value.eval(None, params) for value in self.values]
+        try:
+            members = {c for c in candidates if c is not None}
+        except TypeError:
+            # Unhashable candidates (boxes): elementwise equality.
+            return [_member(needle, candidates) for needle in needles]
+        return backend.in_list(needles, members, None in candidates)
 
     def to_text(self):
-        inner = ", ".join(v.to_text() for v in self.values)
-        return f"{self.item.to_text()} IN ({inner})"
+        inner = ", ".join(_operand(v, 5) for v in self.values)
+        return f"{_operand(self.item, 5)} IN ({inner})"
 
 
 class Between(Expr):
     __slots__ = ("item", "lo", "hi")
+    _children = ("item", "lo", "hi")
+    _level = 4
 
     def __init__(self, item: Expr, lo: Expr, hi: Expr):
         self.item = item
@@ -469,28 +551,30 @@ class Between(Expr):
         hi = self.hi.eval(view, params)
         if value is None or lo is None or hi is None:
             return None
-        return lo <= value <= hi
+        try:
+            return lo <= value <= hi
+        except TypeError as exc:
+            raise PredicateError(
+                f"cannot compare {value!r} BETWEEN {lo!r} AND {hi!r}") \
+                from exc
 
-    def bind(self, schema):
-        return Between(self.item.bind(schema), self.lo.bind(schema),
-                       self.hi.bind(schema))
-
-    def columns(self):
-        return self.item.columns() | self.lo.columns() | self.hi.columns()
-
-    def column_names(self):
-        return (self.item.column_names() | self.lo.column_names()
-                | self.hi.column_names())
+    def run(self, batch, params, backend, selection):
+        return backend.between(
+            self.item.run(batch, params, backend, selection),
+            self.lo.run(batch, params, backend, selection),
+            self.hi.run(batch, params, backend, selection))
 
     def to_text(self):
-        return (f"{self.item.to_text()} BETWEEN {self.lo.to_text()} "
-                f"AND {self.hi.to_text()}")
+        return (f"{_operand(self.item, 5)} BETWEEN {_operand(self.lo, 5)} "
+                f"AND {_operand(self.hi, 5)}")
 
 
 class Like(Expr):
     """SQL LIKE with ``%`` (any run) and ``_`` (any one character)."""
 
     __slots__ = ("item", "pattern", "_regex")
+    _children = ("item",)
+    _level = 4
 
     def __init__(self, item: Expr, pattern: str):
         self.item = item
@@ -509,64 +593,84 @@ class Like(Expr):
                 out.append(re.escape(ch))
         return "^" + "".join(out) + "$"
 
-    def eval(self, view, params=None):
-        value = self.item.eval(view, params)
-        if value is None:
-            return None
+    def match(self, value) -> bool:
         if not isinstance(value, str):
             raise PredicateError(f"LIKE needs a string, got {value!r}")
         return self._regex.match(value) is not None
 
     def bind(self, schema):
-        return Like(self.item.bind(schema), self.pattern)
+        return Like(self.item.bind(schema), self.pattern)  # not ``_regex``
 
-    def columns(self):
-        return self.item.columns()
+    def eval(self, view, params=None):
+        value = self.item.eval(view, params)
+        return None if value is None else self.match(value)
 
-    def column_names(self):
-        return self.item.column_names()
+    def run(self, batch, params, backend, selection):
+        return backend.apply(
+            self.match, [self.item.run(batch, params, backend, selection)])
 
     def to_text(self):
-        return f"{self.item.to_text()} LIKE '{self.pattern}'"
+        escaped = self.pattern.replace("'", "''")
+        return f"{_operand(self.item, 5)} LIKE '{escaped}'"
 
 
 class Func(Expr):
     __slots__ = ("name", "args")
+    _children = ("args",)
 
     def __init__(self, name: str, args: Sequence[Expr]):
         self.name = name.lower()
-        if self.name != "box" and self.name not in _FUNCTIONS:
+        if self.name not in _FUNCTIONS:
             raise PredicateError(f"unknown function {self.name!r}")
         self.args = tuple(args)
 
-    def eval(self, view, params=None):
-        values = [a.eval(view, params) for a in self.args]
-        if any(v is None for v in values):
-            return None
-        if self.name == "box":
-            if len(values) != 4:
-                raise PredicateError("box() takes four coordinates")
-            return Box(*values)
+    def call(self, *values):
         try:
             return _FUNCTIONS[self.name](*values)
         except PredicateError:
             raise
         except Exception as exc:
             raise PredicateError(
-                f"function {self.name}({values!r}) failed: {exc}") from exc
+                f"function {self.name}({list(values)!r}) failed: {exc}") \
+                from exc
 
-    def bind(self, schema):
-        return Func(self.name, [a.bind(schema) for a in self.args])
+    def eval(self, view, params=None):
+        values = [a.eval(view, params) for a in self.args]
+        if any(v is None for v in values):
+            return None
+        return self.call(*values)
 
-    def columns(self):
-        return set().union(set(), *(a.columns() for a in self.args))
-
-    def column_names(self):
-        return set().union(set(), *(a.column_names() for a in self.args))
+    def run(self, batch, params, backend, selection):
+        if not self.args:
+            return [self.call() for __ in range(_domain_size(batch, selection))]
+        return backend.apply(
+            self.call, [a.run(batch, params, backend, selection)
+                        for a in self.args])
 
     def to_text(self):
         inner = ", ".join(a.to_text() for a in self.args)
         return f"{self.name}({inner})"
+
+
+def evaluate(expr: Expr, batch, params: Optional[dict], backend, stats=None,
+             selection: Optional[Sequence[int]] = None) -> list:
+    """``expr``'s value for each row of the batch (restricted to
+    ``selection``): the batch entry point, with the retry that makes it
+    agree with the per-record one.
+
+    ``run`` evaluates whole sub-expressions; ``eval`` short-circuits
+    (``a = 0 OR 10 / a > 1`` never divides where ``a`` is 0).  When
+    ``run`` raises a ``PredicateError`` this batch is re-evaluated row by
+    row, so the error surfaces — or not — exactly as the per-record
+    definition says.
+    """
+    try:
+        return expr.run(batch, params, backend, selection)
+    except PredicateError:
+        if stats is not None:
+            stats.bump_many({"predicate.row_evals":
+                             _domain_size(batch, selection)})
+        return _eval_rows(expr, batch, params, selection)
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +706,6 @@ def simple_comparison(expr: Expr) -> Optional[Tuple[int, str, Expr]]:
     elif isinstance(right, Col) and not left.column_names():
         left, right = right, left
         op = _FLIPPED.get(op, op)
-        if op in SPATIAL_OPS and expr.op == "ENCLOSES":
-            op = "ENCLOSED_BY"
-        elif op in SPATIAL_OPS and expr.op == "ENCLOSED_BY":
-            op = "ENCLOSES"
     else:
         return None
     if left.index is None:
@@ -619,7 +719,7 @@ def simple_comparison(expr: Expr) -> Optional[Tuple[int, str, Expr]]:
 
 _TOKEN_RE = re.compile(r"""
     \s*(?:
-        (?P<number>\d+\.\d*|\.\d+|\d+)
+        (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
       | (?P<string>'(?:[^']|'')*')
       | (?P<param>:[A-Za-z_][A-Za-z_0-9]*)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
@@ -789,7 +889,7 @@ def _parse_unary(tokens: _Tokens) -> Expr:
 def _parse_primary(tokens: _Tokens) -> Expr:
     kind, value = tokens.next()
     if kind == "number":
-        return Const(float(value) if "." in value else int(value))
+        return Const(int(value) if value.isdigit() else float(value))
     if kind == "string":
         return Const(value[1:-1].replace("''", "'"))
     if kind == "param":
@@ -827,13 +927,11 @@ def _parse_primary(tokens: _Tokens) -> Expr:
 # Bound predicate wrapper — what storage methods and attachments receive
 # ---------------------------------------------------------------------------
 
-#: Sentinel: the predicate has not attempted kernel compilation yet
-#: (``None`` in the box means "tried, not vectorizable").
-_KERNEL_UNSET = object()
-
-# Lazily imported kernel module (predicate is imported by the query layer;
-# importing it eagerly here would create a cycle).
-_kernels = None
+#: What batch scans filter with.  The storage-pushdown path has no
+#: per-database backend handle and stays on the pure-Python primitives,
+#: which keeps it deterministic; the operator IR passes the database's
+#: configured backend to :func:`evaluate` instead.
+_VECTOR_OPS = VectorOps()
 
 
 class Predicate:
@@ -845,12 +943,9 @@ class Predicate:
     access-path key) is still in the buffer pool.  Rows for which the
     predicate is unknown (NULL) are rejected, as in SQL.
 
-    Batch scans call :meth:`match_indexes` instead: the expression is
-    compiled once into a column-at-a-time kernel tree (when it falls in
-    the vectorizable subset) and each batch is filtered with O(1)
-    Python-level dispatch, producing a selection vector.  The compiled
-    kernel lives in a shared one-slot box so :meth:`with_params` clones —
-    one per cached-plan execution — reuse the compilation.
+    Batch scans call :meth:`match_indexes` instead: the same bound tree
+    filters each batch column-at-a-time with O(1) Python-level dispatch,
+    producing a selection vector.
     """
 
     def __init__(self, expr: Expr, schema, params: Optional[dict] = None):
@@ -858,7 +953,6 @@ class Predicate:
         self.expr = expr.bind(schema)
         self.params = dict(params) if params else {}
         self.fields_needed: frozenset = frozenset(self.expr.columns())
-        self._kernel_box = [_KERNEL_UNSET]
 
     @classmethod
     def parse(cls, text: str, schema, params: Optional[dict] = None
@@ -879,7 +973,6 @@ class Predicate:
         self.expr = expr
         self.params = dict(params) if params else {}
         self.fields_needed = frozenset(expr.columns())
-        self._kernel_box = [_KERNEL_UNSET]
         return self
 
     def matches(self, view: Union[RecordView, Sequence]) -> bool:
@@ -891,31 +984,17 @@ class Predicate:
                       stats=None) -> List[int]:
         """Selection vector: sorted ordinals of ``records`` that match.
 
-        The expression is filtered column-at-a-time through its kernel
-        tree (compiled on first use, shared across parameter clones),
-        falling back to row-at-a-time evaluation for a batch whose kernel
-        raised (see :func:`~repro.query.kernels.evaluate`).  Either way
+        The expression's truth vector is computed column-at-a-time over
+        the whole batch (see :func:`evaluate` for the row-by-row retry);
         the result is exactly the rows for which the predicate is *true*.
         """
-        global _kernels
-        if _kernels is None:
-            from ..query import kernels as _kernel_module
-            _kernels = _kernel_module
-        kernel = self._kernel_box[0]
-        if kernel is _KERNEL_UNSET:
-            kernel = _kernels.compile_filter(self.expr)
-            self._kernel_box[0] = kernel
-        if kernel is not None:
-            batch = _kernels.ColumnBatch.from_rows(records, self.schema)
-            selection = kernel.select(batch, self.params, stats)
-            if stats is not None:
-                stats.bump_many({"predicate.vector_selects": 1,
-                                 "predicate.vector_rows": len(records)})
-            return selection
+        truth = evaluate(self.expr,
+                         ColumnBatch.from_rows(records, self.schema),
+                         self.params, _VECTOR_OPS, stats)
         if stats is not None:
-            stats.bump_many({"predicate.row_evals": len(records)})
-        return [i for i, record in enumerate(records)
-                if self.matches(record)]
+            stats.bump_many({"predicate.vector_selects": 1,
+                             "predicate.vector_rows": len(records)})
+        return _VECTOR_OPS.select_true(truth)
 
     def evaluable_on(self, available_fields) -> bool:
         """True when every referenced field is in ``available_fields`` —
@@ -931,7 +1010,6 @@ class Predicate:
         clone.expr = self.expr
         clone.params = dict(params)
         clone.fields_needed = self.fields_needed
-        clone._kernel_box = self._kernel_box  # share the compiled kernel
         return clone
 
     def __repr__(self) -> str:

@@ -140,8 +140,7 @@ class SnapshotScan(Scan):
         # Set-at-a-time variant: receives the whole patched batch of
         # ``(key, record)`` pairs and returns the surviving items.  When
         # present it replaces per-record ``transform`` calls, so snapshot
-        # readers run the same vectorized filter kernels as quiesced
-        # scans.
+        # readers filter a batch the same way quiesced scans do.
         self._batch_transform = batch_transform
         self._stats = stats
         self._seen: set = set()

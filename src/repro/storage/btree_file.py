@@ -260,8 +260,7 @@ class BTreeFileScan(Scan):
             run_page = directory[index][1]
             # Gather the run of consecutive entries on this leaf (bounded
             # by the high key), decode it under one pin, then filter the
-            # whole run at once — column-at-a-time when the predicate
-            # compiles to a kernel.
+            # whole run at once, column-at-a-time.
             run: list = []  # (key, slot) in key order
             run_end = index
             while run_end < len(directory):

@@ -263,8 +263,7 @@ class HeapScan(Scan):
             try:
                 # One directory read, then every remaining live record is
                 # decoded where it lies, under a single pin; the predicate
-                # then runs once over the whole page, column-at-a-time
-                # when it compiles to a kernel.
+                # then runs once over the whole page, column-at-a-time.
                 offsets = page.directory()[0]
                 slots = [s for s in range(slot + 1, len(offsets))
                          if offsets[s] != TOMBSTONE]

@@ -92,7 +92,7 @@ class MemoryScan(Scan):
         rows = self.rows
         while index < len(keys) and len(batch) < n:
             # Gather a window of live rows, then filter the window in one
-            # pass — column-at-a-time when the predicate compiles.
+            # pass, column-at-a-time.
             chunk_keys: list = []
             chunk_records: list = []
             while index < len(keys) and len(chunk_records) < n:

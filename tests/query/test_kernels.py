@@ -14,8 +14,9 @@ from repro import Database
 from repro.core.schema import Field, Schema
 from repro.errors import PredicateError
 from repro.query import kernels
-from repro.query.columnar import ColumnBatch
-from repro.services.predicate import Predicate
+from repro.query.backends import PythonBackend
+from repro.services.predicate import Expr, Predicate
+from repro.services.vectors import ColumnBatch
 
 SCHEMA = Schema("t", [Field("id", "INT", nullable=False),
                       Field("name", "STRING"), Field("score", "FLOAT"),
@@ -60,26 +61,35 @@ FILTERS = [
 @pytest.mark.parametrize("text", FILTERS)
 def test_kernel_selection_matches_row_evaluation(text):
     predicate = Predicate.parse(text, SCHEMA)
-    kernel = kernels.compile_filter(predicate.expr)
-    assert kernel is not None, f"{text!r} should vectorize"
     batch = ColumnBatch.from_rows(ROWS, SCHEMA)
-    assert kernel.select(batch, {}, None) == selection_by_rows(predicate)
+    backend = PythonBackend()
+    truth = predicate.expr.run(batch, {}, backend, None)
+    assert backend.select_true(truth) == selection_by_rows(predicate)
 
 
 @pytest.mark.parametrize("text", FILTERS)
 def test_match_indexes_agrees_with_row_fallback(text):
-    """A kernel that raises ``PredicateError`` sends its batch down
-    ``kernels.evaluate``'s per-row retry; both ways select the same rows."""
+    """A ``run`` that raises ``PredicateError`` sends its batch down
+    ``evaluate``'s per-row retry; both ways select the same rows."""
     predicate = Predicate.parse(text, SCHEMA)
     vectorized = predicate.match_indexes(ROWS)
 
-    class Raising(kernels.ValueKernel):
+    class Raising(Expr):
+        """A third-party node whose batch entry point always fails."""
+        _children = ("item",)
+
+        def __init__(self, item):
+            self.item = item
+
+        def eval(self, view, params=None):
+            return self.item.eval(view, params)
+
         def run(self, batch, params, backend, selection):
             raise PredicateError("forced")
 
-    predicate._kernel_box[0].kernel = Raising()
     stats = Database().services.stats
-    fallback = predicate.match_indexes(ROWS, stats)
+    fallback = Predicate.from_bound(Raising(predicate.expr), SCHEMA) \
+        .match_indexes(ROWS, stats)
     assert stats.get("predicate.row_evals") == len(ROWS)
     assert vectorized == fallback == selection_by_rows(predicate)
 
@@ -91,12 +101,14 @@ def test_match_indexes_agrees_with_row_fallback(text):
     "NOT (id > 1 AND score > 0)",  # NOT over a conjunction
 ])
 def test_general_shapes_compile_via_expression_kernels(text):
-    """Shapes beyond column-vs-constant comparisons compile through the
-    same expression compiler and agree with per-row evaluation."""
+    """Shapes beyond column-vs-constant comparisons filter a batch
+    through ``run`` itself — no row retry — and agree with per-row
+    evaluation."""
     predicate = Predicate.parse(text, SCHEMA)
-    kernel = kernels.compile_filter(predicate.expr)
-    assert kernel is not None
-    assert predicate.match_indexes(ROWS) == selection_by_rows(predicate)
+    stats = Database().services.stats
+    assert predicate.match_indexes(ROWS, stats) == selection_by_rows(predicate)
+    assert stats.get("predicate.row_evals") == 0
+    assert stats.get("predicate.vector_rows") == len(ROWS)
 
 
 def test_parameterized_predicate_shares_compiled_kernel():
@@ -104,8 +116,8 @@ def test_parameterized_predicate_shares_compiled_kernel():
     first = predicate.with_params({"n": 3})
     second = predicate.with_params({"n": 5})
     assert first.match_indexes(ROWS) == [3, 4, 5, 6]
-    # The clone reuses the kernel the first execution compiled.
-    assert second._kernel_box is predicate._kernel_box
+    # The clones share the one bound tree: it is the kernel.
+    assert second.expr is first.expr is predicate.expr
     assert second.match_indexes(ROWS) == [5, 6]
 
 

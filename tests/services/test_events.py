@@ -87,3 +87,12 @@ def test_unknown_event_rejected():
         events.defer(1, "no_such_event", lambda t, d: None)
     with pytest.raises(ValueError):
         events.subscribe("no_such_event", lambda t, i: None)
+
+
+def test_unknown_event_error_is_typed_and_names_the_event():
+    from repro.errors import ReproError, UnknownEventError
+    with pytest.raises(UnknownEventError) as caught:
+        EventService().subscribe("no_such_event", lambda t, i: None)
+    assert isinstance(caught.value, ReproError)
+    assert caught.value.event == "no_such_event"
+    assert ev.AT_COMMIT in caught.value.expected

@@ -1,7 +1,13 @@
 """Common predicate evaluator: parsing, three-valued logic, analysis."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
+from repro import Database
 from repro.core.records import Box, RecordView
 from repro.core.schema import Field, Schema
 from repro.errors import PredicateError
@@ -98,6 +104,59 @@ def test_to_text_roundtrips_through_parser(schema):
         again = parse_expression(expr.to_text())
         view = RecordView.from_record(ROW)
         assert expr.bind(schema).eval(view) == again.bind(schema).eval(view)
+
+
+def _roundtrip(expr):
+    """``expr`` → text → tree → text is a fixed point, and the reparsed
+    tree has the same shape (``to_text`` is injective up to the parser's
+    own flattening of nested AND/OR)."""
+    text = expr.to_text()
+    again = parse_expression(text)
+    assert again.to_text() == text
+    return again
+
+
+def test_to_text_escapes_quote_in_like_pattern(schema):
+    again = _roundtrip(Like(Col("name"), "O'B%"))
+    assert again.pattern == "O'B%"
+    row = (1, "O'Brien", 1.0, True, None)
+    assert again.bind(schema).eval(RecordView.from_record(row)) is True
+
+
+def test_to_text_parenthesises_comparison_under_is_null(schema):
+    again = _roundtrip(IsNull(Cmp("=", Col("id"), Col("salary"))))
+    assert isinstance(again, IsNull) and isinstance(again.item, Cmp)
+    view = RecordView.from_record((1, "a", None, True, None))
+    assert again.bind(schema).eval(view) is True
+
+
+def test_to_text_parenthesises_comparison_nested_in_comparison(schema):
+    again = _roundtrip(Cmp("=", Cmp("<", Col("id"), Const(5)), Col("active")))
+    assert isinstance(again.left, Cmp) and again.left.op == "<"
+    assert again.bind(schema).eval(RecordView.from_record(ROW)) is True
+
+
+def test_to_text_parenthesises_by_precedence_only_where_needed():
+    for text in ["a - (b - c)", "a - b - c", "a * (b + c)", "a + b * c",
+                 "-(a + b)", "NOT a = 1 AND b = 2", "NOT (a = 1 AND b = 2)",
+                 "(a = 1 OR b = 2) AND c = 3", "a = 1 OR b = 2 AND c = 3",
+                 "(NOT a) = b", "a IN (b + 1, -c)",
+                 "(a = 1) BETWEEN (b < 2) AND c"]:
+        assert parse_expression(text).to_text() == text
+
+
+def test_small_float_constant_roundtrips_through_exponent_form(schema):
+    expr = Cmp("=", Col("salary"), Const(0.00001))
+    assert "e-05" in expr.to_text()
+    again = _roundtrip(expr)
+    assert again.right.value == 0.00001
+
+
+def test_number_token_accepts_an_exponent(schema):
+    assert parse_expression("1e5").value == 100000.0
+    assert parse_expression("2.5E-3").value == 0.0025
+    assert isinstance(parse_expression("15").value, int)
+    assert match(schema, "salary = 1e2", ROW)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +256,68 @@ def test_simple_comparison_accepts_parameters(schema):
 def test_register_function_extends_evaluator(schema):
     register_function("double_it", lambda v: v * 2)
     assert match(schema, "double_it(id) = 2", ROW)
+
+
+def test_function_without_arguments_fills_the_batch(schema):
+    """No argument vector to take the batch length from: the batch entry
+    point must still answer one value per row."""
+    register_function("seven", lambda: 7)
+    predicate = Predicate.parse("seven() = id + 6", schema)
+    rows = [ROW, (2,) + ROW[1:], ROW]
+    assert predicate.match_indexes(rows) == [0, 2]
+    assert [predicate.matches(row) for row in rows] == [True, False, True]
+
+
+def test_function_registered_after_plan_is_cached_reaches_both_entry_points():
+    """Functions are looked up by name at evaluation time, so the bound
+    tree a cached plan holds sees a later ``register_function`` — through
+    ``eval`` (UPDATE … SET, per record) and through ``run`` (SELECT)."""
+    db = Database()
+    db.create_table("t", [("a", "INT")]).insert_many([(1,), (2,), (3,)])
+    register_function("scaled", lambda v: v * 2)
+    select = "SELECT scaled(a) FROM t WHERE scaled(a) > 2"
+    update = "UPDATE t SET a = scaled(a) WHERE a = 3"
+    assert sorted(db.execute(select)) == [(4,), (6,)]
+    db.execute(update)
+    assert sorted(db.execute("SELECT a FROM t")) == [(1,), (2,), (6,)]
+    translations = db.services.stats.get("plan_cache.translations")
+    register_function("scaled", lambda v: v * 10)
+    assert sorted(db.execute(select)) == [(10,), (20,), (60,)]
+    db.execute("UPDATE t SET a = 3 WHERE a = 6")
+    db.execute(update)
+    assert sorted(db.execute("SELECT a FROM t")) == [(1,), (2,), (30,)]
+    # select and update ran from their cached plans the second time.
+    assert db.services.stats.get("plan_cache.translations") \
+        == translations + 1
+
+
+def test_predicate_service_does_not_reach_up_into_the_query_layer():
+    """Building, binding and batch-filtering a predicate in a fresh
+    interpreter loads no query-layer module.  (``import repro`` itself
+    loads ``repro.query.cost``: the core's extension interfaces are
+    declared in terms of its cost structs.)"""
+    script = """
+import sys
+import repro.services.predicate as predicate
+from repro.core.schema import Field, Schema
+before = {m for m in sys.modules if m.startswith("repro.query")}
+assert before <= {"repro.query", "repro.query.cost"}, before
+schema = Schema("t", [Field("a", "INT"), Field("b", "STRING")])
+bound = predicate.Predicate.parse(
+    "a + 1 > :n AND (b LIKE 'x%' OR upper(b) IN ('Y', 'Z'))", schema,
+    {"n": 2})
+rows = [(1, "x"), (2, "xy"), (3, None), (4, "y"), (None, "z")]
+assert bound.match_indexes(rows) == [1, 3]
+assert [bound.matches(row) for row in rows] == [False, True, False, True,
+                                                 False]
+after = {m for m in sys.modules if m.startswith("repro.query")}
+assert after == before, after - before
+"""
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run([sys.executable, "-c", script], cwd=source,
+                          env={**os.environ, "PYTHONPATH": source},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_qualified_column_names_parse():

@@ -146,6 +146,17 @@ def test_sharp_checkpoint_makes_redo_cheap(db):
     assert table.count() == 50
 
 
+def test_unknown_checkpoint_mode_is_a_typed_error(db):
+    from repro.errors import ReproError, UnknownCheckpointModeError
+    before = db.services.stats.get("db.checkpoints")
+    with pytest.raises(UnknownCheckpointModeError) as caught:
+        db.checkpoint(mode="blurry")
+    assert caught.value.mode == "blurry"
+    assert isinstance(caught.value, ReproError)
+    assert isinstance(caught.value, ValueError)  # what callers caught before
+    assert db.services.stats.get("db.checkpoints") == before
+
+
 def test_fuzzy_checkpoint_bounds_redo_without_flushing_pages(db):
     """A fuzzy checkpoint flushes no data pages, yet restart replays only
     from min(rec_lsn) over the checkpointed dirty-page table — and the
