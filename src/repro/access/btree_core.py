@@ -16,16 +16,24 @@ attachment rebuilds the tree from its base relation.
 Each node occupies one page (a single slotted-page record holding the
 pickled node).  Splits keep both an entry-count bound and a byte bound so
 pickled nodes always fit their page.
+
+Nodes are read through the buffer frame's decoded image
+(``BufferPool.decoded``): unpickled once per resident frame, a visit still
+a pin, each node on a probe's path read once.  The image is shared, so
+nobody changes what ``_read`` returns: ``insert`` and ``delete`` change a
+``copy()``, and only a page write that succeeded makes it visible.
 """
 
 from __future__ import annotations
 
 import pickle
+from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
-from ..errors import StorageError
+from ..errors import PageError, StorageError
 from ..services.buffer import BufferPool
-from ..services.pages import HEADER_SIZE, SLOT_SIZE
+from ..services.pages import HEADER_SIZE, SLOT_SIZE, PageView
 
 __all__ = ["BTree"]
 
@@ -51,10 +59,20 @@ class _Node:
              self.next_leaf), protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
-    def load(cls, raw: bytes) -> "_Node":
+    def load(cls, page: PageView) -> "_Node":
         node = cls(True)
         (node.leaf, node.keys, node.values, node.children,
-         node.next_leaf) = pickle.loads(raw)
+         node.next_leaf) = pickle.loads(page.read(0))
+        return node
+
+    def copy(self) -> "_Node":
+        """A private copy a mutator may change (the lists are new, the
+        entries shared)."""
+        node = _Node(self.leaf)
+        node.keys = list(self.keys)
+        node.values = list(self.values)
+        node.children = list(self.children)
+        node.next_leaf = self.next_leaf
         return node
 
 
@@ -135,42 +153,35 @@ class BTree:
         and dropped/recreated under reorganisation.
         """
         key = tuple(key)
-        page_id = self._descend_to_leaf(key)
-        while page_id != -1:
-            node = self._read(page_id)
-            changed = False
-            for i in range(len(node.keys)):
-                if node.keys[i] == key and node.values[i] == value:
+        page_id, node = self._descend(key)
+        while True:
+            for i in range(bisect_left(node.keys, key), len(node.keys)):
+                if node.keys[i] != key:
+                    return False
+                if node.values[i] == value:
+                    node = node.copy()
                     del node.keys[i]
                     del node.values[i]
-                    changed = True
-                    break
-            if changed:
-                self._write(page_id, node)
-                self.state["nentries"] -= 1
-                return True
-            if node.keys and node.keys[0] > key:
-                break
+                    self._write(page_id, node.dump())
+                    self.state["nentries"] -= 1
+                    return True
             page_id = node.next_leaf
-        return False
+            if page_id == -1:
+                return False
+            node = self._read(page_id)
 
     def search(self, key: tuple) -> List:
         """All values stored under exactly ``key``."""
         key = tuple(key)
         out: List = []
-        page_id = self._descend_to_leaf(key)
-        while page_id != -1:
-            node = self._read(page_id)
-            past = False
-            for k, v in zip(node.keys, node.values):
-                if k == key:
-                    out.append(v)
-                elif k > key:
-                    past = True
-                    break
-            if past:
-                break
-            page_id = node.next_leaf
+        node = self._descend(key)[1]
+        while node is not None:
+            keys = node.keys
+            for i in range(bisect_left(keys, key), len(keys)):
+                if keys[i] != key:
+                    return out
+                out.append(node.values[i])
+            node = self._next(node)
         return out
 
     def range(self, low: Optional[tuple] = None, high: Optional[tuple] = None,
@@ -183,25 +194,25 @@ class BTree:
         compares accordingly (so an equality on the leading index column
         selects the whole duplicate run).
         """
-        page_id = (self._leftmost_leaf() if low is None
-                   else self._descend_to_leaf(tuple(low)))
         low_t = tuple(low) if low is not None else None
         high_t = tuple(high) if high is not None else None
-        while page_id != -1:
-            node = self._read(page_id)
-            for k, v in zip(node.keys, node.values):
-                if low_t is not None:
-                    prefix = k[:len(low_t)]
-                    if prefix < low_t or (not low_inclusive
-                                          and prefix == low_t):
+        node = self._descend(low_t)[1]
+        # Everything left of this position sorts below ``low``.
+        start = 0 if low_t is None else bisect_left(node.keys, low_t)
+        skip_low = low_t is not None and not low_inclusive
+        while node is not None:
+            for k, v in islice(zip(node.keys, node.values), start, None):
+                if skip_low:
+                    if k[:len(low_t)] == low_t:
                         continue
+                    skip_low = False  # past the run equal to the bound
                 if high_t is not None:
                     prefix = k[:len(high_t)]
                     if prefix > high_t or (not high_inclusive
                                            and prefix == high_t):
                         return
                 yield k, v
-            page_id = node.next_leaf
+            node, start = self._next(node), 0
 
     def entries_after(self, position: Optional[Tuple[tuple, object]],
                       high: Optional[tuple] = None,
@@ -214,16 +225,14 @@ class BTree:
             yield from self.range(None, high, True, high_inclusive)
             return
         pos_key, pos_value = tuple(position[0]), position[1]
-        page_id = self._descend_to_leaf(pos_key)
+        node = self._descend(pos_key)[1]
+        start = bisect_left(node.keys, pos_key)
         passed = False
         high_t = tuple(high) if high is not None else None
-        while page_id != -1:
-            node = self._read(page_id)
-            for k, v in zip(node.keys, node.values):
+        while node is not None:
+            for k, v in islice(zip(node.keys, node.values), start, None):
                 if not passed:
-                    if k < pos_key:
-                        continue
-                    if k == pos_key and not passed:
+                    if k == pos_key:
                         if v == pos_value:
                             passed = True
                             continue
@@ -238,7 +247,7 @@ class BTree:
                                            and prefix == high_t):
                         return
                 yield k, v
-            page_id = node.next_leaf
+            node, start = self._next(node), 0
 
     # -- stats ------------------------------------------------------------------------
     @property
@@ -281,29 +290,34 @@ class BTree:
                      ) -> Optional[Tuple[tuple, int]]:
         node = self._read(page_id)
         if node.leaf:
-            index = self._position(node.keys, key)
+            node = node.copy()
+            index = bisect_right(node.keys, key)
             node.keys.insert(index, key)
             node.values.insert(index, value)
-            if self._overflowing(node):
-                return self._split_leaf(page_id, node)
-            self._write(page_id, node)
-            return None
-        index = self._child_index(node.keys, key)
+            return self._store(page_id, node)
+        index = bisect_right(node.keys, key)
         split = self._insert_into(node.children[index], key, value)
         if split is None:
             return None
         middle_key, right_page = split
+        node = node.copy()
         node.keys.insert(index, middle_key)
         node.children.insert(index + 1, right_page)
-        if self._overflowing(node):
-            return self._split_interior(page_id, node)
-        self._write(page_id, node)
-        return None
+        return self._store(page_id, node)
 
-    def _overflowing(self, node: _Node) -> bool:
-        if len(node.keys) > self.max_entries:
-            return True
-        return len(node.dump()) > self._byte_capacity and len(node.keys) > 2
+    def _store(self, page_id: int, node: _Node
+               ) -> Optional[Tuple[tuple, int]]:
+        """Write a grown node back, or split it when it overflows its
+        entry bound or its page (the ``dump`` that decides is the one
+        written)."""
+        if len(node.keys) <= self.max_entries:
+            raw = node.dump()
+            if len(raw) <= self._byte_capacity or len(node.keys) <= 2:
+                self._write(page_id, raw)
+                return None
+        if node.leaf:
+            return self._split_leaf(page_id, node)
+        return self._split_interior(page_id, node)
 
     def _split_leaf(self, page_id: int, node: _Node) -> Tuple[tuple, int]:
         half = len(node.keys) // 2
@@ -315,7 +329,7 @@ class BTree:
         node.values = node.values[:half]
         right_page = self._allocate(right)
         node.next_leaf = right_page
-        self._write(page_id, node)
+        self._write(page_id, node.dump())
         return right.keys[0], right_page
 
     def _split_interior(self, page_id: int, node: _Node) -> Tuple[tuple, int]:
@@ -327,33 +341,37 @@ class BTree:
         node.keys = node.keys[:half]
         node.children = node.children[:half + 1]
         right_page = self._allocate(right)
-        self._write(page_id, node)
+        self._write(page_id, node.dump())
         return middle_key, right_page
 
-    def _descend_to_leaf(self, key: tuple) -> int:
-        """Left-most leaf that can contain ``key``.
+    def _descend(self, key: Optional[tuple]) -> Tuple[int, _Node]:
+        """``(page id, node)`` of the left-most leaf that can contain
+        ``key`` (of the first leaf for ``None``), reading each node on the
+        way exactly once.
 
         Descends with ``bisect_left`` so that, when duplicates of ``key``
         straddle a split boundary, the scan starts at the first occurrence
         and walks right through the leaf chain.
         """
-        import bisect
         page_id = self.state["root"]
         node = self._read(page_id)
         while not node.leaf:
-            page_id = node.children[bisect.bisect_left(node.keys, key)]
+            page_id = node.children[
+                0 if key is None else bisect_left(node.keys, key)]
             node = self._read(page_id)
-        return page_id
+        return page_id, node
+
+    def _next(self, node: _Node) -> Optional[_Node]:
+        """The leaf after ``node`` in the chain, or None at its end."""
+        return None if node.next_leaf == -1 else self._read(node.next_leaf)
 
     def min_key(self) -> Optional[tuple]:
         """Smallest key stored, or None when empty (for cost estimation)."""
-        node = self._read(self._leftmost_leaf())
+        node = self._descend(None)[1]
         while node is not None:
             if node.keys:
                 return node.keys[0]
-            if node.next_leaf == -1:
-                return None
-            node = self._read(node.next_leaf)
+            node = self._next(node)
         return None
 
     def max_key(self) -> Optional[tuple]:
@@ -371,41 +389,25 @@ class BTree:
 
         return largest(self.state["root"])
 
-    def _leftmost_leaf(self) -> int:
-        page_id = self.state["root"]
-        node = self._read(page_id)
-        while not node.leaf:
-            page_id = node.children[0]
-            node = self._read(page_id)
-        return page_id
-
-    @staticmethod
-    def _position(keys: List[tuple], key: tuple) -> int:
-        import bisect
-        return bisect.bisect_right(keys, key)
-
-    @staticmethod
-    def _child_index(keys: List[tuple], key: tuple) -> int:
-        import bisect
-        return bisect.bisect_right(keys, key)
-
     def _read(self, page_id: int) -> _Node:
-        page = self.buffer.fetch(page_id)
-        try:
-            return _Node.load(page.read(0))
-        finally:
-            self.buffer.unpin(page_id)
+        """The node on ``page_id`` — the buffer frame's decoded image,
+        shared with every other reader: never mutate it, ``copy()`` first."""
+        return self.buffer.decoded(page_id, _Node.load)
 
-    def _write(self, page_id: int, node: _Node) -> None:
-        raw = node.dump()
+    def _write(self, page_id: int, raw: bytes) -> None:
         page = self.buffer.fetch(page_id)
+        changed = True
         try:
             page.update(0, raw)
+        except PageError:
+            # ``update`` put the old record back: the frame stays as clean
+            # as it was and keeps its image.
+            changed = False
+            raise
         finally:
-            self.buffer.unpin(page_id, dirty=True)
+            self.buffer.unpin(page_id, dirty=changed)
 
     def _allocate(self, node: _Node) -> int:
-        from ..services.pages import PageView
         page = self.buffer.new_page(PAGE_TYPE_BTREE_NODE)
         try:
             page.insert(node.dump())

@@ -115,16 +115,20 @@ class BTreeIndexScan(Scan):
         self._filter_here = (predicate is not None
                              and predicate.evaluable_on(self.key_fields))
 
+    def _entries(self):
+        """The tree's entries after the current position, within the range
+        (one descent when the first of them is asked for)."""
+        if self.position is None:
+            return self._tree.range(self.low, self.high, self.low_inclusive,
+                                    self.high_inclusive)
+        return self._tree.entries_after(self.position, self.high,
+                                        self.high_inclusive)
+
     def next(self):
         self._check_open()
-        if self.position is None:
-            entries = self._tree.range(self.low, self.high,
-                                       self.low_inclusive,
-                                       self.high_inclusive)
-        else:
-            entries = self._tree.entries_after(self.position, self.high,
-                                               self.high_inclusive)
-        for key, value in entries:
+        if self.state is AFTER:
+            return None  # ran off the end of the range: no descent to relearn it
+        for key, value in self._entries():
             self.position = (key, value)
             self.state = ON
             self.ctx.stats.bump("btree_index.entries_scanned")
@@ -139,20 +143,17 @@ class BTreeIndexScan(Scan):
 
     def next_batch(self, n: int) -> list:
         """Consume one tree traversal for up to ``n`` entries: a single
-        root-to-leaf descent per batch instead of one per entry."""
+        root-to-leaf descent per batch instead of one per entry.  A batch
+        that exhausts the range leaves the scan *after* it, so the call
+        that only learns the scan is over descends nowhere."""
         self._check_open()
         if n < 1:
             raise ScanError(f"next_batch needs a positive count, got {n}")
-        if self.position is None:
-            entries = self._tree.range(self.low, self.high,
-                                       self.low_inclusive,
-                                       self.high_inclusive)
-        else:
-            entries = self._tree.entries_after(self.position, self.high,
-                                               self.high_inclusive)
+        if self.state is AFTER:
+            return []
         batch: list = []
-        position, scanned = self.position, 0
-        for key, value in entries:
+        position, scanned, state = self.position, 0, AFTER
+        for key, value in self._entries():
             position = (key, value)
             scanned += 1
             view = RecordView.from_fields(self.key_fields, key)
@@ -160,6 +161,7 @@ class BTreeIndexScan(Scan):
                 continue
             batch.append((value, view))
             if len(batch) >= n:
+                state = ON  # stopped by the count, not by the range
                 break
         if scanned:
             self.ctx.stats.bump("btree_index.entries_scanned", scanned)
@@ -168,7 +170,7 @@ class BTreeIndexScan(Scan):
         self.ctx.lock_records(self.handle.relation_id,
                               [value for value, __ in batch], LockMode.S)
         self.position = position
-        self.state = ON if batch else AFTER
+        self.state = state
         return batch
 
     def save_position(self) -> ScanPosition:

@@ -38,7 +38,7 @@ __all__ = ["BufferPool"]
 
 class _Frame:
     __slots__ = ("page_id", "data", "pin_count", "dirty", "prefetched",
-                 "rec_lsn", "rec_candidate")
+                 "rec_lsn", "rec_candidate", "image")
 
     def __init__(self, page_id: int, data: bytearray):
         self.page_id = page_id
@@ -51,6 +51,9 @@ class _Frame:
         #: Conservative floor for rec_lsn, captured when a clean frame is
         #: pinned — no log record of the pin's modifications can precede it.
         self.rec_candidate = 0
+        #: Decoded form of ``data`` (see :meth:`BufferPool.decoded`), or
+        #: None.  It lives and dies with the frame.
+        self.image = None
 
 
 class BufferPool:
@@ -108,6 +111,26 @@ class BufferPool:
 
     def fetch(self, page_id: int) -> PageView:
         """Return a pinned view of the page, reading it if not cached."""
+        return PageView(page_id, self._pin(page_id).data)
+
+    def decoded(self, page_id: int, decode: Callable[[PageView], object]):
+        """``decode(page)``, computed once per resident frame and shared.
+
+        A hit is still a pin — counted, LRU-touched, released before
+        returning — so ``buffer.pins`` keeps meaning "page visited".
+        Whoever asks first fills the image; it goes with the bytes it
+        mirrors (frame unpinned dirty, evicted, freed, lost in
+        :meth:`crash`) and is never mutated: a writer copies it first.
+        """
+        frame = self._pin(page_id)
+        try:
+            if frame.image is None:
+                frame.image = decode(PageView(page_id, frame.data))
+            return frame.image
+        finally:
+            frame.pin_count -= 1
+
+    def _pin(self, page_id: int) -> _Frame:
         frame = self._frames.get(page_id)
         if frame is None:
             self.stats.bump("buffer.misses")
@@ -126,7 +149,7 @@ class BufferPool:
             frame.rec_candidate = self._next_lsn()
         frame.pin_count += 1
         self.stats.bump("buffer.pins")
-        return PageView(page_id, frame.data)
+        return frame
 
     def prefetch(self, page_ids: Iterable[int]) -> int:
         """Pre-install pages without pinning them.
@@ -177,9 +200,11 @@ class BufferPool:
         if frame is None or frame.pin_count == 0:
             raise BufferError_(f"unpin of unpinned page {page_id}")
         frame.pin_count -= 1
-        if dirty and not frame.dirty:
-            frame.dirty = True
-            frame.rec_lsn = frame.rec_candidate or self._next_lsn()
+        if dirty:
+            frame.image = None  # the bytes it mirrored may have changed
+            if not frame.dirty:
+                frame.dirty = True
+                frame.rec_lsn = frame.rec_candidate or self._next_lsn()
 
     @contextmanager
     def pinned(self, page_id: int, dirty: bool = False):

@@ -271,12 +271,15 @@ class PageView:
             self._write_slot(slot, offset, len(raw))
             return old
         self._write_slot(slot, TOMBSTONE, 0)
-        if not self.fits(len(raw)):
+        try:
+            if not self.fits(len(raw)):
+                raise PageError(
+                    f"updated record ({len(raw)}B) does not fit on page "
+                    f"{self.page_id}")
+        except PageError:
             # put the old record back before reporting failure
             self._write_slot(slot, offset, length)
-            raise PageError(
-                f"updated record ({len(raw)}B) does not fit on page "
-                f"{self.page_id}")
+            raise
         if self.free_space() < len(raw):
             self.compact()
         header = list(self._header())

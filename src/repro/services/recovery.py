@@ -112,7 +112,7 @@ class RecoveryManager:
     def log_update(self, txn_id: int, resource: str, payload: dict) -> LogRecord:
         """Append a logical operation record for a recoverable extension."""
         self.handler(resource)  # fail fast if nothing could ever undo it
-        return self.wal.append(txn_id, wal_records.UPDATE, resource, payload)
+        return self.wal.log(txn_id, wal_records.UPDATE, resource, payload)
 
     # -- rollback (partial or total) ------------------------------------------------
     def rollback(self, txn_id: int, to_lsn: int = 0) -> int:
@@ -150,11 +150,12 @@ class RecoveryManager:
         """Take a fuzzy checkpoint; returns its summary.
 
         The protocol writes CHECKPOINT_BEGIN, snapshots the active-
-        transaction table (with each transaction's last and first LSN) and
-        the buffer pool's dirty-page table, writes both into
-        CHECKPOINT_END, forces the log, and only then advances the master
-        pointer — so a crash anywhere inside the window falls back to the
-        previous complete checkpoint.  No data page is flushed.
+        transaction table (each transaction that has logged anything, with
+        its last and first LSN) and the buffer pool's dirty-page table,
+        writes both into CHECKPOINT_END, forces the log, and only then
+        advances the master pointer — so a crash anywhere inside the
+        window falls back to the previous complete checkpoint.  No data
+        page is flushed.
 
         The summary carries ``redo_lsn`` (where restart redo would begin)
         and ``truncatable_below`` (the safe log-truncation bound: nothing
@@ -168,18 +169,22 @@ class RecoveryManager:
         if transactions is not None:
             for txn in transactions.active_transactions():
                 last = wal.last_lsn(txn.txn_id)
-                if last:
-                    kind = wal.record(last).kind
-                    if kind in (wal_records.COMMIT, wal_records.END):
-                        # The checkpoint can fire mid-commit (the trigger
-                        # runs inside the COMMIT/END append, before the
-                        # manager marks the transaction committed).  Its
-                        # fate is already sealed in the log below this
-                        # checkpoint — and stable, because the checkpoint
-                        # flush covers every earlier record — so putting
-                        # it in the ATT would make analysis call committed
-                        # work a loser and undo it.
-                        continue
+                if not last:
+                    # Never logged (a reader, so far): to the log, and so
+                    # to restart, there is no such transaction — listing
+                    # it would make analysis call it a loser.
+                    continue
+                if wal.record(last).kind in (wal_records.COMMIT,
+                                             wal_records.END):
+                    # The checkpoint can fire mid-commit (the trigger runs
+                    # inside the COMMIT/END append, before the manager
+                    # marks the transaction committed).  Its fate is
+                    # already sealed in the log below this checkpoint —
+                    # and stable, because the checkpoint flush covers
+                    # every earlier record — so putting it in the ATT
+                    # would make analysis call committed work a loser and
+                    # undo it.
+                    continue
                 att[txn.txn_id] = {"state": txn.state.value,
                                    "gtid": txn.gtid,
                                    "last_lsn": last,
@@ -194,8 +199,8 @@ class RecoveryManager:
         wal.flush()
         wal.set_master(begin.lsn)
         redo_lsn = min([begin.lsn] + list(dpt.values()))
-        undo_lsn = min([first["first_lsn"] for first in att.values()
-                        if first["first_lsn"]] or [begin.lsn])
+        undo_lsn = min([info["first_lsn"] for info in att.values()]
+                       or [begin.lsn])
         self._bump("recovery.checkpoints")
         return {"begin_lsn": begin.lsn, "end_lsn": end.lsn,
                 "redo_lsn": redo_lsn,

@@ -86,9 +86,12 @@ class Scan:
         An empty list means the scan is *after* the last item.  After a
         non-empty return the scan is *on* the last item of the batch, so
         ``save_position`` / ``restore_position`` keep their tuple-at-a-time
-        meaning at batch boundaries.  The default loops over :meth:`next`;
-        extensions override it to extract a whole page of records under a
-        single buffer pin.
+        meaning at batch boundaries — or already *after* it, when the scan
+        saw its key sequence end while filling the batch: *after* is
+        terminal until ``restore_position`` moves the scan back, so the
+        next call may answer without looking.  The default loops over
+        :meth:`next`; extensions override it to extract a whole page of
+        records under a single buffer pin.
         """
         if n < 1:
             raise ScanError(f"next_batch needs a positive count, got {n}")

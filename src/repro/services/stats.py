@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["StatsService", "NamespacedStats"]
 
@@ -66,11 +66,20 @@ class StatsService:
     session's private counter set, so per-session and engine-wide totals
     reconcile exactly: for any counter, the sum over sessions plus the
     out-of-session remainder equals the engine-wide value.
+
+    A scope resolves its session's ``Counter`` once, on entry, and a bump
+    inside it is one dict add into that.  Scopes nest (leaving the inner
+    one restores the outer mirror), and a session with a live scope stays
+    registered: :meth:`reset` and :meth:`drop_session` empty its counters
+    in place, so later bumps in the scope are still attributed to it.
     """
 
     def __init__(self):
         self._counters = Counter()
-        self._session: Optional[int] = None
+        #: Session ids of the live scopes, innermost last.
+        self._live: List[int] = []
+        #: The innermost live scope's counter set (None outside any scope).
+        self._mirror: Optional[Counter] = None
         self._per_session: Dict[int, Counter] = {}
         self._namespaces: Dict[str, NamespacedStats] = {}
 
@@ -84,18 +93,23 @@ class StatsService:
     @contextmanager
     def session(self, session_id: int):
         """Attribute all bumps inside the block to ``session_id`` too."""
-        previous = self._session
-        self._session = session_id
+        outer = self._mirror
+        mirror = self._per_session.get(session_id)
+        if mirror is None:
+            mirror = self._per_session[session_id] = Counter()
+        self._mirror = mirror
+        self._live.append(session_id)
         try:
             yield self
         finally:
-            self._session = previous
+            self._live.pop()
+            self._mirror = outer
 
     def bump(self, name: str, amount: int = 1) -> None:
         self._counters[name] += amount
-        if self._session is not None:
-            self._per_session.setdefault(self._session,
-                                         Counter())[name] += amount
+        mirror = self._mirror
+        if mirror is not None:
+            mirror[name] += amount
 
     def bump_many(self, counters: Dict[str, int]) -> None:
         """Add several counters at once (one call per batch, not per record).
@@ -105,30 +119,35 @@ class StatsService:
         counter values stay identical to the tuple-at-a-time path while the
         bookkeeping cost stops scaling with the batch size.
         """
-        self._counters.update(counters)
-        if self._session is not None:
-            self._per_session.setdefault(self._session,
-                                         Counter()).update(counters)
+        for target in (self._counters, self._mirror):
+            if target is not None:
+                for name, amount in counters.items():
+                    target[name] += amount
 
     def get(self, name: str) -> int:
         return self._counters[name]
 
     def session_get(self, session_id: int, name: str) -> int:
-        return self._per_session.get(session_id, Counter())[name]
+        return self._per_session.get(session_id, {}).get(name, 0)
 
     def session_snapshot(self, session_id: int) -> dict:
-        return dict(self._per_session.get(session_id, Counter()))
+        return dict(self._per_session.get(session_id, ()))
 
     def session_ids(self) -> tuple:
         return tuple(self._per_session)
 
     def drop_session(self, session_id: int) -> None:
-        """Forget a closed session's counters (engine-wide ones remain)."""
-        self._per_session.pop(session_id, None)
+        """Forget a closed session's counters (engine-wide ones remain);
+        a session with a live scope is emptied but stays registered."""
+        if session_id in self._live:
+            self._per_session[session_id].clear()
+        else:
+            self._per_session.pop(session_id, None)
 
     def reset(self) -> None:
         self._counters.clear()
-        self._per_session.clear()
+        for session_id in list(self._per_session):
+            self.drop_session(session_id)
 
     def snapshot(self) -> dict:
         return dict(self._counters)

@@ -14,6 +14,13 @@ Coordinates the common services on the paper's transaction events:
   key-sequential positions (their changes are not logged), and on partial
   rollback drive the undo back to the savepoint LSN and restore positions.
 
+A transaction exists in the log from its first logged record: BEGIN is
+written immediately before it (``LogManager.log``), so a writer's log is
+BEGIN, its operations, COMMIT, END, while a transaction that logged
+nothing — a locking reader — commits or aborts without appending or
+forcing anything.  It still fires every event, releases its locks and has
+its scans closed; to restart, checkpoints and log shipping it never was.
+
 Group commit: with ``group_commit_limit`` set, commits *enqueue* their
 COMMIT record instead of forcing the log one transaction at a time; one
 flush (:meth:`TransactionManager.commit_group`, or the automatic flush
@@ -332,7 +339,7 @@ class TransactionManager:
 
     # -- lifecycle -------------------------------------------------------------
     def begin(self, snapshot: bool = False) -> Transaction:
-        """Start a transaction.
+        """Start a transaction (nothing is logged until it logs something).
 
         With ``snapshot=True`` the transaction is read-only under snapshot
         isolation: it gets a consistent read point (the current end of
@@ -354,8 +361,6 @@ class TransactionManager:
             txn.snapshot = snap
             if self.stats is not None:
                 self.stats.bump("txn.snapshots_begun")
-        else:
-            self.wal.append(txn.txn_id, wal_records.BEGIN)
         return txn
 
     def commit(self, txn: Transaction) -> None:
@@ -379,28 +384,36 @@ class TransactionManager:
         and settle.  Shared by the local one-phase :meth:`commit` and the
         coordinator-driven :meth:`commit_decided` (which never joins a
         group: the coordinator's decision must be durable immediately)."""
-        record = self.wal.append(txn.txn_id, wal_records.COMMIT)
-        # Visibility is decided by the COMMIT record's LSN: a snapshot
-        # taken at LSN S sees exactly the writers whose COMMIT appended
-        # at or below S.  Stamping here (before the flush) means commits
-        # deferred by group commit are already visible to new snapshots —
-        # visibility and durability are deliberately decoupled, exactly
-        # the group-commit window documented above.
-        self._commit_lsns[txn.txn_id] = record.lsn
-        # Commit is durable once the log is stable through the COMMIT
-        # record.  At-commit deferred actions externalize state (deferred
-        # storage release), so their transactions always force solo.
-        if (allow_group and self.group_commit_limit > 0
-                and not self.events.pending(txn.txn_id, ev.AT_COMMIT)):
-            self._group_queue.append(record.lsn)
-            if self.stats is not None:
-                self.stats.bump("txn.group_commit.enqueued")
-            if len(self._group_queue) >= self.group_commit_limit:
-                self.commit_group()
-        else:
-            self.wal.flush()
+        at_commit = self.events.pending(txn.txn_id, ev.AT_COMMIT)
+        # A transaction that logged nothing has nothing to make durable:
+        # no COMMIT, no force, no END — to the log it never existed.
+        logged = at_commit or self.wal.last_lsn(txn.txn_id)
+        if logged:
+            record = self.wal.log(txn.txn_id, wal_records.COMMIT)
+            # Visibility is decided by the COMMIT record's LSN: a snapshot
+            # taken at LSN S sees exactly the writers whose COMMIT appended
+            # at or below S.  Stamping here (before the flush) means commits
+            # deferred by group commit are already visible to new snapshots
+            # — visibility and durability are deliberately decoupled,
+            # exactly the group-commit window documented above.
+            self._commit_lsns[txn.txn_id] = record.lsn
+            # Commit is durable once the log is stable through the COMMIT
+            # record.  At-commit deferred actions externalize state
+            # (deferred storage release), so their transactions always
+            # force solo.
+            if allow_group and self.group_commit_limit > 0 and not at_commit:
+                self._group_queue.append(record.lsn)
+                if self.stats is not None:
+                    self.stats.bump("txn.group_commit.enqueued")
+                if len(self._group_queue) >= self.group_commit_limit:
+                    self.commit_group()
+            else:
+                self.wal.flush()
+        elif self.stats is not None:
+            self.stats.bump("txn.unlogged_ends")
         self.events.fire(txn.txn_id, ev.AT_COMMIT)
-        self.wal.append(txn.txn_id, wal_records.END)
+        if logged:
+            self.wal.append(txn.txn_id, wal_records.END)
         self.locks.release_all(txn.txn_id)
         txn.state = TxnState.COMMITTED
         self.events.fire(txn.txn_id, ev.AT_END)
@@ -436,8 +449,8 @@ class TransactionManager:
         txn.state = TxnState.PREPARED
         txn.gtid = gtid
         self._by_gtid[gtid] = txn
-        self.wal.append(txn.txn_id, wal_records.PREPARE,
-                        payload={"gtid": gtid})
+        self.wal.log(txn.txn_id, wal_records.PREPARE,
+                     payload={"gtid": gtid})
         self.wal.flush()
         if self.stats is not None:
             self.stats.bump("txn.prepares")
@@ -566,19 +579,24 @@ class TransactionManager:
         # A commit that failed between the COMMIT append and the flush is
         # being resolved here: withdraw its visibility stamp first.
         self._commit_lsns.pop(txn.txn_id, None)
-        payload = None
-        if heuristic and txn.gtid is not None:
-            payload = {"heuristic": True, "gtid": txn.gtid}
-        self.wal.append(txn.txn_id, wal_records.ABORT, payload=payload)
-        self.recovery.rollback(txn.txn_id, to_lsn=0)
-        # The rollback restored every before-image, so the transaction's
-        # transitions never happened as far as any snapshot is concerned.
-        self.versions.cancel(txn.txn_id, above_lsn=0)
-        self.wal.append(txn.txn_id, wal_records.END)
-        # Force the log through the END record: without this, a crash
-        # right after a "completed" abort loses the CLR/ABORT/END chain
-        # and restart must redo and then re-undo the whole transaction.
-        self.wal.flush()
+        if self.wal.last_lsn(txn.txn_id):
+            payload = None
+            if heuristic and txn.gtid is not None:
+                payload = {"heuristic": True, "gtid": txn.gtid}
+            self.wal.append(txn.txn_id, wal_records.ABORT, payload=payload)
+            self.recovery.rollback(txn.txn_id, to_lsn=0)
+            # The rollback restored every before-image, so the
+            # transaction's transitions never happened as far as any
+            # snapshot is concerned.
+            self.versions.cancel(txn.txn_id, above_lsn=0)
+            self.wal.append(txn.txn_id, wal_records.END)
+            # Force the log through the END record: without this, a crash
+            # right after a "completed" abort loses the CLR/ABORT/END chain
+            # and restart must redo and then re-undo the whole transaction.
+            self.wal.flush()
+        elif self.stats is not None:
+            # Nothing logged, so nothing to undo and nothing to record.
+            self.stats.bump("txn.unlogged_ends")
         # Deferred actions never run for an aborted transaction.
         self.events.discard(txn.txn_id)
         try:
@@ -695,8 +713,8 @@ class TransactionManager:
                 f"only apply to transactions that modify data")
         if name in txn.savepoints:
             raise TransactionError(f"savepoint {name!r} already exists")
-        record = self.wal.append(txn.txn_id, wal_records.SAVEPOINT,
-                                 payload={"name": name})
+        record = self.wal.log(txn.txn_id, wal_records.SAVEPOINT,
+                              payload={"name": name})
         if self.stats is not None:
             self.stats.bump("txn.savepoints_set")
         txn.savepoints[name] = record.lsn

@@ -120,7 +120,17 @@ class LogManager:
         self._maybe_auto_checkpoint()
         return record
 
+    def log(self, txn_id: int, kind: str, resource: Optional[str] = None,
+            payload: Optional[dict] = None) -> LogRecord:
+        """:meth:`append` for a live transaction, which exists in the log
+        from its first logged record: its BEGIN is written here, right
+        before that record — one that never logs leaves no trace."""
+        if txn_id not in self._last_lsn:
+            self.append(txn_id, BEGIN)
+        return self.append(txn_id, kind, resource, payload)
+
     def last_lsn(self, txn_id: int) -> int:
+        """The transaction's newest LSN (0: it has logged nothing)."""
         return self._last_lsn.get(txn_id, 0)
 
     def first_lsn(self, txn_id: int) -> int:

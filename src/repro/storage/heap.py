@@ -19,7 +19,7 @@ DDL attributes: ``fill_hint`` (float in (0, 1], advisory page fill target).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.context import ExecutionContext
 from ..core.records import decode_record, encode_record
@@ -324,6 +324,12 @@ class HeapStorageMethod(StorageMethod):
     updatable = True
     ordered_by_key = False
 
+    def __init__(self):
+        #: relation id -> {page id: index in the relation's page list when
+        #: last seen}.  A hint only: an answer is always re-checked against
+        #: the list itself, and nothing here is persisted.
+        self._page_index: Dict[int, Dict[int, int]] = {}
+
     # -- DDL -------------------------------------------------------------------
     def validate_attributes(self, schema, attributes):
         attributes = dict(attributes)
@@ -345,6 +351,7 @@ class HeapStorageMethod(StorageMethod):
             ctx.buffer.free_page(page_id)
         descriptor["pages"] = []
         descriptor["ntuples"] = 0
+        self._page_index.pop(descriptor["relation_id"], None)
 
     def recovery_handler(self) -> ResourceHandler:
         return _HeapHandler()
@@ -469,7 +476,7 @@ class HeapStorageMethod(StorageMethod):
         except (TypeError, ValueError):
             raise RecordNotFoundError(f"bad heap record key {key!r}") from None
         descriptor = handle.descriptor.storage_descriptor
-        if page_id not in descriptor["pages"]:
+        if not self._owns_page(descriptor, page_id):
             return None
         ctx.lock_record(handle.relation_id, key, LockMode.S)
         page = ctx.buffer.fetch(page_id)
@@ -489,7 +496,6 @@ class HeapStorageMethod(StorageMethod):
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Direct fetch of many record addresses with one pin per page."""
         descriptor = handle.descriptor.storage_descriptor
-        page_set = set(descriptor["pages"])
         by_page = {}
         for key in keys:
             try:
@@ -497,8 +503,10 @@ class HeapStorageMethod(StorageMethod):
             except (TypeError, ValueError):
                 raise RecordNotFoundError(
                     f"bad heap record key {key!r}") from None
-            if page_id in page_set:
-                by_page.setdefault(page_id, []).append((page_id, slot))
+            if page_id in by_page:
+                by_page[page_id].append((page_id, slot))
+            elif self._owns_page(descriptor, page_id):
+                by_page[page_id] = [(page_id, slot)]
         found = {}
         decode = handle.schema.decoder
         for page_id, page_keys in by_page.items():
@@ -535,6 +543,19 @@ class HeapStorageMethod(StorageMethod):
         return len(handle.descriptor.storage_descriptor["pages"])
 
     # -- internals -----------------------------------------------------------------------------
+    def _owns_page(self, descriptor: dict, page_id) -> bool:
+        """Whether ``page_id`` is in the relation's page list — for a page
+        that is, at a cost independent of how many pages there are."""
+        pages = descriptor["pages"]
+        index = self._page_index.setdefault(descriptor["relation_id"], {})
+        at = index.get(page_id, -1)
+        if 0 <= at < len(pages) and pages[at] == page_id:
+            return True
+        # Not where it was last seen, or never seen: relearn the list.
+        index.clear()
+        index.update((page, i) for i, page in enumerate(pages))
+        return page_id in index
+
     def _page_with_room(self, ctx, descriptor: dict, length: int,
                         fill_hint: float, page_size: int):
         """Pin a page with room for ``length`` bytes (last page or a new one).

@@ -1,12 +1,20 @@
 """Page-based B+tree: operations, splits, ordering invariants."""
 
+import bisect
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 precondition, rule)
 
-from repro.access.btree_core import BTree
+from repro.access.btree_core import BTree, _Node
+from repro.errors import InjectedFault, PageError
 from repro.services.buffer import BufferPool
 from repro.services.disk import BlockDevice
+from repro.services.faults import FaultInjector
+from repro.services.pages import PageView, stamp_checksum
 
 
 def make_tree(max_entries=8, page_size=1024, capacity=128):
@@ -158,3 +166,236 @@ def test_max_key_walks_past_leaves_emptied_by_deletes():
     for i in range(8):
         tree.delete((i,), i)
     assert tree.max_key() is None and tree.min_key() is None
+
+
+# ---------------------------------------------------------------------------
+# Decoded-image coherence: nodes are read through the buffer frame's image
+# ---------------------------------------------------------------------------
+
+def node_fields(node):
+    return (node.leaf, node.keys, node.values, node.children, node.next_leaf)
+
+
+def assert_images_coherent(pool):
+    """Every resident frame's image, if any, is what its bytes decode to."""
+    for page_id, frame in pool._frames.items():
+        if frame.image is not None:
+            fresh = _Node.load(PageView(page_id, frame.data))
+            assert node_fields(frame.image) == node_fields(fresh), page_id
+
+
+def test_failed_node_write_leaves_page_and_image_alone():
+    tree, pool = make_tree(page_size=512)
+    tree.insert((1, ""), "a")
+    root = tree.state["root"]
+    assert tree.search((1, "")) == ["a"]  # fills the image
+    image, raw = pool._frames[root].image, bytes(pool._frames[root].data)
+    pool.flush_all()
+    with pytest.raises(PageError):
+        tree.insert((2, "x" * 600), "b")  # the grown node fits no page
+    frame = pool._frames[root]
+    assert frame.image is image and node_fields(image)[1] == [(1, "")]
+    assert bytes(frame.data)[28:] == raw[28:] and not frame.dirty
+    assert pool.pin_count(root) == 0
+    assert list(tree.range()) == [((1, ""), "a")] and tree.entry_count == 1
+    tree.validate()
+
+
+def test_mutators_copy_a_reader_keeps_the_node_it_holds():
+    tree, pool = make_tree(max_entries=8)
+    for i in range(6):
+        tree.insert((i,), i)
+    for change, after in ((lambda: tree.delete((3,), 3), [0, 1, 2, 4, 5]),
+                          (lambda: tree.insert((1,), "new"),
+                           [0, 1, "new", 2, 4, 5])):
+        before = [v for __, v in tree.range()]
+        entries = tree.range()
+        assert next(entries) == ((0,), 0)
+        change()                      # same leaf, while the reader holds it
+        assert [v for __, v in entries] == before[1:]  # its own snapshot
+        assert [v for __, v in tree.range()] == after
+        assert_images_coherent(pool)
+
+
+def test_probe_reads_each_node_on_its_path_once():
+    tree, pool = make_tree(max_entries=8)
+    for i in range(400):
+        tree.insert((i,), i)
+    assert tree.height >= 3
+    # A key in the middle of its leaf: neither a separator (the descent
+    # then starts one leaf to the left, in case duplicates straddle the
+    # split) nor the leaf's last key (the end of the run of equal keys is
+    # then only known from the next leaf).
+    k = next(k for k in range(70, 90)
+             if (k,) in tree._descend((k,))[1].keys[:-1])
+    for probe in (lambda: tree.search((k,)),
+                  lambda: list(tree.range((k,), (k,))),
+                  lambda: list(tree.entries_after(((k - 1,), k - 1), (k,))),
+                  lambda: tree.delete((k,), "absent")):
+        before = pool.stats.get("buffer.pins")
+        probe()
+        assert pool.stats.get("buffer.pins") - before == tree.height
+
+
+class CachedTreeMachine(RuleBasedStateMachine):
+    """insert/delete/search/range/entries_after/min/max against a sorted
+    list, on a pool small enough to evict, interleaved with flushes, a
+    crash + rebuild, a suspended generator and node writes made to fail."""
+
+    PAGE_SIZE = 512
+    keys = st.tuples(st.integers(0, 40), st.sampled_from(["", "k", "kk"]))
+
+    def __init__(self):
+        super().__init__()
+        self.device = BlockDevice(page_size=self.PAGE_SIZE)
+        self.model = []        # sorted (key, value) pairs, values unique
+        self.ever = set()      # every pair ever inserted
+        self.serial = 0
+        self.suspended = None
+
+    @initialize(capacity=st.integers(4, 8), max_entries=st.integers(4, 6))
+    def build(self, capacity, max_entries):
+        self.pool = BufferPool(self.device, capacity=capacity)
+        self.pool.faults = FaultInjector()
+        self.max_entries = max_entries
+        self.tree = BTree.create(self.pool, max_entries=max_entries)
+
+    def rebuild(self):
+        """Attachment structures recover by rebuild: a new tree, reloaded."""
+        self.suspended = None
+        self.tree = BTree.create(self.pool, max_entries=self.max_entries)
+        for key, value in self.model:
+            self.tree.insert(key, value)
+
+    # -- mutations ----------------------------------------------------------
+    def mutate(self, change, evict_fault):
+        """``change()``, with the next write-back made to fail when asked;
+        returns ``(it completed, its result)``."""
+        if evict_fault:
+            self.pool.faults.arm("buffer.write_back", nth=1)
+        try:
+            return True, change()
+        except InjectedFault:
+            # An eviction failed somewhere between the descent and the last
+            # node write: whatever was written, no image may lie about it.
+            assert_images_coherent(self.pool)
+            self.rebuild()
+            return False, None
+        finally:
+            self.pool.faults.disarm()
+
+    @rule(key=keys, evict_fault=st.booleans())
+    def insert(self, key, evict_fault):
+        self.serial += 1
+        entry = (key, self.serial)
+        if self.mutate(lambda: self.tree.insert(*entry), evict_fault)[0]:
+            self.ever.add(entry)
+            bisect.insort(self.model, entry)
+
+    @rule(data=st.data(), present=st.booleans(), evict_fault=st.booleans())
+    def delete(self, data, present, evict_fault):
+        if present and self.model:
+            entry = data.draw(st.sampled_from(self.model))
+        else:
+            entry = (data.draw(self.keys), -1)
+        done, found = self.mutate(lambda: self.tree.delete(*entry),
+                                  evict_fault)
+        if done:
+            assert found == (entry in self.model)
+            if found:
+                self.model.remove(entry)
+
+    @rule(number=st.integers(0, 40))
+    def oversized_key_fails_the_node_write(self, number):
+        before = self.tree.entry_count
+        with pytest.raises(PageError):
+            self.tree.insert((number, "x" * 2 * self.PAGE_SIZE), 0)
+        assert self.tree.entry_count == before
+
+    # -- reads (through the images) -------------------------------------------
+    @rule(key=keys)
+    def search(self, key):
+        assert sorted(self.tree.search(key)) == [
+            v for k, v in self.model if k == key]
+
+    @rule(low=st.none() | st.integers(0, 40), high=st.none() | st.integers(0, 40),
+          low_inclusive=st.booleans(), high_inclusive=st.booleans())
+    def range(self, low, high, low_inclusive, high_inclusive):
+        def inside(key):
+            return ((low is None or key[0] > low
+                     or (low_inclusive and key[0] == low))
+                    and (high is None or key[0] < high
+                         or (high_inclusive and key[0] == high)))
+        got = list(self.tree.range(None if low is None else (low,),
+                                   None if high is None else (high,),
+                                   low_inclusive, high_inclusive))
+        assert [k for k, __ in got] == sorted(k for k, __ in got)
+        assert sorted(got) == [e for e in self.model if inside(e[0])]
+
+    @rule(data=st.data(), high=st.none() | st.integers(0, 40))
+    def entries_after(self, data, high):
+        listing = list(self.tree.range())
+        assert sorted(listing) == self.model
+        position = (data.draw(st.sampled_from(listing)) if listing else None)
+        rest = listing[listing.index(position) + 1:] if listing else []
+        assert list(self.tree.entries_after(
+            position, None if high is None else (high,))) == [
+                e for e in rest if high is None or e[0][0] <= high]
+
+    @rule()
+    def min_and_max(self):
+        assert self.tree.min_key() == (self.model[0][0] if self.model else None)
+        assert self.tree.max_key() == (self.model[-1][0] if self.model
+                                       else None)
+
+    # -- a generator left suspended across whatever comes next ----------------
+    @rule(low=st.integers(0, 40), take=st.integers(0, 5))
+    def suspend(self, low, take):
+        entries = self.tree.range((low,))
+        list(itertools.islice(entries, take))
+        self.suspended = entries
+
+    @precondition(lambda self: self.suspended is not None)
+    @rule()
+    def resume(self):
+        rest, self.suspended = list(self.suspended), None
+        assert [k for k, __ in rest] == sorted(k for k, __ in rest)
+        assert self.ever.issuperset(rest)
+
+    # -- the pool underneath ------------------------------------------------
+    @rule()
+    def flush_all(self):
+        self.pool.flush_all()
+
+    @rule()
+    def crash_and_rebuild(self):
+        self.pool.crash()
+        assert self.pool.cached_pages == 0
+        self.rebuild()
+
+    @invariant()
+    def images_equal_bytes_and_tree_is_valid(self):
+        if not hasattr(self, "pool"):
+            return
+        assert_images_coherent(self.pool)
+        assert all(self.pool.pin_count(p) == 0 for p in self.pool._frames)
+        # Validate from the bytes alone — the device overlaid with the
+        # resident frames — on a pool of its own, so checking disturbs
+        # neither this pool's LRU order nor its images.
+        shadow = BlockDevice(page_size=self.PAGE_SIZE)
+        shadow._pages = dict(self.device._pages)
+        for page_id, frame in self.pool._frames.items():
+            data = bytearray(frame.data)
+            stamp_checksum(data)
+            shadow._pages[page_id] = bytes(data)
+        copy = BTree(BufferPool(shadow, capacity=64), dict(self.tree.state),
+                     self.max_entries)
+        copy.validate()
+        assert sorted(copy.range()) == self.model
+        assert copy.entry_count == len(self.model)
+
+
+CachedTreeMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None,
+    suppress_health_check=list(HealthCheck))
+test_property_cached_images_stay_coherent = CachedTreeMachine.TestCase

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import AccessPath, Database, UniqueViolation
+from repro.access.btree_core import BTree, _Node
+from repro.services.scans import AFTER, ON
 
 
 @pytest.fixture
@@ -165,3 +167,90 @@ def test_range_route_survives_deleting_the_highest_keys():
     before = db.services.stats.get("heap.tuples_scanned")
     assert db.execute(query) == [(i, i % 7) for i in range(100, 250)]
     assert db.services.stats.get("heap.tuples_scanned") == before
+
+
+# ---------------------------------------------------------------------------
+# The point-statement path: one descent over decoded nodes
+# ---------------------------------------------------------------------------
+
+def point_table(db, rows=600, max_entries=8):
+    table = db.create_table("pt", [("id", "INT", False), ("v", "STRING")])
+    table.insert_many([(i, f"v{i}") for i in range(rows)])
+    db.create_index("pt_id", "pt", ["id"], unique=True,
+                    max_entries=max_entries)
+    att = db.registry.attachment_type_by_name("btree_index")
+    handle = db.catalog.handle("pt")
+    instance = att.instance(handle.descriptor.attachment_field(att.type_id),
+                            "pt_id")
+    tree = BTree(db.services.buffer, instance["tree"], max_entries)
+    # A key from the middle of its leaf (see test_btree_core: a separator
+    # or a leaf's last key costs the probe one more leaf).
+    key = next(k for k in range(100, 200)
+               if (k,) in tree._descend((k,))[1].keys[:-1])
+    return att, handle, instance, tree, key
+
+
+def test_warm_point_select_pins_one_path_and_decodes_nothing(db, monkeypatch):
+    att, handle, instance, tree, key = point_table(db)
+    assert tree.height >= 3
+    query, params = "SELECT * FROM pt WHERE id = :id", {"id": key}
+    assert "btree_index" in db.explain(query)["access"]["route"]
+    assert db.execute(query, params) == [(key, f"v{key}")]  # warm
+    loads = []
+    monkeypatch.setattr(_Node, "load", classmethod(
+        lambda cls, page: loads.append(page.page_id)))
+    stats = db.services.stats
+    before = stats.snapshot()
+    assert db.execute(query, params) == [(key, f"v{key}")]
+    delta = stats.delta(before)
+    # h node pins + 1 heap pin: one descent, the leaf it ends on read once,
+    # and nothing at all for the call that only learns the scan is over.
+    assert delta["buffer.pins"] == tree.height + 1
+    assert delta["buffer.hits"] == tree.height + 1
+    assert delta["executor.scan_batches"] == 2
+    assert loads == []
+
+
+def test_exhausted_index_scan_answers_without_a_descent(db):
+    att, handle, instance, tree, key = point_table(db)
+    route = ("btree_range", (key,), (key + 2,), True, True)
+    db.begin()
+    with db.autocommit() as ctx:
+        scan = att.open_scan(ctx, handle, instance, route=route)
+        assert [view[0] for __, view in scan.next_batch(64)] \
+            == [key, key + 1, key + 2]
+        assert scan.save_position().state == AFTER  # ran off its range
+        pins = db.services.stats.get("buffer.pins")
+        assert scan.next_batch(64) == [] and scan.next() is None
+        assert db.services.stats.get("buffer.pins") == pins
+        # Stopped by the count instead, the scan is ON and goes on.
+        scan = att.open_scan(ctx, handle, instance, route=route)
+        assert len(scan.next_batch(2)) == 2
+        assert scan.save_position().state == ON
+        assert [view[0] for __, view in scan.next_batch(2)] == [key + 2]
+        assert scan.next() is None
+    db.commit()
+
+
+def test_savepoint_rollback_restores_an_exhausted_index_scan(db):
+    """AFTER is terminal only until ``restore_position`` says otherwise:
+    rolled back to a savepoint taken mid-range, the scan is ON again and
+    finds the later entries a second time."""
+    att, handle, instance, tree, key = point_table(db)
+    route = ("btree_range", (key,), (key + 4,), True, True)
+    db.begin()
+    with db.autocommit() as ctx:
+        scan = att.open_scan(ctx, handle, instance, route=route)
+        assert [view[0] for __, view in scan.next_batch(2)] == [key, key + 1]
+        db.savepoint("sp")
+        assert [view[0] for __, view in scan.next_batch(64)] \
+            == [key + 2, key + 3, key + 4]
+        assert scan.next_batch(64) == []
+        assert scan.save_position().state == AFTER
+        db.rollback_to("sp")
+        assert scan.save_position().state == ON
+        assert scan.next()[1][0] == key + 2
+        assert [view[0] for __, view in scan.next_batch(64)] \
+            == [key + 3, key + 4]
+        assert scan.next() is None
+    db.commit()

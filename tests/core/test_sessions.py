@@ -5,6 +5,8 @@ import pytest
 
 from repro import AdmissionError, Database, SessionError
 from repro.errors import TransactionError
+from repro.services import events as ev
+from repro.services import wal
 
 
 def make_db(**kwargs):
@@ -129,6 +131,82 @@ def test_plan_cache_retranslates_on_descriptor_version_change():
     assert delta.get("plan_cache.version_mismatches", 0) >= 1
     assert delta.get("plan_cache.retranslations", 0) >= 1
     s1.close()
+
+
+# ---------------------------------------------------------------------------
+# A transaction exists in the log from its first logged record
+# ---------------------------------------------------------------------------
+
+def test_read_only_autocommit_statement_leaves_the_log_untouched():
+    db = make_db()
+    session = db.connect()
+    services = db.services
+    ended = []
+    services.events.subscribe(ev.AT_END,
+                              lambda txn_id, info: ended.append(txn_id))
+    session.execute("SELECT * FROM emp WHERE id = :id", {"id": 2})  # warm
+    lsn, flushed = services.wal.current_lsn, services.wal.flushed_lsn
+    unlogged = services.stats.get("txn.unlogged_ends")
+    del ended[:]
+    assert session.execute("SELECT * FROM emp WHERE id = :id",
+                           {"id": 2}) == [(2, "bob", 95000.0)]
+    assert (services.wal.current_lsn, services.wal.flushed_lsn) \
+        == (lsn, flushed)
+    # The statement's transaction still ended like any other: AT_END fired
+    # (its scans closed), its locks released, nothing left active.
+    assert len(ended) == 1
+    assert services.scans.open_scans(ended[0]) == ()
+    assert services.locks.locks_held(ended[0]) == frozenset()
+    assert services.transactions.active_transactions() == ()
+    assert services.stats.get("txn.unlogged_ends") == unlogged + 1
+    session.close()
+
+
+def test_writer_log_is_begin_operations_commit_end():
+    db = make_db()
+    session = db.connect()
+    log = db.services.wal
+    session.execute("SELECT * FROM emp WHERE id = 1")
+    start = log.current_lsn
+    txn = session.begin()
+    session.execute("SELECT * FROM emp WHERE id = 1")
+    assert log.current_lsn == start  # begun, has read, logged nothing yet
+    session.execute("UPDATE emp SET salary = 1.0 WHERE id = 1")
+    session.commit()
+    records = [r for r in log.forward(start + 1)]
+    assert {r.txn_id for r in records} == {txn.txn_id}
+    kinds = [r.kind for r in records]
+    assert kinds[0] == wal.BEGIN and kinds[-2:] == [wal.COMMIT, wal.END]
+    assert set(kinds[1:-2]) <= {wal.UPDATE, wal.SAVEPOINT}
+    assert wal.UPDATE in kinds
+    # BEGIN sits one below the transaction's first operation and heads its
+    # backchain; the commit was forced.
+    assert records[0].lsn == records[1].lsn - 1 == log.first_lsn(txn.txn_id)
+    assert records[0].prev_lsn == 0 and records[1].prev_lsn == records[0].lsn
+    assert log.flushed_lsn >= records[-2].lsn
+    session.close()
+
+
+def test_open_readers_are_not_restart_losers():
+    """A snapshot reader and a locking transaction that has only read,
+    both open across a fuzzy checkpoint and a crash: neither exists in
+    the log, so neither is a loser; a writer open beside them still is."""
+    db = make_db()
+    reader, locker, writer = db.connect(), db.connect(), db.connect()
+    snap = reader.begin(snapshot=True)
+    reader.execute("SELECT * FROM emp")
+    read = locker.begin()
+    locker.execute("SELECT * FROM emp WHERE id = 2")
+    wrote = writer.begin()
+    writer.execute("UPDATE emp SET salary = 7.0 WHERE id = 3")
+    info = db.checkpoint()
+    assert info["active_transactions"] == 1
+    db.services.wal.flush()
+    summary = db.restart()
+    assert summary["losers"] == [wrote.txn_id]
+    assert not {snap.txn_id, read.txn_id} & {
+        r.txn_id for r in db.services.wal.forward()}
+    assert db.execute("SELECT salary FROM emp WHERE id = 3") == [(130000.0,)]
 
 
 # ---------------------------------------------------------------------------

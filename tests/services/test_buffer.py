@@ -254,3 +254,89 @@ def test_random_misses_do_not_trigger_readahead():
         with pool.pinned(page_id):
             pass
     assert pool.stats.get("buffer.readahead.triggered") == 0
+
+
+# ---------------------------------------------------------------------------
+# Decoded images: one decode per resident frame
+# ---------------------------------------------------------------------------
+
+def decoded_page(pool, payload=b"node"):
+    """A page holding ``payload``, plus a decoder that counts its calls."""
+    page = pool.new_page(1)
+    page.insert(payload)
+    pool.unpin(page.page_id, dirty=True)
+    calls = []
+
+    def decode(view):
+        calls.append(view.page_id)
+        return [view.read(0)]
+    return page.page_id, decode, calls
+
+
+def test_decoded_fills_once_and_a_hit_is_still_a_pin():
+    device, pool = make_pool()
+    page_id, decode, calls = decoded_page(pool)
+    other = pool.new_page(1).page_id
+    pool.unpin(other)
+    first = pool.decoded(page_id, decode)
+    pins, hits = pool.stats.get("buffer.pins"), pool.stats.get("buffer.hits")
+    assert pool.decoded(page_id, decode) is first == [b"node"]
+    assert calls == [page_id]                       # decoded once
+    assert pool.stats.get("buffer.pins") == pins + 1
+    assert pool.stats.get("buffer.hits") == hits + 1
+    assert pool.pin_count(page_id) == 0             # released again
+    assert list(pool._frames)[-1] == page_id        # and LRU-touched
+
+
+def test_decoded_releases_its_pin_when_the_decoder_raises():
+    device, pool = make_pool()
+    page_id, __, __ = decoded_page(pool)
+
+    def broken(view):
+        raise ValueError("cannot decode")
+    with pytest.raises(ValueError):
+        pool.decoded(page_id, broken)
+    assert pool.pin_count(page_id) == 0
+    assert pool._frames[page_id].image is None
+
+
+@pytest.mark.parametrize("event", ["unpin_dirty", "evict", "free", "crash"])
+def test_decoded_image_is_dropped_with_the_bytes_it_mirrors(event):
+    device, pool = make_pool(capacity=2)
+    page_id, decode, calls = decoded_page(pool)
+    pool.decoded(page_id, decode)
+    if event == "unpin_dirty":
+        page = pool.fetch(page_id)
+        page.update(0, b"edit")
+        pool.unpin(page_id, dirty=True)
+        assert pool._frames[page_id].image is None
+        assert pool.decoded(page_id, decode) == [b"edit"]
+    elif event == "evict":
+        for __ in range(2):
+            pool.unpin(pool.new_page(1).page_id, dirty=True)
+        assert page_id not in pool._frames
+        assert pool.decoded(page_id, decode) == [b"node"]
+    elif event == "free":
+        pool.free_page(page_id)
+        assert page_id not in pool._frames
+        again = pool.new_page(1)                   # the id comes back
+        assert again.page_id == page_id
+        assert pool._frames[page_id].image is None
+        pool.unpin(page_id, dirty=True)
+        return
+    else:
+        pool.flush_all()
+        pool.crash()
+        assert pool.cached_pages == 0
+        assert pool.decoded(page_id, decode) == [b"node"]
+    assert calls == [page_id, page_id]             # decoded afresh
+
+
+def test_clean_unpin_keeps_the_decoded_image():
+    device, pool = make_pool()
+    page_id, decode, calls = decoded_page(pool)
+    image = pool.decoded(page_id, decode)
+    with pool.pinned(page_id):
+        pass
+    pool.flush_all()                               # a write-back keeps it too
+    assert pool.decoded(page_id, decode) is image and len(calls) == 1

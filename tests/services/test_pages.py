@@ -58,6 +58,18 @@ def test_update_in_place_and_grow():
     assert page.read(slot) == b"c" * 100
 
 
+@pytest.mark.parametrize("size", [1000, 0xFFFF])
+def test_update_that_cannot_fit_leaves_the_page_as_it_was(size):
+    """Too big for the page, or too big for any page (the length guard
+    used to fire with the slot already tombstoned): the old record stays."""
+    page = make_page()
+    slot = page.insert(b"keep me")
+    before = bytes(page.data)
+    with pytest.raises(PageError):
+        page.update(slot, b"x" * size)
+    assert bytes(page.data) == before and page.read(slot) == b"keep me"
+
+
 def test_insert_at_specific_slot_for_redo():
     page = make_page()
     page.insert(b"x", slot=3)

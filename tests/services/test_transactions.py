@@ -9,31 +9,90 @@ from repro.services import wal
 from repro.services.transactions import TxnState
 
 
+def logged_begin(services):
+    """A transaction with one logged operation (a savepoint): its BEGIN is
+    written with its first record, so an empty one leaves no log at all."""
+    txn = services.transactions.begin()
+    services.transactions.savepoint(txn, "logged")
+    return txn
+
+
 def test_begin_writes_begin_record(services):
     txn = services.transactions.begin()
+    assert services.wal.current_lsn == 0  # nothing until it logs something
+    first = services.transactions.savepoint(txn, "sp")
     records = list(services.wal.forward())
     assert records[0].kind == wal.BEGIN
     assert records[0].txn_id == txn.txn_id
+    # BEGIN sits immediately below the transaction's first operation.
+    assert records[0].lsn == first - 1
+    assert services.wal.first_lsn(txn.txn_id) == records[0].lsn
 
 
 def test_commit_forces_log_and_releases_locks(services):
     from repro.services.locks import LockMode
-    txn = services.transactions.begin()
+    txn = logged_begin(services)
     services.locks.acquire(txn.txn_id, "r", LockMode.X)
     services.transactions.commit(txn)
     assert txn.state is TxnState.COMMITTED
     assert services.wal.flushed_lsn >= services.wal.last_lsn(txn.txn_id) - 1
     assert services.locks.locks_held(txn.txn_id) == frozenset()
     kinds = [r.kind for r in services.wal.forward()]
-    assert kinds == [wal.BEGIN, wal.COMMIT, wal.END]
+    assert kinds == [wal.BEGIN, wal.SAVEPOINT, wal.COMMIT, wal.END]
 
 
 def test_abort_writes_abort_then_end(services):
-    txn = services.transactions.begin()
+    txn = logged_begin(services)
     services.transactions.abort(txn)
     assert txn.state is TxnState.ABORTED
     kinds = [r.kind for r in services.wal.forward()]
-    assert kinds == [wal.BEGIN, wal.ABORT, wal.END]
+    assert kinds == [wal.BEGIN, wal.SAVEPOINT, wal.ABORT, wal.END]
+
+
+@pytest.mark.parametrize("end", ["commit", "abort"])
+def test_never_logged_transaction_leaves_no_log(services, end):
+    """Commit or abort of a transaction that logged nothing appends
+    nothing and forces nothing, and still ends it: events fired, locks
+    released, gone from the active table."""
+    from repro.services.locks import LockMode
+    fired = []
+    for event in (ev.BEFORE_PREPARE, ev.AT_COMMIT, ev.AT_ABORT, ev.AT_END):
+        services.events.subscribe(
+            event, lambda txn_id, info, event=event: fired.append(event))
+    txn = services.transactions.begin()
+    services.locks.acquire(txn.txn_id, "r", LockMode.S)
+    flushes = []
+    services.wal.flush = lambda *a, **k: flushes.append(a)
+    getattr(services.transactions, end)(txn)
+    assert txn.settled
+    assert services.wal.current_lsn == services.wal.flushed_lsn == 0
+    assert flushes == [] and services.wal.last_lsn(txn.txn_id) == 0
+    assert services.locks.locks_held(txn.txn_id) == frozenset()
+    assert services.transactions.active_transactions() == ()
+    assert fired == ([ev.BEFORE_PREPARE, ev.AT_COMMIT, ev.AT_END]
+                     if end == "commit" else [ev.AT_ABORT, ev.AT_END])
+    assert services.stats.get("txn.unlogged_ends") == 1
+
+
+def test_pending_at_commit_action_keeps_the_logged_commit_path(services):
+    """At-commit actions externalize state, so their transaction is made
+    durable first even when it logged nothing else."""
+    txn = services.transactions.begin()
+    services.events.defer(txn.txn_id, ev.AT_COMMIT, lambda t, d: None)
+    services.transactions.commit(txn)
+    kinds = [r.kind for r in services.wal.forward()]
+    assert kinds == [wal.BEGIN, wal.COMMIT, wal.END]
+    assert services.wal.flushed_lsn >= 2
+
+
+def test_crash_with_never_logged_transaction_open_leaves_no_loser(services):
+    reader = services.transactions.begin()
+    writer = logged_begin(services)
+    services.wal.flush()
+    services.crash()
+    summary = services.recovery.restart()
+    assert summary["losers"] == [writer.txn_id]
+    assert all(r.txn_id != reader.txn_id for r in services.wal.forward())
 
 
 def test_commit_twice_rejected(services):
@@ -124,10 +183,13 @@ def test_group_commit_defers_durability_until_group_flush(services):
     services.transactions.group_commit_limit = 8
     commit_lsns = []
     for __ in range(3):
-        txn = services.transactions.begin()
+        txn = logged_begin(services)
         services.transactions.commit(txn)
         # last_lsn is the END record; the COMMIT record precedes it.
         commit_lsns.append(services.wal.last_lsn(txn.txn_id) - 1)
+        # A commit that logged nothing has no COMMIT record to stabilize:
+        # it never joins the group.
+        services.transactions.commit(services.transactions.begin())
     assert services.transactions.pending_group_commits() == 3
     assert services.wal.flushed_lsn < max(commit_lsns)
     assert services.transactions.commit_group() == 3
@@ -140,7 +202,7 @@ def test_group_commit_defers_durability_until_group_flush(services):
 def test_group_commit_auto_flushes_at_limit(services):
     services.transactions.group_commit_limit = 3
     for __ in range(3):
-        txn = services.transactions.begin()
+        txn = logged_begin(services)
         services.transactions.commit(txn)
     # The third commit filled the group: one flush stabilized all three.
     assert services.transactions.pending_group_commits() == 0
@@ -150,8 +212,9 @@ def test_group_commit_auto_flushes_at_limit(services):
 
 def test_group_commit_prunes_already_stable_commits(services):
     services.transactions.group_commit_limit = 8
-    txn = services.transactions.begin()
+    txn = logged_begin(services)
     services.transactions.commit(txn)
+    assert services.transactions.pending_group_commits() == 1
     services.wal.flush()  # some other force covered the enqueued COMMIT
     assert services.transactions.commit_group() == 0
     assert services.stats.get("txn.group_commit.flushes") == 0
@@ -159,7 +222,7 @@ def test_group_commit_prunes_already_stable_commits(services):
 
 def test_unflushed_group_commit_lost_at_crash(services):
     services.transactions.group_commit_limit = 8
-    txn = services.transactions.begin()
+    txn = logged_begin(services)
     services.wal.flush()  # the BEGIN record reaches the stable log
     services.transactions.commit(txn)
     assert services.wal.lose_unflushed() > 0  # the deferred-durability window

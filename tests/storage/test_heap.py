@@ -169,3 +169,54 @@ def test_repeated_crashes_are_idempotent(db):
     db.restart()
     db.restart()
     assert sorted(r[0] for r in table.rows()) == list(range(10))
+
+
+class CountingPages(list):
+    """A page list that counts how many of its elements anyone walks over
+    (membership tests, iteration, ``set(...)``, ``index``, ``count``)."""
+
+    walked = 0
+
+    def __iter__(self):
+        for page_id in super().__iter__():
+            type(self).walked += 1
+            yield page_id
+
+    def __contains__(self, page_id):
+        type(self).walked += len(self)  # a list membership test is a walk
+        return super().__contains__(page_id)
+
+
+def test_point_fetch_cost_is_independent_of_table_size(db, heap_table):
+    """``fetch`` and ``fetch_many`` of a record the relation owns must not
+    walk the relation's page list: on a 2 000-page table that walk was
+    most of a point fetch."""
+    keys = heap_table.insert_many([(i, "p" * 100) for i in range(40)])
+    handle = db.catalog.handle("h")
+    descriptor = handle.descriptor.storage_descriptor
+    own = descriptor["pages"]
+    # Stand-ins for a big table: 2 000 page ids of no existing page, ahead
+    # of and behind the real ones.
+    pages = descriptor["pages"] = CountingPages(
+        list(range(10_000, 11_000)) + own + list(range(11_000, 12_000)))
+    def fetch_many(wanted):
+        with db.autocommit() as ctx:
+            return db.data.fetch_many(ctx, handle, wanted)
+    assert heap_table.fetch(keys[0]) == (0, "p" * 100)  # learns the list
+    CountingPages.walked = 0
+    for key in keys:
+        assert heap_table.fetch(key)[0] == keys.index(key)
+    assert [r[0] for __, r in fetch_many(keys)] == list(range(40))
+    assert fetch_many(keys[7:8]) == [(keys[7], (7, "p" * 100))]
+    assert CountingPages.walked == 0
+    # A page of some other relation is still refused, and a page the list
+    # gained or lost since is noticed (the index is a hint, never trusted).
+    other = db.create_table("o", [("id", "INT")]).insert((1,))
+    assert heap_table.fetch(other) is None
+    assert fetch_many([other, keys[3]]) == [(keys[3], (3, "p" * 100))]
+    moved = pages.pop(pages.index(keys[0][0]))
+    assert heap_table.fetch(keys[0]) is None
+    pages.insert(0, moved)
+    assert heap_table.fetch(keys[0]) == (0, "p" * 100)
+    descriptor["pages"] = own
+    assert heap_table.fetch(keys[5]) == (5, "p" * 100)

@@ -374,3 +374,35 @@ def test_replication_attributes_are_validated():
             db.create_table(f"bad_{needle.strip('-')}",
                             [("id", "INT"), ("name", "STRING")],
                             storage_method="sharded", attributes=attrs)
+
+
+def test_read_only_participant_logs_nothing_and_ships_nothing():
+    """A 2PC round in which one shard only read: the coordinator skips it
+    in both phases, and — its child transaction having logged nothing —
+    that child's log and its standbys' logs do not grow at all."""
+    db, table = make_replicated(shards=2, replicas=1)
+    table.insert_many(ROWS)
+    descriptor, repl = replication_of(db)
+    reader = shard_of((0,), 2)  # the shard row 0 lives on; we only read it
+    new_id = next(i for i in range(100, 200) if shard_of((i,), 2) != reader)
+
+    def logs(index):
+        child = descriptor["databases"][index].services
+        standby = repl.sets[index].standbys[0]
+        return (child.wal.current_lsn, child.wal.flushed_lsn,
+                standby.received_lsn, standby.acked_lsn,
+                standby.database.services.wal.current_lsn)
+    before = {index: logs(index) for index in (0, 1)}
+    skips = db.services.stats.get("txn.2pc.readonly_skips")
+    db.begin()
+    table.insert((new_id, "written"))
+    # Read after the write: an operation savepoint is mirrored (and logged)
+    # on every child enlisted so far, which would make the reader log.
+    assert table.scan(where="id = 0")[0][1] == (0, "n0")
+    db.commit()
+    assert db.services.stats.get("txn.2pc.readonly_skips") == skips + 1
+    assert logs(reader) == before[reader]
+    assert logs(1 - reader) != before[1 - reader]
+    child = descriptor["databases"][reader].services
+    assert child.transactions.active_transactions() == ()
+    assert child.stats.get("txn.unlogged_ends") >= 1
