@@ -36,7 +36,7 @@ from ..errors import (ExtensionFault, ReadOnlyError,
                       UnknownObjectError)
 from ..services.locks import LOCK_ESCALATION_THRESHOLD, LockMode
 from ..services.predicate import Predicate
-from ..services.scans import ABSENT, SnapshotScan
+from ..services.scans import ABSENT, SnapshotScan, key_ordered
 from .context import ExecutionContext
 from .registry import ExtensionRegistry
 from .storage_method import RelationHandle
@@ -418,13 +418,17 @@ class DataManager:
     # ------------------------------------------------------------------
     # Multi-version (snapshot) reads
     # ------------------------------------------------------------------
-    # A snapshot reader resolves every storage-path read against its
-    # Snapshot: current storage state is first *patched* with the
-    # before-images of transitions the snapshot must not see (writes by
-    # transactions that were uncommitted at — or committed after — the
-    # snapshot LSN).  Index (access-path) routes are not snapshot-aware:
-    # the executor downgrades snapshot queries to the storage route, where
-    # the full residual predicate makes the answer complete.
+    # A snapshot reader resolves every read against its Snapshot: current
+    # state is *patched* with the before-images of transitions the
+    # snapshot must not see (writes by transactions that were uncommitted
+    # at — or committed after — the snapshot LSN).  The patch is keyed by
+    # record key, which is also what every access path returns, and a key
+    # outside it has current record = snapshot image, hence current index
+    # entries = snapshot index entries.  So the storage path below patches
+    # each record in place, and an access route (``Executor``) keeps its
+    # current hits outside the patch and takes the rest from
+    # ``snapshot_candidates``.  An access-path ``fetch`` through this
+    # layer returns *current* record keys; re-read them through ``fetch``.
 
     @staticmethod
     def _snapshot_of(ctx: ExecutionContext):
@@ -459,6 +463,35 @@ class DataManager:
             return tuple(record)
         return tuple(record[i] for i in fields)
 
+    def patched_keys(self, ctx: ExecutionContext, handle: RelationHandle):
+        """The record keys whose current record — and with it every
+        current index entry — is not what ``ctx``'s snapshot sees (none
+        for a locking reader).  A live view: use it within one statement."""
+        snapshot = ctx.txn.snapshot
+        if snapshot is None:
+            return ()
+        return self._relation_patch(handle, snapshot).keys()
+
+    def snapshot_candidates(self, ctx: ExecutionContext,
+                            handle: RelationHandle,
+                            predicate: Optional[Predicate] = None) -> tuple:
+        """What an access route needs to serve ``ctx``'s snapshot:
+        :meth:`patched_keys`, to drop from its current hits, and the
+        ``(key, record)`` pairs the snapshot sees at those keys that
+        satisfy ``predicate``, in key order, to answer in their place."""
+        snapshot = ctx.txn.snapshot
+        if snapshot is None:
+            return (), []
+        patch = self._relation_patch(handle, snapshot)
+        pairs = [item for item in patch.items() if item[1] is not ABSENT]
+        if predicate is not None and pairs:
+            matching = predicate.match_indexes([r for __, r in pairs])
+            pairs = [pairs[i] for i in matching]
+        if pairs:
+            ctx.stats.bump("mvcc.records_patched", len(pairs))
+        return patch.keys(), key_ordered(
+            [(key, tuple(image)) for key, image in pairs])
+
     def _snapshot_fetch(self, ctx, handle, method, key, fields, predicate,
                         snapshot):
         patch = self._relation_patch(handle, snapshot)
@@ -479,13 +512,12 @@ class DataManager:
             ctx, handle, "fetch_many",
             self.registry.storage_fetch_many[method.method_id],
             ctx, handle, unpatched, None, None)) if unpatched else {}
+        if len(unpatched) < len(keys):
+            ctx.stats.bump("mvcc.records_patched",
+                           len(keys) - len(unpatched))
         pairs = []
         for key in keys:
-            if key in patch:
-                ctx.stats.bump("mvcc.records_patched")
-                image = patch[key]
-            else:
-                image = raw.get(key)
+            image = patch[key] if key in patch else raw.get(key)
             item = self._apply_read(image, fields, predicate)
             if item is not None:
                 pairs.append((key, item))

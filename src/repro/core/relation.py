@@ -200,7 +200,10 @@ class Relation:
             method = db.registry.storage_method(
                 self.handle.descriptor.storage_method_id)
             with db.autocommit() as ctx:
-                return method.record_count(ctx, self.handle)
+                # The stored count is current state; a snapshot reader
+                # counts what its scan sees.
+                if ctx.txn.snapshot is None:
+                    return method.record_count(ctx, self.handle)
         return len(self.scan(where=where, params=params))
 
     # ------------------------------------------------------------------

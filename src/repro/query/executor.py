@@ -146,15 +146,19 @@ class Executor:
 
     def _source(self, ctx, plan: SelectPlan, params: dict,
                 program: ir.Program, rt: ir.Runtime) -> Iterator:
-        """The plan's access routes as one stream of batches."""
+        """The plan's access routes as one stream of batches; ``rt``
+        learns here whether their order can be trusted."""
         left_handle = plan.handles[plan.alias]
         join: JoinStep = plan.join
-        snapshot = ctx.txn.snapshot is not None
+        if ctx.txn.snapshot is not None:
+            # A route emits the snapshot's images of patched records
+            # ahead of its current hits, so its order — an elided sort, a
+            # merge join — holds only when no relation is patched.
+            patched_keys = self.database.data.patched_keys
+            rt.ordered = not any(patched_keys(ctx, handle)
+                                 for handle in plan.handles.values())
         if join is None:
-            # Covering-index reads answer from index entries alone, which
-            # are not versioned — snapshot readers take the (patched)
-            # storage route instead.
-            if plan.covering and not snapshot:
+            if plan.covering:
                 batches = self._covering_batches(ctx, left_handle, plan,
                                                  params)
             else:
@@ -164,21 +168,19 @@ class Executor:
         right_handle = next(handle for alias, handle in plan.handles.items()
                             if alias != plan.alias)
         method = join.method
-        if method != "hash" and snapshot:
-            # Index probes and join-index pairs are not versioned either:
-            # the keyed joins downgrade to the hash source over (patched)
-            # scans, which returns the same rows.
+        if method == "join_index" and not rt.ordered:
+            # Join-index pairs are current state and carry no record to
+            # re-check: with either relation patched a pair the snapshot
+            # needs may be gone, and a pair it must not see present.  The
+            # hash source over the two routes returns the right rows.
             ctx.stats.bump("mvcc.route_downgrades")
             method = "hash"
         if method == "hash":
-            # A snapshot scan appends resurrected rows after the live
-            # ones, so its output is not in route order.
             return program.hash_join(
                 rt,
                 self._record_batches(ctx, left_handle, plan.access, params),
                 self._record_batches(ctx, right_handle, join.right_access,
-                                     params),
-                ordered=not snapshot)
+                                     params))
         if method == "join_index":
             batches = self._join_via_index(ctx, plan, join, left_handle,
                                            right_handle, params)
@@ -210,51 +212,27 @@ class Executor:
                             params: dict, limit: Optional[int]
                             ) -> Iterator[List[Tuple[object, Tuple]]]:
         """Yield batches of (record key, full record) through the chosen
-        route — the one pump under SELECT sources, UPDATE and DELETE."""
+        route — the one pump under SELECT sources, UPDATE and DELETE.
+
+        Every route serves a snapshot reader.  The storage route reads
+        through dispatch, which patches each record in place.  An
+        access-path route answers the snapshot's images of the patched
+        records that pass the residual filter — which contains the
+        route's own conjuncts, so a record whose indexed field has since
+        moved is judged on the value the snapshot sees — and then its
+        current hits outside the patch, fetched as a locking reader
+        fetches them: for those, current state is the snapshot's.
+        """
         database = self.database
         predicate = access.compiled_predicate(handle.schema, params,
                                               ctx.stats)
-        if ctx.txn.snapshot is not None:
-            # Snapshot readers always take the storage route through the
-            # dispatch layer, which patches each record to its snapshot
-            # image.  Index routes are not snapshot-aware (entries added
-            # or removed after the snapshot would leak through), and the
-            # access's compiled predicate is the *full* residual filter,
-            # so the storage downgrade returns exactly the same rows.
-            if not access.is_storage:
-                ctx.stats.bump("mvcc.route_downgrades")
-            scan = database.data.open_scan(ctx, handle, None, predicate)
-            try:
-                size = self._start_batch_size(ctx, access, limit)
-                while True:
-                    batch = scan.next_batch(size)
-                    ctx.stats.bump("executor.scan_batches")
-                    if not batch:
-                        return
-                    yield batch
-                    if size < _BATCH_MAX:
-                        size *= 2
-            finally:
-                scan.close()
-                ctx.services.scans.unregister(scan)
-            return
+        method = database.registry.storage_method(
+            handle.descriptor.storage_method_id)
         if access.is_storage:
-            method = database.registry.storage_method(
-                handle.descriptor.storage_method_id)
-            scan = method.open_scan(ctx, handle, None, predicate)
-            try:
-                size = self._start_batch_size(ctx, access, limit)
-                while True:
-                    batch = scan.next_batch(size)
-                    ctx.stats.bump("executor.scan_batches")
-                    if not batch:
-                        return
-                    yield batch
-                    if size < _BATCH_MAX:
-                        size *= 2
-            finally:
-                scan.close()
-                ctx.services.scans.unregister(scan)
+            opener = method if ctx.txn.snapshot is None else database.data
+            yield from self._pump(
+                ctx, opener.open_scan(ctx, handle, None, predicate), access,
+                limit)
             return
         __, type_id, instance_name, type_name = access.access
         attachment = database.registry.attachment_type(type_id)
@@ -263,11 +241,15 @@ class Executor:
             raise QueryError(
                 f"plan refers to dropped attachments on {handle.name!r}")
         instance = attachment.instance(field, instance_name)
-        method = database.registry.storage_method(
-            handle.descriptor.storage_method_id)
+        patched, images = database.data.snapshot_candidates(ctx, handle,
+                                                            predicate)
+        if images:
+            yield images
         if type_name == "hash_index":
             probe = self._hash_probe_key(instance, access.relevant, params)
-            keys = list(attachment.fetch(ctx, handle, instance, probe))
+            keys = [key for key in attachment.fetch(ctx, handle, instance,
+                                                    probe)
+                    if key not in patched]
             if keys:
                 yield list(method.fetch_many(ctx, handle, keys, None,
                                              predicate))
@@ -278,6 +260,17 @@ class Executor:
         elif type_name == "rtree":
             route = self._rtree_route(access.relevant, params)
         scan = attachment.open_scan(ctx, handle, instance, predicate, route)
+        for batch in self._pump(ctx, scan, access, limit):
+            # The access path returned record keys; fetch the whole
+            # batch of records via the storage method in one call,
+            # filtering in the buffer pool.
+            keys = [record_key for record_key, __ in batch
+                    if record_key not in patched]
+            yield list(method.fetch_many(ctx, handle, keys, None, predicate))
+
+    def _pump(self, ctx, scan, access: TableAccess,
+              limit: Optional[int]) -> Iterator[list]:
+        """Drain ``scan`` in adaptively sized batches, then close it."""
         try:
             size = self._start_batch_size(ctx, access, limit)
             while True:
@@ -285,12 +278,7 @@ class Executor:
                 ctx.stats.bump("executor.scan_batches")
                 if not batch:
                     return
-                # The access path returned record keys; fetch the whole
-                # batch of records via the storage method in one call,
-                # filtering in the buffer pool.
-                keys = [record_key for record_key, __ in batch]
-                yield list(method.fetch_many(ctx, handle, keys, None,
-                                             predicate))
+                yield batch
                 if size < _BATCH_MAX:
                     size *= 2
         finally:
@@ -339,26 +327,24 @@ class Executor:
         width = len(handle.schema)
         key_fields = instance["key_fields"]
         ctx.stats.bump("executor.covering_scans")
+        # Entries of patched records are not the snapshot's; its images
+        # of them (whole records, of which only key fields are read)
+        # answer instead.
+        patched, images = database.data.snapshot_candidates(ctx, handle,
+                                                            predicate)
+        if images:
+            yield [record for __, record in images]
         scan = attachment.open_scan(ctx, handle, instance, predicate, route)
-        try:
-            size = self._start_batch_size(ctx, access, plan.limit)
-            while True:
-                batch = scan.next_batch(size)
-                ctx.stats.bump("executor.scan_batches")
-                if not batch:
-                    return
-                rows = []
-                for __, view in batch:
-                    row = [None] * width
-                    for index in key_fields:
-                        row[index] = view[index]
-                    rows.append(tuple(row))
-                yield rows
-                if size < _BATCH_MAX:
-                    size *= 2
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        for batch in self._pump(ctx, scan, access, plan.limit):
+            rows = []
+            for record_key, view in batch:
+                if record_key in patched:
+                    continue
+                row = [None] * width
+                for index in key_fields:
+                    row[index] = view[index]
+                rows.append(tuple(row))
+            yield rows
 
     @staticmethod
     def _operand_value(pred: EligiblePredicate, params: dict):
@@ -471,21 +457,30 @@ class Executor:
             right_handle.schema, params, ctx.stats)
         probe = self._resolve_probe(right_handle, join.right_index)
         ctx.stats.bump("executor.index_nl_joins")
+        # Under a snapshot a probe's patched keys are dropped, and the
+        # inner images carrying the probed value join in their place.
+        patched, images = self.database.data.snapshot_candidates(
+            ctx, right_handle, right_predicate)
+        images_of: Dict[object, List[Tuple]] = {}
+        for __, record in images:
+            images_of.setdefault(record[join.right_index], []).append(record)
 
         def emit(block):
             keys = list(dict.fromkeys(
-                key for __, right_keys in block for key in right_keys))
+                key for __, right_keys, __i in block for key in right_keys))
             found = dict(right_method.fetch_many(ctx, right_handle, keys,
                                                  None, right_predicate))
             rows = []
-            for left_record, right_keys in block:
+            for left_record, right_keys, right_images in block:
+                left_record = tuple(left_record)
                 for right_key in right_keys:
                     right_record = found.get(right_key)
                     if right_record is not None:
-                        rows.append(tuple(left_record) + tuple(right_record))
+                        rows.append(left_record + tuple(right_record))
+                rows.extend(left_record + image for image in right_images)
             return rows
 
-        block: List[Tuple[Tuple, List]] = []
+        block: List[Tuple[Tuple, List, List]] = []
         probe_ops = 0  # one op per outer-row index probe
         try:
             for __, left_record in self._access_rows(
@@ -494,9 +489,11 @@ class Executor:
                 if value is None:
                     continue
                 probe_ops += 1
-                right_keys = list(probe(ctx, value))
-                if right_keys:
-                    block.append((left_record, right_keys))
+                right_keys = [key for key in probe(ctx, value)
+                              if key not in patched]
+                right_images = images_of.get(value, ())
+                if right_keys or right_images:
+                    block.append((left_record, right_keys, right_images))
                 if len(block) >= _BATCH_MIN:
                     yield emit(block)
                     block = []

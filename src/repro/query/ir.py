@@ -92,9 +92,13 @@ class OrderKey:
 class Runtime:
     """What one program execution needs from the executor: the batch
     source, the stats sink, the armed fault service, the statement
-    parameters, and the kernel backend."""
+    parameters, the kernel backend, and whether the routes' order can be
+    trusted — ``ordered`` is false when a relation of the plan is patched
+    under the reader's snapshot (images then arrive ahead of the route's
+    hits), and the plan is shared with readers for whom it is true."""
 
-    __slots__ = ("stats", "faults", "params", "backend", "source")
+    __slots__ = ("stats", "faults", "params", "backend", "source",
+                 "ordered")
 
     def __init__(self, stats, faults, params, backend, source=None):
         self.stats = stats
@@ -102,6 +106,7 @@ class Runtime:
         self.params = params
         self.backend = backend
         self.source = source
+        self.ordered = True
 
 
 class PairBatch:
@@ -225,13 +230,14 @@ class Program:
                             "executor.columnar.ir.project.rows": len(batch)})
         return kernels.zip_vectors(vectors)
 
-    def hash_join(self, rt: Runtime, left_batches, right_batches,
-                  ordered: bool) -> Iterator[PairBatch]:
+    def hash_join(self, rt: Runtime, left_batches,
+                  right_batches) -> Iterator[PairBatch]:
         """The hash / sort-merge join source: both inputs materialised,
         one :class:`PairBatch` out, outer-major with inner matches in
         inner arrival order.  Builds on the smaller input; pairs by
         merging instead when the plan's routes deliver both inputs
-        ``ordered`` on their join columns and no key is NULL."""
+        ordered on their join columns (and ``rt.ordered`` says they did)
+        and no key is NULL."""
         # Scan and dispatch errors propagate untouched.
         left_rows = list(chain.from_iterable(left_batches))
         right_rows = list(chain.from_iterable(right_batches))
@@ -243,7 +249,7 @@ class Program:
             left_keys = left.column(left_index)
             right_keys = right.column(right_index)
             build_left = len(left_rows) <= len(right_rows)
-            if ordered and self.merge_ok \
+            if rt.ordered and self.merge_ok \
                     and left.null_mask(left_index) is None \
                     and right.null_mask(right_index) is None:
                 left_sel, right_sel = backend.merge_pairs(left_keys,
@@ -284,11 +290,15 @@ class _PlainSink:
     """Rows out.  Without a sort each batch is projected as it arrives
     (truncated first when it would overshoot LIMIT); under ORDER BY the
     full rows are kept — all of them, or the running top-k under LIMIT —
-    and projected once, after the sort."""
+    and projected once, after the sort.  A sort the plan elided because
+    the route delivers the order is done after all when the route's
+    order cannot be trusted."""
 
     def __init__(self, program: Program, rt: Runtime):
         self.program = program
         self.rt = rt
+        self.sorting = program.sorting or (bool(program.order_by)
+                                           and not rt.ordered)
         self.rows: list = []  # output rows, or full rows awaiting the sort
         self.top: list = []   # bounded top-k candidates (decorated)
         self.position = 0     # global row ordinal — the stable tiebreak
@@ -296,7 +306,7 @@ class _PlainSink:
     def add(self, batch) -> bool:
         program, limit = self.program, self.program.limit
         self.rt.stats.bump("executor.columnar.kernel_calls")
-        if not program.sorting:
+        if not self.sorting:
             room = None if limit is None else limit - len(self.rows)
             if room is not None and len(batch) > room:
                 batch = batch.narrow(range(room))
@@ -318,7 +328,7 @@ class _PlainSink:
 
     def finish(self) -> List[tuple]:
         program, stats = self.program, self.rt.stats
-        if not program.sorting:
+        if not self.sorting:
             if program.limit is not None:
                 stats.bump("executor.limit_short_circuits")
             return self.rows

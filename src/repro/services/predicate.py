@@ -438,7 +438,7 @@ class Arith(Expr):
             return None
         try:
             return _ARITHMETIC[self.op](lhs, rhs)
-        except (TypeError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise PredicateError(
                 f"cannot evaluate {lhs!r} {self.op} {rhs!r}") from exc
 

@@ -26,7 +26,7 @@ from . import events as ev
 from .events import EventService
 
 __all__ = ["ScanPosition", "Scan", "ScanService", "SnapshotScan",
-           "ABSENT", "BEFORE", "ON", "AFTER"]
+           "ABSENT", "BEFORE", "ON", "AFTER", "key_ordered"]
 
 BEFORE = "before"
 ON = "on"
@@ -37,6 +37,17 @@ AFTER = "after"
 #: (the scan boundary) so both the transaction service's version store
 #: and the snapshot scan wrapper can share it without an import cycle.
 ABSENT = object()
+
+
+def key_ordered(pairs: list) -> list:
+    """Sort ``(record key, image)`` pairs by key, in place — the order in
+    which a snapshot reader meets images that come from the version
+    store rather than from storage."""
+    try:
+        pairs.sort()
+    except TypeError:  # heterogeneous keys: still deterministic
+        pairs.sort(key=repr)
+    return pairs
 
 
 class ScanPosition:
@@ -171,16 +182,17 @@ class SnapshotScan(Scan):
                 break
             patch = self._patch_fn()
             candidates = []
+            patched = 0
             for key, record in batch:
                 self._seen.add(key)
                 if key in patch:
-                    image = patch[key]
-                    if self._stats is not None:
-                        self._stats.bump("mvcc.records_patched")
-                    if image is ABSENT:
+                    patched += 1
+                    record = patch[key]
+                    if record is ABSENT:
                         continue  # born after the snapshot: invisible
-                    record = image
                 candidates.append((key, record))
+            if patched and self._stats is not None:
+                self._stats.bump("mvcc.records_patched", patched)
             out.extend(self._apply_batch(candidates))
         while len(out) < n and self._resurrect:
             take = min(n - len(out), len(self._resurrect))
@@ -217,12 +229,9 @@ class SnapshotScan(Scan):
         return out
 
     def _prepare_resurrection(self) -> None:
-        pending = [(key, image) for key, image in self._patch_fn().items()
-                   if image is not ABSENT and key not in self._seen]
-        try:
-            pending.sort()
-        except TypeError:  # heterogeneous keys: still deterministic
-            pending.sort(key=repr)
+        pending = key_ordered(
+            [(key, image) for key, image in self._patch_fn().items()
+             if image is not ABSENT and key not in self._seen])
         if pending and self._stats is not None:
             self._stats.bump("mvcc.records_resurrected", len(pending))
         self._resurrect = pending

@@ -72,7 +72,7 @@ class Snapshot:
     """
 
     __slots__ = ("snapshot_id", "lsn", "active_ids", "owner_txn_id",
-                 "invalidated")
+                 "invalidated", "patches")
 
     def __init__(self, snapshot_id: int, lsn: int,
                  active_ids: FrozenSet[int], owner_txn_id: int):
@@ -83,6 +83,9 @@ class Snapshot:
         #: Set at restart: undo images are volatile, so a snapshot taken
         #: before a crash cannot reconstruct its read point afterwards.
         self.invalidated = False
+        #: relation id -> (store epoch, transitions consumed, patch): the
+        #: memo :meth:`VersionStore.patch` keeps, which dies with this.
+        self.patches: Dict[int, tuple] = {}
 
     def check_valid(self) -> None:
         if self.invalidated:
@@ -123,6 +126,9 @@ class VersionStore:
         self.stats = stats
         self._by_relation: Dict[int, List[_Version]] = {}
         self._by_txn: Dict[int, List[_Version]] = {}
+        #: Moves whenever a noted transition is cancelled or dropped —
+        #: the events that can change a patch other than by appending.
+        self.epoch = 0
 
     def note(self, lsn: int, txn_id: int, relation_id: int,
              transitions) -> None:
@@ -151,6 +157,8 @@ class VersionStore:
             if entry.lsn > above_lsn and not entry.cancelled:
                 entry.cancelled = True
                 cancelled += 1
+        if cancelled:
+            self.epoch += 1
         return cancelled
 
     def patch(self, snapshot: Snapshot, relation_id: int,
@@ -168,25 +176,42 @@ class VersionStore:
         in LSN order); the walk keeps overwriting a key's patch with
         ever-older before-images until it meets a visible transition,
         which finalises the key.
+
+        The walk happens once per (snapshot, relation): the result is
+        memoised on the snapshot.  A transition noted after that is
+        invisible to the snapshot and newer than everything walked, so a
+        later call only extends the memo from the tail of the list (the
+        first before-image of a key wins); the walk is repeated when
+        :attr:`epoch` has moved.  Callers must not mutate the result.
         """
-        patch: dict = {}
-        final = set()
-        lsn_bound = snapshot.lsn
-        for entry in reversed(self._by_relation.get(relation_id, ())):
-            if entry.cancelled:
-                continue
-            key = entry.key
-            if key in final:
-                continue
-            commit_lsn = commit_lsns.get(entry.txn_id)
-            if commit_lsn is not None and commit_lsn <= lsn_bound:
-                # Visible: this transition's after-state is what the
-                # snapshot sees.  If newer invisible transitions put a
-                # before-image in the patch, that image *is* this
-                # after-state — keep it; either way the key is decided.
-                final.add(key)
-                continue
-            patch[key] = entry.before
+        entries = self._by_relation.get(relation_id, ())
+        memo = snapshot.patches.get(relation_id)
+        if memo is not None and memo[0] == self.epoch:
+            patch = memo[2]
+            if memo[1] == len(entries):
+                return patch
+            for entry in entries[memo[1]:]:
+                patch.setdefault(entry.key, entry.before)
+        else:
+            patch = {}
+            final = set()
+            lsn_bound = snapshot.lsn
+            for entry in reversed(entries):
+                if entry.cancelled:
+                    continue
+                key = entry.key
+                if key in final:
+                    continue
+                commit_lsn = commit_lsns.get(entry.txn_id)
+                if commit_lsn is not None and commit_lsn <= lsn_bound:
+                    # Visible: this transition's after-state is what the
+                    # snapshot sees.  If newer invisible transitions put a
+                    # before-image in the patch, that image *is* this
+                    # after-state — keep it; either way the key is decided.
+                    final.add(key)
+                    continue
+                patch[key] = entry.before
+        snapshot.patches[relation_id] = (self.epoch, len(entries), patch)
         return patch
 
     def reclaim(self, commit_lsns: Dict[int, int], active_txn_ids,
@@ -227,14 +252,17 @@ class VersionStore:
                 self._by_txn[txn_id] = kept
             else:
                 del self._by_txn[txn_id]
-        if dropped and self.stats is not None:
-            self.stats.bump("mvcc.versions_reclaimed", dropped)
+        if dropped:
+            self.epoch += 1
+            if self.stats is not None:
+                self.stats.bump("mvcc.versions_reclaimed", dropped)
         return dropped
 
     def clear(self) -> None:
         """Forget everything (restart: undo images are volatile)."""
         self._by_relation.clear()
         self._by_txn.clear()
+        self.epoch += 1
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_relation.values())

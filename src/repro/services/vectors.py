@@ -138,7 +138,7 @@ class VectorOps:
             if op == "%":
                 return [None if a is None or b is None else a % b
                         for a, b in zip(left, right)]
-        except (TypeError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise PredicateError(f"cannot evaluate vector {op}: {exc}") \
                 from exc
         raise PredicateError(f"unknown arithmetic operator {op!r}")

@@ -179,6 +179,20 @@ def test_snapshot_join_over_ordered_storage_does_not_merge():
     reader.commit()
 
 
+def test_snapshot_join_over_ordered_storage_merges_while_nothing_is_patched():
+    """With empty patches a snapshot's routes are in route order, like a
+    locking reader's: the shared plan's merge join still merges."""
+    db = _ordered_pair()
+    quiesced = db.execute(MERGE_JOIN)
+    reader = db.connect()
+    reader.begin(snapshot=True)
+    merges = db.services.stats.get("executor.columnar.ir.join.merge")
+    assert reader.execute(MERGE_JOIN) == quiesced
+    assert db.services.stats.get("executor.columnar.ir.join.merge") \
+        == merges + 1
+    reader.commit()
+
+
 # ---------------------------------------------------------------------------
 # Snapshot readers run columnar, bit-identically
 # ---------------------------------------------------------------------------
@@ -314,19 +328,28 @@ def test_one_row_outer_join_probes_the_inner_index_once():
     assert delta.get("heap.tuples_scanned", 0) <= 2
 
 
-def test_one_row_outer_join_under_snapshot_runs_the_hash_source():
+def test_one_row_outer_join_under_snapshot_probes_the_inner_index():
+    """The keyed join serves a snapshot through the same probes: the
+    order and its customer were both rewritten after the snapshot, so
+    both rows come from the version store and neither heap is scanned."""
     db = _orders_db()
     quiesced = db.execute(ONE_ORDER)
-    reader = db.connect()
+    reader, writer = db.connect(), db.connect()
     reader.begin(snapshot=True)
+    with writer.transaction():
+        writer.execute("UPDATE orders SET cid = 3 WHERE oid = 7")
+        writer.execute("UPDATE customer SET cname = 'renamed' WHERE cid = 49")
+    assert db.execute(ONE_ORDER) == [(7, "c0003")]
     stats = db.services.stats
     before = stats.snapshot()
-    assert reader.execute(ONE_ORDER) == quiesced
+    assert reader.execute(ONE_ORDER) == quiesced == [(7, "c0049")]
     delta = stats.delta(before)
     reader.commit()
-    assert delta.get("executor.index_nl_joins", 0) == 0
-    assert delta["executor.columnar.ir.join.hash"] == 1
-    assert delta["mvcc.route_downgrades"] >= 1
+    assert delta["executor.index_nl_joins"] == 1
+    assert delta.get("executor.columnar.ir.join.hash", 0) == 0
+    assert delta.get("heap.tuples_scanned", 0) <= 2
+    assert "mvcc.route_downgrades" not in delta
+    assert stats.session_get(reader.session_id, "locks.acquire_calls") == 0
 
 
 def test_join_index_join_under_defaults():

@@ -1,0 +1,498 @@
+"""Access routes under a snapshot: the candidate rule, differentially.
+
+A snapshot reader takes the same routes a locking reader takes — unique
+and non-unique B-tree, hash index, covering read, R-tree, the keyed
+joins — with one rule on top: current route hits whose record key is in
+the relation's rewind patch are dropped, and the patch's visible images
+that pass the residual filter answer in their place.  The tests here run
+every shape through a snapshot while writers move indexed fields, join
+columns, storage keys and whole records underneath it, and compare with
+``reference.run`` reading through the *same* session, which knows
+nothing of routes: it filters the rows of ``Relation.scan()``.
+
+Ordered results are compared as the sort column's sequence plus multiset
+membership (the order of ties is arrival order, which a route may change).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import Box, Database
+from repro.query import backends
+from repro.query.parser import parse_statement
+from repro.query.planner import plan_select
+
+from . import reference
+
+BACKENDS = ["python"] + (["numpy"] if backends.numpy_available() else [])
+
+CUSTOMERS, ORDERS, KEYS = 50, 200, 60
+#: Rows below this id belong to the writer that is open across the
+#: snapshot's begin; the random steps stay above it, so no step meets
+#: that writer's locks.
+RESERVED = 5
+
+
+def build(backend: str, join_index: bool = True) -> Database:
+    db = Database(page_size=1024, buffer_capacity=512,
+                  kernel_backend=backend)
+    cust = db.create_table("cust", [("cid", "INT", False),
+                                    ("name", "STRING"), ("region", "INT"),
+                                    ("loc", "BOX")])
+    orders = db.create_table("ord", [("oid", "INT", False), ("cid", "INT"),
+                                     ("amount", "INT"), ("tag", "INT")])
+    kv = db.create_table("kv", [("k", "INT", False), ("v", "INT")],
+                         storage_method="btree_file",
+                         attributes={"key": ["k"]})
+    cust.insert_many([(i, f"c{i:03d}", i % 5,
+                       Box(i * 10, i * 10, i * 10 + 15, i * 10 + 15))
+                      for i in range(CUSTOMERS)])
+    orders.insert_many([(i, (i * 7) % CUSTOMERS, (i * 37) % 500, i % 61)
+                        for i in range(ORDERS)])
+    kv.insert_many([(i * 2, i) for i in range(KEYS)])
+    db.create_index("cust_cid", "cust", ["cid"], unique=True)
+    db.create_attachment("cust", "rtree", "cust_loc", {"column": "loc"})
+    db.create_index("ord_oid", "ord", ["oid"], unique=True)
+    db.create_index("ord_amount", "ord", ["amount"])
+    db.create_index("ord_tag", "ord", ["tag"], kind="hash_index")
+    if join_index:
+        db.create_attachment("ord", "join_index", "ord_cust_ji",
+                             {"other": "cust", "column": "cid",
+                              "other_column": "cid"})
+    return db
+
+
+RANGE = "FROM ord WHERE amount >= :lo AND amount < :hi"
+JOIN = "FROM ord o JOIN cust c ON o.cid = c.cid"
+
+#: name -> (statement, forced join method or None, position of the sort
+#: column in an output row or None, LIMIT or None, the counter that shows
+#: the route ran).
+SHAPES = {
+    "point": ("SELECT * FROM ord WHERE oid = :oid", None, None, None,
+              "btree_index.entries_scanned"),
+    "range": (f"SELECT oid, amount {RANGE}", None, None, None,
+              "btree_index.entries_scanned"),
+    "range_ordered": (f"SELECT oid, amount {RANGE} ORDER BY amount",
+                      None, 1, None, "btree_index.entries_scanned"),
+    "range_top": (f"SELECT oid, amount {RANGE} ORDER BY amount LIMIT 4",
+                  None, 1, 4, "btree_index.entries_scanned"),
+    "hash_equality": ("SELECT oid, tag FROM ord WHERE tag = :tag",
+                      None, None, None, "hash_index.fetches"),
+    "covering": (f"SELECT amount {RANGE}", None, None, None,
+                 "executor.covering_scans"),
+    "rtree_box": ("SELECT cid FROM cust WHERE loc OVERLAPS :box",
+                  None, None, None, "rtree.searches"),
+    "nl_one_row_outer": (f"SELECT o.oid, c.name {JOIN} WHERE o.oid = :oid",
+                         "index_nl", None, None, "executor.index_nl_joins"),
+    "nl_many_row_outer": (f"SELECT o.oid, c.name {JOIN} "
+                          "WHERE o.amount >= :lo AND o.amount < :hi",
+                          "index_nl", None, None, "executor.index_nl_joins"),
+    "nl_storage_keyed": ("SELECT o.oid, kv.v FROM ord o JOIN kv "
+                         "ON o.tag = kv.k WHERE o.oid = :oid",
+                         "index_nl", None, None, "executor.index_nl_joins"),
+    "join_index": (f"SELECT o.oid, c.region {JOIN}", "join_index", None,
+                   None, None),
+    "group_range": (f"SELECT tag, COUNT(*), SUM(amount) {RANGE} "
+                    "GROUP BY tag", None, None, None,
+                    "btree_index.entries_scanned"),
+    "file_ordered": ("SELECT k, v FROM kv WHERE k >= :klo AND k < :khi "
+                     "ORDER BY k", None, 0, None, None),
+    "file_top": ("SELECT k, v FROM kv ORDER BY k LIMIT 6", None, 0, 6,
+                 None),
+}
+
+
+def run_shape(session, name: str, params: dict):
+    """Run one shape through ``session``; a forced join method is set on
+    a hand-made plan, as ``run_forced`` does for the locking path."""
+    text, method = SHAPES[name][:2]
+    if method is None:
+        return session.execute(text, params)
+    with session.autocommit() as ctx:
+        plan = plan_select(ctx, parse_statement(text), text)
+        plan.join.method = method
+        if method == "join_index":
+            plan.join.join_index_instance = "ord_cust_ji"
+        executor = session.database.query_engine.executor
+        return executor.run_select(ctx, plan, params)
+
+
+def check_shape(session, name: str, params: dict) -> None:
+    text, __, sort_column, limit, __c = SHAPES[name]
+    got = run_shape(session, name, params)
+    if limit is not None:
+        text = text[:text.index(" LIMIT")]
+    expected = reference.run(session, text, params)
+    context = (name, params)
+    if sort_column is None:
+        assert reference.same_rows(got, expected), context
+        return
+    wanted = [row[sort_column] for row in expected]
+    if limit is not None:
+        wanted = wanted[:limit]
+    assert [row[sort_column] for row in got] == wanted, context
+    assert not Counter(got) - Counter(expected), context
+
+
+def draw_params(rng, hot: list) -> dict:
+    """Parameters biased towards the rows the writers touched."""
+    lo = rng.randrange(0, 480)
+    klo = rng.randrange(0, 2 * KEYS)
+    corner = rng.randrange(0, 10 * CUSTOMERS)
+    oid = rng.choice(hot) if hot and rng.random() < 0.7 \
+        else rng.randrange(ORDERS + 20)
+    return {"oid": oid, "lo": lo, "hi": lo + rng.randrange(1, 150),
+            "tag": rng.randrange(61), "klo": klo,
+            "khi": klo + rng.randrange(1, 40),
+            "box": Box(corner, corner, corner + 40, corner + 40)}
+
+
+class World:
+    """One database, a snapshot reader, the writer that was open when
+    the snapshot began, and a second writer that runs the steps.
+
+    Maintaining a join index reads the other relation under S locks, so
+    with one on ``ord``/``cust`` a writer left open on either would stop
+    every step on the other: that world's open writer holds ``kv`` rows,
+    and the world without a join index has it hold ``ord`` and ``cust``.
+    """
+
+    def __init__(self, backend: str, rng, join_index: bool):
+        self.rng = rng
+        self.db = build(backend, join_index)
+        self.shapes = sorted(name for name in SHAPES
+                             if join_index or name != "join_index")
+        self.reader = self.db.connect()
+        self.pending = self.db.connect()
+        self.writer = self.db.connect()
+        self.hot = list(range(RESERVED))  # where the reader looks first
+        self.touched = []                 # orders a step wrote
+        self.fresh = ORDERS + 100  # ids no row ever had
+        self.used_keys = set()
+        # The reference reads through the same version store as the
+        # routes; what the store itself must reproduce is this.
+        self.committed = {name: sorted(self.db.table(name).rows(), key=repr)
+                          for name in ("cust", "ord", "kv")}
+        self.pending.begin()
+        reserved = rng.randrange(RESERVED)
+        if join_index:
+            self.pending.execute("UPDATE kv SET k = :new WHERE k = :old",
+                                 {"new": 2 * reserved + 1,
+                                  "old": 2 * reserved})
+        else:
+            self.pending.execute(
+                "UPDATE ord SET amount = :a WHERE oid = :oid",
+                {"a": rng.randrange(500), "oid": reserved})
+            self.pending.execute(
+                "UPDATE cust SET name = 'pending' WHERE cid = :cid",
+                {"cid": reserved})
+        self.reader.begin(snapshot=True)
+
+    # -- what the writers do ---------------------------------------------------
+    def some_order(self) -> int:
+        """Half the time a row an earlier step wrote: a key's second
+        transition must not displace the image its first one kept."""
+        if self.touched and self.rng.random() < 0.5:
+            return self.rng.choice(self.touched)
+        oid = self.rng.randrange(RESERVED, ORDERS)
+        self.touched.append(oid)
+        self.hot.append(oid)
+        return oid
+
+    def set_amount(self) -> None:
+        """Into, out of, or within whatever range is probed next."""
+        self.writer.execute("UPDATE ord SET amount = :a WHERE oid = :oid",
+                            {"a": self.rng.randrange(500),
+                             "oid": self.some_order()})
+
+    def set_join_column(self) -> None:
+        self.writer.execute("UPDATE ord SET cid = :c, tag = :t "
+                            "WHERE oid = :oid",
+                            {"c": self.rng.randrange(CUSTOMERS),
+                             "t": self.rng.randrange(2 * KEYS),
+                             "oid": self.some_order()})
+
+    def move_customer(self) -> None:
+        corner = self.rng.randrange(0, 10 * CUSTOMERS)
+        self.writer.execute(
+            "UPDATE cust SET loc = :box, name = 'moved' WHERE cid = :cid",
+            {"box": Box(corner, corner, corner + 15, corner + 15),
+             "cid": self.rng.randrange(RESERVED, CUSTOMERS)})
+
+    def delete_order(self) -> None:
+        self.writer.execute("DELETE FROM ord WHERE oid = :oid",
+                            {"oid": self.some_order()})
+
+    def delete_customer(self) -> None:
+        self.writer.execute("DELETE FROM cust WHERE cid = :cid",
+                            {"cid": self.rng.randrange(RESERVED, CUSTOMERS)})
+
+    def insert_order(self) -> None:
+        self.fresh += 1
+        self.hot.append(self.fresh)
+        self.writer.execute(
+            "INSERT INTO ord VALUES (:oid, :cid, :amount, :tag)",
+            {"oid": self.fresh, "cid": self.rng.randrange(CUSTOMERS),
+             "amount": self.rng.randrange(500),
+             "tag": self.rng.randrange(61)})
+
+    def reuse_slot(self) -> None:
+        """Delete, commit, insert: the new record may take the old slot,
+        and the snapshot must still see the old record at that key."""
+        self.delete_order()
+        self.insert_order()
+
+    def move_file_key(self) -> None:
+        """To an odd key inside the probed ranges (the table starts with
+        even ones), each used once, or to one beyond them all."""
+        new = 2 * self.rng.randrange(RESERVED, KEYS) + 1
+        if new in self.used_keys:
+            new = self.fresh = self.fresh + 1
+        self.used_keys.add(new)
+        self.writer.execute("UPDATE kv SET k = :new WHERE k = :old",
+                            {"new": new, "old": 2 * self.rng.randrange(
+                                RESERVED, KEYS)})
+
+    #: Steps a rolled-back stretch is made of (no insert after a delete
+    #: in one transaction: ROADMAP item 4(a)'s heap undo bug is not this
+    #: test's subject).
+    UNDOABLE = ("set_amount", "set_join_column", "move_customer",
+                "delete_order", "move_file_key")
+
+    def rollback_to_savepoint(self) -> None:
+        self.writer.begin()
+        self.set_amount()
+        self.writer.savepoint("sp")
+        for name in self.rng.sample(self.UNDOABLE, 2):
+            getattr(self, name)()
+        self.writer.rollback_to("sp")
+        self.writer.commit()
+
+    def abort(self) -> None:
+        self.writer.begin()
+        for name in self.rng.sample(self.UNDOABLE, 2):
+            getattr(self, name)()
+        self.writer.rollback()
+
+    def settle_pending(self) -> None:
+        if self.pending.in_transaction:
+            if self.rng.random() < 0.5:
+                self.pending.commit()
+            else:
+                self.pending.rollback()
+
+    # -- what the reader sees ----------------------------------------------------
+    def read(self, names) -> None:
+        """Check shapes through the snapshot; the reader takes no lock
+        and leaves the log where it was."""
+        stats, wal = self.db.services.stats, self.db.services.wal
+        before = (wal.current_lsn, wal.flushed_lsn)
+        for name, rows in self.committed.items():
+            assert sorted(self.reader.table(name).rows(), key=repr) == rows
+        for name in names:
+            check_shape(self.reader, name, draw_params(self.rng, self.hot))
+        assert (wal.current_lsn, wal.flushed_lsn) == before
+        assert stats.session_get(self.reader.session_id,
+                                 "locks.acquire_calls") == 0
+
+
+STEPS = ("set_amount", "set_join_column", "move_customer", "delete_order",
+         "delete_customer", "insert_order", "reuse_slot", "move_file_key",
+         "rollback_to_savepoint", "abort", "settle_pending")
+
+
+@pytest.mark.parametrize("join_index", [False, True])
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(steps=st.lists(st.sampled_from(STEPS), min_size=2, max_size=10),
+       rng=st.randoms(use_true_random=False))
+def test_every_route_agrees_with_the_reference_under_a_snapshot(
+        backend, join_index, steps, rng):
+    world = World(backend, rng, join_index)
+    world.read(rng.sample(world.shapes, 3))  # memoise before any step
+    for step in steps:
+        getattr(world, step)()
+        # Between steps: a memoised patch is extended, or rebuilt.
+        world.read(rng.sample(world.shapes, 2))
+    world.read(world.shapes)
+    world.settle_pending()
+    world.read(world.shapes)
+    world.reader.commit()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_shape_takes_its_route_under_a_snapshot(backend):
+    """The differential test is only about routes if the routes run: each
+    shape moves its route's counter, nothing is downgraded but the
+    join-index pairs, and no heap is scanned for an indexed shape."""
+    db = build(backend)
+    reader, writer = db.connect(), db.connect()
+    reader.begin(snapshot=True)
+    with writer.transaction():
+        writer.execute("UPDATE ord SET amount = 111, cid = 9, tag = 8 "
+                       "WHERE oid = 20")
+        writer.execute("DELETE FROM ord WHERE oid = 21")
+        writer.execute("UPDATE cust SET name = 'moved' WHERE cid = 40")
+        writer.execute("UPDATE kv SET k = 999 WHERE k = 16")
+    params = {"oid": 20, "lo": 100, "hi": 260, "tag": 20, "klo": 10,
+              "khi": 30, "box": Box(390, 390, 420, 420)}
+    stats = db.services.stats
+    for name, (__, __m, __s, __l, counter) in SHAPES.items():
+        check_shape(reader, name, params)
+        # Again, alone: the reference's scans must not be in the delta.
+        before = stats.snapshot()
+        run_shape(reader, name, params)
+        delta = stats.delta(before)
+        if counter is not None:
+            assert delta.get(counter, 0) >= 1, name
+            assert delta.get("heap.tuples_scanned", 0) == 0, name
+        assert ("mvcc.route_downgrades" in delta) == (name == "join_index")
+    assert stats.session_get(reader.session_id, "locks.acquire_calls") == 0
+    reader.commit()
+
+
+# ---------------------------------------------------------------------------
+# ORDER BY answered from route order
+# ---------------------------------------------------------------------------
+
+def _shuffled_heap():
+    """2 000 rows whose heap order is not ``k`` order, a B-tree on ``k``:
+    the planner reads the range through the index and elides the sort."""
+    db = Database(page_size=1024, buffer_capacity=512)
+    table = db.create_table("t", [("id", "INT", False), ("k", "INT")])
+    table.insert_many([(i, (i * 773) % 2000) for i in range(2000)])
+    db.create_index("t_k", "t", ["k"])
+    return db, "SELECT k, id FROM t WHERE k >= 100 AND k < 130 ORDER BY k"
+
+
+def _ordered_file():
+    db = Database(page_size=1024, buffer_capacity=512)
+    table = db.create_table("t", [("k", "INT", False), ("id", "INT")],
+                            storage_method="btree_file",
+                            attributes={"key": ["k"]})
+    table.insert_many([(k, k) for k in range(100, 220, 2)])
+    return db, "SELECT k, id FROM t ORDER BY k"
+
+
+WRITES = {
+    "no_writer": [],
+    # 101 is among the first five; the snapshot still sees the row at 150.
+    "moved_into_the_first_rows": ["UPDATE t SET k = 101 WHERE k = 150"],
+    "deleted_from_the_first_rows": ["DELETE FROM t WHERE k = 102"],
+    "moved_away_and_deleted": ["DELETE FROM t WHERE k = 104",
+                               "UPDATE t SET k = 500 WHERE k = 108"],
+}
+
+
+@pytest.mark.parametrize("writes", sorted(WRITES))
+@pytest.mark.parametrize("make", [_shuffled_heap, _ordered_file])
+def test_order_by_elided_for_the_route_holds_under_a_snapshot(make, writes):
+    db, statement = make()
+    assert db.explain(statement)["needs_sort"] is False
+    quiesced = db.execute(statement)
+    assert [k for k, __ in quiesced] == sorted(k for k, __ in quiesced)
+    reader, writer = db.connect(), db.connect()
+    reader.begin(snapshot=True)
+    for text in WRITES[writes]:
+        writer.execute(text)
+    # The locking session shares the plan and still trusts the route.
+    sorts = db.services.stats.get("executor.sorts")
+    current = db.execute(statement)
+    assert [k for k, __ in current] == sorted(k for k, __ in current)
+    assert db.services.stats.get("executor.sorts") == sorts
+    assert reader.execute(statement) == quiesced
+    assert reader.execute(statement + " LIMIT 5") == quiesced[:5]
+    assert reader.execute(statement) == reference.run(reader, statement)
+    reader.commit()
+
+
+# ---------------------------------------------------------------------------
+# What a route costs under a snapshot
+# ---------------------------------------------------------------------------
+
+def _delta(db, run):
+    before = db.services.stats.snapshot()
+    rows = run()
+    return rows, db.services.stats.delta(before)
+
+
+def test_snapshot_point_select_costs_what_the_locking_one_costs():
+    """*h* node pins and one heap pin, warm — and *h* alone when the key
+    is patched, because the record then comes from the version store."""
+    db = build("python")
+    statement, params = SHAPES["point"][0], {"oid": 7}
+    type_id = db.registry.attachment_type_by_name("btree_index").type_id
+    field = db.catalog.handle("ord").descriptor.attachment_field(type_id)
+    height = field["instances"]["ord_oid"]["tree"]["height"]
+    reader, writer = db.connect(), db.connect()
+    reader.begin(snapshot=True)
+    for session in (db, reader):
+        session.execute(statement, params)  # plan and pages warm
+    row, locking = _delta(db, lambda: db.execute(statement, params))
+    assert locking["buffer.pins"] == height + 1
+    same_row, snapshot = _delta(db, lambda: reader.execute(statement, params))
+    assert same_row == row
+    assert snapshot["buffer.pins"] == height + 1
+    assert snapshot["btree_index.entries_scanned"] == 1
+    assert "heap.tuples_scanned" not in snapshot
+    assert "mvcc.route_downgrades" not in snapshot
+    assert "locks.acquire_calls" not in snapshot
+
+    writer.execute("UPDATE ord SET amount = 1 WHERE oid = 7")
+    old_row, patched = _delta(db, lambda: reader.execute(statement, params))
+    assert old_row == row
+    assert patched["buffer.pins"] == height
+    assert patched["mvcc.records_patched"] == 1
+    assert "heap.fetches" not in patched
+    assert "heap.tuples_scanned" not in patched
+    reader.commit()
+
+
+def test_join_index_pairs_serve_a_snapshot_only_while_nothing_is_patched():
+    db = build("python")
+    reader, writer = db.connect(), db.connect()
+    reader.begin(snapshot=True)
+    rows, delta = _delta(db, lambda: run_shape(reader, "join_index", {}))
+    assert delta["executor.join_index_joins"] == 1
+    assert "mvcc.route_downgrades" not in delta
+    assert "executor.columnar.ir.join.hash" not in delta
+    # One patched order is enough: its pair now names another customer.
+    writer.execute("UPDATE ord SET cid = 3 WHERE oid = 20")
+    again, delta = _delta(db, lambda: run_shape(reader, "join_index", {}))
+    assert delta["mvcc.route_downgrades"] == 1
+    assert delta["executor.columnar.ir.join.hash"] == 1
+    assert "executor.join_index_joins" not in delta
+    assert reference.same_rows(again, rows)
+    assert reference.same_rows(
+        again, reference.run(reader, SHAPES["join_index"][0]))
+    reader.commit()
+
+
+def test_covering_read_under_a_snapshot_stays_in_the_index():
+    db = build("python")
+    statement, params = SHAPES["covering"][0], {"lo": 100, "hi": 160}
+    reader, writer = db.connect(), db.connect()
+    reader.begin(snapshot=True)
+    for session in (db, reader):
+        session.execute(statement, params)
+    rows, locking = _delta(db, lambda: db.execute(statement, params))
+    same, snapshot = _delta(db, lambda: reader.execute(statement, params))
+    assert same == rows
+    assert snapshot["executor.covering_scans"] == 1
+    assert snapshot["buffer.pins"] == locking["buffer.pins"]
+    assert not [name for name in snapshot if name.startswith("heap.")]
+    # Patched entries are answered from the version store, not the heap.
+    writer.execute("UPDATE ord SET amount = 900 WHERE amount >= 100 "
+                   "AND amount < 130")
+    old, patched = _delta(db, lambda: reader.execute(statement, params))
+    assert sorted(old) == sorted(rows)
+    assert patched["mvcc.records_patched"] >= 1
+    assert not [name for name in patched if name.startswith("heap.")]
+    reader.commit()

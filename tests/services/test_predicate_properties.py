@@ -213,6 +213,9 @@ _SHORT_CIRCUIT = Or([Cmp("=", Col("i"), Const(0)),
 @given(st.one_of(_truths(2), _numbers(2), _texts(), _regions(1)), _batches())
 @example(_SHORT_CIRCUIT, ([(0, 0.0, "", 0, None), (5, 0.0, "", 0, None),
                            (20, 0.0, "", 0, None), (None,) * 5], None))
+# ``%`` between strings is formatting, whose failure is a ValueError.
+@example(Arith("%", Col("m"), Col("m")),
+         ([(None, None, None, "b%", None)], None))
 def test_batch_entry_point_equals_record_entry_point(expr, batch):
     rows, selection = batch
     bound = expr.bind(WIDE)
