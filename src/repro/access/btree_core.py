@@ -20,8 +20,14 @@ pickled nodes always fit their page.
 Nodes are read through the buffer frame's decoded image
 (``BufferPool.decoded``): unpickled once per resident frame, a visit still
 a pin, each node on a probe's path read once.  The image is shared, so
-nobody changes what ``_read`` returns: ``insert`` and ``delete`` change a
-``copy()``, and only a page write that succeeded makes it visible.
+nobody changes what ``_read`` returns: a writer changes a ``copy()``, only
+a page write that succeeded makes it visible, and the copy it wrote — now
+frozen too — is handed to the frame as its new image.
+
+Writes are set-at-a-time: ``insert_many`` / ``delete_many`` / ``first_duplicate``
+sort their batch by key and work it a leaf at a time (``_run``) — a leaf
+is descended to, copied, pickled and written once however many entries of
+the batch land in it; ``insert`` and ``delete`` are the batch of one.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from __future__ import annotations
 import pickle
 from bisect import bisect_left, bisect_right
 from itertools import islice
-from typing import Iterator, List, Optional, Tuple
+from operator import itemgetter, le, lt
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..errors import PageError, StorageError
 from ..services.buffer import BufferPool
@@ -60,7 +68,7 @@ class _Node:
 
     @classmethod
     def load(cls, page: PageView) -> "_Node":
-        node = cls(True)
+        node = cls.__new__(cls)  # every slot is assigned below
         (node.leaf, node.keys, node.values, node.children,
          node.next_leaf) = pickle.loads(page.read(0))
         return node
@@ -68,7 +76,8 @@ class _Node:
     def copy(self) -> "_Node":
         """A private copy a mutator may change (the lists are new, the
         entries shared)."""
-        node = _Node(self.leaf)
+        node = _Node.__new__(_Node)  # every slot is assigned below
+        node.leaf = self.leaf
         node.keys = list(self.keys)
         node.values = list(self.values)
         node.children = list(self.children)
@@ -100,7 +109,7 @@ class BTree:
             state = {}
         tree = cls(buffer, state, max_entries)
         root = _Node(leaf=True)
-        state["root"] = tree._allocate(root)
+        state["root"] = tree._allocate(root, root.dump())
         state["height"] = 1
         state["nentries"] = 0
         state["pages"] = 1
@@ -119,7 +128,7 @@ class BTree:
         if self.state.get("root", -1) != -1:
             self._free_subtree(self.state["root"])
         root = _Node(leaf=True)
-        self.state["root"] = self._allocate(root)
+        self.state["root"] = self._allocate(root, root.dump())
         self.state["height"] = 1
         self.state["nentries"] = 0
         self.state["pages"] = 1
@@ -134,41 +143,120 @@ class BTree:
     # -- entry operations ---------------------------------------------------------
     def insert(self, key: tuple, value) -> None:
         """Add one (key, value) entry; duplicates of the pair are allowed."""
-        key = tuple(key)
-        split = self._insert_into(self.state["root"], key, value)
-        if split is not None:
-            middle_key, right_page = split
-            new_root = _Node(leaf=False)
-            new_root.keys = [middle_key]
-            new_root.children = [self.state["root"], right_page]
-            self.state["root"] = self._allocate(new_root)
-            self.state["height"] += 1
-        self.state["nentries"] += 1
+        self.insert_many(((key, value),))
+
+    def insert_many(self, entries: Iterable[Tuple[tuple, object]]) -> None:
+        """Add every ``(key, value)`` entry (keys are tuples).
+
+        Placement is what one :meth:`insert` per entry, in key order,
+        would give: after the entries already stored under its key, batch
+        order kept among equal keys.  A leaf the batch overfills is halved
+        until every piece fits (:meth:`_store`).
+        """
+        entries = sorted(entries, key=itemgetter(0))  # stable: batch order
+        state, lo, count = self.state, 0, len(entries)
+        while lo < count:
+            path, page_id, node, hi = self._run(entries, lo, bisect_right)
+            node = node.copy()
+            keys, values, at = node.keys, node.values, 0
+            for key, value in entries[lo:hi]:
+                at = bisect_right(keys, key, at)
+                keys.insert(at, key)
+                values.insert(at, value)
+            pieces = self._store(page_id, node)
+            while len(pieces) > 1:
+                # Cut: the node above takes the new pieces in, and may be
+                # cut in turn; above the root there is a new root.
+                if path:
+                    page_id, above, index = path.pop()
+                    above = above.copy()
+                else:
+                    page_id, above, index = None, _Node(leaf=False), 0
+                    above.children = [pieces[0][1]]
+                    state["height"] += 1
+                above.keys[index:index] = [sep for sep, __ in pieces[1:]]
+                above.children[index + 1:index + 1] = [
+                    page for __, page in pieces[1:]]
+                pieces = self._store(page_id, above)
+                if page_id is None:
+                    state["root"] = pieces[0][1]
+            state["nentries"] += hi - lo
+            lo = hi
 
     def delete(self, key: tuple, value) -> bool:
-        """Remove one entry matching (key, value); returns True if found.
+        """Remove one entry matching (key, value); returns True if found."""
+        return self.delete_many(((key, value),)) == 1
+
+    def delete_many(self, entries: Iterable[Tuple[tuple, object]]) -> int:
+        """Remove, for each ``(key, value)`` given, one entry matching it
+        (the first in key order); returns how many were found.
 
         Underflow is tolerated (nodes may become sparse); the tree never
         merges — acceptable for an access path that is rebuilt on restart
         and dropped/recreated under reorganisation.
         """
-        key = tuple(key)
-        page_id, node = self._descend(key)
-        while True:
-            for i in range(bisect_left(node.keys, key), len(node.keys)):
-                if node.keys[i] != key:
-                    return False
-                if node.values[i] == value:
-                    node = node.copy()
-                    del node.keys[i]
-                    del node.values[i]
-                    self._write(page_id, node.dump())
-                    self.state["nentries"] -= 1
-                    return True
-            page_id = node.next_leaf
-            if page_id == -1:
-                return False
-            node = self._read(page_id)
+        entries = sorted(entries, key=itemgetter(0))
+        removed, lo, count = 0, 0, len(entries)
+        try:
+            while lo < count:
+                __, page_id, node, hi = self._run(entries, lo, bisect_left)
+                pending, lo = entries[lo:hi], hi
+                while pending:
+                    keys, values = node.keys, node.values
+                    changed, carried = None, []
+                    for entry in pending:
+                        key, value = entry
+                        start = bisect_left(keys, key)
+                        end = bisect_right(keys, key, start)
+                        try:
+                            at = values.index(value, start, end)
+                        except ValueError:
+                            if end == len(keys):
+                                # The run of equal keys reaches the end of
+                                # the leaf: it may go on in the next one.
+                                carried.append(entry)
+                            continue
+                        if changed is None:
+                            changed = node.copy()
+                            keys, values = changed.keys, changed.values
+                        del keys[at], values[at]
+                    if changed is not None:
+                        self._write(page_id, changed, changed.dump())
+                        removed += len(node.keys) - len(keys)
+                    page_id, pending = node.next_leaf, carried
+                    if not pending or page_id == -1:
+                        break
+                    node = self._read(page_id)
+                    # The entries to come that this leaf's keys cover go
+                    # with the ones carried into it: one write for both.
+                    while lo < count and node.keys \
+                            and entries[lo][0] <= node.keys[-1]:
+                        pending.append(entries[lo])
+                        lo += 1
+        finally:
+            self.state["nentries"] -= removed
+        return removed
+
+    def first_duplicate(self, keys: Sequence[tuple]) -> Optional[int]:
+        """Position of the first of ``keys`` that is stored already or
+        came earlier among them — None when a unique rule lets the whole
+        batch in.  One probe, reading each leaf the batch touches once."""
+        entries = sorted(zip(keys, range(len(keys))))
+        taken, previous, lo = [], None, 0
+        while lo < len(entries):
+            __, ___, node, hi = self._run(entries, lo, bisect_left)
+            for key, at in entries[lo:hi]:
+                i = bisect_left(node.keys, key)
+                while i == len(node.keys) and node.next_leaf != -1:
+                    # It, and so every later key, sorts past this leaf.
+                    node = self._read(node.next_leaf)
+                    i = bisect_left(node.keys, key)
+                if key == previous or (i < len(node.keys)
+                                       and node.keys[i] == key):
+                    taken.append(at)
+                previous = key
+            lo = hi
+        return min(taken) if taken else None
 
     def search(self, key: tuple) -> List:
         """All values stored under exactly ``key``."""
@@ -286,63 +374,77 @@ class BTree:
         visit(self.state["root"], 1)
 
     # -- internals -----------------------------------------------------------------------
-    def _insert_into(self, page_id: int, key: tuple, value
-                     ) -> Optional[Tuple[tuple, int]]:
-        node = self._read(page_id)
-        if node.leaf:
-            node = node.copy()
-            index = bisect_right(node.keys, key)
-            node.keys.insert(index, key)
-            node.values.insert(index, value)
-            return self._store(page_id, node)
-        index = bisect_right(node.keys, key)
-        split = self._insert_into(node.children[index], key, value)
-        if split is None:
-            return None
-        middle_key, right_page = split
-        node = node.copy()
-        node.keys.insert(index, middle_key)
-        node.children.insert(index + 1, right_page)
-        return self._store(page_id, node)
+    def _run(self, entries: List[tuple], lo: int, side: Callable):
+        """Descend for the key of ``entries[lo]`` under ``side``
+        (``bisect_right`` to place an entry, ``bisect_left`` to find one):
+        ``(path, page id, leaf, hi)``, where the key-sorted
+        ``entries[lo:hi]`` all reach that leaf — one descent per leaf a
+        batch touches — and ``path`` lists the interior nodes passed as
+        ``(page id, node, index of the child taken)``.
+        """
+        key, path = entries[lo][0], []
+        page_id = self.state["root"]
+        decoded, load = self.buffer.decoded, _Node.load  # _read, unrolled
+        node = decoded(page_id, load)
+        while not node.leaf:
+            index = side(node.keys, key)
+            path.append((page_id, node, index))
+            page_id = node.children[index]
+            node = decoded(page_id, load)
+        hi = lo + 1
+        if hi < len(entries):
+            # The deepest separator to the right of the way taken bounds the
+            # keys that go the same way — itself included under
+            # ``bisect_left`` (``delete_many`` relies on it: what follows a
+            # run cannot lie in its leaf).
+            bound = next((above.keys[index] for __, above, index
+                          in reversed(path) if index < len(above.keys)), None)
+            below = lt if side is bisect_right else le
+            while hi < len(entries) and (bound is None
+                                         or below(entries[hi][0], bound)):
+                hi += 1
+        return path, page_id, node, hi
 
-    def _store(self, page_id: int, node: _Node
-               ) -> Optional[Tuple[tuple, int]]:
-        """Write a grown node back, or split it when it overflows its
-        entry bound or its page (the ``dump`` that decides is the one
-        written)."""
-        if len(node.keys) <= self.max_entries:
+    def _store(self, page_id: Optional[int], node: _Node,
+               separator: Optional[tuple] = None
+               ) -> List[Tuple[Optional[tuple], int]]:
+        """Write a changed node — the caller's own copy — back to
+        ``page_id`` (None: to a new page), halved until every piece fits a
+        page: ``(separator, page id)`` per piece, left to right, the first
+        under ``separator``.
+
+        A piece fits with at most ``max_entries`` keys and a pickle within
+        the byte capacity (or two keys: it cannot get smaller) — one entry
+        too many splits where it always did, a batch leaves pieces more
+        than half full.  The right half is stored first: a leaf is pickled
+        once, with its final chain link (the dump that decides is the one
+        written), and the old page is written last — until that succeeds
+        the tree does not reach the new pages.
+        """
+        count = len(node.keys)
+        if count <= self.max_entries:
             raw = node.dump()
-            if len(raw) <= self._byte_capacity or len(node.keys) <= 2:
-                self._write(page_id, raw)
-                return None
+            if len(raw) <= self._byte_capacity or count <= 2:
+                if page_id is None:
+                    page_id = self._allocate(node, raw)
+                else:
+                    self._write(page_id, node, raw)
+                return [(separator, page_id)]
+        half = count // 2
+        right = _Node(node.leaf)
+        middle = node.keys[half]  # a leaf keeps it; between interiors it moves up
         if node.leaf:
-            return self._split_leaf(page_id, node)
-        return self._split_interior(page_id, node)
-
-    def _split_leaf(self, page_id: int, node: _Node) -> Tuple[tuple, int]:
-        half = len(node.keys) // 2
-        right = _Node(leaf=True)
-        right.keys = node.keys[half:]
-        right.values = node.values[half:]
-        right.next_leaf = node.next_leaf
-        node.keys = node.keys[:half]
-        node.values = node.values[:half]
-        right_page = self._allocate(right)
-        node.next_leaf = right_page
-        self._write(page_id, node.dump())
-        return right.keys[0], right_page
-
-    def _split_interior(self, page_id: int, node: _Node) -> Tuple[tuple, int]:
-        half = len(node.keys) // 2
-        middle_key = node.keys[half]
-        right = _Node(leaf=False)
-        right.keys = node.keys[half + 1:]
-        right.children = node.children[half + 1:]
-        node.keys = node.keys[:half]
-        node.children = node.children[:half + 1]
-        right_page = self._allocate(right)
-        self._write(page_id, node.dump())
-        return middle_key, right_page
+            right.keys, right.values = node.keys[half:], node.values[half:]
+            right.next_leaf = node.next_leaf
+            del node.keys[half:], node.values[half:]
+        else:
+            right.keys = node.keys[half + 1:]
+            right.children = node.children[half + 1:]
+            del node.keys[half:], node.children[half + 1:]
+        pieces = self._store(None, right, middle)
+        if node.leaf:
+            node.next_leaf = pieces[0][1]
+        return self._store(page_id, node, separator) + pieces
 
     def _descend(self, key: Optional[tuple]) -> Tuple[int, _Node]:
         """``(page id, node)`` of the left-most leaf that can contain
@@ -394,24 +496,26 @@ class BTree:
         shared with every other reader: never mutate it, ``copy()`` first."""
         return self.buffer.decoded(page_id, _Node.load)
 
-    def _write(self, page_id: int, raw: bytes) -> None:
+    def _write(self, page_id: int, node: _Node, raw: bytes) -> None:
+        """Put ``raw`` — ``node.dump()`` — on the page; ``node``, which
+        nobody changes from here on, becomes the frame's image."""
         page = self.buffer.fetch(page_id)
-        changed = True
         try:
             page.update(0, raw)
         except PageError:
             # ``update`` put the old record back: the frame stays as clean
             # as it was and keeps its image.
-            changed = False
+            self.buffer.unpin(page_id)
             raise
-        finally:
-            self.buffer.unpin(page_id, dirty=changed)
+        self.buffer.unpin(page_id, dirty=True, image=node)
 
-    def _allocate(self, node: _Node) -> int:
+    def _allocate(self, node: _Node, raw: bytes) -> int:
         page = self.buffer.new_page(PAGE_TYPE_BTREE_NODE)
+        image = None
         try:
-            page.insert(node.dump())
+            page.insert(raw)
+            image = node  # as in _write
         finally:
-            self.buffer.unpin(page.page_id, dirty=True)
+            self.buffer.unpin(page.page_id, dirty=True, image=image)
         self.state["pages"] = self.state.get("pages", 0) + 1
         return page.page_id

@@ -62,12 +62,11 @@ class _BTreeIndexHandler(ResourceHandler):
             return  # the instance was dropped later in the transaction
         tree = BTree(services.buffer, instance["tree"],
                      instance.get("max_entries", DEFAULT_MAX_ENTRIES))
+        entries = [(tuple(key), value) for key, value in payload["entries"]]
         if payload["op"] == "add_many":
-            for key, value in reversed(payload["entries"]):
-                tree.delete(tuple(key), value)
+            tree.delete_many(entries)
         elif payload["op"] == "remove_many":
-            for key, value in reversed(payload["entries"]):
-                tree.insert(tuple(key), value)
+            tree.insert_many(entries)
         else:
             raise StorageError(f"btree_index cannot undo {payload['op']!r}")
 
@@ -237,26 +236,10 @@ class BTreeIndexAttachment(AttachmentType):
     def _build(self, ctx, handle, instance) -> None:
         """Bulk-build from the records already stored in the relation."""
         tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
-        database = ctx.database
-        method = database.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        scan = method.open_scan(ctx, handle)
-        try:
-            while True:
-                batch = scan.next_batch(_BUILD_BATCH)
-                if not batch:
-                    break
-                for record_key, record in batch:
-                    key = self._key_of(instance, record)
-                    if instance["unique"] and tree.search(key):
-                        raise UniqueViolation(
-                            self.name,
-                            f"cannot build unique index {instance['name']!r}: "
-                            f"duplicate key {key!r}")
-                    tree.insert(key, record_key)
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        for batch in self.stored_batches(ctx, handle, _BUILD_BATCH):
+            entries = sorted((self._key_of(instance, record), record_key)
+                             for record_key, record in batch)
+            self._add(tree, instance, entries, "cannot build unique index: ")
         ctx.stats.bump("btree_index.builds")
 
     def rebuild(self, ctx, handle, field) -> None:
@@ -278,6 +261,19 @@ class BTreeIndexAttachment(AttachmentType):
     @staticmethod
     def _key_of(instance: dict, record: Tuple) -> tuple:
         return tuple(record[i] for i in instance["key_fields"])
+
+    def _add(self, tree: BTree, instance: dict, entries: list,
+             doing: str = "") -> None:
+        """Add key-sorted ``entries``; under a unique rule, veto the lot
+        first if one would duplicate a key, stored or in the batch."""
+        if instance["unique"]:
+            taken = tree.first_duplicate([key for key, __ in entries])
+            if taken is not None:
+                raise UniqueViolation(
+                    self.name,
+                    f"{doing}duplicate key {entries[taken][0]!r} in unique "
+                    f"index {instance['name']!r}")
+        tree.insert_many(entries)
 
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
         self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
@@ -315,25 +311,16 @@ class BTreeIndexAttachment(AttachmentType):
 
     # -- set-at-a-time attached procedures ---------------------------------------
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
-        """One tree instantiation, key-sorted bulk apply, and one log
-        record per instance per *batch* instead of per record."""
+        """One tree instantiation, one key-sorted bulk apply (each leaf
+        the batch touches is written once) and one log record per instance
+        per *batch* instead of per record."""
         for instance in field["instances"].values():
             tree = BTree(ctx.buffer, instance["tree"],
                          instance["max_entries"])
             entries = sorted(
                 (self._key_of(instance, record), key)
                 for key, record in zip(keys, new_records))
-            if instance["unique"]:
-                previous = None  # sorted: in-batch duplicates are adjacent
-                for index_key, __ in entries:
-                    if index_key == previous or tree.search(index_key):
-                        raise UniqueViolation(
-                            self.name,
-                            f"duplicate key {index_key!r} in unique index "
-                            f"{instance['name']!r}")
-                    previous = index_key
-            for index_key, value in entries:
-                tree.insert(index_key, value)
+            self._add(tree, instance, entries)
             ctx.log(self.resource, {
                 "op": "add_many", "relation_id": handle.relation_id,
                 "instance": instance["name"],
@@ -346,8 +333,7 @@ class BTreeIndexAttachment(AttachmentType):
                          instance["max_entries"])
             entries = sorted((self._key_of(instance, old), key)
                              for key, old in items)
-            for index_key, value in entries:
-                tree.delete(index_key, value)
+            tree.delete_many(entries)
             ctx.log(self.resource, {
                 "op": "remove_many", "relation_id": handle.relation_id,
                 "instance": instance["name"],

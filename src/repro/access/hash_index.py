@@ -100,9 +100,9 @@ class _HashIndexHandler(ResourceHandler):
                 self.attachment._remove(services.buffer, instance,
                                         tuple(key), value)
         elif op == "remove_many":
-            for key, value in reversed(payload["entries"]):
-                self.attachment._add(services.buffer, instance,
-                                     tuple(key), value)
+            self.attachment._add_many(
+                services.buffer, instance,
+                [(tuple(key), value) for key, value in payload["entries"]])
         else:
             raise StorageError(f"hash_index cannot undo {op!r}")
 
@@ -251,21 +251,10 @@ class HashIndexAttachment(AttachmentType):
         return _HashIndexHandler(self)
 
     def _build(self, ctx, handle, instance) -> None:
-        database = ctx.database
-        method = database.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        scan = method.open_scan(ctx, handle)
-        try:
-            while True:
-                batch = scan.next_batch(256)
-                if not batch:
-                    break
-                for record_key, record in batch:
-                    self._add(ctx.buffer, instance,
-                              self._key_of(instance, record), record_key)
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        self._add_many(ctx.buffer, instance, [
+            (self._key_of(instance, record), record_key)
+            for batch in self.stored_batches(ctx, handle)
+            for record_key, record in batch])
         ctx.stats.bump("hash_index.builds")
 
     def rebuild(self, ctx, handle, field) -> None:
@@ -288,16 +277,26 @@ class HashIndexAttachment(AttachmentType):
     def _key_of(instance: dict, record: Tuple) -> tuple:
         return tuple(record[i] for i in instance["key_fields"])
 
-    def _add(self, buffer, instance: dict, key: tuple, value) -> None:
-        buckets = instance["buckets"]
-        page_id = buckets[_hash_key(key, len(buckets))]
-        entries = _bucket_read(buffer, page_id)
-        entries.append((key, value))
-        _bucket_write(buffer, page_id,
-                      _pickle_grown(buffer, instance, entries))
-        instance["nentries"] += 1
-        if instance["nentries"] > instance["max_load"] * len(buckets):
+    def _add_many(self, buffer, instance: dict, entries: list) -> None:
+        """Add ``(key, value)`` entries: pre-grow the directory for the
+        whole set, then touch each bucket page once (one read + one write
+        per bucket, not per entry)."""
+        while instance["nentries"] + len(entries) \
+                > instance["max_load"] * len(instance["buckets"]):
             self._double(buffer, instance)
+        buckets = instance["buckets"]
+        grouped: dict = {}
+        for key, value in entries:
+            page_id = buckets[_hash_key(key, len(buckets))]
+            grouped.setdefault(page_id, []).append((key, value))
+        grown = []
+        for page_id, additions in grouped.items():
+            bucket = _bucket_read(buffer, page_id)
+            bucket.extend(additions)
+            grown.append((page_id, _pickle_grown(buffer, instance, bucket)))
+        for page_id, raw in grown:
+            _bucket_write(buffer, page_id, raw)
+        instance["nentries"] += len(entries)
 
     def _remove(self, buffer, instance: dict, key: tuple, value) -> bool:
         buckets = instance["buckets"]
@@ -345,7 +344,7 @@ class HashIndexAttachment(AttachmentType):
                 "op": "remove_many", "relation_id": handle.relation_id,
                 "instance": instance["name"],
                 "entries": [[list(old_hash_key), old_key]]})
-            self._add(ctx.buffer, instance, new_hash_key, new_key)
+            self._add_many(ctx.buffer, instance, [(new_hash_key, new_key)])
             ctx.log(self.resource, {
                 "op": "add_many", "relation_id": handle.relation_id,
                 "instance": instance["name"],
@@ -357,29 +356,11 @@ class HashIndexAttachment(AttachmentType):
 
     # -- set-at-a-time attached procedures ---------------------------------------
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
-        """Pre-grow the directory for the whole set, then touch each
-        bucket page once (one read + one write per bucket, not per
-        entry) and log one record per instance."""
+        """One :meth:`_add_many` and one log record per instance."""
         for instance in field["instances"].values():
             entries = [(self._key_of(instance, record), key)
                        for key, record in zip(keys, new_records)]
-            while instance["nentries"] + len(entries) \
-                    > instance["max_load"] * len(instance["buckets"]):
-                self._double(ctx.buffer, instance)
-            buckets = instance["buckets"]
-            grouped: dict = {}
-            for hash_key, value in entries:
-                page_id = buckets[_hash_key(hash_key, len(buckets))]
-                grouped.setdefault(page_id, []).append((hash_key, value))
-            grown = []
-            for page_id, additions in grouped.items():
-                bucket = _bucket_read(ctx.buffer, page_id)
-                bucket.extend(additions)
-                grown.append((page_id,
-                              _pickle_grown(ctx.buffer, instance, bucket)))
-            for page_id, raw in grown:
-                _bucket_write(ctx.buffer, page_id, raw)
-            instance["nentries"] += len(entries)
+            self._add_many(ctx.buffer, instance, entries)
             ctx.log(self.resource, {
                 "op": "add_many", "relation_id": handle.relation_id,
                 "instance": instance["name"],

@@ -455,21 +455,11 @@ class RTreeAttachment(AttachmentType):
 
     def _build(self, ctx, handle, instance) -> None:
         tree = RTree(ctx.buffer, instance["tree"], instance["max_entries"])
-        method = ctx.database.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        scan = method.open_scan(ctx, handle)
-        try:
-            while True:
-                batch = scan.next_batch(256)
-                if not batch:
-                    break
-                for record_key, record in batch:
-                    box = record[instance["field_index"]]
-                    if box is not None:
-                        tree.insert(box, record_key)
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        for batch in self.stored_batches(ctx, handle):
+            for record_key, record in batch:
+                box = record[instance["field_index"]]
+                if box is not None:
+                    tree.insert(box, record_key)
         ctx.stats.bump("rtree.builds")
 
     def rebuild(self, ctx, handle, field) -> None:

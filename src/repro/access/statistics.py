@@ -202,21 +202,11 @@ class StatisticsAttachment(AttachmentType):
         """One full scan re-derives every tracked column's statistics."""
         state = self._empty_state(instance["field_indexes"])
         columns = state["columns"]
-        method = ctx.database.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        scan = method.open_scan(ctx, handle)
-        try:
-            while True:
-                batch = scan.next_batch(256)
-                if not batch:
-                    break
-                state["row_count"] += len(batch)
-                for __, record in batch:
-                    for index, column in columns.items():
-                        self._absorb(column, record[index])
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        for batch in self.stored_batches(ctx, handle):
+            state["row_count"] += len(batch)
+            for __, record in batch:
+                for index, column in columns.items():
+                    self._absorb(column, record[index])
         instance["state"] = state
         ctx.stats.bump("statistics.recomputations")
 

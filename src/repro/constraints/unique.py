@@ -40,12 +40,11 @@ class _UniqueHandler(ResourceHandler):
         if instance is None:
             return
         tree = BTree(services.buffer, instance["tree"])
+        entries = [(tuple(key), value) for key, value in payload["entries"]]
         if payload["op"] == "add_many":
-            for key, value in reversed(payload["entries"]):
-                tree.delete(tuple(key), value)
+            tree.delete_many(entries)
         elif payload["op"] == "remove_many":
-            for key, value in reversed(payload["entries"]):
-                tree.insert(tuple(key), value)
+            tree.insert_many(entries)
         else:
             raise StorageError(f"unique cannot undo {payload['op']!r}")
 
@@ -97,27 +96,17 @@ class UniqueConstraintAttachment(AttachmentType):
 
     def _build(self, ctx, handle, instance) -> None:
         tree = BTree(ctx.buffer, instance["tree"])
-        method = ctx.database.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        scan = method.open_scan(ctx, handle)
-        try:
-            while True:
-                item = scan.next()
-                if item is None:
-                    break
-                record_key, record = item
-                key = self._key_of(instance, record)
-                if key is None:
-                    continue
-                if tree.search(key):
-                    raise UniqueViolation(
-                        self.name,
-                        f"existing records duplicate {instance['columns']} "
-                        f"= {key!r}")
-                tree.insert(key, record_key)
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        for batch in self.stored_batches(ctx, handle):
+            entries = [(self._key_of(instance, record), record_key)
+                       for record_key, record in batch]
+            entries = [entry for entry in entries if entry[0] is not None]
+            taken = tree.first_duplicate([key for key, __ in entries])
+            if taken is not None:
+                raise UniqueViolation(
+                    self.name,
+                    f"existing records duplicate {instance['columns']} "
+                    f"= {entries[taken][0]!r}")
+            tree.insert_many(entries)
 
     def rebuild(self, ctx, handle, field) -> None:
         for instance in field["instances"].values():
@@ -154,17 +143,15 @@ class UniqueConstraintAttachment(AttachmentType):
             if not entries:
                 continue
             tree = BTree(ctx.buffer, instance["tree"])
-            seen = set()
-            for unique_key, __, index in entries:
-                if unique_key in seen or tree.search(unique_key):
-                    raise UniqueViolation(
-                        instance["name"],
-                        f"duplicate value {unique_key!r} for UNIQUE "
-                        f"({', '.join(instance['columns'])})",
-                        batch_index=index)
-                seen.add(unique_key)
-            for unique_key, value, __ in entries:
-                tree.insert(unique_key, value)
+            taken = tree.first_duplicate([entry[0] for entry in entries])
+            if taken is not None:
+                unique_key, __, index = entries[taken]
+                raise UniqueViolation(
+                    instance["name"],
+                    f"duplicate value {unique_key!r} for UNIQUE "
+                    f"({', '.join(instance['columns'])})",
+                    batch_index=index)
+            tree.insert_many((k, v) for k, v, __ in entries)
             ctx.log(self.resource, {
                 "op": "add_many", "relation_id": handle.relation_id,
                 "instance": instance["name"],
@@ -181,8 +168,7 @@ class UniqueConstraintAttachment(AttachmentType):
             if not entries:
                 continue
             tree = BTree(ctx.buffer, instance["tree"])
-            for unique_key, value in entries:
-                tree.delete(unique_key, value)
+            tree.delete_many(entries)
             ctx.log(self.resource, {
                 "op": "remove_many", "relation_id": handle.relation_id,
                 "instance": instance["name"],

@@ -206,6 +206,24 @@ class AttachmentType(abc.ABC):
         return None
 
     # -- helpers --------------------------------------------------------------------------
+    @staticmethod
+    def stored_batches(ctx: ExecutionContext, handle: RelationHandle,
+                       size: int = 256):
+        """Yield the relation's ``(record key, record)`` pairs a scan batch
+        at a time: what building an instance over stored records walks."""
+        method = ctx.database.registry.storage_method(
+            handle.descriptor.storage_method_id)
+        scan = method.open_scan(ctx, handle)
+        try:
+            while True:
+                batch = scan.next_batch(size)
+                if not batch:
+                    return
+                yield batch
+        finally:
+            scan.close()
+            ctx.services.scans.unregister(scan)
+
     def instance(self, field: dict, name: str) -> dict:
         try:
             return field["instances"][name]

@@ -7,9 +7,10 @@ operations comprising the storage method and attachment extensions."
 Every storage method and attachment in this library exchanges records in
 one canonical form: a tuple of Python field values ordered by the relation
 schema, plus a binary wire form used on pages.  The binary form is a small
-self-describing row format (null bitmap + fixed header + variable-length
-tail) so that any extension can materialise only the fields it needs while
-the row is still in the buffer pool.
+row format — a null bitmap, then the non-null field values in schema order,
+fixed-width values as they are and variable-length ones behind a two-byte
+length — that the schema's compiled decoder reads where it lies, while the
+row is still in the buffer pool.
 """
 
 from __future__ import annotations

@@ -195,13 +195,16 @@ class BufferPool:
             self._seq_run = 0
         self._last_page = page_id
 
-    def unpin(self, page_id: int, dirty: bool = False) -> None:
+    def unpin(self, page_id: int, dirty: bool = False, image=None) -> None:
+        """Release a pin.  A dirty unpin drops the frame's decoded image —
+        the bytes it mirrored may have changed — unless the writer hands
+        over ``image``, the decoded form of exactly what it wrote."""
         frame = self._frames.get(page_id)
         if frame is None or frame.pin_count == 0:
             raise BufferError_(f"unpin of unpinned page {page_id}")
         frame.pin_count -= 1
         if dirty:
-            frame.image = None  # the bytes it mirrored may have changed
+            frame.image = image
             if not frame.dirty:
                 frame.dirty = True
                 frame.rec_lsn = frame.rec_candidate or self._next_lsn()

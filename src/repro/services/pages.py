@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import PageError
 
@@ -40,6 +40,14 @@ SLOT_SIZE = 4
 _SLOT = struct.Struct("<HH")  # offset, length
 TOMBSTONE = 0xFFFF  # the offset of a deleted slot
 NO_PAGE = -1
+
+# A writer packs the header field it changes, not the six of them.
+_INT64 = struct.Struct("<q")   # page_lsn at byte 0, next_page at _NEXT_OFF
+_NEXT_OFF = 13
+_SPACE = struct.Struct("<HH")  # slot_count, free_off
+_SPACE_OFF = 9
+_EMPTY_SLOT = _SLOT.pack(TOMBSTONE, 0)
+_TOMBSTONE_BYTES = _EMPTY_SLOT[:2]
 
 _CHECKSUM_OFF = 21  # byte offset of the checksum field within the header
 _CHECKSUM = struct.Struct("<I")
@@ -77,6 +85,10 @@ class PageView:
     The buffer pool hands out ``PageView`` objects wrapping the frame's
     ``bytearray``; mutations go straight into the frame, and the caller is
     responsible for unpinning with ``dirty=True``.
+
+    What an operation costs does not depend on what the page already
+    holds: each decodes the header once and, where it needs more than one
+    slot's entry, the slot directory at most once (:meth:`directory`).
     """
 
     __slots__ = ("page_id", "data")
@@ -99,20 +111,13 @@ class PageView:
     def _header(self) -> Tuple[int, int, int, int, int, int]:
         return _HEADER.unpack_from(self.data, 0)
 
-    def _set_header(self, page_lsn, page_type, slot_count, free_off, next_page,
-                    checksum=0):
-        _HEADER.pack_into(self.data, 0, page_lsn, page_type, slot_count,
-                          free_off, next_page, checksum)
-
     @property
     def page_lsn(self) -> int:
         return self._header()[0]
 
     @page_lsn.setter
     def page_lsn(self, lsn: int) -> None:
-        header = list(self._header())
-        header[0] = lsn
-        self._set_header(*header)
+        _INT64.pack_into(self.data, 0, lsn)
 
     @property
     def page_type(self) -> int:
@@ -132,14 +137,21 @@ class PageView:
 
     @next_page.setter
     def next_page(self, page_id: int) -> None:
-        header = list(self._header())
-        header[4] = page_id
-        self._set_header(*header)
+        _INT64.pack_into(self.data, _NEXT_OFF, page_id)
 
     @property
     def checksum(self) -> int:
         """The stored checksum (0: unstamped; maintained on write-back)."""
         return self._header()[5]
+
+    def _space(self) -> Tuple[int, int]:
+        """``(slot_count, free_offset)`` of a formatted page; on a zeroed
+        image (an allocation lost in a crash) a write would go over the
+        header."""
+        header = self._header()
+        if header[3] < HEADER_SIZE:
+            raise PageError(f"page {self.page_id} was never formatted")
+        return header[2], header[3]
 
     # -- slot directory ----------------------------------------------------------
     def _slot_pos(self, slot: int) -> int:
@@ -160,7 +172,9 @@ class PageView:
     def directory(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """The whole slot directory in one unpack: ``(offsets, lengths)``
         indexed by slot, a deleted slot's offset being ``TOMBSTONE``."""
-        count = self.slot_count
+        return self._directory(self.slot_count)
+
+    def _directory(self, count: int):
         flat = struct.unpack_from(f"<{2 * count}H", self.data,
                                   len(self.data) - SLOT_SIZE * count)
         # The directory grows backward, so the highest slot comes first.
@@ -169,33 +183,143 @@ class PageView:
     # -- free space -----------------------------------------------------------------
     def free_space(self) -> int:
         """Contiguous bytes available for one more record + new slot."""
-        directory_start = len(self.data) - SLOT_SIZE * self.slot_count
-        return max(0, directory_start - self.free_offset - SLOT_SIZE)
+        count, free_off = self._space()
+        return max(0, len(self.data) - SLOT_SIZE * (count + 1) - free_off)
 
     def fits(self, length: int) -> bool:
+        """Whether one more record of ``length`` bytes and a new slot for
+        it fit, in the contiguous free space or after a compaction."""
         if length > 0xFFFE:
             raise PageError(f"record of {length} bytes exceeds page capacity")
-        if self.free_space() >= length:
-            return True
-        return self._live_bytes() + length + SLOT_SIZE * (self.slot_count + 1) \
-            <= len(self.data) - HEADER_SIZE
+        return bool(self._choose(*self._space(), (length,), None))
 
-    def _live_bytes(self) -> int:
-        return sum(self.directory()[1])  # a tombstone's length is 0
+    def _live_bytes(self, count: Optional[int] = None) -> int:
+        return sum(self._directory(  # a tombstone's length is 0
+            self.slot_count if count is None else count)[1])
 
     def compact(self) -> None:
         """Rewrite live records contiguously to defragment free space."""
-        live = list(self.records())
-        write_at = HEADER_SIZE
+        self._compact(self._space()[0])
+
+    def _compact(self, count: int) -> int:
+        data, write_at = self.data, HEADER_SIZE
+        offsets, lengths = self._directory(count)
+        live = [(slot, bytes(data[offset:offset + lengths[slot]]))
+                for slot, offset in enumerate(offsets) if offset != TOMBSTONE]
         for slot, raw in live:
-            self.data[write_at:write_at + len(raw)] = raw
+            data[write_at:write_at + len(raw)] = raw
             self._write_slot(slot, write_at, len(raw))
             write_at += len(raw)
-        header = list(self._header())
-        header[3] = write_at
-        self._set_header(*header)
+        _SPACE.pack_into(data, _SPACE_OFF, count, write_at)
+        return write_at
 
     # -- record operations -------------------------------------------------------------
+    def insert_many(self, raws: Sequence[bytes],
+                    fill_limit: Optional[float] = None,
+                    claim: Optional[Callable[[List[int]], None]] = None
+                    ) -> List[int]:
+        """Store as many of ``raws``, in order, as have room (:meth:`fits`);
+        returns their slots: the lowest tombstoned one while there is one,
+        then new ones at the directory's end.
+
+        With a ``fill_limit`` the pass also stops before the record that
+        would take the page's used share above it, and never compacts: a
+        fill target is not worth one.  ``claim(slots)`` runs once the
+        slots are chosen and before a byte is placed — where a caller
+        that must own a slot before it holds a record (a record lock)
+        takes it; if it raises, the page is untouched.
+        """
+        count, free_off = self._space()
+        slots = self._choose(count, free_off, map(len, raws), fill_limit)
+        if slots:
+            if claim is not None:
+                claim(slots)
+            self._place(count, free_off, slots, raws[:len(slots)])
+        return slots
+
+    def _holes(self, count: int) -> Iterator[int]:
+        """The tombstoned slots, lowest first, straight off the directory's
+        bytes (it grows backward: the lowest slot lies last)."""
+        data, size = self.data, len(self.data)
+        start, end = size - SLOT_SIZE * count, size
+        while True:
+            end = data.rfind(_TOMBSTONE_BYTES, start, end)
+            if end < 0:
+                return
+            if (size - end) % SLOT_SIZE == 0:  # an offset field, not a straddle
+                yield (size - end) // SLOT_SIZE - 1
+            else:
+                end += 1
+
+    def _choose(self, count: int, free_off: int, lengths,
+                fill_limit: Optional[float]) -> List[int]:
+        """The slots for as many records of ``lengths`` as have room."""
+        size = len(self.data)
+        live = None  # bytes in live records: summed if a compaction is weighed
+        holes, stored = self._holes(count), count
+        slots: List[int] = []
+        for length in lengths:
+            if length > 0xFFFE:
+                break  # no page can hold it: the slot entry is 16 bits wide
+            room = size - SLOT_SIZE * (count + 1)
+            if fill_limit is not None:
+                if 1.0 - (room - free_off - length) / size > fill_limit:
+                    break
+            elif free_off + length > room:
+                if live is None:
+                    live = self._live_bytes(stored)
+                if HEADER_SIZE + live + length > room:
+                    break
+                free_off = HEADER_SIZE + live  # placing it compacts first
+            slot = next(holes, count)
+            if slot == count:
+                count += 1
+            slots.append(slot)
+            free_off += length
+            if live is not None:
+                live += length
+        return slots
+
+    def insert_at(self, slots: Sequence[int], raws: Sequence[bytes]) -> None:
+        """Store each record under its own slot, all of them or none —
+        the slots a log record names: redo and undo restore a record under
+        its original identifier.  A slot must be empty: tombstoned, or
+        past the directory's end, which grows to reach it."""
+        count, free_off = self._space()
+        offsets = self._directory(count)[0]
+        if any(slot < 0 or (slot < count and offsets[slot] != TOMBSTONE)
+               for slot in slots):
+            raise PageError(f"slots {list(slots)} on page {self.page_id}: "
+                            f"out of range or already in use")
+        self._place(count, free_off, slots, raws)
+
+    def _place(self, count: int, free_off: int, slots: Sequence[int],
+               raws: Sequence[bytes]) -> None:
+        """The one body that places record bytes: each of ``raws`` under
+        its (distinct, empty) slot, after a compaction if the free space
+        as it lies is too short."""
+        data, size = self.data, len(self.data)
+        new_count = max(count, max(slots) + 1)
+        needed = sum(map(len, raws))
+        directory_start = size - SLOT_SIZE * new_count
+        if free_off + needed > directory_start:
+            if HEADER_SIZE + self._live_bytes(count) + needed \
+                    > directory_start:
+                raise PageError(
+                    f"page {self.page_id} full ({needed}B needed)")
+            free_off = self._compact(count)
+        if new_count > count:
+            # New slots start out empty: redo may name slot 3 of an empty page.
+            data[directory_start:size - SLOT_SIZE * count] = \
+                _EMPTY_SLOT * (new_count - count)
+        for slot, raw in zip(slots, raws):
+            end = free_off + len(raw)
+            data[free_off:end] = raw
+            _SLOT.pack_into(data, size - SLOT_SIZE * (slot + 1),
+                            free_off, len(raw))
+            free_off = end
+        _SPACE.pack_into(data, _SPACE_OFF, new_count, free_off)
+
     def insert(self, raw: bytes, slot: Optional[int] = None) -> int:
         """Store a record; returns its slot number.
 
@@ -203,46 +327,13 @@ class PageView:
         when given, which redo/undo use to restore a record at its original
         identifier).
         """
-        if not self.fits(len(raw)):
-            raise PageError(
-                f"page {self.page_id} full ({self.free_space()}B free, "
-                f"{len(raw)}B needed)")
-        if self.free_space() < len(raw):
-            self.compact()
-        if slot is None:
-            slot = self._choose_slot()
-        else:
-            self._materialise_slot(slot)
-            if self.slot_in_use(slot):
-                raise PageError(
-                    f"slot {slot} on page {self.page_id} already in use")
-        header = list(self._header())
-        offset = header[3]
-        self.data[offset:offset + len(raw)] = raw
-        header[3] = offset + len(raw)
-        self._set_header(*header)
-        self._write_slot(slot, offset, len(raw))
-        return slot
-
-    def _choose_slot(self) -> int:
-        for slot in range(self.slot_count):
-            if not self.slot_in_use(slot):
-                return slot
-        slot = self.slot_count
-        header = list(self._header())
-        header[2] = slot + 1
-        self._set_header(*header)
-        self._write_slot(slot, TOMBSTONE, 0)
-        return slot
-
-    def _materialise_slot(self, slot: int) -> None:
-        """Grow the directory so ``slot`` exists (tombstoned if new)."""
-        while self.slot_count <= slot:
-            new = self.slot_count
-            header = list(self._header())
-            header[2] = new + 1
-            self._set_header(*header)
-            self._write_slot(new, TOMBSTONE, 0)
+        if slot is not None:
+            self.insert_at((slot,), (raw,))
+            return slot
+        slots = self.insert_many((raw,))
+        if not slots:
+            raise PageError(f"page {self.page_id} full ({len(raw)}B needed)")
+        return slots[0]
 
     def read(self, slot: int) -> bytes:
         offset, length = self._read_slot(slot)
@@ -262,32 +353,29 @@ class PageView:
         If the new record does not fit in the old space it is deleted and
         re-inserted at the same slot (record keys stay stable).
         """
-        offset, length = self._read_slot(slot)
+        count, free_off = self._space()
+        if not 0 <= slot < count:
+            raise PageError(f"slot {slot} out of range on page {self.page_id}")
+        data, position = self.data, self._slot_pos(slot)
+        offset, length = _SLOT.unpack_from(data, position)
         if offset == TOMBSTONE:
             raise PageError(f"slot {slot} on page {self.page_id} is empty")
-        old = bytes(self.data[offset:offset + length])
+        old = bytes(data[offset:offset + length])
         if len(raw) <= length:
-            self.data[offset:offset + len(raw)] = raw
-            self._write_slot(slot, offset, len(raw))
+            data[offset:offset + len(raw)] = raw
+            _SLOT.pack_into(data, position, offset, len(raw))
             return old
-        self._write_slot(slot, TOMBSTONE, 0)
+        _SLOT.pack_into(data, position, TOMBSTONE, 0)
         try:
-            if not self.fits(len(raw)):
+            if not self._choose(count, free_off, (len(raw),), None):
                 raise PageError(
                     f"updated record ({len(raw)}B) does not fit on page "
                     f"{self.page_id}")
+            self._place(count, free_off, (slot,), (raw,))
         except PageError:
             # put the old record back before reporting failure
-            self._write_slot(slot, offset, length)
+            _SLOT.pack_into(data, position, offset, length)
             raise
-        if self.free_space() < len(raw):
-            self.compact()
-        header = list(self._header())
-        new_offset = header[3]
-        self.data[new_offset:new_offset + len(raw)] = raw
-        header[3] = new_offset + len(raw)
-        self._set_header(*header)
-        self._write_slot(slot, new_offset, len(raw))
         return old
 
     def records(self) -> Iterator[Tuple[int, bytes]]:

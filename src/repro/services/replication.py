@@ -93,7 +93,8 @@ class Standby:
     """
 
     __slots__ = ("shard", "name", "database", "channel",
-                 "received_lsn", "applied_lsn", "acked_lsn", "epoch_seen")
+                 "received_lsn", "applied_lsn", "acked_lsn", "epoch_seen",
+                 "_settled", "_settled_through")
 
     def __init__(self, shard: int, name: str, database, channel: dict,
                  base_lsn: int):
@@ -105,6 +106,18 @@ class Standby:
         self.applied_lsn = base_lsn
         self.acked_lsn = base_lsn
         self.epoch_seen = 0
+        #: Transactions whose COMMIT/ABORT has been received and whose END
+        #: has not been applied yet, from the records up to
+        #: ``_settled_through``.  It lives as long as the standby does: a
+        #: rebuilt or readmitted one is a new ``Standby`` over a new log.
+        self._settled = set()
+        self._settled_through = base_lsn
+
+    @property
+    def settled_pending(self) -> int:
+        """Transactions decided in the received stream and not yet applied
+        through their END: at most those in flight up to the horizon."""
+        return len(self._settled)
 
     # -- standby side ----------------------------------------------------------
     def receive(self, epoch: int, wire: List[dict]) -> int:
@@ -137,16 +150,18 @@ class Standby:
         stream: standby pages only ever show a prefix-consistent committed
         state.  ``force=True`` (promotion) applies everything; restart
         recovery then undoes the losers.
+
+        A received record is read once to settle and once to apply, however
+        long the log has grown: the settled set is kept between calls, so
+        a trailing END that arrives in a later ship than its COMMIT still
+        finds its transaction settled, and leaves it only by being applied.
         """
         log = self.database.services.wal
-        settled = set()
-        # The settle scan covers the whole retained log, not just the
-        # unapplied suffix: a txn's trailing END record sits *after* the
-        # COMMIT that settled it, so a suffix-only scan would miss the
-        # COMMIT and stall on the END forever.
-        for record in log.forward():
+        settled = self._settled
+        for record in log.forward(self._settled_through + 1):
             if record.kind in (wal_records.COMMIT, wal_records.ABORT):
                 settled.add(record.txn_id)
+        self._settled_through = log.current_lsn
         applied = 0
         for record in log.forward(self.applied_lsn + 1):
             if (not force
@@ -154,6 +169,8 @@ class Standby:
                     and record.txn_id not in settled):
                 break
             self._apply_one(record)
+            if record.kind == wal_records.END:
+                settled.discard(record.txn_id)
             self.applied_lsn = record.lsn
             applied += 1
         return applied

@@ -91,8 +91,7 @@ class _HeapHandler(ResourceHandler):
                     page.delete(slot)
                 descriptor["ntuples"] -= len(payload["slots"])
             elif op == "delete_multi":
-                for slot, raw in zip(payload["slots"], payload["old_raws"]):
-                    page.insert(raw, slot=slot)
+                page.insert_at(payload["slots"], payload["old_raws"])
                 descriptor["ntuples"] += len(payload["slots"])
             else:
                 raise StorageError(f"heap cannot undo op {op!r}")
@@ -147,9 +146,7 @@ class _HeapHandler(ResourceHandler):
                 elif op == "update":
                     page.update(payload["slot"], payload["new_raw"])
                 elif op == "insert_multi":
-                    for slot, raw in zip(payload["slots"],
-                                         payload["new_raws"]):
-                        page.insert(raw, slot=slot)
+                    page.insert_at(payload["slots"], payload["new_raws"])
                 elif op == "delete_multi":
                     for slot in payload["slots"]:
                         page.delete(slot)
@@ -181,8 +178,7 @@ class _HeapHandler(ResourceHandler):
             for slot in payload["slots"]:
                 page.delete(slot)
         elif op == "delete_multi":
-            for slot, raw in zip(payload["slots"], payload["old_raws"]):
-                page.insert(raw, slot=slot)
+            page.insert_at(payload["slots"], payload["old_raws"])
 
 
 class HeapScan(Scan):
@@ -396,47 +392,59 @@ class HeapStorageMethod(StorageMethod):
 
     # -- set-at-a-time modification -------------------------------------------------
     def insert_batch(self, ctx, handle, records):
-        """Fill each page before unpinning it: one pin, one log record, and
-        one LSN stamp per *page* instead of per record."""
+        """Fill each page in one pass: its slots chosen from one directory
+        read, their record keys X-locked before a byte is placed, then one
+        log record and one LSN stamp per *page*."""
         descriptor = handle.descriptor.storage_descriptor
         raws = [encode_record(handle.schema, record) for record in records]
         fill_hint = descriptor.get("attributes", {}).get("fill_hint", 1.0)
-        page_size = ctx.buffer.device.page_size
+        relation_id = handle.relation_id
         keys = []
-        i = 0
-        while i < len(raws):
-            page_id, page = self._page_with_room(
-                ctx, descriptor, len(raws[i]), fill_hint, page_size)
-            slots, page_raws = [], []
+
+        def fill(page: PageView, fresh: bool) -> list:
+            """Place what the pinned ``page`` takes of the records still
+            to go, log it and unpin; returns the slots taken."""
+            page_id, slots = page.page_id, []
+
+            def lock(slots):
+                # A slot freed by a delete that has not committed is still
+                # locked by the deleter: the conflict must surface while
+                # the slot is empty, or the deleter could not roll back.
+                ctx.lock_records(relation_id,
+                                 [(page_id, slot) for slot in slots],
+                                 LockMode.X)
             try:
-                while i < len(raws):
-                    raw = raws[i]
-                    if page_raws:
-                        used = 1.0 - (page.free_space() - len(raw)) / page_size
-                        if not page.fits(len(raw)) or used > fill_hint:
-                            break
-                    slot = page.insert(raw)
-                    ctx.lock_record(handle.relation_id, (page_id, slot),
-                                    LockMode.X)
-                    keys.append((page_id, slot))
-                    slots.append(slot)
-                    page_raws.append(raw)
-                    i += 1
-                try:
-                    log = ctx.log(self.resource, {
-                        "op": "insert_multi",
-                        "relation_id": descriptor["relation_id"],
-                        "page": page_id, "slots": slots,
-                        "new_raws": page_raws})
-                except BaseException:
-                    for slot in slots:  # unlogged changes must not stay
-                        page.delete(slot)
-                    del keys[len(keys) - len(slots):]
-                    raise
-                page.page_lsn = log.lsn
-                descriptor["ntuples"] += len(slots)
+                rest = raws[len(keys):] if keys else raws
+                slots = page.insert_many(rest, fill_hint, lock)
+                if fresh and not slots:
+                    # The hint never keeps a record out of an empty page.
+                    slots = page.insert_many(rest[:1], None, lock)
+                    if not slots:
+                        raise PageError(f"record of {len(rest[0])} bytes "
+                                        f"exceeds page capacity")
+                if slots:
+                    page_raws = rest[:len(slots)]
+                    try:
+                        log = ctx.log(self.resource, {
+                            "op": "insert_multi",
+                            "relation_id": descriptor["relation_id"],
+                            "page": page_id, "slots": slots,
+                            "new_raws": page_raws})
+                    except BaseException:
+                        for slot in slots:  # unlogged changes must not stay
+                            page.delete(slot)
+                        raise
+                    page.page_lsn = log.lsn
+                    descriptor["ntuples"] += len(slots)
+                    keys.extend((page_id, slot) for slot in slots)
+                return slots
             finally:
-                ctx.buffer.unpin(page_id, dirty=True)
+                ctx.buffer.unpin(page_id, dirty=fresh or bool(slots))
+
+        while len(keys) < len(raws):
+            if not (descriptor["pages"]
+                    and fill(self._last_page(ctx, descriptor), False)):
+                fill(self._new_page(ctx, descriptor), True)
         ctx.stats.bump("heap.inserts", len(records))
         return keys
 
@@ -556,22 +564,25 @@ class HeapStorageMethod(StorageMethod):
         index.update((page, i) for i, page in enumerate(pages))
         return page_id in index
 
-    def _page_with_room(self, ctx, descriptor: dict, length: int,
-                        fill_hint: float, page_size: int):
-        """Pin a page with room for ``length`` bytes (last page or a new one).
+    @staticmethod
+    def _last_page(ctx, descriptor: dict) -> PageView:
+        """Pin the relation's last page, the one inserts try first."""
+        page = ctx.buffer.fetch(descriptor["pages"][-1])
+        # The page list is non-volatile but the log is not: a crash can
+        # lose an uncommitted allocation's record and leave its page in the
+        # list, all zeros on the device.  Restart meets no record that
+        # names it, so it is formatted here, where the forward path first
+        # picks it.
+        _ensure_formatted(page)
+        return page
 
-        The ``fill_hint`` attribute reserves free space on each page for
-        in-place record growth: a page is treated as full once its used
-        fraction would exceed the hint.
+    def _new_page(self, ctx, descriptor: dict) -> PageView:
+        """Allocate, log and pin a page at the end of the relation.
+
+        (The ``fill_hint`` attribute reserves free space on each page for
+        in-place record growth: ``insert_batch`` treats a page as full
+        once its used fraction would exceed the hint.)
         """
-        pages = descriptor["pages"]
-        if pages:
-            page_id = pages[-1]
-            page = ctx.buffer.fetch(page_id)
-            used_after = 1.0 - (page.free_space() - length) / page_size
-            if page.fits(length) and used_after <= fill_hint:
-                return page_id, page
-            ctx.buffer.unpin(page_id)
         page = ctx.buffer.new_page(PAGE_TYPE_HEAP)
         try:
             log = ctx.log(self.resource, {
@@ -583,7 +594,7 @@ class HeapStorageMethod(StorageMethod):
             ctx.buffer.unpin(page.page_id, dirty=True)
             ctx.buffer.free_page(page.page_id)
             raise
-        pages.append(page.page_id)
+        descriptor["pages"].append(page.page_id)
         page.page_lsn = log.lsn
         ctx.stats.bump("heap.page_allocations")
-        return page.page_id, page
+        return page

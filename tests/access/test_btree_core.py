@@ -399,3 +399,227 @@ CachedTreeMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None,
     suppress_health_check=list(HealthCheck))
 test_property_cached_images_stay_coherent = CachedTreeMachine.TestCase
+
+
+# ---------------------------------------------------------------------------
+# Batches: a sorted batch is applied a leaf at a time
+# ---------------------------------------------------------------------------
+
+def key_sorted(batch):
+    return sorted(batch, key=lambda entry: entry[0])  # stable, by key only
+
+
+class FlatModel:
+    """The tree as one list of entries in key order: an insert goes after
+    the entries already under its key, a delete takes the first match —
+    what single ``insert``/``delete`` calls have always done."""
+
+    def __init__(self):
+        self.keys, self.entries = [], []
+
+    def insert(self, key, value):
+        at = bisect.bisect_right(self.keys, key)
+        self.keys.insert(at, key)
+        self.entries.insert(at, (key, value))
+
+    def delete(self, key, value):
+        if (key, value) not in self.entries:
+            return False
+        at = self.entries.index((key, value))
+        del self.keys[at], self.entries[at]
+        return True
+
+
+LONG = "x" * 90  # five of these overflow a 1 KiB node before 48 entries do
+
+batch_keys = st.tuples(st.integers(0, 40),
+                       st.sampled_from(["", "", "", "k", LONG]))
+insert_batches = st.one_of(
+    st.lists(st.tuples(batch_keys, st.integers(0, 3)), min_size=1,
+             max_size=300),
+    # A monotone run, as a load in key order produces.
+    st.builds(lambda start, count, value: [((start + i, ""), value)
+                                           for i in range(count)],
+              st.integers(0, 400), st.integers(1, 300), st.integers(0, 3)),
+    # One pair many times over.
+    st.builds(lambda key, value, count: [(key, value)] * count,
+              batch_keys, st.integers(0, 3), st.integers(1, 40)))
+
+
+@settings(max_examples=220, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(st.sampled_from([4, 6, 48]),
+       st.lists(st.tuples(st.booleans(), insert_batches, st.randoms()),
+                min_size=1, max_size=8))
+def test_batches_equal_single_operations_in_key_order(max_entries, steps):
+    """Random interleavings of ``insert_many`` / ``delete_many`` against a
+    twin tree driven one entry at a time and the flat model of both.
+    (Page counts are not compared: two trees with different histories
+    have different leaves to fill, and the totals cross either way —
+    what a batch promises about space is the fill invariant below.)"""
+    batched, __ = make_tree(max_entries=max_entries, capacity=512)
+    twin, __ = make_tree(max_entries=max_entries, capacity=512)
+    model = FlatModel()
+    for inserting, batch, random in steps:
+        if inserting:
+            batched.insert_many(batch)
+            for key, value in key_sorted(batch):
+                twin.insert(key, value)
+                model.insert(key, value)
+        else:
+            # Victims: entries that are there (some asked for twice), the
+            # batch's own entries (there or not), and one that never was.
+            stored = model.entries
+            victims = [random.choice(stored) for __ in range(
+                min(len(stored), random.randint(1, 300)))]
+            victims += batch[:20] + [((999, "absent"), -1)]
+            random.shuffle(victims)
+            found = sum([twin.delete(key, value)
+                         for key, value in key_sorted(victims)])
+            assert [model.delete(key, value)
+                    for key, value in key_sorted(victims)].count(True) == found
+            assert batched.delete_many(victims) == found
+        for tree in (batched, twin):
+            tree.validate()
+            assert list(tree.range()) == model.entries
+            assert tree.entry_count == len(model.entries)
+    # The unique probe: the first key, in batch order, that is stored or
+    # came earlier in the batch.
+    probe = [(17, "nowhere"), (-1, "")] + model.keys[::3][:50] + [(-1, "")]
+    assert batched.first_duplicate(probe[:2]) is None
+    assert batched.first_duplicate(probe) == 2  # stored, or (-1, "") again
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(st.sampled_from([4, 5, 6, 48]),
+       st.lists(st.lists(st.integers(0, 600), min_size=1, max_size=400),
+                min_size=1, max_size=6))
+def test_batches_keep_every_node_at_least_half_full(max_entries, batches):
+    """The B-tree invariant single inserts keep: a tree that only grew has
+    at least ``max_entries // 2`` keys in every node but the root — a
+    batch halves an overfull node until the pieces fit, never further —
+    so it takes at most twice the pages its entries need."""
+    tree, __ = make_tree(max_entries=max_entries, page_size=4096,
+                         capacity=512)
+    total = 0
+    for batch in batches:
+        tree.insert_many([((key,), 0) for key in batch])
+        tree.validate()
+        total += len(batch)
+        leaves = []
+
+        def visit(page_id):
+            node = tree._read(page_id)
+            if page_id != tree.state["root"]:
+                assert max_entries // 2 <= len(node.keys) <= max_entries
+            for child in () if node.leaf else node.children:
+                visit(child)
+            leaves.extend([page_id] if node.leaf else [])
+
+        visit(tree.state["root"])
+        assert tree.entry_count == total
+        assert len(leaves) <= max(1, total // (max_entries // 2))
+
+
+def test_unique_probe_sees_runs_that_straddle_leaves_and_emptied_leaves():
+    tree, __ = make_tree(max_entries=4)
+    tree.insert_many([((5,), i) for i in range(30)]
+                     + [((i,), 0) for i in range(20) if i != 5])
+    assert tree.height > 2
+    absent = [(99,), (4, "x"), (-3,), (5, ""), (21,)]
+    assert tree.first_duplicate(absent) is None
+    assert tree.first_duplicate([]) is None
+    for stored in ((4,), (5,), (6,), (0,), (19,)):
+        assert tree.first_duplicate(absent + [stored, (4,)]) == len(absent)
+    assert tree.first_duplicate([(99,), (50,), (99,), (5,)]) == 2  # in-batch
+    tree.delete_many([((5,), i) for i in range(30)])  # leaves now empty
+    assert tree.first_duplicate(absent + [(5,)]) is None
+    assert tree.first_duplicate(absent + [(5,), (6,)]) == len(absent) + 1
+    tree.validate()
+
+
+def test_a_batch_writes_the_leaves_it_touches_not_one_node_per_entry(
+        node_dumps):
+    tree, pool = make_tree(max_entries=48, page_size=4096, capacity=1024)
+    twin, twin_pool = make_tree(max_entries=48, page_size=4096, capacity=1024)
+    base = [((i,), i) for i in range(5000)]
+    batch = [((i,), i) for i in range(5000, 5400)]
+    tree.insert_many(base)
+    twin.insert_many(base)
+    dumps = node_dumps
+
+    def cost(pool, work):
+        del dumps[:]
+        pins, pages = pool.stats.get("buffer.pins"), tree.page_count
+        work()
+        return (len(dumps), pool.stats.get("buffer.pins") - pins,
+                tree.page_count - pages)
+
+    one_by_one = cost(twin_pool, lambda: [twin.insert(*e) for e in batch])
+    at_once = cost(pool, lambda: tree.insert_many(batch))
+    assert one_by_one[0] >= 400           # a node pickled per entry, at least
+    # The touched leaf, the pages it was cut into and their ancestors.
+    assert at_once[0] <= 1 + at_once[2] + tree.height <= 45
+    assert at_once[1] * 4 <= one_by_one[1]
+    tree.validate()
+    assert list(tree.range()) == list(twin.range())
+    # The matching delete: each leaf of the 400 written once.
+    removed = cost(pool, lambda: tree.delete_many(batch))
+    assert removed[0] <= at_once[2] + 1 and removed[2] == 0
+    assert removed[1] * 4 <= cost(
+        twin_pool, lambda: [twin.delete(*e) for e in batch])[1]
+    assert list(tree.range()) == list(twin.range()) == base
+
+
+def test_a_batch_too_big_for_one_new_root_grows_more_than_one_level():
+    tree, __ = make_tree(max_entries=4)
+    tree.insert_many([((i,), i) for i in range(500)])
+    assert tree.height >= 4
+    tree.validate()
+    assert [k for k, __ in tree.range()] == [(i,) for i in range(500)]
+    assert tree.entry_count == 500
+
+
+def test_delete_many_finds_duplicates_that_straddle_leaves():
+    """A run of one key over several leaves, victims on both sides of it:
+    an entry equal to a separator may lie in the leaf *left* of it."""
+    import random
+    for seed in range(300):
+        rng = random.Random(seed)
+        tree, __ = make_tree(max_entries=4)
+        model = FlatModel()
+        entries = [((rng.choice([3, 7, 7, 7, 7, 9, 12]),), rng.randrange(3))
+                   for __ in range(rng.randrange(10, 60))]
+        for key, value in entries:  # one at a time: splits inside the runs
+            tree.insert(key, value)
+            model.insert(key, value)
+        victims = rng.sample(entries, rng.randrange(1, len(entries)))
+        victims += [((7,), 5), ((8,), 0)]  # absent
+        found = [model.delete(key, value) for key, value in
+                 key_sorted(victims)].count(True)
+        assert tree.delete_many(victims) == found, seed
+        tree.validate()
+        assert list(tree.range()) == model.entries, seed
+        assert tree.entry_count == len(model.entries)
+
+
+def test_the_node_a_writer_wrote_becomes_its_frames_image(monkeypatch):
+    """A write used to drop the frame's image, so the next visit unpickled
+    the node the writer had just pickled."""
+    tree, pool = make_tree(max_entries=8)
+    tree.insert_many([((i,), i) for i in range(100)])
+    loads = []
+    real_load = _Node.load.__func__
+    monkeypatch.setattr(_Node, "load", classmethod(
+        lambda cls, page: loads.append(page.page_id) or real_load(cls, page)))
+    tree.insert((41,), "new")
+    tree.delete((7,), 7)
+    tree.insert_many([((200 + i,), i) for i in range(30)])  # cuts, new pages
+    del loads[:]
+    assert tree.search((41,)) == [41, "new"] and tree.search((7,)) == []
+    assert [k for k, __ in tree.range((195,))] == [(200 + i,)
+                                                    for i in range(30)]
+    tree.validate()
+    assert loads == []
+    assert_images_coherent(pool)

@@ -5,6 +5,7 @@ import pytest
 from repro import AccessPath, Database, UniqueViolation
 from repro.access.btree_core import BTree, _Node
 from repro.services.scans import AFTER, ON
+from tests import conftest
 
 
 @pytest.fixture
@@ -254,3 +255,80 @@ def test_savepoint_rollback_restores_an_exhausted_index_scan(db):
             == [key + 3, key + 4]
         assert scan.next() is None
     db.commit()
+
+
+# ---------------------------------------------------------------------------
+# Batches reach the tree as batches
+# ---------------------------------------------------------------------------
+
+def tree_pages(db, instance):
+    return conftest.tree_pages(db.services.buffer, BTree(
+        db.services.buffer, instance["tree"], instance["max_entries"]))
+
+
+def point_instance(db):
+    att = db.registry.attachment_type_by_name("btree_index")
+    field = db.catalog.handle("pt").descriptor.attachment_field(att.type_id)
+    return field["instances"]["pt_id"]
+
+
+def test_unique_veto_on_the_last_entry_of_a_batch_writes_no_tree_page(db):
+    instance = point_table(db, rows=300)[2]
+    table = db.table("pt")
+    before = tree_pages(db, instance)
+    state = dict(instance["tree"])
+    batch = [(1000 + i, f"v{i}") for i in range(199)] + [(7, "taken")]
+    with pytest.raises(UniqueViolation):
+        table.insert_many(batch)
+    assert tree_pages(db, instance) == before and instance["tree"] == state
+    # ... and so does a duplicate inside the batch itself.
+    with pytest.raises(UniqueViolation):
+        table.insert_many(batch[:-1] + [(1000, "twice")])
+    assert tree_pages(db, instance) == before and instance["tree"] == state
+    assert table.count() == 300
+
+
+def test_index_maintenance_pickles_leaves_not_entries(db, node_dumps):
+    point_table(db, rows=600, max_entries=48)
+    table = db.table("pt")
+    dumps = node_dumps
+    del dumps[:]
+    stats = db.services.stats
+    builds, rebuilds = (stats.get("btree_index.builds"),
+                        stats.get("btree_index.rebuilds"))
+    keys = table.insert_many([(1000 + i, f"v{i}") for i in range(400)])
+    assert len(dumps) <= 20            # 400 entries: 16 leaves and a parent
+    del dumps[:]
+    table.delete_many(keys)
+    assert len(dumps) <= 17            # the same leaves, once each
+    # Builds go through the same body, a scan batch at a time: counters as
+    # ever (one build per instance built, one rebuild per restart).
+    del dumps[:]
+    db.create_index("pt_v", "pt", ["v"])
+    assert stats.get("btree_index.builds") == builds + 1
+    assert len(dumps) <= 60            # 600 entries in 3 scan batches
+    del dumps[:]
+    db.restart()
+    assert stats.get("btree_index.rebuilds") == rebuilds + 1
+    assert stats.get("btree_index.builds") == builds + 3
+    assert len(dumps) <= 120
+    assert table.count() == 600
+    tree = BTree(db.services.buffer, point_instance(db)["tree"], 48)
+    tree.validate()
+    assert [k[0] for k, __ in tree.range()] == list(range(600))
+
+
+def test_undo_of_a_batch_is_a_batch(db, node_dumps):
+    instance = point_table(db, rows=300, max_entries=48)[2]
+    table = db.table("pt")
+    db.begin()
+    keys = table.insert_many([(1000 + i, f"v{i}") for i in range(200)])
+    table.delete_many(keys[:50] + [k for k, __ in table.scan(
+        where="id < 40")])
+    del node_dumps[:]
+    db.rollback()
+    assert len(node_dumps) <= 20            # two log records, a few leaves each
+    tree = BTree(db.services.buffer, instance["tree"], 48)
+    tree.validate()
+    assert [k[0] for k, __ in tree.range()] == list(range(300))
+    assert tree.entry_count == 300

@@ -138,3 +138,33 @@ def test_bucket_that_outgrows_its_page_raises_a_typed_error():
     table.delete_where(f"k = {error.key[0]}")
     table.insert((10_000, error.key[0]))
     assert len(table.fetch(error.key, access_path=ap)) == 1
+
+
+def test_build_writes_each_bucket_once(db, monkeypatch):
+    """``_build`` hands the whole scan to the body ``on_insert_batch``
+    uses: the directory grows first, then each bucket page is read and
+    written once — it used to be once per record."""
+    from repro.access import hash_index
+    table = db.create_table("t", [("id", "INT"), ("name", "STRING")])
+    table.insert_many([(i, f"n{i}") for i in range(1200)])
+    writes = []
+    real_write = hash_index._bucket_write
+    monkeypatch.setattr(hash_index, "_bucket_write",
+                        lambda buffer, page_id, raw:
+                        writes.append(page_id) or real_write(buffer, page_id,
+                                                             raw))
+    db.create_attachment("t", "hash_index", "t_hash", {"columns": ["name"]})
+    att = db.registry.attachment_type_by_name("hash_index")
+    instance = db.catalog.handle("t").descriptor.attachment_field(
+        att.type_id)["instances"]["t_hash"]
+    assert instance["nentries"] == 1200
+    assert 1200 <= instance["max_load"] * len(instance["buckets"])
+    final = [page_id for page_id in writes if page_id in instance["buckets"]]
+    assert len(final) == len(set(final)) <= len(instance["buckets"])
+    del writes[:]
+    db.restart()
+    assert len(writes) == len(set(writes)) <= len(instance["buckets"])
+    ap = AccessPath(att.type_id, "t_hash")
+    assert all(table.fetch((f"n{i}",), access_path=ap) for i in range(1200))
+    assert db.services.stats.get("hash_index.builds") == 2
+    assert db.services.stats.get("hash_index.rebuilds") == 1

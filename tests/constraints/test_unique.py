@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database, UniqueViolation
+from tests.conftest import tree_pages
 
 
 @pytest.fixture
@@ -96,3 +97,65 @@ def test_rebuilt_after_crash(uniq):
     db.restart()
     with pytest.raises(UniqueViolation):
         table.insert((2, "a@x"))
+
+
+def unique_tree(db):
+    from repro.access.btree_core import BTree
+    att = db.registry.attachment_type_by_name("unique")
+    field = db.catalog.handle("users").descriptor.attachment_field(att.type_id)
+    instance = field["instances"]["users_email"]
+    return BTree(db.services.buffer, instance["tree"]), instance
+
+
+def tree_bytes(db, tree):
+    return tree_pages(db.services.buffer, tree)
+
+
+def test_batch_is_probed_whole_before_any_entry_is_added(uniq):
+    """The existence probe walks the tree once for the batch and vetoes —
+    naming the first offending row in *batch* order — with no page of the
+    enforcement tree written."""
+    db, table = uniq
+    table.insert_many([(i, f"u{i:03d}@example.com") for i in range(200)])
+    tree, instance = unique_tree(db)
+    state = dict(instance["tree"])
+    pages = tree_bytes(db, tree)
+    fresh = [(1000 + i, f"n{i:03d}@example.com") for i in range(150)]
+    for batch, offender in (
+            (fresh + [(2000, "u007@example.com")], 150),        # the last row
+            (fresh[:70] + [(2000, "u150@example.com"),
+                           (2001, "u003@example.com")] + fresh[70:], 70),
+            (fresh + [(2000, None), (2001, "n004@example.com")], 151)):
+        with pytest.raises(UniqueViolation) as veto:
+            table.insert_many(batch)
+        assert veto.value.batch_index == offender
+        assert tree_bytes(db, tree) == pages and instance["tree"] == state
+    assert table.count() == 200
+    pins = db.services.stats.get("buffer.pins")
+    assert tree.first_duplicate([(f"n{i:03d}@example.com",) for i in range(150)]) \
+        is None
+    # One descent and a hop per leaf touched, not a descent per key.
+    assert db.services.stats.get("buffer.pins") - pins <= 4 * tree.height
+
+
+def test_build_and_undo_go_through_the_batch_body(db, node_dumps):
+    dumps = node_dumps
+    table = db.create_table("users", [("id", "INT"), ("email", "STRING")])
+    table.insert_many([(i, f"u{i:04d}@example.com" if i % 10 else None)
+                       for i in range(1000)])
+    db.create_attachment("users", "unique", "users_email",
+                         {"columns": ["email"]})
+    assert len(dumps) <= 150           # 900 entries, 256 records a batch
+    tree, __ = unique_tree(db)
+    tree.validate()
+    assert tree.entry_count == 900
+    del dumps[:]
+    db.begin()
+    keys = table.insert_many([(2000 + i, f"x{i}@example.com")
+                              for i in range(300)])
+    table.delete_many(keys[:100])
+    db.rollback()
+    assert len(dumps) <= 80            # four batches, leaves not entries
+    tree, __ = unique_tree(db)
+    tree.validate()
+    assert tree.entry_count == 900 and table.count() == 1000

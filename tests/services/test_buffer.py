@@ -340,3 +340,27 @@ def test_clean_unpin_keeps_the_decoded_image():
         pass
     pool.flush_all()                               # a write-back keeps it too
     assert pool.decoded(page_id, decode) is image and len(calls) == 1
+
+
+def test_writer_hands_over_the_image_of_what_it_wrote():
+    device, pool = make_pool(capacity=2)
+    page_id, decode, calls = decoded_page(pool)
+    pool.decoded(page_id, decode)
+    page = pool.fetch(page_id)
+    page.update(0, b"edit")
+    written = [b"edit"]
+    pool.unpin(page_id, dirty=True, image=written)
+    assert pool.decoded(page_id, decode) is written and calls == [page_id]
+    assert pool._frames[page_id].dirty
+    # It is an image like any other: a clean unpin ignores the argument, a
+    # plain dirty unpin drops it, and it goes with its frame.
+    pool.fetch(page_id)
+    pool.unpin(page_id, image=["ignored"])
+    assert pool.decoded(page_id, decode) is written
+    for __ in range(2):
+        pool.unpin(pool.new_page(1).page_id, dirty=True)
+    assert page_id not in pool._frames
+    assert pool.decoded(page_id, decode) == [b"edit"] and len(calls) == 2
+    pool.fetch(page_id)
+    pool.unpin(page_id, dirty=True)
+    assert pool._frames[page_id].image is None

@@ -1,0 +1,220 @@
+"""A standby's apply horizon: what it settles, when, and at what cost.
+
+Drives one :class:`~repro.services.replication.Standby` by hand — the
+primary's stable log cut into ships at chosen LSNs — so that a COMMIT and
+its END, or the halves of one transaction, arrive in different ships.
+"""
+
+import pytest
+
+from repro import Database
+from repro.core.records import decode_record
+from repro.services import wal as wal_records
+from repro.services.replication import Standby
+
+SCHEMA = [("id", "INT"), ("name", "STRING")]
+
+
+def fresh():
+    db = Database()
+    db.create_table("emp", SCHEMA)
+    return db
+
+
+@pytest.fixture
+def pair():
+    """``(primary, standby)``: two databases with the same DDL prefix."""
+    primary, replica = fresh(), fresh()
+    base = replica.services.wal.current_lsn
+    assert base == primary.services.wal.current_lsn
+    replica.services.wal.flush()
+    return primary, Standby(0, "r0", replica, {}, base)
+
+
+def ship(primary, standby, up_to=None):
+    """Ship the primary's stable log after what the standby holds, through
+    LSN ``up_to`` (default: all of it); returns the records shipped."""
+    log = primary.services.wal
+    log.flush()
+    wire = log.ship_since(standby.received_lsn, up_to=up_to)
+    standby.receive(0, wire)
+    return len(wire)
+
+
+def rows(database):
+    """The relation's records, read off its pages: no transaction runs on
+    the standby (one of its own would write into the log it mirrors)."""
+    handle = database.catalog.handle("emp")
+    found = []
+    for page_id in handle.descriptor.storage_descriptor["pages"]:
+        with database.services.buffer.pinned(page_id) as page:
+            found += [decode_record(handle.schema, raw)
+                      for __, raw in page.records()]
+    return sorted(found)
+
+
+def lsn_of(primary, kind, nth=-1):
+    return [r.lsn for r in primary.services.wal.forward()
+            if r.kind == kind][nth]
+
+
+def test_end_that_arrives_a_ship_after_its_commit(pair):
+    primary, standby = pair
+    primary.table("emp").insert_many([(i, f"n{i}") for i in range(5)])
+    commit = lsn_of(primary, wal_records.COMMIT)
+    assert lsn_of(primary, wal_records.END) == commit + 1
+    ship(primary, standby, up_to=commit)
+    assert standby.applied_lsn == commit and rows(standby.database) == rows(
+        primary)
+    assert standby.settled_pending == 1      # decided, its END still to come
+    ship(primary, standby)
+    assert standby.applied_lsn == standby.received_lsn == commit + 1
+    assert standby.settled_pending == 0
+
+
+def test_transaction_that_spans_three_ships(pair):
+    primary, standby = pair
+    primary.table("emp").insert((0, "before"))
+    ship(primary, standby)
+    horizon = standby.applied_lsn
+    session = primary.connect()
+    session.begin()
+    table = session.table("emp")
+    table.insert((1, "first"))
+    assert ship(primary, standby) > 0
+    table.insert_many([(i, "second") for i in range(2, 40)])
+    assert ship(primary, standby) > 0
+    # Received, not applied: the standby shows the last committed state.
+    assert standby.applied_lsn == horizon < standby.received_lsn
+    assert rows(standby.database) == [(0, "before")]
+    session.commit()
+    ship(primary, standby)
+    assert standby.applied_lsn == standby.received_lsn
+    assert rows(standby.database) == rows(primary) and len(rows(primary)) == 40
+    assert standby.settled_pending == 0
+
+
+def test_aborted_transaction_applies_with_its_compensations(pair):
+    primary, standby = pair
+    keys = primary.table("emp").insert_many([(i, f"n{i}") for i in range(6)])
+    ship(primary, standby)
+    session = primary.connect()
+    session.begin()
+    table = session.table("emp")
+    table.insert_many([(10 + i, "doomed") for i in range(30)])
+    table.delete(keys[2])
+    table.update(keys[3], {"name": "changed"})
+    ship(primary, standby)
+    stalled = standby.applied_lsn
+    session.rollback()
+    assert any(r.kind == wal_records.CLR
+               for r in primary.services.wal.forward(stalled + 1))
+    ship(primary, standby, up_to=lsn_of(primary, wal_records.ABORT))
+    # Settled by the ABORT: the operations apply, the CLRs not yet here.
+    assert standby.applied_lsn > stalled and standby.settled_pending == 1
+    ship(primary, standby)
+    assert standby.applied_lsn == standby.received_lsn
+    assert standby.settled_pending == 0
+    assert rows(standby.database) == rows(primary) == [
+        (i, f"n{i}") for i in range(6)]
+    descriptor = standby.database.catalog.handle(
+        "emp").descriptor.storage_descriptor
+    assert descriptor["ntuples"] == 6
+
+
+def test_forced_apply_in_the_middle_of_a_transaction_then_recovery(pair):
+    """Promotion: everything received is applied, losers included, and
+    restart recovery takes the standby to the committed state."""
+    primary, standby = pair
+    primary.table("emp").insert_many([(i, f"n{i}") for i in range(8)])
+    committed = rows(primary)
+    session = primary.connect()
+    session.begin()
+    session.table("emp").insert_many([(100 + i, "loser") for i in range(50)])
+    ship(primary, standby)
+    session.table("emp").insert((200, "never shipped"))
+    assert standby.applied_lsn < standby.received_lsn
+    assert standby.apply_pending(force=True) > 0
+    assert standby.applied_lsn == standby.received_lsn
+    standby.database.restart()
+    assert rows(standby.database) == committed
+
+
+def test_settled_set_is_bounded_by_transactions_in_flight(pair):
+    primary, standby = pair
+    table = primary.table("emp")
+    for batch in range(200):
+        table.insert_many([(batch * 10 + i, "x") for i in range(3)])
+        if batch % 7 == 0:
+            ship(primary, standby)
+            assert standby.settled_pending == 0
+    ship(primary, standby)
+    assert standby.settled_pending == 0
+    # One writer left open holds the horizon: what commits behind it is
+    # settled and waits, and drains when the writer ends.
+    blocker = primary.connect()
+    blocker.begin()
+    blocker.table("emp").insert((9000, "open"))
+    for i in range(5):
+        table.insert((9100 + i, "behind"))
+    ship(primary, standby)
+    assert standby.settled_pending == 5
+    assert standby.applied_lsn < standby.received_lsn
+    blocker.commit()
+    ship(primary, standby)
+    assert standby.settled_pending == 0
+    assert standby.applied_lsn == standby.received_lsn
+    assert rows(standby.database) == rows(primary)
+
+
+def test_each_received_record_is_read_at_most_twice(pair, monkeypatch):
+    """Once to settle, once to apply — whatever the log already holds."""
+    primary, standby = pair
+    table = primary.table("emp")
+    for i in range(400):
+        table.insert((i, f"n{i}"))
+    log = standby.database.services.wal
+    steps = []
+    real_forward = log.forward
+
+    def counting_forward(from_lsn=None):
+        for record in real_forward(from_lsn):
+            steps[-1] += 1
+            yield record
+
+    monkeypatch.setattr(log, "forward", counting_forward)
+    shipped = []
+    for __ in range(50):
+        steps.append(0)
+        shipped.append(ship(primary, standby,
+                            up_to=standby.received_lsn + 20))
+    assert shipped == [20] * 50
+    assert all(read <= 2 * 20 for read in steps)
+    assert max(steps[-10:]) <= max(steps[:10])   # flat, not growing
+    assert sum(steps) <= 2 * sum(shipped)
+    # A call with nothing new reads nothing.
+    steps.append(0)
+    assert standby.apply_pending() == 0 and steps[-1] == 0
+
+
+def test_rebuilt_standby_starts_empty_and_catches_up():
+    from tests.storage.test_replication import (child_ntuples,
+                                                make_replicated,
+                                                replication_of)
+    db, table = make_replicated(shards=1, replicas=1)
+    table.insert_many([(i, f"n{i}") for i in range(30)])
+    descriptor, repl = replication_of(db)
+    old = repl.sets[0].standbys[0]
+    assert old.applied_lsn == old.received_lsn > 0
+    repl._rebuild_standby(0, old)
+    fresh_standby = repl.sets[0].standbys[0]
+    assert fresh_standby is not old and fresh_standby.settled_pending == 0
+    assert fresh_standby.applied_lsn < old.applied_lsn
+    table.insert((100, "after the rebuild"))
+    primary = descriptor["databases"][0]
+    assert fresh_standby.acked_lsn == primary.services.wal.flushed_lsn
+    assert fresh_standby.applied_lsn == fresh_standby.received_lsn
+    # (The decision is shipped as soon as it is stable; its END rides the
+    # next ship — the one transaction the set may still hold.)
+    assert fresh_standby.settled_pending <= 1
+    assert child_ntuples(fresh_standby.database, descriptor) == 31
