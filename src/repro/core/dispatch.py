@@ -37,6 +37,7 @@ from ..errors import (ExtensionFault, ReadOnlyError,
 from ..services.locks import LOCK_ESCALATION_THRESHOLD, LockMode
 from ..services.predicate import Predicate
 from ..services.scans import ABSENT, SnapshotScan, key_ordered
+from ..services.vectors import ColumnBatch
 from .context import ExecutionContext
 from .registry import ExtensionRegistry
 from .storage_method import RelationHandle
@@ -485,7 +486,8 @@ class DataManager:
         patch = self._relation_patch(handle, snapshot)
         pairs = [item for item in patch.items() if item[1] is not ABSENT]
         if predicate is not None and pairs:
-            matching = predicate.match_indexes([r for __, r in pairs])
+            matching = predicate.select(ColumnBatch(
+                [r for __, r in pairs], len(handle.schema)))
             pairs = [pairs[i] for i in matching]
         if pairs:
             ctx.stats.bump("mvcc.records_patched", len(pairs))
@@ -535,26 +537,24 @@ class DataManager:
             self.registry.storage_open_scan[method.method_id],
             ctx, handle, None, None)
 
-        def transform(key, record):
-            item = self._apply_read(record, fields, predicate)
-            return None if item is None else (key, item)
+        width = len(handle.schema)
 
-        batch_transform = None
-        if fields is None and predicate is not None \
-                and hasattr(predicate, "match_indexes"):
-            # Full-record reads filter the whole patched batch through
-            # the predicate's batch entry point — the same set-at-a-time
-            # filtering a quiesced storage scan gets from pushdown.
-            def batch_transform(pairs):
-                records = [record for __, record in pairs]
-                return [(pairs[i][0], tuple(records[i]))
-                        for i in predicate.match_indexes(records)]
+        def transform(pairs):
+            """Predicate + projection over a batch of patched pairs — the
+            set-at-a-time filtering a locking scan gets from pushdown."""
+            if predicate is not None and pairs:
+                chosen = predicate.select(ColumnBatch(
+                    [record for __, record in pairs], width))
+                pairs = [pairs[i] for i in chosen]
+            if fields is None:
+                return [(key, tuple(record)) for key, record in pairs]
+            return [(key, tuple(record[i] for i in fields))
+                    for key, record in pairs]
 
         wrapped = SnapshotScan(
             base,
             patch_fn=lambda: self._relation_patch(handle, snapshot),
-            transform=transform, stats=ctx.stats,
-            batch_transform=batch_transform)
+            transform=transform, stats=ctx.stats)
         ctx.services.scans.register(wrapped)
         return wrapped
 

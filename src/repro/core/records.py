@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Tuple
 from ..errors import SchemaError
 
 __all__ = ["Box", "encode_value", "decode_value", "encode_record", "decode_record",
-           "compile_decoder", "record_fields", "RecordView"]
+           "compile_decoder", "compile_page_decoder", "RecordView"]
 
 
 class Box:
@@ -191,58 +191,93 @@ def _decode_with_nulls(fields, buf, offset: int) -> Tuple:
 _FIXED_FORMATS = {"INT": "q", "FLOAT": "d", "BOOL": "B", "BOX": "dddd"}
 
 
-def compile_decoder(fields):
-    """Build ``decode(buf, offset=0) -> tuple`` for one field list.
+def _record_reads(fields, wanted, on_null, indent):
+    """The generated body that reads one record at ``off`` of ``buf``:
+    the statements (a record with a NULL bit set runs ``on_null``, where
+    ``general`` decodes it whole), the value expression of each
+    ``wanted`` field position, and the names the statements use.
 
-    A record without NULLs has a layout the field types alone decide, so
-    the decoder is generated for it: each run of fixed-width fields, with
-    the length prefix of the variable-length field that follows, is one
-    ``unpack_from``, and strings are sliced straight out of ``buf``.  A
-    record with any NULL bit set takes :func:`_decode_with_nulls`.
+    A record without NULLs has a layout the field types alone decide:
+    each run of fixed-width fields, with the length prefix of the
+    variable-length field that follows, is one ``unpack_from`` — pad
+    bytes stand for the fields nobody asked for — a string is sliced out
+    of ``buf`` only when wanted, and nothing past the last wanted field
+    is read at all.
     """
-    bitmap = (len(fields) + 7) // 8
     names = {"fields": fields, "general": _decode_with_nulls, "Box": Box}
+    bitmap = (len(fields) + 7) // 8
     null_test = "buf[off]" if bitmap == 1 else f"any(buf[off:off + {bitmap}])"
-    lines = ["def decode(buf, off=0):",
-             f"    if {null_test}: return general(fields, buf, off)",
-             f"    p = off + {bitmap}"]
-    values = []
+    lines = [f"if {null_test}:", *("    " + line for line in on_null),
+             f"p = off + {bitmap}"]
+    last = max(wanted, default=-1)
+    values = {}
     i = 0
-    while i < len(fields):
+    while i <= last:
         fmt, targets, unpack = "<", [], f"s{i}"
-        while i < len(fields) and fields[i].type_code in _FIXED_FORMATS:
+        while i <= last and fields[i].type_code in _FIXED_FORMATS:
             type_code = fields[i].type_code
-            fmt += _FIXED_FORMATS[type_code]
-            if type_code == "BOX":
+            code = _FIXED_FORMATS[type_code]
+            if i not in wanted:
+                code = f"{struct.calcsize('<' + code)}x"
+            elif type_code == "BOX":
                 corners = [f"v{i}_{c}" for c in range(4)]
                 targets += corners
-                values.append(f"Box({', '.join(corners)})")
+                values[i] = f"Box({', '.join(corners)})"
             else:
                 targets.append(f"v{i}")
-                values.append(f"v{i} != 0" if type_code == "BOOL" else f"v{i}")
+                values[i] = f"v{i} != 0" if type_code == "BOOL" else f"v{i}"
+            fmt += code
             i += 1
-        if i == len(fields):
-            names[unpack] = struct.Struct(fmt).unpack_from
-            lines.append(f"    {', '.join(targets)}, = {unpack}(buf, p)")
-            break
         # A STRING or BYTES field ends the run: its length rides along.
-        run = struct.Struct(fmt + "H")
+        run = struct.Struct(fmt + "H" if i <= last else fmt)
         names[unpack] = run.unpack_from
-        value = "str(buf[p:e], 'utf-8')" \
-            if fields[i].type_code == "STRING" else "bytes(buf[p:e])"
-        lines += [f"    {', '.join(targets + ['n'])}, = {unpack}(buf, p)",
-                  f"    p += {run.size}", "    e = p + n",
-                  f"    v{i} = {value}", "    p = e"]
-        values.append(f"v{i}")
+        if i <= last:
+            targets.append("n")
+        lines.append(f"{', '.join(targets)}, = {unpack}(buf, p)")
+        if i in wanted:
+            value = "str(buf[p:e], 'utf-8')" \
+                if fields[i].type_code == "STRING" else "bytes(buf[p:e])"
+            lines += [f"p += {run.size}", "e = p + n", f"v{i} = {value}",
+                      "p = e"]
+            values[i] = f"v{i}"
+        elif i <= last:
+            lines.append(f"p += {run.size} + n")
         i += 1
-    lines.append(f"    return ({', '.join(values)},)")
+    return [indent + line for line in lines], values, names
+
+
+def compile_decoder(fields):
+    """Build ``decode(buf, offset=0) -> tuple`` for one field list
+    (generated, see :func:`_record_reads`)."""
+    reads, values, names = _record_reads(
+        fields, range(len(fields)), ["return general(fields, buf, off)"],
+        "    ")
+    lines = ["def decode(buf, off=0):", *reads, "    return (%s,)"
+             % ", ".join(values[i] for i in range(len(fields)))]
     exec("\n".join(lines), names)  # built from type codes only
     return names["decode"]
 
 
-def record_fields(record: Sequence, indexes: Iterable[int]) -> Tuple:
-    """Project the given field positions out of a record tuple."""
-    return tuple(record[i] for i in indexes)
+def compile_page_decoder(fields, wanted: Sequence[int]):
+    """Build ``decode_page(buf, offsets) -> columns`` for one field list
+    and one wanted field set: a single pass over the records at
+    ``offsets`` (a page's live slots) fills one list per entry of
+    ``wanted``, in its order, reading only what those fields need — the
+    empty set reads nothing."""
+    distinct = sorted(set(wanted))
+    if not distinct:
+        return lambda buf, offsets: ()
+    reads, values, names = _record_reads(
+        fields, distinct, ["row = general(fields, buf, off)",
+                           *(f"a{i}(row[{i}])" for i in distinct),
+                           "continue"], " " * 8)
+    lines = ["def decode_page(buf, offsets):",
+             *(f"    c{i} = []; a{i} = c{i}.append" for i in distinct),
+             "    for off in offsets:", *reads,
+             *(f"        a{i}({values[i]})" for i in distinct),
+             f"    return ({''.join(f'c{i}, ' for i in wanted)})"]
+    exec("\n".join(lines), names)  # built from type codes only
+    return names["decode_page"]
 
 
 class RecordView:

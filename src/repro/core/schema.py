@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Sequence, Tuple
 
 from ..errors import SchemaError
-from .records import Box, compile_decoder
+from .records import Box, compile_decoder, compile_page_decoder
 
 __all__ = ["FIELD_TYPES", "Field", "Schema"]
 
@@ -85,6 +85,7 @@ class Schema:
         self.name = name.lower()
         self.fields: Tuple[Field, ...] = tuple(fields)
         self._index = {f.name: i for i, f in enumerate(self.fields)}
+        self._page_decoders: dict = {}
 
     # -- lookups -------------------------------------------------------------
     def field_index(self, name: str) -> int:
@@ -112,6 +113,16 @@ class Schema:
         """``decode(buf, offset=0) -> tuple`` for this record layout,
         compiled on first use (join schemas never decode a page)."""
         return compile_decoder(self.fields)
+
+    def page_decoder(self, wanted: Tuple[int, ...]):
+        """``decode_page(buf, offsets) -> columns`` of the ``wanted``
+        field positions, compiled once per wanted set."""
+        try:
+            return self._page_decoders[wanted]
+        except KeyError:
+            decoder = self._page_decoders[wanted] = compile_page_decoder(
+                self.fields, wanted)
+            return decoder
 
     # -- validation ----------------------------------------------------------
     def check_record(self, record: Sequence) -> Tuple:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.records import RecordView
 from ..errors import QueryError
@@ -161,10 +161,9 @@ class Executor:
             if plan.covering:
                 batches = self._covering_batches(ctx, left_handle, plan,
                                                  params)
-            else:
-                batches = self._record_batches(ctx, left_handle, plan.access,
-                                               params, plan.limit)
-            return (ColumnBatch(rows, program.width) for rows in batches)
+                return (ColumnBatch(rows, program.width) for rows in batches)
+            return self._record_batches(ctx, left_handle, plan.access, params,
+                                        program.left_fields, plan.limit)
         right_handle = next(handle for alias, handle in plan.handles.items()
                             if alias != plan.alias)
         method = join.method
@@ -178,9 +177,10 @@ class Executor:
         if method == "hash":
             return program.hash_join(
                 rt,
-                self._record_batches(ctx, left_handle, plan.access, params),
+                self._record_batches(ctx, left_handle, plan.access, params,
+                                     program.left_fields),
                 self._record_batches(ctx, right_handle, join.right_access,
-                                     params))
+                                     params, program.right_fields))
         if method == "join_index":
             batches = self._join_via_index(ctx, plan, join, left_handle,
                                            right_handle, params)
@@ -201,18 +201,33 @@ class Executor:
             yield from batch
 
     def _record_batches(self, ctx, handle, access: TableAccess,
-                        params: dict, limit: Optional[int] = None
-                        ) -> Iterator[List[Tuple]]:
-        """The route's batches without their record keys."""
+                        params: dict, fields: Optional[Tuple[int, ...]],
+                        limit: Optional[int] = None
+                        ) -> Iterator[ColumnBatch]:
+        """The route's batches as a program reads them.  A locking
+        reader's storage scan is asked for ``fields`` alone and the
+        heap's column-resident batch passes untouched; fetched records
+        and snapshot images are whole.  A plain list of pairs is wrapped
+        rows-first, in the layout it was asked for."""
+        if fields is not None and not (access.is_storage
+                                       and ctx.txn.snapshot is None):
+            fields = None
+        width = len(handle.schema.fields)
         for batch in self._access_key_batches(ctx, handle, access, params,
-                                              limit):
-            yield [record for __, record in batch]
+                                              limit, fields):
+            if not isinstance(batch, ColumnBatch):
+                batch = ColumnBatch([record for __, record in batch], width,
+                                    fields=fields)
+            yield batch
 
     def _access_key_batches(self, ctx, handle, access: TableAccess,
-                            params: dict, limit: Optional[int]
-                            ) -> Iterator[List[Tuple[object, Tuple]]]:
-        """Yield batches of (record key, full record) through the chosen
+                            params: dict, limit: Optional[int],
+                            fields: Optional[Tuple[int, ...]] = None
+                            ) -> Iterator[Sequence[Tuple[object, Tuple]]]:
+        """Yield batches of (record key, record) through the chosen
         route — the one pump under SELECT sources, UPDATE and DELETE.
+        Records are whole, except that the storage route hands ``fields``
+        to the scan it opens.
 
         Every route serves a snapshot reader.  The storage route reads
         through dispatch, which patches each record in place.  An
@@ -231,7 +246,7 @@ class Executor:
         if access.is_storage:
             opener = method if ctx.txn.snapshot is None else database.data
             yield from self._pump(
-                ctx, opener.open_scan(ctx, handle, None, predicate), access,
+                ctx, opener.open_scan(ctx, handle, fields, predicate), access,
                 limit)
             return
         __, type_id, instance_name, type_name = access.access

@@ -30,12 +30,11 @@ query stays on the pull-up path.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional, Tuple
 
 from ..core.records import RecordView
 from ..services.predicate import Col, conjuncts
-from .ir import OrderKey
+from .ir import sorted_ordinals
 from .planner import QualifiedSchema, SelectPlan, TableAccess, make_eligible
 
 __all__ = ["FragmentFallback", "FragmentPlan", "plan_fragment",
@@ -172,10 +171,10 @@ def _plan_rows_fragment(plan, fragment) -> Optional[FragmentPlan]:
     fragment.kind = "rows"
     fragment.child_group_index = None
     if plan.order_by and plan.needs_sort:
-        # Child-side top-k on full rows; the coordinator k-way merges
-        # by OrderKey (ties broken by shard index = global stream
-        # order) and projects after the limit, exactly as the pull-up
-        # path sorts-then-projects.
+        # Child-side top-k on full rows; the coordinator merges the runs
+        # (ties broken by shard index = global stream order) and
+        # projects after the limit, exactly as the pull-up path
+        # sorts-then-projects.
         fragment.child_items = []
         fragment.child_star = True
         fragment.child_order_by = plan.order_by
@@ -337,24 +336,13 @@ def _merge_partials(fragment: FragmentPlan,
 
 def _merge_ordered(sources: List[List[Tuple]], order_by,
                    limit: Optional[int]) -> List[Tuple]:
-    """K-way merge of per-shard ordered runs.  Heap entries break ties
-    by (shard index, position), reproducing the stable order a single
-    global sort of the shard-major stream would produce."""
-    heap = []
-    for index, rows in enumerate(sources):
-        if rows:
-            heap.append((OrderKey(rows[0], order_by), index, 0))
-    heapq.heapify(heap)
-    out: List[Tuple] = []
-    while heap and (limit is None or len(out) < limit):
-        __, index, position = heapq.heappop(heap)
-        out.append(sources[index][position])
-        position += 1
-        if position < len(sources[index]):
-            heapq.heappush(
-                heap, (OrderKey(sources[index][position], order_by),
-                       index, position))
-    return out
+    """Per-shard ordered runs as one: the stable sort of the shard-major
+    stream (a tie keeps shard, then position, order), which is what the
+    pull-up path sorts — the sort finds the runs and merges them."""
+    rows = [row for source in sources for row in source]
+    order = sorted_ordinals([[row[index] for row in rows]
+                             for index, __ in order_by], order_by)
+    return [rows[i] for i in (order if limit is None else order[:limit])]
 
 
 # ---------------------------------------------------------------------------

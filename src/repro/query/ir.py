@@ -5,11 +5,12 @@ A bound :class:`~.planner.SelectPlan` lowers (:func:`lower_select`) to a
 
 * A **source** is an iterator of batches handed over by the executor,
   which owns the access routes: a scan or covering-index read (one
-  :class:`~repro.services.vectors.ColumnBatch` per ``next_batch``), a
-  keyed join — index nested-loop or join index — yielding batches of
-  combined rows,
-  or :meth:`Program.hash_join`, which materialises both inputs and
-  yields one :class:`PairBatch`.  Which join source runs is the
+  :class:`~repro.services.vectors.ColumnBatch` per ``next_batch`` — the
+  heap's holds, as columns, just the fields :func:`lower_select` found
+  the program to read), a keyed join — index nested-loop or join index —
+  yielding batches of combined rows,
+  or :meth:`Program.hash_join`, which joins each input's batches into
+  one and yields one :class:`PairBatch`.  Which join source runs is the
   planner's decision (``JoinStep.method``); nothing here compares costs.
 * The **filter** applies the cross-table part of a join's WHERE (the
   single-table parts were pushed into the scans) and narrows the batch.
@@ -18,8 +19,8 @@ A bound :class:`~.planner.SelectPlan` lowers (:func:`lower_select`) to a
   each written once against the ``len()`` / ``column(i)`` / ``rows()`` /
   ``narrow()`` protocol both batch classes answer, so payload columns of
   a join are gathered only when a sink asks for them (late
-  materialisation) and full combined rows exist only for ``SELECT *`` or
-  ORDER BY.
+  materialisation) and whole rows exist only for ``SELECT *``: a sort
+  reads the order columns and permutes projected rows.
 
 Scalar expressions anywhere (filter, projections, aggregate arguments)
 are the plan's bound :class:`~repro.services.predicate.Expr` trees, run
@@ -32,7 +33,7 @@ float fold — is the same on every backend.
 The compiled program is cached on ``SelectPlan.columnar``; the plan
 cache discards the whole payload when a referenced descriptor version
 changes, so the IR is invalidated exactly with the plan that produced
-it.  Anything but a typed ``PredicateError`` raised inside the machinery
+it.  Anything but a typed ``QueryError`` raised inside the machinery
 surfaces as :class:`KernelFallback`, which the executor answers by
 running the same program once more on the pure-Python backend.  Scan,
 dispatch and fetch errors pass through untouched (batches are pulled
@@ -41,17 +42,15 @@ outside the guarded sections), so storage faults fail as storage faults.
 
 from __future__ import annotations
 
-import heapq
-from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..errors import PredicateError
+from ..errors import PredicateError, QueryError
 from ..services.predicate import Col
 from ..services.vectors import ColumnBatch
 from . import kernels
 from .kernels import evaluate
 
-__all__ = ["Program", "Runtime", "KernelFallback", "OrderKey",
+__all__ = ["Program", "Runtime", "KernelFallback", "sorted_ordinals",
            "lower_select"]
 
 
@@ -61,32 +60,17 @@ class KernelFallback(Exception):
     dispatch errors, nor for a ``PredicateError`` the statement earned."""
 
 
-class OrderKey:
-    """Sort key honouring per-column ASC/DESC for one ORDER BY spec.
-
-    ``heapq.nsmallest`` compares decorated ``(key, index, row)`` tuples,
-    and tuple comparison probes ``==`` before ``<`` — both must be
-    defined.  Ties fall through to the decoration index, which keeps the
-    top-k selection stable, like the full sort it replaces.
-    """
-
-    __slots__ = ("row", "order_by")
-
-    def __init__(self, row, order_by):
-        self.row = row
-        self.order_by = order_by
-
-    def __lt__(self, other):
-        for index, ascending in self.order_by:
-            mine, theirs = self.row[index], other.row[index]
-            if mine == theirs:
-                continue
-            return (mine < theirs) if ascending else (theirs < mine)
-        return False
-
-    def __eq__(self, other):
-        return all(self.row[index] == other.row[index]
-                   for index, __ in self.order_by)
+def sorted_ordinals(keys: Sequence[Sequence], order_by) -> List[int]:
+    """Row ordinals in ORDER BY order, ``keys`` holding one column per
+    entry of ``order_by``: one stable sort a key, minor key first, so
+    ties keep arrival order.  NULL sorts as greater than every value —
+    last under ASC, first under DESC."""
+    order = list(range(len(keys[0])))
+    for column, (__, ascending) in reversed(list(zip(keys, order_by))):
+        if None in column:
+            column = [(value is None, value) for value in column]
+        order.sort(key=column.__getitem__, reverse=not ascending)
+    return order
 
 
 class Runtime:
@@ -167,13 +151,15 @@ class Program:
     ``(kind, column_index_or_None, expr)`` — the index is a fast path
     for plain-column arguments, the expression handles computed ones;
     ``kind`` adds ``"first"`` (plain item inside an aggregate query) and
-    ``"count_star"`` to the fold kinds.
+    ``"count_star"`` to the fold kinds.  ``left_fields`` / ``right_fields``
+    are the schema positions the program reads of each relation — what
+    its scans are asked to decode — or ``None`` for whole records.
     """
 
     __slots__ = ("mode", "cross_filter", "star", "project_indexes",
                  "project_exprs", "aggregates", "group_index", "order_by",
                  "sorting", "limit", "width", "left_width", "join_indexes",
-                 "merge_ok")
+                 "merge_ok", "left_fields", "right_fields")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -195,8 +181,8 @@ class Program:
                 if self.cross_filter is not None:
                     batch = self._filter(rt, batch)
                 done = sink.add(batch)
-            except (KernelFallback, PredicateError):
-                raise
+            except (KernelFallback, QueryError):
+                raise  # earned by the statement, or by a wrong needed-set
             except Exception as exc:
                 raise KernelFallback from exc
             if done:
@@ -239,19 +225,17 @@ class Program:
         ordered on their join columns (and ``rt.ordered`` says they did)
         and no key is NULL."""
         # Scan and dispatch errors propagate untouched.
-        left_rows = list(chain.from_iterable(left_batches))
-        right_rows = list(chain.from_iterable(right_batches))
+        left = ColumnBatch.concat(left_batches, self.left_width)
+        right = ColumnBatch.concat(right_batches,
+                                   self.width - self.left_width)
         stats, backend = rt.stats, rt.backend
         left_index, right_index = self.join_indexes
         try:
-            left = ColumnBatch(left_rows, self.left_width)
-            right = ColumnBatch(right_rows, self.width - self.left_width)
             left_keys = left.column(left_index)
             right_keys = right.column(right_index)
-            build_left = len(left_rows) <= len(right_rows)
+            build_left = len(left) <= len(right)
             if rt.ordered and self.merge_ok \
-                    and left.null_mask(left_index) is None \
-                    and right.null_mask(right_index) is None:
+                    and None not in left_keys and None not in right_keys:
                 left_sel, right_sel = backend.merge_pairs(left_keys,
                                                           right_keys)
                 stats.bump("executor.columnar.ir.join.merge")
@@ -272,10 +256,12 @@ class Program:
                 "executor.columnar.kernel_calls": 2,
                 "executor.columnar.ir.kernel_calls": 2,
                 "executor.columnar.ir.join.build_rows":
-                    len(left_rows) if build_left else len(right_rows),
+                    len(left) if build_left else len(right),
                 "executor.columnar.ir.join.probe_rows":
-                    len(right_rows) if build_left else len(left_rows),
+                    len(right) if build_left else len(left),
                 "executor.columnar.ir.join.pairs": len(left_sel)})
+        except QueryError:
+            raise
         except Exception as exc:
             raise KernelFallback from exc
         yield PairBatch(left, right, left_sel, right_sel, self.left_width,
@@ -288,20 +274,22 @@ class Program:
 
 class _PlainSink:
     """Rows out.  Without a sort each batch is projected as it arrives
-    (truncated first when it would overshoot LIMIT); under ORDER BY the
-    full rows are kept — all of them, or the running top-k under LIMIT —
-    and projected once, after the sort.  A sort the plan elided because
-    the route delivers the order is done after all when the route's
-    order cannot be trusted."""
+    (truncated first when it would overshoot LIMIT).  Under ORDER BY only
+    the order columns are read before the order is known: they are kept
+    beside the projected rows and permute them once, at the end; under
+    LIMIT each batch is narrowed to its k best *before* any row is
+    projected, and those merge into the running k-best.  A sort the plan
+    elided because the route delivers the order is done after all when
+    the route's order cannot be trusted."""
 
     def __init__(self, program: Program, rt: Runtime):
         self.program = program
         self.rt = rt
         self.sorting = program.sorting or (bool(program.order_by)
                                            and not rt.ordered)
-        self.rows: list = []  # output rows, or full rows awaiting the sort
-        self.top: list = []   # bounded top-k candidates (decorated)
-        self.position = 0     # global row ordinal — the stable tiebreak
+        self.rows: list = []  # output rows (awaiting the sort, if any)
+        self.keys: List[list] = [[] for __ in program.order_by] \
+            if self.sorting else []
 
     def add(self, batch) -> bool:
         program, limit = self.program, self.program.limit
@@ -312,35 +300,32 @@ class _PlainSink:
                 batch = batch.narrow(range(room))
             self.rows.extend(program.project(self.rt, batch))
             return room is not None and len(batch) >= room
-        rows = batch.rows()
-        if limit is None:
-            self.rows.extend(rows)
-        else:
-            # Bounded top-k: merge the batch into the running k-best;
-            # ties resolve by arrival order, exactly as a stable sort of
-            # the whole stream would.
-            order_by, position = program.order_by, self.position
-            decorated = [(OrderKey(row, order_by), position + i, row)
-                         for i, row in enumerate(rows)]
-            self.position += len(rows)
-            self.top = heapq.nsmallest(limit, self.top + decorated)
+        keys = [batch.column(index) for index, __ in program.order_by]
+        if limit is not None:
+            # Bounded top-k: the batch's k best join the running k-best
+            # (which arrived first, and stays first among equals).
+            best = sorted_ordinals(keys, program.order_by)[:limit]
+            batch = batch.narrow(best)
+            keys = [[column[i] for i in best] for column in keys]
+        for kept, column in zip(self.keys, keys):
+            kept.extend(column)
+        self.rows.extend(program.project(self.rt, batch))
+        if limit is not None and len(self.rows) > limit:
+            best = sorted_ordinals(self.keys, program.order_by)[:limit]
+            self.keys = [[column[i] for i in best] for column in self.keys]
+            self.rows = [self.rows[i] for i in best]
         return False
 
     def finish(self) -> List[tuple]:
-        program, stats = self.program, self.rt.stats
+        program, stats, rows = self.program, self.rt.stats, self.rows
         if not self.sorting:
             if program.limit is not None:
                 stats.bump("executor.limit_short_circuits")
-            return self.rows
-        if program.limit is not None:
-            rows = [row for __, __, row in self.top]
-            stats.bump("executor.topk")
-        else:
-            rows = self.rows
-            for index, ascending in reversed(program.order_by):
-                rows.sort(key=lambda row: row[index], reverse=not ascending)
-            stats.bump("executor.sorts")
-        return program.project(self.rt, ColumnBatch(rows, program.width))
+            return rows
+        stats.bump("executor.sorts" if program.limit is None
+                   else "executor.topk")
+        return [rows[i]
+                for i in sorted_ordinals(self.keys, program.order_by)]
 
 
 class _FoldSink:
@@ -475,9 +460,11 @@ _SINKS = {"plain": _PlainSink, "fold": _FoldSink, "group": _GroupSink}
 def lower_select(plan) -> Program:
     """Compile a bound SELECT plan into its program."""
     join = plan.join
+    left_width = len(plan.handles[plan.alias].schema.fields)
+    left_fields, right_fields = _fields_read(plan, left_width)
     common = dict(
-        width=len(plan.combined_schema),
-        left_width=len(plan.handles[plan.alias].schema.fields),
+        width=len(plan.combined_schema), left_width=left_width,
+        left_fields=left_fields, right_fields=right_fields,
         order_by=plan.order_by, limit=plan.limit,
         sorting=bool(plan.order_by) and plan.needs_sort)
     if join is not None:
@@ -511,6 +498,31 @@ def lower_select(plan) -> Program:
     return Program(mode="plain", star=plan.star,
                    project_indexes=project_indexes,
                    project_exprs=project_exprs, **common)
+
+
+def _fields_read(plan, left_width: int):
+    """The schema positions the program reads of the left and of the
+    right relation (each in its own schema's numbering, sorted), or
+    ``(None, None)`` under ``SELECT *``: projection, aggregate arguments,
+    group key, ORDER BY, and for a join its keys and cross filter.  A
+    single-table WHERE is the scan's own predicate, not the program's."""
+    if plan.star:
+        return None, None
+    read = {index for index, __ in plan.order_by or ()}
+    for expr, __, __a in plan.items:
+        if expr is not None:
+            read |= expr.columns()
+    if plan.group_index is not None:
+        read.add(plan.group_index)
+    join = plan.join
+    if join is None:
+        return tuple(sorted(read)), None
+    if plan.where is not None:
+        read |= plan.where.columns()
+    left = {i for i in read if i < left_width} | {join.left_index}
+    right = {i - left_width for i in read if i >= left_width} \
+        | {join.right_index}
+    return tuple(sorted(left)), tuple(sorted(right))
 
 
 def _plain_index(expr) -> Optional[int]:

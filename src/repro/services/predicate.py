@@ -40,7 +40,7 @@ from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
 
 from ..errors import PredicateError
 from ..core.records import Box, RecordView
-from .vectors import ColumnBatch, VectorOps
+from .vectors import VectorOps
 
 __all__ = ["Expr", "Const", "Col", "Param", "Cmp", "And", "Or", "Not",
            "Arith", "Neg", "IsNull", "InList", "Between", "Like", "Func",
@@ -136,11 +136,14 @@ def _domain_size(batch, selection) -> int:
 
 
 def _eval_rows(expr: "Expr", batch, params, selection) -> list:
-    """``expr.eval`` for each row of the batch restricted to ``selection``."""
-    rows = batch.rows()
-    if selection is not None:
-        rows = [rows[i] for i in selection]
-    return [expr.eval(RecordView.from_record(row), params) for row in rows]
+    """``expr.eval`` for each row of the batch restricted to ``selection``,
+    over views of the columns ``expr`` reads (a batch need hold no more)."""
+    indexes = sorted(expr.columns())
+    columns = [batch.column(index) for index in indexes]
+    domain = range(len(batch)) if selection is None else selection
+    return [expr.eval(RecordView({index: column[i] for index, column
+                                  in zip(indexes, columns)}), params)
+            for i in domain]
 
 
 def _operand(expr: "Expr", level: int) -> str:
@@ -943,8 +946,8 @@ class Predicate:
     access-path key) is still in the buffer pool.  Rows for which the
     predicate is unknown (NULL) are rejected, as in SQL.
 
-    Batch scans call :meth:`match_indexes` instead: the same bound tree
-    filters each batch column-at-a-time with O(1) Python-level dispatch,
+    Batch scans call :meth:`select` instead: the same bound tree filters
+    each batch column-at-a-time with O(1) Python-level dispatch,
     producing a selection vector.
     """
 
@@ -980,20 +983,18 @@ class Predicate:
             view = RecordView.from_record(view)
         return self.expr.eval(view, self.params) is True
 
-    def match_indexes(self, records: Sequence[Sequence],
-                      stats=None) -> List[int]:
-        """Selection vector: sorted ordinals of ``records`` that match.
+    def select(self, batch, stats=None) -> List[int]:
+        """Selection vector: sorted ordinals of the rows of ``batch`` that
+        match.  ``batch`` need hold only :attr:`fields_needed`.
 
         The expression's truth vector is computed column-at-a-time over
         the whole batch (see :func:`evaluate` for the row-by-row retry);
         the result is exactly the rows for which the predicate is *true*.
         """
-        truth = evaluate(self.expr,
-                         ColumnBatch.from_rows(records, self.schema),
-                         self.params, _VECTOR_OPS, stats)
+        truth = evaluate(self.expr, batch, self.params, _VECTOR_OPS, stats)
         if stats is not None:
             stats.bump_many({"predicate.vector_selects": 1,
-                             "predicate.vector_rows": len(records)})
+                             "predicate.vector_rows": len(batch)})
         return _VECTOR_OPS.select_true(truth)
 
     def evaluable_on(self, available_fields) -> bool:

@@ -136,8 +136,8 @@ class SnapshotScan(Scan):
     to its snapshot image first (``patch_fn`` returns the relation's
     current rewind patch, recomputed per batch so writes committed *after*
     the snapshot mid-scan are still patched back out), then applies the
-    caller's ``transform`` (predicate + projection; return ``None`` to
-    drop an item).
+    caller's ``transform`` to the batch of patched pairs (predicate +
+    projection; it returns the surviving items).
 
     Records the snapshot saw but a later writer deleted (or relocated)
     are no longer in storage at all: the wrapper *resurrects* them from
@@ -145,17 +145,11 @@ class SnapshotScan(Scan):
     order.
     """
 
-    def __init__(self, base: Scan, patch_fn, transform=None, stats=None,
-                 batch_transform=None):
+    def __init__(self, base: Scan, patch_fn, transform, stats=None):
         super().__init__(base.txn_id)
         self.base = base
         self._patch_fn = patch_fn
         self._transform = transform
-        # Set-at-a-time variant: receives the whole patched batch of
-        # ``(key, record)`` pairs and returns the surviving items.  When
-        # present it replaces per-record ``transform`` calls, so snapshot
-        # readers filter a batch the same way quiesced scans do.
-        self._batch_transform = batch_transform
         self._stats = stats
         self._seen: set = set()
         self._base_exhausted = False
@@ -193,12 +187,12 @@ class SnapshotScan(Scan):
                 candidates.append((key, record))
             if patched and self._stats is not None:
                 self._stats.bump("mvcc.records_patched", patched)
-            out.extend(self._apply_batch(candidates))
+            out.extend(self._transform(candidates))
         while len(out) < n and self._resurrect:
             take = min(n - len(out), len(self._resurrect))
             chunk = self._resurrect[:take]
             del self._resurrect[:take]
-            out.extend(self._apply_batch(chunk))
+            out.extend(self._transform(chunk))
         return out
 
     def save_position(self) -> ScanPosition:
@@ -213,21 +207,6 @@ class SnapshotScan(Scan):
         super().close()
 
     # -- internals --------------------------------------------------------------
-    def _apply(self, key, record):
-        if self._transform is not None:
-            return self._transform(key, record)
-        return (key, record)
-
-    def _apply_batch(self, pairs: list) -> list:
-        if self._batch_transform is not None:
-            return self._batch_transform(pairs)
-        out = []
-        for key, record in pairs:
-            item = self._apply(key, record)
-            if item is not None:
-                out.append(item)
-        return out
-
     def _prepare_resurrection(self) -> None:
         pending = key_ordered(
             [(key, image) for key, image in self._patch_fn().items()

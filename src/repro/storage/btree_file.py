@@ -34,6 +34,7 @@ from ..services.locks import LockMode
 from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
+from ..services.vectors import ColumnBatch
 from .heap import _ensure_formatted
 
 __all__ = ["BTreeFileStorageMethod", "BTreeFileScan"]
@@ -285,7 +286,8 @@ class BTreeFileScan(Scan):
             if self.predicate is None:
                 selected = range(len(records))
             else:
-                selected = self.predicate.match_indexes(records, stats)
+                selected = self.predicate.select(
+                    ColumnBatch(records, len(self.handle.schema)), stats)
             room = n - len(batch)
             chosen = selected[:room] if len(selected) > room else selected
             keys = [run[i][0] for i in chosen]

@@ -30,6 +30,7 @@ from ..services.pages import HEADER_SIZE, TOMBSTONE, PageView
 from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
+from ..services.vectors import ColumnBatch
 
 __all__ = ["HeapStorageMethod", "HeapScan", "PAGE_TYPE_HEAP"]
 
@@ -239,10 +240,14 @@ class HeapScan(Scan):
     #: Pages prefetched ahead of the one being extracted during a batch.
     _PREFETCH_PAGES = 4
 
-    def next_batch(self, n: int) -> list:
-        """Extract up to ``n`` qualifying records page-at-a-time: each page
-        is pinned once for all its records, and the pages about to be
-        crossed are pre-installed in the buffer pool."""
+    def next_batch(self, n: int) -> ColumnBatch:
+        """Extract up to ``n`` qualifying records page-at-a-time, as a
+        batch that carries their keys.  Each page is pinned once: under
+        the pin the fields the predicate reads are decoded for every live
+        record and filtered as columns, then the output fields of the
+        *selected* records alone — whole records by the row decoder,
+        ``fields`` by the page decoder, so no row exists for those.  The
+        pages about to be crossed are pre-installed in the buffer pool."""
         self._check_open()
         if n < 1:
             raise ScanError(f"next_batch needs a positive count, got {n}")
@@ -251,36 +256,51 @@ class HeapScan(Scan):
         page_index, slot = (0, -1) if self.position is None else self.position
         buffer = self.ctx.buffer
         stats = self.ctx.stats
-        decode = self.handle.schema.decoder
-        batch: list = []
-        while page_index < len(pages) and len(batch) < n:
+        schema, fields, predicate = self.handle.schema, self.fields, \
+            self.predicate
+        width = len(schema)
+        if predicate is not None:
+            needed = tuple(sorted(predicate.fields_needed))
+            decode_needed = schema.page_decoder(needed)
+        decode = schema.decoder if fields is None \
+            else schema.page_decoder(fields)
+        keys: list = []
+        rows: list = []                           # whole records, or
+        columns = [[] for __ in fields or ()]     # one list per field
+        while page_index < len(pages) and len(keys) < n:
             page_id = pages[page_index]
             page = buffer.fetch(page_id)
             try:
-                # One directory read, then every remaining live record is
-                # decoded where it lies, under a single pin; the predicate
-                # then runs once over the whole page, column-at-a-time.
                 offsets = page.directory()[0]
                 slots = [s for s in range(slot + 1, len(offsets))
                          if offsets[s] != TOMBSTONE]
+                live = [offsets[s] for s in slots]
                 data = page.data
-                records = [decode(data, offsets[s]) for s in slots]
+                # Filter while the field values are still in the buffer
+                # pool: the predicate sees columns, never a record.
+                if predicate is None:
+                    selected = range(len(live))
+                else:
+                    selected = predicate.select(ColumnBatch.from_columns(
+                        dict(zip(needed, decode_needed(data, live))),
+                        len(live), width), stats)
+                room = n - len(keys)
+                chosen = selected[:room] if len(selected) > room else selected
+                if len(chosen) < len(live):
+                    live = [live[i] for i in chosen]
+                if fields is None:
+                    rows += [decode(data, offset) for offset in live]
+                else:
+                    for column, values in zip(columns, decode(data, live)):
+                        column += values
             finally:
                 buffer.unpin(page_id)
-            if records:
+            if slots:
                 self.state = ON
-            if self.predicate is None:
-                selected = range(len(records))
-            else:
-                selected = self.predicate.match_indexes(records, stats)
-            room = n - len(batch)
-            chosen = selected[:room] if len(selected) > room else selected
-            keys = [(page_id, slots[i]) for i in chosen]
-            self.ctx.lock_records(self.handle.relation_id, keys, LockMode.S)
-            rows = [records[i] for i in chosen]
-            if self.fields is not None:
-                rows = [tuple([row[f] for f in self.fields]) for row in rows]
-            batch.extend(zip(keys, rows))
+            page_keys = [(page_id, slots[i]) for i in chosen]
+            self.ctx.lock_records(self.handle.relation_id, page_keys,
+                                  LockMode.S)
+            keys += page_keys
             if len(selected) >= room and selected:
                 # The batch filled on this page: stop at the last consumed
                 # slot.  Tuples past it are only accounted for when the
@@ -291,18 +311,21 @@ class HeapScan(Scan):
                 self.position = (page_index, slots[last])
                 stats.bump_many({"heap.tuples_scanned": last + 1})
                 break
-            if records:
-                stats.bump_many({"heap.tuples_scanned": len(records)})
+            if slots:
+                stats.bump_many({"heap.tuples_scanned": len(slots)})
             page_index += 1
             slot = -1
             self.position = (page_index, -1)
-            if len(batch) < n and page_index < len(pages):
+            if len(keys) < n and page_index < len(pages):
                 # The batch crosses into the next page: read ahead of it.
                 buffer.prefetch(pages[page_index:
                                       page_index + self._PREFETCH_PAGES])
-        if not batch:
+        if not keys:
             self.state = AFTER
-        return batch
+        if fields is None:
+            return ColumnBatch(rows, width, keys)
+        return ColumnBatch.from_columns(dict(zip(fields, columns)),
+                                        len(keys), width, keys, fields)
 
     def save_position(self) -> ScanPosition:
         return ScanPosition(self.state, self.position)

@@ -28,6 +28,7 @@ from ..services.locks import LockMode
 from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
+from ..services.vectors import ColumnBatch
 
 __all__ = ["MemoryStorageMethod", "MemoryScan"]
 
@@ -109,7 +110,8 @@ class MemoryScan(Scan):
             if self.predicate is None:
                 selected = range(len(chunk_records))
             else:
-                selected = self.predicate.match_indexes(chunk_records, stats)
+                selected = self.predicate.select(
+                    ColumnBatch(chunk_records, len(self.handle.schema)), stats)
             room = n - len(batch)
             chosen = selected[:room] if len(selected) > room else selected
             picked = [chunk_keys[i] for i in chosen]

@@ -395,24 +395,16 @@ class ShardedScan(Scan):
     """
 
     def __init__(self, ctx: ExecutionContext, handle: RelationHandle,
-                 source, fields: Optional[Sequence[int]],
-                 report: Optional[dict] = None):
+                 source, report: Optional[dict] = None):
         super().__init__(ctx.txn_id)
         self.ctx = ctx
         self.handle = handle
         if isinstance(source, list):
             source = _ListSource(source)
         self.source = source
-        self.fields = tuple(fields) if fields is not None else None
         self.state = BEFORE
         self.position: Optional[int] = None
         self.report = report if report is not None else _fresh_report()
-
-    def _project(self, pair):
-        key, record = pair
-        if self.fields is None:
-            return key, record
-        return key, tuple(record[i] for i in self.fields)
 
     def next(self):
         self._check_open()
@@ -424,7 +416,7 @@ class ShardedScan(Scan):
         self.position = index
         self.state = ON
         self.ctx.stats.bump("sharded.tuples_returned")
-        return self._project(chunk[0])
+        return chunk[0]
 
     def next_batch(self, n: int) -> list:
         self._check_open()
@@ -438,7 +430,7 @@ class ShardedScan(Scan):
         self.position = index + len(chunk) - 1
         self.state = ON
         self.ctx.stats.bump("sharded.tuples_returned", len(chunk))
-        return [self._project(pair) for pair in chunk]
+        return chunk
 
     def save_position(self) -> ScanPosition:
         return ScanPosition(self.state, self.position)
@@ -1101,7 +1093,9 @@ class ShardedStorageMethod(StorageMethod):
 
                 def ship(p=participant, h=child_handle,
                          where=child_predicate):
-                    scan = p.database.data.open_scan(p.context(), h, None,
+                    # The children project: a heap child decodes only
+                    # ``fields``, and only those cross the channel.
+                    scan = p.database.data.open_scan(p.context(), h, fields,
                                                      where)
                     try:
                         rows = []
@@ -1134,7 +1128,8 @@ class ShardedStorageMethod(StorageMethod):
                         child_where = Predicate(where.expr, h.schema,
                                                 where.params)
                     with db.autocommit() as sctx:
-                        scan = db.data.open_scan(sctx, h, None, child_where)
+                        scan = db.data.open_scan(sctx, h, fields,
+                                                 child_where)
                         try:
                             out = []
                             while True:
@@ -1168,7 +1163,7 @@ class ShardedStorageMethod(StorageMethod):
             source = _ListSource(
                 [pair for stream in streams for pair in stream])
         ctx.read_report = report  # _child_order spawns child reads
-        scan = ShardedScan(ctx, handle, source, fields, report)
+        scan = ShardedScan(ctx, handle, source, report)
         ctx.services.scans.register(scan)
         return scan
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import (Box, RecordView, decode_record,
-                                decode_value, encode_record, encode_value,
-                                record_fields)
+                                decode_value, encode_record, encode_value)
 from repro.core.schema import Field, Schema
 from repro.errors import SchemaError
+from repro.services.pages import TOMBSTONE, PageView
 
 
 @pytest.fixture
@@ -54,10 +54,6 @@ def test_string_length_limit():
 def test_unknown_type_rejected():
     with pytest.raises(SchemaError):
         encode_value("DECIMAL", 1)
-
-
-def test_record_fields_projection():
-    assert record_fields((10, 20, 30), (2, 0)) == (30, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +177,47 @@ def test_decoder_is_compiled_once_per_schema(schema):
     assert schema.decoder is schema.decoder
     other = Schema("u", schema.fields)
     assert other.decoder is not schema.decoder
+    assert schema.page_decoder((0, 2)) is schema.page_decoder((0, 2))
+    assert schema.page_decoder((0,)) is not schema.page_decoder((0, 2))
+
+
+# ---------------------------------------------------------------------------
+# The page decoder against the row decoder, over a real slotted page
+# ---------------------------------------------------------------------------
+
+@st.composite
+def schema_page_and_wanted(draw):
+    codes = draw(st.lists(st.sampled_from(sorted(_VALUES)), min_size=1,
+                          max_size=10))
+    schema = Schema("t", [Field(f"f{i}", code)
+                          for i, code in enumerate(codes)])
+    null_free = draw(st.booleans())     # exercise the generated path alone
+    records = draw(st.lists(st.tuples(*[
+        _VALUES[code] if null_free else st.one_of(st.none(), _VALUES[code])
+        for code in codes]), max_size=8))
+    dead = draw(st.sets(st.integers(0, max(len(records) - 1, 0))))
+    # Any order, repeats allowed, and the empty set (COUNT(*)).
+    wanted = tuple(draw(st.lists(st.integers(0, len(codes) - 1),
+                                 max_size=len(codes) + 1)))
+    return schema, records, dead, wanted
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema_page_and_wanted())
+def test_page_decoder_columns_equal_row_decoder(case):
+    schema, records, dead, wanted = case
+    page = PageView.format(7, bytearray(8192), 1)
+    for record in records:
+        page.insert(encode_record(schema, record))
+    for slot in dead:
+        if slot < len(records):
+            page.delete(slot)
+    live = [offset for offset in page.directory()[0] if offset != TOMBSTONE]
+    rows = [decode_record(schema, page.data, offset) for offset in live]
+    assert rows == [record for slot, record in enumerate(records)
+                    if slot not in dead]
+    columns = schema.page_decoder(wanted)(page.data, live)
+    assert len(columns) == len(wanted)
+    for column, j in zip(columns, wanted):
+        assert column == [row[j] for row in rows]
+        assert [type(v) for v in column] == [type(row[j]) for row in rows]

@@ -9,7 +9,8 @@ parser, the binder (column names → positions) and ``Expr.eval``.
 
 Row order follows the definition too: scan order (left-major for a
 join), groups in ``repr(key)`` order, ORDER BY as a stable multi-key
-sort, LIMIT as a slice.  Where the engine reads through an index the
+sort in which NULL is the greatest value, LIMIT as a slice.  Where the
+engine reads through an index the
 arrival order is the route's, so unordered results are compared with
 :func:`same_rows` (as multisets); where both read in scan order ``==``
 holds and the tests use it.
@@ -60,7 +61,9 @@ def run(scope, text: str, params: Optional[dict] = None) -> List[tuple]:
                 for key in sorted(groups, key=repr)]
 
     for index, ascending in reversed(plan.order_by):
-        rows.sort(key=lambda row: row[index], reverse=not ascending)
+        # NULL sorts as greater than every value: last ASC, first DESC.
+        rows.sort(key=lambda row: (row[index] is None, row[index]),
+                  reverse=not ascending)
     if plan.limit is not None:
         rows = rows[:plan.limit]
     if plan.star:

@@ -436,3 +436,112 @@ def test_short_circuit_or_as_a_cross_table_filter(jdb):
     assert delta["predicate.row_evals"] == \
         delta["executor.columnar.ir.join.pairs"]
     assert delta.get("executor.columnar.fallbacks", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# ORDER BY over NULLs: NULL is the greatest value, in every sink branch
+# ---------------------------------------------------------------------------
+
+NULL_ORDER_QUERIES = [
+    "SELECT eid, sal FROM emp ORDER BY sal",                  # full sort
+    "SELECT eid, sal FROM emp ORDER BY sal DESC",
+    "SELECT eid, dno, sal FROM emp ORDER BY dno, sal DESC",   # two keys
+    "SELECT eid, sal FROM emp ORDER BY sal LIMIT 5",          # top-k
+    "SELECT eid, sal FROM emp ORDER BY sal DESC LIMIT 40",
+    "SELECT name FROM emp ORDER BY name DESC LIMIT 25",
+    "SELECT eid, sal FROM emp WHERE eid < 12 ORDER BY sal LIMIT 20",
+    "SELECT eid, dno, sal FROM emp ORDER BY dno DESC, sal LIMIT 60",
+    "SELECT eid, dno, sal FROM emp ORDER BY dno, sal LIMIT 290",
+    "SELECT emp.eid, emp.sal FROM emp JOIN dept ON emp.dno = dept.dno "
+    "ORDER BY emp.sal DESC LIMIT 30",
+]
+
+
+@pytest.mark.parametrize("statement", NULL_ORDER_QUERIES)
+def test_order_by_over_nulls_matches_the_reference(jdb, statement):
+    got, expected = both_paths(jdb, statement)
+    assert got == expected  # every ordered column of the seed holds NULLs
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_null_sorts_last_ascending_and_first_descending(backend):
+    """Both used to fail as an engine fault (``'<' not supported``)."""
+    db = Database(kernel_backend=backend)
+    db.create_table("t", [("id", "INT"), ("v", "INT")]).insert_many(
+        [(1, 30), (2, None), (3, 10), (4, 20)])
+    ascending = [(3, 10), (4, 20), (1, 30), (2, None)]
+    assert db.execute("SELECT id, v FROM t ORDER BY v") == ascending
+    assert db.execute("SELECT id, v FROM t ORDER BY v LIMIT 2") \
+        == ascending[:2]
+    assert db.execute("SELECT id, v FROM t ORDER BY v LIMIT 4") == ascending
+    assert db.execute("SELECT id, v FROM t ORDER BY v DESC") \
+        == ascending[::-1]
+    assert db.execute("SELECT id, v FROM t ORDER BY v DESC LIMIT 2") \
+        == [(2, None), (1, 30)]
+    assert db.execute("SELECT id, v FROM t ORDER BY v DESC, id LIMIT 2") \
+        == [(2, None), (1, 30)]
+    assert db.services.stats.get("executor.columnar.fallbacks") == 0
+
+
+def test_top_k_ties_resolve_by_arrival_order(jdb):
+    """The bounded selection returns the rows, in the order, of the
+    stable sort it replaces — also where the cut falls inside a tie."""
+    for direction in ("", " DESC"):
+        full = jdb.execute(f"SELECT eid, dno FROM emp ORDER BY dno{direction}")
+        for k in (1, 7, 23, 150, 299, 400):
+            assert jdb.execute(f"SELECT eid, dno FROM emp ORDER BY "
+                               f"dno{direction} LIMIT {k}") == full[:k]
+
+
+# ---------------------------------------------------------------------------
+# The fields a program reads
+# ---------------------------------------------------------------------------
+
+def _fields_read(db, statement):
+    from repro.query.parser import parse_statement
+    from repro.query.planner import plan_select
+    with db.autocommit() as ctx:
+        program = ir.lower_select(
+            plan_select(ctx, parse_statement(statement), statement))
+    return program.left_fields, program.right_fields
+
+
+def test_lowering_names_the_fields_each_side_reads(jdb):
+    assert _fields_read(jdb, "SELECT * FROM emp WHERE sal > 1.0") \
+        == (None, None)
+    assert _fields_read(jdb, "SELECT COUNT(*) FROM emp WHERE sal > 1.0") \
+        == ((), None)                       # the filter is the scan's own
+    assert _fields_read(jdb, "SELECT name, sal * 2 FROM emp ORDER BY eid") \
+        == ((0, 2, 3), None)
+    assert _fields_read(jdb, "SELECT dno, MAX(sal) FROM emp GROUP BY dno") \
+        == ((1, 3), None)
+    assert _fields_read(
+        jdb, "SELECT dept.dname, COUNT(*) FROM emp JOIN dept "
+             "ON emp.dno = dept.dno WHERE emp.sal + dept.budget > 6000.0 "
+             "GROUP BY dname") == ((1, 3), (0, 1, 2))
+    assert _fields_read(jdb, "SELECT * FROM emp JOIN dept "
+                             "ON emp.dno = dept.dno") == (None, None)
+
+
+@pytest.mark.parametrize("statement, side, field", [
+    ("SELECT eid, sal FROM emp WHERE name IS NOT NULL", "left_fields", 3),
+    ("SELECT dept.dname, SUM(emp.sal) FROM emp JOIN dept "
+     "ON emp.dno = dept.dno GROUP BY dname", "right_fields", 1),
+])
+def test_a_field_the_scan_was_not_asked_for_is_an_error_not_a_null(
+        jdb, monkeypatch, statement, side, field):
+    """A wrong needed-set fails loudly: drop one field from a lowered
+    program and the statement raises, naming it — no rerun, no NULLs."""
+    lower = ir.lower_select
+
+    def forgetful(plan):
+        program = lower(plan)
+        held = getattr(program, side)
+        assert field in held
+        setattr(program, side, tuple(f for f in held if f != field))
+        return program
+
+    monkeypatch.setattr(ir, "lower_select", forgetful)
+    with pytest.raises(QueryError, match=f"field {field} is not in"):
+        jdb.execute(statement)
+    assert jdb.services.stats.get("executor.columnar.fallbacks") == 0

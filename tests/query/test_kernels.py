@@ -12,7 +12,7 @@ import pytest
 
 from repro import Database
 from repro.core.schema import Field, Schema
-from repro.errors import PredicateError
+from repro.errors import PredicateError, QueryError
 from repro.query import kernels
 from repro.query.backends import PythonBackend
 from repro.services.predicate import Expr, Predicate
@@ -31,6 +31,10 @@ ROWS = [
     (5, None, None, False),
     (6, "eve", 0.0, True),
 ]
+
+
+def BATCH():
+    return ColumnBatch(ROWS, len(SCHEMA))
 
 
 def selection_by_rows(predicate):
@@ -61,7 +65,7 @@ FILTERS = [
 @pytest.mark.parametrize("text", FILTERS)
 def test_kernel_selection_matches_row_evaluation(text):
     predicate = Predicate.parse(text, SCHEMA)
-    batch = ColumnBatch.from_rows(ROWS, SCHEMA)
+    batch = ColumnBatch(ROWS, len(SCHEMA))
     backend = PythonBackend()
     truth = predicate.expr.run(batch, {}, backend, None)
     assert backend.select_true(truth) == selection_by_rows(predicate)
@@ -72,7 +76,7 @@ def test_match_indexes_agrees_with_row_fallback(text):
     """A ``run`` that raises ``PredicateError`` sends its batch down
     ``evaluate``'s per-row retry; both ways select the same rows."""
     predicate = Predicate.parse(text, SCHEMA)
-    vectorized = predicate.match_indexes(ROWS)
+    vectorized = predicate.select(BATCH())
 
     class Raising(Expr):
         """A third-party node whose batch entry point always fails."""
@@ -89,7 +93,7 @@ def test_match_indexes_agrees_with_row_fallback(text):
 
     stats = Database().services.stats
     fallback = Predicate.from_bound(Raising(predicate.expr), SCHEMA) \
-        .match_indexes(ROWS, stats)
+        .select(BATCH(), stats)
     assert stats.get("predicate.row_evals") == len(ROWS)
     assert vectorized == fallback == selection_by_rows(predicate)
 
@@ -106,7 +110,7 @@ def test_general_shapes_compile_via_expression_kernels(text):
     evaluation."""
     predicate = Predicate.parse(text, SCHEMA)
     stats = Database().services.stats
-    assert predicate.match_indexes(ROWS, stats) == selection_by_rows(predicate)
+    assert predicate.select(BATCH(), stats) == selection_by_rows(predicate)
     assert stats.get("predicate.row_evals") == 0
     assert stats.get("predicate.vector_rows") == len(ROWS)
 
@@ -115,35 +119,58 @@ def test_parameterized_predicate_shares_compiled_kernel():
     predicate = Predicate.parse("id >= :n", SCHEMA)
     first = predicate.with_params({"n": 3})
     second = predicate.with_params({"n": 5})
-    assert first.match_indexes(ROWS) == [3, 4, 5, 6]
+    assert first.select(BATCH()) == [3, 4, 5, 6]
     # The clones share the one bound tree: it is the kernel.
     assert second.expr is first.expr is predicate.expr
-    assert second.match_indexes(ROWS) == [5, 6]
+    assert second.select(BATCH()) == [5, 6]
 
 
 def test_null_comparison_selects_nothing():
     predicate = Predicate.parse("name = :n", SCHEMA)
-    assert predicate.with_params({"n": None}).match_indexes(ROWS) == []
+    assert predicate.with_params({"n": None}).select(BATCH()) == []
 
 
 # ---------------------------------------------------------------------------
 # ColumnBatch representation
 # ---------------------------------------------------------------------------
 
-def test_column_batch_columns_and_null_masks():
-    batch = ColumnBatch.from_rows(ROWS, SCHEMA)
-    assert len(batch) == len(ROWS)
-    assert batch.column(0) == tuple(range(7))
-    assert batch.null_mask(0) is None           # NOT NULL column
-    mask = batch.null_mask(1)
-    assert list(mask) == [0, 1, 0, 0, 0, 1, 0]
+def test_column_batch_residencies():
+    """Rows-first and columns-first batches answer the same protocol;
+    each derives the other residency on demand."""
+    by_rows = ColumnBatch(ROWS, len(SCHEMA), keys=list("abcdefg"))
+    assert len(by_rows) == len(ROWS)
+    assert by_rows.column(0) == tuple(range(7))
+    columns = {i: list(by_rows.column(i)) for i in range(len(SCHEMA))}
+    by_columns = ColumnBatch.from_columns(columns, len(ROWS), len(SCHEMA),
+                                          keys=list("abcdefg"))
+    assert by_columns.rows() == ROWS == by_rows.rows()
+    assert by_columns == by_rows == list(zip("abcdefg", ROWS))
+    assert by_columns[2] == ("c", ROWS[2]) and by_columns != []
+    for batch in (by_rows, by_columns):
+        narrowed = batch.narrow([5, 1])
+        assert list(narrowed) == [("f", ROWS[5]), ("b", ROWS[1])]
+        assert narrowed.column(2) in ([None, -2.0], (None, -2.0))
+    # A partial batch: pairs in the ``fields`` layout, no whole rows.
+    partial = ColumnBatch.from_columns({2: columns[2], 0: columns[0]},
+                                       len(ROWS), len(SCHEMA),
+                                       keys=list("abcdefg"), fields=(2, 0))
+    assert partial[1] == ("b", (-2.0, 1))
+    assert ColumnBatch([(r[2], r[0]) for r in ROWS], len(SCHEMA),
+                       fields=(2, 0)).column(0) == by_rows.column(0)
+    with pytest.raises(QueryError, match="field 1 is not in this batch"):
+        partial.rows()
+    joined = ColumnBatch.concat([by_columns, by_columns.narrow([0])], 4)
+    assert len(joined) == 8 and joined.column(1)[-1] == "ada"
+    assert ColumnBatch.concat([by_rows, by_columns], 4).rows() == ROWS * 2
+    assert len(ColumnBatch.concat([], 4)) == 0
+    assert ColumnBatch.concat([], 4).column(3) == ()
 
 
 def test_project_rows_kernel():
-    batch = ColumnBatch.from_rows([(1, "a", 2.0), (3, "b", 4.0)])
+    batch = ColumnBatch([(1, "a", 2.0), (3, "b", 4.0)], 3)
     assert kernels.project_rows(batch, [2, 0]) == [(2.0, 1), (4.0, 3)]
     assert kernels.project_rows(batch, [1]) == [("a",), ("b",)]
-    assert kernels.project_rows(ColumnBatch.from_rows([]), [0]) == []
+    assert kernels.project_rows(ColumnBatch([], 1), [0]) == []
 
 
 def test_fold_aggregate_kernel():

@@ -15,6 +15,7 @@ from repro.services.predicate import (And, Between, Cmp, Col, Const, Func,
                                       InList, IsNull, Like, Not, Or, Param,
                                       Predicate, conjuncts, parse_expression,
                                       register_function, simple_comparison)
+from repro.services.vectors import ColumnBatch
 
 
 @pytest.fixture
@@ -264,7 +265,7 @@ def test_function_without_arguments_fills_the_batch(schema):
     register_function("seven", lambda: 7)
     predicate = Predicate.parse("seven() = id + 6", schema)
     rows = [ROW, (2,) + ROW[1:], ROW]
-    assert predicate.match_indexes(rows) == [0, 2]
+    assert predicate.select(ColumnBatch(rows, len(schema))) == [0, 2]
     assert [predicate.matches(row) for row in rows] == [True, False, True]
 
 
@@ -300,6 +301,7 @@ def test_predicate_service_does_not_reach_up_into_the_query_layer():
 import sys
 import repro.services.predicate as predicate
 from repro.core.schema import Field, Schema
+from repro.services.vectors import ColumnBatch
 before = {m for m in sys.modules if m.startswith("repro.query")}
 assert before <= {"repro.query", "repro.query.cost"}, before
 schema = Schema("t", [Field("a", "INT"), Field("b", "STRING")])
@@ -307,7 +309,7 @@ bound = predicate.Predicate.parse(
     "a + 1 > :n AND (b LIKE 'x%' OR upper(b) IN ('Y', 'Z'))", schema,
     {"n": 2})
 rows = [(1, "x"), (2, "xy"), (3, None), (4, "y"), (None, "z")]
-assert bound.match_indexes(rows) == [1, 3]
+assert bound.select(ColumnBatch(rows, 2)) == [1, 3]
 assert [bound.matches(row) for row in rows] == [False, True, False, True,
                                                  False]
 after = {m for m in sys.modules if m.startswith("repro.query")}

@@ -230,7 +230,8 @@ def test_batch_entry_point_equals_record_entry_point(expr, batch):
     if selection is None:
         # The storage-pushdown entry point is the same tree again.
         predicate = Predicate.from_bound(bound, WIDE, _PARAMS)
-        assert _outcome(lambda: predicate.match_indexes(rows)) == (
+        assert _outcome(lambda: predicate.select(
+            ColumnBatch(rows, len(WIDE)))) == (
             expected if expected == "PredicateError" else
             [repr(i) for i, v in enumerate(expected) if v == "True"])
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import Database
-from repro.errors import StorageError
+from repro.errors import QueryError, StorageError
+from repro.services.predicate import Predicate
+from repro.services.vectors import ColumnBatch
 
 
 @pytest.fixture
@@ -334,3 +336,104 @@ def test_bulk_load_decodes_a_bounded_number_of_headers_per_row(
     for i in range(8000, 8200):
         table.insert((i, f"employee-{i:05d}", "dept-0", 1.0, True))
     assert header_decodes.decodes <= 6 * 200
+
+
+# ---------------------------------------------------------------------------
+# One batch body: next(), the batch's pairs and the batch's columns agree
+# ---------------------------------------------------------------------------
+
+_WIDE = [("id", "INT"), ("name", "STRING"), ("score", "FLOAT"),
+         ("flag", "BOOL")]
+
+
+@pytest.fixture
+def wide(db):
+    """120 rows over several 1 KB pages, NULLs and tombstones included."""
+    table = db.create_table("w", _WIDE)
+    table.insert_many([
+        (i, None if i % 11 == 0 else f"name-{i:03d}",
+         None if i % 7 == 0 else i * 1.5, i % 3 == 0) for i in range(120)])
+    table.delete_where("id >= 30 AND id < 45 OR id = 0 OR id = 119")
+    assert len(db.catalog.handle("w").descriptor
+               .storage_descriptor["pages"]) > 3
+    return table
+
+
+def _open(db, ctx, fields, where):
+    handle = db.catalog.handle("w")
+    predicate = None if where is None \
+        else Predicate.parse(where, handle.schema)
+    method = db.registry.storage_method(handle.descriptor.storage_method_id)
+    return method.open_scan(ctx, handle, fields, predicate)
+
+
+@pytest.mark.parametrize("where", [None, "score > 20.0 AND id < 100"])
+@pytest.mark.parametrize("fields", [None, (3, 1), (2,), ()], ids=[
+    "whole", "subset", "predicate-only-field", "nothing"])
+def test_batch_pairs_and_columns_agree_with_next(db, wide, fields, where):
+    stats = db.services.stats
+    with db.autocommit() as ctx:
+        before = stats.get("heap.tuples_scanned")
+        scan = _open(db, ctx, fields, where)
+        expected = []
+        while (item := scan.next()) is not None:
+            expected.append(item)
+        one_at_a_time = stats.get("heap.tuples_scanned") - before
+        assert expected and len(expected) < 120
+        layout = range(len(_WIDE)) if fields is None else fields
+        whole = dict(wide.scan(where=where))
+        assert expected == [(key, tuple(whole[key][f] for f in layout))
+                            for key in whole]
+
+        # 7 rows a call: every batch fills in the middle of a page.
+        scan = _open(db, ctx, fields, where)
+        got, calls = [], 0
+        while True:
+            saved = scan.save_position()
+            batch = scan.next_batch(7)
+            calls += 1
+            if calls == 3:
+                # Back to the batch boundary: the same batch comes again.
+                scan.restore_position(saved)
+                assert scan.next_batch(7) == batch
+            if not batch:
+                break
+            assert isinstance(batch, ColumnBatch) and len(batch) <= 7
+            pairs = list(batch)
+            assert batch.keys == [key for key, __ in pairs]
+            assert batch == pairs and batch[0] == pairs[0]
+            for position, field in enumerate(layout):
+                assert list(batch.column(field)) == [
+                    record[position] for __, record in pairs]
+            for field in set(range(len(_WIDE))) - set(layout):
+                with pytest.raises(QueryError, match=f"field {field} "):
+                    batch.column(field)
+            if fields is None:
+                assert batch.rows() == [record for __, record in pairs]
+            got.extend(pairs)
+        assert got == expected
+        assert scan.next() is None and not scan.next_batch(1)
+
+        # A clean drain examines what the tuple-at-a-time drain examined.
+        before = stats.get("heap.tuples_scanned")
+        scan = _open(db, ctx, fields, where)
+        while scan.next_batch(7):
+            pass
+        assert stats.get("heap.tuples_scanned") - before == one_at_a_time
+
+
+def test_batch_decodes_no_row_when_columns_are_asked_for(db, wide,
+                                                        monkeypatch):
+    """``fields`` given: the row decoder is never called; whole records:
+    it is called for the selected records only."""
+    schema = db.catalog.handle("w").schema
+    calls = []
+    decode = schema.decoder
+    monkeypatch.setitem(schema.__dict__, "decoder",
+                        lambda buf, off=0: calls.append(off) or decode(buf,
+                                                                       off))
+    with db.autocommit() as ctx:
+        batch = _open(db, ctx, (0, 1), "score > 100.0").next_batch(500)
+        assert len(batch) and not calls
+        batch = _open(db, ctx, None, "score > 100.0").next_batch(500)
+        assert len(calls) == len(batch) < 60

@@ -83,6 +83,25 @@ def test_pushdown_matches_pullup_bit_for_bit(shards):
     assert db.services.stats.get("sharded.pushdown.queries") > 0
 
 
+@pytest.mark.parametrize("shards", [1, 3])
+def test_order_by_a_nullable_column_pushes_down(shards):
+    """NULL is the greatest value on both paths (it used to be a
+    ``TypeError`` in the children's sort and in the coordinator's merge)."""
+    db, table = make_emp(shards=shards)
+    fill(table, 30)
+    pays = sorted(i * 10 for i in range(30) if i % 3)
+    for statement, expected in [
+            ("SELECT pay FROM emp ORDER BY pay LIMIT 25",
+             pays + [None] * 5),
+            ("SELECT pay FROM emp ORDER BY pay DESC LIMIT 12",
+             [None] * 10 + pays[:-3:-1]),
+            ("SELECT * FROM emp ORDER BY pay DESC, id", None),
+            ("SELECT id, pay FROM emp ORDER BY dept, pay LIMIT 20", None)]:
+        push = assert_equivalent(db, statement)
+        if expected is not None:
+            assert [row[0] for row in push] == expected
+
+
 def test_aggregate_pushdown_ships_one_partial_row_per_shard():
     db, table = make_emp(shards=4)
     fill(table, 120)
