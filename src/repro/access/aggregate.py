@@ -25,33 +25,10 @@ from __future__ import annotations
 
 from ..core.attachment import AttachmentType
 from ..errors import StorageError
-from ..services.recovery import ResourceHandler
 
 __all__ = ["AggregateAttachment"]
 
 _FUNCTIONS = ("count", "sum", "min", "max")
-
-
-class _AggregateHandler(ResourceHandler):
-    def __init__(self, attachment: "AggregateAttachment"):
-        self.attachment = attachment
-
-    def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        if getattr(services, "in_restart", False):
-            return
-        database = services.database
-        entry = database.catalog.entry_by_id(payload["relation_id"])
-        field = entry.handle.descriptor.attachment_field(
-            self.attachment.type_id)
-        if field is None:
-            return
-        instance = field["instances"].get(payload["instance"])
-        if instance is None:
-            return
-        instance["state"] = dict(payload["old_state"])
-
-    def redo(self, services, lsn: int, payload: dict) -> None:
-        """No redo: recomputed from the base relation after restart."""
 
 
 class AggregateAttachment(AttachmentType):
@@ -100,8 +77,8 @@ class AggregateAttachment(AttachmentType):
         instance["state"] = {"count": 0, "sum": 0, "extreme": None,
                              "stale": False}
 
-    def recovery_handler(self) -> ResourceHandler:
-        return _AggregateHandler(self)
+    def undo_logged(self, services, instance: dict, payload: dict) -> None:
+        instance["state"] = dict(payload["old_state"])
 
     def rebuild(self, ctx, handle, field) -> None:
         for instance in field["instances"].values():

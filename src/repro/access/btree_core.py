@@ -237,6 +237,16 @@ class BTree:
             self.state["nentries"] -= removed
         return removed
 
+    def undo_logged(self, payload: dict) -> None:
+        """Reverse the ``add_many`` / ``remove_many`` an attachment logged."""
+        entries = [(tuple(key), value) for key, value in payload["entries"]]
+        if payload["op"] == "add_many":
+            self.delete_many(entries)
+        elif payload["op"] == "remove_many":
+            self.insert_many(entries)
+        else:
+            raise StorageError(f"B-tree cannot undo {payload['op']!r}")
+
     def first_duplicate(self, keys: Sequence[tuple]) -> Optional[int]:
         """Position of the first of ``keys`` that is stored already or
         came earlier among them — None when a unique rule lets the whole

@@ -38,7 +38,6 @@ from ..errors import PageError, ScanError, StorageError, UniqueViolation
 from ..query.cost import AccessCost, DEFAULT_SELECTIVITY, EligiblePredicate
 from ..services.locks import LockMode
 from ..services.predicate import Predicate
-from ..services.recovery import ResourceHandler
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
 from .btree_core import BTree, DEFAULT_MAX_ENTRIES
 
@@ -46,43 +45,6 @@ __all__ = ["BTreeIndexAttachment", "BTreeIndexScan"]
 
 #: Records pulled per scan call while bulk-building an index.
 _BUILD_BATCH = 256
-
-
-class _BTreeIndexHandler(ResourceHandler):
-    """Logical undo for index maintenance; rebuild covers restart."""
-
-    def __init__(self, attachment: "BTreeIndexAttachment"):
-        self.attachment = attachment
-
-    def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        if getattr(services, "in_restart", False):
-            return  # indexes are rebuilt wholesale after restart
-        instance = _instance_for(services, self.attachment, payload)
-        if instance is None:
-            return  # the instance was dropped later in the transaction
-        tree = BTree(services.buffer, instance["tree"],
-                     instance.get("max_entries", DEFAULT_MAX_ENTRIES))
-        entries = [(tuple(key), value) for key, value in payload["entries"]]
-        if payload["op"] == "add_many":
-            tree.delete_many(entries)
-        elif payload["op"] == "remove_many":
-            tree.insert_many(entries)
-        else:
-            raise StorageError(f"btree_index cannot undo {payload['op']!r}")
-
-    def redo(self, services, lsn: int, payload: dict) -> None:
-        """No redo: access paths are rebuilt from base relations."""
-
-
-def _instance_for(services, attachment, payload: dict) -> Optional[dict]:
-    database = getattr(services, "database", None)
-    if database is None:
-        raise StorageError("recovery handler needs services.database wired")
-    entry = database.catalog.entry_by_id(payload["relation_id"])
-    field = entry.handle.descriptor.attachment_field(attachment.type_id)
-    if field is None:
-        return None
-    return field["instances"].get(payload["instance"])
 
 
 class BTreeIndexScan(Scan):
@@ -230,8 +192,9 @@ class BTreeIndexAttachment(AttachmentType):
         except PageError:
             pass  # pages lost to a crash; the simulated device absorbs them
 
-    def recovery_handler(self) -> ResourceHandler:
-        return _BTreeIndexHandler(self)
+    def undo_logged(self, services, instance: dict, payload: dict) -> None:
+        BTree(services.buffer, instance["tree"], instance.get(
+            "max_entries", DEFAULT_MAX_ENTRIES)).undo_logged(payload)
 
     def _build(self, ctx, handle, instance) -> None:
         """Bulk-build from the records already stored in the relation."""

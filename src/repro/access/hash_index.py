@@ -1,121 +1,118 @@
-"""Hash table access-path attachment.
+"""Hash table access-path attachment: a paged hash file.
 
-The paper lists "hash tables" among attachment types.  Buckets are
-page-resident (one pickled entry list per bucket page); lookups hash the
+The paper lists "hash tables" among attachment types.  Lookups hash the
 full key, so only equality predicates are relevant — the cost estimator
-returns ``None`` for anything else, letting the planner fall back to other
-access paths.  The directory doubles when the load factor passes the
-configured bound.
+returns ``None`` for anything else.  DESIGN.md "The hash file" has the
+layout at length; in short:
 
-DDL attributes: ``columns`` (required), ``buckets`` (initial count,
-default 8), ``max_load`` (entries per bucket before doubling, default 4).
+* **A bucket is a page, an entry is a slot**: one pickled ``(key, record
+  key)`` per slot, in through ``PageView.insert_many``, out through
+  ``delete``; a batch visits each bucket page once and re-encodes nothing
+  it did not touch.  Pages are read through the frame's decoded image
+  (``BufferPool.decoded``) — ``{key: {record key: slot}}`` and the chain
+  link, shared, never changed: a writer hands over a changed copy with the
+  bytes it wrote — so a warm ``fetch`` is one pin and one dict lookup.
+* **The directory** ``instance["buckets"]`` (head page per slot; an
+  entry's slot is ``stable_hash(key) % len(directory)``) starts at the
+  DDL's ``buckets`` and only doubles.  A bucket of *span* ``m`` holds the
+  hash class ``h % m == slot % m`` and owns every ``m``-th slot.
+* **One bucket splits at a time**, when its page is full: its span
+  doubles, the upper half of its class moves to a new page, the rest stay
+  in their slots.  **Entries no split tells apart chain**: a new head page
+  in front of the full one (``next_page``); a chain page emptied by
+  deletes is unlinked and freed.
+* Only the logical ``add_many`` / ``remove_many`` records are logged (undo
+  inverts them by key; a split is not undone); restart rebuilds the file,
+  the directory sized once from the entry count.
+
+DDL attributes: ``columns`` (required), ``buckets`` (initial directory
+size, default 8).
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import List, Optional, Tuple
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.attachment import AttachmentType
 from ..core.context import ExecutionContext
+from ..core.hashing import stable_hash
 from ..core.records import RecordView
 from ..core.storage_method import RelationHandle
-from ..errors import (BucketOverflowError, PageError, ScanError,
-                      StorageError)
+from ..errors import ScanError, StorageError
 from ..query.cost import AccessCost
 from ..services.locks import LockMode
-from ..services.pages import HEADER_SIZE, SLOT_SIZE
-from ..services.predicate import Predicate
-from ..services.recovery import ResourceHandler
+from ..services.pages import HEADER_SIZE, NO_PAGE, SLOT_SIZE, PageView
+from ..services.predicate import Const, Predicate
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
 
 __all__ = ["HashIndexAttachment", "HashIndexScan"]
 
 PAGE_TYPE_HASH_BUCKET = 5
 
+#: The share of its pages a build plans to fill.
+BUILD_FILL = 0.7
+#: A split may double the directory up to this many slots per page's worth
+#: of entries the index holds; past it a full bucket chains instead.
+SLOTS_PER_PAGEFUL = 8
 
-def _bucket_read(buffer, page_id: int) -> List[Tuple[tuple, object]]:
-    page = buffer.fetch(page_id)
-    try:
-        return pickle.loads(page.read(0))
-    finally:
-        buffer.unpin(page_id)
-
-
-def _pickle(entries) -> bytes:
-    return pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
+_BIT_REVERSED = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
-def _pickle_grown(buffer, instance: dict, entries) -> bytes:
-    """Pickle a bucket that just gained entries, refusing one that no
-    longer fits its page's single slot — checked before any page is
-    touched, so the caller's structure is intact when this raises."""
-    raw = _pickle(entries)
-    if len(raw) > buffer.device.page_size - HEADER_SIZE - 2 * SLOT_SIZE:
-        raise BucketOverflowError(instance["name"], entries[-1][0],
-                                  len(entries))
-    return raw
+def _hash(key: tuple) -> int:
+    """``stable_hash`` of a key, numbers that compare equal hashing alike
+    (a FLOAT field holds the 5 it was given until its record is decoded,
+    5.0 from then on)."""
+    return stable_hash([value + 0.0 if isinstance(value, (int, float))
+                        else value for value in key])
 
 
-def _bucket_write(buffer, page_id: int, raw: bytes) -> None:
-    page = buffer.fetch(page_id)
-    try:
-        page.update(0, raw)
-    finally:
-        buffer.unpin(page_id, dirty=True)
+def _split_rank(bits: int) -> int:
+    """The 32 bits reversed: splits tell entries apart lowest bit first,
+    so this orders entries the way every later split leaves them."""
+    return int.from_bytes(
+        bits.to_bytes(4, "little").translate(_BIT_REVERSED), "big")
 
 
-def _bucket_new(buffer) -> int:
-    page = buffer.new_page(PAGE_TYPE_HASH_BUCKET)
-    try:
-        page.insert(_pickle([]))
-    finally:
-        buffer.unpin(page.page_id, dirty=True)
-    return page.page_id
+class _Bucket:
+    """The decoded image of one bucket page: shared, never changed."""
+
+    __slots__ = ("entries", "next_page")
+
+    def __init__(self, entries: Dict[tuple, dict], next_page: int):
+        self.entries = entries      # key -> {record key: slot}
+        self.next_page = next_page
+
+    @classmethod
+    def load(cls, page: PageView) -> "_Bucket":
+        entries: Dict[tuple, dict] = {}
+        for slot, raw in page.records():
+            key, value = pickle.loads(raw)
+            entries.setdefault(key, {})[value] = slot
+        return cls(entries, page.next_page)
 
 
-def _hash_key(key: tuple, nbuckets: int) -> int:
-    return hash(key) % nbuckets
-
-
-class _HashIndexHandler(ResourceHandler):
-    def __init__(self, attachment: "HashIndexAttachment"):
-        self.attachment = attachment
-
-    def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        if getattr(services, "in_restart", False):
-            return
-        database = services.database
-        entry = database.catalog.entry_by_id(payload["relation_id"])
-        field = entry.handle.descriptor.attachment_field(
-            self.attachment.type_id)
-        if field is None:
-            return
-        instance = field["instances"].get(payload["instance"])
-        if instance is None:
-            return
-        op = payload["op"]
-        if op == "add_many":
-            for key, value in reversed(payload["entries"]):
-                self.attachment._remove(services.buffer, instance,
-                                        tuple(key), value)
-        elif op == "remove_many":
-            self.attachment._add_many(
-                services.buffer, instance,
-                [(tuple(key), value) for key, value in payload["entries"]])
-        else:
-            raise StorageError(f"hash_index cannot undo {op!r}")
-
-    def redo(self, services, lsn: int, payload: dict) -> None:
-        """No redo: rebuilt from the base relation after restart."""
+def _chain(buffer, page_id: int) -> Iterator[_Bucket]:
+    """The image of each page of a chain, head first."""
+    while page_id != NO_PAGE:
+        image = buffer.decoded(page_id, _Bucket.load)
+        yield image
+        page_id = image.next_page
 
 
 class HashIndexScan(Scan):
-    """Key-sequential access in (bucket, entry) order.
+    """Key-sequential access in *split order*: bucket after bucket the way
+    splits unfold them, within a bucket by the hash's bits lowest first
+    (:func:`_split_rank`), then by record key.  It exists for completeness
+    (the planner only routes equality lookups here).
 
-    Hash order is not a key order, so this scan exists for completeness
-    (enumerating the mapping); the planner only routes equality lookups
-    here.
+    The position is the ``(hash, record key)`` of the last entry looked at
+    — its place in the order, not in a page — so a bucket that splits,
+    chains or shrinks between two calls, or between a savepoint and the
+    rollback that restores a position, moves nothing across it: a split
+    only ever cuts a bucket's run of the order in two.
     """
 
     def __init__(self, ctx: ExecutionContext, handle: RelationHandle,
@@ -127,66 +124,85 @@ class HashIndexScan(Scan):
         self.predicate = predicate
         self.key_fields = tuple(instance["key_fields"])
         self.state = BEFORE
-        self.position: Optional[Tuple[int, int]] = None  # (bucket, entry idx)
+        self.position: Optional[Tuple[int, object]] = None
         self._filter_here = (predicate is not None
                              and predicate.evaluable_on(self.key_fields))
+        self._sorted = ((), [])  # a chain's images, its entries in order
+
+    def _bucket(self, slot: int) -> list:
+        """``(rank, (hash, key, record key))`` per entry of the bucket at
+        ``slot``, in split order; kept while the chain's images are the
+        very same objects."""
+        images = tuple(_chain(self.ctx.buffer,
+                              self.instance["buckets"][slot]))
+        cached = self._sorted[0]
+        if len(images) != len(cached) or any(
+                one is not other for one, other in zip(images, cached)):
+            initial, ranked = self.instance["initial"], []
+            for image in images:
+                for key, held in image.entries.items():
+                    code = _hash(key)
+                    rank = _split_rank(code // initial)
+                    ranked.extend(((rank, repr(value)), (code, key, value))
+                                  for value in held)
+            ranked.sort(key=itemgetter(0))
+            self._sorted = (images, ranked)
+        return self._sorted[1]
+
+    def _following(self, slot: int) -> Optional[int]:
+        """The slot of the bucket after ``slot``'s in split order: the
+        other half of the nearest split ``slot``'s bucket is a lower half
+        of, else the next slot of the initial directory."""
+        initial, span = self.instance["initial"], self.instance["spans"][slot]
+        while span > initial and slot >= span // 2:
+            span //= 2
+            slot -= span
+        if span > initial:
+            return slot + span // 2
+        return slot + 1 if slot + 1 < initial else None
 
     def next(self):
-        self._check_open()
-        buckets = self.instance["buckets"]
-        bucket, index = (0, -1) if self.position is None else self.position
-        while bucket < len(buckets):
-            entries = _bucket_read(self.ctx.buffer, buckets[bucket])
-            for i in range(index + 1, len(entries)):
-                key, value = entries[i]
-                self.position = (bucket, i)
-                self.state = ON
-                self.ctx.stats.bump("hash_index.entries_scanned")
-                view = RecordView.from_fields(self.key_fields, key)
-                if self._filter_here and not self.predicate.matches(view):
-                    continue
-                self.ctx.lock_record(self.handle.relation_id, value,
-                                     LockMode.S)
-                return value, view
-            bucket += 1
-            index = -1
-            self.position = (bucket, -1)
-        self.state = AFTER
-        return None
+        batch = self.next_batch(1)
+        return batch[0] if batch else None
 
     def next_batch(self, n: int) -> list:
-        """Extract bucket-at-a-time: each bucket page is read and
-        unpickled once for all its entries instead of once per entry."""
+        """Up to ``n`` entries, a bucket chain read (and ordered) once for
+        all of them."""
         self._check_open()
         if n < 1:
             raise ScanError(f"next_batch needs a positive count, got {n}")
-        buckets = self.instance["buckets"]
-        bucket, index = (0, -1) if self.position is None else self.position
+        instance, position = self.instance, self.position
+        slot, after = 0, None
+        if position is not None:
+            slot = position[0] % len(instance["buckets"])
+            slot %= instance["spans"][slot]
+            after = (_split_rank(position[0] // instance["initial"]),
+                     repr(position[1]))
         batch: list = []
         scanned = 0
-        while bucket < len(buckets) and len(batch) < n:
-            entries = _bucket_read(self.ctx.buffer, buckets[bucket])
-            i = index + 1
+        while slot is not None and len(batch) < n:
+            entries = self._bucket(slot)
+            i = 0 if after is None else bisect_right(entries, after,
+                                                     key=itemgetter(0))
             while i < len(entries) and len(batch) < n:
-                key, value = entries[i]
+                code, key, value = entries[i][1]
                 i += 1
                 scanned += 1
+                position = (code, value)
                 view = RecordView.from_fields(self.key_fields, key)
                 if self._filter_here and not self.predicate.matches(view):
                     continue
                 batch.append((value, view))
             if i >= len(entries):
-                bucket, index = bucket + 1, -1
-            else:
-                index = i - 1
+                slot, after = self._following(slot), None
         if scanned:
             self.ctx.stats.bump("hash_index.entries_scanned", scanned)
         # One lock call for the batch; a conflict leaves the scan where it
         # was, so a retry sees these entries again.
         self.ctx.lock_records(self.handle.relation_id,
                               [value for value, __ in batch], LockMode.S)
-        self.position = (bucket, index)
-        self.state = ON if batch else AFTER
+        self.position = position
+        self.state = AFTER if slot is None else ON
         return batch
 
     def save_position(self) -> ScanPosition:
@@ -198,7 +214,7 @@ class HashIndexScan(Scan):
 
 
 class HashIndexAttachment(AttachmentType):
-    """Equality-lookup access path over page-resident buckets."""
+    """Equality-lookup access path over a paged hash file."""
 
     name = "hash_index"
     is_access_path = True
@@ -209,7 +225,6 @@ class HashIndexAttachment(AttachmentType):
         attributes = dict(attributes)
         columns = attributes.pop("columns", None)
         buckets = attributes.pop("buckets", 8)
-        max_load = attributes.pop("max_load", 4.0)
         if attributes:
             raise StorageError(
                 f"hash_index: unknown attributes {sorted(attributes)}")
@@ -220,112 +235,218 @@ class HashIndexAttachment(AttachmentType):
         if not isinstance(buckets, int) or buckets < 1:
             raise StorageError(
                 f"hash_index: buckets must be a positive int, got {buckets!r}")
-        if not isinstance(max_load, (int, float)) or max_load <= 0:
-            raise StorageError(
-                f"hash_index: max_load must be positive, got {max_load!r}")
-        return {"columns": list(columns), "buckets": buckets,
-                "max_load": float(max_load)}
+        return {"columns": list(columns), "buckets": buckets}
 
     def create_instance(self, ctx, handle, instance_name, attributes) -> dict:
-        key_fields = list(handle.schema.indexes_of(attributes["columns"]))
-        instance = {"name": instance_name,
-                    "columns": list(attributes["columns"]),
-                    "key_fields": key_fields,
-                    "max_load": attributes["max_load"],
-                    "buckets": [_bucket_new(ctx.buffer)
-                                for __ in range(attributes["buckets"])],
-                    "nentries": 0}
+        columns = list(attributes["columns"])
+        instance = {"name": instance_name, "columns": columns,
+                    "key_fields": list(handle.schema.indexes_of(columns)),
+                    "initial": attributes["buckets"], "pages": set()}
         self._build(ctx, handle, instance)
         return instance
 
     def destroy_instance(self, ctx, handle, instance_name, instance) -> None:
-        for page_id in instance["buckets"]:
-            try:
-                ctx.buffer.free_page(page_id)
-            except PageError:
-                pass
-        instance["buckets"] = []
-        instance["nentries"] = 0
+        self._free_pages(ctx.buffer, instance)
+        instance.update(buckets=[], spans=[], nentries=0)
 
-    def recovery_handler(self) -> ResourceHandler:
-        return _HashIndexHandler(self)
+    def undo_logged(self, services, instance: dict, payload: dict) -> None:
+        entries = [(tuple(key), value) for key, value in payload["entries"]]
+        undo = {"add_many": self._remove_many,
+                "remove_many": self._add_many}.get(payload["op"])
+        if undo is None:
+            raise StorageError(f"hash_index cannot undo {payload['op']!r}")
+        undo(services.buffer, instance, entries)
+
+    @staticmethod
+    def _free_pages(buffer, instance: dict) -> None:
+        for page_id in sorted(instance["pages"]):
+            buffer.free_page(page_id)
+        instance["pages"] = set()
 
     def _build(self, ctx, handle, instance) -> None:
-        self._add_many(ctx.buffer, instance, [
-            (self._key_of(instance, record), record_key)
-            for batch in self.stored_batches(ctx, handle)
-            for record_key, record in batch])
+        """Give back the pages held and build over the stored records: the
+        directory is sized once — the doubling of ``initial`` whose pages
+        the entries fill to ``BUILD_FILL``, or with a slot per distinct key
+        if fewer — and ``_add_many`` then writes each bucket page once."""
+        buffer = ctx.buffer
+        self._free_pages(buffer, instance)
+        entries = [(self._key_of(instance, record), record_key)
+                   for batch in self.stored_batches(ctx, handle)
+                   for record_key, record in batch]
+        size = instance["initial"]
+        if entries:
+            sample = entries[:64]
+            width = sum(len(pickle.dumps(entry, pickle.HIGHEST_PROTOCOL))
+                        + SLOT_SIZE for entry in sample) / len(sample)
+            pageful = (buffer.device.page_size - HEADER_SIZE) / width
+            wanted = min(len(entries) / (pageful * BUILD_FILL),
+                         len({key for key, __ in entries}))
+            while size < wanted:
+                size *= 2
+        instance.update(
+            buckets=[self._new_page(buffer, instance, NO_PAGE)
+                     for __ in range(size)],
+            spans=[size] * size, nentries=0)
+        self._add_many(buffer, instance, entries)
         ctx.stats.bump("hash_index.builds")
 
     def rebuild(self, ctx, handle, field) -> None:
         for instance in field["instances"].values():
-            old_pages = list(instance["buckets"])
-            nbuckets = max(8, len(old_pages))
-            instance["buckets"] = [_bucket_new(ctx.buffer)
-                                   for __ in range(nbuckets)]
-            instance["nentries"] = 0
-            for page_id in old_pages:
-                try:
-                    ctx.buffer.free_page(page_id)
-                except PageError:
-                    pass  # lost to the crash
             self._build(ctx, handle, instance)
         ctx.stats.bump("hash_index.rebuilds")
 
-    # -- bucket maintenance ----------------------------------------------------------
+    # -- the hash file ---------------------------------------------------------
     @staticmethod
     def _key_of(instance: dict, record: Tuple) -> tuple:
         return tuple(record[i] for i in instance["key_fields"])
 
+    @staticmethod
+    def _new_page(buffer, instance: dict, next_page: int) -> int:
+        page = buffer.new_page(PAGE_TYPE_HASH_BUCKET)
+        page.next_page = next_page
+        buffer.unpin(page.page_id, dirty=True, image=_Bucket({}, next_page))
+        instance["pages"].add(page.page_id)
+        return page.page_id
+
+    @staticmethod
+    def _repoint(instance: dict, slot: int, page_id: int) -> None:
+        """Make ``page_id`` the head of the bucket that owns ``slot``."""
+        buckets, span = instance["buckets"], instance["spans"][slot]
+        for other in range(slot % span, len(buckets), span):
+            buckets[other] = page_id
+
+    @staticmethod
+    def _by_bucket(instance: dict, items: list) -> Dict[int, list]:
+        """``items`` — tuples that start with a hash — by the first slot of
+        the bucket each belongs to."""
+        spans, grouped, size = instance["spans"], {}, len(instance["spans"])
+        for item in items:
+            slot = item[0] % size
+            grouped.setdefault(slot % spans[slot], []).append(item)
+        return grouped
+
     def _add_many(self, buffer, instance: dict, entries: list) -> None:
-        """Add ``(key, value)`` entries: pre-grow the directory for the
-        whole set, then touch each bucket page once (one read + one write
-        per bucket, not per entry)."""
-        while instance["nentries"] + len(entries) \
-                > instance["max_load"] * len(instance["buckets"]):
-            self._double(buffer, instance)
-        buckets = instance["buckets"]
-        grouped: dict = {}
-        for key, value in entries:
-            page_id = buckets[_hash_key(key, len(buckets))]
-            grouped.setdefault(page_id, []).append((key, value))
-        grown = []
-        for page_id, additions in grouped.items():
-            bucket = _bucket_read(buffer, page_id)
-            bucket.extend(additions)
-            grown.append((page_id, _pickle_grown(buffer, instance, bucket)))
-        for page_id, raw in grown:
-            _bucket_write(buffer, page_id, raw)
+        """Add ``(key, value)`` entries — the one body inserts, updates,
+        undo and builds go through."""
+        raws = [pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+                for entry in entries]
+        room = buffer.device.page_size - HEADER_SIZE - SLOT_SIZE
+        if raws and max(map(len, raws)) > room:
+            raise StorageError(f"hash index {instance['name']!r}: an entry "
+                               f"of {max(map(len, raws))} bytes fits no page")
         instance["nentries"] += len(entries)
+        self._place(buffer, instance, [
+            (_hash(entry[0]), entry[0], entry[1], raw)
+            for entry, raw in zip(entries, raws)])
 
-    def _remove(self, buffer, instance: dict, key: tuple, value) -> bool:
-        buckets = instance["buckets"]
-        page_id = buckets[_hash_key(key, len(buckets))]
-        entries = _bucket_read(buffer, page_id)
-        for i, (k, v) in enumerate(entries):
-            if k == key and v == value:
-                del entries[i]
-                _bucket_write(buffer, page_id, _pickle(entries))
-                instance["nentries"] -= 1
-                return True
-        return False
+    def _place(self, buffer, instance: dict, items: list) -> None:
+        """Put ``(hash, key, value, raw)`` items where they belong: a
+        bucket's head page is visited once and takes what it has room for;
+        with more left, it splits or gets a new head and they go again."""
+        for slot, group in self._by_bucket(instance, items).items():
+            page_id = instance["buckets"][slot]
+            image = buffer.decoded(page_id, _Bucket.load)
+            page = buffer.fetch(page_id)
+            slots = ()
+            try:
+                slots = page.insert_many([item[3] for item in group])
+            finally:
+                if slots:
+                    entries = dict(image.entries)
+                    for (__, key, value, ___), at in zip(group, slots):
+                        entries[key] = {**entries.get(key, {}), value: at}
+                    image = _Bucket(entries, image.next_page)
+                buffer.unpin(page_id, dirty=bool(slots), image=image)
+            if len(slots) < len(group):
+                if not self._split(buffer, instance, slot):
+                    self._repoint(instance, slot, self._new_page(
+                        buffer, instance, instance["buckets"][slot]))
+                self._place(buffer, instance, group[len(slots):])
 
-    def _double(self, buffer, instance: dict) -> None:
-        old_pages = instance["buckets"]
-        all_entries = []
-        for page_id in old_pages:
-            all_entries.extend(_bucket_read(buffer, page_id))
-        nbuckets = len(old_pages) * 2
-        new_pages = [_bucket_new(buffer) for __ in range(nbuckets)]
-        grouped: dict = {i: [] for i in range(nbuckets)}
-        for key, value in all_entries:
-            grouped[_hash_key(key, nbuckets)].append((key, value))
-        for i, page_id in enumerate(new_pages):
-            if grouped[i]:
-                _bucket_write(buffer, page_id, _pickle(grouped[i]))
-        for page_id in old_pages:
-            buffer.free_page(page_id)
-        instance["buckets"] = new_pages
+    def _split(self, buffer, instance: dict, slot: int) -> bool:
+        """Double the span of the bucket at ``slot`` (its first): the upper
+        half of its hash class moves to a new bucket, the rest stay in
+        their slots.  Refused — the caller chains — when no doubling that a
+        directory within ``SLOTS_PER_PAGEFUL`` holds tells two keys apart."""
+        buckets, spans = instance["buckets"], instance["spans"]
+        span = spans[slot]
+        chain = list(_chain(buffer, buckets[slot]))
+        hashes = {key: _hash(key) for image in chain for key in image.entries}
+        held = sum(len(values) for image in chain
+                   for values in image.entries.values())
+        limit = max(len(buckets),
+                    SLOTS_PER_PAGEFUL * instance["nentries"] // max(1, held))
+        apart = 2 * span
+        while apart <= limit \
+                and len({code % apart for code in hashes.values()}) < 2:
+            apart *= 2
+        if apart > limit:
+            return False
+        if span == len(buckets):
+            buckets += buckets
+            spans += spans
+        for other in range(slot, len(buckets), span):
+            spans[other] = 2 * span
+        self._repoint(instance, slot + span,
+                      self._new_page(buffer, instance, NO_PAGE))
+        self._place(buffer, instance, self._take(buffer, instance, slot, [
+            (hashes[key], key, value) for image in chain
+            for key, values in image.entries.items()
+            if hashes[key] % (2 * span) != slot for value in values]))
+        buffer.stats.bump("hash_index.splits")
+        return True
+
+    def _take(self, buffer, instance: dict, slot: int, wanted: list) -> list:
+        """Take each ``(hash, key, value)`` of ``wanted`` once out of the
+        chain at ``slot``, a page at a time: the ``(hash, key, value, raw)``
+        taken.  A page left empty, unless the bucket's only, is freed."""
+        taken: list = []
+        before, page_id = None, instance["buckets"][slot]
+        while wanted and page_id != NO_PAGE:
+            image = buffer.decoded(page_id, _Bucket.load)
+            following = image.next_page
+            entries, found, missing = dict(image.entries), [], []
+            for item in wanted:
+                __, key, value = item
+                if value in entries.get(key, ()):
+                    held = dict(entries.pop(key))
+                    found.append((item, held.pop(value)))
+                    if held:
+                        entries[key] = held
+                else:
+                    missing.append(item)
+            wanted = missing
+            if found:
+                page = buffer.fetch(page_id)
+                try:
+                    taken.extend(item + (page.delete(at),)
+                                 for item, at in found)
+                finally:
+                    buffer.unpin(page_id, dirty=True,
+                                 image=_Bucket(entries, following))
+                if not entries and (before, following) != (None, NO_PAGE):
+                    if before is None:
+                        self._repoint(instance, slot, following)
+                    else:
+                        ahead = buffer.decoded(before, _Bucket.load)
+                        page = buffer.fetch(before)
+                        page.next_page = following
+                        buffer.unpin(before, dirty=True, image=_Bucket(
+                            ahead.entries, following))
+                    buffer.free_page(page_id)
+                    instance["pages"].discard(page_id)
+                    page_id = following
+                    continue
+            before, page_id = page_id, following
+        return taken
+
+    def _remove_many(self, buffer, instance: dict, entries: list) -> None:
+        """Remove one entry for each ``(key, value)`` given that is there
+        — the one body deletes, updates and undo go through."""
+        for slot, group in self._by_bucket(instance, [
+                (_hash(key), key, value) for key, value in entries]).items():
+            instance["nentries"] -= len(
+                self._take(buffer, instance, slot, group))
 
     # -- attached procedures -------------------------------------------------------------
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
@@ -339,69 +460,48 @@ class HashIndexAttachment(AttachmentType):
             if old_hash_key == new_hash_key and old_key == new_key:
                 ctx.stats.bump("hash_index.update_skips")
                 continue
-            self._remove(ctx.buffer, instance, old_hash_key, old_key)
-            ctx.log(self.resource, {
-                "op": "remove_many", "relation_id": handle.relation_id,
-                "instance": instance["name"],
-                "entries": [[list(old_hash_key), old_key]]})
-            self._add_many(ctx.buffer, instance, [(new_hash_key, new_key)])
-            ctx.log(self.resource, {
-                "op": "add_many", "relation_id": handle.relation_id,
-                "instance": instance["name"],
-                "entries": [[list(new_hash_key), new_key]]})
+            self._change(ctx, handle, instance, "remove_many",
+                         [(old_hash_key, old_key)])
+            self._change(ctx, handle, instance, "add_many",
+                         [(new_hash_key, new_key)])
             ctx.stats.bump("hash_index.maintenance_ops")
 
     def on_delete(self, ctx, handle, field, key, old_record) -> None:
         self.on_delete_batch(ctx, handle, field, ((key, old_record),))
 
+    def _change(self, ctx, handle, instance: dict, op: str,
+                entries: list) -> None:
+        """Apply one set of entries and log it: one record per instance."""
+        body = self._add_many if op == "add_many" else self._remove_many
+        body(ctx.buffer, instance, entries)
+        ctx.log(self.resource, {
+            "op": op, "relation_id": handle.relation_id,
+            "instance": instance["name"],
+            "entries": [[list(k), v] for k, v in entries]})
+
     # -- set-at-a-time attached procedures ---------------------------------------
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
-        """One :meth:`_add_many` and one log record per instance."""
         for instance in field["instances"].values():
-            entries = [(self._key_of(instance, record), key)
-                       for key, record in zip(keys, new_records)]
-            self._add_many(ctx.buffer, instance, entries)
-            ctx.log(self.resource, {
-                "op": "add_many", "relation_id": handle.relation_id,
-                "instance": instance["name"],
-                "entries": [[list(k), v] for k, v in entries]})
-            ctx.stats.bump("hash_index.maintenance_ops", len(entries))
+            self._change(ctx, handle, instance, "add_many", [
+                (self._key_of(instance, record), key)
+                for key, record in zip(keys, new_records)])
+            ctx.stats.bump("hash_index.maintenance_ops", len(keys))
 
     def on_delete_batch(self, ctx, handle, field, items) -> None:
         for instance in field["instances"].values():
-            entries = [(self._key_of(instance, old), key)
-                       for key, old in items]
-            buckets = instance["buckets"]
-            grouped: dict = {}
-            for hash_key, value in entries:
-                page_id = buckets[_hash_key(hash_key, len(buckets))]
-                grouped.setdefault(page_id, []).append((hash_key, value))
-            removed = 0
-            for page_id, removals in grouped.items():
-                bucket = _bucket_read(ctx.buffer, page_id)
-                for hash_key, value in removals:
-                    for i, (k, v) in enumerate(bucket):
-                        if k == hash_key and v == value:
-                            del bucket[i]
-                            removed += 1
-                            break
-                _bucket_write(ctx.buffer, page_id, _pickle(bucket))
-            instance["nentries"] -= removed
-            ctx.log(self.resource, {
-                "op": "remove_many", "relation_id": handle.relation_id,
-                "instance": instance["name"],
-                "entries": [[list(k), v] for k, v in entries]})
-            ctx.stats.bump("hash_index.maintenance_ops", len(entries))
+            self._change(ctx, handle, instance, "remove_many", [
+                (self._key_of(instance, old), key) for key, old in items])
+            ctx.stats.bump("hash_index.maintenance_ops", len(items))
 
     # -- direct access operations ------------------------------------------------------
     def fetch(self, ctx, handle, instance, input_key) -> List:
-        if not isinstance(input_key, tuple):
-            input_key = (input_key,)
+        key = input_key if isinstance(input_key, tuple) else (input_key,)
         buckets = instance["buckets"]
-        page_id = buckets[_hash_key(tuple(input_key), len(buckets))]
-        entries = _bucket_read(ctx.buffer, page_id)
+        found: List = []
+        for image in _chain(ctx.buffer, buckets[_hash(key) % len(buckets)]):
+            found.extend(image.entries.get(key, ()))
         ctx.stats.bump("hash_index.fetches")
-        return [value for key, value in entries if key == tuple(input_key)]
+        return found
 
     def open_scan(self, ctx, handle, instance, predicate=None,
                   route=None) -> Scan:
@@ -419,14 +519,24 @@ class HashIndexAttachment(AttachmentType):
                     p.field_index in key_fields]
         if {p.field_index for p in relevant} != key_fields:
             return None
-        database = ctx.database
-        method = database.registry.storage_method(
+        method = ctx.database.registry.storage_method(
             handle.descriptor.storage_method_id)
         tuples = max(1, method.record_count(ctx, handle))
-        expected = max(1.0, instance["nentries"]
-                       / max(1, len(instance["buckets"])) / 4.0)
+        # The bucket a probe would read — the one the constants select, or
+        # the first for a parameter — says what a probe meets: its chain's
+        # pages, and its entries shared among its keys.
+        operands = {p.field_index: p.operand for p in relevant}
+        buckets, slot = instance["buckets"], 0
+        if all(isinstance(operand, Const) for operand in operands.values()):
+            slot = _hash(tuple(operands[i].value
+                               for i in instance["key_fields"])) % len(buckets)
+        chain = list(_chain(ctx.buffer, buckets[slot]))
+        keys = {key for image in chain for key in image.entries}
+        expected = max(1.0, sum(
+            len(values) for image in chain
+            for values in image.entries.values()) / max(1, len(keys)))
         if len(instance["key_fields"]) == 1:
-            # Precomputed statistics beat the bucket-load heuristic:
+            # Precomputed statistics beat the bucket's own load:
             # an equality probe returns rows / ndv matches.
             from .statistics import statistics_for
             table_stats = statistics_for(ctx, handle)
@@ -436,8 +546,8 @@ class HashIndexAttachment(AttachmentType):
                 if selectivity is not None:
                     expected = max(1.0, tuples * selectivity)
         expected = min(expected, float(tuples))
-        # One bucket page + one base fetch per match.
-        return AccessCost(io_pages=1 + expected, cpu_tuples=expected,
+        # The chain's pages + one base fetch per match.
+        return AccessCost(io_pages=len(chain) + expected, cpu_tuples=expected,
                           expected_tuples=expected,
                           relevant=tuple(relevant), route=("hash_probe",))
     # NOTE: the executor probes via fetch() when the route is hash_probe.

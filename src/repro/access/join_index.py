@@ -30,38 +30,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.attachment import AttachmentType
 from ..errors import StorageError
 from ..query.cost import AccessCost
-from ..services.recovery import ResourceHandler
 
 __all__ = ["JoinIndexAttachment"]
-
-
-class _JoinIndexHandler(ResourceHandler):
-    def __init__(self, attachment: "JoinIndexAttachment"):
-        self.attachment = attachment
-
-    def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        if getattr(services, "in_restart", False):
-            return
-        database = services.database
-        entry = database.catalog.entry_by_id(payload["relation_id"])
-        field = entry.handle.descriptor.attachment_field(
-            self.attachment.type_id)
-        if field is None:
-            return
-        instance = field["instances"].get(payload["instance"])
-        if instance is None:
-            return
-        pairs = instance["pairs"]
-        left_key, right_key = payload["left_key"], payload["right_key"]
-        if payload["op"] == "add_pair":
-            _remove_pair(pairs, left_key, right_key)
-        elif payload["op"] == "remove_pair":
-            _add_pair(pairs, left_key, right_key)
-        else:
-            raise StorageError(f"join_index cannot undo {payload['op']!r}")
-
-    def redo(self, services, lsn: int, payload: dict) -> None:
-        """No redo: pairs are rebuilt from both relations after restart."""
 
 
 def _add_pair(pairs: dict, left_key, right_key) -> None:
@@ -152,8 +122,15 @@ class JoinIndexAttachment(AttachmentType):
         instance["pairs"]["by_left"].clear()
         instance["pairs"]["by_right"].clear()
 
-    def recovery_handler(self) -> ResourceHandler:
-        return _JoinIndexHandler(self)
+    def undo_logged(self, services, instance: dict, payload: dict) -> None:
+        pairs = instance["pairs"]
+        left_key, right_key = payload["left_key"], payload["right_key"]
+        if payload["op"] == "add_pair":
+            _remove_pair(pairs, left_key, right_key)
+        elif payload["op"] == "remove_pair":
+            _add_pair(pairs, left_key, right_key)
+        else:
+            raise StorageError(f"join_index cannot undo {payload['op']!r}")
 
     def _build(self, ctx, handle, other_handle, instance) -> None:
         """Compute the initial pair set with one nested scan."""

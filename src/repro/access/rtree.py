@@ -33,7 +33,6 @@ from ..core.storage_method import RelationHandle
 from ..errors import PageError, ScanError, StorageError
 from ..query.cost import AccessCost, DEFAULT_SELECTIVITY
 from ..services.locks import LockMode
-from ..services.recovery import ResourceHandler
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
 
 __all__ = ["RTreeAttachment", "RTree", "RTreeScan"]
@@ -312,36 +311,6 @@ class RTree:
         return page.page_id
 
 
-class _RTreeHandler(ResourceHandler):
-    def __init__(self, attachment: "RTreeAttachment"):
-        self.attachment = attachment
-
-    def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        if getattr(services, "in_restart", False):
-            return
-        database = services.database
-        entry = database.catalog.entry_by_id(payload["relation_id"])
-        field = entry.handle.descriptor.attachment_field(
-            self.attachment.type_id)
-        if field is None:
-            return
-        instance = field["instances"].get(payload["instance"])
-        if instance is None:
-            return
-        tree = RTree(services.buffer, instance["tree"],
-                     instance["max_entries"])
-        box = Box(*payload["box"])
-        if payload["op"] == "add":
-            tree.delete(box, payload["value"])
-        elif payload["op"] == "remove":
-            tree.insert(box, payload["value"])
-        else:
-            raise StorageError(f"rtree cannot undo {payload['op']!r}")
-
-    def redo(self, services, lsn: int, payload: dict) -> None:
-        """No redo: rebuilt from the base relation after restart."""
-
-
 class RTreeScan(Scan):
     """Scan over the result set of one spatial search.
 
@@ -450,8 +419,16 @@ class RTreeAttachment(AttachmentType):
         except PageError:
             pass
 
-    def recovery_handler(self) -> ResourceHandler:
-        return _RTreeHandler(self)
+    def undo_logged(self, services, instance: dict, payload: dict) -> None:
+        tree = RTree(services.buffer, instance["tree"],
+                     instance["max_entries"])
+        box = Box(*payload["box"])
+        if payload["op"] == "add":
+            tree.delete(box, payload["value"])
+        elif payload["op"] == "remove":
+            tree.insert(box, payload["value"])
+        else:
+            raise StorageError(f"rtree cannot undo {payload['op']!r}")
 
     def _build(self, ctx, handle, instance) -> None:
         tree = RTree(ctx.buffer, instance["tree"], instance["max_entries"])

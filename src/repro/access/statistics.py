@@ -38,7 +38,6 @@ from typing import Optional
 from ..core.attachment import AttachmentType
 from ..core.hashing import HASH_SPACE, stable_hash
 from ..errors import StorageError
-from ..services.recovery import ResourceHandler
 
 __all__ = ["StatisticsAttachment", "TableStatistics", "statistics_for",
            "kmv_union", "kmv_union_estimate", "sketch_state"]
@@ -123,28 +122,6 @@ def _copy_state(state: dict) -> dict:
                         for index, column in state["columns"].items()}}
 
 
-class _StatisticsHandler(ResourceHandler):
-    def __init__(self, attachment: "StatisticsAttachment"):
-        self.attachment = attachment
-
-    def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        if getattr(services, "in_restart", False):
-            return
-        database = services.database
-        entry = database.catalog.entry_by_id(payload["relation_id"])
-        field = entry.handle.descriptor.attachment_field(
-            self.attachment.type_id)
-        if field is None:
-            return
-        instance = field["instances"].get(payload["instance"])
-        if instance is None:
-            return
-        instance["state"] = _copy_state(payload["old_state"])
-
-    def redo(self, services, lsn: int, payload: dict) -> None:
-        """No redo: recomputed from the base relation after restart."""
-
-
 class StatisticsAttachment(AttachmentType):
     """Per-column row-count/null/min/max/distinct statistics."""
 
@@ -190,8 +167,8 @@ class StatisticsAttachment(AttachmentType):
                                     "stale": False, "kmv": []}
                             for index in indexes}}
 
-    def recovery_handler(self) -> ResourceHandler:
-        return _StatisticsHandler(self)
+    def undo_logged(self, services, instance: dict, payload: dict) -> None:
+        instance["state"] = _copy_state(payload["old_state"])
 
     def rebuild(self, ctx, handle, field) -> None:
         for instance in field["instances"].values():

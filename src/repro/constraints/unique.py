@@ -18,38 +18,8 @@ from typing import Optional
 from ..access.btree_core import BTree
 from ..core.attachment import AttachmentType
 from ..errors import PageError, StorageError, UniqueViolation
-from ..services.recovery import ResourceHandler
 
 __all__ = ["UniqueConstraintAttachment"]
-
-
-class _UniqueHandler(ResourceHandler):
-    def __init__(self, attachment: "UniqueConstraintAttachment"):
-        self.attachment = attachment
-
-    def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        if getattr(services, "in_restart", False):
-            return
-        database = services.database
-        entry = database.catalog.entry_by_id(payload["relation_id"])
-        field = entry.handle.descriptor.attachment_field(
-            self.attachment.type_id)
-        if field is None:
-            return
-        instance = field["instances"].get(payload["instance"])
-        if instance is None:
-            return
-        tree = BTree(services.buffer, instance["tree"])
-        entries = [(tuple(key), value) for key, value in payload["entries"]]
-        if payload["op"] == "add_many":
-            tree.delete_many(entries)
-        elif payload["op"] == "remove_many":
-            tree.insert_many(entries)
-        else:
-            raise StorageError(f"unique cannot undo {payload['op']!r}")
-
-    def redo(self, services, lsn: int, payload: dict) -> None:
-        """No redo: the enforcement structure is rebuilt after restart."""
 
 
 class UniqueConstraintAttachment(AttachmentType):
@@ -91,8 +61,8 @@ class UniqueConstraintAttachment(AttachmentType):
         except PageError:
             pass
 
-    def recovery_handler(self) -> ResourceHandler:
-        return _UniqueHandler(self)
+    def undo_logged(self, services, instance: dict, payload: dict) -> None:
+        BTree(services.buffer, instance["tree"]).undo_logged(payload)
 
     def _build(self, ctx, handle, instance) -> None:
         tree = BTree(ctx.buffer, instance["tree"])

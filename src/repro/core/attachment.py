@@ -33,11 +33,13 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..errors import UnknownObjectError
 from ..query.cost import AccessCost, EligiblePredicate
 from ..services.predicate import Predicate
+from ..services.recovery import ResourceHandler
 from ..services.scans import Scan
 from .context import ExecutionContext
 from .storage_method import RelationHandle
 
-__all__ = ["AttachmentType", "instances_of", "tag_batch_index"]
+__all__ = ["AttachmentType", "LogicalUndoHandler", "instances_of",
+           "tag_batch_index"]
 
 
 def tag_batch_index(exc: BaseException, index: int) -> None:
@@ -63,6 +65,29 @@ def instances_of(field: dict) -> Dict[str, dict]:
     can enumerate instances without knowing the type.
     """
     return field.get("instances", {})
+
+
+class LogicalUndoHandler(ResourceHandler):
+    """Handler of an attachment type whose structures restart rebuilds
+    from their relations: no redo, and undo — outside restart — hands the
+    instance a record names, unless dropped later in the transaction, to
+    the type's :meth:`AttachmentType.undo_logged`."""
+
+    def __init__(self, attachment: "AttachmentType"):
+        self.attachment = attachment
+
+    def undo(self, services, payload: dict, clr_lsn: int) -> None:
+        if getattr(services, "in_restart", False):
+            return
+        entry = services.database.catalog.entry_by_id(payload["relation_id"])
+        field = entry.handle.descriptor.attachment_field(
+            self.attachment.type_id)
+        instance = field and field["instances"].get(payload["instance"])
+        if instance is not None:
+            self.attachment.undo_logged(services, instance, payload)
+
+    def redo(self, services, lsn: int, payload: dict) -> None:
+        """No redo: rebuilt from the base relation after restart."""
 
 
 class AttachmentType(abc.ABC):
@@ -118,6 +143,16 @@ class AttachmentType(abc.ABC):
     def destroy_instance(self, ctx: ExecutionContext, handle: RelationHandle,
                          instance_name: str, instance: dict) -> None:
         """Release an instance's storage (deferred to commit by DDL)."""
+
+    # -- recovery ----------------------------------------------------------------
+    def recovery_handler(self) -> Optional[ResourceHandler]:
+        """The handler of the records this type logs; for a ``recoverable``
+        type, unless it brings its own, a :class:`LogicalUndoHandler`."""
+        return LogicalUndoHandler(self) if self.recoverable else None
+
+    def undo_logged(self, services, instance: dict, payload: dict) -> None:
+        """Reverse the change to ``instance`` that ``payload`` logged."""
+        raise NotImplementedError
 
     # -- procedurally attached, indirect operations ------------------------------
     def on_insert(self, ctx: ExecutionContext, handle: RelationHandle,

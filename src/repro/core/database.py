@@ -400,6 +400,7 @@ class Database:
         summary["log_records_lost"] = lost
         self.services.transactions._active.clear()
         self.services.transactions._by_gtid.clear()
+        self.services.transactions.resume_ids()
         # In-doubt participants re-enter the active table in PREPARED
         # state: their stable PREPARE vote binds this database, so they
         # hold their (redone) changes — and re-acquire their record

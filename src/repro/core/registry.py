@@ -112,9 +112,9 @@ class ExtensionRegistry:
         self.attached_insert_batch.append(attachment.on_insert_batch)
         self.attached_update_batch.append(attachment.on_update_batch)
         self.attached_delete_batch.append(attachment.on_delete_batch)
-        handler = getattr(attachment, "recovery_handler", None)
+        handler = attachment.recovery_handler()
         if recovery is not None and handler is not None:
-            recovery.register_handler(attachment.resource, handler())
+            recovery.register_handler(attachment.resource, handler)
         return type_id
 
     # -- vector-indexed lookup (the hot path) ----------------------------------------

@@ -71,30 +71,6 @@ class ChecksumError(PageError):
     """A page read from the device failed its checksum (torn/corrupt page)."""
 
 
-class BucketOverflowError(StorageError):
-    """A hash-index bucket outgrew its page (too many entries hash
-    together — typically a low-cardinality key).  Raised before the page
-    is touched; carries the containment fields of :class:`VetoError`."""
-
-    def __init__(self, instance: str, key, entries: int, *,
-                 relation: str = None, attachment_id: str = None,
-                 operation: str = None, batch_index: int = None):
-        super().__init__(
-            f"hash index {instance!r}: bucket for key {key!r} would hold "
-            f"{entries} entries, more than one page fits")
-        self.instance = instance
-        self.key = key
-        self.entries = entries
-        self.relation = relation
-        self.attachment_id = attachment_id
-        self.operation = operation
-        self.batch_index = batch_index
-
-    def annotate(self, **fields) -> "BucketOverflowError":
-        """Fill containment fields that are still unset; returns self."""
-        return _fill_unset(self, fields)
-
-
 class BufferError_(ReproError):
     """Buffer pool protocol violation (unpin of unpinned page, ...)."""
 

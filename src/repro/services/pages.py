@@ -256,7 +256,7 @@ class PageView:
         """The slots for as many records of ``lengths`` as have room."""
         size = len(self.data)
         live = None  # bytes in live records: summed if a compaction is weighed
-        holes, stored = self._holes(count), count
+        holes, stored, start = self._holes(count), count, free_off
         slots: List[int] = []
         for length in lengths:
             if length > 0xFFFE:
@@ -266,8 +266,8 @@ class PageView:
                 if 1.0 - (room - free_off - length) / size > fill_limit:
                     break
             elif free_off + length > room:
-                if live is None:
-                    live = self._live_bytes(stored)
+                if live is None:  # what is stored + what this pass chose
+                    live = self._live_bytes(stored) + free_off - start
                 if HEADER_SIZE + live + length > room:
                     break
                 free_off = HEADER_SIZE + live  # placing it compacts first

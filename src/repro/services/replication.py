@@ -112,6 +112,7 @@ class Standby:
         #: rebuilt or readmitted one is a new ``Standby`` over a new log.
         self._settled = set()
         self._settled_through = base_lsn
+        database.services.transactions.mirror()
 
     @property
     def settled_pending(self) -> int:

@@ -366,6 +366,17 @@ class TransactionManager:
         self._next_snapshot_id = 1
 
     # -- lifecycle -------------------------------------------------------------
+    def mirror(self) -> None:
+        """This database mirrors another's log (a standby): its own
+        transactions — readers, logging nothing — take ids below zero,
+        which no shipped record carries."""
+        self._next_id = -(1 << 62)
+
+    def resume_ids(self) -> None:
+        """After a restart ids go on above every id the log holds: a
+        promoted standby has mirrored transactions it never began."""
+        self._next_id = max(self._next_id, self.wal.highest_txn_id() + 1)
+
     def begin(self, snapshot: bool = False) -> Transaction:
         """Start a transaction (nothing is logged until it logs something).
 

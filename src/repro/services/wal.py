@@ -137,6 +137,10 @@ class LogManager:
         """The transaction's oldest LSN (its undo horizon; 0 if none)."""
         return self._first_lsn.get(txn_id, 0)
 
+    def highest_txn_id(self) -> int:
+        """The highest transaction id with a record in the retained log."""
+        return max(self._last_lsn, default=0)
+
     # -- stability ----------------------------------------------------------------
     @property
     def flushed_lsn(self) -> int:

@@ -82,6 +82,8 @@ class _HeapHandler(ResourceHandler):
                 descriptor["pages"].remove(page_id)
                 services.buffer.free_page(page_id)
             return
+        if payload["page"] not in descriptor["pages"]:
+            return  # given back by a rollback whose CLRs the crash lost
         buffer = services.buffer
         page = buffer.fetch(payload["page"])
         try:

@@ -1,0 +1,151 @@
+"""Crash at every boundary: the hash slice of ROADMAP item 2(b).
+
+One fixed script over a heap with a hash index; the ``disk.write`` /
+``wal.flush`` / ``buffer.write_back`` fault points it passes are counted,
+then it is run again once per point with the crash *there*.  After the
+restart: the committed rows are the model's, the index answers every key
+as the relation does (and its pages hold what a rebuild puts there), and a
+second restart changes nothing.
+"""
+
+import pytest
+
+from repro import AccessPath, Database
+from repro.errors import CheckViolation, InjectedFault
+
+from .test_hash_index import chain_of, check_hash_file, hash_instance
+
+POINTS = ("disk.write", "wal.flush", "buffer.write_back")
+KEYS = range(-1, 41)
+
+
+def build():
+    """A pool of eight 512-byte frames: the script evicts all the time."""
+    db = Database(page_size=512, buffer_capacity=8)
+    table = db.create_table("t", [("id", "INT"), ("k", "INT")])
+    db.create_attachment("t", "hash_index", "t_k",
+                         {"columns": ["k"], "buckets": 2})
+    db.add_check("k_nonneg", "t", "k >= 0")
+    return db, table
+
+
+def vetoed(table):
+    with pytest.raises(CheckViolation):
+        table.insert_many([(1000 + i, 5) for i in range(30)] + [(1030, -1)])
+
+
+def under_a_savepoint(db, table):
+    db.begin()
+    table.insert_many([(2000 + i, i % 4) for i in range(20)])
+    db.savepoint("sp")
+    table.insert_many([(3000 + i, 3) for i in range(30)])
+    table.delete_where("k = 2")
+    db.rollback_to("sp")
+    db.commit()
+
+
+#: The script: ``(what to run, what it makes of the model {id: k})``.
+#: Keys 0-39 spread and split buckets; key 3 also takes 100 rows, a chain.
+STEPS = [
+    (lambda db, table: table.insert_many(
+        [(i, i % 40 if i < 200 else 3) for i in range(300)]),
+     lambda model: {i: i % 40 if i < 200 else 3 for i in range(300)}),
+    (lambda db, table: table.delete_where("id >= 50 AND id < 120"),
+     lambda model: {i: k for i, k in model.items() if not 50 <= i < 120}),
+    (lambda db, table: table.update_where("id = 10", {"k": 39}),
+     lambda model: {**model, 10: 39}),
+    (lambda db, table: vetoed(table), dict),
+    (under_a_savepoint,
+     lambda model: {**model, **{2000 + i: i % 4 for i in range(20)}}),
+    (lambda db, table: table.delete_where("k = 3"),
+     lambda model: {i: k for i, k in model.items() if k != 3}),
+]
+
+
+def run(db, table):
+    """Run the script until it ends or a fault stops it: the model before
+    the step that was running, and after it (the same when none was)."""
+    model = {}
+    for body, effect in STEPS:
+        try:
+            body(db, table)
+        except InjectedFault:
+            return model, effect(model)
+        model = effect(model)
+    return model, model
+
+
+def hash_file_records(db, instance):
+    """What the hash file holds, by directory slot and place in the chain:
+    each page's ``(slot, bytes)`` records — page ids left out."""
+    buffer = db.services.buffer
+    held = []
+    for slot, span in enumerate(instance["spans"]):
+        for page_id, __ in chain_of(buffer, instance["buckets"][slot]):
+            with buffer.pinned(page_id) as page:
+                held.append((slot, span, list(page.records())))
+    return held
+
+
+def device_state(db, instance):
+    db.services.buffer.flush_all()
+    device = db.services.disk
+    heap = db.catalog.handle("t").descriptor.storage_descriptor["pages"]
+    return ([(page_id, device.read(page_id)) for page_id in heap],
+            hash_file_records(db, instance))
+
+
+def check_recovered(db, table, before, after):
+    instance = hash_instance(db, "t", "t_k")
+    ap = AccessPath(db.registry.attachment_type_by_name("hash_index").type_id,
+                    "t_k")
+    # 1. committed rows = model: the running step happened or did not.
+    stored = table.scan()
+    rows = dict(record for __, record in stored)
+    assert rows in (before, after)
+    # 2. the index answers every key as the relation does, from pages that
+    # hold what a rebuild of it puts there.
+    for k in KEYS:
+        assert sorted(table.fetch((k,), access_path=ap)) \
+            == sorted(key for key, record in stored if record[1] == k)
+    check_hash_file(db, instance,
+                    [((record[1],), key) for key, record in stored])
+    # 3. a second restart is byte-identical.
+    first = device_state(db, instance)
+    db.restart()
+    assert device_state(db, instance) == first
+    assert dict(record for __, record in table.scan()) == rows
+    return rows
+
+
+def count_fault_points():
+    db, table = build()
+    for point in POINTS:
+        db.services.faults.arm(point)  # no trigger: counts the calls
+    before, after = run(db, table)
+    assert before == after and len(after) > 100
+    return {point: db.services.faults.calls(point) for point in POINTS}
+
+
+def test_the_script_passes_fault_points_of_every_kind():
+    counts = count_fault_points()
+    assert all(counts[point] >= 10 for point in POINTS), counts
+    assert counts == count_fault_points()  # the script is deterministic
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_crash_at_every_boundary(point):
+    outcomes = set()
+    for nth in range(1, count_fault_points()[point] + 1):
+        db, table = build()
+        db.services.faults.arm(point, nth=nth)
+        before, after = run(db, table)
+        assert db.services.faults.injected(point) == 1, (point, nth)
+        db.services.faults.disarm()
+        db.restart()
+        rows = check_recovered(db, table, before, after)
+        outcomes.add(len(rows))
+        # and the database goes on working
+        table.insert((9000, 7))
+        assert (9000, 7) in table.rows()
+    assert len(outcomes) > 3  # crashes landed in different steps

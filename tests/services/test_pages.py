@@ -259,6 +259,32 @@ def test_insert_many_stops_at_the_fill_limit_like_one_insert_at_a_time():
             assert batch.insert_many(raws[taken:], fill) == []
 
 
+def test_insert_many_without_a_fill_limit_stops_when_the_page_is_full():
+    """No fill limit: a batch takes what one ``insert`` at a time would,
+    compacting once if freed bytes make the difference — the records the
+    pass has already chosen count as stored (they used not to, and a
+    batch too long for the page raised from ``_place``)."""
+    for size in (512, 1024):
+        for holes in (False, True):
+            batch, single = make_page(size=size), make_page(size=size)
+            for page in (batch, single):
+                if holes:
+                    for i in range(12):
+                        page.insert(bytes([i]) * 20)
+                    for slot in (1, 4, 5, 9):
+                        page.delete(slot)
+            raws = [bytes([i]) * (9 + i % 7) for i in range(120)]
+            taken = []
+            for raw in raws:
+                if not single.fits(len(raw)):
+                    break
+                taken.append(single.insert(raw))
+            assert 0 < len(taken) < len(raws)
+            assert batch.insert_many(raws) == taken
+            assert dict(batch.records()) == dict(single.records())
+            assert batch.insert_many(raws[len(taken):]) == []
+
+
 def test_an_unformatted_page_refuses_writes_instead_of_losing_its_header():
     page = PageView(3, bytearray(512))  # zeros: allocated, never formatted
     for write in (lambda: page.insert(b"x"), lambda: page.insert(b"x", slot=0),

@@ -218,3 +218,63 @@ def test_rebuilt_standby_starts_empty_and_catches_up():
     # next ship — the one transaction the set may still hold.)
     assert fresh_standby.settled_pending <= 1
     assert child_ntuples(fresh_standby.database, descriptor) == 31
+
+
+def page_images(database):
+    """Every page of the relation, less the checksum its last write-back
+    stamped: ``{page id: bytes}``."""
+    handle = database.catalog.handle("emp")
+    images = {}
+    for page_id in handle.descriptor.storage_descriptor["pages"]:
+        with database.services.buffer.pinned(page_id) as page:
+            images[page_id] = bytes(page.data[:21]) + bytes(page.data[25:])
+    return images
+
+
+def test_a_stale_read_between_two_ships_leaves_the_mirror_alone(pair):
+    """``failover_read`` runs a transaction of the standby's own.  It drew
+    its id from the id space the standby mirrors: the log said that id had
+    logged, so the reader's COMMIT/END were appended to the mirrored log
+    and the next ship's first records were dropped as duplicates."""
+    primary, standby = pair
+    table = primary.table("emp")
+    table.insert_many([(i, f"n{i}") for i in range(30)])
+    table.delete_where("id < 5")
+    ship(primary, standby)
+    mirrored = standby.database.services.wal.current_lsn
+    for __ in range(3):   # the stale reads: what failover_read's action does
+        assert sorted(standby.database.table("emp").rows()) == rows(primary)
+    assert standby.database.services.wal.current_lsn == mirrored
+    table.insert_many([(100 + i, "later") for i in range(200)])
+    table.update_where("id = 7", {"name": "changed"})
+    log = primary.services.wal
+    assert ship(primary, standby) == log.current_lsn - mirrored
+    assert standby.applied_lsn == standby.received_lsn == log.current_lsn
+    assert [(r.lsn, r.txn_id, r.kind)
+            for r in standby.database.services.wal.forward()] \
+        == [(r.lsn, r.txn_id, r.kind) for r in log.forward()]
+    assert page_images(standby.database) == page_images(primary)
+    assert len(page_images(primary)) > 1
+
+
+def test_a_promoted_standby_begins_above_the_ids_it_mirrored(pair):
+    """Restart (promotion) resumes ids above every id in the log: a new
+    transaction used to take the id of a mirrored one and chain its
+    records onto that one's."""
+    primary, standby = pair
+    for i in range(3):
+        primary.table("emp").insert((i, "x"))
+    ship(primary, standby)
+    replica = standby.database
+    assert sorted(replica.table("emp").rows()) == rows(primary)  # a reader
+    mirrored = {r.txn_id for r in replica.services.wal.forward()}
+    standby.apply_pending(force=True)
+    replica.restart()
+    top = replica.services.wal.current_lsn
+    replica.table("emp").insert((99, "new"))
+    new = {r.txn_id for r in replica.services.wal.forward(top + 1)}
+    assert len(new) == 1 and not new & mirrored and min(new) > max(mirrored)
+    replica.begin()
+    replica.table("emp").insert((100, "doomed"))
+    replica.rollback()
+    assert rows(replica) == rows(primary) + [(99, "new")]

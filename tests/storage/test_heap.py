@@ -437,3 +437,27 @@ def test_batch_decodes_no_row_when_columns_are_asked_for(db, wide,
         assert len(batch) and not calls
         batch = _open(db, ctx, None, "score > 100.0").next_batch(500)
         assert len(calls) == len(batch) < 60
+
+
+def test_restart_after_a_rollback_gave_pages_back_and_lost_its_clrs():
+    """A partial rollback undoes a loser's inserts and gives the pages it
+    had allocated back to the device; the crash comes before the CLRs are
+    forced, so restart undoes the same records again — the ones on pages
+    that are gone have nothing left to undo (restart used to fail with
+    ``StalePageError``; found by the crash-at-every-boundary driver)."""
+    db = Database(page_size=512, buffer_capacity=8)
+    table = db.create_table("t", [("id", "INT"), ("k", "INT")])
+    table.insert_many([(i, i) for i in range(10)])
+    pages = list(db.catalog.handle("t").descriptor.storage_descriptor["pages"])
+    db.begin()
+    table.insert_many([(100 + i, i) for i in range(5)])
+    db.savepoint("sp")
+    table.insert_many([(200 + i, i) for i in range(80)])
+    db.services.wal.flush()   # the inserts are stable ...
+    db.rollback_to("sp")      # ... their CLRs are not
+    assert db.catalog.handle("t").descriptor.storage_descriptor["pages"] \
+        == pages
+    db.restart()
+    assert sorted(table.rows()) == [(i, i) for i in range(10)]
+    table.insert((300, 0))
+    assert len(table.rows()) == 11

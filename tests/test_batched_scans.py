@@ -230,6 +230,95 @@ def test_delete_at_batch_position_leaves_scan_after_item(db, storage, attrs):
     db.commit()
 
 
+def open_hash_scan(db, ctx, buckets=2):
+    db.create_attachment("s", "hash_index", "s_hash",
+                         {"columns": ["id"], "buckets": buckets})
+    att = db.registry.attachment_type_by_name("hash_index")
+    handle = db.catalog.handle("s")
+    instance = att.instance(handle.descriptor.attachment_field(att.type_id),
+                            "s_hash")
+    return att.open_scan(ctx, handle, instance), instance
+
+
+def ids(batch):
+    return [view[0] for __, view in batch]
+
+
+@pytest.mark.parametrize("batch_size", [1, 5, 64])
+def test_hash_scan_resumes_across_splits(db, batch_size):
+    """Buckets split — the directory doubles, more than once — between
+    two ``next_batch`` calls: every entry that was there when the scan
+    opened still comes exactly once, whichever side of a split it went."""
+    table = db.create_table("s", [("id", "INT")])
+    table.insert_many([(i,) for i in range(60)])
+    db.begin()
+    with db.autocommit() as ctx:
+        scan, instance = open_hash_scan(db, ctx)
+        seen = ids(scan.next_batch(20))
+        slots, splits = len(instance["buckets"]), \
+            db.services.stats.get("hash_index.splits")
+        table.insert_many([(i,) for i in range(1000, 1400)])
+        assert len(instance["buckets"]) >= 4 * slots
+        assert db.services.stats.get("hash_index.splits") > splits + 4
+        seen += ids(drain_batches(scan, batch_size))
+        assert scan.next_batch(1) == [] and scan.next() is None
+    db.commit()
+    old = [i for i in seen if i < 1000]
+    assert sorted(old) == list(range(60))
+    assert len(seen) == len(set(seen))  # what came of the new ones, once
+
+
+def test_hash_scan_position_restored_after_a_split(db):
+    """A position saved at a savepoint, a split, a rollback that undoes
+    the inserts and leaves the split: the restored position goes on where
+    the savepoint was — nothing skipped, nothing repeated — although the
+    entries it lay between have moved to other pages."""
+    table = db.create_table("s", [("id", "INT")])
+    table.insert_many([(i,) for i in range(60)])
+    db.begin()
+    with db.autocommit() as ctx:
+        scan, instance = open_hash_scan(db, ctx)
+        first = ids(scan.next_batch(25))
+        db.savepoint("sp")
+        ahead = ids(scan.next_batch(10))
+        slots = len(instance["buckets"])
+        table.insert_many([(i,) for i in range(1000, 1400)])
+        assert len(instance["buckets"]) > slots
+        db.rollback_to("sp")
+        assert instance["nentries"] == 60
+        assert len(instance["buckets"]) > slots  # a split is not undone
+        rest = ids(drain_batches(scan, 7))
+        assert rest[:10] == ahead
+        assert sorted(first + rest) == list(range(60))
+    db.commit()
+
+
+def test_hash_scan_goes_on_after_its_position_is_deleted(db):
+    """Deleting the entry the scan is on, its whole bucket, or a chain
+    page under it leaves the scan just after where it was."""
+    table = db.create_table("s", [("id", "INT"), ("k", "INT")])
+    table.insert_many([(i, i % 3) for i in range(300)])
+    db.create_attachment("s", "hash_index", "s_k", {"columns": ["k"]})
+    att = db.registry.attachment_type_by_name("hash_index")
+    handle = db.catalog.handle("s")
+    instance = att.instance(handle.descriptor.attachment_field(att.type_id),
+                            "s_k")
+    assert len(instance["pages"]) > len(instance["buckets"])  # chains
+    db.begin()
+    with db.autocommit() as ctx:
+        scan = att.open_scan(ctx, handle, instance)
+        seen = [key for key, __ in scan.next_batch(140)]
+        doomed = seen[20:] + [key for key, __ in table.scan()
+                              if key not in seen][::2]
+        pages = len(instance["pages"])
+        table.delete_many(doomed)
+        assert len(instance["pages"]) < pages  # chain pages went back
+        rest = [key for key, __ in drain_batches(scan, 9)]
+    db.commit()
+    assert not set(rest) & set(seen) and not set(rest) & set(doomed)
+    assert sorted(seen[:20] + rest) == sorted(key for key, __ in table.scan())
+
+
 def test_scans_closed_at_txn_end_reject_next_batch(db, employee):
     db.begin()
     with db.autocommit() as ctx:
