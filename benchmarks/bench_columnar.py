@@ -12,7 +12,7 @@ single-table query shapes and guards the deterministic counters:
 
 The comparison this experiment was first run for — the same shapes down
 a row-at-a-time pipeline, >= 5x fewer Python-level operations — ended
-with that pipeline; its last result is archived in ``BENCH_E18.json``.
+with that pipeline (EXPERIMENTS.md E18 keeps the last table).
 The cost-model half of the story is still measured here: the planner
 demonstrably abandoning a low-cardinality index once a statistics
 attachment reveals its true selectivity.

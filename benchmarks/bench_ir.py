@@ -20,8 +20,8 @@ backends over the same relations and guards the deterministic counters:
 
 The comparison this experiment was first run for — the same shapes down
 a row-at-a-time pipeline, >= 5x fewer Python-level operations on the
-pure-Python backend — ended with that pipeline; its last result is
-archived in ``BENCH_E20.json``.
+pure-Python backend — ended with that pipeline (EXPERIMENTS.md E20 keeps
+the last table).
 
 Runnable directly for the CI smoke profile::
 

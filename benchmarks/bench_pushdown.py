@@ -1,4 +1,4 @@
-"""E23 — cross-shard query pushdown with parallel scatter-gather.
+"""E23 — cross-shard query pushdown.
 
 A bound ``SelectPlan`` whose scan sits on a sharded table is split at the
 scan boundary into shard-local fragments (filters, projections, partial
@@ -12,12 +12,11 @@ back.  Two claims are checked, both from deterministic counters:
   states on the pushdown path (``fragment.rows``).  At 8 shards the
   reduction must be >= 8x.
 
-* **Fan-out.**  All fragments of the statement are handed to the
-  scatter-gather pool in **one** ``ScatterGather.run`` call, one fragment
-  per live shard — the precondition for any overlap.  (The wall-clock
-  ratio of per-shard timers this used to gate on says nothing about
-  overlap — the fragments are pure Python under one GIL, see E24
-  observation 3 — and failed under load; seconds are E24's job.)
+* **Fan-out.**  All fragments of the statement pass through **one**
+  ``ScatterGather.run`` call, one fragment per shard.  Fragments run in
+  shard order on the calling thread (they are pure Python under one GIL:
+  E24 observation 3); the guard keeps a statement from going back to the
+  seam once per shard.  Seconds are E24's job.
 
 Remote calls are also recorded: the whole fragment is one
 ``remote.messages`` bump per shard, same as a block scan, so pushdown
@@ -74,7 +73,7 @@ def measure(rows, shards):
                 ("fragment.rows", "remote.tuples_scanned",
                  "remote.messages")}
 
-    # Watch the pool from outside: how many ``run`` calls the pushed
+    # Watch the seam from outside: how many ``run`` calls the pushed
     # statement makes and how many fragments each one is handed.
     pool = shared_pool()
     run, scatter_runs = pool.run, []
@@ -126,7 +125,7 @@ def pushdown_profile(rows=N, shard_counts=SHARD_COUNTS):
     derived = {
         "wire_reduction": {n: reduction(n) for n in shard_counts},
         "wire_reduction_8x": reduction(top),
-        # every fragment of the statement in one pool call, one per shard
+        # every fragment of the statement in one run call, one per shard
         "single_fanout": all(
             m["scatter_runs"] == [n] and m["pushdown_fragments"] == n
             for n, m in scaling.items()),
@@ -159,7 +158,7 @@ def test_grouped_aggregate_ships_8x_fewer_rows_at_8_shards(profile):
 
 def test_scatter_gather_fanout_speedup(profile):
     """Not a speed-up any more (the id is kept): the counter guard that
-    the statement's fragments reach the pool together, one per shard."""
+    the statement's fragments reach the seam together, one per shard."""
     assert profile["derived"]["single_fanout"]
     for measured in profile["counters"]["scaling"]:
         assert measured["scatter_runs"] == [measured["shards"]]
@@ -176,7 +175,7 @@ def test_pushdown_adds_no_remote_round_trips(profile):
 def test_grouped_aggregate_pushdown(benchmark):
     db = build_sharded(8, 2_000)
     assert len(benchmark(db.execute, STATEMENT)) == GROUPS
-    benchmark.extra_info["route"] = "8 parallel fragments, merged partials"
+    benchmark.extra_info["route"] = "8 fragments, merged partials"
 
 
 def test_grouped_aggregate_pullup_baseline(benchmark):

@@ -170,20 +170,10 @@ class Relation:
         handle = self.handle
         predicate = self._predicate(where, params)
         indexes = handle.schema.indexes_of(fields) if fields else None
-        out: List[Tuple] = []
-        report = None
         with db.autocommit() as ctx:
             scan = db.data.open_scan(ctx, handle, indexes, predicate)
             report = ctx.read_report
-            try:
-                while True:
-                    batch = scan.next_batch(256)
-                    if not batch:
-                        break
-                    out.extend(batch)
-            finally:
-                scan.close()
-                db.services.scans.unregister(scan)
+            out = db.services.scans.drain(scan)
         if with_report:
             return out, report
         return out
@@ -212,18 +202,8 @@ class Relation:
     def _scan_in(self, ctx, handle, predicate) -> List[Tuple]:
         """Collect ``(key, record)`` pairs inside an existing transaction."""
         db = self.database
-        out: List[Tuple] = []
-        scan = db.data.open_scan(ctx, handle, None, predicate)
-        try:
-            while True:
-                batch = scan.next_batch(256)
-                if not batch:
-                    break
-                out.extend(batch)
-        finally:
-            scan.close()
-            db.services.scans.unregister(scan)
-        return out
+        return db.services.scans.drain(
+            db.data.open_scan(ctx, handle, None, predicate))
 
     def _predicate(self, where, params) -> Optional[Predicate]:
         if where is None:

@@ -20,12 +20,23 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional, Sequence, Tuple
 
+from ..errors import StorageError
 from ..query.cost import AccessCost, EligiblePredicate
 from ..services.predicate import Predicate
 from ..services.scans import Scan
 from .context import ExecutionContext
 
-__all__ = ["StorageMethod", "RelationHandle"]
+__all__ = ["StorageMethod", "RelationHandle", "logged_descriptor"]
+
+
+def logged_descriptor(services, payload: dict) -> dict:
+    """The storage descriptor of the relation a log record's ``payload``
+    names — a recovery handler has only the services to find it by."""
+    database = getattr(services, "database", None)
+    if database is None:
+        raise StorageError("recovery handler needs services.database wired")
+    entry = database.catalog.entry_by_id(payload["relation_id"])
+    return entry.handle.descriptor.storage_descriptor
 
 
 class RelationHandle:
@@ -236,6 +247,18 @@ class StorageMethod(abc.ABC):
                           expected_tuples=max(1.0, tuples * selectivity),
                           relevant=tuple(eligible), ordered_by=ordered,
                           route=("scan",))
+
+    @staticmethod
+    def _shape_read(record, fields, predicate):
+        """What a direct-by-key read returns for a stored ``record``:
+        None when it is absent or fails ``predicate``, else the record
+        or its ``fields``."""
+        if record is None or (predicate is not None
+                              and not predicate.matches(record)):
+            return None
+        if fields is None:
+            return record
+        return tuple(record[i] for i in fields)
 
     def key_fields(self, handle: RelationHandle) -> Tuple[int, ...]:
         """Field indexes composing the record key, when the key is composed

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-__all__ = ["AccessCost", "EligiblePredicate", "DEFAULT_SELECTIVITY"]
+__all__ = ["AccessCost", "EligiblePredicate", "DEFAULT_SELECTIVITY",
+           "default_selectivity"]
 
 #: Selectivity guesses per comparison operator, used when an extension has
 #: no better information (classic System R constants).
@@ -29,6 +30,16 @@ DEFAULT_SELECTIVITY = {
     "ENCLOSED_BY": 0.02,
     "OVERLAPS": 0.05,
 }
+
+
+def default_selectivity(eligible) -> float:
+    """The combined selectivity of ``eligible`` predicates from the
+    defaults alone (a predicate that is not simple counts one half)."""
+    selectivity = 1.0
+    for pred in eligible:
+        selectivity *= (DEFAULT_SELECTIVITY.get(pred.op, 0.5)
+                        if pred.is_simple else 0.5)
+    return selectivity
 
 
 class EligiblePredicate:

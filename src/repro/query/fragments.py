@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..access.statistics import statistics_for
 from ..core.records import RecordView
 from ..services.predicate import Col, conjuncts
 from .ir import sorted_ordinals
@@ -40,7 +41,7 @@ from .planner import QualifiedSchema, SelectPlan, TableAccess, make_eligible
 __all__ = ["FragmentFallback", "FragmentPlan", "plan_fragment",
            "fragment_for", "build_child_plan", "run_fragment_on",
            "merge_fragment_results", "pushdown_estimate",
-           "projection_narrows"]
+           "projection_narrows", "ships_less"]
 
 #: Column types whose SUM re-associates exactly under regrouping.  The
 #: schema validators admit only true ints for these, so partial sums
@@ -374,3 +375,22 @@ def projection_narrows(fragment: FragmentPlan, field_count: int) -> bool:
     than the full record — fewer bytes even at equal row counts."""
     return (fragment.kind == "rows" and not fragment.child_star
             and len(fragment.child_items) < field_count)
+
+
+def ships_less(ctx, handle, plan, fragment: FragmentPlan, shards: int,
+               distinct: Optional[float] = None) -> bool:
+    """The gate both remote methods put before a pushdown: is the
+    fragment expected to ship less than the pull-up scan would?
+
+    ``distinct`` is the caller's estimate for a grouping column (the
+    sharded method's union of per-shard sketches); without one the
+    coordinator's own statistics attachment is asked.
+    """
+    if fragment.kind == "group" and distinct is None:
+        table_stats = statistics_for(ctx, handle)
+        if table_stats is not None:
+            distinct = table_stats.distinct(plan.group_index)
+    expected = getattr(plan.access.cost, "expected_tuples", 0.0) or 0.0
+    wire, pull = pushdown_estimate(fragment, shards, expected, distinct)
+    return wire < pull or projection_narrows(fragment,
+                                             len(handle.schema.fields))

@@ -23,7 +23,6 @@ on this to make adversarial schedules reproducible in CI.
 from __future__ import annotations
 
 import random
-import threading
 from typing import Dict, Optional
 
 from ..errors import InjectedFault
@@ -88,10 +87,6 @@ class FaultInjector:
         self._fired: Dict[str, int] = {}
         #: True when any point is armed — the hot-path guard.
         self.armed = False
-        # Scatter-gather workers hit injection points concurrently; the
-        # per-plan call counters must not lose updates or double-fire a
-        # one-shot across threads.
-        self._lock = threading.Lock()
 
     # -- arming ---------------------------------------------------------------
     def arm(self, point: str, error=None, nth: Optional[int] = None,
@@ -126,20 +121,17 @@ class FaultInjector:
         """Raise the armed error if the point's schedule says so."""
         if not self.armed:
             return
-        with self._lock:
-            plan = self._plans.get(point)
-            if plan is None:
-                return
-            if not plan.should_fire():
-                return
-            plan.fired += 1
-            self._fired[point] = self._fired.get(point, 0) + 1
-            error = plan.make_error()
-            if plan.one_shot:
-                self.disarm(point)
-            if self.stats is not None:
-                self.stats.bump("faults.injected")
-                self.stats.bump(f"faults.injected.{point}")
+        plan = self._plans.get(point)
+        if plan is None or not plan.should_fire():
+            return
+        plan.fired += 1
+        self._fired[point] = self._fired.get(point, 0) + 1
+        error = plan.make_error()
+        if plan.one_shot:
+            self.disarm(point)
+        if self.stats is not None:
+            self.stats.bump("faults.injected")
+            self.stats.bump(f"faults.injected.{point}")
         raise error
 
     # -- introspection -----------------------------------------------------------

@@ -50,9 +50,25 @@ from __future__ import annotations
 import zlib
 from typing import Sequence
 
-from ..errors import FencingError, GatewayError
+from ..errors import FencingError, GatewayError, StorageError
+from .predicate import Predicate
 
-__all__ = ["RemoteTransport"]
+__all__ = ["RemoteTransport", "block_scan"]
+
+
+def block_scan(database, ctx, relation: str, fields, predicate) -> list:
+    """The peer's side of a block fetch: scan ``relation`` inside
+    ``database`` under ``ctx`` and return every ``(key, record)`` pair.
+
+    The peer filters and projects — the predicate is rebound to its
+    schema, a heap decodes only ``fields`` — so only what the caller
+    asked for crosses the channel.
+    """
+    handle = database.catalog.handle(relation)
+    where = None if predicate is None else Predicate(
+        predicate.expr, handle.schema, predicate.params)
+    return database.services.scans.drain(
+        database.data.open_scan(ctx, handle, fields, where))
 
 
 class RemoteTransport:
@@ -66,6 +82,34 @@ class RemoteTransport:
         self.message_counter = message_counter
         self.latency_counter = latency_counter
         self.counter_prefix = counter_prefix
+
+    # -- DDL -------------------------------------------------------------------
+    @staticmethod
+    def pop_knobs(attributes: dict, owner: str, latency: float) -> dict:
+        """Take the channel knobs out of a relation's DDL ``attributes``
+        and validate them (``owner`` names the storage method in the
+        error; ``latency`` is its default)."""
+        knobs = {"latency": attributes.pop("latency", latency),
+                 "retries": attributes.pop("retries", 3),
+                 "breaker_threshold": attributes.pop("breaker_threshold", 3),
+                 "breaker_cooldown": attributes.pop("breaker_cooldown", 8),
+                 "deadline": attributes.pop("deadline", None)}
+        latency, deadline = knobs["latency"], knobs["deadline"]
+        if not isinstance(latency, (int, float)) or latency < 0:
+            raise StorageError(
+                f"{owner}: latency must be non-negative, got {latency!r}")
+        for name in ("retries", "breaker_threshold", "breaker_cooldown"):
+            if not isinstance(knobs[name], int) or knobs[name] < 0:
+                raise StorageError(
+                    f"{owner}: {name} must be a non-negative integer, got "
+                    f"{knobs[name]!r}")
+        if deadline is not None and (not isinstance(deadline, (int, float))
+                                     or deadline <= 0):
+            raise StorageError(
+                f"{owner}: deadline must be a positive number, got "
+                f"{deadline!r}")
+        knobs["latency"] = float(latency)
+        return knobs
 
     # -- message accounting ----------------------------------------------------
     def remote_call(self, ctx_or_services, channel: dict, stats) -> None:
@@ -208,6 +252,14 @@ class RemoteTransport:
         finally:
             if probing:
                 breaker["probing"] = False
+
+    def send(self, ctx_or_services, channel: dict, stats, action):
+        """:meth:`call` an action every attempt of which is one accounted
+        message (:meth:`remote_call`, then ``action()``)."""
+        def attempt():
+            self.remote_call(ctx_or_services, channel, stats)
+            return action()
+        return self.call(channel, stats, attempt)
 
     def _breaker_failure(self, channel: dict, breaker: dict, stats) -> None:
         breaker["failures"] += 1

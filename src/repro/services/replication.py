@@ -393,8 +393,7 @@ class ReplicationService:
             if standby.acked_lsn >= target:
                 continue
 
-            def send(s=standby):
-                transport.remote_call(self.services, s.channel, self.stats)
+            def ship(s=standby):
                 wire = log.ship_since(s.acked_lsn, up_to=target)
                 lsn = s.receive(replica_set.epoch, wire)
                 self.stats.bump("repl.ship.records", len(wire))
@@ -406,7 +405,8 @@ class ReplicationService:
                 return lsn
 
             try:
-                acked = transport.call(standby.channel, self.stats, send)
+                acked = transport.send(self.services, standby.channel,
+                                       self.stats, ship)
             except FencingError:
                 self.stats.bump("repl.fenced")
                 continue
@@ -480,13 +480,8 @@ class ReplicationService:
         channel = self.descriptor["channels"][index]
         transport = self._hb_transport(index)
         self.stats.bump("repl.heartbeats")
-
-        def ping():
-            transport.remote_call(self.services, channel, self.stats)
-            return True
-
         try:
-            transport.call(channel, self.stats, ping)
+            transport.send(self.services, channel, self.stats, lambda: True)
         except GatewayError:
             self.stats.bump("repl.heartbeat_failures")
             self.report_failure(index)
@@ -566,13 +561,10 @@ class ReplicationService:
         transport = self._ship_transport(index)
         candidates = []
         for standby in replica_set.standbys:
-
-            def position(s=standby):
-                transport.remote_call(self.services, s.channel, self.stats)
-                return s.received_lsn
-
             try:
-                lsn = transport.call(standby.channel, self.stats, position)
+                lsn = transport.send(self.services, standby.channel,
+                                     self.stats,
+                                     lambda s=standby: s.received_lsn)
             except GatewayError:
                 continue
             candidates.append((lsn, standby))
@@ -664,12 +656,12 @@ class ReplicationService:
                               key=lambda s: (-s.acked_lsn, s.name)):
 
             def run(s=standby):
-                transport.remote_call(self.services, s.channel, self.stats)
                 s.apply_pending()
                 return action(s.database)
 
             try:
-                result = transport.call(standby.channel, self.stats, run)
+                result = transport.send(self.services, standby.channel,
+                                        self.stats, run)
             except GatewayError:
                 continue
             lag = max(0, replica_set.primary_lsn - standby.applied_lsn)

@@ -26,6 +26,7 @@ from . import events as ev
 from .events import EventService
 
 __all__ = ["ScanPosition", "Scan", "ScanService", "SnapshotScan",
+           "ShippedRows", "ShippedScan",
            "ABSENT", "BEFORE", "ON", "AFTER", "key_ordered"]
 
 BEFORE = "before"
@@ -216,6 +217,63 @@ class SnapshotScan(Scan):
         self._resurrect = pending
 
 
+class ShippedRows:
+    """A :class:`ShippedScan` source over rows that are already flat."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list):
+        self.rows = rows
+
+    def read(self, start: int, n: int) -> list:
+        return self.rows[start:start + n]
+
+
+class ShippedScan(Scan):
+    """A local scan over rows a remote peer shipped when it was opened
+    (the block-fetch protocol of the foreign and sharded methods).
+
+    It pulls from a *source* — ``read(start, n)`` returns up to ``n``
+    ``(key, record)`` pairs from logical position ``start`` — and the
+    position is the index of the last pair returned, so save/restore
+    under partial rollback is an assignment.  ``counter`` is bumped by
+    the number of pairs handed out.
+    """
+
+    def __init__(self, ctx, source, counter: str):
+        super().__init__(ctx.txn_id)
+        self.ctx = ctx
+        self.source = source
+        self.counter = counter
+        self.state = BEFORE
+        self.position = None
+
+    def next(self):
+        batch = self.next_batch(1)
+        return batch[0] if batch else None
+
+    def next_batch(self, n: int) -> list:
+        self._check_open()
+        if n < 1:
+            raise ScanError(f"next_batch needs a positive count, got {n}")
+        index = 0 if self.position is None else self.position + 1
+        chunk = self.source.read(index, n)
+        if not chunk:
+            self.state = AFTER
+            return []
+        self.position = index + len(chunk) - 1
+        self.state = ON
+        self.ctx.stats.bump(self.counter, len(chunk))
+        return chunk
+
+    def save_position(self) -> ScanPosition:
+        return ScanPosition(self.state, self.position)
+
+    def restore_position(self, saved: ScanPosition) -> None:
+        self.state = saved.state
+        self.position = saved.item
+
+
 class ScanService:
     """Tracks open scans per transaction; wires them to transaction events."""
 
@@ -242,6 +300,20 @@ class ScanService:
 
     def open_scans(self, txn_id: int) -> Tuple[Scan, ...]:
         return tuple(self._open.get(txn_id, {}).values())
+
+    def drain(self, scan: Scan) -> list:
+        """Every item from the scan's position on; the scan is then
+        closed and unregistered."""
+        try:
+            items = []
+            while True:
+                batch = scan.next_batch(256)
+                if not batch:
+                    return items
+                items.extend(batch)
+        finally:
+            scan.close()
+            self.unregister(scan)
 
     # -- event reactions ------------------------------------------------------------
     def _on_txn_end(self, txn_id: int, info: dict) -> None:

@@ -1,114 +1,40 @@
-"""Scatter-gather execution: fan a set of independent remote actions out
-to a thread pool and gather their results in input order.
+"""The fan-out seam: all fragments of one pushed-down statement pass
+through a single :meth:`ScatterGather.run` call, in shard order, on the
+calling thread.
 
-The sharded storage method uses this to dispatch one query fragment per
-shard *concurrently* instead of visiting shards one at a time — the
-coordinator's wall-clock for a fan-out read becomes the slowest shard,
-not the sum of all shards.
-
-Thread-safety discipline (the workers touch a lot of shared machinery):
-
-* each worker gets its own :class:`StatsBuffer`; buffers are merged into
-  the real (not thread-safe) stats service serially after the join;
-* per-channel breaker state is only ever touched by the one worker that
-  owns that channel for the duration of the call;
-* replication health reporting, standby failover and read reports are
-  applied serially by the caller after the gather.
-
-Results come back as ``(result, exception)`` pairs — scatter-gather
-never swallows an error, but also never lets one shard's failure hide
-another shard's answer (the caller decides between failover, degraded
-skip and fail-closed fallback per shard).
+Nothing here runs concurrently (DESIGN.md, "One thread").  The seam
+stays because it is where a statement's fan-out can be watched from
+outside: the pushdown bench counts the ``run`` calls a statement makes,
+and the wall-clock harness wraps ``run`` to count fragments.
 """
 
 from __future__ import annotations
 
-import os
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-__all__ = ["StatsBuffer", "ScatterGather", "shared_pool"]
-
-
-class StatsBuffer:
-    """A thread-private, bump-compatible counter sink.
-
-    Quacks like :class:`~repro.services.stats.StatsService` for ``bump``
-    and ``bump_many`` (so :class:`~repro.services.stats.NamespacedStats`
-    can wrap it), and replays into the real service with
-    :meth:`merge_into` once the owning worker has joined.
-    """
-
-    __slots__ = ("_counters",)
-
-    def __init__(self):
-        self._counters = Counter()
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        self._counters[name] += amount
-
-    def bump_many(self, counters: Dict[str, int]) -> None:
-        self._counters.update(counters)
-
-    def get(self, name: str) -> int:
-        return self._counters[name]
-
-    def merge_into(self, stats) -> None:
-        if self._counters:
-            stats.bump_many(dict(self._counters))
-            self._counters.clear()
+__all__ = ["ScatterGather", "shared_pool"]
 
 
 class ScatterGather:
-    """A bounded worker pool that runs task thunks concurrently.
+    """Runs thunks one after another; one failure never hides another
+    thunk's answer."""
 
-    :meth:`run` returns ``[(result, exception), ...]`` in input order.
-    A single task (or a single worker) runs inline — no pool, no thread
-    handoff — so the 1-shard case costs exactly what a serial call does.
-    """
+    max_workers = 1
 
-    def __init__(self, max_workers: Optional[int] = None):
-        if max_workers is None:
-            max_workers = min(16, max(2, (os.cpu_count() or 2)))
-        self.max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="scatter")
-        return self._pool
-
-    def run(self, tasks: Sequence[Callable]) -> List[Tuple]:
-        if not tasks:
-            return []
-        if len(tasks) == 1 or self.max_workers == 1:
-            return [self._invoke(task) for task in tasks]
-        futures = [self._executor().submit(self._invoke, task)
-                   for task in tasks]
-        return [future.result() for future in futures]
-
-    @staticmethod
-    def _invoke(task: Callable) -> Tuple:
-        try:
-            return (task(), None)
-        except BaseException as exc:  # the caller classifies per shard
-            return (None, exc)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+    def run(self, thunks: Sequence[Callable]) -> List[Tuple]:
+        """``[(result, exception), ...]`` in input order."""
+        results = []
+        for thunk in thunks:
+            try:
+                results.append((thunk(), None))
+            except Exception as exc:  # the caller classifies per shard
+                results.append((None, exc))
+        return results
 
 
-_SHARED: Optional[ScatterGather] = None
+_SHARED = ScatterGather()
 
 
 def shared_pool() -> ScatterGather:
-    """The process-wide scatter-gather pool (created on first use)."""
-    global _SHARED
-    if _SHARED is None:
-        _SHARED = ScatterGather()
+    """The process-wide instance."""
     return _SHARED

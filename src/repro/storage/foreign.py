@@ -36,18 +36,15 @@ probe, default 8).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..core.context import ExecutionContext
-from ..core.storage_method import RelationHandle, StorageMethod
-from ..errors import ForeignError, GatewayError, ScanError, StorageError
-from ..query.cost import AccessCost, DEFAULT_SELECTIVITY
-from ..services.predicate import Predicate
+from ..core.authorization import SELECT
+from ..core.storage_method import StorageMethod, logged_descriptor
+from ..errors import ForeignError, GatewayError, StorageError
+from ..query.cost import AccessCost, default_selectivity
 from ..services.recovery import ResourceHandler
-from ..services.remote import RemoteTransport
-from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
+from ..services.remote import RemoteTransport, block_scan
+from ..services.scans import Scan, ShippedRows, ShippedScan
 
-__all__ = ["ForeignStorageMethod", "ForeignScan", "TRANSPORT"]
+__all__ = ["ForeignStorageMethod", "TRANSPORT"]
 
 #: The gateway's transport discipline (retry/backoff/breaker) lives in the
 #: shared :class:`RemoteTransport` service; this instance pins the foreign
@@ -58,47 +55,15 @@ TRANSPORT = RemoteTransport(fault_points=("foreign.remote_call",),
                             counter_prefix="gateway")
 
 
-def _gateway_for(services, payload: dict):
-    database = getattr(services, "database", None)
-    if database is None:
-        raise StorageError("recovery handler needs services.database wired")
-    entry = database.catalog.entry_by_id(payload["relation_id"])
-    return entry.handle.descriptor.storage_descriptor
-
-
-def _remote_call(ctx_or_services, descriptor: dict, stats) -> None:
-    """Account one message round trip to the foreign database."""
-    TRANSPORT.remote_call(ctx_or_services, descriptor, stats)
-
-
-def _breaker(descriptor: dict) -> dict:
-    """The per-gateway circuit-breaker state (lives in the storage
-    descriptor, so each foreign relation has its own breaker)."""
-    return TRANSPORT.breaker(descriptor)
-
-
-def gateway_available(descriptor: dict) -> bool:
-    """False while the breaker is open (reads degrade, writes fail fast)."""
-    return TRANSPORT.available(descriptor)
-
-
-def _gateway(descriptor: dict, stats, action):
-    """Run one remote interaction behind retry + circuit breaker (see
-    :meth:`RemoteTransport.call`)."""
-    return TRANSPORT.call(descriptor, stats, action)
-
-
 class _ForeignHandler(ResourceHandler):
     """Saga-style undo: issue the inverse operation against the remote."""
 
     def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        descriptor = _gateway_for(services, payload)
-        remote = descriptor["database"]
-        table = remote.table(descriptor["relation"])
+        descriptor = logged_descriptor(services, payload)
+        table = descriptor["database"].table(descriptor["relation"])
         op = payload["op"]
 
         def compensate():
-            _remote_call(services, descriptor, services.stats)
             if op == "update":
                 schema = table.schema
                 changes = {schema.fields[i].name: value
@@ -112,68 +77,10 @@ class _ForeignHandler(ResourceHandler):
             else:
                 raise ForeignError(f"foreign gateway cannot undo op {op!r}")
 
-        _gateway(descriptor, services.stats, compensate)
+        TRANSPORT.send(services, descriptor, services.stats, compensate)
 
     def redo(self, services, lsn: int, payload: dict) -> None:
         """The remote database is its own durability domain; no redo."""
-
-
-class ForeignScan(Scan):
-    """A local scan wrapper around a remote key-sequential access.
-
-    Results are shipped in one batch per open (a block-fetch protocol);
-    the position is the index into the shipped batch.
-    """
-
-    def __init__(self, ctx: ExecutionContext, handle: RelationHandle,
-                 batch, fields: Optional[Sequence[int]]):
-        super().__init__(ctx.txn_id)
-        self.ctx = ctx
-        self.handle = handle
-        self.batch = batch
-        self.fields = tuple(fields) if fields is not None else None
-        self.state = BEFORE
-        self.position: Optional[int] = None
-
-    def next(self):
-        self._check_open()
-        index = 0 if self.position is None else self.position + 1
-        if index >= len(self.batch):
-            self.state = AFTER
-            return None
-        self.position = index
-        self.state = ON
-        key, record = self.batch[index]
-        self.ctx.stats.bump("foreign.tuples_scanned")
-        if self.fields is None:
-            return key, record
-        return key, tuple(record[i] for i in self.fields)
-
-    def next_batch(self, n: int) -> list:
-        """Slice the shipped batch — the block-fetch already paid the
-        message cost, so batching here is pure local bookkeeping."""
-        self._check_open()
-        if n < 1:
-            raise ScanError(f"next_batch needs a positive count, got {n}")
-        index = 0 if self.position is None else self.position + 1
-        chunk = self.batch[index:index + n]
-        if not chunk:
-            self.state = AFTER
-            return []
-        self.position = index + len(chunk) - 1
-        self.state = ON
-        self.ctx.stats.bump("foreign.tuples_scanned", len(chunk))
-        if self.fields is None:
-            return list(chunk)
-        return [(key, tuple(record[i] for i in self.fields))
-                for key, record in chunk]
-
-    def save_position(self) -> ScanPosition:
-        return ScanPosition(self.state, self.position)
-
-    def restore_position(self, saved: ScanPosition) -> None:
-        self.state = saved.state
-        self.position = saved.item
 
 
 class ForeignStorageMethod(StorageMethod):
@@ -189,11 +96,7 @@ class ForeignStorageMethod(StorageMethod):
         attributes = dict(attributes)
         remote_db = attributes.pop("database", None)
         remote_relation = attributes.pop("relation", None)
-        latency = attributes.pop("latency", 2.0)
-        retries = attributes.pop("retries", 3)
-        threshold = attributes.pop("breaker_threshold", 3)
-        cooldown = attributes.pop("breaker_cooldown", 8)
-        deadline = attributes.pop("deadline", None)
+        knobs = RemoteTransport.pop_knobs(attributes, "foreign storage", 2.0)
         if attributes:
             raise StorageError(
                 f"foreign storage: unknown attributes {sorted(attributes)}")
@@ -201,44 +104,17 @@ class ForeignStorageMethod(StorageMethod):
             raise StorageError(
                 "foreign storage requires 'database' and 'relation' "
                 "attributes")
-        if not isinstance(latency, (int, float)) or latency < 0:
-            raise StorageError(
-                f"foreign storage: latency must be non-negative, got "
-                f"{latency!r}")
-        for name, value in (("retries", retries),
-                            ("breaker_threshold", threshold),
-                            ("breaker_cooldown", cooldown)):
-            if not isinstance(value, int) or value < 0:
-                raise StorageError(
-                    f"foreign storage: {name} must be a non-negative "
-                    f"integer, got {value!r}")
-        if deadline is not None and (
-                not isinstance(deadline, (int, float)) or deadline <= 0):
-            raise StorageError(
-                f"foreign storage: deadline must be a positive number, got "
-                f"{deadline!r}")
         remote_schema = remote_db.catalog.handle(remote_relation).schema
         if tuple(f.type_code for f in remote_schema.fields) != \
                 tuple(f.type_code for f in schema.fields):
             raise StorageError(
                 "foreign storage: local and remote schemas must have "
                 "matching field types")
-        return {"database": remote_db, "relation": remote_relation,
-                "latency": float(latency), "retries": retries,
-                "breaker_threshold": threshold, "breaker_cooldown": cooldown,
-                "deadline": deadline}
+        return {"database": remote_db, "relation": remote_relation, **knobs}
 
     def create_instance(self, ctx, relation_id, schema, attributes) -> dict:
-        descriptor = {"relation_id": relation_id,
-                      "database": attributes["database"],
-                      "relation": attributes["relation"],
-                      "latency": attributes["latency"],
-                      "retries": attributes["retries"],
-                      "breaker_threshold": attributes["breaker_threshold"],
-                      "breaker_cooldown": attributes["breaker_cooldown"]}
-        if attributes.get("deadline") is not None:
-            descriptor["deadline"] = float(attributes["deadline"])
-        return descriptor
+        """The storage descriptor is also the gateway's channel."""
+        return {"relation_id": relation_id, **attributes}
 
     def destroy_instance(self, ctx, descriptor) -> None:
         """Dropping the gateway never touches the foreign relation."""
@@ -246,22 +122,22 @@ class ForeignStorageMethod(StorageMethod):
     def recovery_handler(self) -> ResourceHandler:
         return _ForeignHandler()
 
+    @staticmethod
+    def _remote(handle):
+        """``(descriptor, remote relation)`` behind ``handle``."""
+        descriptor = handle.descriptor.storage_descriptor
+        return descriptor, descriptor["database"].table(descriptor["relation"])
+
     # -- modification ---------------------------------------------------------------
     def insert(self, ctx, handle, record):
         return self.insert_batch(ctx, handle, (record,))[0]
 
     def update(self, ctx, handle, key, old_record, new_record):
-        descriptor = handle.descriptor.storage_descriptor
-        remote = descriptor["database"].table(descriptor["relation"])
-        schema = handle.schema
-        changes = {schema.fields[i].name: value
-                   for i, value in enumerate(new_record)}
-
-        def send():
-            _remote_call(ctx, descriptor, ctx.stats)
-            return remote.update(key, changes)
-
-        new_key = _gateway(descriptor, ctx.stats, send)
+        descriptor, remote = self._remote(handle)
+        changes = {field.name: value for field, value
+                   in zip(handle.schema.fields, new_record)}
+        new_key = TRANSPORT.send(ctx, descriptor, ctx.stats,
+                                 lambda: remote.update(key, changes))
         ctx.log(self.resource, {"op": "update", "remote_key": new_key,
                                 "old": old_record,
                                 "relation_id": descriptor["relation_id"]})
@@ -275,134 +151,87 @@ class ForeignStorageMethod(StorageMethod):
     def insert_batch(self, ctx, handle, records):
         """Ship the whole set in one message (a block-insert protocol) and
         log one compensation record for the group."""
-        descriptor = handle.descriptor.storage_descriptor
-        remote = descriptor["database"].table(descriptor["relation"])
-
-        def send():
-            _remote_call(ctx, descriptor, ctx.stats)
-            return remote.insert_many(records)
-
-        remote_keys = _gateway(descriptor, ctx.stats, send)
+        descriptor, remote = self._remote(handle)
+        remote_keys = list(TRANSPORT.send(
+            ctx, descriptor, ctx.stats, lambda: remote.insert_many(records)))
         ctx.log(self.resource, {"op": "insert_multi",
-                                "remote_keys": list(remote_keys),
+                                "remote_keys": remote_keys,
                                 "relation_id": descriptor["relation_id"]})
         ctx.stats.bump("foreign.inserts", len(remote_keys))
-        return list(remote_keys)
+        return remote_keys
 
     def delete_batch(self, ctx, handle, items) -> None:
-        descriptor = handle.descriptor.storage_descriptor
-        remote = descriptor["database"].table(descriptor["relation"])
+        descriptor, remote = self._remote(handle)
 
-        def send():
-            _remote_call(ctx, descriptor, ctx.stats)
+        def delete_all():
             for key, __ in items:
                 remote.delete(key)
 
-        _gateway(descriptor, ctx.stats, send)
+        TRANSPORT.send(ctx, descriptor, ctx.stats, delete_all)
         ctx.log(self.resource, {"op": "delete_multi",
                                 "olds": [old for __, old in items],
                                 "relation_id": descriptor["relation_id"]})
         ctx.stats.bump("foreign.deletes", len(items))
 
     # -- access -------------------------------------------------------------------------
-    def fetch(self, ctx, handle, key, fields=None, predicate=None):
-        descriptor = handle.descriptor.storage_descriptor
-        remote = descriptor["database"].table(descriptor["relation"])
-
-        def send():
-            _remote_call(ctx, descriptor, ctx.stats)
-            return remote.fetch(key)
-
+    def _read(self, ctx, handle, action, degraded_counter: str, degraded):
+        """One read message; while the gateway is unreachable the read
+        degrades to ``degraded`` (the relation looks empty)."""
+        descriptor, remote = self._remote(handle)
         try:
-            record = _gateway(descriptor, ctx.stats, send)
+            return TRANSPORT.send(ctx, descriptor, ctx.stats,
+                                  lambda: action(remote))
         except GatewayError:
-            ctx.stats.bump("gateway.degraded_fetches")
-            return None
+            ctx.stats.bump(degraded_counter)
+            return degraded
+
+    def fetch(self, ctx, handle, key, fields=None, predicate=None):
+        record = self._read(ctx, handle, lambda remote: remote.fetch(key),
+                            "gateway.degraded_fetches", None)
         if record is None:
             return None
         ctx.stats.bump("foreign.fetches")
-        if predicate is not None and not predicate.matches(record):
-            return None
-        if fields is None:
-            return record
-        return tuple(record[i] for i in fields)
+        return self._shape_read(record, fields, predicate)
 
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Ship the whole key set in one message (a block-fetch protocol)
         instead of one round trip per key."""
-        descriptor = handle.descriptor.storage_descriptor
-        remote = descriptor["database"].table(descriptor["relation"])
-
-        def send():
-            _remote_call(ctx, descriptor, ctx.stats)
-            return [(key, remote.fetch(key)) for key in keys]
-
-        try:
-            fetched = _gateway(descriptor, ctx.stats, send)
-        except GatewayError:
-            ctx.stats.bump("gateway.degraded_fetches")
-            return []
+        fetched = self._read(
+            ctx, handle,
+            lambda remote: [(key, remote.fetch(key)) for key in keys],
+            "gateway.degraded_fetches", ())
         pairs = []
         for key, record in fetched:
-            if record is None:
-                continue
-            if predicate is not None and not predicate.matches(record):
-                continue
-            if fields is None:
+            record = self._shape_read(record, fields, predicate)
+            if record is not None:
                 pairs.append((key, record))
-            else:
-                pairs.append((key, tuple(record[i] for i in fields)))
         ctx.stats.bump("foreign.fetches", len(pairs))
         return pairs
 
     def open_scan(self, ctx, handle, fields=None, predicate=None) -> Scan:
-        descriptor = handle.descriptor.storage_descriptor
-        remote = descriptor["database"].table(descriptor["relation"])
-        # Ship the filter to the remote side (predicate pushdown across the
-        # gateway), then block-fetch the result in one message.
-        remote_predicate = None
-        if predicate is not None:
-            remote_schema = remote.schema
-            remote_predicate = Predicate(predicate.expr, remote_schema,
-                                         predicate.params)
+        """Ship the filter and the projection to the remote side, then
+        block-fetch the result in one message."""
+        def ship(remote):
+            database = remote.database
+            database.authorization.check(database.principal, remote.name,
+                                         SELECT)
+            with database.autocommit() as remote_ctx:
+                return block_scan(database, remote_ctx, remote.name, fields,
+                                  predicate)
 
-        def send():
-            _remote_call(ctx, descriptor, ctx.stats)
-            return remote.scan(where=remote_predicate)
-
-        try:
-            batch = _gateway(descriptor, ctx.stats, send)
-        except GatewayError:
-            # Degraded read: the relation is unavailable, the query sees
-            # an empty result instead of crashing.
-            ctx.stats.bump("gateway.degraded_scans")
-            batch = []
-        scan = ForeignScan(ctx, handle, batch, fields)
-        ctx.services.scans.register(scan)
-        return scan
+        rows = self._read(ctx, handle, ship, "gateway.degraded_scans", [])
+        scan = ShippedScan(ctx, ShippedRows(rows), "foreign.tuples_scanned")
+        return ctx.services.scans.register(scan)
 
     # -- query pushdown -------------------------------------------------------------------
     def fragment_worthwhile(self, ctx, handle, plan, fragment) -> bool:
         """Gate pushdown on expected wire savings (aggregates, top-k, or
-        a narrowing projection); results are bit-identical either way."""
-        from ..access.statistics import statistics_for
+        a narrowing projection); results are bit-identical either way.
+        With the breaker open the pull-up path's degraded empty scan is
+        the established contract, and it is what runs the probe."""
         from ..query import fragments
-        descriptor = handle.descriptor.storage_descriptor
-        if not gateway_available(descriptor):
-            # Breaker open: the pull-up path's degraded empty scan is
-            # the established contract; don't race the probe.
-            ctx.stats.bump("foreign.pushdown.gated_off")
-            return False
-        expected = getattr(plan.access.cost, "expected_tuples", 0.0) or 0.0
-        distinct = None
-        if fragment.kind == "group":
-            table_stats = statistics_for(ctx, handle)
-            if table_stats is not None:
-                distinct = table_stats.distinct(plan.group_index)
-        wire, pull = fragments.pushdown_estimate(fragment, 1, expected,
-                                                 distinct)
-        if wire < pull or fragments.projection_narrows(
-                fragment, len(handle.schema.fields)):
+        if TRANSPORT.available(handle.descriptor.storage_descriptor) \
+                and fragments.ships_less(ctx, handle, plan, fragment, 1):
             return True
         ctx.stats.bump("foreign.pushdown.gated_off")
         return False
@@ -422,15 +251,14 @@ class ForeignStorageMethod(StorageMethod):
         descriptor = handle.descriptor.storage_descriptor
         remote = descriptor["database"]
 
-        def send():
-            _remote_call(ctx, descriptor, ctx.stats)
+        def run():
             with remote.autocommit() as remote_ctx:
                 return fragments.run_fragment_on(
                     remote, remote_ctx, descriptor["relation"], fragment,
                     params, final=True)
 
         try:
-            rows = _gateway(descriptor, ctx.stats, send)
+            rows = TRANSPORT.send(ctx, descriptor, ctx.stats, run)
         except GatewayError as exc:
             ctx.stats.bump("foreign.pushdown.fallbacks")
             raise fragments.FragmentFallback(str(exc)) from exc
@@ -440,28 +268,19 @@ class ForeignStorageMethod(StorageMethod):
 
     # -- planning ---------------------------------------------------------------------------
     def record_count(self, ctx, handle) -> int:
-        descriptor = handle.descriptor.storage_descriptor
-        if not gateway_available(descriptor):
-            # Unavailable relation: the planner sees it as empty.
-            return 0
-        return descriptor["database"].table(descriptor["relation"]).count()
+        descriptor, remote = self._remote(handle)
+        # Unavailable relation: the planner sees it as empty.
+        return remote.count() if TRANSPORT.available(descriptor) else 0
 
     def page_count(self, ctx, handle) -> int:
         # Remote pages are invisible; cost comes from message latency.
         return 0
 
     def estimate_cost(self, ctx, handle, eligible) -> AccessCost:
-        descriptor = handle.descriptor.storage_descriptor
         tuples = max(1, self.record_count(ctx, handle))
-        selectivity = 1.0
-        for pred in eligible:
-            if pred.is_simple:
-                selectivity *= DEFAULT_SELECTIVITY.get(pred.op, 0.5)
-            else:
-                selectivity *= 0.5
-        expected = max(1.0, tuples * selectivity)
+        expected = max(1.0, tuples * default_selectivity(eligible))
         # One message per scan plus shipping cost proportional to result.
-        latency = descriptor.get("latency", 2.0)
+        latency = handle.descriptor.storage_descriptor.get("latency", 2.0)
         return AccessCost(io_pages=latency + expected / 50.0,
                           cpu_tuples=tuples,
                           expected_tuples=expected,

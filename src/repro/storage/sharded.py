@@ -23,13 +23,18 @@ into one globally key-ordered stream (batch-pulled; ``sharded.merge
 Eligible single-table queries go further: the executor compiles the plan
 into a **shard-local fragment** (filters, projections, partial aggregates
 — see :mod:`~repro.query.fragments`) that :meth:`ShardedStorageMethod
-.run_fragment` dispatches to every shard **concurrently** through the
-scatter-gather pool, one remote call per shard, merging the partial
-results at the coordinator.  Statistics-fed gating (per-shard KMV
+.run_fragment` sends to every shard in shard order, one remote call per
+shard, merging the partial results at the coordinator.  Statistics-fed
+gating (per-shard KMV
 sketches unioned across shards when ``child_statistics`` is set) decides
 pushdown vs. pull-up per query; any fragment failure falls back to the
 pull-up path (``sharded.pushdown.fallbacks``) so answers are never
 partial unless ``degraded_reads`` says so.
+
+Every read — fetch, block fetch, scan, fragment — reaches a shard through
+one **read ladder** (:meth:`ShardedStorageMethod._read_shard`): the
+primary through its channel, then the most-caught-up standby, then a
+degraded skip or the original error.
 
 Cross-shard atomicity is presumed-abort two-phase commit built on the
 explicit participant API of :class:`~repro.services.transactions
@@ -83,7 +88,7 @@ standbys, reads route around a dead primary to the most-caught-up standby
 bound in the read report), and under quorum mode a primary declared down
 is replaced by automatic promotion — fenced by an epoch so its late
 writes are rejected.  Every degraded-capable read leaves a structured
-report on ``ctx.read_report`` (and :attr:`ShardedScan.report`):
+report on ``ctx.read_report``:
 ``{"complete", "skipped_shards", "stale_shards", "max_lag_lsn"}``.
 """
 
@@ -92,34 +97,28 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from time import perf_counter
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..core.context import ExecutionContext
 from ..core.hashing import shard_of
-from ..core.storage_method import RelationHandle, StorageMethod
-from ..errors import FencingError, GatewayError, ScanError, StorageError
-from ..query.cost import AccessCost, DEFAULT_SELECTIVITY
+from ..core.storage_method import (RelationHandle, StorageMethod,
+                                   logged_descriptor)
+from ..errors import FencingError, GatewayError, StorageError
+from ..query.cost import AccessCost, default_selectivity
 from ..services import events as ev
-from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
-from ..services.remote import RemoteTransport
+from ..services.remote import RemoteTransport, block_scan
 from ..services.replication import DOWN, MODES, ReplicationService
-from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
-from ..services.scatter import StatsBuffer, shared_pool
-from ..services.stats import NamespacedStats
+from ..services.scans import Scan, ShippedRows, ShippedScan
+from ..services.scatter import shared_pool
 from ..services.transactions import TwoPhaseCoordinator, TxnState
 
-__all__ = ["ShardedStorageMethod", "ShardedScan"]
+__all__ = ["ShardedStorageMethod"]
 
 
-#: Distinguishes "shard unreached" from a legitimate None/empty result.
+#: What the read ladder returns for a shard it skipped (a degraded read),
+#: as opposed to a legitimate None/empty result.
 _UNREACHED = object()
-
-
-def _fresh_report() -> dict:
-    """The structured outcome of one degraded-capable read."""
-    return {"complete": True, "skipped_shards": [], "stale_shards": [],
-            "max_lag_lsn": 0}
 
 
 def _mirror_name(name) -> str:
@@ -128,14 +127,6 @@ def _mirror_name(name) -> str:
     a verbatim mirror could collide with the child's own operation
     savepoints (``__op_<txn>.<seq>``)."""
     return f"__peer_{name}"
-
-
-def _descriptor_for(services, payload: dict) -> dict:
-    database = getattr(services, "database", None)
-    if database is None:
-        raise StorageError("recovery handler needs services.database wired")
-    entry = database.catalog.entry_by_id(payload["relation_id"])
-    return entry.handle.descriptor.storage_descriptor
 
 
 class _ShardParticipant:
@@ -193,13 +184,9 @@ class _ShardParticipant:
                 f"shard {self.index}: participant bound to deposed epoch "
                 f"{self.epoch} (current epoch "
                 f"{self.repl.epoch(self.index)})")
-
-        def send():
-            self.transport.remote_call(self.services, self.channel,
-                                       self.stats)
-            return action()
         try:
-            result = self.transport.call(self.channel, self.stats, send)
+            result = self.transport.send(self.services, self.channel,
+                                         self.stats, action)
         except FencingError:
             raise
         except GatewayError:
@@ -293,7 +280,7 @@ class _ShardedHandler(ResourceHandler):
         # still holding the global transaction.  Delivery is direct — this
         # *is* the resolution channel, charging faults here could wedge
         # restart itself.
-        descriptor = _descriptor_for(services, payload)
+        descriptor = logged_descriptor(services, payload)
         gtid = payload["gtid"]
         for index in payload.get("shards", ()):
             child = descriptor["databases"][index]
@@ -314,18 +301,6 @@ class _ShardedHandler(ResourceHandler):
 
     def redo(self, services, lsn: int, payload: dict) -> None:
         """Children are their own durability domains; nothing to redo."""
-
-
-class _ListSource:
-    """Already-flat shard streams (the unordered concatenation case)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list):
-        self.rows = rows
-
-    def read(self, start: int, n: int) -> list:
-        return self.rows[start:start + n]
 
 
 class _MergeSource:
@@ -378,68 +353,6 @@ class _MergeSource:
         return out
 
 
-class ShardedScan(Scan):
-    """A local scan over the block-fetched shard streams.
-
-    Every available shard ships its (filtered) rows in one message at
-    open; the scan then pulls from a *source* — a flat concatenation,
-    or a lazy k-way merge when the children report a key ordering.  The
-    position is an index into the logical merged stream, so save/restore
-    under partial rollback stays trivial (the merge source replays
-    deterministically on a backward seek).
-
-    :attr:`report` is the structured read outcome: ``complete`` (no shard
-    was skipped), ``skipped_shards`` (unreachable, contributed nothing),
-    ``stale_shards`` (served by a standby), and ``max_lag_lsn`` (worst
-    staleness bound among the stale shards, in log records).
-    """
-
-    def __init__(self, ctx: ExecutionContext, handle: RelationHandle,
-                 source, report: Optional[dict] = None):
-        super().__init__(ctx.txn_id)
-        self.ctx = ctx
-        self.handle = handle
-        if isinstance(source, list):
-            source = _ListSource(source)
-        self.source = source
-        self.state = BEFORE
-        self.position: Optional[int] = None
-        self.report = report if report is not None else _fresh_report()
-
-    def next(self):
-        self._check_open()
-        index = 0 if self.position is None else self.position + 1
-        chunk = self.source.read(index, 1)
-        if not chunk:
-            self.state = AFTER
-            return None
-        self.position = index
-        self.state = ON
-        self.ctx.stats.bump("sharded.tuples_returned")
-        return chunk[0]
-
-    def next_batch(self, n: int) -> list:
-        self._check_open()
-        if n < 1:
-            raise ScanError(f"next_batch needs a positive count, got {n}")
-        index = 0 if self.position is None else self.position + 1
-        chunk = self.source.read(index, n)
-        if not chunk:
-            self.state = AFTER
-            return []
-        self.position = index + len(chunk) - 1
-        self.state = ON
-        self.ctx.stats.bump("sharded.tuples_returned", len(chunk))
-        return chunk
-
-    def save_position(self) -> ScanPosition:
-        return ScanPosition(self.state, self.position)
-
-    def restore_position(self, saved: ScanPosition) -> None:
-        self.state = saved.state
-        self.position = saved.item
-
-
 class ShardedStorageMethod(StorageMethod):
     """Relation operations fanned out over N child databases."""
 
@@ -466,14 +379,11 @@ class ShardedStorageMethod(StorageMethod):
         child_attributes = attributes.pop("child_attributes", None)
         child_statistics = attributes.pop("child_statistics", False)
         degraded_reads = attributes.pop("degraded_reads", False)
-        latency = attributes.pop("latency", 0.5)
-        retries = attributes.pop("retries", 3)
-        threshold = attributes.pop("breaker_threshold", 3)
-        cooldown = attributes.pop("breaker_cooldown", 8)
-        deadline = attributes.pop("deadline", None)
         replicas = attributes.pop("replicas", 0)
         replication = attributes.pop("replication", "async")
         heartbeat_every = attributes.pop("heartbeat_every", 0)
+        channel = RemoteTransport.pop_knobs(attributes, "sharded storage",
+                                            0.5)
         if attributes:
             raise StorageError(
                 f"sharded storage: unknown attributes {sorted(attributes)}")
@@ -491,12 +401,8 @@ class ShardedStorageMethod(StorageMethod):
                 raise StorageError(
                     "sharded storage requires 'shards' (a positive int) or "
                     "'databases' (a list of Database instances)")
-        key_index = None
-        for i, field in enumerate(schema.fields):
-            if field.name == key:
-                key_index = i
-                break
-        if key_index is None:
+        names = [field.name for field in schema.fields]
+        if key not in names:
             raise StorageError(
                 f"sharded storage: partition key {key!r} is not a field of "
                 f"the schema")
@@ -517,34 +423,15 @@ class ShardedStorageMethod(StorageMethod):
             raise StorageError(
                 "sharded storage: 'bounds' only applies to range "
                 "partitioning")
-        if not isinstance(latency, (int, float)) or latency < 0:
-            raise StorageError(
-                f"sharded storage: latency must be non-negative, got "
-                f"{latency!r}")
-        for name, value in (("retries", retries),
-                            ("breaker_threshold", threshold),
-                            ("breaker_cooldown", cooldown)):
-            if not isinstance(value, int) or value < 0:
-                raise StorageError(
-                    f"sharded storage: {name} must be a non-negative "
-                    f"integer, got {value!r}")
         if child_attributes is not None and not isinstance(child_attributes,
                                                            dict):
             raise StorageError(
                 "sharded storage: child_attributes must be a dict")
-        if not isinstance(degraded_reads, bool):
-            raise StorageError(
-                f"sharded storage: degraded_reads must be a bool, got "
-                f"{degraded_reads!r}")
-        if not isinstance(child_statistics, bool):
-            raise StorageError(
-                f"sharded storage: child_statistics must be a bool, got "
-                f"{child_statistics!r}")
-        if deadline is not None and (not isinstance(deadline, (int, float))
-                                     or deadline <= 0):
-            raise StorageError(
-                f"sharded storage: deadline must be a positive number, "
-                f"got {deadline!r}")
+        for name, value in (("degraded_reads", degraded_reads),
+                            ("child_statistics", child_statistics)):
+            if not isinstance(value, bool):
+                raise StorageError(
+                    f"sharded storage: {name} must be a bool, got {value!r}")
         for name, value in (("replicas", replicas),
                             ("heartbeat_every", heartbeat_every)):
             if not isinstance(value, int) or value < 0:
@@ -578,16 +465,12 @@ class ShardedStorageMethod(StorageMethod):
                     "sharded storage: child_statistics cannot be combined "
                     "with replicas")
         return {"databases": databases, "shards": shards,
-                "key": key, "key_index": key_index,
+                "key": key, "key_index": names.index(key),
                 "partition": partition, "bounds": bounds,
                 "child_storage": child_storage,
                 "child_attributes": child_attributes,
                 "child_statistics": child_statistics,
-                "degraded_reads": degraded_reads,
-                "latency": float(latency),
-                "retries": retries, "breaker_threshold": threshold,
-                "breaker_cooldown": cooldown,
-                "deadline": None if deadline is None else float(deadline),
+                "degraded_reads": degraded_reads, "channel": channel,
                 "replicas": replicas, "replication": replication,
                 "heartbeat_every": heartbeat_every}
 
@@ -615,20 +498,13 @@ class ShardedStorageMethod(StorageMethod):
                 if field is None or not field["instances"]:
                     child.create_attachment(relation, "statistics",
                                             f"__stats_{relation}")
-        channels = []
-        for i in range(attributes["shards"]):
-            channel = {"relation": f"shard[{i}]",
-                       "latency": attributes["latency"],
-                       "retries": attributes["retries"],
-                       "breaker_threshold": attributes["breaker_threshold"],
-                       "breaker_cooldown": attributes["breaker_cooldown"],
-                       # The endpoint fault point names the *instance*
-                       # behind the channel: arming it kills this primary
-                       # while its promoted successor stays reachable.
-                       "fault_point": f"shard.{i}.primary"}
-            if attributes["deadline"] is not None:
-                channel["deadline"] = attributes["deadline"]
-            channels.append(channel)
+        # The endpoint fault point names the *instance* behind the
+        # channel: arming it kills this primary while its promoted
+        # successor stays reachable.
+        channels = [{"relation": f"shard[{i}]",
+                     "fault_point": f"shard.{i}.primary",
+                     **attributes["channel"]}
+                    for i in range(attributes["shards"])]
         descriptor = {"relation_id": relation_id, "relation": relation,
                       "databases": databases, "channels": channels,
                       "shards": attributes["shards"],
@@ -636,7 +512,7 @@ class ShardedStorageMethod(StorageMethod):
                       "partition": attributes["partition"],
                       "bounds": attributes["bounds"],
                       "degraded_reads": attributes["degraded_reads"],
-                      "latency": attributes["latency"],
+                      "latency": attributes["channel"]["latency"],
                       "replicas": attributes["replicas"],
                       "replication_mode": attributes["replication"],
                       "replication": None}
@@ -732,10 +608,6 @@ class ShardedStorageMethod(StorageMethod):
             ctx.stats.bump("sharded.enlistments")
         return participant
 
-    def _child_handle(self, descriptor: dict,
-                      participant: _ShardParticipant) -> RelationHandle:
-        return participant.database.catalog.handle(descriptor["relation"])
-
     def _log_enlist(self, ctx: ExecutionContext, ent: _Enlistment,
                     descriptor: dict) -> None:
         """The durable pointer: a coordinator crash must still find every
@@ -816,25 +688,17 @@ class ShardedStorageMethod(StorageMethod):
     def delete(self, ctx, handle, key, old_record) -> None:
         self.delete_batch(ctx, handle, ((key, old_record),))
 
-    def _migrate(self, ctx, handle, ent, key, new_index, new_record):
-        """The partition key moved: migrate the record across shards —
-        delete here, insert there, both inside the same global txn."""
-        descriptor = self._descriptor(handle)
-        old_index, remote_key = key
-        source = self._participant(ctx, handle, ent, old_index)
-        target = self._participant(ctx, handle, ent, new_index)
-        source_handle = self._child_handle(descriptor, source)
-        target_handle = self._child_handle(descriptor, target)
-        source.call(lambda: source.database.data.delete(
-            source.context(), source_handle, remote_key))
-        new_remote = target.call(lambda: target.database.data.insert(
-            target.context(), target_handle, new_record))
-        source.wrote = True
-        target.wrote = True
-        source.stats.bump("remote.tuples_written")
-        target.stats.bump("remote.tuples_written")
-        ctx.stats.bump("sharded.migrations")
-        return (new_index, new_remote)
+    def _write(self, ctx, handle, ent, index: int, op: str, batch):
+        """One block-write message: the child's ``op`` over ``batch``."""
+        participant = self._participant(ctx, handle, ent, index)
+        child = participant.database
+        child_handle = child.catalog.handle(
+            self._descriptor(handle)["relation"])
+        result = participant.call(lambda: getattr(child.data, op)(
+            participant.context(), child_handle, batch))
+        participant.wrote = True
+        participant.stats.bump("remote.tuples_written", len(batch))
+        return result
 
     # -- set-at-a-time modification ----------------------------------------------
     def insert_batch(self, ctx, handle, records):
@@ -849,23 +713,19 @@ class ShardedStorageMethod(StorageMethod):
         keys: list = [None] * len(records)
         for index in sorted(groups):
             group = groups[index]
-            participant = self._participant(ctx, handle, ent, index)
-            child_handle = self._child_handle(descriptor, participant)
-            batch = [record for __, record in group]
-            remote_keys = participant.call(
-                lambda p=participant, h=child_handle, b=batch:
-                p.database.data.insert_batch(p.context(), h, b))
+            remote_keys = self._write(ctx, handle, ent, index, "insert_batch",
+                                      [record for __, record in group])
             for (position, __), remote_key in zip(group, remote_keys):
                 keys[position] = (index, remote_key)
-            participant.wrote = True
-            participant.stats.bump("remote.tuples_written", len(batch))
         ctx.stats.bump("sharded.inserts", len(records))
         ctx.stats.bump("sharded.batch_fanout", len(groups))
         return keys
 
     def update_batch(self, ctx, handle, items):
         """Route each (key, old, new) by its current shard; one message per
-        shard for in-place updates, migrations go record-at-a-time."""
+        shard for in-place updates.  A record whose partition key moved
+        migrates on its own — deleted here, inserted there, inside the
+        same global transaction."""
         descriptor = self._descriptor(handle)
         ent = self._enlist(ctx, handle)
         self._mark_write(ctx, handle, ent)
@@ -878,180 +738,150 @@ class ShardedStorageMethod(StorageMethod):
             if new_index == old_index:
                 in_place.setdefault(old_index, []).append(
                     (position, remote_key, new_record))
-            else:
-                keys[position] = self._migrate(ctx, handle, ent, key,
-                                               new_index, new_record)
+                continue
+            self._write(ctx, handle, ent, old_index, "delete_batch",
+                        [remote_key])
+            keys[position] = (new_index, self._write(
+                ctx, handle, ent, new_index, "insert_batch",
+                [new_record])[0])
+            ctx.stats.bump("sharded.migrations")
         for index in sorted(in_place):
             group = in_place[index]
-            participant = self._participant(ctx, handle, ent, index)
-            child_handle = self._child_handle(descriptor, participant)
-            pairs = [(remote_key, new_record)
-                     for __, remote_key, new_record in group]
-            new_remotes = participant.call(
-                lambda p=participant, h=child_handle, b=pairs:
-                p.database.data.update_batch(p.context(), h, b))
+            new_remotes = self._write(
+                ctx, handle, ent, index, "update_batch",
+                [(remote_key, new_record)
+                 for __, remote_key, new_record in group])
             for (position, __, ___), new_remote in zip(group, new_remotes):
                 keys[position] = (index, new_remote)
-            participant.wrote = True
-            participant.stats.bump("remote.tuples_written", len(pairs))
         ctx.stats.bump("sharded.updates", len(items))
         ctx.stats.bump("sharded.batch_fanout", len(in_place))
         return keys
 
     def delete_batch(self, ctx, handle, items) -> None:
-        descriptor = self._descriptor(handle)
         ent = self._enlist(ctx, handle)
         self._mark_write(ctx, handle, ent)
         groups: Dict[int, list] = {}
-        for key, __ in items:
-            index, remote_key = key
+        for (index, remote_key), __ in items:
             groups.setdefault(index, []).append(remote_key)
         for index in sorted(groups):
-            participant = self._participant(ctx, handle, ent, index)
-            child_handle = self._child_handle(descriptor, participant)
-            remote_keys = groups[index]
-            participant.call(
-                lambda p=participant, h=child_handle, b=remote_keys:
-                p.database.data.delete_batch(p.context(), h, b))
-            participant.wrote = True
-            participant.stats.bump("remote.tuples_written", len(remote_keys))
+            self._write(ctx, handle, ent, index, "delete_batch",
+                        groups[index])
         ctx.stats.bump("sharded.deletes", len(items))
         ctx.stats.bump("sharded.batch_fanout", len(groups))
 
-    # -- degraded / failed-over reads ---------------------------------------------
+    # -- the read ladder ----------------------------------------------------------
     @staticmethod
     def _start_report(ctx: ExecutionContext) -> dict:
         """Begin a structured read outcome and publish it on the context."""
-        report = _fresh_report()
-        ctx.read_report = report
-        return report
+        ctx.read_report = {"complete": True, "skipped_shards": [],
+                           "stale_shards": [], "max_lag_lsn": 0}
+        return ctx.read_report
+
+    def _read_shard(self, ctx, handle, ent, index: int, report: dict, action,
+                    skip_counter: str):
+        """Read shard ``index``: what ``action(database, child_ctx)``
+        returns, or ``_UNREACHED`` for a shard a degraded read skipped.
+
+        Rung one is the primary, through ``participant.call`` — fence,
+        fault points, retry, breaker, replication health; an open
+        breaker fails fast there (no message, no charge), which is also
+        what ticks its cooldown and runs its half-open probe, so reads
+        alone heal a shard.  A :class:`GatewayError` from it leads to
+        :meth:`_read_around`.  A fence is a decision, not a dead channel,
+        and anything else is a fault inside the child: both propagate.
+        """
+        participant = self._participant(ctx, handle, ent, index)
+        try:
+            return participant.call(lambda: action(participant.database,
+                                                   participant.context()))
+        except FencingError:
+            raise
+        except GatewayError as failure:
+            return self._read_around(ctx, self._descriptor(handle), index,
+                                     report, action, skip_counter, failure)
 
     @staticmethod
-    def _stale_read(descriptor: dict, index: int, report: dict, action):
-        """Try the shard's standbys; the result, or ``_UNREACHED``.
+    def _read_around(ctx, descriptor: dict, index: int, report: dict, action,
+                     skip_counter: str, failure: Optional[GatewayError]):
+        """Rungs two and three, for a shard whose primary is unreachable.
 
-        A successful standby read marks the shard stale in the report and
-        widens its staleness bound by the standby's lag.
+        The most-caught-up standby runs the same ``action`` in a
+        transaction of its own; success marks the shard stale in the
+        report and widens the staleness bound by the standby's lag.
+        With no standby reachable the shard is skipped when the relation
+        opted in (``degraded_reads``), else the read fails closed with
+        the primary's error.
         """
         repl = descriptor.get("replication")
-        if repl is None or not repl.standbys(index):
-            return _UNREACHED
-        try:
-            result, lag = repl.failover_read(index, action)
-        except GatewayError:
-            return _UNREACHED
-        report["stale_shards"].append(index)
-        report["max_lag_lsn"] = max(report["max_lag_lsn"], lag)
-        return result
+        if repl is not None and repl.standbys(index):
 
-    @staticmethod
-    def _skip_shard(ctx: ExecutionContext, descriptor: dict, index: int,
-                    report: dict, counter: str,
-                    failure: Optional[GatewayError]) -> None:
-        """Degraded skip (opted in) or fail closed with the original error."""
+            def on_standby(database):
+                with database.autocommit() as child_ctx:
+                    return action(database, child_ctx)
+
+            try:
+                result, lag = repl.failover_read(index, on_standby)
+            except GatewayError:
+                pass
+            else:
+                report["stale_shards"].append(index)
+                report["max_lag_lsn"] = max(report["max_lag_lsn"], lag)
+                return result
         if not descriptor.get("degraded_reads"):
-            if failure is not None:
-                raise failure
-            raise GatewayError(
+            raise failure or GatewayError(
                 f"shard {index} is unavailable (circuit breaker open); "
                 f"create the relation with degraded_reads=True to read "
                 f"around dead shards")
-        ctx.stats.bump(counter)
+        ctx.stats.bump(skip_counter)
         ctx.stats.bump(f"shard.{index}.degraded_skips")
         report["complete"] = False
         report["skipped_shards"].append(index)
+        return _UNREACHED
 
     # -- access -------------------------------------------------------------------
     def fetch(self, ctx, handle, key, fields=None, predicate=None):
-        descriptor = self._descriptor(handle)
-        ent = self._enlist(ctx, handle)
-        report = self._start_report(ctx)
+        relation = self._descriptor(handle)["relation"]
         index, remote_key = key
-        participant = self._participant(ctx, handle, ent, index)
-        child_handle = self._child_handle(descriptor, participant)
-        record = _UNREACHED
-        failure = None
-        try:
-            record = participant.call(
-                lambda: participant.database.data.fetch(
-                    participant.context(), child_handle, remote_key))
-        except GatewayError as exc:
-            failure = exc
-        if record is _UNREACHED:
-
-            def fetch_standby(db, relation=descriptor["relation"],
-                              rk=remote_key):
-                h = db.catalog.handle(relation)
-                with db.autocommit() as sctx:
-                    return db.data.fetch(sctx, h, rk)
-
-            record = self._stale_read(descriptor, index, report,
-                                      fetch_standby)
-        if record is _UNREACHED:
-            self._skip_shard(ctx, descriptor, index, report,
-                             "remote.degraded_fetches", failure)
-            return None
-        if record is None:
+        record = self._read_shard(
+            ctx, handle, self._enlist(ctx, handle), index,
+            self._start_report(ctx),
+            lambda database, child_ctx: database.data.fetch(
+                child_ctx, database.catalog.handle(relation), remote_key),
+            "remote.degraded_fetches")
+        if record is _UNREACHED or record is None:
             return None
         ctx.stats.bump("sharded.fetches")
-        if predicate is not None and not predicate.matches(record):
-            return None
-        if fields is None:
-            return record
-        return tuple(record[i] for i in fields)
+        return self._shape_read(record, fields, predicate)
 
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Group the key set by shard: one block-fetch message per shard,
         results stitched back into input order."""
-        descriptor = self._descriptor(handle)
+        relation = self._descriptor(handle)["relation"]
         ent = self._enlist(ctx, handle)
         report = self._start_report(ctx)
         groups: Dict[int, list] = {}
-        for key in keys:
-            index, remote_key = key
+        for index, remote_key in keys:
             groups.setdefault(index, []).append(remote_key)
         fetched: Dict = {}
         for index in sorted(groups):
-            participant = self._participant(ctx, handle, ent, index)
-            child_handle = self._child_handle(descriptor, participant)
-            remote_keys = groups[index]
-            pairs = _UNREACHED
-            failure = None
-            try:
-                pairs = participant.call(
-                    lambda p=participant, h=child_handle, b=remote_keys:
-                    p.database.data.fetch_many(p.context(), h, b))
-            except GatewayError as exc:
-                failure = exc
-            else:
-                participant.stats.bump("remote.tuples_fetched", len(pairs))
-            if pairs is _UNREACHED:
 
-                def fetch_standby(db, relation=descriptor["relation"],
-                                  rks=remote_keys):
-                    h = db.catalog.handle(relation)
-                    with db.autocommit() as sctx:
-                        return db.data.fetch_many(sctx, h, rks)
+            def fetch_group(database, child_ctx, remote_keys=groups[index]):
+                return database.data.fetch_many(
+                    child_ctx, database.catalog.handle(relation), remote_keys)
 
-                pairs = self._stale_read(descriptor, index, report,
-                                         fetch_standby)
+            pairs = self._read_shard(ctx, handle, ent, index, report,
+                                     fetch_group, "remote.degraded_fetches")
             if pairs is _UNREACHED:
-                self._skip_shard(ctx, descriptor, index, report,
-                                 "remote.degraded_fetches", failure)
                 continue
+            ent.participants[index].stats.bump("remote.tuples_fetched",
+                                               len(pairs))
             for remote_key, record in pairs:
                 fetched[(index, remote_key)] = record
         results = []
         for key in keys:
-            record = fetched.get(key)
-            if record is None:
-                continue
-            if predicate is not None and not predicate.matches(record):
-                continue
-            if fields is None:
+            record = self._shape_read(fetched.get(key), fields, predicate)
+            if record is not None:
                 results.append((key, record))
-            else:
-                results.append((key, tuple(record[i] for i in fields)))
         ctx.stats.bump("sharded.fetches", len(results))
         return results
 
@@ -1075,81 +905,20 @@ class ShardedStorageMethod(StorageMethod):
 
     def open_scan(self, ctx, handle, fields=None, predicate=None) -> Scan:
         descriptor = self._descriptor(handle)
+        relation = descriptor["relation"]
         ent = self._enlist(ctx, handle)
         report = self._start_report(ctx)
         streams = []
         for index in range(descriptor["shards"]):
-            transport = self._transport(index)
-            rows = _UNREACHED
-            failure = None
-            if transport.available(descriptor["channels"][index]):
-                participant = self._participant(ctx, handle, ent, index)
-                child_handle = self._child_handle(descriptor, participant)
-                child_predicate = None
-                if predicate is not None:
-                    child_predicate = Predicate(predicate.expr,
-                                                child_handle.schema,
-                                                predicate.params)
-
-                def ship(p=participant, h=child_handle,
-                         where=child_predicate):
-                    # The children project: a heap child decodes only
-                    # ``fields``, and only those cross the channel.
-                    scan = p.database.data.open_scan(p.context(), h, fields,
-                                                     where)
-                    try:
-                        rows = []
-                        while True:
-                            chunk = scan.next_batch(256)
-                            if not chunk:
-                                break
-                            rows.extend(chunk)
-                    finally:
-                        scan.close()
-                    return rows
-
-                try:
-                    rows = participant.call(ship)
-                except GatewayError as exc:
-                    failure = exc
-                else:
-                    participant.stats.bump("remote.tuples_scanned",
-                                           len(rows))
+            rows = self._read_shard(
+                ctx, handle, ent, index, report,
+                lambda database, child_ctx: block_scan(
+                    database, child_ctx, relation, fields, predicate),
+                "remote.degraded_scans")
             if rows is _UNREACHED:
-                # Fail over to the most-caught-up standby: a stale-but-
-                # bounded stream beats no stream, and the report says
-                # exactly which shards are stale and by how much.
-
-                def drain_standby(db, relation=descriptor["relation"],
-                                  where=predicate):
-                    h = db.catalog.handle(relation)
-                    child_where = None
-                    if where is not None:
-                        child_where = Predicate(where.expr, h.schema,
-                                                where.params)
-                    with db.autocommit() as sctx:
-                        scan = db.data.open_scan(sctx, h, fields,
-                                                 child_where)
-                        try:
-                            out = []
-                            while True:
-                                chunk = scan.next_batch(256)
-                                if not chunk:
-                                    break
-                                out.extend(chunk)
-                        finally:
-                            scan.close()
-                            db.services.scans.unregister(scan)
-                    return out
-
-                rows = self._stale_read(descriptor, index, report,
-                                        drain_standby)
-            if rows is _UNREACHED:
-                # Degraded read (opted in): the dead shard contributes no
-                # rows rather than failing the whole scan.
-                self._skip_shard(ctx, descriptor, index, report,
-                                 "remote.degraded_scans", failure)
                 continue
+            ent.participants[index].stats.bump("remote.tuples_scanned",
+                                               len(rows))
             streams.append([((index, remote_key), record)
                             for remote_key, record in rows])
         if len(streams) > 1 and self._child_order(ctx, descriptor):
@@ -1160,12 +929,10 @@ class ShardedStorageMethod(StorageMethod):
             source = _MergeSource(streams, ctx.stats)
             ctx.stats.bump("sharded.merged_scans")
         else:
-            source = _ListSource(
+            source = ShippedRows(
                 [pair for stream in streams for pair in stream])
-        ctx.read_report = report  # _child_order spawns child reads
-        scan = ShardedScan(ctx, handle, source, report)
-        ctx.services.scans.register(scan)
-        return scan
+        scan = ShippedScan(ctx, source, "sharded.tuples_returned")
+        return ctx.services.scans.register(scan)
 
     # -- cross-shard query pushdown ------------------------------------------------
     def fragment_worthwhile(self, ctx, handle, plan, fragment) -> bool:
@@ -1179,204 +946,106 @@ class ShardedStorageMethod(StorageMethod):
         """
         from ..query import fragments
         descriptor = self._descriptor(handle)
-        if self._child_order(ctx, descriptor):
-            ctx.stats.bump("sharded.pushdown.gated_off")
-            return False
-        shards = descriptor["shards"]
-        expected = getattr(plan.access.cost, "expected_tuples", 0.0) or 0.0
-        distinct = None
-        if fragment.kind == "group":
-            distinct = self._group_distinct(ctx, handle, descriptor,
-                                            plan.group_index)
-        wire, pull = fragments.pushdown_estimate(fragment, shards, expected,
-                                                 distinct)
-        if wire < pull or fragments.projection_narrows(
-                fragment, len(handle.schema.fields)):
-            return True
+        if not self._child_order(ctx, descriptor):
+            distinct = None
+            if fragment.kind == "group":
+                distinct = self._sketched_distinct(ctx, descriptor,
+                                                   plan.group_index)
+            if fragments.ships_less(ctx, handle, plan, fragment,
+                                    descriptor["shards"], distinct):
+                return True
         ctx.stats.bump("sharded.pushdown.gated_off")
         return False
 
-    def _group_distinct(self, ctx, handle, descriptor: dict,
-                        group_index: int) -> Optional[float]:
+    @staticmethod
+    def _sketched_distinct(ctx, descriptor: dict,
+                           group_index: int) -> Optional[float]:
         """Global distinct estimate for the grouping column: the union of
-        the per-shard KMV sketches when every child tracks statistics,
-        else the coordinator's own statistics, else ``None``."""
-        from ..access.statistics import (kmv_union_estimate, sketch_state,
-                                         statistics_for)
+        the per-shard KMV sketches, or ``None`` unless every child tracks
+        statistics."""
+        from ..access.statistics import kmv_union_estimate, sketch_state
         sketches = []
         for child in descriptor["databases"]:
-            child_handle = child.catalog.handle(descriptor["relation"])
-            column = sketch_state(child, child_handle, group_index)
+            column = sketch_state(
+                child, child.catalog.handle(descriptor["relation"]),
+                group_index)
             if column is None:
-                sketches = None
-                break
+                return None
             sketches.append(column["kmv"])
-        if sketches is not None:
-            ctx.stats.bump("sharded.pushdown.kmv_unions")
-            return float(kmv_union_estimate(sketches))
-        table_stats = statistics_for(ctx, handle)
-        if table_stats is not None:
-            distinct = table_stats.distinct(group_index)
-            if distinct is not None:
-                return float(distinct)
-        return None
+        ctx.stats.bump("sharded.pushdown.kmv_unions")
+        return float(kmv_union_estimate(sketches))
 
     def run_fragment(self, ctx, handle, fragment, params):
         """Execute one shard-local fragment per shard — a single remote
-        call each, dispatched concurrently — and run the coordinator
-        merge program over the partial results.
+        call each, in shard order — and run the coordinator merge program
+        over the partial results.
 
-        Per shard, the read ladder matches :meth:`open_scan` exactly:
-        primary through the channel (retry/breaker/fencing), then the
-        most-caught-up standby (marked stale in the read report), then a
-        degraded skip when opted in.  *Any* other failure — fencing, an
-        injected kernel fault, an unreachable shard without
-        ``degraded_reads`` — raises :class:`FragmentFallback` so the
-        executor transparently re-runs the query on the pull-up path:
-        fail closed, never a partial answer.
+        Each fragment climbs the read ladder like any other read.
+        Whatever the ladder raises — a fence, a fault inside a child, an
+        unreachable shard without ``degraded_reads`` — becomes
+        :class:`FragmentFallback`, so the executor re-runs the query on
+        the pull-up path: fail closed, never a partial answer.
         """
         from ..query import fragments
         descriptor = self._descriptor(handle)
+        relation = descriptor["relation"]
         ent = self._enlist(ctx, handle)
         report = self._start_report(ctx)
-        repl = descriptor.get("replication")
-        relation = descriptor["relation"]
-        shards = descriptor["shards"]
-        sources = [_UNREACHED] * shards
-        failures: Dict[int, GatewayError] = {}
-        members, tasks, buffers = [], [], []
-        for index in range(shards):
-            transport = self._transport(index)
-            channel = descriptor["channels"][index]
-            if not transport.available(channel):
-                continue
-            participant = self._participant(ctx, handle, ent, index)
-            # Touch the lazy engine in the coordinator thread; workers
-            # must never race its first construction.
-            participant.database.query_engine
-            buffer = StatsBuffer()
-            members.append(index)
-            buffers.append(buffer)
-            tasks.append(self._fragment_task(ctx, descriptor, fragment,
-                                             params, index, participant,
-                                             channel, transport, buffer))
-        results = shared_pool().run(tasks)
-        # Gather serially: stats buffers, replication health and failure
-        # classification all touch single-threaded machinery.
-        fallback = None
-        for index, buffer, (rows, error) in zip(members, buffers, results):
-            buffer.merge_into(ctx.services.stats)
-            if error is None:
-                sources[index] = rows
-                if repl is not None:
-                    repl.report_success(index)
-                continue
-            if isinstance(error, FencingError) \
-                    or not isinstance(error, GatewayError):
-                # A fence or a child-side fault is not a dead channel;
-                # no failover, no degraded skip — fall back whole.
-                if fallback is None:
-                    fallback = error
-                continue
-            failures[index] = error
-            if repl is not None:
-                repl.report_failure(index)
-                if repl.health(index) == DOWN:
-                    repl.maybe_promote(index)
-        if fallback is not None:
-            ctx.stats.bump("sharded.pushdown.fallbacks")
-            raise fragments.FragmentFallback(str(fallback)) from fallback
-        for index in range(shards):
-            if sources[index] is not _UNREACHED:
-                continue
 
-            def run_standby(db, relation=relation):
-                with db.autocommit() as standby_ctx:
-                    return fragments.run_fragment_on(
-                        db, standby_ctx, relation, fragment, params)
+        def thunk_for(index):
+            shard_stats = ctx.stats.namespace(f"shard.{index}")
 
-            rows = self._stale_read(descriptor, index, report, run_standby)
-            if rows is _UNREACHED:
-                if not descriptor.get("degraded_reads"):
-                    ctx.stats.bump("sharded.pushdown.fallbacks")
-                    raise fragments.FragmentFallback(
-                        f"shard {index} unreachable"
-                    ) from failures.get(index)
-                self._skip_shard(ctx, descriptor, index, report,
-                                 "remote.degraded_fragments",
-                                 failures.get(index))
-                continue
-            ctx.services.stats.namespace(f"shard.{index}").bump(
-                "fragment.rows", len(rows))
-            sources[index] = rows
-        merged = fragments.merge_fragment_results(
-            fragment,
-            [rows for rows in sources if rows is not _UNREACHED], params)
-        ctx.stats.bump("sharded.pushdown.queries")
-        ctx.stats.bump("sharded.pushdown.fragments", len(tasks))
-        ctx.read_report = report
-        return merged
-
-    def _fragment_task(self, ctx, descriptor, fragment, params, index,
-                       participant, channel, transport, buffer):
-        """One worker thunk: the whole fragment as one remote call.
-
-        The worker writes counters only into its private buffer (mirrored
-        under ``shard.<i>.``), owns the channel's breaker state for the
-        duration, and reports nothing to replication — the gather loop
-        applies health transitions serially.
-        """
-        from ..query import fragments
-        repl = descriptor.get("replication")
-        relation = descriptor["relation"]
-        services = ctx.services
-        shard_stats = NamespacedStats(buffer, f"shard.{index}")
-
-        def task():
-            if repl is not None \
-                    and repl.epoch(index) != participant.epoch:
-                raise FencingError(
-                    f"shard {index}: fragment bound to deposed epoch "
-                    f"{participant.epoch}")
-
-            def send():
-                transport.remote_call(services, channel, shard_stats)
+            def run(database, child_ctx):
                 started = perf_counter()
                 rows = fragments.run_fragment_on(
-                    participant.database, participant.context(), relation,
-                    fragment, params, cache_key=participant.database)
-                shard_stats.bump("fragment.micros",
-                                 int((perf_counter() - started) * 1e6))
+                    database, child_ctx, relation, fragment, params,
+                    cache_key=database)
+                shard_stats.bump_many({
+                    "fragment.calls": 1, "fragment.rows": len(rows),
+                    "fragment.micros":
+                        int((perf_counter() - started) * 1e6)})
                 return rows
 
-            rows = transport.call(channel, shard_stats, send)
-            shard_stats.bump("fragment.calls")
-            shard_stats.bump("fragment.rows", len(rows))
-            return rows
+            return lambda: self._read_shard(ctx, handle, ent, index, report,
+                                            run, "remote.degraded_fragments")
 
-        return task
+        # One ``run`` call per statement: the fan-out seam the pushdown
+        # bench and the wall-clock harness watch.
+        results = shared_pool().run(
+            [thunk_for(index) for index in range(descriptor["shards"])])
+        sources = []
+        for rows, error in results:
+            if error is not None:
+                ctx.stats.bump("sharded.pushdown.fallbacks")
+                raise fragments.FragmentFallback(str(error)) from error
+            if rows is not _UNREACHED:
+                sources.append(rows)
+        merged = fragments.merge_fragment_results(fragment, sources, params)
+        ctx.stats.bump("sharded.pushdown.queries")
+        ctx.stats.bump("sharded.pushdown.fragments", len(results))
+        return merged
 
     # -- planning -----------------------------------------------------------------
     def record_count(self, ctx, handle) -> int:
+        """Planning reads charge no message: a live primary is counted
+        directly, and only a shard whose breaker is open takes the
+        ladder's lower rungs."""
         descriptor = self._descriptor(handle)
         report = self._start_report(ctx)
+
+        def count(database, child_ctx=None):
+            return database.table(descriptor["relation"]).count()
+
         total = 0
         for index, child in enumerate(descriptor["databases"]):
-            transport = self._transport(index)
-            if not transport.available(descriptor["channels"][index]):
-
-                def count_standby(db, relation=descriptor["relation"]):
-                    return db.table(relation).count()
-
-                count = self._stale_read(descriptor, index, report,
-                                         count_standby)
-                if count is not _UNREACHED:
-                    total += count
-                    continue
-                self._skip_shard(ctx, descriptor, index, report,
-                                 "remote.degraded_scans", None)
+            if self._transport(index).available(
+                    descriptor["channels"][index]):
+                total += count(child)
                 continue
-            total += child.table(descriptor["relation"]).count()
+            counted = self._read_around(ctx, descriptor, index, report,
+                                        count, "remote.degraded_scans", None)
+            if counted is not _UNREACHED:
+                total += counted
         return total
 
     def page_count(self, ctx, handle) -> int:
@@ -1386,13 +1055,7 @@ class ShardedStorageMethod(StorageMethod):
     def estimate_cost(self, ctx, handle, eligible) -> AccessCost:
         descriptor = self._descriptor(handle)
         tuples = max(1, self.record_count(ctx, handle))
-        selectivity = 1.0
-        for pred in eligible:
-            if pred.is_simple:
-                selectivity *= DEFAULT_SELECTIVITY.get(pred.op, 0.5)
-            else:
-                selectivity *= 0.5
-        expected = max(1.0, tuples * selectivity)
+        expected = max(1.0, tuples * default_selectivity(eligible))
         shards = descriptor["shards"]
         latency = descriptor.get("latency", 0.5)
         return AccessCost(io_pages=shards * latency + expected / 50.0,

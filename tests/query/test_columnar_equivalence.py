@@ -201,7 +201,7 @@ def _assert_backend_independent(statement, families):
 # Fault containment
 # ---------------------------------------------------------------------------
 
-def test_kernel_fault_falls_back_to_row_path(cdb):
+def test_kernel_fault_reruns_on_the_python_backend(cdb):
     """One kernel fault: the answer comes from rerunning the program on
     the Python backend."""
     statement = "SELECT dept, COUNT(*), AVG(salary) FROM emp GROUP BY dept"

@@ -271,7 +271,7 @@ def test_program_compiled_once_and_invalidated_by_ddl(monkeypatch):
     assert len(compiles) >= 2
 
 
-def test_join_kernel_fault_falls_back_to_row_path():
+def test_join_kernel_fault_reruns_on_the_python_backend():
     """One kernel fault under a join: both inputs are read again and the
     answer comes from the rerun on the Python backend."""
     db = _seed(Database(page_size=1024, buffer_capacity=256))

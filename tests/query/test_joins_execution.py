@@ -60,7 +60,7 @@ def reference(db):
     return sorted(out)
 
 
-def test_nested_loop_matches_reference(joined):
+def test_hash_join_matches_reference(joined):
     """The hash source — what runs where no keyed route exists — against
     the nested loop of ``reference``."""
     assert run_with(joined, "hash") == reference(joined)

@@ -85,7 +85,7 @@ def test_keyed_join_is_costed_on_the_filtered_outer(db):
     assert plan["join"]["estimated_cost"] < 100
 
 
-def test_join_falls_back_to_nested_loop(db):
+def test_join_falls_back_to_hash(db):
     """No keyed route on the inner join column: the hash join (which
     replaced the nested loop as the method of last resort)."""
     left = db.create_table("l", [("id", "INT"), ("fk", "INT")])

@@ -5,7 +5,7 @@ import pytest
 from repro import Database
 from repro.core.context import ExecutionContext
 from repro.core.hashing import shard_of
-from repro.errors import GatewayError, StorageError
+from repro.errors import FencingError, GatewayError, StorageError
 from repro.services import events as ev
 from repro.services.replication import DOWN, HEALTHY, SUSPECT
 
@@ -325,6 +325,104 @@ def test_reads_fail_over_to_standby_and_report_staleness():
     assert record is not None
     assert fetch_report["stale_shards"] == [1]
     assert fetch_report["max_lag_lsn"] >= 0
+
+
+def _fetch(db, ctx, handle, keys):
+    assert db.data.fetch(ctx, handle, keys[0]) is not None
+
+
+def _fetch_many(db, ctx, handle, keys):
+    assert len(db.data.fetch_many(ctx, handle, keys)) == len(keys)
+
+
+def _scan(db, ctx, handle, keys):
+    scan = db.data.open_scan(ctx, handle, None, None)
+    assert len(db.services.scans.drain(scan)) == len(ROWS)
+
+
+def _pushed_group_by(db, ctx, handle, keys):
+    rows = db.query_engine.execute(
+        "SELECT name, COUNT(*) FROM emp GROUP BY name")
+    assert len(rows) == len(ROWS)
+    assert db.services.stats.get("sharded.pushdown.queries") == 1
+
+
+@pytest.mark.parametrize("read", [_fetch, _fetch_many, _scan,
+                                  _pushed_group_by])
+def test_every_read_entry_point_climbs_the_same_ladder(read, monkeypatch):
+    """A dead primary, then a standby that answers: whichever way the
+    read came in, the shard is stale in the report, the failure reached
+    replication health once, and one stale read was counted."""
+    db, table = make_replicated()
+    keys = [key for key in table.insert_many(ROWS) if key[0] == 1]
+    descriptor, repl = replication_of(db)
+    handle = db.catalog.handle("emp")
+    method = db.registry.storage_method(handle.descriptor.storage_method_id)
+    reports = []
+    start_report = method._start_report
+    monkeypatch.setattr(
+        method, "_start_report",
+        lambda ctx: reports.append(start_report(ctx)) or reports[-1])
+    kill_primary(db, 1)
+    txn, ctx = begin_ctx(db)
+    read(db, ctx, handle, keys)
+    db.services.transactions.commit(txn)
+    # (planning begins reports of its own; the read's is the last)
+    assert reports[-1] == {"complete": True, "skipped_shards": [],
+                           "stale_shards": [1],
+                           "max_lag_lsn": reports[-1]["max_lag_lsn"]}
+    stats = db.services.stats
+    assert stats.get("shard.1.stale_reads") == 1
+    assert stats.get("repl.stale_reads") == 1
+    assert stats.get("shard.1.remote.gateway.retry.exhausted") == 1
+    assert repl.sets[1].strikes == 1 and repl.sets[0].strikes == 0
+
+
+def test_a_fenced_fragment_counts_the_fence_and_leaves_health_alone():
+    """A fence is a decision, not a dead channel: like a fenced write, a
+    fenced fragment counts ``repl.fenced``, reports nothing to
+    replication health, and is neither failed over nor skipped."""
+    db, table = make_replicated(degraded_reads=True)
+    table.insert_many(ROWS)
+    descriptor, repl = replication_of(db)
+    count = "SELECT COUNT(*) FROM emp"
+    db.begin()
+    assert db.execute(count) == [(len(ROWS),)]  # binds both shards, epoch 0
+    repl.promote(0, reason="test")
+    with pytest.raises(FencingError):
+        db.execute(count)
+    db.rollback()
+    stats = db.services.stats
+    assert stats.get("repl.fenced") == 2  # the fragment, then the pull-up
+    assert stats.get("sharded.pushdown.fallbacks") == 1
+    assert stats.get("remote.gateway.retry.exhausted") == 0
+    assert stats.get("repl.stale_reads") == 0
+    assert stats.get("shard.0.degraded_skips") == 0
+    assert repl.health(0) == HEALTHY and repl.sets[0].strikes == 0
+    assert db.execute(count) == [(len(ROWS),)]  # a new transaction rebinds
+
+
+def test_a_fault_inside_a_child_falls_back_whole():
+    """Not a ``GatewayError``: the channel worked and the child failed,
+    so there is no failover and no degraded skip — the fragment falls
+    back and the pull-up path recomputes the answer."""
+    db, table = make_replicated(degraded_reads=True)
+    table.insert_many(ROWS)
+    descriptor, repl = replication_of(db)
+    total = "SELECT SUM(id) FROM emp"
+    expected = db.execute(total)
+    child = descriptor["databases"][1]
+    # Every kernel call in the child fails, its rerun too: a QueryError.
+    child.services.faults.arm("columnar.kernel", error=RuntimeError("kernel"),
+                              nth=1, one_shot=False)
+    assert db.execute(total) == expected
+    assert child.services.faults.injected("columnar.kernel") == 2
+    stats = db.services.stats
+    assert stats.get("sharded.pushdown.fallbacks") == 1
+    assert stats.get("executor.pushdown.fallbacks") == 1
+    assert stats.get("repl.stale_reads") == 0
+    assert stats.get("remote.degraded_fragments") == 0
+    assert repl.sets[1].strikes == 0
 
 
 def test_degraded_skip_is_reported_when_no_standby_exists():

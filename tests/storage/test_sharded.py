@@ -341,6 +341,48 @@ def test_breaker_open_shard_fails_writes_closed_and_degrades_reads():
     assert db.services.stats.get("remote.gateway.breaker.closes") == 1
 
 
+@pytest.mark.parametrize("statement", ["scan", "fragment"])
+def test_read_traffic_alone_heals_an_open_breaker(statement):
+    """Every read goes through the channel, so a fail-fast read ticks the
+    cooldown and the one after it is the half-open probe: a healed shard
+    rejoins within ``breaker_cooldown + 1`` statements of either kind."""
+    db, table = make_sharded(shards=2, degraded_reads=True, retries=0,
+                             breaker_threshold=1, breaker_cooldown=2)
+    table.insert_many([(i, f"n{i}") for i in range(20)])
+
+    def read():
+        if statement == "scan":
+            return len(table.scan())
+        return db.execute("SELECT COUNT(*) FROM emp")[0][0]
+
+    db.services.faults.arm("shard.0.remote_call", error=GatewayError,
+                           nth=1, one_shot=False)
+    partial = read()  # the lost message trips shard 0's breaker
+    db.services.faults.disarm()
+    assert 0 < partial < 20
+    assert [read() for __ in range(3)] == [partial, partial, 20]
+    stats = db.services.stats
+    assert stats.get("remote.gateway.fail_fast") == 2
+    assert stats.get("remote.gateway.half_open_probes") == 1
+    assert stats.get("remote.gateway.breaker.closes") == 1
+    if statement == "fragment":
+        assert stats.get("sharded.pushdown.queries") == 4
+        assert stats.get("sharded.pushdown.fallbacks") == 0
+
+
+def test_a_scan_leaves_no_scan_registered_in_a_child():
+    db, table = make_sharded(shards=2)
+    table.insert_many(ROWS)
+    db.begin()
+    for __ in range(5):
+        assert len(table.scan()) == 10
+    __, dbs = children(db)
+    for child in dbs:
+        (child_txn,) = child.services.transactions.active_transactions()
+        assert child.services.scans.open_scans(child_txn.txn_id) == ()
+    db.commit()
+
+
 def test_reads_fail_closed_without_degraded_opt_in():
     """Without degraded_reads=True a dead shard fails reads loudly rather
     than silently returning a partial answer."""

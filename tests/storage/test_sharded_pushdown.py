@@ -143,6 +143,37 @@ def test_per_shard_fragment_counters_are_namespaced():
     assert stats.get("fragment.calls") == per_shard == 2
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_kth_message_of_a_pushed_statement_goes_to_shard_k_minus_1(k):
+    """Fragments leave in shard order on one thread: losing the k-th
+    message loses shard k-1's, and a second run loses the same one, moves
+    the same counters and returns the same answer."""
+    statement = "SELECT dept, COUNT(*), SUM(pay) FROM emp GROUP BY dept"
+
+    def run():
+        db, table = make_emp(shards=4)
+        fill(table, 40)
+        expected = db.execute(statement)
+        before = db.services.stats.snapshot()
+        db.services.faults.arm("shard.remote_call", error=GatewayError,
+                               nth=k)
+        result = db.execute(statement)
+        moved = {name: amount for name, amount
+                 in db.services.stats.delta(before).items()
+                 if not name.endswith("fragment.micros")}  # wall clock
+        return expected, result, moved
+
+    expected, result, moved = run()
+    assert result == expected
+    assert {name for name in moved if name.endswith("retry.attempts")} == {
+        "remote.gateway.retry.attempts",
+        f"shard.{k - 1}.remote.gateway.retry.attempts"}
+    assert moved["faults.injected.shard.remote_call"] == 1
+    assert moved["remote.messages"] == 4  # the lost one was never charged
+    assert moved["sharded.pushdown.queries"] == 1
+    assert run() == (expected, result, moved)
+
+
 # -- gating -------------------------------------------------------------------------
 
 def test_ordered_children_gate_pushdown_off():

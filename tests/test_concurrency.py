@@ -6,8 +6,12 @@ controller so that interleaved transactions stay serialisable and
 transactions deterministically through explicit execution contexts.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import Database, DeadlockError, LockConflictError
 from repro.core.context import ExecutionContext
 from repro.services.locks import LOCK_ESCALATION_THRESHOLD, LockMode
@@ -25,6 +29,26 @@ def table(db):
     table = db.create_table("t", [("id", "INT"), ("v", "STRING")])
     table.insert_many([(1, "a"), (2, "b")])
     return table
+
+
+def test_the_library_runs_on_the_callers_thread():
+    """The threading contract (DESIGN.md, "One thread"): sessions
+    interleave, they never run concurrently, so nothing in ``src/``
+    starts a thread, a process or an event loop — or imports what could."""
+    banned = {"threading", "_thread", "concurrent", "multiprocessing",
+              "asyncio"}
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            offenders += [(path.name, module) for module in modules
+                          if module.split(".")[0] in banned]
+    assert offenders == []
 
 
 def test_writers_conflict_on_the_same_record(db, table):
