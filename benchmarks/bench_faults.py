@@ -5,8 +5,10 @@ a randomly-armed injection point per operation — device I/O, log append
 and flush, buffer write-back, and procedure-vector calls all fail mid-run.
 Every ``crash_every`` WAL appends the database crashes (sometimes with a
 loser transaction in flight and a randomly corrupted device page) and runs
-restart recovery.  After every restart the committed state must equal an
-in-memory oracle, the btree index and unique constraint must agree with
+restart recovery.  The schedule runs against a heap and, beside it, a
+btree_file relation, each with its own oracle.  After every restart the
+committed state of each must equal its oracle, its stored count the rows
+a scan returns, its btree index and unique constraint must agree with
 storage, and the final device state must be byte-identical across a
 double restart.
 
@@ -61,14 +63,23 @@ FUZZ_POINTS = [
 # Fuzz workload
 # ---------------------------------------------------------------------------
 
+#: The relations the schedule runs against: name, storage, attributes.
+RELATIONS = (("t", "heap", None), ("b", "btree_file", {"key": ["id"]}))
+
+
 def build_db():
     # A pool far smaller than the working set keeps eviction, write-back,
     # and device reads on the hot path so those fault points get traffic.
     db = Database(page_size=1024, buffer_capacity=8)
-    table = db.create_table("t", [("id", "INT", False), ("v", "STRING")])
-    db.create_index("t_id", "t", ["id"], unique=True)
-    db.create_attachment("t", "unique", "t_uid", {"columns": ["id"]})
-    return db, table
+    tables = []
+    for name, storage, attributes in RELATIONS:
+        tables.append(db.create_table(
+            name, [("id", "INT", False), ("v", "STRING")],
+            storage_method=storage, attributes=attributes))
+        db.create_index(f"{name}_id", name, ["id"], unique=True)
+        db.create_attachment(name, "unique", f"{name}_uid",
+                             {"columns": ["id"]})
+    return db, tables
 
 
 def injected_per_point(db):
@@ -78,14 +89,16 @@ def injected_per_point(db):
 
 
 def verify_invariants(db, table, oracle):
-    """0 if committed state, index, and constraint agree with the oracle."""
+    """0 if committed state, count, index, and constraint agree with the
+    oracle."""
     bad = 0
-    if sorted(table.rows()) != sorted(oracle.items()):
+    rows = table.rows()
+    if sorted(rows) != sorted(oracle.items()) or table.count() != len(rows):
         bad += 1
     att = db.registry.attachment_type_by_name("btree_index")
     for i in sorted(oracle)[:20]:
         record_keys = table.fetch(
-            (i,), access_path=AccessPath(att.type_id, "t_id"))
+            (i,), access_path=AccessPath(att.type_id, f"{table.name}_id"))
         if len(record_keys) != 1 or \
                 table.fetch(record_keys[0]) != (i, oracle[i]):
             bad += 1
@@ -101,43 +114,54 @@ def verify_invariants(db, table, oracle):
     return bad
 
 
+def apply_round(table, oracle, keys, round_i, dice, pick, ids, bound):
+    """One round's operation on one relation; its oracle follows."""
+    if dice < 0.45 or not oracle:
+        new_keys = table.insert_many([(i, f"v{i}") for i in ids])
+        for i, key in zip(ids, new_keys):
+            oracle[i] = f"v{i}"
+            keys[i] = key
+    elif dice < 0.70:
+        i = sorted(oracle)[int(pick * len(oracle))]
+        # A grown record can relocate: the update returns the key.
+        keys[i] = table.update(keys[i], {"v": f"u{round_i}"})
+        oracle[i] = f"u{round_i}"
+    elif dice < 0.85:
+        i = sorted(oracle)[int(pick * len(oracle))]
+        table.delete(keys[i])
+        del oracle[i], keys[i]
+    else:
+        table.count("id >= %d" % bound)
+
+
 def fuzz_profile(seed=SEED, rounds=ROUNDS, crash_every=CRASH_EVERY):
     rng = random.Random(seed)
-    db, table = build_db()
-    oracle = {}   # id -> value (committed state only)
-    keys = {}     # id -> storage record key (stable across restarts)
+    db, tables = build_db()
+    # Per relation: id -> value (committed state only), and id -> storage
+    # record key (stable across restarts).
+    oracles = {table.name: {} for table in tables}
+    keys = {table.name: {} for table in tables}
     next_id = 0
     next_crash = crash_every
     restarts = corrupted = violations = failed_ops = 0
 
     for round_i in range(rounds):
-        point = rng.choice(FUZZ_POINTS)
-        db.services.faults.arm(point, nth=rng.randint(1, 3), one_shot=True)
-        try:
-            dice = rng.random()
-            if dice < 0.45 or not oracle:
-                count = rng.randint(1, 6)
-                ids = list(range(next_id, next_id + count))
-                next_id += count
-                new_keys = table.insert_many([(i, f"v{i}") for i in ids])
-                for i, key in zip(ids, new_keys):
-                    oracle[i] = f"v{i}"
-                    keys[i] = key
-            elif dice < 0.70:
-                i = rng.choice(sorted(oracle))
-                # A grown record can relocate: the update returns the key.
-                keys[i] = table.update(keys[i], {"v": f"u{round_i}"})
-                oracle[i] = f"u{round_i}"
-            elif dice < 0.85:
-                i = rng.choice(sorted(oracle))
-                table.delete(keys[i])
-                del oracle[i], keys[i]
-            else:
-                table.count("id >= %d" % rng.randint(0, max(1, next_id)))
-        except ReproError:
-            failed_ops += 1  # the autocommit abort rolled the op back
-        finally:
-            db.services.faults.disarm()
+        # One draw of the round's fault and operation; each relation gets
+        # both in turn (an insert takes fresh ids on every relation).
+        point, nth = rng.choice(FUZZ_POINTS), rng.randint(1, 3)
+        dice, pick = rng.random(), rng.random()
+        ids = list(range(next_id, next_id + rng.randint(1, 6)))
+        next_id += len(ids)
+        bound = rng.randint(0, max(1, next_id))
+        for table in tables:
+            db.services.faults.arm(point, nth=nth, one_shot=True)
+            try:
+                apply_round(table, oracles[table.name], keys[table.name],
+                            round_i, dice, pick, ids, bound)
+            except ReproError:
+                failed_ops += 1  # the autocommit abort rolled the op back
+            finally:
+                db.services.faults.disarm()
 
         if round_i % CHECKPOINT_EVERY == CHECKPOINT_EVERY - 1:
             db.checkpoint(truncate=rng.random() < 0.5)
@@ -146,34 +170,39 @@ def fuzz_profile(seed=SEED, rounds=ROUNDS, crash_every=CRASH_EVERY):
             next_crash = db.services.wal.current_lsn + crash_every
             if rng.random() < 0.5:
                 db.begin()  # a loser in flight at the crash
-                table.insert((next_id, "loser"))
+                for table in tables:
+                    table.insert((next_id, "loser"))
                 next_id += 1
             victim = rng.choice(db.services.disk.page_ids())
             db.services.disk.write(victim, b"\xff" * 1024)  # torn write
             corrupted += 1
             db.restart()
             restarts += 1
-            violations += verify_invariants(db, table, oracle)
+            violations += sum(verify_invariants(db, table, oracles[table.name])
+                              for table in tables)
 
     # Final crash + double restart: recovery must be idempotent down to
-    # the device bytes of the logged (recoverable) relation.  Index node
+    # the device bytes of the logged (recoverable) relations.  Index node
     # pages are excluded — they are non-logged and rebuilt from the base
     # relation on every restart, so their bytes are history-dependent.
     db.restart()
     restarts += 1
-    violations += verify_invariants(db, table, oracle)
+    violations += sum(verify_invariants(db, table, oracles[table.name])
+                      for table in tables)
     db.services.buffer.flush_all()
     device = db.services.disk
-    heap_pages = db.catalog.handle("t").descriptor.storage_descriptor["pages"]
-    first = [(pid, device.read(pid)) for pid in heap_pages]
+    pages = [page_id for table in tables for page_id in
+             table.handle.descriptor.storage_descriptor["pages"]]
+    first = [(page_id, device.read(page_id)) for page_id in pages]
     db.restart()
     db.services.buffer.flush_all()
-    second = [(pid, device.read(pid)) for pid in heap_pages]
+    second = [(page_id, device.read(page_id)) for page_id in pages]
 
     stats = db.services.stats
     return {
         "seed": seed, "rounds": rounds, "crash_every": crash_every,
-        "committed_rows": len(oracle),
+        "committed_rows": {name: len(oracle)
+                           for name, oracle in oracles.items()},
         "failed_operations": failed_ops,
         "restarts": restarts,
         "pages_corrupted": corrupted,

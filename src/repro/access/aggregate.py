@@ -94,26 +94,18 @@ class AggregateAttachment(AttachmentType):
         extreme = None
         method = ctx.database.registry.storage_method(
             handle.descriptor.storage_method_id)
-        scan = method.open_scan(ctx, handle)
-        try:
-            while True:
-                item = scan.next()
-                if item is None:
-                    break
-                __, record = item
-                value = record[index] if index is not None else None
-                if index is not None and value is None:
-                    continue  # SQL aggregates ignore NULLs
-                count += 1
-                if function == "sum":
-                    total += value
-                elif function == "min":
-                    extreme = value if extreme is None else min(extreme, value)
-                elif function == "max":
-                    extreme = value if extreme is None else max(extreme, value)
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        for __, record in ctx.services.scans.drain(
+                method.open_scan(ctx, handle)):
+            value = record[index] if index is not None else None
+            if index is not None and value is None:
+                continue  # SQL aggregates ignore NULLs
+            count += 1
+            if function == "sum":
+                total += value
+            elif function == "min":
+                extreme = value if extreme is None else min(extreme, value)
+            elif function == "max":
+                extreme = value if extreme is None else max(extreme, value)
         instance["state"] = {"count": count, "sum": total,
                              "extreme": extreme, "stale": False}
         ctx.stats.bump("aggregate.recomputations")

@@ -85,23 +85,6 @@ class BTreeIndexScan(Scan):
         return self._tree.entries_after(self.position, self.high,
                                         self.high_inclusive)
 
-    def next(self):
-        self._check_open()
-        if self.state is AFTER:
-            return None  # ran off the end of the range: no descent to relearn it
-        for key, value in self._entries():
-            self.position = (key, value)
-            self.state = ON
-            self.ctx.stats.bump("btree_index.entries_scanned")
-            view = RecordView.from_fields(self.key_fields, key)
-            # Early filtering against the access-path key when possible.
-            if self._filter_here and not self.predicate.matches(view):
-                continue
-            self.ctx.lock_record(self.handle.relation_id, value, LockMode.S)
-            return value, view
-        self.state = AFTER
-        return None
-
     def next_batch(self, n: int) -> list:
         """Consume one tree traversal for up to ``n`` entries: a single
         root-to-leaf descent per batch instead of one per entry.  A batch
@@ -118,6 +101,7 @@ class BTreeIndexScan(Scan):
             position = (key, value)
             scanned += 1
             view = RecordView.from_fields(self.key_fields, key)
+            # Early filtering against the access-path key when possible.
             if self._filter_here and not self.predicate.matches(view):
                 continue
             batch.append((value, view))

@@ -161,10 +161,6 @@ class HashIndexScan(Scan):
             return slot + span // 2
         return slot + 1 if slot + 1 < initial else None
 
-    def next(self):
-        batch = self.next_batch(1)
-        return batch[0] if batch else None
-
     def next_batch(self, n: int) -> list:
         """Up to ``n`` entries, a bucket chain read (and ordered) once for
         all of them."""

@@ -139,32 +139,16 @@ class JoinIndexAttachment(AttachmentType):
             handle.descriptor.storage_method_id)
         right_method = database.registry.storage_method(
             other_handle.descriptor.storage_method_id)
+        drain = ctx.services.scans.drain
         rights: Dict[object, List] = {}
-        scan = right_method.open_scan(ctx, other_handle)
-        try:
-            while True:
-                item = scan.next()
-                if item is None:
-                    break
-                right_key, record = item
-                value = record[instance["other_field_index"]]
-                rights.setdefault(value, []).append(right_key)
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
-        scan = left_method.open_scan(ctx, handle)
-        try:
-            while True:
-                item = scan.next()
-                if item is None:
-                    break
-                left_key, record = item
-                value = record[instance["field_index"]]
-                for right_key in rights.get(value, ()):
-                    _add_pair(instance["pairs"], left_key, right_key)
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        for right_key, record in drain(right_method.open_scan(ctx,
+                                                              other_handle)):
+            value = record[instance["other_field_index"]]
+            rights.setdefault(value, []).append(right_key)
+        for left_key, record in drain(left_method.open_scan(ctx, handle)):
+            value = record[instance["field_index"]]
+            for right_key in rights.get(value, ()):
+                _add_pair(instance["pairs"], left_key, right_key)
         ctx.stats.bump("join_index.builds")
 
     def rebuild(self, ctx, handle, field) -> None:
@@ -243,20 +227,9 @@ class JoinIndexAttachment(AttachmentType):
         database = ctx.database
         method = database.registry.storage_method(
             other_handle.descriptor.storage_method_id)
-        matches: List = []
-        scan = method.open_scan(ctx, other_handle)
-        try:
-            while True:
-                item = scan.next()
-                if item is None:
-                    break
-                other_key, record = item
-                if record[field_index] == value:
-                    matches.append(other_key)
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
-        return matches
+        return [other_key for other_key, record in ctx.services.scans.drain(
+            method.open_scan(ctx, other_handle))
+            if record[field_index] == value]
 
     # -- direct access operations ------------------------------------------------------
     def fetch(self, ctx, handle, instance, input_key) -> List:

@@ -329,19 +329,6 @@ class RTreeScan(Scan):
         self.state = BEFORE
         self.position: Optional[int] = None
 
-    def next(self):
-        self._check_open()
-        index = 0 if self.position is None else self.position + 1
-        if index >= len(self.matches):
-            self.state = AFTER
-            return None
-        self.position = index
-        self.state = ON
-        box, value = self.matches[index]
-        self.ctx.stats.bump("rtree.entries_scanned")
-        self.ctx.lock_record(self.handle.relation_id, value, LockMode.S)
-        return value, RecordView.from_fields((self.field_index,), (box,))
-
     def next_batch(self, n: int) -> list:
         """Slice the materialised match list — the spatial search already
         paid its page reads at open time."""

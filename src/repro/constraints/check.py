@@ -29,6 +29,7 @@ from ..core.attachment import AttachmentType
 from ..errors import CheckViolation, StorageError
 from ..services import events as ev
 from ..services.predicate import Predicate
+from ..services.scans import SCAN_BATCH
 
 __all__ = ["CheckConstraintAttachment"]
 
@@ -64,11 +65,11 @@ class CheckConstraintAttachment(AttachmentType):
         scan = method.open_scan(ctx, handle)
         try:
             while True:
-                item = scan.next()
-                if item is None:
+                batch = scan.next_batch(SCAN_BATCH)
+                if not batch:
                     break
-                __, record = item
-                self._test(instance, predicate, record)
+                for __, record in batch:
+                    self._test(instance, predicate, record)
         finally:
             scan.close()
             ctx.services.scans.unregister(scan)

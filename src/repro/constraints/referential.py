@@ -37,6 +37,7 @@ from typing import List, Optional
 from ..core.attachment import AttachmentType
 from ..errors import ReferentialViolation, StorageError
 from ..services import events as ev
+from ..services.scans import SCAN_BATCH
 
 __all__ = ["ReferentialIntegrityAttachment"]
 
@@ -324,10 +325,10 @@ class ReferentialIntegrityAttachment(AttachmentType):
         scan = method.open_scan(ctx, handle)
         try:
             while True:
-                item = scan.next()
-                if item is None:
+                batch = scan.next_batch(SCAN_BATCH)
+                if not batch:
                     break
-                yield item
+                yield from batch
         finally:
             scan.close()
             ctx.services.scans.unregister(scan)

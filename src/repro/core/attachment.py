@@ -36,7 +36,7 @@ from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
 from ..services.scans import Scan
 from .context import ExecutionContext
-from .storage_method import RelationHandle
+from .storage_method import RelationHandle, logged_relation
 
 __all__ = ["AttachmentType", "LogicalUndoHandler", "instances_of",
            "tag_batch_index"]
@@ -79,8 +79,8 @@ class LogicalUndoHandler(ResourceHandler):
     def undo(self, services, payload: dict, clr_lsn: int) -> None:
         if getattr(services, "in_restart", False):
             return
-        entry = services.database.catalog.entry_by_id(payload["relation_id"])
-        field = entry.handle.descriptor.attachment_field(
+        relation = logged_relation(services, payload)
+        field = relation and relation.descriptor.attachment_field(
             self.attachment.type_id)
         instance = field and field["instances"].get(payload["instance"])
         if instance is not None:

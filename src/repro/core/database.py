@@ -375,7 +375,9 @@ class Database:
         2. the buffer pool and unflushed log records are lost;
         3. the common recovery driver performs analysis/redo/undo;
         4. temporary (non-recoverable) relations are reset — they do not
-           survive a restart;
+           survive a restart — and what a recoverable relation's
+           descriptor derives from its pages is derived again where the
+           crash may have left it wrong (``recover_instance``);
         5. access-path attachment structures are rebuilt from their base
            relations (index recovery by rebuild; see DESIGN.md).
 
@@ -390,6 +392,7 @@ class Database:
             session._txn = None
         self.services.transactions.invalidate_snapshots()
         lost = self.services.crash()
+        stable_lsn = self.services.wal.flushed_lsn
         # Lock state is volatile: pre-crash transactions hold nothing now.
         self.services.locks.reset()
         self.services.in_restart = True
@@ -415,17 +418,18 @@ class Database:
         self.services.transactions.heuristic_aborts.update(
             summary.get("heuristic_aborts", {}))
 
-        for entry in self.catalog.relations():
-            handle = entry.handle
-            method = self.registry.storage_method(
-                handle.descriptor.storage_method_id)
-            if not method.recoverable:
-                reset = getattr(method, "reset_instance", None)
-                if reset is not None:
-                    reset(handle.descriptor.storage_descriptor)
-
         rebuilt = 0
         with self.autocommit() as ctx:
+            for entry in self.catalog.relations():
+                handle = entry.handle
+                method = self.registry.storage_method(
+                    handle.descriptor.storage_method_id)
+                if method.recoverable:
+                    method.recover_instance(ctx, handle, stable_lsn)
+                else:
+                    reset = getattr(method, "reset_instance", None)
+                    if reset is not None:
+                        reset(handle.descriptor.storage_descriptor)
             for entry in self.catalog.relations():
                 handle = entry.handle
                 for type_id, field in handle.descriptor.present_attachments():

@@ -20,23 +20,27 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..errors import StorageError
+from ..errors import StorageError, UnknownObjectError
 from ..query.cost import AccessCost, EligiblePredicate
 from ..services.predicate import Predicate
 from ..services.scans import Scan
 from .context import ExecutionContext
 
-__all__ = ["StorageMethod", "RelationHandle", "logged_descriptor"]
+__all__ = ["StorageMethod", "RelationHandle", "logged_relation"]
 
 
-def logged_descriptor(services, payload: dict) -> dict:
-    """The storage descriptor of the relation a log record's ``payload``
-    names — a recovery handler has only the services to find it by."""
+def logged_relation(services, payload: dict) -> Optional["RelationHandle"]:
+    """The relation a log record's ``payload`` names — its descriptor and
+    schema — or None once it has been dropped (its operations are
+    replayed after a committed DROP; their storage went with it).  A
+    recovery handler has only the services to find it by."""
     database = getattr(services, "database", None)
     if database is None:
         raise StorageError("recovery handler needs services.database wired")
-    entry = database.catalog.entry_by_id(payload["relation_id"])
-    return entry.handle.descriptor.storage_descriptor
+    try:
+        return database.catalog.entry_by_id(payload["relation_id"]).handle
+    except UnknownObjectError:
+        return None
 
 
 class RelationHandle:
@@ -116,6 +120,15 @@ class StorageMethod(abc.ABC):
     def destroy_instance(self, ctx: ExecutionContext, descriptor: dict) -> None:
         """Release the storage behind a descriptor (deferred to commit by
         the DDL layer so that DROP stays undoable without logging state)."""
+
+    def recover_instance(self, ctx: ExecutionContext, handle: "RelationHandle",
+                         stable_lsn: int) -> None:
+        """Called at restart for every relation of a recoverable method,
+        once the log has been replayed and before any attachment is
+        rebuilt; ``stable_lsn`` ends the log that survived the crash.  A
+        method whose descriptor keeps state derived from its storage
+        derives it again here when it cannot be trusted.  The default
+        keeps none."""
 
     # -- relation modification -----------------------------------------------------
     @abc.abstractmethod

@@ -67,7 +67,7 @@ class ResourceHandler:
         performs the authoritative reversal afterwards.
         """
 
-    def locked_records(self, payload: dict):
+    def locked_records(self, services, payload: dict):
         """The ``(relation_id, record_key)`` pairs this logged operation
         holds X record locks on while its transaction is live.
 

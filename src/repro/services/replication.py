@@ -190,8 +190,9 @@ class Standby:
         self._track_ntuples(record)
 
     def _descriptor(self, payload: dict) -> dict:
-        entry = self.database.catalog.entry_by_id(payload["relation_id"])
-        return entry.handle.descriptor.storage_descriptor
+        from ..core.storage_method import logged_relation
+        relation = logged_relation(self.database.services, payload)
+        return relation.descriptor.storage_descriptor
 
     def _apply_new_page(self, record) -> None:
         """Forward-apply a heap page allocation (or its compensation).

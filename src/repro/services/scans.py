@@ -27,11 +27,14 @@ from .events import EventService
 
 __all__ = ["ScanPosition", "Scan", "ScanService", "SnapshotScan",
            "ShippedRows", "ShippedScan",
-           "ABSENT", "BEFORE", "ON", "AFTER", "key_ordered"]
+           "ABSENT", "BEFORE", "ON", "AFTER", "SCAN_BATCH", "key_ordered"]
 
 BEFORE = "before"
 ON = "on"
 AFTER = "after"
+
+#: Items a caller that reads a whole scan asks for per ``next_batch``.
+SCAN_BATCH = 256
 
 #: Sentinel: under a snapshot, this record key must not be seen at all
 #: (the version store's "the record did not exist" image).  Defined here
@@ -89,8 +92,11 @@ class Scan:
     def next(self):
         """Return the next item after the current position, or ``None`` at
         the end of the key sequence (the scan is then *after* the last
-        item)."""
-        raise NotImplementedError
+        item): the batch of one.  A scan implements one of the two —
+        every built-in, :meth:`next_batch`; a scan written tuple-at-a-time,
+        this one, and inherits the batch loop."""
+        batch = self.next_batch(1)
+        return batch[0] if batch else None
 
     def next_batch(self, n: int) -> list:
         """Return up to ``n`` items following the current position.
@@ -157,10 +163,6 @@ class SnapshotScan(Scan):
         self._resurrect: List = []
 
     # -- the Scan protocol ------------------------------------------------------
-    def next(self):
-        batch = self.next_batch(1)
-        return batch[0] if batch else None
-
     def next_batch(self, n: int) -> list:
         if n < 1:
             raise ScanError(f"next_batch needs a positive count, got {n}")
@@ -248,10 +250,6 @@ class ShippedScan(Scan):
         self.state = BEFORE
         self.position = None
 
-    def next(self):
-        batch = self.next_batch(1)
-        return batch[0] if batch else None
-
     def next_batch(self, n: int) -> list:
         self._check_open()
         if n < 1:
@@ -307,7 +305,7 @@ class ScanService:
         try:
             items = []
             while True:
-                batch = scan.next_batch(256)
+                batch = scan.next_batch(SCAN_BATCH)
                 if not batch:
                     return items
                 items.extend(batch)

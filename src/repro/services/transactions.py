@@ -570,7 +570,8 @@ class TransactionManager:
             record = self.wal.record(lsn)
             if record.kind in (wal_records.UPDATE, wal_records.CLR):
                 handler = self.recovery.handler(record.resource)
-                for relation_id, key in handler.locked_records(record.payload):
+                for relation_id, key in handler.locked_records(
+                        self.recovery.services, record.payload):
                     self.locks.acquire(txn.txn_id, ("rel", relation_id),
                                        LockMode.IX)
                     self.locks.acquire(txn.txn_id, ("rec", relation_id, key),

@@ -37,7 +37,7 @@ probe, default 8).
 from __future__ import annotations
 
 from ..core.authorization import SELECT
-from ..core.storage_method import StorageMethod, logged_descriptor
+from ..core.storage_method import StorageMethod, logged_relation
 from ..errors import ForeignError, GatewayError, StorageError
 from ..query.cost import AccessCost, default_selectivity
 from ..services.recovery import ResourceHandler
@@ -59,7 +59,10 @@ class _ForeignHandler(ResourceHandler):
     """Saga-style undo: issue the inverse operation against the remote."""
 
     def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        descriptor = logged_descriptor(services, payload)
+        relation = logged_relation(services, payload)
+        if relation is None:
+            return  # the relation was dropped: no gateway to compensate
+        descriptor = relation.descriptor.storage_descriptor
         table = descriptor["database"].table(descriptor["relation"])
         op = payload["op"]
 

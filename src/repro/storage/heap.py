@@ -12,7 +12,11 @@ the log record's LSN; the redo handler skips pages whose ``page_lsn`` is
 already at or past the record's LSN, making restart redo idempotent.  The
 page list lives in the storage descriptor (non-volatile catalog storage,
 see DESIGN.md), so structural recovery reduces to re-formatting pages that
-never reached the device.
+never reached the device.  The tuple count kept beside it is derived from
+the pages: the forward path and undo keep it in step (``_keep``), and
+restart counts the pages again when the crash may have left it wrong.
+The page bodies, by address, and the scan leaf (:class:`PageLeaf`) are
+also the B-tree-organised method's.
 
 DDL attributes: ``fill_hint`` (float in (0, 1], advisory page fill target).
 """
@@ -23,7 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.context import ExecutionContext
 from ..core.records import decode_record, encode_record
-from ..core.storage_method import RelationHandle, StorageMethod
+from ..core.storage_method import RelationHandle, StorageMethod, \
+    logged_relation
 from ..errors import PageError, RecordNotFoundError, ScanError, StorageError
 from ..services.locks import LockMode
 from ..services.pages import HEADER_SIZE, TOMBSTONE, PageView
@@ -32,24 +37,9 @@ from ..services.recovery import ResourceHandler
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
 from ..services.vectors import ColumnBatch
 
-__all__ = ["HeapStorageMethod", "HeapScan", "PAGE_TYPE_HEAP"]
+__all__ = ["HeapStorageMethod", "HeapScan", "PageLeaf", "PAGE_TYPE_HEAP"]
 
 PAGE_TYPE_HEAP = 1
-
-
-def _descriptor_for(services, payload: dict):
-    """The relation's storage descriptor, or None when the relation no
-    longer exists (its operations are replayed after a committed DROP —
-    the pages are gone with it, so the op is skipped)."""
-    database = getattr(services, "database", None)
-    if database is None:
-        raise StorageError("recovery handler needs services.database wired")
-    from ..errors import UnknownObjectError
-    try:
-        entry = database.catalog.entry_by_id(payload["relation_id"])
-    except UnknownObjectError:
-        return None
-    return entry.handle.descriptor.storage_descriptor
 
 
 def _ensure_formatted(page: PageView) -> None:
@@ -58,24 +48,36 @@ def _ensure_formatted(page: PageView) -> None:
         PageView.format(page.page_id, page.data, PAGE_TYPE_HEAP)
 
 
-class _HeapHandler(ResourceHandler):
-    """Page-stamped undo/redo for heap operations."""
+def _slots_and_images(payload: dict):
+    """The slots an ``update`` / ``insert_multi`` / ``delete_multi`` record
+    names and the record image it carries for each (an update's
+    before-image)."""
+    if payload["op"] == "update":
+        return (payload["slot"],), (payload["old_raw"],)
+    return payload["slots"], payload.get("new_raws") or payload["old_raws"]
 
-    def locked_records(self, payload: dict):
-        op = payload.get("op")
-        relation_id = payload["relation_id"]
-        if op == "update":
-            return [(relation_id, (payload["page"], payload["slot"]))]
-        if op in ("insert_multi", "delete_multi"):
-            return [(relation_id, (payload["page"], slot))
-                    for slot in payload["slots"]]
-        return ()  # new_page: physical allocation, no record lock
+
+class _HeapHandler(ResourceHandler):
+    """Page-stamped undo/redo for heap operations.  Undo keeps what the
+    descriptor derives from the pages in step through the method's
+    ``_keep`` — except during restart, after which it is derived afresh."""
+
+    def __init__(self, method: "HeapStorageMethod"):
+        self.method = method
+
+    def locked_records(self, services, payload: dict):
+        if payload.get("op") == "new_page":
+            return ()  # a physical allocation takes no record lock
+        page_id, slots = payload["page"], _slots_and_images(payload)[0]
+        return [(payload["relation_id"], name) for name in
+                self.method._slot_locks([(page_id, s) for s in slots])]
 
     def undo(self, services, payload: dict, clr_lsn: int) -> None:
         op = payload["op"]
-        descriptor = _descriptor_for(services, payload)
-        if descriptor is None:
+        relation = logged_relation(services, payload)
+        if relation is None:
             return  # the relation was dropped; nothing left to undo
+        descriptor = relation.descriptor.storage_descriptor
         if op == "new_page":
             page_id = payload["page"]
             if page_id in descriptor["pages"]:
@@ -92,21 +94,26 @@ class _HeapHandler(ResourceHandler):
             elif op == "insert_multi":
                 for slot in payload["slots"]:
                     page.delete(slot)
-                descriptor["ntuples"] -= len(payload["slots"])
             elif op == "delete_multi":
                 page.insert_at(payload["slots"], payload["old_raws"])
-                descriptor["ntuples"] += len(payload["slots"])
             else:
-                raise StorageError(f"heap cannot undo op {op!r}")
+                raise StorageError(f"{self.method.name} cannot undo op {op!r}")
             page.page_lsn = clr_lsn
         finally:
             buffer.unpin(payload["page"], dirty=True)
+        if services.in_restart:
+            descriptor["derived_lsn"] = clr_lsn  # derived again afterwards
+        elif op != "update":
+            self.method._keep(relation, payload["page"],
+                              *_slots_and_images(payload), clr_lsn,
+                              op == "delete_multi")
 
     def redo(self, services, lsn: int, payload: dict) -> None:
         op = payload["op"]
-        descriptor = _descriptor_for(services, payload)
-        if descriptor is None:
+        relation = logged_relation(services, payload)
+        if relation is None:
             return  # the relation was dropped; its pages are gone
+        descriptor = relation.descriptor.storage_descriptor
         # Undo of new_page during rollback is compensated by a CLR whose
         # redo must also be the page removal; both directions are handled
         # by replaying against the (non-volatile) descriptor page list.
@@ -154,7 +161,8 @@ class _HeapHandler(ResourceHandler):
                     for slot in payload["slots"]:
                         page.delete(slot)
                 else:
-                    raise StorageError(f"heap cannot redo op {op!r}")
+                    raise StorageError(
+                        f"{self.method.name} cannot redo op {op!r}")
             except PageError:
                 # The record targets a prior incarnation of a reused page
                 # id whose image was repaired (zero-filled) at restart, so
@@ -184,6 +192,56 @@ class _HeapHandler(ResourceHandler):
             page.insert_at(payload["slots"], payload["old_raws"])
 
 
+class PageLeaf:
+    """The page scan leaf: one batch read off slotted pages, a page at a
+    time under the caller's pin.  :meth:`read` decodes the predicate's
+    fields as columns and filters them while the values are still in the
+    buffer pool, then decodes the output fields of the records it keeps
+    only — whole records by the row decoder, ``fields`` by the page
+    decoder.  The caller appends their keys to :attr:`keys`."""
+
+    def __init__(self, schema, fields: Optional[Tuple[int, ...]],
+                 predicate: Optional[Predicate], stats):
+        self.width, self.fields = len(schema), fields
+        self.predicate, self.stats = predicate, stats
+        if predicate is not None:
+            self.needed = tuple(sorted(predicate.fields_needed))
+            self.decode_needed = schema.page_decoder(self.needed)
+        self.decode = schema.decoder if fields is None \
+            else schema.page_decoder(fields)
+        self.keys: list = []
+        self.rows: list = []                           # whole records, or
+        self.columns = [[] for __ in fields or ()]     # one list per field
+
+    def read(self, data, offsets: list, room: int):
+        """Keep the first ``room`` of the records at ``offsets`` of the
+        pinned page's bytes ``data`` that pass the predicate; returns
+        their indexes in ``offsets``."""
+        if self.predicate is None:
+            selected = range(len(offsets))
+        else:
+            selected = self.predicate.select(ColumnBatch.from_columns(
+                dict(zip(self.needed, self.decode_needed(data, offsets))),
+                len(offsets), self.width), self.stats)
+        chosen = selected[:room] if len(selected) > room else selected
+        if len(chosen) < len(offsets):
+            offsets = [offsets[i] for i in chosen]
+        decode = self.decode
+        if self.fields is None:
+            self.rows += [decode(data, offset) for offset in offsets]
+        else:
+            for column, values in zip(self.columns, decode(data, offsets)):
+                column += values
+        return chosen
+
+    def batch(self) -> ColumnBatch:
+        if self.fields is None:
+            return ColumnBatch(self.rows, self.width, self.keys)
+        return ColumnBatch.from_columns(dict(zip(self.fields, self.columns)),
+                                        len(self.keys), self.width,
+                                        self.keys, self.fields)
+
+
 class HeapScan(Scan):
     """Key-sequential scan in physical (page list, slot) order.
 
@@ -203,72 +261,22 @@ class HeapScan(Scan):
         self.state = BEFORE
         self.position: Optional[Tuple[int, int]] = None  # (page index, slot)
 
-    def next(self):
-        self._check_open()
-        descriptor = self.handle.descriptor.storage_descriptor
-        pages: List[int] = descriptor["pages"]
-        page_index, slot = (0, -1) if self.position is None else self.position
-        buffer = self.ctx.buffer
-        while page_index < len(pages):
-            page_id = pages[page_index]
-            page = buffer.fetch(page_id)
-            try:
-                for next_slot in range(slot + 1, page.slot_count):
-                    if not page.slot_in_use(next_slot):
-                        continue
-                    self.position = (page_index, next_slot)
-                    self.state = ON
-                    self.ctx.stats.bump("heap.tuples_scanned")
-                    raw = page.read(next_slot)
-                    record = decode_record(self.handle.schema, raw)
-                    # Filter while the record is still in the buffer pool.
-                    if self.predicate is not None \
-                            and not self.predicate.matches(record):
-                        continue
-                    key = (page_id, next_slot)
-                    self.ctx.lock_record(self.handle.relation_id, key,
-                                         LockMode.S)
-                    if self.fields is None:
-                        return key, record
-                    return key, tuple(record[i] for i in self.fields)
-            finally:
-                buffer.unpin(page_id)
-            page_index += 1
-            slot = -1
-            self.position = (page_index, -1)
-        self.state = AFTER
-        return None
-
     #: Pages prefetched ahead of the one being extracted during a batch.
     _PREFETCH_PAGES = 4
 
     def next_batch(self, n: int) -> ColumnBatch:
         """Extract up to ``n`` qualifying records page-at-a-time, as a
-        batch that carries their keys.  Each page is pinned once: under
-        the pin the fields the predicate reads are decoded for every live
-        record and filtered as columns, then the output fields of the
-        *selected* records alone — whole records by the row decoder,
-        ``fields`` by the page decoder, so no row exists for those.  The
+        batch that carries their keys: each page pinned once and read by
+        the :class:`PageLeaf`, the returned keys locked per page.  The
         pages about to be crossed are pre-installed in the buffer pool."""
         self._check_open()
         if n < 1:
             raise ScanError(f"next_batch needs a positive count, got {n}")
-        descriptor = self.handle.descriptor.storage_descriptor
-        pages: List[int] = descriptor["pages"]
+        pages: List[int] = self.handle.descriptor.storage_descriptor["pages"]
         page_index, slot = (0, -1) if self.position is None else self.position
-        buffer = self.ctx.buffer
-        stats = self.ctx.stats
-        schema, fields, predicate = self.handle.schema, self.fields, \
-            self.predicate
-        width = len(schema)
-        if predicate is not None:
-            needed = tuple(sorted(predicate.fields_needed))
-            decode_needed = schema.page_decoder(needed)
-        decode = schema.decoder if fields is None \
-            else schema.page_decoder(fields)
-        keys: list = []
-        rows: list = []                           # whole records, or
-        columns = [[] for __ in fields or ()]     # one list per field
+        buffer, stats = self.ctx.buffer, self.ctx.stats
+        leaf = PageLeaf(self.handle.schema, self.fields, self.predicate, stats)
+        keys = leaf.keys
         while page_index < len(pages) and len(keys) < n:
             page_id = pages[page_index]
             page = buffer.fetch(page_id)
@@ -276,25 +284,9 @@ class HeapScan(Scan):
                 offsets = page.directory()[0]
                 slots = [s for s in range(slot + 1, len(offsets))
                          if offsets[s] != TOMBSTONE]
-                live = [offsets[s] for s in slots]
-                data = page.data
-                # Filter while the field values are still in the buffer
-                # pool: the predicate sees columns, never a record.
-                if predicate is None:
-                    selected = range(len(live))
-                else:
-                    selected = predicate.select(ColumnBatch.from_columns(
-                        dict(zip(needed, decode_needed(data, live))),
-                        len(live), width), stats)
                 room = n - len(keys)
-                chosen = selected[:room] if len(selected) > room else selected
-                if len(chosen) < len(live):
-                    live = [live[i] for i in chosen]
-                if fields is None:
-                    rows += [decode(data, offset) for offset in live]
-                else:
-                    for column, values in zip(columns, decode(data, live)):
-                        column += values
+                chosen = leaf.read(page.data, [offsets[s] for s in slots],
+                                   room)
             finally:
                 buffer.unpin(page_id)
             if slots:
@@ -303,15 +295,13 @@ class HeapScan(Scan):
             self.ctx.lock_records(self.handle.relation_id, page_keys,
                                   LockMode.S)
             keys += page_keys
-            if len(selected) >= room and selected:
+            if len(chosen) == room:
                 # The batch filled on this page: stop at the last consumed
                 # slot.  Tuples past it are only accounted for when the
                 # next call re-examines them (same totals as the old
                 # slot-at-a-time loop, which never looked past the cut).
-                last = selected[room - 1] if len(selected) > room \
-                    else selected[-1]
-                self.position = (page_index, slots[last])
-                stats.bump_many({"heap.tuples_scanned": last + 1})
+                self.position = (page_index, slots[chosen[-1]])
+                stats.bump_many({"heap.tuples_scanned": chosen[-1] + 1})
                 break
             if slots:
                 stats.bump_many({"heap.tuples_scanned": len(slots)})
@@ -324,10 +314,7 @@ class HeapScan(Scan):
                                       page_index + self._PREFETCH_PAGES])
         if not keys:
             self.state = AFTER
-        if fields is None:
-            return ColumnBatch(rows, width, keys)
-        return ColumnBatch.from_columns(dict(zip(fields, columns)),
-                                        len(keys), width, keys, fields)
+        return leaf.batch()
 
     def save_position(self) -> ScanPosition:
         return ScanPosition(self.state, self.position)
@@ -357,15 +344,16 @@ class HeapStorageMethod(StorageMethod):
         fill = attributes.pop("fill_hint", 1.0)
         if attributes:
             raise StorageError(
-                f"heap storage: unknown attributes {sorted(attributes)}")
+                f"{self.name} storage: unknown attributes {sorted(attributes)}")
         if not isinstance(fill, (int, float)) or not 0 < fill <= 1:
             raise StorageError(
-                f"heap storage: fill_hint must be in (0, 1], got {fill!r}")
+                f"{self.name} storage: fill_hint must be in (0, 1], got "
+                f"{fill!r}")
         return {"fill_hint": float(fill)}
 
     def create_instance(self, ctx, relation_id, schema, attributes) -> dict:
         return {"relation_id": relation_id, "pages": [], "ntuples": 0,
-                "attributes": dict(attributes)}
+                "derived_lsn": 0, "attributes": dict(attributes)}
 
     def destroy_instance(self, ctx, descriptor) -> None:
         for page_id in descriptor["pages"]:
@@ -375,42 +363,21 @@ class HeapStorageMethod(StorageMethod):
         self._page_index.pop(descriptor["relation_id"], None)
 
     def recovery_handler(self) -> ResourceHandler:
-        return _HeapHandler()
+        return _HeapHandler(self)
+
+    def recover_instance(self, ctx, handle, stable_lsn: int) -> None:
+        """Derive the page-derived state again when it reflects a change
+        the crash lost (logged past ``stable_lsn``) or restart undid one."""
+        if handle.descriptor.storage_descriptor["derived_lsn"] > stable_lsn:
+            self._derive(ctx, handle)
 
     # -- modification ---------------------------------------------------------------
     def insert(self, ctx, handle, record):
         return self.insert_batch(ctx, handle, (record,))[0]
 
     def update(self, ctx, handle, key, old_record, new_record):
-        descriptor = handle.descriptor.storage_descriptor
-        page_id, slot = key
         ctx.lock_record(handle.relation_id, key, LockMode.X)
-        new_raw = encode_record(handle.schema, new_record)
-        page = ctx.buffer.fetch(page_id)
-        try:
-            old_raw = page.update(slot, new_raw)
-        except PageError:
-            # Grown record that no longer fits: delete + reinsert, which
-            # moves the record and changes its address key.
-            ctx.buffer.unpin(page_id)
-            self.delete(ctx, handle, key, old_record)
-            new_key = self.insert(ctx, handle, new_record)
-            ctx.stats.bump("heap.relocating_updates")
-            return new_key
-        try:
-            try:
-                log = ctx.log(self.resource, {
-                    "op": "update", "relation_id": descriptor["relation_id"],
-                    "page": page_id, "slot": slot,
-                    "old_raw": old_raw, "new_raw": new_raw})
-            except BaseException:
-                page.update(slot, old_raw)  # unlogged change must not stay
-                raise
-            page.page_lsn = log.lsn
-            ctx.stats.bump("heap.updates")
-            return key
-        finally:
-            ctx.buffer.unpin(page_id, dirty=True)
+        return self._update_at(ctx, handle, key, key, old_record, new_record)
 
     def delete(self, ctx, handle, key, old_record) -> None:
         self.delete_batch(ctx, handle, ((key, old_record),))
@@ -418,8 +385,9 @@ class HeapStorageMethod(StorageMethod):
     # -- set-at-a-time modification -------------------------------------------------
     def insert_batch(self, ctx, handle, records):
         """Fill each page in one pass: its slots chosen from one directory
-        read, their record keys X-locked before a byte is placed, then one
-        log record and one LSN stamp per *page*."""
+        read, locked (:meth:`_slot_locks`) before a byte is placed, then
+        one log record and one LSN stamp per *page* — the last page, then
+        new ones.  Returns the records' addresses."""
         descriptor = handle.descriptor.storage_descriptor
         raws = [encode_record(handle.schema, record) for record in records]
         fill_hint = descriptor.get("attributes", {}).get("fill_hint", 1.0)
@@ -435,9 +403,8 @@ class HeapStorageMethod(StorageMethod):
                 # A slot freed by a delete that has not committed is still
                 # locked by the deleter: the conflict must surface while
                 # the slot is empty, or the deleter could not roll back.
-                ctx.lock_records(relation_id,
-                                 [(page_id, slot) for slot in slots],
-                                 LockMode.X)
+                ctx.lock_records(relation_id, self._slot_locks(
+                    [(page_id, slot) for slot in slots]), LockMode.X)
             try:
                 rest = raws[len(keys):] if keys else raws
                 slots = page.insert_many(rest, fill_hint, lock)
@@ -460,7 +427,8 @@ class HeapStorageMethod(StorageMethod):
                             page.delete(slot)
                         raise
                     page.page_lsn = log.lsn
-                    descriptor["ntuples"] += len(slots)
+                    self._keep(handle, page_id, slots, page_raws, log.lsn,
+                               True)
                     keys.extend((page_id, slot) for slot in slots)
                 return slots
             finally:
@@ -470,37 +438,13 @@ class HeapStorageMethod(StorageMethod):
             if not (descriptor["pages"]
                     and fill(self._last_page(ctx, descriptor), False)):
                 fill(self._new_page(ctx, descriptor), True)
-        ctx.stats.bump("heap.inserts", len(records))
+        ctx.stats.bump(self.name + ".inserts", len(records))
         return keys
 
     def delete_batch(self, ctx, handle, items) -> None:
-        """Group victims by page: one pin and one log record per page."""
-        descriptor = handle.descriptor.storage_descriptor
-        by_page = {}
         for key, __ in items:
-            page_id, slot = key
             ctx.lock_record(handle.relation_id, key, LockMode.X)
-            by_page.setdefault(page_id, []).append(slot)
-        for page_id, slots in by_page.items():
-            page = ctx.buffer.fetch(page_id)
-            try:
-                old_raws = [page.delete(slot) for slot in slots]
-                try:
-                    log = ctx.log(self.resource, {
-                        "op": "delete_multi",
-                        "relation_id": descriptor["relation_id"],
-                        "page": page_id, "slots": slots,
-                        "old_raws": old_raws})
-                except BaseException:
-                    # Unlogged deletions must not stay: put them back.
-                    for slot, raw in zip(slots, old_raws):
-                        page.insert(raw, slot=slot)
-                    raise
-                page.page_lsn = log.lsn
-                descriptor["ntuples"] -= len(slots)
-            finally:
-                ctx.buffer.unpin(page_id, dirty=True)
-        ctx.stats.bump("heap.deletes", len(items))
+        self._remove(ctx, handle, [key for key, __ in items])
 
     # -- access -------------------------------------------------------------------------
     def fetch(self, ctx, handle, key, fields=None, predicate=None):
@@ -537,31 +481,10 @@ class HeapStorageMethod(StorageMethod):
                 raise RecordNotFoundError(
                     f"bad heap record key {key!r}") from None
             if page_id in by_page:
-                by_page[page_id].append((page_id, slot))
+                by_page[page_id].append((key, slot))
             elif self._owns_page(descriptor, page_id):
-                by_page[page_id] = [(page_id, slot)]
-        found = {}
-        decode = handle.schema.decoder
-        for page_id, page_keys in by_page.items():
-            page = ctx.buffer.fetch(page_id)
-            try:
-                offsets = page.directory()[0]
-                present = [key for key in page_keys
-                           if 0 <= key[1] < len(offsets)
-                           and offsets[key[1]] != TOMBSTONE]
-                ctx.lock_records(handle.relation_id, present, LockMode.S)
-                for key in present:
-                    record = decode(page.data, offsets[key[1]])
-                    if predicate is not None and not predicate.matches(record):
-                        continue
-                    if fields is None:
-                        found[key] = record
-                    else:
-                        found[key] = tuple(record[i] for i in fields)
-            finally:
-                ctx.buffer.unpin(page_id)
-        ctx.stats.bump("heap.fetches", len(found))
-        return [(key, found[key]) for key in keys if key in found]
+                by_page[page_id] = [(key, slot)]
+        return self._read_at(ctx, handle, keys, by_page, fields, predicate)
 
     def open_scan(self, ctx, handle, fields=None, predicate=None) -> Scan:
         scan = HeapScan(ctx, handle, fields, predicate)
@@ -574,6 +497,116 @@ class HeapStorageMethod(StorageMethod):
 
     def page_count(self, ctx, handle) -> int:
         return len(handle.descriptor.storage_descriptor["pages"])
+
+    # -- the page bodies, by address -------------------------------------------------------
+    def _slot_locks(self, addresses: list) -> list:
+        """The record lock names that hold the slots at ``addresses``:
+        a heap record's key is its address."""
+        return addresses
+
+    def _keep(self, handle, page_id, slots, raws, lsn: int,
+              added: bool) -> None:
+        """Keep what the descriptor derives from the pages in step with
+        the change logged at ``lsn``: the records ``raws`` placed in
+        ``slots`` of ``page_id`` (``added``) or removed from them."""
+        descriptor = handle.descriptor.storage_descriptor
+        descriptor["ntuples"] += len(slots) if added else -len(slots)
+        descriptor["derived_lsn"] = lsn
+
+    def _derive(self, ctx, handle) -> None:
+        """Derive the page-derived state from the pages."""
+        descriptor = handle.descriptor.storage_descriptor
+        count = 0
+        for page_id in descriptor["pages"]:
+            with ctx.buffer.pinned(page_id) as page:
+                count += page.live_count()
+        descriptor["ntuples"] = count
+
+    def _update_at(self, ctx, handle, address, key, old_record, new_record):
+        """Replace the record ``key`` names (locked), stored at
+        ``address``, in place; a grown record that no longer fits is
+        deleted and inserted again, which may change its key."""
+        page_id, slot = address
+        new_raw = encode_record(handle.schema, new_record)
+        page = ctx.buffer.fetch(page_id)
+        try:
+            old_raw = page.update(slot, new_raw)
+        except PageError:
+            ctx.buffer.unpin(page_id)
+            self.delete(ctx, handle, key, old_record)
+            new_key = self.insert(ctx, handle, new_record)
+            ctx.stats.bump(self.name + ".relocating_updates")
+            return new_key
+        try:
+            try:
+                log = ctx.log(self.resource, {
+                    "op": "update", "relation_id": handle.relation_id,
+                    "page": page_id, "slot": slot,
+                    "old_raw": old_raw, "new_raw": new_raw})
+            except BaseException:
+                page.update(slot, old_raw)  # unlogged change must not stay
+                raise
+            page.page_lsn = log.lsn
+            ctx.stats.bump(self.name + ".updates")
+            return key
+        finally:
+            ctx.buffer.unpin(page_id, dirty=True)
+
+    def _remove(self, ctx, handle, addresses: list) -> None:
+        """Remove the records at ``addresses`` (their locks held): one pin
+        and one log record per page."""
+        by_page = {}
+        for page_id, slot in addresses:
+            by_page.setdefault(page_id, []).append(slot)
+        for page_id, slots in by_page.items():
+            page = ctx.buffer.fetch(page_id)
+            try:
+                old_raws = [page.delete(slot) for slot in slots]
+                try:
+                    log = ctx.log(self.resource, {
+                        "op": "delete_multi",
+                        "relation_id": handle.relation_id,
+                        "page": page_id, "slots": slots,
+                        "old_raws": old_raws})
+                except BaseException:
+                    # Unlogged deletions must not stay: put them back.
+                    for slot, raw in zip(slots, old_raws):
+                        page.insert(raw, slot=slot)
+                    raise
+                page.page_lsn = log.lsn
+                self._keep(handle, page_id, slots, old_raws, log.lsn, False)
+            finally:
+                ctx.buffer.unpin(page_id, dirty=True)
+        ctx.stats.bump(self.name + ".deletes", len(addresses))
+
+    def _read_at(self, ctx, handle, keys, by_page: dict, fields, predicate):
+        """``(key, values)`` for each of ``keys`` that ``by_page`` (page id
+        → ``[(key, slot)]``) places in a live slot whose record passes
+        ``predicate``, in ``keys`` order: one pin and one S ``lock_records``
+        per page."""
+        found = {}
+        decode = handle.schema.decoder
+        for page_id, entries in by_page.items():
+            page = ctx.buffer.fetch(page_id)
+            try:
+                offsets = page.directory()[0]
+                present = [(key, slot) for key, slot in entries
+                           if 0 <= slot < len(offsets)
+                           and offsets[slot] != TOMBSTONE]
+                ctx.lock_records(handle.relation_id,
+                                 [key for key, __ in present], LockMode.S)
+                for key, slot in present:
+                    record = decode(page.data, offsets[slot])
+                    if predicate is not None and not predicate.matches(record):
+                        continue
+                    if fields is None:
+                        found[key] = record
+                    else:
+                        found[key] = tuple(record[i] for i in fields)
+            finally:
+                ctx.buffer.unpin(page_id)
+        ctx.stats.bump(self.name + ".fetches", len(found))
+        return [(key, found[key]) for key in keys if key in found]
 
     # -- internals -----------------------------------------------------------------------------
     def _owns_page(self, descriptor: dict, page_id) -> bool:
@@ -621,5 +654,5 @@ class HeapStorageMethod(StorageMethod):
             raise
         descriptor["pages"].append(page.page_id)
         page.page_lsn = log.lsn
-        ctx.stats.bump("heap.page_allocations")
+        ctx.stats.bump(self.name + ".page_allocations")
         return page

@@ -22,7 +22,8 @@ import bisect
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.context import ExecutionContext
-from ..core.storage_method import RelationHandle, StorageMethod
+from ..core.storage_method import RelationHandle, StorageMethod, \
+    logged_relation
 from ..errors import RecordNotFoundError, ScanError, StorageError
 from ..services.locks import LockMode
 from ..services.predicate import Predicate
@@ -56,28 +57,6 @@ class MemoryScan(Scan):
         self.state = BEFORE
         self.position: Optional[int] = None  # last key returned
         self._keys = sorted(rows)
-
-    def next(self):
-        self._check_open()
-        floor = self.position if self.position is not None else -1
-        index = bisect.bisect_right(self._keys, floor)
-        while index < len(self._keys):
-            key = self._keys[index]
-            index += 1
-            record = self.rows.get(key)
-            if record is None:
-                continue  # deleted after the scan opened
-            self.position = key
-            self.state = ON
-            self.ctx.stats.bump("memory.tuples_scanned")
-            if self.predicate is not None and not self.predicate.matches(record):
-                continue
-            self.ctx.lock_record(self.handle.relation_id, key, LockMode.S)
-            if self.fields is None:
-                return key, record
-            return key, tuple(record[i] for i in self.fields)
-        self.state = AFTER
-        return None
 
     def next_batch(self, n: int) -> list:
         """Slice the snapshotted key sequence: one bisect for the whole
@@ -147,7 +126,7 @@ class MemoryScan(Scan):
 class _MemoryHandler(ResourceHandler):
     """Undo-only recovery: temporary relations do not survive restart."""
 
-    def locked_records(self, payload: dict):
+    def locked_records(self, services, payload: dict):
         op = payload.get("op")
         relation_id = payload["relation_id"]
         if op == "update":
@@ -157,10 +136,10 @@ class _MemoryHandler(ResourceHandler):
         return ()
 
     def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        descriptor = _descriptor_for(services, payload)
-        if descriptor is None:
+        relation = logged_relation(services, payload)
+        if relation is None:
             return  # the relation was dropped; nothing left to undo
-        rows = descriptor["rows"]
+        rows = relation.descriptor.storage_descriptor["rows"]
         op = payload["op"]
         if op == "update":
             rows[payload["key"]] = tuple(payload["old"])
@@ -175,19 +154,6 @@ class _MemoryHandler(ResourceHandler):
 
     def redo(self, services, lsn: int, payload: dict) -> None:
         """No redo: the temporary relation's contents are volatile."""
-
-
-def _descriptor_for(services, payload: dict):
-    """Storage descriptor, or None when the relation has been dropped."""
-    database = getattr(services, "database", None)
-    if database is None:
-        raise StorageError("recovery handler needs services.database wired")
-    from ..errors import UnknownObjectError
-    try:
-        entry = database.catalog.entry_by_id(payload["relation_id"])
-    except UnknownObjectError:
-        return None
-    return entry.handle.descriptor.storage_descriptor
 
 
 class MemoryStorageMethod(StorageMethod):

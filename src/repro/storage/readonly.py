@@ -29,6 +29,8 @@ from ..errors import ReadOnlyError, ScanError, StorageError
 from ..services.locks import LockMode
 from ..services.predicate import Predicate
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
+from ..services.vectors import ColumnBatch
+from .heap import PageLeaf
 
 __all__ = ["ReadOnlyStorageMethod", "ReadOnlyScan"]
 
@@ -49,38 +51,13 @@ class ReadOnlyScan(Scan):
         self.state = BEFORE
         self.position: Optional[int] = None  # last ordinal returned
 
-    def next(self):
-        self._check_open()
-        descriptor = self.handle.descriptor.storage_descriptor
-        addresses = descriptor["addresses"]
-        ordinal = 0 if self.position is None else self.position + 1
-        buffer = self.ctx.buffer
-        while ordinal < len(addresses):
-            page_id, slot = addresses[ordinal]
-            self.position = ordinal
-            self.state = ON
-            self.ctx.stats.bump("readonly.tuples_scanned")
-            page = buffer.fetch(page_id)
-            try:
-                record = decode_record(self.handle.schema, page.read(slot))
-                if self.predicate is not None \
-                        and not self.predicate.matches(record):
-                    ordinal += 1
-                    continue
-                if self.fields is None:
-                    return ordinal, record
-                return ordinal, tuple(record[i] for i in self.fields)
-            finally:
-                buffer.unpin(page_id)
-        self.state = AFTER
-        return None
-
     #: Pages prefetched ahead of the one being extracted during a batch.
     _PREFETCH_PAGES = 4
 
-    def next_batch(self, n: int) -> list:
+    def next_batch(self, n: int) -> ColumnBatch:
         """Extract up to ``n`` records with one pin per platter page —
-        ordinals are packed page by page, so each page yields a run."""
+        ordinals are packed page by page, so each page yields a run, read
+        by the heap's page leaf."""
         self._check_open()
         if n < 1:
             raise ScanError(f"next_batch needs a positive count, got {n}")
@@ -88,37 +65,36 @@ class ReadOnlyScan(Scan):
         addresses = descriptor["addresses"]
         pages = descriptor["pages"]
         ordinal = 0 if self.position is None else self.position + 1
-        buffer = self.ctx.buffer
-        batch: list = []
-        while ordinal < len(addresses) and len(batch) < n:
-            run_page = addresses[ordinal][0]
-            page_index = pages.index(run_page)
+        buffer, stats = self.ctx.buffer, self.ctx.stats
+        leaf = PageLeaf(self.handle.schema, self.fields, self.predicate, stats)
+        while ordinal < len(addresses) and len(leaf.keys) < n:
+            page_id, end = addresses[ordinal][0], ordinal + 1
+            while end < len(addresses) and addresses[end][0] == page_id:
+                end += 1
+            page_index = pages.index(page_id)
             buffer.prefetch(pages[page_index + 1:
                                   page_index + 1 + self._PREFETCH_PAGES])
-            page = buffer.fetch(run_page)
+            page = buffer.fetch(page_id)
             try:
-                while ordinal < len(addresses) and len(batch) < n:
-                    page_id, slot = addresses[ordinal]
-                    if page_id != run_page:
-                        break
-                    self.position = ordinal
-                    self.state = ON
-                    self.ctx.stats.bump("readonly.tuples_scanned")
-                    record = decode_record(self.handle.schema, page.read(slot))
-                    ordinal += 1
-                    if self.predicate is not None \
-                            and not self.predicate.matches(record):
-                        continue
-                    if self.fields is None:
-                        batch.append((ordinal - 1, record))
-                    else:
-                        batch.append((ordinal - 1, tuple(
-                            record[i] for i in self.fields)))
+                offsets = page.directory()[0]
+                room = n - len(leaf.keys)
+                chosen = leaf.read(page.data, [
+                    offsets[slot] for __, slot in addresses[ordinal:end]],
+                    room)
             finally:
-                buffer.unpin(run_page)
-        if not batch:
+                buffer.unpin(page_id)
+            self.state = ON
+            leaf.keys += [ordinal + i for i in chosen]
+            if len(chosen) == room:
+                self.position = ordinal + chosen[-1]
+                stats.bump("readonly.tuples_scanned", chosen[-1] + 1)
+                break
+            self.position = end - 1
+            stats.bump("readonly.tuples_scanned", end - ordinal)
+            ordinal = end
+        if not leaf.keys:
             self.state = AFTER
-        return batch
+        return leaf.batch()
 
     def save_position(self) -> ScanPosition:
         return ScanPosition(self.state, self.position)

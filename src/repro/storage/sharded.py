@@ -102,7 +102,7 @@ from typing import Dict, Optional
 from ..core.context import ExecutionContext
 from ..core.hashing import shard_of
 from ..core.storage_method import (RelationHandle, StorageMethod,
-                                   logged_descriptor)
+                                   logged_relation)
 from ..errors import FencingError, GatewayError, StorageError
 from ..query.cost import AccessCost, default_selectivity
 from ..services import events as ev
@@ -280,10 +280,11 @@ class _ShardedHandler(ResourceHandler):
         # still holding the global transaction.  Delivery is direct — this
         # *is* the resolution channel, charging faults here could wedge
         # restart itself.
-        descriptor = logged_descriptor(services, payload)
+        relation = logged_relation(services, payload)
         gtid = payload["gtid"]
-        for index in payload.get("shards", ()):
-            child = descriptor["databases"][index]
+        # A dropped relation's children went with it: nothing to deliver.
+        for index in payload.get("shards", ()) if relation is not None else ():
+            child = relation.descriptor.storage_descriptor["databases"][index]
             manager = child.services.transactions
             child_txn = manager.find_gtid(gtid)
             if child_txn is None or child_txn.settled:

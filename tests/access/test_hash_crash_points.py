@@ -1,11 +1,13 @@
-"""Crash at every boundary: the hash slice of ROADMAP item 2(b).
+"""Crash at every boundary: the hash and heap/btree_file slices of
+ROADMAP item 2(b).
 
-One fixed script over a heap with a hash index; the ``disk.write`` /
-``wal.flush`` / ``buffer.write_back`` fault points it passes are counted,
-then it is run again once per point with the crash *there*.  After the
-restart: the committed rows are the model's, the index answers every key
-as the relation does (and its pages hold what a rebuild puts there), and a
-second restart changes nothing.
+One fixed script over a relation with a hash index, on each storage
+method of ``STORAGES``; the ``disk.write`` / ``wal.flush`` /
+``buffer.write_back`` fault points it passes are counted, then it is run
+again once per point with the crash *there*.  After the restart: the
+committed rows are the model's and the stored count agrees, the index
+answers every key as the relation does (and its pages hold what a rebuild
+puts there), and a second restart changes nothing.
 """
 
 import pytest
@@ -17,12 +19,21 @@ from .test_hash_index import chain_of, check_hash_file, hash_instance
 
 POINTS = ("disk.write", "wal.flush", "buffer.write_back")
 KEYS = range(-1, 41)
+#: Storage method -> its DDL attributes.
+STORAGES = {"heap": None, "btree_file": {"key": ["id"]}}
+#: Every storage method x point; the heap's keep the ids they had before
+#: the storage axis.
+CASES = [pytest.param(storage, point, id=point if storage == "heap"
+                      else f"{storage}-{point}")
+         for storage in STORAGES for point in POINTS]
 
 
-def build():
+def build(storage):
     """A pool of eight 512-byte frames: the script evicts all the time."""
     db = Database(page_size=512, buffer_capacity=8)
-    table = db.create_table("t", [("id", "INT"), ("k", "INT")])
+    table = db.create_table("t", [("id", "INT"), ("k", "INT")],
+                            storage_method=storage,
+                            attributes=STORAGES[storage])
     db.create_attachment("t", "hash_index", "t_k",
                          {"columns": ["k"], "buckets": 2})
     db.add_check("k_nonneg", "t", "k >= 0")
@@ -103,6 +114,7 @@ def check_recovered(db, table, before, after):
     stored = table.scan()
     rows = dict(record for __, record in stored)
     assert rows in (before, after)
+    assert table.count() == len(stored)
     # 2. the index answers every key as the relation does, from pages that
     # hold what a rebuild of it puts there.
     for k in KEYS:
@@ -118,8 +130,8 @@ def check_recovered(db, table, before, after):
     return rows
 
 
-def count_fault_points():
-    db, table = build()
+def count_fault_points(storage):
+    db, table = build(storage)
     for point in POINTS:
         db.services.faults.arm(point)  # no trigger: counts the calls
     before, after = run(db, table)
@@ -128,16 +140,18 @@ def count_fault_points():
 
 
 def test_the_script_passes_fault_points_of_every_kind():
-    counts = count_fault_points()
-    assert all(counts[point] >= 10 for point in POINTS), counts
-    assert counts == count_fault_points()  # the script is deterministic
+    for storage in STORAGES:
+        counts = count_fault_points(storage)
+        assert all(counts[point] >= 10 for point in POINTS), (storage,
+                                                              counts)
+        assert counts == count_fault_points(storage)  # deterministic
 
 
-@pytest.mark.parametrize("point", POINTS)
-def test_crash_at_every_boundary(point):
+@pytest.mark.parametrize("storage,point", CASES)
+def test_crash_at_every_boundary(storage, point):
     outcomes = set()
-    for nth in range(1, count_fault_points()[point] + 1):
-        db, table = build()
+    for nth in range(1, count_fault_points(storage)[point] + 1):
+        db, table = build(storage)
         db.services.faults.arm(point, nth=nth)
         before, after = run(db, table)
         assert db.services.faults.injected(point) == 1, (point, nth)

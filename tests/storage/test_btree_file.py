@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database, UniqueViolation
-from repro.errors import StorageError
+from repro.errors import InjectedFault, LockConflictError, StorageError
 
 
 @pytest.fixture
@@ -134,3 +134,102 @@ def test_planner_prefers_keyed_access_for_key_predicates(db, btab):
     assert "storage scan" in plan["access"]["route"]
     # The storage method itself reports the low keyed cost.
     assert plan["access"]["estimated_io"] < 3
+
+
+# ---------------------------------------------------------------------------
+# The heap's bodies under the directory: what a copy of them used to miss
+# ---------------------------------------------------------------------------
+
+def ids(table):
+    return [record[0] for record in table.rows()]
+
+
+def test_failed_log_append_leaves_no_unlogged_record(db, btab):
+    for i in range(5):
+        btab.insert((i, "v"))
+    db.services.faults.arm("wal.append", nth=3)
+    with pytest.raises(InjectedFault):
+        btab.insert((100, "x"))
+    db.services.faults.disarm()
+    assert ids(btab) == list(range(5)) and btab.count() == 5
+    db.restart()
+    assert ids(btab) == list(range(5)) and btab.count() == 5
+
+
+def test_slot_freed_by_an_uncommitted_delete_is_not_reused(db, btab):
+    """The deleter still holds the slot, so a concurrent insert conflicts
+    instead of taking it from under the deleter's undo."""
+    for i in range(6):
+        btab.insert((i, "v"))
+    deleter = db.connect()
+    deleter.begin()
+    deleter.table("b").delete((4,))
+    with pytest.raises(LockConflictError):
+        btab.insert((7, "new"))
+    deleter.rollback()
+    assert ids(btab) == list(range(6))
+
+
+def test_a_slot_lock_is_not_a_key_lock(db):
+    """Key ``(0, 4)`` is held by a writer while an insert takes the free
+    slot 4 of page 0: the two lock names must not be the same."""
+    table = db.create_table("b", [("a", "INT"), ("b", "INT")],
+                            storage_method="btree_file",
+                            attributes={"key": ["a", "b"]})
+    table.insert_many([(1, i) for i in range(6)])  # page 0, slots 0-5
+    table.insert((0, 4))                           # page 0, slot 6
+    table.delete((1, 4))                           # slot 4 is free
+    writer = db.connect()
+    writer.begin()
+    writer.table("b").update((0, 4), {"b": 4})     # X lock on key (0, 4)
+    assert table.insert((0, 50)) == (0, 50)
+    writer.commit()
+    assert db.catalog.handle("b").descriptor.storage_descriptor[
+        "directory"][1] == [[0, 50], 0, 4]
+
+
+def test_fill_hint_is_validated_and_honoured(db):
+    with pytest.raises(StorageError):
+        db.create_table("bad", [("id", "INT")], storage_method="btree_file",
+                        attributes={"key": ["id"], "fill_hint": 7.0})
+    rows = [(i, "v" * 10) for i in range(500)]
+    pages = {}
+    for storage, attributes in (("heap", {}),
+                                ("btree_file", {"key": ["id"]})):
+        for fill in (0.5, 1.0):
+            name = f"{storage}_{int(fill * 10)}"
+            db.create_table(name, [("id", "INT"), ("v", "STRING")],
+                            storage_method=storage,
+                            attributes={**attributes, "fill_hint": fill}
+                            ).insert_many(rows)
+            pages[name] = len(db.catalog.handle(name).descriptor
+                              .storage_descriptor["pages"])
+    assert pages["btree_file_5"] == pages["heap_5"] > pages["btree_file_10"]
+    assert pages["btree_file_10"] == pages["heap_10"]
+
+
+# ---------------------------------------------------------------------------
+# The directory is derived from the pages, again at restart
+# ---------------------------------------------------------------------------
+
+def test_restart_drops_the_entry_of_an_insert_the_crash_lost(db, btab):
+    for i in range(20):
+        btab.insert((i, "keep"))
+    db.begin()
+    btab.insert((100, "lost"))  # never flushed
+    db.restart()
+    assert ids(btab) == list(range(20)) and btab.count() == 20
+    assert btab.fetch((100,)) is None
+
+
+def test_restart_of_a_stable_insert_and_a_lost_delete_of_one_key(db, btab):
+    for i in range(20):
+        btab.insert((i, "keep"))
+    db.begin()
+    btab.insert((100, "loser"))
+    db.services.wal.flush()
+    btab.delete((100,))  # never flushed: restart undoes the insert alone
+    db.restart()
+    assert ids(btab) == list(range(20)) and btab.count() == 20
+    btab.insert((100, "again"))
+    assert btab.fetch((100,)) == (100, "again")

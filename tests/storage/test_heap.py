@@ -6,6 +6,7 @@ from repro import Database
 from repro.errors import QueryError, StorageError
 from repro.services.predicate import Predicate
 from repro.services.vectors import ColumnBatch
+from repro.storage.heap import HeapStorageMethod
 
 
 @pytest.fixture
@@ -163,6 +164,32 @@ def test_crash_before_any_flush_recovers_to_last_commit(db):
     table.insert((3,))   # never flushed, never committed
     db.restart()
     assert sorted(r[0] for r in table.rows()) == [1, 2]
+
+
+def test_restart_counts_again_when_the_crash_lost_an_insert(db, heap_table):
+    for i in range(20):
+        heap_table.insert((i, "keep"))
+    db.begin()
+    heap_table.insert((100, "lost"))  # never flushed
+    db.restart()
+    assert len(heap_table.rows()) == 20 and heap_table.count() == 20
+
+
+def test_restart_counts_only_a_count_it_cannot_trust(db, heap_table,
+                                                      monkeypatch):
+    """Pages are walked for a count that reflects a change past the
+    stable log, or one restart undid — not for every relation."""
+    walked = []
+    monkeypatch.setattr(HeapStorageMethod, "_derive",
+                        lambda method, ctx, handle: walked.append(handle.name))
+    heap_table.insert_many([(i, "keep") for i in range(20)])
+    db.restart()
+    assert walked == []
+    db.begin()
+    heap_table.insert((100, "loser"))
+    db.services.wal.flush()
+    db.restart()
+    assert walked == ["h"]
 
 
 def test_repeated_crashes_are_idempotent(db):
