@@ -29,7 +29,8 @@ Schedules: baseline (lag distribution), primary killed mid-storm,
 acknowledged write in doubt across a promotion, replica killed then
 rejoined via catch-up from its acked LSN, heartbeat partition driving
 health to DOWN, and a promotion race where the first promotion attempt
-itself fails and is retried.
+itself fails and is retried.  The primary-killed and in-doubt schedules
+run again over btree_file shard children (``btree_file_schedules``).
 
 Runnable directly for the CI smoke profile::
 
@@ -154,11 +155,11 @@ def _schedule_baseline(batches):
     }
 
 
-def _schedule_primary_killed(batches):
+def _schedule_primary_killed(batches, **children):
     """Kill shard 0's primary endpoint mid-storm: writes strike the
     health machinery to DOWN, a standby is promoted from the write path,
     and the storm resumes — no acked batch lost, none half-committed."""
-    db, table = build_replicated()
+    db, table = build_replicated(**children)
     stats = db.services.stats
     kill_at = batches // 2
     state = {"fails_after_kill": 0, "recovered": False,
@@ -195,12 +196,12 @@ def _schedule_primary_killed(batches):
     }
 
 
-def _schedule_indoubt_across_promotion(batches):
+def _schedule_indoubt_across_promotion(batches, **children):
     """A batch is quorum-acked with its shard killed between the PREPARE
     vote and the decision delivery; promotion force-applies the standby
     log, restart re-registers the prepared txn in doubt, and the
     coordinator's stable decision commits it on the new primary."""
-    db, table = build_replicated(shards=1)
+    db, table = build_replicated(shards=1, **children)
     stats = db.services.stats
     txn = db.services.transactions.begin()
     ctx = ExecutionContext(txn, db.services, db)
@@ -329,6 +330,15 @@ SCHEDULES = [
     _schedule_promotion_race,
 ]
 
+#: The failover schedules again, over btree_file shard children: their
+#: standbys keep the key directory by the same redo that builds the pages.
+BTREE_FILE_CHILDREN = {"child_storage": "btree_file",
+                       "child_attributes": {"key": ["id"]}}
+BTREE_FILE_SCHEDULES = [
+    _schedule_primary_killed,
+    _schedule_indoubt_across_promotion,
+]
+
 
 # ---------------------------------------------------------------------------
 # Durability-mode cost (messages per acked batch)
@@ -361,17 +371,21 @@ def mode_costs(batches=8):
 def replication_profile(rows=N):
     batches = max(rows // BATCH, 10)
     schedules = [run(batches) for run in SCHEDULES]
+    btree_file = [run(batches, **BTREE_FILE_CHILDREN)
+                  for run in BTREE_FILE_SCHEDULES]
     modes = mode_costs()
     baseline = schedules[0]
     failover = schedules[1]
+    every = schedules + btree_file
     derived = {
-        "lost_acked_total": sum(s["lost_acked"] for s in schedules),
-        "half_committed_total": sum(s["half_committed"]
-                                    for s in schedules),
-        "phantoms_total": sum(s["phantoms"] for s in schedules),
-        "schedules_ok": all(s["ok"] for s in schedules),
+        "lost_acked_total": sum(s["lost_acked"] for s in every),
+        "half_committed_total": sum(s["half_committed"] for s in every),
+        "phantoms_total": sum(s["phantoms"] for s in every),
+        "schedules_ok": all(s["ok"] for s in every),
         "promotions_total": sum(s.get("promotions", 0)
                                 for s in schedules),
+        "btree_file_promotions_total": sum(s["promotions"]
+                                           for s in btree_file),
         "failover_failed_ops": failover["failover_failed_ops"],
         "failover_latency_units": failover["failover_latency_units"],
         "replica_lag_max": baseline["replica_lag_max"],
@@ -385,7 +399,8 @@ def replication_profile(rows=N):
         "E22-replication",
         {"rows": rows, "batch": BATCH, "batches": batches,
          "shards": 2, "replicas": 2},
-        {"schedules": schedules, "mode_costs": modes},
+        {"schedules": schedules, "btree_file_schedules": btree_file,
+         "mode_costs": modes},
         derived)
 
 
@@ -418,6 +433,8 @@ def test_failover_needs_no_operator(profile):
     # four schedules promote, each exactly once, all from the write path
     assert profile["derived"]["promotions_total"] == 4
     assert profile["derived"]["failover_failed_ops"] >= 1
+    # and both failover schedules do over btree_file children
+    assert profile["derived"]["btree_file_promotions_total"] == 2
 
 
 def test_quorum_gates_the_vote_and_async_never_waits(profile):

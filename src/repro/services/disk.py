@@ -75,9 +75,11 @@ class BlockDevice:
     def ensure_allocated(self, page_id: int) -> None:
         """Install ``page_id`` as an allocated, zeroed page.
 
-        Replication apply uses this to materialise the primary's page
-        allocations on a standby by id, instead of replaying the
-        allocator's own order.  A no-op when the page already exists.
+        Heap redo of a page allocation calls this when the device lacks
+        the page — on a standby, which replays the primary's allocations
+        by id instead of the allocator's own order, or at restart for a
+        page a later compensation freed.  A no-op when the page already
+        exists.
         """
         if page_id in self._pages:
             return

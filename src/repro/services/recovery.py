@@ -11,7 +11,9 @@ Extensions register a :class:`ResourceHandler` per resource name; the
 driver walks the log and calls the handler's ``undo``/``redo``.  Undo
 writes compensation records (CLRs) whose ``undo_next`` pointer skips the
 compensated operation, so rollback is itself restartable and partial
-rollback to a savepoint composes with a later full abort.
+rollback to a savepoint composes with a later full abort.  A standby is
+the third user of the log: it runs restart's one-record redo step
+(:meth:`RecoveryManager.redo`) over each settled record it receives.
 
 Restart cost is bounded by checkpoints, not log length.  A *fuzzy*
 checkpoint (:meth:`RecoveryManager.checkpoint`) snapshots the active-
@@ -113,6 +115,17 @@ class RecoveryManager:
         """Append a logical operation record for a recoverable extension."""
         self.handler(resource)  # fail fast if nothing could ever undo it
         return self.wal.log(txn_id, wal_records.UPDATE, resource, payload)
+
+    # -- redo, one record at a time -------------------------------------------------
+    def redo(self, record: LogRecord) -> bool:
+        """Re-apply one logged operation through its handler: the step of
+        restart's redo pass and of a standby's apply.  Control records
+        have nothing to redo.  Returns whether ``record`` was redone."""
+        if record.kind not in (wal_records.UPDATE, wal_records.CLR):
+            return False
+        self.handler(record.resource).redo(self.services, record.lsn,
+                                           record.payload)
+        return True
 
     # -- rollback (partial or total) ------------------------------------------------
     def rollback(self, txn_id: int, to_lsn: int = 0) -> int:
@@ -319,12 +332,7 @@ class RecoveryManager:
                     self.services, record)
 
         redo_start = min([analysis_start] + list(dpt.values()))
-        redone = 0
-        for record in wal.forward(redo_start):
-            if record.kind in (wal_records.UPDATE, wal_records.CLR):
-                self.handler(record.resource).redo(
-                    self.services, record.lsn, record.payload)
-                redone += 1
+        redone = sum(map(self.redo, wal.forward(redo_start)))
 
         undone = 0
         for txn_id in losers:

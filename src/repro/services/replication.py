@@ -16,15 +16,20 @@ which the primary's stable log suffix is shipped verbatim
 physical on purpose: record keys are page/slot addresses, and a promoted
 standby must resolve the same keys the coordinator already handed out.
 
-**Commit-boundary apply.**  A standby appends everything it receives (so
-its log is a verbatim prefix of the primary's) but only *applies* records
-up to a horizon that stalls just before the first record of a transaction
-not yet settled in the received stream.  Reads against a standby thus see
-a prefix-consistent committed state — never dirty data — at the price of
-lag behind in-flight and in-doubt transactions, surfaced as
-``shard.<i>.replica_lag_lsn``.  Promotion force-applies the remainder and
-runs ordinary restart recovery, which undoes losers and re-registers
-prepared transactions in doubt exactly as ARIES would.
+**Commit-boundary apply.**  A standby is a restart that never ends.  It
+appends everything it receives (so its log is a verbatim prefix of the
+primary's) but only *applies* records up to a horizon that stalls just
+before the first record of a transaction not yet settled in the received
+stream, and applying a record is restart's own one-record redo step
+(:meth:`~repro.services.recovery.RecoveryManager.redo`).  What a page
+allocation materialises and what a descriptor derives from its pages is
+the storage method's redo to keep; this module knows no storage method.
+Reads against a standby thus see a prefix-consistent committed state —
+never dirty data — at the price of lag behind in-flight and in-doubt
+transactions, surfaced as ``shard.<i>.replica_lag_lsn``.  Promotion
+force-applies the remainder and runs ordinary restart recovery, which
+undoes losers and re-registers prepared transactions in doubt exactly as
+ARIES would.
 
 **Durability modes.**  Shipping rides every 2PC phase 1 (the child's log
 is already forced through its PREPARE record) and decision delivery:
@@ -62,7 +67,6 @@ from typing import Dict, List, Optional
 from ..errors import (FencingError, GatewayError, RecoveryError,
                       ReplicationError)
 from . import wal as wal_records
-from .pages import PageView
 from .remote import RemoteTransport
 
 __all__ = ["ReplicationService", "Standby", "MODES",
@@ -150,15 +154,16 @@ class Standby:
         record of a transaction with no COMMIT/ABORT in the received
         stream: standby pages only ever show a prefix-consistent committed
         state.  ``force=True`` (promotion) applies everything; restart
-        recovery then undoes the losers.
+        recovery then undoes the losers.  Applying a record is restart's
+        redo step, :meth:`RecoveryManager.redo`.
 
         A received record is read once to settle and once to apply, however
         long the log has grown: the settled set is kept between calls, so
         a trailing END that arrives in a later ship than its COMMIT still
         finds its transaction settled, and leaves it only by being applied.
         """
-        log = self.database.services.wal
-        settled = self._settled
+        services, settled = self.database.services, self._settled
+        log = services.wal
         for record in log.forward(self._settled_through + 1):
             if record.kind in (wal_records.COMMIT, wal_records.ABORT):
                 settled.add(record.txn_id)
@@ -169,78 +174,12 @@ class Standby:
                     and record.txn_id != wal_records.SYSTEM_TXN
                     and record.txn_id not in settled):
                 break
-            self._apply_one(record)
+            services.recovery.redo(record)
             if record.kind == wal_records.END:
                 settled.discard(record.txn_id)
             self.applied_lsn = record.lsn
             applied += 1
         return applied
-
-    def _apply_one(self, record) -> None:
-        if record.kind not in (wal_records.UPDATE, wal_records.CLR):
-            return  # control records: settlement bookkeeping only
-        payload = record.payload
-        services = self.database.services
-        if (record.resource == "storage.heap"
-                and payload.get("op") == "new_page"):
-            self._apply_new_page(record)
-            return
-        handler = services.recovery.handler(record.resource)
-        handler.redo(services, record.lsn, payload)
-        self._track_ntuples(record)
-
-    def _descriptor(self, payload: dict) -> dict:
-        from ..core.storage_method import logged_relation
-        relation = logged_relation(self.database.services, payload)
-        return relation.descriptor.storage_descriptor
-
-    def _apply_new_page(self, record) -> None:
-        """Forward-apply a heap page allocation (or its compensation).
-
-        Heap redo assumes the descriptor page list and the device page
-        survived the crash (they are non-volatile on the primary); on a
-        standby neither exists yet, so the apply materialises both: the
-        exact page id on the device, the descriptor entry, and a freshly
-        formatted image stamped with the allocation LSN.
-        """
-        from ..storage.heap import PAGE_TYPE_HEAP
-        payload = record.payload
-        descriptor = self._descriptor(payload)
-        services = self.database.services
-        page_id = payload["page"]
-        if payload.get("compensates") is not None:
-            if page_id in descriptor["pages"]:
-                descriptor["pages"].remove(page_id)
-                services.buffer.free_page(page_id)
-            return
-        services.disk.ensure_allocated(page_id)
-        if page_id not in descriptor["pages"]:
-            descriptor["pages"].append(page_id)
-        page = services.buffer.fetch(page_id)
-        try:
-            PageView.format(page_id, page.data, PAGE_TYPE_HEAP)
-            page.page_lsn = record.lsn
-        finally:
-            services.buffer.unpin(page_id, dirty=True)
-
-    def _track_ntuples(self, record) -> None:
-        """Maintain the descriptor tuple count alongside physical redo.
-
-        Redo never touches it (on the primary only forward operations and
-        undo do), and a standby runs neither — so the applier accounts
-        for inserts/deletes itself, with CLRs reversing the sign.
-        """
-        payload = record.payload
-        op = payload.get("op")
-        if op == "insert_multi":
-            delta = len(payload["slots"])
-        elif op == "delete_multi":
-            delta = -len(payload["slots"])
-        else:
-            return
-        if payload.get("compensates") is not None:
-            delta = -delta
-        self._descriptor(payload)["ntuples"] += delta
 
 
 class _ReplicaSet:
@@ -284,7 +223,6 @@ class ReplicationService:
         self.child_attributes = child_attributes
         self.heartbeat_every = heartbeat_every
         self.sets: List[_ReplicaSet] = []
-        self.lag_samples: List[int] = []
         self.events: List[tuple] = []
         self._ship_transports: Dict[int, RemoteTransport] = {}
         self._hb_transports: Dict[int, RemoteTransport] = {}
@@ -421,7 +359,6 @@ class ReplicationService:
                 standby.acked_lsn = acked
                 self.stats.bump("repl.acks")
             lag = max(0, target - standby.acked_lsn)
-            self.lag_samples.append(lag)
             self.stats.bump(f"shard.{index}.replica_lag_lsn", lag)
             self.stats.bump("repl.lag_samples")
         self.stats.bump("repl.ships")
@@ -666,7 +603,6 @@ class ReplicationService:
             except GatewayError:
                 continue
             lag = max(0, replica_set.primary_lsn - standby.applied_lsn)
-            self.lag_samples.append(lag)
             self.stats.bump(f"shard.{index}.replica_lag_lsn", lag)
             self.stats.bump("repl.lag_samples")
             self.stats.bump(f"shard.{index}.stale_reads")

@@ -7,8 +7,8 @@ transaction."
 
 The log is the single coordination point for undo.  Storage methods and
 attachments append logical *operation* records tagged with a resource name
-(``storage.heap``, ``attachment.btree_index``, ...); the recovery driver
-later calls the matching extension handler to undo or redo the operation.
+(``storage.<method>``, ``attachment.<type>``); recovery later calls the
+matching extension handler to undo or redo the operation.
 Compensation log records (CLRs) make rollback itself restartable, exactly
 as in ARIES-style systems.
 

@@ -12,9 +12,12 @@ the log record's LSN; the redo handler skips pages whose ``page_lsn`` is
 already at or past the record's LSN, making restart redo idempotent.  The
 page list lives in the storage descriptor (non-volatile catalog storage,
 see DESIGN.md), so structural recovery reduces to re-formatting pages that
-never reached the device.  The tuple count kept beside it is derived from
-the pages: the forward path and undo keep it in step (``_keep``), and
-restart counts the pages again when the crash may have left it wrong.
+never reached the device; redo of an allocation also materialises a page
+the device lacks, which is all a standby (a restart that never ends) needs
+to build the relation from the log.  The tuple count kept beside it is
+derived from the pages: the forward path, undo and redo outside restart
+keep it in step (``_keep``), and restart counts the pages again when the
+crash may have left it wrong.
 The page bodies, by address, and the scan leaf (:class:`PageLeaf`) are
 also the B-tree-organised method's.
 
@@ -58,8 +61,8 @@ def _slots_and_images(payload: dict):
 
 
 class _HeapHandler(ResourceHandler):
-    """Page-stamped undo/redo for heap operations.  Undo keeps what the
-    descriptor derives from the pages in step through the method's
+    """Page-stamped undo/redo for heap operations.  Undo and redo keep what
+    the descriptor derives from the pages in step through the method's
     ``_keep`` — except during restart, after which it is derived afresh."""
 
     def __init__(self, method: "HeapStorageMethod"):
@@ -114,27 +117,8 @@ class _HeapHandler(ResourceHandler):
         if relation is None:
             return  # the relation was dropped; its pages are gone
         descriptor = relation.descriptor.storage_descriptor
-        # Undo of new_page during rollback is compensated by a CLR whose
-        # redo must also be the page removal; both directions are handled
-        # by replaying against the (non-volatile) descriptor page list.
         if op == "new_page":
-            if payload.get("compensates") is not None:
-                return  # CLR for new_page: removal already reflected
-            page_id = payload["page"]
-            if page_id in descriptor["pages"] and services.disk.exists(page_id):
-                page = services.buffer.fetch(page_id)
-                try:
-                    # The allocation record is the incarnation boundary: a
-                    # page image stamped before it belongs to a prior tenant
-                    # of this (reused) page id — or was zero-filled by the
-                    # torn-page sweep — and must be wiped before this
-                    # incarnation's updates replay onto it.
-                    if page.page_lsn < lsn:
-                        PageView.format(page.page_id, page.data,
-                                        PAGE_TYPE_HEAP)
-                        page.page_lsn = lsn
-                finally:
-                    services.buffer.unpin(page_id, dirty=True)
+            self._redo_new_page(services, lsn, payload, descriptor["pages"])
             return
         if not services.disk.exists(payload["page"]):
             return  # page was freed by a later (replayed) compensation
@@ -178,6 +162,46 @@ class _HeapHandler(ResourceHandler):
                                 len(payload.get("slots", ())) or 1)
         finally:
             buffer.unpin(payload["page"], dirty=dirty)
+        if op != "update" and not services.in_restart:
+            # Redo outside restart (a standby's apply) keeps the derived
+            # state as undo does; restart derives it afterwards instead.
+            self.method._keep(relation, payload["page"],
+                              *_slots_and_images(payload), lsn,
+                              (op == "insert_multi")
+                              == (payload.get("compensates") is None))
+
+    @staticmethod
+    def _redo_new_page(services, lsn: int, payload: dict,
+                       pages: list) -> None:
+        """Redo of a page allocation materialises what is missing: a page
+        absent from the device is allocated under its id, listed and
+        formatted (a standby's first sight of it, or a page that a later
+        compensation freed).  A listed page is formatted again when its
+        image is older than the allocation: the record is the incarnation
+        boundary, so an image stamped before it belongs to a prior tenant
+        of the reused id, or was zero-filled by the torn-page sweep.  A
+        page present but not listed belongs to a later tenant now.  The
+        compensation of an allocation gives a listed page back."""
+        page_id = payload["page"]
+        if payload.get("compensates") is not None:
+            if page_id in pages:
+                pages.remove(page_id)
+                services.buffer.free_page(page_id)
+            return
+        if not services.disk.exists(page_id):
+            services.disk.ensure_allocated(page_id)
+            if page_id not in pages:
+                pages.append(page_id)
+        elif page_id not in pages:
+            return
+        page = services.buffer.fetch(page_id)
+        try:
+            if page.page_lsn < lsn:
+                page.data[:] = bytes(len(page.data))  # as allocated: zeros
+                PageView.format(page_id, page.data, PAGE_TYPE_HEAP)
+                page.page_lsn = lsn
+        finally:
+            services.buffer.unpin(page_id, dirty=True)
 
     @staticmethod
     def _redo_compensation(page: PageView, payload: dict) -> None:

@@ -72,8 +72,11 @@ DDL attributes: ``shards`` (create that many fresh child databases) or
 ``databases`` (bring your own), ``key`` (partition field, default the first
 field), ``partition`` ("hash" default, or "range" with ``bounds``),
 ``child_storage`` (storage method for the child relations, default
-"heap"), ``child_statistics`` (give every child its own statistics
-attachment, feeding pushdown gating), and the per-channel transport
+"heap"; with ``replicas`` any *recoverable* method, because a standby is
+built by that method's redo — heap and btree_file, not memory),
+``child_attributes`` (the child relations' DDL attributes, e.g. a
+btree_file ``key``), ``child_statistics`` (give every child its own
+statistics attachment, feeding pushdown gating), and the per-channel transport
 knobs ``latency`` (default 0.5 —
 shards are near peers, cheaper than a wide-area gateway), ``retries``,
 ``breaker_threshold``, ``breaker_cooldown``, ``deadline`` (per-call retry
@@ -447,16 +450,11 @@ class ShardedStorageMethod(StorageMethod):
             # Physical log shipping demands the parity invariant: standby
             # children must be byte-for-byte rebuildable by replaying the
             # primary child's log, so the primaries must be databases this
-            # method created itself, running the one storage method whose
-            # recovery handler the standby applier understands.
+            # method created itself.
             if databases is not None:
                 raise StorageError(
                     "sharded storage: replicas requires method-created "
                     "children ('shards'), not caller-supplied 'databases'")
-            if child_storage != "heap":
-                raise StorageError(
-                    f"sharded storage: replicas requires child_storage="
-                    f"'heap', got {child_storage!r}")
             if child_statistics:
                 # Standby children are rebuilt by replaying the primary
                 # child's physical log, which cannot reconstruct an
@@ -480,12 +478,19 @@ class ShardedStorageMethod(StorageMethod):
         if databases is None:
             from ..core.database import Database
             databases = [Database() for _ in range(attributes["shards"])]
+        child_storage = attributes["child_storage"]
+        if attributes["replicas"] and not databases[0].registry \
+                .storage_method_by_name(child_storage).recoverable:
+            # A standby is built by redo, and a method that is not
+            # recoverable redoes nothing: its standby would stay empty.
+            raise StorageError(
+                f"sharded storage: replicas requires a recoverable "
+                f"child_storage, got {child_storage!r}")
         relation = f"__shard_{relation_id}"
         for child in databases:
             if not child.catalog.exists(relation):
                 child.create_table(
-                    relation, schema,
-                    storage_method=attributes["child_storage"],
+                    relation, schema, storage_method=child_storage,
                     attributes=attributes["child_attributes"])
             if attributes["child_statistics"]:
                 # Per-shard statistics: each child maintains its own row
@@ -523,7 +528,7 @@ class ShardedStorageMethod(StorageMethod):
                 mode=attributes["replication"],
                 replicas=attributes["replicas"],
                 schema=schema,
-                child_storage=attributes["child_storage"],
+                child_storage=child_storage,
                 child_attributes=attributes["child_attributes"],
                 heartbeat_every=attributes["heartbeat_every"])
         return descriptor

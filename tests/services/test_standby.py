@@ -5,39 +5,56 @@ primary's stable log cut into ships at chosen LSNs — so that a COMMIT and
 its END, or the halves of one transaction, arrive in different ships.
 """
 
+import inspect
+
 import pytest
 
 from repro import Database
 from repro.core.records import decode_record
 from repro.services import wal as wal_records
 from repro.services.replication import Standby
+from tests.storage.test_replication import derived, derived_from_pages
 
 SCHEMA = [("id", "INT"), ("name", "STRING")]
 
+#: DDL attributes of the relation under test, by storage method.
+ATTRIBUTES = {"heap": None, "btree_file": {"key": ["id"]}}
 
-def fresh():
+
+def fresh(storage="heap"):
     db = Database()
-    db.create_table("emp", SCHEMA)
+    db.create_table("emp", SCHEMA, storage_method=storage,
+                    attributes=ATTRIBUTES[storage])
     return db
 
 
-@pytest.fixture
-def pair():
+def make_pair(storage="heap"):
     """``(primary, standby)``: two databases with the same DDL prefix."""
-    primary, replica = fresh(), fresh()
+    primary, replica = fresh(storage), fresh(storage)
     base = replica.services.wal.current_lsn
     assert base == primary.services.wal.current_lsn
     replica.services.wal.flush()
     return primary, Standby(0, "r0", replica, {}, base)
 
 
+@pytest.fixture
+def pair():
+    return make_pair()
+
+
 def ship(primary, standby, up_to=None):
     """Ship the primary's stable log after what the standby holds, through
-    LSN ``up_to`` (default: all of it); returns the records shipped."""
+    LSN ``up_to`` (default: all of it); returns the records shipped.  What
+    the standby's descriptor derives is what its pages hold, and once it
+    has applied all the primary logged, what the primary's derives."""
     log = primary.services.wal
     log.flush()
     wire = log.ship_since(standby.received_lsn, up_to=up_to)
     standby.receive(0, wire)
+    replica = standby.database
+    assert derived(replica, "emp") == derived_from_pages(replica, "emp")
+    if standby.applied_lsn == log.current_lsn:
+        assert derived(replica, "emp") == derived(primary, "emp")
     return len(wire)
 
 
@@ -278,3 +295,21 @@ def test_a_promoted_standby_begins_above_the_ids_it_mirrored(pair):
     replica.table("emp").insert((100, "doomed"))
     replica.rollback()
     assert rows(replica) == rows(primary) + [(99, "new")]
+
+
+@pytest.mark.parametrize("test", [
+    test_end_that_arrives_a_ship_after_its_commit,
+    test_transaction_that_spans_three_ships,
+    test_aborted_transaction_applies_with_its_compensations,
+    test_forced_apply_in_the_middle_of_a_transaction_then_recovery,
+    test_settled_set_is_bounded_by_transactions_in_flight,
+    test_each_received_record_is_read_at_most_twice,
+    test_a_stale_read_between_two_ships_leaves_the_mirror_alone,
+    test_a_promoted_standby_begins_above_the_ids_it_mirrored,
+], ids=lambda test: test.__name__[len("test_"):])
+def test_pair_over_btree_file(test, monkeypatch):
+    """The pair tests above, on a btree_file relation: its standby keeps
+    the key directory by the same redo that builds its pages."""
+    wants = inspect.signature(test).parameters
+    test(make_pair("btree_file"),
+         **({"monkeypatch": monkeypatch} if "monkeypatch" in wants else {}))

@@ -1,13 +1,16 @@
 """Replication: WAL shipping, durability modes, fencing, and failover."""
 
+import copy
+
 import pytest
 
 from repro import Database
 from repro.core.context import ExecutionContext
 from repro.core.hashing import shard_of
+from repro.core.records import decode_record
 from repro.errors import FencingError, GatewayError, StorageError
 from repro.services import events as ev
-from repro.services.replication import DOWN, HEALTHY, SUSPECT
+from repro.services.replication import DOWN, HEALTHY, SUSPECT, Standby
 
 
 def make_replicated(shards=2, replicas=2, mode="quorum", **attributes):
@@ -30,6 +33,34 @@ def child_ntuples(database, descriptor):
     return handle.descriptor.storage_descriptor["ntuples"]
 
 
+def derived(database, relation):
+    """A copy of what a relation's descriptor derives from its pages: the
+    tuple count and, on btree_file, the key directory."""
+    descriptor = database.catalog.handle(relation).descriptor \
+        .storage_descriptor
+    return copy.deepcopy({name: descriptor[name]
+                          for name in ("ntuples", "directory")
+                          if name in descriptor})
+
+
+def derived_from_pages(database, relation):
+    """The same, read off the relation's pages."""
+    handle = database.catalog.handle(relation)
+    descriptor = handle.descriptor.storage_descriptor
+    entries = []
+    for page_id in descriptor["pages"]:
+        with database.services.buffer.pinned(page_id) as page:
+            for slot, raw in page.records():
+                record = decode_record(handle.schema, raw)
+                entries.append([[record[i] for i in
+                                 descriptor.get("key_fields", ())],
+                                page_id, slot])
+    found = {"ntuples": len(entries)}
+    if "directory" in descriptor:
+        found["directory"] = sorted(entries)
+    return found
+
+
 def kill_primary(db, index):
     """Persistently fail every message to shard ``index``'s primary."""
     db.services.faults.arm(f"shard.{index}.primary", error=GatewayError,
@@ -46,8 +77,8 @@ ROWS = [(i, f"n{i}") for i in range(20)]
 
 # -- shipping and apply ------------------------------------------------------------
 
-def test_committed_writes_ship_to_every_standby():
-    db, table = make_replicated()
+def test_committed_writes_ship_to_every_standby(make=make_replicated):
+    db, table = make()
     table.insert_many(ROWS)
     table.insert((100, "tail"))
     descriptor, repl = replication_of(db)
@@ -61,11 +92,12 @@ def test_committed_writes_ship_to_every_standby():
     assert db.services.stats.get("repl.acks") > 0
 
 
-def test_standby_apply_stalls_behind_an_in_doubt_transaction():
+def test_standby_apply_stalls_behind_an_in_doubt_transaction(
+        make=make_replicated):
     """The apply horizon is commit-boundary: a shipped-but-undecided txn
     (prepared, decision delivery lost) keeps its records out of the
     standby's visible state — no dirty reads from a standby, ever."""
-    db, table = make_replicated(shards=1)
+    db, table = make(shards=1)
     table.insert_many(ROWS)
     descriptor, repl = replication_of(db)
     standby = repl.sets[0].standbys[0]
@@ -98,8 +130,8 @@ def test_standby_apply_stalls_behind_an_in_doubt_transaction():
             == settled_ntuples + 2)
 
 
-def test_duplicate_ship_after_lost_ack_is_idempotent():
-    db, table = make_replicated(shards=1, replicas=1, mode="async")
+def test_duplicate_ship_after_lost_ack_is_idempotent(make=make_replicated):
+    db, table = make(shards=1, replicas=1, mode="async")
     table.insert_many(ROWS)
     descriptor, repl = replication_of(db)
     standby = repl.sets[0].standbys[0]
@@ -122,8 +154,9 @@ def test_duplicate_ship_after_lost_ack_is_idempotent():
 
 # -- durability modes --------------------------------------------------------------
 
-def test_quorum_mode_vetoes_the_vote_when_replicas_are_dead():
-    db, table = make_replicated(shards=1, replicas=2, mode="quorum")
+def test_quorum_mode_vetoes_the_vote_when_replicas_are_dead(
+        make=make_replicated):
+    db, table = make(shards=1, replicas=2, mode="quorum")
     table.insert((1, "ok"))
     # Kill both standbys: quorum needs (2+1)//2 = 1 standby ack.
     db.services.faults.arm("repl.0.standby.0", error=GatewayError,
@@ -137,22 +170,22 @@ def test_quorum_mode_vetoes_the_vote_when_replicas_are_dead():
     assert sorted(r[0] for r in table.rows()) == [1]
 
 
-def test_semi_sync_needs_one_ack_and_async_needs_none():
+def test_semi_sync_needs_one_ack_and_async_needs_none(make=make_replicated):
     for mode, survives in (("semi-sync", True), ("async", True)):
-        db, table = make_replicated(shards=1, replicas=2, mode=mode)
+        db, table = make(shards=1, replicas=2, mode=mode)
         # One standby dead: semi-sync (1 ack) and async (0 acks) both cope.
         db.services.faults.arm("repl.0.standby.0", error=GatewayError,
                                nth=1, one_shot=False)
         table.insert((1, "ok"))
         assert [r[0] for r in table.rows()] == [1]
     # Both standbys dead: semi-sync fails, async still commits.
-    db, table = make_replicated(shards=1, replicas=2, mode="semi-sync")
+    db, table = make(shards=1, replicas=2, mode="semi-sync")
     for j in (0, 1):
         db.services.faults.arm(f"repl.0.standby.{j}", error=GatewayError,
                                nth=1, one_shot=False)
     with pytest.raises(GatewayError):
         table.insert((1, "no"))
-    db2, table2 = make_replicated(shards=1, replicas=2, mode="async")
+    db2, table2 = make(shards=1, replicas=2, mode="async")
     for j in (0, 1):
         db2.services.faults.arm(f"repl.0.standby.{j}", error=GatewayError,
                                 nth=1, one_shot=False)
@@ -162,8 +195,9 @@ def test_semi_sync_needs_one_ack_and_async_needs_none():
 
 # -- failover ----------------------------------------------------------------------
 
-def test_write_failover_promotes_and_loses_no_acknowledged_write():
-    db, table = make_replicated()
+def test_write_failover_promotes_and_loses_no_acknowledged_write(
+        make=make_replicated):
+    db, table = make()
     table.insert_many(ROWS)
     kill_primary(db, 0)
     committed, failed = [], 0
@@ -184,8 +218,8 @@ def test_write_failover_promotes_and_loses_no_acknowledged_write():
                    if i not in committed)
 
 
-def test_deposed_primary_participant_is_fenced():
-    db, table = make_replicated()
+def test_deposed_primary_participant_is_fenced(make=make_replicated):
+    db, table = make()
     table.insert_many(ROWS)
     descriptor, repl = replication_of(db)
     # Bind a participant to epoch 0 by starting (not committing) a write,
@@ -208,8 +242,8 @@ def test_deposed_primary_participant_is_fenced():
     assert 100 not in ids and follow_up not in ids
 
 
-def test_promotion_failure_is_absorbed_and_retried_later():
-    db, table = make_replicated()
+def test_promotion_failure_is_absorbed_and_retried_later(make=make_replicated):
+    db, table = make()
     table.insert_many(ROWS)
     kill_primary(db, 0)
     db.services.faults.arm("repl.promote", error=GatewayError, nth=1)
@@ -228,8 +262,9 @@ def test_promotion_failure_is_absorbed_and_retried_later():
     assert all(i in ids for i in committed)
 
 
-def test_heartbeat_partition_drives_health_to_down_then_promotes():
-    db, table = make_replicated(shards=1, heartbeat_every=1)
+def test_heartbeat_partition_drives_health_to_down_then_promotes(
+        make=make_replicated):
+    db, table = make(shards=1, heartbeat_every=1)
     table.insert_many(ROWS)
     descriptor, repl = replication_of(db)
     assert repl.health(0) == HEALTHY
@@ -252,12 +287,13 @@ def test_heartbeat_partition_drives_health_to_down_then_promotes():
     assert db.services.stats.get("repl.heartbeat_failures") >= 2
 
 
-def test_indoubt_write_survives_promotion_and_resolves_to_commit():
+def test_indoubt_write_survives_promotion_and_resolves_to_commit(
+        make=make_replicated):
     """The crown jewel: a write acknowledged under quorum, with the shard
     killed between its PREPARE and the decision delivery, must commit on
     the *promoted* standby — the coordinator's stable decision record is
     re-applied against the new primary."""
-    db, table = make_replicated(shards=1, replicas=2, mode="quorum")
+    db, table = make(shards=1, replicas=2, mode="quorum")
     table.insert_many(ROWS)
     descriptor, repl = replication_of(db)
     # Phase 1 (prepare + quorum ship) succeeds; the primary dies at the
@@ -286,8 +322,8 @@ def test_indoubt_write_survives_promotion_and_resolves_to_commit():
     assert db.services.stats.get("txn.2pc.heuristic_mismatches") == 0
 
 
-def test_replica_rejoins_and_catches_up_from_acked_lsn():
-    db, table = make_replicated(shards=1, replicas=2, mode="semi-sync")
+def test_replica_rejoins_and_catches_up_from_acked_lsn(make=make_replicated):
+    db, table = make(shards=1, replicas=2, mode="semi-sync")
     table.insert_many(ROWS)
     descriptor, repl = replication_of(db)
     victim = repl.sets[0].standbys[0]
@@ -309,8 +345,8 @@ def test_replica_rejoins_and_catches_up_from_acked_lsn():
 
 # -- reads -------------------------------------------------------------------------
 
-def test_reads_fail_over_to_standby_and_report_staleness():
-    db, table = make_replicated()
+def test_reads_fail_over_to_standby_and_report_staleness(make=make_replicated):
+    db, table = make()
     table.insert_many(ROWS)
     kill_primary(db, 1)
     rows, report = table.scan(with_report=True)
@@ -349,11 +385,12 @@ def _pushed_group_by(db, ctx, handle, keys):
 
 @pytest.mark.parametrize("read", [_fetch, _fetch_many, _scan,
                                   _pushed_group_by])
-def test_every_read_entry_point_climbs_the_same_ladder(read, monkeypatch):
+def test_every_read_entry_point_climbs_the_same_ladder(
+        read, monkeypatch, make=make_replicated):
     """A dead primary, then a standby that answers: whichever way the
     read came in, the shard is stale in the report, the failure reached
     replication health once, and one stale read was counted."""
-    db, table = make_replicated()
+    db, table = make()
     keys = [key for key in table.insert_many(ROWS) if key[0] == 1]
     descriptor, repl = replication_of(db)
     handle = db.catalog.handle("emp")
@@ -464,7 +501,8 @@ def test_replication_attributes_are_validated():
         ({"shards": 2, "deadline": 0}, "deadline"),
         ({"databases": [Database(page_size=1024)], "replicas": 1},
          "method-created"),
-        ({"shards": 2, "replicas": 1, "child_storage": "btree"},
+        # a standby is built by redo, and memory redoes nothing
+        ({"shards": 2, "replicas": 1, "child_storage": "memory"},
          "child_storage"),
     ]
     for attrs, needle in cases:
@@ -504,3 +542,80 @@ def test_read_only_participant_logs_nothing_and_ships_nothing():
     child = descriptor["databases"][reader].services
     assert child.transactions.active_transactions() == ()
     assert child.stats.get("txn.unlogged_ends") >= 1
+
+
+# -- the same failover tests over btree_file children -------------------------------
+# (The pushdown cases stay heap-only: ordered children are gated off it.)
+
+class BTreeFileChildren:
+    """A ``make`` for the tests above whose shard children are btree_file
+    relations.  Every ship checks each standby: what its descriptor
+    derives (``ntuples`` and the key directory) is what its pages hold;
+    :meth:`check_drained` then feeds each standby the rest of its
+    primary's log and checks that it derives what the primary does."""
+
+    def __init__(self, monkeypatch):
+        self.made = []
+        receive = Standby.receive
+
+        def checked_receive(standby, epoch, wire):
+            lsn = receive(standby, epoch, wire)
+            database = standby.database
+            for relation in database.catalog.relation_names():
+                assert derived(database, relation) \
+                    == derived_from_pages(database, relation)
+            return lsn
+        monkeypatch.setattr(Standby, "receive", checked_receive)
+
+    def __call__(self, **attributes):
+        self.made.append(make_replicated(
+            child_storage="btree_file", child_attributes={"key": ["id"]},
+            **attributes))
+        return self.made[-1]
+
+    def check_drained(self) -> int:
+        compared = 0
+        for db, __ in self.made:
+            descriptor, repl = replication_of(db)
+            relation = descriptor["relation"]
+            for replica_set in repl.sets:
+                primary = descriptor["databases"][replica_set.index]
+                log = primary.services.wal
+                log.flush()
+                for standby in replica_set.standbys:
+                    standby.receive(replica_set.epoch,
+                                    log.ship_since(standby.received_lsn))
+                    if standby.applied_lsn == log.current_lsn:
+                        assert derived(standby.database, relation) \
+                            == derived(primary, relation)
+                        compared += 1
+        return compared
+
+
+@pytest.mark.parametrize("test", [
+    test_committed_writes_ship_to_every_standby,
+    test_standby_apply_stalls_behind_an_in_doubt_transaction,
+    test_duplicate_ship_after_lost_ack_is_idempotent,
+    test_quorum_mode_vetoes_the_vote_when_replicas_are_dead,
+    test_semi_sync_needs_one_ack_and_async_needs_none,
+    test_write_failover_promotes_and_loses_no_acknowledged_write,
+    test_deposed_primary_participant_is_fenced,
+    test_promotion_failure_is_absorbed_and_retried_later,
+    test_heartbeat_partition_drives_health_to_down_then_promotes,
+    test_indoubt_write_survives_promotion_and_resolves_to_commit,
+    test_replica_rejoins_and_catches_up_from_acked_lsn,
+    test_reads_fail_over_to_standby_and_report_staleness,
+], ids=lambda test: test.__name__[len("test_"):])
+def test_over_btree_file_children(test, monkeypatch):
+    make = BTreeFileChildren(monkeypatch)
+    test(make=make)
+    assert make.check_drained() > 0
+
+
+@pytest.mark.parametrize("read", [_fetch, _fetch_many, _scan])
+def test_every_read_entry_point_climbs_the_same_ladder_over_btree_file(
+        read, monkeypatch):
+    make = BTreeFileChildren(monkeypatch)
+    test_every_read_entry_point_climbs_the_same_ladder(read, monkeypatch,
+                                                       make=make)
+    assert make.check_drained() > 0

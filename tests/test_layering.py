@@ -1,0 +1,49 @@
+"""The layering the paper draws: common services know no extension.
+
+Storage methods and attachments are reached through procedure vectors and
+recovery handlers registered at run time, so nothing under
+``repro/services`` may import a storage method, an access method or the
+query layer, or name a storage method's log resource (``"storage.<name>"``)
+to single out its records.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+
+BANNED = ("repro.storage", "repro.access", "repro.query")
+
+
+def imported_modules(path: Path, package: list):
+    """Absolute names of what ``path`` imports (``from m import n`` gives
+    ``m.n``), relative imports resolved against ``package``, the file's
+    package as name parts."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level \
+                else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def resource_literals(path: Path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.startswith("storage.")):
+            yield node.value
+
+
+def test_services_import_no_extension_and_name_no_storage_resource():
+    services = Path(repro.__file__).parent / "services"
+    offenders = []
+    for path in sorted(services.rglob("*.py")):
+        offenders += [(path.name, module)
+                      for module in imported_modules(path,
+                                                     ["repro", "services"])
+                      if module.startswith(BANNED)]
+        offenders += [(path.name, literal)
+                      for literal in resource_literals(path)]
+    assert offenders == []
