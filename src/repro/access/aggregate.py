@@ -22,13 +22,13 @@ DDL attributes: ``function`` ("count" | "sum" | "min" | "max"),
 
 from __future__ import annotations
 
-
-from ..core.attachment import AttachmentType
+from ..core.attachment import STALE, AttachmentType
 from ..errors import StorageError
 
 __all__ = ["AggregateAttachment"]
 
 _FUNCTIONS = ("count", "sum", "min", "max")
+_EMPTY = {"count": 0, "sum": 0, "extreme": None, "stale": False}
 
 
 class AggregateAttachment(AttachmentType):
@@ -37,6 +37,7 @@ class AggregateAttachment(AttachmentType):
     name = "aggregate"
     is_access_path = False   # it answers values, not record keys
     recoverable = True
+    descriptor_resident = True
 
     # -- DDL -------------------------------------------------------------------
     def validate_attributes(self, schema, attributes):
@@ -67,47 +68,26 @@ class AggregateAttachment(AttachmentType):
                     "column": attributes["column"],
                     "field_index": (handle.schema.field_index(
                         attributes["column"])
-                        if attributes["column"] else None),
-                    "state": {"count": 0, "sum": 0, "extreme": None,
-                              "stale": False}}
+                        if attributes["column"] else None)}
         self._recompute(ctx, handle, instance)
         return instance
 
     def destroy_instance(self, ctx, handle, instance_name, instance) -> None:
-        instance["state"] = {"count": 0, "sum": 0, "extreme": None,
-                             "stale": False}
+        instance["state"] = dict(_EMPTY)
 
-    def undo_logged(self, services, instance: dict, payload: dict) -> None:
-        instance["state"] = dict(payload["old_state"])
-
-    def rebuild(self, ctx, handle, field) -> None:
+    def rebuild(self, ctx, handle, field, batches) -> None:
         for instance in field["instances"].values():
-            self._recompute(ctx, handle, instance)
+            self._recompute(ctx, handle, instance, batches)
         ctx.stats.bump("aggregate.rebuilds")
 
-    def _recompute(self, ctx, handle, instance) -> None:
-        """One full scan re-derives the aggregate state."""
-        function = instance["function"]
-        index = instance["field_index"]
-        count = 0
-        total = 0
-        extreme = None
-        method = ctx.database.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        for __, record in ctx.services.scans.drain(
-                method.open_scan(ctx, handle)):
-            value = record[index] if index is not None else None
-            if index is not None and value is None:
-                continue  # SQL aggregates ignore NULLs
-            count += 1
-            if function == "sum":
-                total += value
-            elif function == "min":
-                extreme = value if extreme is None else min(extreme, value)
-            elif function == "max":
-                extreme = value if extreme is None else max(extreme, value)
-        instance["state"] = {"count": count, "sum": total,
-                             "extreme": extreme, "stale": False}
+    def _recompute(self, ctx, handle, instance, batches=None) -> None:
+        """Fold the relation's ``batches`` (default: a scan) into an empty
+        state: the aggregate state derived again."""
+        instance["state"] = dict(_EMPTY)
+        for batch in batches or self.stored_batches(ctx, handle):
+            for __, record in batch:
+                self._apply(instance, record, +1)
+        instance["derived_lsn"] = ctx.services.wal.current_lsn
         ctx.stats.bump("aggregate.recomputations")
 
     # -- attached procedures -------------------------------------------------------------
@@ -137,9 +117,8 @@ class AggregateAttachment(AttachmentType):
             ctx.stats.bump("aggregate.maintenance_ops")
 
     def _log_old(self, ctx, handle, instance) -> None:
-        ctx.log(self.resource, {
-            "relation_id": handle.relation_id, "instance": instance["name"],
-            "old_state": dict(instance["state"])})
+        self.log_kept(ctx, handle.relation_id, instance,
+                      {"old_state": dict(instance["state"])})
 
     def _apply(self, instance: dict, record, direction: int) -> None:
         state = instance["state"]
@@ -169,14 +148,15 @@ class AggregateAttachment(AttachmentType):
 
     # -- reading -------------------------------------------------------------------------
     def value(self, ctx, handle, instance):
-        """Current aggregate value (repairing a stale min/max lazily)."""
-        state = instance["state"]
+        """Current aggregate value (repairing a stale state, or a stale
+        min/max, lazily)."""
         function = instance["function"]
+        if instance["derived_lsn"] == STALE or (
+                instance["state"]["stale"] and function in ("min", "max")):
+            self._recompute(ctx, handle, instance)
+        state = instance["state"]
         if function == "count":
             return state["count"]
         if function == "sum":
             return state["sum"] if state["count"] else None
-        if state["stale"]:
-            self._recompute(ctx, handle, instance)
-            state = instance["state"]
         return state["extreme"]

@@ -7,11 +7,13 @@ access.  Keys are tuples of field values; values are opaque record keys
 Duplicate keys are allowed — the index stores one entry per (key, value)
 pair.
 
-Crash recovery for attachment structures is *rebuild-based* (see
-DESIGN.md): the tree never writes log records itself; transactional undo
-is provided one level up by the attachment's logical undo handler issuing
-inverse ``insert``/``delete`` calls, and after a restart the owning
-attachment rebuilds the tree from its base relation.
+Crash recovery for the tree is *rebuild-based* (see DESIGN.md): the
+tree never writes log records itself; transactional undo is provided one
+level up by the attachment's logical undo handler issuing inverse
+``insert``/``delete`` calls.  Its pages do not survive a crash, so after
+a restart the owning attachment empties it (``AttachmentType.reset_tree``)
+and rebuilds it from the batches restart read once from the base
+relation for every structure on it.
 
 Each node occupies one page (a single slotted-page record holding the
 pickled node).  Splits keep both an entry-count bound and a byte bound so

@@ -43,9 +43,6 @@ from .btree_core import BTree, DEFAULT_MAX_ENTRIES
 
 __all__ = ["BTreeIndexAttachment", "BTreeIndexScan"]
 
-#: Records pulled per scan call while bulk-building an index.
-_BUILD_BATCH = 256
-
 
 class BTreeIndexScan(Scan):
     """Key-sequential access over one B-tree index instance.
@@ -165,7 +162,7 @@ class BTreeIndexAttachment(AttachmentType):
                     "max_entries": attributes["max_entries"],
                     "tree": {}}
         BTree.create(ctx.buffer, instance["tree"], attributes["max_entries"])
-        self._build(ctx, handle, instance)
+        self._build(ctx, handle, instance, self.stored_batches(ctx, handle))
         return instance
 
     def destroy_instance(self, ctx, handle, instance_name, instance) -> None:
@@ -180,28 +177,21 @@ class BTreeIndexAttachment(AttachmentType):
         BTree(services.buffer, instance["tree"], instance.get(
             "max_entries", DEFAULT_MAX_ENTRIES)).undo_logged(payload)
 
-    def _build(self, ctx, handle, instance) -> None:
-        """Bulk-build from the records already stored in the relation."""
+    def _build(self, ctx, handle, instance, batches) -> None:
+        """Bulk-build from the relation's stored records, ``batches``."""
         tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
-        for batch in self.stored_batches(ctx, handle, _BUILD_BATCH):
+        for batch in batches:
             entries = sorted((self._key_of(instance, record), record_key)
                              for record_key, record in batch)
             self._add(tree, instance, entries, "cannot build unique index: ")
         ctx.stats.bump("btree_index.builds")
 
-    def rebuild(self, ctx, handle, field) -> None:
-        """Restart recovery: reconstruct every instance from the relation."""
+    def rebuild(self, ctx, handle, field, batches) -> None:
+        """Reconstruct every instance from the relation's ``batches``."""
         for instance in field["instances"].values():
-            tree = BTree(ctx.buffer, instance["tree"],
-                         instance.get("max_entries", DEFAULT_MAX_ENTRIES))
-            try:
-                tree.reset()
-            except PageError:
-                # Old pages unreadable after the crash: abandon them.
-                instance["tree"].clear()
-                BTree.create(ctx.buffer, instance["tree"],
-                             instance.get("max_entries", DEFAULT_MAX_ENTRIES))
-            self._build(ctx, handle, instance)
+            self.reset_tree(BTree, ctx.buffer, instance["tree"],
+                            instance["max_entries"])
+            self._build(ctx, handle, instance, batches)
         ctx.stats.bump("btree_index.rebuilds")
 
     # -- attached procedures -----------------------------------------------------

@@ -22,8 +22,10 @@ layout at length; in short:
   in front of the full one (``next_page``); a chain page emptied by
   deletes is unlinked and freed.
 * Only the logical ``add_many`` / ``remove_many`` records are logged (undo
-  inverts them by key; a split is not undone); restart rebuilds the file,
-  the directory sized once from the entry count.
+  inverts them by key; a split is not undone).  The pages do not survive
+  a crash: restart rebuilds the file from the batches it read once from
+  the relation for every structure on it, the directory sized once from
+  the entry count.
 
 DDL attributes: ``columns`` (required), ``buckets`` (initial directory
 size, default 8).
@@ -238,7 +240,7 @@ class HashIndexAttachment(AttachmentType):
         instance = {"name": instance_name, "columns": columns,
                     "key_fields": list(handle.schema.indexes_of(columns)),
                     "initial": attributes["buckets"], "pages": set()}
-        self._build(ctx, handle, instance)
+        self._build(ctx, handle, instance, self.stored_batches(ctx, handle))
         return instance
 
     def destroy_instance(self, ctx, handle, instance_name, instance) -> None:
@@ -259,7 +261,7 @@ class HashIndexAttachment(AttachmentType):
             buffer.free_page(page_id)
         instance["pages"] = set()
 
-    def _build(self, ctx, handle, instance) -> None:
+    def _build(self, ctx, handle, instance, batches) -> None:
         """Give back the pages held and build over the stored records: the
         directory is sized once — the doubling of ``initial`` whose pages
         the entries fill to ``BUILD_FILL``, or with a slot per distinct key
@@ -267,7 +269,7 @@ class HashIndexAttachment(AttachmentType):
         buffer = ctx.buffer
         self._free_pages(buffer, instance)
         entries = [(self._key_of(instance, record), record_key)
-                   for batch in self.stored_batches(ctx, handle)
+                   for batch in batches
                    for record_key, record in batch]
         size = instance["initial"]
         if entries:
@@ -286,9 +288,9 @@ class HashIndexAttachment(AttachmentType):
         self._add_many(buffer, instance, entries)
         ctx.stats.bump("hash_index.builds")
 
-    def rebuild(self, ctx, handle, field) -> None:
+    def rebuild(self, ctx, handle, field, batches) -> None:
         for instance in field["instances"].values():
-            self._build(ctx, handle, instance)
+            self._build(ctx, handle, instance, batches)
         ctx.stats.bump("hash_index.rebuilds")
 
     # -- the hash file ---------------------------------------------------------

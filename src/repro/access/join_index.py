@@ -15,9 +15,10 @@ descriptor (sharing the same pair store) so that modifications of either
 relation keep the pairs current — the attached procedure of this type is
 invoked on both relations.
 
-Pair storage is an in-memory two-directional map owned by the attachment
-(the paper's point that attachments "may have associated storage"); undo
-is logical, redo is rebuild-on-restart like the other access paths.
+Pair storage is a two-directional map in the descriptor (the paper's
+point that attachments "may have associated storage"); undo is logical,
+and restart keeps the pairs unless the crash lost or undid a change: every
+pair change, whichever side logged it, stamps the left instance.
 
 DDL attributes: ``other`` (right relation name), ``column`` (left join
 column), ``other_column`` (right join column).
@@ -60,6 +61,7 @@ class JoinIndexAttachment(AttachmentType):
     name = "join_index"
     is_access_path = True
     recoverable = True
+    descriptor_resident = True
 
     # -- DDL -------------------------------------------------------------------
     def validate_attributes(self, schema, attributes):
@@ -102,7 +104,8 @@ class JoinIndexAttachment(AttachmentType):
             other_handle.descriptor.set_attachment_field(self.type_id,
                                                          other_field)
         other_field["instances"][mirror["name"]] = mirror
-        self._build(ctx, handle, other_handle, instance)
+        self._build(ctx, handle, other_handle, instance,
+                    self.stored_batches(ctx, handle))
         return instance
 
     def destroy_instance(self, ctx, handle, instance_name, instance) -> None:
@@ -132,36 +135,43 @@ class JoinIndexAttachment(AttachmentType):
         else:
             raise StorageError(f"join_index cannot undo {payload['op']!r}")
 
-    def _build(self, ctx, handle, other_handle, instance) -> None:
-        """Compute the initial pair set with one nested scan."""
-        database = ctx.database
-        left_method = database.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        right_method = database.registry.storage_method(
-            other_handle.descriptor.storage_method_id)
-        drain = ctx.services.scans.drain
+    def _build(self, ctx, handle, other_handle, instance, batches) -> None:
+        """Derive the left ``instance``'s pair set again from the left
+        relation's ``batches`` and one scan of the right relation."""
+        pairs = instance["pairs"]  # shared with the mirror: emptied in place
+        pairs["by_left"].clear()
+        pairs["by_right"].clear()
+        pairs["count"] = 0
         rights: Dict[object, List] = {}
-        for right_key, record in drain(right_method.open_scan(ctx,
-                                                              other_handle)):
-            value = record[instance["other_field_index"]]
-            rights.setdefault(value, []).append(right_key)
-        for left_key, record in drain(left_method.open_scan(ctx, handle)):
-            value = record[instance["field_index"]]
-            for right_key in rights.get(value, ()):
-                _add_pair(instance["pairs"], left_key, right_key)
+        for batch in self.stored_batches(ctx, other_handle):
+            for right_key, record in batch:
+                value = record[instance["other_field_index"]]
+                rights.setdefault(value, []).append(right_key)
+        for batch in batches:
+            for left_key, record in batch:
+                value = record[instance["field_index"]]
+                for right_key in rights.get(value, ()):
+                    _add_pair(pairs, left_key, right_key)
+        instance["derived_lsn"] = ctx.services.wal.current_lsn
         ctx.stats.bump("join_index.builds")
 
-    def rebuild(self, ctx, handle, field) -> None:
-        database = ctx.database
+    def rebuild(self, ctx, handle, field, batches) -> None:
+        catalog = ctx.database.catalog
         for instance in field["instances"].values():
+            left, lefts = handle, batches
             if instance["role"] != "left":
-                continue
-            instance["pairs"]["by_left"].clear()
-            instance["pairs"]["by_right"].clear()
-            instance["pairs"]["count"] = 0
-            other_handle = database.catalog.handle(instance["other"])
-            self._build(ctx, handle, other_handle, instance)
+                # The right relation was reset: its pairs are gone.
+                left = catalog.handle(instance["relation"])
+                instance = self._left(left, instance)
+                lefts = self.stored_batches(ctx, left)
+            self._build(ctx, left, catalog.handle(instance["other"]),
+                        instance, lefts)
         ctx.stats.bump("join_index.rebuilds")
+
+    def _left(self, left_handle, instance) -> dict:
+        """The left instance of ``instance`` (itself, or its mirror's)."""
+        return left_handle.descriptor.attachment_field(self.type_id)[
+            "instances"][instance["name"].replace("@right", "")]
 
     # -- attached procedures -------------------------------------------------------------
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
@@ -204,10 +214,8 @@ class JoinIndexAttachment(AttachmentType):
             matches = self._matching_keys(ctx, other_handle, other_index,
                                           value)
             pair_list = [(m, key) for m in matches]
-        owner_name = (instance["relation"] if instance["role"] == "left"
-                      else instance["relation"])
-        owner_id = database.catalog.handle(instance["relation"]).relation_id
-        base_name = instance["name"].replace("@right", "")
+        owner = database.catalog.handle(instance["relation"])
+        left = self._left(owner, instance)
         for left_key, right_key in pair_list:
             if add:
                 _add_pair(instance["pairs"], left_key, right_key)
@@ -215,9 +223,8 @@ class JoinIndexAttachment(AttachmentType):
             else:
                 _remove_pair(instance["pairs"], left_key, right_key)
                 op = "remove_pair"
-            ctx.log(self.resource, {
-                "op": op, "relation_id": owner_id, "instance": base_name,
-                "left_key": left_key, "right_key": right_key})
+            self.log_kept(ctx, owner.relation_id, left, {
+                "op": op, "left_key": left_key, "right_key": right_key})
             ctx.stats.bump("join_index.maintenance_ops")
 
     @staticmethod

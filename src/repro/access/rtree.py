@@ -396,7 +396,7 @@ class RTreeAttachment(AttachmentType):
                     "field_index": field_index,
                     "max_entries": attributes["max_entries"], "tree": {}}
         RTree.create(ctx.buffer, instance["tree"], attributes["max_entries"])
-        self._build(ctx, handle, instance)
+        self._build(ctx, handle, instance, self.stored_batches(ctx, handle))
         return instance
 
     def destroy_instance(self, ctx, handle, instance_name, instance) -> None:
@@ -417,26 +417,20 @@ class RTreeAttachment(AttachmentType):
         else:
             raise StorageError(f"rtree cannot undo {payload['op']!r}")
 
-    def _build(self, ctx, handle, instance) -> None:
+    def _build(self, ctx, handle, instance, batches) -> None:
         tree = RTree(ctx.buffer, instance["tree"], instance["max_entries"])
-        for batch in self.stored_batches(ctx, handle):
+        for batch in batches:
             for record_key, record in batch:
                 box = record[instance["field_index"]]
                 if box is not None:
                     tree.insert(box, record_key)
         ctx.stats.bump("rtree.builds")
 
-    def rebuild(self, ctx, handle, field) -> None:
+    def rebuild(self, ctx, handle, field, batches) -> None:
         for instance in field["instances"].values():
-            tree = RTree(ctx.buffer, instance["tree"],
-                         instance["max_entries"])
-            try:
-                tree.reset()
-            except PageError:
-                instance["tree"].clear()
-                RTree.create(ctx.buffer, instance["tree"],
-                             instance["max_entries"])
-            self._build(ctx, handle, instance)
+            self.reset_tree(RTree, ctx.buffer, instance["tree"],
+                            instance["max_entries"])
+            self._build(ctx, handle, instance, batches)
         ctx.stats.bump("rtree.rebuilds")
 
     # -- attached procedures -------------------------------------------------------------

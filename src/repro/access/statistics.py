@@ -16,8 +16,8 @@ delete through the standard batched attachment hooks:
   the :data:`_KMV_K` smallest 32-bit value hashes seen.  With fewer
   than k entries the sketch is exact; at k the estimator
   ``(k-1) * 2^32 / kth_smallest`` applies.  Deletions do not shrink the
-  sketch (it can only overestimate after heavy deletion; ``rebuild``
-  re-derives it exactly).
+  sketch (it can only overestimate after heavy deletion;
+  ``rebuild_attachment`` re-derives it exactly).
 
 Consumers reach the numbers through :func:`statistics_for`, which wraps
 the first live instance on a relation in a :class:`TableStatistics`
@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Optional
 
-from ..core.attachment import AttachmentType
+from ..core.attachment import STALE, AttachmentType
 from ..core.hashing import HASH_SPACE, stable_hash
 from ..errors import StorageError
 
@@ -128,6 +128,7 @@ class StatisticsAttachment(AttachmentType):
     name = "statistics"
     is_access_path = False   # it answers estimates, not record keys
     recoverable = True
+    descriptor_resident = True
 
     # -- DDL -------------------------------------------------------------------
     def validate_attributes(self, schema, attributes):
@@ -167,24 +168,23 @@ class StatisticsAttachment(AttachmentType):
                                     "stale": False, "kmv": []}
                             for index in indexes}}
 
-    def undo_logged(self, services, instance: dict, payload: dict) -> None:
-        instance["state"] = _copy_state(payload["old_state"])
-
-    def rebuild(self, ctx, handle, field) -> None:
+    def rebuild(self, ctx, handle, field, batches) -> None:
         for instance in field["instances"].values():
-            self._recompute(ctx, handle, instance)
+            self._recompute(ctx, handle, instance, batches)
         ctx.stats.bump("statistics.rebuilds")
 
-    def _recompute(self, ctx, handle, instance) -> None:
-        """One full scan re-derives every tracked column's statistics."""
+    def _recompute(self, ctx, handle, instance, batches=None) -> None:
+        """One pass over the relation's ``batches`` (default: a scan)
+        re-derives every tracked column's statistics."""
         state = self._empty_state(instance["field_indexes"])
         columns = state["columns"]
-        for batch in self.stored_batches(ctx, handle):
+        for batch in batches or self.stored_batches(ctx, handle):
             state["row_count"] += len(batch)
             for __, record in batch:
                 for index, column in columns.items():
                     self._absorb(column, record[index])
         instance["state"] = state
+        instance["derived_lsn"] = ctx.services.wal.current_lsn
         ctx.stats.bump("statistics.recomputations")
 
     # -- attached procedures ---------------------------------------------------
@@ -243,9 +243,8 @@ class StatisticsAttachment(AttachmentType):
                 nrecords * len(field["instances"])})
 
     def _log_old(self, ctx, handle, instance) -> None:
-        ctx.log(self.resource, {
-            "relation_id": handle.relation_id, "instance": instance["name"],
-            "old_state": _copy_state(instance["state"])})
+        self.log_kept(ctx, handle.relation_id, instance,
+                      {"old_state": _copy_state(instance["state"])})
 
     @staticmethod
     def _absorb(column: dict, value) -> None:
@@ -272,6 +271,8 @@ class StatisticsAttachment(AttachmentType):
 
     # -- reading ---------------------------------------------------------------
     def view(self, ctx, handle, instance) -> "TableStatistics":
+        if instance["derived_lsn"] == STALE:
+            self._recompute(ctx, handle, instance)
         return TableStatistics(self, ctx, handle, instance)
 
 

@@ -51,7 +51,7 @@ class UniqueConstraintAttachment(AttachmentType):
                     "columns": list(attributes["columns"]),
                     "key_fields": key_fields, "tree": {}}
         BTree.create(ctx.buffer, instance["tree"])
-        self._build(ctx, handle, instance)
+        self._build(ctx, handle, instance, self.stored_batches(ctx, handle))
         return instance
 
     def destroy_instance(self, ctx, handle, instance_name, instance) -> None:
@@ -64,9 +64,9 @@ class UniqueConstraintAttachment(AttachmentType):
     def undo_logged(self, services, instance: dict, payload: dict) -> None:
         BTree(services.buffer, instance["tree"]).undo_logged(payload)
 
-    def _build(self, ctx, handle, instance) -> None:
+    def _build(self, ctx, handle, instance, batches) -> None:
         tree = BTree(ctx.buffer, instance["tree"])
-        for batch in self.stored_batches(ctx, handle):
+        for batch in batches:
             entries = [(self._key_of(instance, record), record_key)
                        for record_key, record in batch]
             entries = [entry for entry in entries if entry[0] is not None]
@@ -78,15 +78,10 @@ class UniqueConstraintAttachment(AttachmentType):
                     f"= {entries[taken][0]!r}")
             tree.insert_many(entries)
 
-    def rebuild(self, ctx, handle, field) -> None:
+    def rebuild(self, ctx, handle, field, batches) -> None:
         for instance in field["instances"].values():
-            tree = BTree(ctx.buffer, instance["tree"])
-            try:
-                tree.reset()
-            except PageError:
-                instance["tree"].clear()
-                BTree.create(ctx.buffer, instance["tree"])
-            self._build(ctx, handle, instance)
+            self.reset_tree(BTree, ctx.buffer, instance["tree"])
+            self._build(ctx, handle, instance, batches)
         ctx.stats.bump("unique.rebuilds")
 
     # -- attached procedures -------------------------------------------------------------

@@ -28,9 +28,10 @@ Key protocol points implemented here:
 from __future__ import annotations
 
 import abc
+import copy
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..errors import UnknownObjectError
+from ..errors import PageError, UnknownObjectError
 from ..query.cost import AccessCost, EligiblePredicate
 from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
@@ -38,8 +39,12 @@ from ..services.scans import Scan
 from .context import ExecutionContext
 from .storage_method import RelationHandle, logged_relation
 
-__all__ = ["AttachmentType", "LogicalUndoHandler", "instances_of",
+__all__ = ["AttachmentType", "LogicalUndoHandler", "STALE", "instances_of",
            "tag_batch_index"]
+
+#: The ``derived_lsn`` of a descriptor-resident instance whose state is
+#: known to be wrong: its next read and the next restart derive it again.
+STALE = float("inf")
 
 
 def tag_batch_index(exc: BaseException, index: int) -> None:
@@ -68,26 +73,36 @@ def instances_of(field: dict) -> Dict[str, dict]:
 
 
 class LogicalUndoHandler(ResourceHandler):
-    """Handler of an attachment type whose structures restart rebuilds
-    from their relations: no redo, and undo — outside restart — hands the
-    instance a record names, unless dropped later in the transaction, to
-    the type's :meth:`AttachmentType.undo_logged`."""
+    """Handler of the records a ``recoverable`` attachment type logs: undo
+    outside restart is the type's :meth:`AttachmentType.undo_logged`.  For
+    a descriptor-resident type, restart undo stamps the CLR's LSN as the
+    instance's ``derived_lsn`` (restart then derives it again) and redo on
+    a standby, which keeps no attachment state, marks it :data:`STALE`."""
 
     def __init__(self, attachment: "AttachmentType"):
         self.attachment = attachment
 
-    def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        if getattr(services, "in_restart", False):
-            return
+    def _instance(self, services, payload: dict) -> Optional[dict]:
         relation = logged_relation(services, payload)
         field = relation and relation.descriptor.attachment_field(
             self.attachment.type_id)
-        instance = field and field["instances"].get(payload["instance"])
-        if instance is not None:
+        return field and field["instances"].get(payload["instance"])
+
+    def undo(self, services, payload: dict, clr_lsn: int) -> None:
+        instance = self._instance(services, payload)
+        if instance is None:
+            return
+        if not getattr(services, "in_restart", False):
             self.attachment.undo_logged(services, instance, payload)
+        elif self.attachment.descriptor_resident:
+            instance["derived_lsn"] = clr_lsn  # derived again afterwards
 
     def redo(self, services, lsn: int, payload: dict) -> None:
-        """No redo: rebuilt from the base relation after restart."""
+        if (self.attachment.descriptor_resident
+                and not getattr(services, "in_restart", False)):
+            instance = self._instance(services, payload)
+            if instance is not None:
+                instance["derived_lsn"] = STALE
 
 
 class AttachmentType(abc.ABC):
@@ -100,12 +115,15 @@ class AttachmentType(abc.ABC):
       operations (fetch/scan/cost); integrity constraints and triggers
       leave this False;
     * ``recoverable`` — whether the attachment logs its own storage
-      changes (pure checks log nothing).
+      changes (pure checks log nothing);
+    * ``descriptor_resident`` — whether its state lives in the relation
+      descriptor, which a crash keeps, rather than in pages, which it loses.
     """
 
     name: str = ""
     is_access_path: bool = False
     recoverable: bool = False
+    descriptor_resident: bool = False
 
     #: Assigned by the registry; indexes the attachment procedure vectors
     #: and the relation descriptor fields.
@@ -151,8 +169,24 @@ class AttachmentType(abc.ABC):
         return LogicalUndoHandler(self) if self.recoverable else None
 
     def undo_logged(self, services, instance: dict, payload: dict) -> None:
-        """Reverse the change to ``instance`` that ``payload`` logged."""
-        raise NotImplementedError
+        """Reverse the change to ``instance`` that ``payload`` logged; by
+        default, restore its ``old_state`` if the instance is unchanged
+        since, else mark it :data:`STALE` (restoring would lose a change)."""
+        if instance["derived_lsn"] == payload["compensates"]:
+            instance["state"] = copy.deepcopy(payload["old_state"])
+            instance["derived_lsn"] = payload["derived_lsn"]
+        else:
+            instance["derived_lsn"] = STALE
+
+    def log_kept(self, ctx: ExecutionContext, relation_id: int,
+                 instance: dict, payload: dict) -> None:
+        """Log a change to descriptor-resident ``instance`` and stamp its
+        ``derived_lsn`` with the record's LSN (a STALE one stays so)."""
+        log = ctx.log(self.resource, dict(
+            payload, relation_id=relation_id, instance=instance["name"],
+            derived_lsn=instance["derived_lsn"]))
+        if instance["derived_lsn"] != STALE:
+            instance["derived_lsn"] = log.lsn
 
     # -- procedurally attached, indirect operations ------------------------------
     def on_insert(self, ctx: ExecutionContext, handle: RelationHandle,
@@ -258,6 +292,16 @@ class AttachmentType(abc.ABC):
         finally:
             scan.close()
             ctx.services.scans.unregister(scan)
+
+    @staticmethod
+    def reset_tree(tree_class, buffer, state: dict, *args) -> None:
+        """Empty ``state``'s page tree for a rebuild, or abandon its pages
+        for a new tree when a crash left them unreadable."""
+        try:
+            tree_class(buffer, state, *args).reset()
+        except PageError:
+            state.clear()
+            tree_class.create(buffer, state, *args)
 
     def instance(self, field: dict, name: str) -> dict:
         try:

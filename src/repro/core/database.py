@@ -17,6 +17,7 @@ from ..errors import (AdmissionError, TransactionError,
 from ..services import SystemServices
 from ..services import wal as wal_records
 from ..services.transactions import TxnState
+from .attachment import AttachmentType
 from .authorization import AuthorizationService
 from .catalog import Catalog
 from .context import ExecutionContext
@@ -378,8 +379,9 @@ class Database:
            survive a restart — and what a recoverable relation's
            descriptor derives from its pages is derived again where the
            crash may have left it wrong (``recover_instance``);
-        5. access-path attachment structures are rebuilt from their base
-           relations (index recovery by rebuild; see DESIGN.md).
+        5. attachment state in pages is rebuilt, and state in descriptors
+           where the crash may have left it wrong, all from one read of
+           the relation (see DESIGN.md).
 
         Returns the recovery summary.
         """
@@ -431,13 +433,26 @@ class Database:
                     if reset is not None:
                         reset(handle.descriptor.storage_descriptor)
             for entry in self.catalog.relations():
-                handle = entry.handle
+                handle, todo = entry.handle, []
+                lost = not self.registry.storage_method(
+                    handle.descriptor.storage_method_id).recoverable
                 for type_id, field in handle.descriptor.present_attachments():
                     attachment = self.registry.attachment_type(type_id)
                     rebuild = getattr(attachment, "rebuild", None)
-                    if rebuild is not None:
-                        rebuild(ctx, handle, field)
-                        rebuilt += 1
+                    stale = {name: instance for name, instance
+                             in field["instances"].items()
+                             if lost or not attachment.descriptor_resident
+                             or instance.get("derived_lsn", 0) > stable_lsn}
+                    if rebuild is not None and stale:
+                        todo.append((rebuild, dict(field, instances=stale)))
+                # One read serves every rebuild: each stale instance walks
+                # the batches once, so they are kept only for a second one.
+                batches = AttachmentType.stored_batches(ctx, handle)
+                if sum(len(field["instances"]) for __, field in todo) > 1:
+                    batches = list(batches)
+                for rebuild, field in todo:
+                    rebuild(ctx, handle, field, batches)
+                rebuilt += len(todo)
         summary["attachment_types_rebuilt"] = rebuilt
         # Coordinator-side resolution: decisions this database logged and
         # committed are re-delivered to participants still in doubt.

@@ -298,7 +298,8 @@ class DataDefinition:
             field["instances"][instance_name] = disabled.pop(instance_name)
             rebuild = getattr(attachment, "rebuild", None)
             if rebuild is not None:
-                rebuild(ctx, handle, field)
+                rebuild(ctx, handle, field,
+                        list(attachment.stored_batches(ctx, handle)))
         else:
             if instance_name not in field["instances"]:
                 return  # already disabled
@@ -334,7 +335,8 @@ class DataDefinition:
             field["instances"][instance_name] = quarantined.pop(instance_name)
         rebuild = getattr(attachment, "rebuild", None)
         if rebuild is not None:
-            rebuild(ctx, handle, field)
+            rebuild(ctx, handle, field,
+                    list(attachment.stored_batches(ctx, handle)))
         db.data.forgive(handle.relation_id, attachment.type_id)
         handle.descriptor.version += 1
         db.dependencies.invalidate(relation_token(relation))

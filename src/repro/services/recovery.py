@@ -44,8 +44,9 @@ class ResourceHandler:
     Subclasses (one per recoverable storage method or attachment type)
     implement:
 
-    * ``undo(services, payload, clr_lsn)`` — reverse the logged operation;
-      pages touched must be stamped with ``clr_lsn``.
+    * ``undo(services, payload, clr_lsn)`` — reverse the logged operation
+      (``payload`` is the CLR's: the record's plus ``compensates``, its
+      LSN); pages touched must be stamped with ``clr_lsn``.
     * ``redo(services, lsn, payload)`` — re-apply the logged operation
       idempotently; page-based implementations skip pages whose
       ``page_lsn`` is already >= ``lsn`` (and count the skip under
@@ -148,7 +149,7 @@ class RecoveryManager:
                     dict(record.payload, compensates=record.lsn),
                     undo_next=record.prev_lsn)
                 self.handler(record.resource).undo(
-                    self.services, record.payload, clr.lsn)
+                    self.services, clr.payload, clr.lsn)
                 undone += 1
                 lsn = record.prev_lsn
             elif record.kind == wal_records.CLR:

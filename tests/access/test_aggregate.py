@@ -106,3 +106,34 @@ def test_recompute_after_crash(counted):
     employee.insert((6, "frank", "ops", 50000.0))
     db.restart()
     assert value_of(db, "employee", "emp_count") == 6
+
+
+def test_rollback_after_a_concurrent_commit_keeps_the_commit(db):
+    """Undo of the logged before-image must not restore it over a change
+    another transaction made and committed since."""
+    table = db.create_table("n", [("v", "INT")])
+    table.insert_many([(i,) for i in range(10)])
+    db.create_attachment("n", "aggregate", "n_sum",
+                         {"function": "sum", "column": "v"})
+    db.create_attachment("n", "aggregate", "n_count", {"function": "count"})
+    first, second = db.connect(), db.connect()
+    first.begin()
+    first.table("n").insert((100,))
+    with second.transaction():
+        second.table("n").insert((200,))
+    first.rollback()
+    assert value_of(db, "n", "n_sum") == 245
+    assert value_of(db, "n", "n_count") == 11
+    db.restart()
+    assert value_of(db, "n", "n_sum") == 245
+
+
+def test_restart_that_lost_nothing_keeps_the_state(counted):
+    db, employee = counted
+    employee.insert((6, "frank", "ops", 50000.0))
+    before = db.services.stats.snapshot()
+    db.restart()
+    delta = db.services.stats.delta(before)
+    assert delta.get("aggregate.rebuilds", 0) == 0
+    assert delta.get("aggregate.recomputations", 0) == 0
+    assert value_of(db, "employee", "emp_count") == 6

@@ -117,14 +117,57 @@ def test_abort_restores_statistics_state(tracked):
     assert with_stats(db, "employee", lambda s: s.distinct(DEPT)) == 3
 
 
-def test_restart_recomputes_from_base_relation(tracked):
+def test_restart_that_lost_nothing_keeps_statistics(tracked):
     db, employee = tracked
     employee.insert((6, "frank", "ops", 50000.0))
-    db.restart()
-    assert db.services.stats.get("statistics.rebuilds") >= 1
-    employee = db.table("employee")
+    stats = db.services.stats
+    before = stats.snapshot()
+    summary = db.restart()
+    delta = stats.delta(before)
+    assert summary["attachment_types_rebuilt"] == 0
+    assert delta.get("statistics.rebuilds", 0) == 0
+    assert delta.get("statistics.recomputations", 0) == 0
     assert with_stats(db, "employee", lambda s: s.row_count) == 6
     assert with_stats(db, "employee", lambda s: s.distinct(DEPT)) == 4
+
+
+@pytest.mark.parametrize("flushed", [True, False],
+                         ids=["undone_at_restart", "lost_in_crash"])
+def test_restart_that_lost_or_undid_an_insert_derives_again(tracked,
+                                                             flushed):
+    db, employee = tracked
+    employee.insert((6, "frank", "ops", 50000.0))
+    db.begin()
+    employee.insert((7, "grace", "lab", 1.0))
+    if flushed:
+        db.services.wal.flush()  # the loser's records survive: undone
+    stats = db.services.stats
+    before = stats.get("statistics.rebuilds")
+    summary = db.restart()
+    assert stats.get("statistics.rebuilds") == before + 1
+    assert summary["undone"] == (2 if flushed else 0)
+    assert with_stats(db, "employee", lambda s: s.row_count) == 6
+    assert with_stats(db, "employee", lambda s: s.distinct(DEPT)) == 4
+    column = with_stats(db, "employee", lambda s: s.column(SALARY))
+    assert column["min"] == 50000.0
+
+
+def test_rollback_after_a_concurrent_commit_keeps_the_commit(tracked):
+    """Undo of a whole-state before-image must not restore it over a
+    change another transaction made and committed since."""
+    db, employee = tracked
+    first, second = db.connect(), db.connect()
+    first.begin()
+    first.table("employee").insert((6, "frank", "ops", 1.0))
+    with second.transaction():
+        second.table("employee").insert((7, "grace", "lab", 2.0))
+    first.rollback()
+    assert employee.count() == 6
+    assert with_stats(db, "employee", lambda s: s.row_count) == 6
+    assert with_stats(db, "employee", lambda s: s.distinct(DEPT)) == 4
+    # Re-derived once by that read, then kept through a restart.
+    db.restart()
+    assert with_stats(db, "employee", lambda s: s.row_count) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +198,13 @@ def test_kmv_survives_deletion_and_rebuild_resets(db):
         table.delete(key)
     # The sketch cannot forget: still reports the historical 50 ...
     assert with_stats(db, "k", lambda s: s.distinct(0)) == 50
-    # ... until a restart rebuild re-derives it from the live records.
-    db.restart()
+    # ... until a rebuild re-derives it from the live records ...
+    db.rebuild_attachment("k_stats")
     assert with_stats(db, "k", lambda s: s.distinct(0)) == 10
+    # ... while a restart, which lost nothing, leaves the sketch alone.
+    table.insert_many([(i,) for i in range(10, 20)])
+    db.restart()
+    assert with_stats(db, "k", lambda s: s.distinct(0)) == 20
 
 
 # ---------------------------------------------------------------------------

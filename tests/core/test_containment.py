@@ -24,7 +24,7 @@ class BuggyAttachment(AttachmentType):
     def destroy_instance(self, ctx, handle, instance_name, instance):
         pass
 
-    def rebuild(self, ctx, handle, field):
+    def rebuild(self, ctx, handle, field, batches):
         self.rebuilds += 1
 
     def on_insert(self, ctx, handle, field, key, new_record):

@@ -98,6 +98,30 @@ def test_restart_resets_temporary_relations(db):
     assert durable.rows() == [(1,)]
 
 
+def test_restart_reads_a_relation_once_for_all_its_rebuilds(db):
+    """Shaped like the ``bulk_write`` workload: a unique B-tree, a hash
+    index, a check and statistics.  The two indexes are rebuilt from one
+    scan; the statistics, which lost nothing, are kept."""
+    table = db.create_table("emp", [("id", "INT"), ("name", "STRING"),
+                                    ("salary", "FLOAT")])
+    table.insert_many([(i, f"n{i}", float(i)) for i in range(300)])
+    db.create_index("emp_id", "emp", ["id"], unique=True)
+    db.create_index("emp_name", "emp", ["name"], kind="hash_index")
+    db.add_check("salary_nonneg", "emp", "salary >= 0")
+    db.create_attachment("emp", "statistics", "emp_stats")
+    table.delete_where("id < 40")
+    stats = db.services.stats
+    before = stats.snapshot()
+    summary = db.restart()
+    delta = stats.delta(before)
+    assert delta["heap.tuples_scanned"] == 260
+    assert summary["attachment_types_rebuilt"] == 2
+    assert delta["btree_index.rebuilds"] == delta["hash_index.rebuilds"] == 1
+    assert "statistics.rebuilds" not in delta
+    assert db.execute("SELECT COUNT(*) FROM emp WHERE name = 'n77'") \
+        == [(1,)]
+
+
 def test_create_table_accepts_schema_and_tuples(db):
     from repro import Field, Schema
     schema = Schema("s1", [Field("a", "INT")])

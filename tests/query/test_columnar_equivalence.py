@@ -162,7 +162,7 @@ def test_short_circuit_or_is_retried_per_row(cdb):
         assert delta.get("executor.columnar.fallbacks", 0) == 0
 
 
-def test_scan_counters_identical_between_paths():
+def test_scan_counters_identical_between_backends():
     """The batch schedule and everything below it (dispatch, buffer,
     storage counters) must not depend on which kernel backend the
     program runs on."""
@@ -173,7 +173,7 @@ def test_scan_counters_identical_between_paths():
         ("executor.scan_batches", "dispatch.", "buffer.", "heap.", "lock"))
 
 
-def test_aggregate_counters_identical_between_paths():
+def test_aggregate_counters_identical_between_backends():
     if len(BACKENDS) < 2:
         pytest.skip("NumPy not available")
     _assert_backend_independent(

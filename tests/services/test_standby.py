@@ -297,6 +297,28 @@ def test_a_promoted_standby_begins_above_the_ids_it_mirrored(pair):
     assert rows(replica) == rows(primary) + [(99, "new")]
 
 
+def test_a_promoted_standby_derives_the_state_it_never_kept():
+    """Redo keeps no statistics or aggregate state: a standby marks the
+    instance stale, so promotion's restart derives it from the pages."""
+    primary, replica = fresh(), fresh()
+    for db in (primary, replica):
+        db.create_attachment("emp", "statistics", "emp_stats")
+        db.create_attachment("emp", "aggregate", "emp_count",
+                             {"function": "count"})
+    base = replica.services.wal.current_lsn
+    replica.services.wal.flush()
+    standby = Standby(0, "r0", replica, {}, base)
+    primary.table("emp").insert_many([(i, f"n{i}") for i in range(5)])
+    ship(primary, standby)
+    standby.apply_pending(force=True)
+    replica.restart()
+    assert replica.execute("SELECT COUNT(*) FROM emp") == [(5,)]
+    handle = replica.catalog.handle("emp")
+    statistics = replica.registry.attachment_type_by_name("statistics")
+    field = handle.descriptor.attachment_field(statistics.type_id)
+    assert field["instances"]["emp_stats"]["state"]["row_count"] == 5
+
+
 @pytest.mark.parametrize("test", [
     test_end_that_arrives_a_ship_after_its_commit,
     test_transaction_that_spans_three_ships,
