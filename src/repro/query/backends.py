@@ -15,15 +15,15 @@ Two backends ship:
   service's :class:`~repro.services.vectors.VectorOps`, unchanged.
 * :class:`NumpyBackend` — optional (``pip install repro[numpy]``).  It
   packs homogeneous columns into ``ndarray`` storage per call and runs
-  comparisons, float arithmetic, stable sorts, and the hash-join
-  bucketize step through NumPy, falling back to the Python primitive
-  whenever a column does not pack or the operation's SQL semantics
-  (NULL propagation, exact int arithmetic, division errors) cannot be
-  reproduced exactly.  Results are bit-identical by construction: every
-  value crossing the boundary round-trips through ``ndarray.tolist()``,
-  aggregate folds reuse the shared sequential-order kernels, and any
-  case NumPy would answer differently (int overflow, division by zero,
-  mixed-type columns) is delegated to the Python primitive instead.
+  comparisons, float arithmetic and stable sorts through NumPy, falling
+  back to the Python primitive whenever a column does not pack or the
+  operation's SQL semantics (NULL propagation, exact int arithmetic,
+  division errors) cannot be reproduced exactly.  Results are
+  bit-identical by construction: every value crossing the boundary
+  round-trips through ``ndarray.tolist()``, aggregate folds reuse the
+  shared sequential-order kernels, and any case NumPy would answer
+  differently (int overflow, division by zero, mixed-type columns) is
+  delegated to the Python primitive instead.
 
 Backend selection: ``Database(kernel_backend=...)`` accepts ``"python"``,
 ``"numpy"``, a backend instance, or ``None`` for auto-detection (NumPy
@@ -309,45 +309,7 @@ class NumpyBackend(PythonBackend):
         np = self._np
         return packed[np.asarray(selection, dtype=np.intp)].tolist()
 
-    # -- join / group primitives ---------------------------------------
-    def hash_probe(self, table: Dict[object, List[int]], keys
-                   ) -> Tuple[List[int], List[int]]:
-        """Sort + bucketize (TQP-style): binary-search each probe key in
-        the sorted build-key vector and expand the hit ranges to pairs —
-        four NumPy calls replace the per-row dict probes."""
-        np = self._np
-        probe = self._pack(keys)
-        if probe is None or not table:
-            return super().hash_probe(table, keys)
-        build_keys = list(table.keys())
-        packed_build = self._pack(build_keys)
-        if packed_build is None \
-                or packed_build.dtype.kind != probe.dtype.kind:
-            return super().hash_probe(table, keys)
-        order = np.argsort(packed_build, kind="stable")
-        sorted_build = packed_build[order]
-        lo = np.searchsorted(sorted_build, probe, side="left")
-        hi = np.searchsorted(sorted_build, probe, side="right")
-        counts = hi - lo
-        if not int(counts.sum()):
-            return [], []
-        probe_idx = np.repeat(np.arange(len(keys)), counts)
-        # Offsets of each match inside its probe row's [lo, hi) range.
-        total = int(counts.sum())
-        step = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        bucket_pos = np.repeat(lo, counts) + step
-        bucket_keys = order[bucket_pos]
-        # Expand each matched *distinct key* to its build ordinals, in
-        # insertion order (the table's buckets), probe-major.
-        probe_out: List[int] = []
-        build_out: List[int] = []
-        for p, b in zip(probe_idx.tolist(), bucket_keys.tolist()):
-            bucket = table[build_keys[b]]
-            probe_out.extend([p] * len(bucket))
-            build_out.extend(bucket)
-        return probe_out, build_out
-
+    # -- group primitive (a hash probe runs on the Python body) --------
     def group_runs(self, keys) -> Tuple[List[int], List[int]]:
         np = self._np
         packed = self._pack(keys)

@@ -51,8 +51,9 @@ class _Frame:
         #: Conservative floor for rec_lsn, captured when a clean frame is
         #: pinned — no log record of the pin's modifications can precede it.
         self.rec_candidate = 0
-        #: Decoded form of ``data`` (see :meth:`BufferPool.decoded`), or
-        #: None.  It lives and dies with the frame.
+        #: Decoded form of ``data`` (see :meth:`BufferPool.decoded` and
+        #: :meth:`BufferPool.fetch_image`), or None.  It lives and dies
+        #: with the frame.
         self.image = None
 
 
@@ -129,6 +130,23 @@ class BufferPool:
             return frame.image
         finally:
             frame.pin_count -= 1
+
+    def fetch_image(self, page_id: int,
+                    make: Callable[[PageView, bool], object]):
+        """Pin the page (the caller unpins) and return its bytes with the
+        frame's image, which the caller may only add to, under the pin.  A
+        frame without one gets ``make(page, keep)``, not kept (``keep``
+        false) on the page's first visit since it was installed: a miss,
+        or the first demand pin of a read-ahead page."""
+        frame = self._frames.get(page_id)
+        keep = frame is not None and not frame.prefetched
+        frame = self._pin(page_id)
+        image = frame.image
+        if image is None:
+            image = make(PageView(page_id, frame.data), keep)
+            if keep:
+                frame.image = image
+        return frame.data, image
 
     def _pin(self, page_id: int) -> _Frame:
         frame = self._frames.get(page_id)

@@ -40,8 +40,8 @@ from ..services.pages import TOMBSTONE
 from ..services.predicate import Predicate
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
 from ..services.vectors import ColumnBatch
-from .heap import HeapStorageMethod, PageLeaf, _HeapHandler, \
-    _slots_and_images
+from .heap import HeapStorageMethod, PageImage, PageLeaf, \
+    _HeapHandler, _slots_and_images
 
 __all__ = ["BTreeFileStorageMethod", "BTreeFileScan"]
 
@@ -116,13 +116,11 @@ class BTreeFileScan(Scan):
             while end < stop and directory[end][1] == page_id:
                 end += 1
             run = directory[index:end]
-            page = buffer.fetch(page_id)
+            data, image = buffer.fetch_image(page_id, PageImage)
             try:
-                offsets = page.directory()[0]
                 room = n - len(keys)
-                chosen = leaf.read(page.data,
-                                   [offsets[slot] for __, __, slot in run],
-                                   room)
+                chosen = leaf.read(data, image,
+                                   [slot for __, __, slot in run], room)
             finally:
                 buffer.unpin(page_id)
             self.state = ON

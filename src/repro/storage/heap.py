@@ -19,7 +19,9 @@ derived from the pages: the forward path, undo and redo outside restart
 keep it in step (``_keep``), and restart counts the pages again when the
 crash may have left it wrong.
 The page bodies, by address, and the scan leaf (:class:`PageLeaf`) are
-also the B-tree-organised method's.
+also the B-tree-organised method's.  The leaf keeps what it decodes off a
+resident page in the frame's :class:`PageImage`, which a page's first
+visit since it was installed does not keep and any write drops.
 
 DDL attributes: ``fill_hint`` (float in (0, 1], advisory page fill target).
 """
@@ -40,7 +42,8 @@ from ..services.recovery import ResourceHandler
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
 from ..services.vectors import ColumnBatch
 
-__all__ = ["HeapStorageMethod", "HeapScan", "PageLeaf", "PAGE_TYPE_HEAP"]
+__all__ = ["HeapStorageMethod", "HeapScan", "PageImage", "PageLeaf",
+           "PAGE_TYPE_HEAP"]
 
 PAGE_TYPE_HEAP = 1
 
@@ -216,13 +219,56 @@ class _HeapHandler(ResourceHandler):
             page.insert_at(payload["slots"], payload["old_raws"])
 
 
+class PageImage:
+    """What the scan leaf decoded off one page (``BufferPool.fetch_image``):
+    the slot directory, whole columns and records, by slot.  It only grows
+    — a column or record once present never changes — under a pin of the
+    bytes it mirrors; one the frame does not keep decodes what its one
+    read asks for."""
+
+    __slots__ = ("offsets", "live", "keep", "columns", "rows")
+
+    def __init__(self, page: PageView, keep: bool):
+        offsets = self.offsets = page.directory()[0]
+        self.live = [s for s in range(len(offsets))
+                     if offsets[s] != TOMBSTONE] \
+            if TOMBSTONE in offsets else list(range(len(offsets)))
+        self.keep, self.columns, self.rows = keep, {}, {}
+
+    def values(self, decode, fields, data, slots: list, fill: bool) -> list:
+        """``decode``'s columns of ``fields`` at ``slots``, new lists; with
+        ``fill`` a missing column is decoded for every live slot and kept."""
+        columns, offsets, live = self.columns, self.offsets, self.live
+        if not columns or not all(field in columns for field in fields):
+            if not fill:
+                return decode(data, [offsets[s] for s in slots])
+            for field, values in zip(fields, decode(
+                    data, [offsets[s] for s in live])):
+                # By slot: the list itself, a dict where tombstones are.
+                columns.setdefault(field, values if len(live) == len(offsets)
+                                   else dict(zip(live, values)))
+        if len(slots) == len(offsets) and slots == live:
+            return [columns[field][:] for field in fields]
+        return [[column[s] for s in slots]
+                for column in map(columns.__getitem__, fields)]
+
+    def records(self, decode, data, slots: list) -> list:
+        """The whole records at ``slots``; a kept image decodes each once."""
+        rows, offsets = self.rows, self.offsets
+        missing = [s for s in slots if s not in rows] if rows else slots
+        found = [decode(data, offsets[s]) for s in missing]
+        if self.keep:
+            rows.update(zip(missing, found))
+        return found if missing is slots else [rows[s] for s in slots]
+
+
 class PageLeaf:
     """The page scan leaf: one batch read off slotted pages, a page at a
-    time under the caller's pin.  :meth:`read` decodes the predicate's
-    fields as columns and filters them while the values are still in the
-    buffer pool, then decodes the output fields of the records it keeps
-    only — whole records by the row decoder, ``fields`` by the page
-    decoder.  The caller appends their keys to :attr:`keys`."""
+    time under the caller's pin, through its :class:`PageImage`.
+    :meth:`read` filters the predicate's fields as columns while the values
+    are still in the buffer pool, then takes the output fields of the
+    records it keeps only, whole records or ``fields`` columns.  The caller
+    appends their keys to :attr:`keys`."""
 
     def __init__(self, schema, fields: Optional[Tuple[int, ...]],
                  predicate: Optional[Predicate], stats):
@@ -237,24 +283,26 @@ class PageLeaf:
         self.rows: list = []                           # whole records, or
         self.columns = [[] for __ in fields or ()]     # one list per field
 
-    def read(self, data, offsets: list, room: int):
-        """Keep the first ``room`` of the records at ``offsets`` of the
+    def read(self, data, image: PageImage, slots: list, room: int):
+        """Keep the first ``room`` of the records at ``slots`` of the
         pinned page's bytes ``data`` that pass the predicate; returns
-        their indexes in ``offsets``."""
+        their indexes in ``slots``."""
+        fill = image.keep and len(slots) == len(image.live)  # the whole page
         if self.predicate is None:
-            selected = range(len(offsets))
+            selected = range(len(slots))
         else:
             selected = self.predicate.select(ColumnBatch.from_columns(
-                dict(zip(self.needed, self.decode_needed(data, offsets))),
-                len(offsets), self.width), self.stats)
+                dict(zip(self.needed, image.values(
+                    self.decode_needed, self.needed, data, slots, fill))),
+                len(slots), self.width), self.stats)
         chosen = selected[:room] if len(selected) > room else selected
-        if len(chosen) < len(offsets):
-            offsets = [offsets[i] for i in chosen]
-        decode = self.decode
+        if len(chosen) < len(slots):
+            slots = [slots[i] for i in chosen]
         if self.fields is None:
-            self.rows += [decode(data, offset) for offset in offsets]
+            self.rows += image.records(self.decode, data, slots)
         else:
-            for column, values in zip(self.columns, decode(data, offsets)):
+            for column, values in zip(self.columns, image.values(
+                    self.decode, self.fields, data, slots, fill)):
                 column += values
         return chosen
 
@@ -303,14 +351,12 @@ class HeapScan(Scan):
         keys = leaf.keys
         while page_index < len(pages) and len(keys) < n:
             page_id = pages[page_index]
-            page = buffer.fetch(page_id)
+            data, image = buffer.fetch_image(page_id, PageImage)
             try:
-                offsets = page.directory()[0]
-                slots = [s for s in range(slot + 1, len(offsets))
-                         if offsets[s] != TOMBSTONE]
+                slots = image.live if slot < 0 \
+                    else [s for s in image.live if s > slot]
                 room = n - len(keys)
-                chosen = leaf.read(page.data, [offsets[s] for s in slots],
-                                   room)
+                chosen = leaf.read(data, image, slots, room)
             finally:
                 buffer.unpin(page_id)
             if slots:

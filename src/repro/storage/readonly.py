@@ -30,7 +30,7 @@ from ..services.locks import LockMode
 from ..services.predicate import Predicate
 from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
 from ..services.vectors import ColumnBatch
-from .heap import PageLeaf
+from .heap import PageImage, PageLeaf
 
 __all__ = ["ReadOnlyStorageMethod", "ReadOnlyScan"]
 
@@ -67,20 +67,21 @@ class ReadOnlyScan(Scan):
         ordinal = 0 if self.position is None else self.position + 1
         buffer, stats = self.ctx.buffer, self.ctx.stats
         leaf = PageLeaf(self.handle.schema, self.fields, self.predicate, stats)
+        if ordinal < len(addresses):
+            # Runs are packed onto the pages in page-list order.
+            page_index = pages.index(addresses[ordinal][0])
         while ordinal < len(addresses) and len(leaf.keys) < n:
-            page_id, end = addresses[ordinal][0], ordinal + 1
+            page_id, end = pages[page_index], ordinal + 1
             while end < len(addresses) and addresses[end][0] == page_id:
                 end += 1
-            page_index = pages.index(page_id)
-            buffer.prefetch(pages[page_index + 1:
-                                  page_index + 1 + self._PREFETCH_PAGES])
-            page = buffer.fetch(page_id)
+            page_index += 1
+            buffer.prefetch(pages[page_index:
+                                  page_index + self._PREFETCH_PAGES])
+            data, image = buffer.fetch_image(page_id, PageImage)
             try:
-                offsets = page.directory()[0]
                 room = n - len(leaf.keys)
-                chosen = leaf.read(page.data, [
-                    offsets[slot] for __, slot in addresses[ordinal:end]],
-                    room)
+                chosen = leaf.read(data, image, [
+                    slot for __, slot in addresses[ordinal:end]], room)
             finally:
                 buffer.unpin(page_id)
             self.state = ON

@@ -158,8 +158,12 @@ def check_recovered(db, table, before, after, kept=False):
     instance = hash_instance(db, "t", "t_k")
     ap = AccessPath(db.registry.attachment_type_by_name("hash_index").type_id,
                     "t_k")
-    # 1. committed rows = model: the running step happened or did not.
+    # 1. committed rows = model: the running step happened or did not; a
+    # second (warm) scan and a scan through fields and a predicate agree.
     stored = table.scan()
+    assert table.scan() == stored
+    assert table.scan("k >= 10", ["k"]) == [
+        (key, (record[1],)) for key, record in stored if record[1] >= 10]
     rows = dict(record for __, record in stored)
     assert rows in (before, after)
     assert table.count() == len(stored)
@@ -213,6 +217,7 @@ def test_crash_at_every_boundary(storage, kept, point):
         # and the database goes on working
         table.insert((9000, 7))
         assert (9000, 7) in table.rows()
+        assert (9000, 7) in table.rows()  # warm
     assert len(outcomes) > 3  # crashes landed in different steps
 
 

@@ -4,7 +4,8 @@ A primary runs random transactions — insert, delete and update batches,
 updates that grow a record off its page, savepoint rollbacks, aborts — and
 its stable log reaches a standby in random cuts.  After every ship the
 standby's applied pages (checksum aside) and what its descriptor derives
-equal the primary's at the same horizon.  At the end a forced apply and a
+equal the primary's at the same horizon, and a scan of the standby — which
+scanned it before the ship too — returns what its pages hold.  At the end a forced apply and a
 restart of the standby equal a restart of the primary.  Every case runs on
 heap and on btree_file relations.
 """
@@ -46,6 +47,12 @@ def state(database):
     return list(pages), page_images(database), derived(database, "emp")
 
 
+def scanned(database):
+    """The relation's records as a scan of the standby's own returns them
+    (it logs nothing), sorted."""
+    return sorted(database.table("emp").rows())
+
+
 def run_operation(rng, table):
     present = {record[0] for record in table.rows()}
     low = rng.randrange(IDS)
@@ -79,7 +86,11 @@ def run_case(storage, seed):
 
     def ship_and_compare(up_to):
         nonlocal compared
+        # A scan before the ship leaves images on the standby's frames that
+        # the redo must drop: the scan after it reads what the pages hold.
+        scanned(standby.database)
         ship(primary, standby, up_to)
+        assert scanned(standby.database) == rows(standby.database)
         seen = state(standby.database)
         if standby.applied_lsn in horizons:
             assert seen == horizons[standby.applied_lsn], standby.applied_lsn

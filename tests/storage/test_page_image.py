@@ -1,0 +1,309 @@
+"""A resident heap page is decoded once.
+
+The scan leaf keeps what it decodes in the buffer frame's image
+(``heap.PageImage``, through ``BufferPool.fetch_image``); the next scan of
+the page, while it stays resident and unchanged, reads it from there.  A
+page's first visit since it was installed keeps nothing and decodes what
+the leaf always decoded.  Every write path ends in a dirty unpin, which
+drops the image, so a warm scan after any write equals a cold read of the
+same pages — on heap and btree_file relations alike.
+"""
+
+import pytest
+
+from repro import Database
+from repro.core.records import decode_record
+from repro.errors import InjectedFault
+from repro.services.replication import Standby
+from repro.storage.heap import PageImage
+from tests.services.test_standby import ship
+
+SCHEMA = [("id", "INT"), ("name", "STRING"), ("score", "FLOAT")]
+#: Storage method -> its DDL attributes.
+STORAGES = {"heap": None, "btree_file": {"key": ["id"]}}
+FIELDS = ["id", "name", "score"]
+WHERE = "score >= 0.0"
+
+
+def build(storage, rows=60):
+    db = Database(page_size=512)
+    table = db.create_table("emp", SCHEMA, storage_method=storage,
+                            attributes=STORAGES[storage])
+    table.insert_many([(i, f"n{i:03d}", i * 0.5) for i in range(rows)])
+    return db, table
+
+
+def pages(db, name="emp"):
+    return db.catalog.handle(name).descriptor.storage_descriptor["pages"]
+
+
+def frames(db, name="emp"):
+    return [db.services.buffer._frames[page_id] for page_id in pages(db, name)]
+
+
+def cold(db, name="emp"):
+    """The relation's records read off its page bytes, sorted."""
+    handle = db.catalog.handle(name)
+    found = []
+    for page_id in pages(db, name):
+        with db.services.buffer.pinned(page_id) as page:
+            found += [decode_record(handle.schema, raw)
+                      for __, raw in page.records()]
+    return sorted(found)
+
+
+def reads(table):
+    """Whole records, and columns through a predicate, both sorted."""
+    return (sorted(table.rows()),
+            sorted(table.rows(WHERE, FIELDS)))
+
+
+def warm(db, table, name="emp"):
+    """Scan until every page of the relation holds a kept image."""
+    reads(table)
+    got = reads(table)
+    assert all(isinstance(frame.image, PageImage) for frame in
+               frames(db, name))
+    return got
+
+
+def check_warm_equals_cold(db, table, name="emp"):
+    records = cold(db, name)
+    expected = (records, [record for record in records if record[2] >= 0])
+    assert reads(table) == expected
+    assert reads(table) == expected  # and from the image
+
+
+def count_page_decodes(monkeypatch, schema):
+    """Wrap every page decoder of ``schema``: the offsets each call got."""
+    calls = []
+    compile_one = schema.page_decoder
+
+    def page_decoder(wanted):
+        decode = compile_one(wanted)
+        def counted(buf, offsets):
+            offsets = list(offsets)
+            calls.append(len(offsets))
+            return decode(buf, offsets)
+        return counted
+    monkeypatch.setattr(schema, "page_decoder", page_decoder)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Decoded once: a warm scan decodes nothing, a first visit what it always did
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_a_second_scan_of_a_resident_page_decodes_nothing(storage,
+                                                          monkeypatch):
+    db, table = build(storage)
+    schema = db.catalog.handle("emp").schema
+    calls = count_page_decodes(monkeypatch, schema)
+    rows, decode = [], schema.decoder
+    monkeypatch.setitem(schema.__dict__, "decoder", lambda buf, off=0: (
+        rows.append(off) or decode(buf, off)))
+    first = reads(table)
+    assert calls and rows
+    del calls[:], rows[:]
+    assert reads(table) == first
+    assert calls == [] and rows == []
+
+
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_a_scan_from_the_image_pins_locks_and_counts_as_any_other(storage):
+    """Images made, then read, then a scan of pages that all miss: the
+    pins, lock requests and tuples examined are the same each time."""
+    db, table = build(storage)
+    stats = db.services.stats
+    names = ("buffer.pins", "locks.acquire_calls",
+             f"{storage}.tuples_scanned")
+    seen = []
+    for cold_pool in (False, False, True):
+        if cold_pool:
+            db.services.buffer.flush_all()
+            db.services.buffer._frames.clear()
+        before = [stats.get(name) for name in names]
+        reads(table)
+        seen.append([stats.get(name) - b for name, b in zip(names, before)])
+    assert seen[0] == seen[1] == seen[2] and seen[0][0] > 0
+
+
+def test_a_first_visit_keeps_nothing_and_decodes_the_chosen_rows_only(
+        monkeypatch):
+    """Every page a miss (the pool is emptied first): a selective scan
+    decodes its predicate's field for every slot and its output fields for
+    the selected slots only, and no frame keeps an image."""
+    db, table = build("heap", rows=200)
+    db.services.buffer.flush_all()
+    db.services.buffer._frames.clear()
+    calls = count_page_decodes(monkeypatch, db.catalog.handle("emp").schema)
+    assert len(table.rows("score < 3.0", ["id", "name"])) == 6
+    # One call per page for the predicate's field; the output fields of
+    # the six chosen rows, which all lie on the first page.
+    assert sum(calls) == 200 + 6
+    assert all(frame.image is None for frame in frames(db))
+
+
+def test_read_ahead_pages_keep_nothing_on_their_first_demand_pin():
+    buffer = Database(page_size=512).services.buffer
+    pages = [buffer.new_page(1).page_id for __ in range(3)]
+    for page_id in pages:
+        buffer.unpin(page_id, dirty=True)
+    buffer.flush_all()
+    buffer._frames.clear()
+    assert buffer.prefetch(pages) == 3
+    made = []
+
+    def make(page, keep):
+        made.append(keep)
+        return object()
+    data, image = buffer.fetch_image(pages[0], make)
+    buffer.unpin(pages[0])
+    assert made == [False] and buffer._frames[pages[0]].image is None
+    __, kept = buffer.fetch_image(pages[0], make)
+    buffer.unpin(pages[0])
+    assert made == [False, True] and buffer._frames[pages[0]].image is kept
+    assert buffer.fetch_image(pages[0], make)[1] is kept and len(made) == 2
+    buffer.unpin(pages[0], dirty=True)
+    assert buffer._frames[pages[0]].image is None
+
+
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_a_scan_that_resumes_mid_page_reads_the_image(storage, monkeypatch):
+    db, table = build(storage)
+    expected = warm(db, table)[0]
+    handle = db.catalog.handle("emp")
+    method = db.registry.storage_method(handle.descriptor.storage_method_id)
+    calls = count_page_decodes(monkeypatch, handle.schema)
+    with db.autocommit() as ctx:
+        scan = method.open_scan(ctx, handle, (0, 1, 2), None)
+        got = []
+        while batch := scan.next_batch(7):
+            got += [record for __, record in batch]
+    assert sorted(got) == expected and calls == []
+
+
+@pytest.mark.parametrize("rows", [10, 60], ids=["one-page", "pages"])
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_what_a_scan_returns_does_not_alias_the_image(storage, rows):
+    db, table = build(storage, rows)
+    expected = warm(db, table)
+    handle = db.catalog.handle("emp")
+    method = db.registry.storage_method(handle.descriptor.storage_method_id)
+    with db.autocommit() as ctx:
+        for fields in (None, (0, 2)):
+            scan = method.open_scan(ctx, handle, fields, None)
+            batch = scan.next_batch(500)
+            scan.close()
+            ctx.services.scans.unregister(scan)
+            if fields is None:
+                batch.records()[:] = [(-1, "x", -1.0)] * len(batch)
+            for index in fields or ():
+                column = batch.column(index)
+                column[:] = [None] * len(column)
+    assert reads(table) == expected
+
+
+# ---------------------------------------------------------------------------
+# An image never outlives a byte change
+# ---------------------------------------------------------------------------
+
+def failed_insert(db, table):
+    """Inserts whose log append fails at each of the first calls."""
+    for nth in range(1, 4):
+        db.services.faults.arm("wal.append", nth=nth)
+        with pytest.raises(InjectedFault):
+            table.insert_many([(1000 + nth, "never", 1.0)])
+        db.services.faults.disarm()
+
+
+def relocating_update(db, table):
+    stats = db.services.stats
+    moved = [stats.get(f"{name}.relocating_updates")
+             for name in STORAGES]
+    table.update_where("id = 5 OR id = 6", {"name": "r" * 300})
+    assert [stats.get(f"{name}.relocating_updates")
+            for name in STORAGES] != moved
+
+
+def rollback(db, table):
+    db.begin()
+    table.insert_many([(500 + i, "gone", 1.0) for i in range(20)])
+    table.delete_where("id < 10")
+    table.update_where("id >= 20 AND id < 30", {"name": "undone"})
+    db.rollback()
+
+
+def savepoint_undo(db, table):
+    db.begin()
+    table.insert((700, "kept", 2.0))
+    db.savepoint("sp")
+    table.insert_many([(800 + i, "gone", 1.0) for i in range(20)])
+    table.delete_where("id >= 40")
+    table.update_where("id < 5", {"name": "undone"})
+    db.rollback_to("sp")
+    db.commit()
+
+
+WRITES = {
+    "insert": lambda db, table: table.insert((100, "new", 3.0)),
+    "failed-insert": failed_insert,
+    "in-place-update": lambda db, table: table.update_where(
+        "id >= 10 AND id < 20", {"score": -1.0}),
+    "relocating-update": relocating_update,
+    "delete": lambda db, table: table.delete_where("id >= 30 AND id < 45"),
+    "rollback": rollback,
+    "savepoint-undo": savepoint_undo,
+}
+
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_a_warm_scan_after_a_write_equals_a_cold_read(storage, write):
+    db, table = build(storage)
+    before = warm(db, table)
+    WRITES[write](db, table)
+    check_warm_equals_cold(db, table)
+    if write not in ("failed-insert", "rollback"):
+        assert reads(table) != before
+
+
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_a_standby_scanned_warm_between_ships_equals_its_pages(storage):
+    primary, __ = build(storage, rows=0)
+    replica, __ = build(storage, rows=0)
+    primary.services.wal.flush()
+    replica.services.wal.flush()
+    standby = Standby(0, "r0", replica, {}, replica.services.wal.current_lsn)
+    table, mirror = primary.table("emp"), replica.table("emp")
+    writes = [lambda: table.insert_many([(i, f"n{i}", 1.0)
+                                         for i in range(40)]),
+              lambda: table.update_where("id < 10", {"name": "x" * 60}),
+              lambda: table.delete_where("id >= 20 AND id < 30"),
+              lambda: table.insert((99, "late", 2.0))]
+    for write in writes:
+        if pages(replica):
+            warm(replica, mirror)
+        write()
+        ship(primary, standby)
+        check_warm_equals_cold(replica, mirror)
+        assert sorted(mirror.rows()) == sorted(table.rows())
+
+
+def test_a_published_readonly_relation_scanned_warm_equals_a_cold_read(
+        monkeypatch):
+    db = Database(page_size=512)
+    db.create_table("pub", SCHEMA, storage_method="readonly")
+    handle = db.catalog.handle("pub")
+    method = db.registry.storage_method(handle.descriptor.storage_method_id)
+    with db.autocommit() as ctx:
+        method.publish(ctx, handle, [(i, f"n{i:03d}", i * 0.5)
+                                     for i in range(80)])
+    table = db.table("pub")
+    assert len(pages(db, "pub")) > 3
+    expected = cold(db, "pub")
+    assert warm(db, table, "pub") == (expected, expected)  # all score >= 0
+    calls = count_page_decodes(monkeypatch, handle.schema)
+    check_warm_equals_cold(db, table, "pub")
+    assert calls == []

@@ -88,3 +88,35 @@ def test_attribute_validation(db):
     with pytest.raises(StorageError):
         db.create_table("bad", [("id", "INT")], storage_method="readonly",
                         attributes={"records_hint": -2})
+
+
+class _CountingPages(list):
+    """A page list that counts the linear searches made in it."""
+
+    def __init__(self, pages):
+        super().__init__(pages)
+        self.searches = 0
+
+    def index(self, *args):
+        self.searches += 1
+        return super().index(*args)
+
+
+def test_a_scan_finds_its_place_in_the_page_list_once_per_batch():
+    """Each page run used to search the page list for its page, which made
+    a scan quadratic in the relation's pages."""
+    db = Database(page_size=512)
+    table = publish(db, n=400)
+    descriptor = db.catalog.handle("pub").descriptor.storage_descriptor
+    pages = descriptor["pages"] = _CountingPages(descriptor["pages"])
+    assert len(pages) > 10
+    handle = db.catalog.handle("pub")
+    method = db.registry.storage_method(handle.descriptor.storage_method_id)
+    with db.autocommit() as ctx:
+        scan = method.open_scan(ctx, handle)
+        got, calls = [], 0
+        while batch := scan.next_batch(150):
+            got += [record for __, record in batch]
+            calls += 1
+            assert pages.searches <= calls
+    assert got == table.rows() and len(got) == 400
