@@ -18,6 +18,10 @@ from ..services.wal import LogRecord
 
 __all__ = ["ExecutionContext"]
 
+#: The intent a record lock of each mode takes on its relation.
+_INTENT = {mode: LockMode.IX if mode in (LockMode.X, LockMode.IX)
+           else LockMode.IS for mode in LockMode}
+
 
 class ExecutionContext:
     """Per-operation bundle: transaction + services + database."""
@@ -77,8 +81,7 @@ class ExecutionContext:
         """
         if self.services.locks.covers(self.txn_id, ("rel", relation_id), mode):
             return
-        intent = LockMode.IX if mode in (LockMode.X, LockMode.IX) else LockMode.IS
-        self.lock(("rel", relation_id), intent)
+        self.lock(("rel", relation_id), _INTENT[mode])
         self.lock(("rec", relation_id, key), mode)
 
     def lock_records(self, relation_id: int, keys, mode: LockMode) -> None:
@@ -100,8 +103,7 @@ class ExecutionContext:
         relation = ("rel", relation_id)
         if locks.covers(txn_id, relation, mode):
             return
-        locks.acquire(txn_id, relation, LockMode.IX
-                      if mode in (LockMode.X, LockMode.IX) else LockMode.IS)
+        locks.acquire(txn_id, relation, _INTENT[mode])
         taken = locks.acquire_many(
             txn_id, [("rec", relation_id, key) for key in keys], mode)
         if mode is LockMode.S and taken:

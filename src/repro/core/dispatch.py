@@ -263,7 +263,7 @@ class DataManager:
         """Replace a set of records; ``items`` holds ``(key, new_record)``
         pairs.  Returns the (possibly changed) keys in order.
 
-        All old record values are fetched before the operation savepoint —
+        All old record values are read before the operation savepoint —
         they are "available to the extension routines on updates and
         deletes" — so extensions see consistent pre-images even if an
         earlier record in the batch moves a later one's neighbours.
@@ -274,10 +274,10 @@ class DataManager:
         self._check_writable(ctx, handle, "update")
         self._lock_for_batch(ctx, handle, len(items))
         check = handle.schema.check_record
-        olds = self._old_records(ctx, handle, method,
-                                 [key for key, __ in items])
+        pairs = self._old_records(ctx, handle, method,
+                                  [key for key, __ in items])
         triples = [(key, old, check(new))
-                   for (key, new), old in zip(items, olds)]
+                   for (key, new), (__, old) in zip(items, pairs)]
         with _OperationScope(self, ctx):
             ctx.stats.bump("dispatch.updates", len(triples))
             new_keys = self._storage_call(
@@ -305,7 +305,7 @@ class DataManager:
         method = self._modifiable_method(handle)
         self._check_writable(ctx, handle, "delete")
         self._lock_for_batch(ctx, handle, len(keys))
-        pairs = list(zip(keys, self._old_records(ctx, handle, method, keys)))
+        pairs = self._old_records(ctx, handle, method, keys)
         with _OperationScope(self, ctx):
             ctx.stats.bump("dispatch.deletes", len(pairs))
             self._storage_call(
@@ -583,18 +583,20 @@ class DataManager:
             ctx.lock_relation(handle.relation_id, LockMode.IX)
 
     def _old_records(self, ctx, handle, method, keys) -> list:
-        """The stored records at ``keys``, in order; every key must exist."""
-        fetch = self.registry.storage_fetch[method.method_id]
-        olds = []
-        for key in keys:
-            old = self._storage_call(ctx, handle, "fetch", fetch,
-                                     ctx, handle, key, None, None)
-            if old is None:
-                raise StorageError(
-                    f"relation {handle.name!r} has no record with key "
-                    f"{key!r}")
-            olds.append(old)
-        return olds
+        """``(key, record)`` for each of ``keys``, in order, read by one
+        ``fetch_many`` — one pin per page, one message per shard; each key
+        must name a record, once."""
+        if len(set(keys)) < len(keys):
+            raise StorageError(f"relation {handle.name!r}: a key appears "
+                               f"twice in one modification")
+        pairs = self._storage_call(
+            ctx, handle, "fetch", self.registry.storage_fetch_many[
+                method.method_id], ctx, handle, keys, None, None)
+        if len(pairs) < len(keys):
+            missing = set(keys).difference(key for key, __ in pairs)
+            raise StorageError(f"relation {handle.name!r} has no record with "
+                               f"key {min(missing, key=keys.index)!r}")
+        return pairs
 
     def _attachment_field(self, handle: RelationHandle,
                           access_path: AccessPath) -> dict:

@@ -106,8 +106,9 @@ class Relation:
         handle = self.handle
         predicate = self._predicate(where, params)
         with db.autocommit() as ctx:
+            # Keys only: the delete reads the records it removes.
             victims = [key for key, __
-                       in self._scan_in(ctx, handle, predicate)]
+                       in self._scan_in(ctx, handle, predicate, ())]
             db.data.delete_batch(ctx, handle, victims)
         return len(victims)
 
@@ -199,11 +200,11 @@ class Relation:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _scan_in(self, ctx, handle, predicate) -> List[Tuple]:
-        """Collect ``(key, record)`` pairs inside an existing transaction."""
+    def _scan_in(self, ctx, handle, predicate, fields=None) -> List[Tuple]:
+        """Collect ``(key, fields)`` pairs inside an existing transaction."""
         db = self.database
         return db.services.scans.drain(
-            db.data.open_scan(ctx, handle, None, predicate))
+            db.data.open_scan(ctx, handle, fields, predicate))
 
     def _predicate(self, where, params) -> Optional[Predicate]:
         if where is None:

@@ -174,6 +174,14 @@ class PageView:
         indexed by slot, a deleted slot's offset being ``TOMBSTONE``."""
         return self._directory(self.slot_count)
 
+    def offsets(self, slots: Sequence[int]) -> List[int]:
+        """Each of ``slots``' record offset, ``TOMBSTONE`` for none."""
+        # Only the asked directory entries are read.
+        data = self.data
+        count = _SPACE.unpack_from(data, _SPACE_OFF)[0]
+        return [_SLOT.unpack_from(data, len(data) - SLOT_SIZE * (slot + 1))[0]
+                if 0 <= slot < count else TOMBSTONE for slot in slots]
+
     def _directory(self, count: int):
         flat = struct.unpack_from(f"<{2 * count}H", self.data,
                                   len(self.data) - SLOT_SIZE * count)
@@ -367,10 +375,8 @@ class PageView:
             return old
         _SLOT.pack_into(data, position, TOMBSTONE, 0)
         try:
-            if not self._choose(count, free_off, (len(raw),), None):
-                raise PageError(
-                    f"updated record ({len(raw)}B) does not fit on page "
-                    f"{self.page_id}")
+            # The slot is its own: the room is the page's less the
+            # directory as it stands, so a restore always fits again.
             self._place(count, free_off, (slot,), (raw,))
         except PageError:
             # put the old record back before reporting failure

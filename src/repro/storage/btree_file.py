@@ -196,17 +196,6 @@ class BTreeFileStorageMethod(HeapStorageMethod):
         return key
 
     # -- modification ---------------------------------------------------------------
-    def update(self, ctx, handle, key, old_record, new_record):
-        key = tuple(key)
-        if self.key_of(handle, new_record) != key:
-            # Key fields changed: the record moves within the key space.
-            self.delete(ctx, handle, key, old_record)
-            return self.insert(ctx, handle, new_record)
-        address = self._address(handle, key)
-        ctx.lock_record(handle.relation_id, key, LockMode.X)
-        return self._update_at(ctx, handle, address, key, old_record,
-                               new_record)
-
     def insert_batch(self, ctx, handle, records):
         """Check uniqueness (against the directory *and* within the set)
         and lock the keys up front, then place the records in key order
@@ -226,6 +215,18 @@ class BTreeFileStorageMethod(HeapStorageMethod):
                          LockMode.X)
         super().insert_batch(ctx, handle, [records[p] for p in order])
         return keys
+
+    def update_batch(self, ctx, handle, items):
+        """Lock each key and the slot it names, then rewrite by the heap's
+        body; a record whose key fields change moves (delete + insert)."""
+        keys = [key for key, __, __ in items]
+        ctx.lock_records(handle.relation_id, keys, LockMode.X)
+        addresses = [self._address(handle, key) for key in keys]
+        ctx.lock_records(handle.relation_id, self._slot_locks(addresses),
+                         LockMode.X)
+        return self._rewrite(ctx, handle, items, addresses, keys, {
+            i for i, (key, __, new) in enumerate(items)
+            if self.key_of(handle, new) != tuple(key)})
 
     def delete_batch(self, ctx, handle, items) -> None:
         """Lock each key and the slot it names (a slot freed here stays
@@ -255,7 +256,9 @@ class BTreeFileStorageMethod(HeapStorageMethod):
             index = _find(directory, key)
             if index is not None:
                 __, page_id, slot = directory[index]
-                by_page.setdefault(page_id, []).append((key, slot))
+                page_keys, slots = by_page.setdefault(page_id, ([], []))
+                page_keys.append(key)
+                slots.append(slot)
         return self._read_at(ctx, handle, keys, by_page, fields, predicate)
 
     def open_scan(self, ctx, handle, fields=None, predicate=None,

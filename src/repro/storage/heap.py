@@ -55,12 +55,26 @@ def _ensure_formatted(page: PageView) -> None:
 
 
 def _slots_and_images(payload: dict):
-    """The slots an ``update`` / ``insert_multi`` / ``delete_multi`` record
-    names and the record image it carries for each (an update's
-    before-image)."""
-    if payload["op"] == "update":
-        return (payload["slot"],), (payload["old_raw"],)
+    """The slots a ``*_multi`` record names and the image it carries for
+    each (an update's after-image, whose key is its before-image's)."""
     return payload["slots"], payload.get("new_raws") or payload["old_raws"]
+
+
+def _apply(page: PageView, payload: dict, inverse: bool) -> None:
+    """Do to ``page`` what a ``*_multi`` record did, or undo it: old images
+    go back last slot first, through states the forward pass held."""
+    op, slots = payload["op"], payload["slots"]
+    if op == "update_multi":
+        raws = payload["old_raws"][::-1] if inverse else payload["new_raws"]
+        for slot, raw in zip(slots[::-1] if inverse else slots, raws):
+            page.update(slot, raw)
+    elif op not in ("insert_multi", "delete_multi"):
+        raise StorageError(f"heap storage cannot apply op {op!r}")
+    elif (op == "insert_multi") != inverse:
+        page.insert_at(slots, _slots_and_images(payload)[1])
+    else:
+        for slot in slots:
+            page.delete(slot)
 
 
 class _HeapHandler(ResourceHandler):
@@ -95,21 +109,13 @@ class _HeapHandler(ResourceHandler):
         buffer = services.buffer
         page = buffer.fetch(payload["page"])
         try:
-            if op == "update":
-                page.update(payload["slot"], payload["old_raw"])
-            elif op == "insert_multi":
-                for slot in payload["slots"]:
-                    page.delete(slot)
-            elif op == "delete_multi":
-                page.insert_at(payload["slots"], payload["old_raws"])
-            else:
-                raise StorageError(f"{self.method.name} cannot undo op {op!r}")
+            _apply(page, payload, True)
             page.page_lsn = clr_lsn
         finally:
             buffer.unpin(payload["page"], dirty=True)
         if services.in_restart:
             descriptor["derived_lsn"] = clr_lsn  # derived again afterwards
-        elif op != "update":
+        elif op != "update_multi":
             self.method._keep(relation, payload["page"],
                               *_slots_and_images(payload), clr_lsn,
                               op == "delete_multi")
@@ -138,18 +144,8 @@ class _HeapHandler(ResourceHandler):
                                     len(payload.get("slots", ())) or 1)
                 return
             try:
-                if payload.get("compensates") is not None:
-                    self._redo_compensation(page, payload)
-                elif op == "update":
-                    page.update(payload["slot"], payload["new_raw"])
-                elif op == "insert_multi":
-                    page.insert_at(payload["slots"], payload["new_raws"])
-                elif op == "delete_multi":
-                    for slot in payload["slots"]:
-                        page.delete(slot)
-                else:
-                    raise StorageError(
-                        f"{self.method.name} cannot redo op {op!r}")
+                # A CLR's redo applies the inverse of what it compensates.
+                _apply(page, payload, payload.get("compensates") is not None)
             except PageError:
                 # The record targets a prior incarnation of a reused page
                 # id whose image was repaired (zero-filled) at restart, so
@@ -165,7 +161,7 @@ class _HeapHandler(ResourceHandler):
                                 len(payload.get("slots", ())) or 1)
         finally:
             buffer.unpin(payload["page"], dirty=dirty)
-        if op != "update" and not services.in_restart:
+        if op != "update_multi" and not services.in_restart:
             # Redo outside restart (a standby's apply) keeps the derived
             # state as undo does; restart derives it afterwards instead.
             self.method._keep(relation, payload["page"],
@@ -205,18 +201,6 @@ class _HeapHandler(ResourceHandler):
                 page.page_lsn = lsn
         finally:
             services.buffer.unpin(page_id, dirty=True)
-
-    @staticmethod
-    def _redo_compensation(page: PageView, payload: dict) -> None:
-        """A CLR's redo applies the *inverse* of the compensated operation."""
-        op = payload["op"]
-        if op == "update":
-            page.update(payload["slot"], payload["old_raw"])
-        elif op == "insert_multi":
-            for slot in payload["slots"]:
-                page.delete(slot)
-        elif op == "delete_multi":
-            page.insert_at(payload["slots"], payload["old_raws"])
 
 
 class PageImage:
@@ -445,9 +429,8 @@ class HeapStorageMethod(StorageMethod):
     def insert(self, ctx, handle, record):
         return self.insert_batch(ctx, handle, (record,))[0]
 
-    def update(self, ctx, handle, key, old_record, new_record):
-        ctx.lock_record(handle.relation_id, key, LockMode.X)
-        return self._update_at(ctx, handle, key, key, old_record, new_record)
+    def update(self, ctx, handle, key, old, new):
+        return self.update_batch(ctx, handle, ((key, old, new),))[0]
 
     def delete(self, ctx, handle, key, old_record) -> None:
         self.delete_batch(ctx, handle, ((key, old_record),))
@@ -511,6 +494,12 @@ class HeapStorageMethod(StorageMethod):
         ctx.stats.bump(self.name + ".inserts", len(records))
         return keys
 
+    def update_batch(self, ctx, handle, items):
+        keys = [key for key, __, __ in items]
+        ctx.lock_records(handle.relation_id, keys, LockMode.X)
+        # One list twice: the addresses are all read before a key moves.
+        return self._rewrite(ctx, handle, items, keys, keys)
+
     def delete_batch(self, ctx, handle, items) -> None:
         for key, __ in items:
             ctx.lock_record(handle.relation_id, key, LockMode.X)
@@ -550,10 +539,10 @@ class HeapStorageMethod(StorageMethod):
             except (TypeError, ValueError):
                 raise RecordNotFoundError(
                     f"bad heap record key {key!r}") from None
-            if page_id in by_page:
-                by_page[page_id].append((key, slot))
-            elif self._owns_page(descriptor, page_id):
-                by_page[page_id] = [(key, slot)]
+            if page_id in by_page or self._owns_page(descriptor, page_id):
+                page_keys, slots = by_page.setdefault(page_id, ([], []))
+                page_keys.append(key)
+                slots.append(slot)
         return self._read_at(ctx, handle, keys, by_page, fields, predicate)
 
     def open_scan(self, ctx, handle, fields=None, predicate=None) -> Scan:
@@ -592,90 +581,121 @@ class HeapStorageMethod(StorageMethod):
                 count += page.live_count()
         descriptor["ntuples"] = count
 
-    def _update_at(self, ctx, handle, address, key, old_record, new_record):
-        """Replace the record ``key`` names (locked), stored at
-        ``address``, in place; a grown record that no longer fits is
-        deleted and inserted again, which may change its key."""
-        page_id, slot = address
-        new_raw = encode_record(handle.schema, new_record)
-        page = ctx.buffer.fetch(page_id)
-        try:
-            old_raw = page.update(slot, new_raw)
-        except PageError:
-            ctx.buffer.unpin(page_id)
-            self.delete(ctx, handle, key, old_record)
-            new_key = self.insert(ctx, handle, new_record)
-            ctx.stats.bump(self.name + ".relocating_updates")
-            return new_key
-        try:
+    def _rewrite(self, ctx, handle, items, addresses, keys: list,
+                 moving=()) -> list:
+        """Rewrite the ``(key, old, new)`` ``items`` (keys locked) at
+        ``addresses``: a pin and an ``update_multi`` record a page.  Those
+        at the indexes ``moving`` and a grown record its page no longer
+        holds move (delete + insert); ``keys`` gets their new keys."""
+        moved, by_page, schema = sorted(moving), {}, handle.schema
+        if moved:
+            self._remove(ctx, handle, [addresses[i] for i in moved])
+        for index, (page_id, slot) in enumerate(addresses):
+            if index not in moving:
+                by_page.setdefault(page_id, []).append((index, slot))
+        for page_id, writes in by_page.items():
+            page, slots, olds, news = ctx.buffer.fetch(page_id), [], [], []
             try:
-                log = ctx.log(self.resource, {
-                    "op": "update", "relation_id": handle.relation_id,
-                    "page": page_id, "slot": slot,
-                    "old_raw": old_raw, "new_raw": new_raw})
+                for index, slot in writes:
+                    raw = encode_record(schema, items[index][2])
+                    try:
+                        olds.append(page.update(slot, raw))
+                    except PageError:
+                        # No longer fits: the rewrites before it are logged
+                        # and it is deleted in its turn, so the records
+                        # after it use its room and redo replays the page
+                        # as it was written.
+                        self._log_update(ctx, handle, page, slots, olds, news)
+                        slots, olds, news = [], [], []
+                        self._delete_on(ctx, handle, page, [slot])
+                        moved.append(index)
+                        continue
+                    slots.append(slot)
+                    news.append(raw)
+                self._log_update(ctx, handle, page, slots, olds, news)
             except BaseException:
-                page.update(slot, old_raw)  # unlogged change must not stay
+                _apply(page, {"op": "update_multi", "slots": slots,
+                              "old_raws": olds}, True)  # unlogged: undone
                 raise
-            page.page_lsn = log.lsn
-            ctx.stats.bump(self.name + ".updates")
-            return key
-        finally:
-            ctx.buffer.unpin(page_id, dirty=True)
+            finally:
+                ctx.buffer.unpin(page_id, dirty=True)
+        if len(moved) < len(items):
+            ctx.stats.bump(self.name + ".updates", len(items) - len(moved))
+        if len(moved) > len(moving):
+            ctx.stats.bump(self.name + ".relocating_updates",
+                           len(moved) - len(moving))
+        if moved:
+            moved.sort()
+            for index, key in zip(moved, self.insert_batch(
+                    ctx, handle, [items[i][2] for i in moved])):
+                keys[index] = key
+        return keys
+
+    def _log_update(self, ctx, handle, page, slots, olds, news) -> None:
+        """Log the rewrites of ``page``, if any."""
+        # Tuples, not lists: the log then holds nothing the collector traces.
+        if slots:
+            page.page_lsn = ctx.log(self.resource, {
+                "op": "update_multi", "relation_id": handle.relation_id,
+                "page": page.page_id, "slots": tuple(slots),
+                "old_raws": tuple(olds), "new_raws": tuple(news)}).lsn
 
     def _remove(self, ctx, handle, addresses: list) -> None:
-        """Remove the records at ``addresses`` (their locks held): one pin
-        and one log record per page."""
+        """Remove the records at ``addresses`` (locked), a pin a page."""
         by_page = {}
         for page_id, slot in addresses:
             by_page.setdefault(page_id, []).append(slot)
         for page_id, slots in by_page.items():
             page = ctx.buffer.fetch(page_id)
             try:
-                old_raws = [page.delete(slot) for slot in slots]
-                try:
-                    log = ctx.log(self.resource, {
-                        "op": "delete_multi",
-                        "relation_id": handle.relation_id,
-                        "page": page_id, "slots": slots,
-                        "old_raws": old_raws})
-                except BaseException:
-                    # Unlogged deletions must not stay: put them back.
-                    for slot, raw in zip(slots, old_raws):
-                        page.insert(raw, slot=slot)
-                    raise
-                page.page_lsn = log.lsn
-                self._keep(handle, page_id, slots, old_raws, log.lsn, False)
+                self._delete_on(ctx, handle, page, slots)
             finally:
                 ctx.buffer.unpin(page_id, dirty=True)
-        ctx.stats.bump(self.name + ".deletes", len(addresses))
+
+    def _delete_on(self, ctx, handle, page: PageView, slots: list) -> None:
+        """Remove ``slots`` of the pinned ``page``: a ``delete_multi``."""
+        old_raws = []
+        try:
+            for slot in slots:
+                old_raws.append(page.delete(slot))
+            log = ctx.log(self.resource, {
+                "op": "delete_multi", "relation_id": handle.relation_id,
+                "page": page.page_id, "slots": tuple(slots),
+                "old_raws": tuple(old_raws)})
+        except BaseException:
+            # Unlogged deletions must not stay: put them back.
+            page.insert_at(slots[:len(old_raws)], old_raws)
+            raise
+        page.page_lsn = log.lsn
+        self._keep(handle, page.page_id, slots, old_raws, log.lsn, False)
+        ctx.stats.bump(self.name + ".deletes", len(slots))
 
     def _read_at(self, ctx, handle, keys, by_page: dict, fields, predicate):
-        """``(key, values)`` for each of ``keys`` that ``by_page`` (page id
-        → ``[(key, slot)]``) places in a live slot whose record passes
-        ``predicate``, in ``keys`` order: one pin and one S ``lock_records``
-        per page."""
-        found = {}
+        """``(key, values)``, in ``keys`` order, for each key ``by_page``
+        (page id → ``(keys, slots)``) places in a live slot whose record
+        passes ``predicate``: per page one S ``lock_records``, one pin."""
+        # Locked before the slot is read: a slot a writer emptied and has
+        # not committed conflicts, rather than reading as no record.
+        found = []
         decode = handle.schema.decoder
-        for page_id, entries in by_page.items():
+        for page_id, (page_keys, slots) in by_page.items():
+            ctx.lock_records(handle.relation_id, page_keys, LockMode.S)
             page = ctx.buffer.fetch(page_id)
             try:
-                offsets = page.directory()[0]
-                present = [(key, slot) for key, slot in entries
-                           if 0 <= slot < len(offsets)
-                           and offsets[slot] != TOMBSTONE]
-                ctx.lock_records(handle.relation_id,
-                                 [key for key, __ in present], LockMode.S)
-                for key, slot in present:
-                    record = decode(page.data, offsets[slot])
+                for key, offset in zip(page_keys, page.offsets(slots)):
+                    if offset == TOMBSTONE:
+                        continue
+                    record = decode(page.data, offset)
                     if predicate is not None and not predicate.matches(record):
                         continue
-                    if fields is None:
-                        found[key] = record
-                    else:
-                        found[key] = tuple(record[i] for i in fields)
+                    found.append((key, record if fields is None
+                                  else tuple(record[i] for i in fields)))
             finally:
                 ctx.buffer.unpin(page_id)
         ctx.stats.bump(self.name + ".fetches", len(found))
+        if len(by_page) < 2:  # one page's keys are in ``keys`` order
+            return found
+        found = dict(found)
         return [(key, found[key]) for key in keys if key in found]
 
     # -- internals -----------------------------------------------------------------------------

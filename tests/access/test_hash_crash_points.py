@@ -113,6 +113,9 @@ STEPS = [
      lambda model: {i: k for i, k in model.items() if not 50 <= i < 120}),
     (lambda db, table: table.update_where("id = 10", {"k": 39}),
      lambda model: {**model, 10: 39}),
+    # one update_multi record on each of four pages
+    (lambda db, table: table.update_where("k = 5", {"k": 6}),
+     lambda model: {i: 6 if k == 5 else k for i, k in model.items()}),
     (lambda db, table: vetoed(table), dict),
     (under_a_savepoint,
      lambda model: {**model, **{2000 + i: i % 4 for i in range(20)}}),

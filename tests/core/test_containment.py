@@ -226,10 +226,11 @@ def test_old_record_fetch_runs_behind_the_barrier():
         name = "buggy_store"
         fail = False
 
-        def fetch(self, ctx, handle, key, fields=None, predicate=None):
+        def fetch_many(self, ctx, handle, keys, fields=None,
+                       predicate=None):
             if self.fail:
                 raise KeyError("dangling directory entry")
-            return super().fetch(ctx, handle, key, fields, predicate)
+            return super().fetch_many(ctx, handle, keys, fields, predicate)
 
     db = Database(page_size=1024)
     store = BuggyStorage()
