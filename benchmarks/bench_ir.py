@@ -1,13 +1,12 @@
 """E20 — columnar operator IR: joins, group-by, and compiled expressions.
 
 The operator IR runs whole plans batch-at-a-time — equi-joins (hash /
-sort-merge over selection-vector pairs), grouped aggregates via
-sort-based run detection, and arbitrary compiled scalar expressions —
-behind a pluggable kernel backend (pure Python by default, NumPy when
-importable).
+sort-merge over selection-vector pairs), grouped aggregates via one
+dict pass, and arbitrary compiled scalar expressions — on the
+pure-Python kernel backend.
 
-The experiment runs join, group-by, and expression workloads on both
-backends over the same relations and guards the deterministic counters:
+The experiment runs join, group-by, and expression workloads and guards
+the deterministic counters:
 
 * one hash or merge pairing per join, and a dispatch count
   (``executor.columnar.kernel_calls`` +
@@ -15,13 +14,12 @@ backends over the same relations and guards the deterministic counters:
   ``predicate.vector_selects`` per page) that is a small constant per
   operator and batch, never per row or per join pair;
 * ``predicate.row_evals`` + ``executor.row_ops`` (Python-level work per
-  row) at zero, and no statement needing the Python-backend rerun;
-* results bit-identical between the Python and NumPy backends.
+  row) at zero.
 
 The comparison this experiment was first run for — the same shapes down
-a row-at-a-time pipeline, >= 5x fewer Python-level operations on the
-pure-Python backend — ended with that pipeline (EXPERIMENTS.md E20 keeps
-the last table).
+a row-at-a-time pipeline, >= 5x fewer Python-level operations — ended
+with that pipeline (EXPERIMENTS.md E20 keeps the last table), and so did
+the one between the Python and NumPy kernel backends.
 
 Runnable directly for the CI smoke profile::
 
@@ -35,7 +33,6 @@ import sys
 import pytest
 
 from repro import Database
-from repro.query import backends
 
 try:
     from benchmarks._helpers import bench_payload
@@ -45,7 +42,7 @@ except ImportError:          # executed directly: python benchmarks/bench_ir.py
 N = 6_000
 DEPTS = 16
 
-#: The IR workloads measured on each backend.
+#: The IR workloads measured.
 QUERIES = {
     "join": ("SELECT emp.id, dept.budget FROM emp JOIN dept "
              "ON emp.dept_no = dept.dno"),
@@ -72,12 +69,11 @@ IR_COUNTERS = ("predicate.vector_selects",
                "executor.columnar.ir.join.merge",
                "executor.columnar.ir.join.pairs",
                "executor.columnar.ir.group.groups",
-               "executor.columnar.fallbacks", "executor.scan_batches")
+               "executor.scan_batches")
 
 
-def build_db(rows: int = N, backend: str = "python") -> Database:
-    db = Database(page_size=4096, buffer_capacity=512,
-                  kernel_backend=backend)
+def build_db(rows: int = N) -> Database:
+    db = Database(page_size=4096, buffer_capacity=512)
     db.create_table("dept", [("dno", "INT", False), ("dname", "STRING"),
                              ("budget", "FLOAT")])
     db.create_table("emp", [("id", "INT", False), ("dept_no", "INT"),
@@ -106,12 +102,11 @@ def _ops(shape, names):
 
 
 def _dispatch_guard(name: str, shape: dict, rows: int) -> bool:
-    """Dispatches per operator and batch, nothing per row, no rerun; a
-    join pairs its inputs exactly once."""
+    """Dispatches per operator and batch, nothing per row; a join pairs
+    its inputs exactly once."""
     ok = (_ops(shape, COLUMNAR_OPS)
           <= 6 * shape["executor.scan_batches"] + 16
-          and _ops(shape, ROW_OPS) == 0
-          and shape["executor.columnar.fallbacks"] == 0)
+          and _ops(shape, ROW_OPS) == 0)
     if name in JOINS:
         ok = ok and (shape["executor.columnar.ir.join.hash"]
                      + shape["executor.columnar.ir.join.merge"] == 1
@@ -121,26 +116,16 @@ def _dispatch_guard(name: str, shape: dict, rows: int) -> bool:
 
 
 def ir_profile(rows: int = N) -> dict:
-    names = ["python"] + (["numpy"] if backends.numpy_available() else [])
-    dbs = {name: build_db(rows, backend=name) for name in names}
+    db = build_db(rows)
     counters = {}
-    identical = guarded = True
+    guarded = True
     for name, statement in QUERIES.items():
-        results = {}
-        for backend, db in dbs.items():
-            results[backend], shape = _measure(db, statement)
-            counters.setdefault(name, {})["columnar_" + backend] = shape
-            guarded &= _dispatch_guard(name, shape, rows)
-        identical &= all(result == results["python"]
-                         for result in results.values())
-    derived = {"numpy_available": "numpy" in dbs,
-               "backends_compared": ["columnar-" + name for name in names],
-               "results_identical": identical,
-               "per_operator_dispatch": guarded}
+        __, counters[name] = _measure(db, statement)
+        guarded &= _dispatch_guard(name, counters[name], rows)
     return bench_payload(
         "E20-ir",
         {"rows": rows, "depts": DEPTS, "queries": dict(QUERIES)},
-        counters, derived)
+        counters, {"per_operator_dispatch": guarded})
 
 
 @pytest.fixture(scope="module")
@@ -152,50 +137,28 @@ def profile():
 # Acceptance: counter assertions
 # ---------------------------------------------------------------------------
 
-def test_results_identical_across_backends(profile):
-    assert profile["derived"]["results_identical"]
-
-
 def test_dispatches_per_operator_not_per_row(profile):
-    for name, shapes in profile["counters"].items():
-        for backend, shape in shapes.items():
-            assert _dispatch_guard(name, shape, N), (name, backend, shape)
-
-
-def test_numpy_backend_measured_when_available(profile):
-    if not profile["derived"]["numpy_available"]:
-        pytest.skip("NumPy not available")
-    for name in QUERIES:
-        assert "columnar_numpy" in profile["counters"][name]
+    for name, shape in profile["counters"].items():
+        assert _dispatch_guard(name, shape, N), (name, shape)
 
 
 # ---------------------------------------------------------------------------
 # Timings
 # ---------------------------------------------------------------------------
 
-def _bench(benchmark, db, statement, strategy):
+def _bench(benchmark, db, statement):
     db.execute(statement)
     benchmark.pedantic(lambda: db.execute(statement), rounds=5,
                        iterations=3)
     benchmark.extra_info["rows"] = N
-    benchmark.extra_info["strategy"] = strategy
 
 
 def test_join_columnar_python(benchmark):
-    _bench(benchmark, build_db(backend="python"), QUERIES["join"],
-           "columnar-python")
+    _bench(benchmark, build_db(), QUERIES["join"])
 
 
 def test_group_expr_columnar_python(benchmark):
-    _bench(benchmark, build_db(backend="python"), QUERIES["group_expr"],
-           "columnar-python")
-
-
-@pytest.mark.skipif(not backends.numpy_available(),
-                    reason="NumPy not available")
-def test_join_columnar_numpy(benchmark):
-    _bench(benchmark, build_db(backend="numpy"), QUERIES["join"],
-           "columnar-numpy")
+    _bench(benchmark, build_db(), QUERIES["group_expr"])
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +177,7 @@ def main(argv=None) -> int:
         with open(args.json, "w") as fh:
             fh.write(payload + "\n")
     print(payload)
-    ok = (result["derived"]["per_operator_dispatch"]
-          and result["derived"]["results_identical"])
-    return 0 if ok else 1
+    return 0 if result["derived"]["per_operator_dispatch"] else 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ class Database:
     def __init__(self, page_size: int = 4096, buffer_capacity: int = 256,
                  principal: str = "admin", register_builtins: bool = True,
                  group_commit: int = 0, auto_checkpoint_interval: int = 0,
-                 max_sessions: int = 64, kernel_backend=None):
+                 max_sessions: int = 64):
         self.services = SystemServices(page_size=page_size,
                                        buffer_capacity=buffer_capacity)
         # Durability knobs: group_commit=N batches N commits per log force
@@ -63,22 +63,11 @@ class Database:
         self.max_sessions = max_sessions
         self._sessions: Dict[int, "Session"] = {}
         self._next_session_id = 1
-        # Columnar kernel backend: None auto-detects (NumPy when
-        # importable), "python"/"numpy" name one, or pass an instance.
-        # Resolution is lazy so constructing a Database never imports
-        # NumPy unless the query layer actually runs.
-        self._kernel_backend_spec = kernel_backend
-        self._kernel_backend = None
+        from ..query.backends import PythonBackend
+        #: The columnar kernel backend (see :mod:`..query.backends`).
+        self.kernel_backend = PythonBackend()
         if register_builtins:
             self._register_builtins()
-
-    @property
-    def kernel_backend(self):
-        """The resolved columnar kernel backend (see :mod:`..query.backends`)."""
-        if self._kernel_backend is None:
-            from ..query.backends import resolve
-            self._kernel_backend = resolve(self._kernel_backend_spec)
-        return self._kernel_backend
 
     # ------------------------------------------------------------------
     # Sessions (the multi-caller front door)

@@ -13,9 +13,10 @@ with ``next_batch`` (one dispatch call and one page pin amortised over
 many tuples), index-probe routes translate a batch of record keys into
 one ``fetch_many`` call, the keyed joins emit blocks of combined rows —
 and hands that stream to the plan's :class:`~.ir.Program`, the one
-engine that filters, folds, sorts and projects it.  Filter predicates
-are compiled once per plan (see :class:`~.plans.CompiledPredicateCache`)
-rather than per execution.
+engine that filters, folds, sorts and projects it on the database's
+kernel backend; a failure inside the program is the statement's
+``QueryError``.  Filter predicates are compiled once per plan
+(see :class:`~.plans.CompiledPredicateCache`) rather than per execution.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from ..core.records import RecordView
 from ..errors import QueryError
 from ..services.vectors import ColumnBatch
 from . import fragments, ir
-from .backends import PythonBackend
 from .cost import EligiblePredicate
 from .planner import JoinStep, SelectPlan, TableAccess
 
@@ -45,10 +45,6 @@ _BATCH_MAX = 512
 #: least-recently-used entries are evicted past this, bounding a large
 #: join's memory by a constant instead of the inner table.
 _JOIN_MEMO_MAX = 1024
-
-#: Where a program is run again after its kernels failed on the
-#: database's configured backend.
-_RERUN_BACKEND = PythonBackend()
 
 
 class Executor:
@@ -84,21 +80,13 @@ class Executor:
             program = plan.columnar = ir.lower_select(plan)
         ctx.stats.bump_many({"executor.columnar.plans": 1,
                              "executor.columnar.ir.programs": 1})
+        rt = ir.Runtime(ctx.stats, getattr(ctx.services, "faults", None),
+                        params, self.database.kernel_backend)
+        rt.source = self._source(ctx, plan, params, program, rt)
         try:
-            return self._run_program(ctx, plan, params, program,
-                                     self.database.kernel_backend)
-        except ir.KernelFallback:
-            # A kernel failure costs performance, never the answer: the
-            # same program runs once more on the reference backend.
-            ctx.stats.bump("executor.columnar.fallbacks")
-        try:
-            return self._run_program(ctx, plan, params, program,
-                                     _RERUN_BACKEND)
-        except ir.KernelFallback as exc:
-            raise QueryError(
-                "SELECT failed in the columnar engine, and again when "
-                f"rerun on the Python backend: {exc.__cause__!r}") \
-                from exc.__cause__
+            return program.run(rt)
+        finally:
+            rt.source.close()
 
     def _try_pushdown(self, ctx, plan: SelectPlan,
                       params: dict) -> Optional[List[Tuple]]:
@@ -133,16 +121,6 @@ class Executor:
             # (and applies its own degraded-read semantics).
             ctx.stats.bump("executor.pushdown.fallbacks")
             return None
-
-    def _run_program(self, ctx, plan: SelectPlan, params: dict,
-                     program: ir.Program, backend) -> List[Tuple]:
-        rt = ir.Runtime(ctx.stats, getattr(ctx.services, "faults", None),
-                        params, backend)
-        rt.source = self._source(ctx, plan, params, program, rt)
-        try:
-            return program.run(rt)
-        finally:
-            rt.source.close()
 
     def _source(self, ctx, plan: SelectPlan, params: dict,
                 program: ir.Program, rt: ir.Runtime) -> Iterator:

@@ -15,7 +15,7 @@ A bound :class:`~.planner.SelectPlan` lowers (:func:`lower_select`) to a
 * The **filter** applies the cross-table part of a join's WHERE (the
   single-table parts were pushed into the scans) and narrows the batch.
 * The **sink** is one of three — plain rows (projection, ORDER BY,
-  LIMIT, bounded top-k), an ungrouped fold, or a sort-based GROUP BY —
+  LIMIT, bounded top-k), an ungrouped fold, or a hash GROUP BY —
   each written once against the ``len()`` / ``column(i)`` / ``rows()`` /
   ``narrow()`` protocol both batch classes answer, so payload columns of
   a join are gathered only when a sink asks for them (late
@@ -26,38 +26,37 @@ Scalar expressions anywhere (filter, projections, aggregate arguments)
 are the plan's bound :class:`~repro.services.predicate.Expr` trees, run
 through :func:`~.kernels.evaluate`, whose per-row retry keeps
 short-circuit semantics; every vector primitive goes through the
-pluggable :mod:`.backends` backend.  Grouping is one stable sort of the key vector
-plus run detection, so arrival order inside a group — and with it every
-float fold — is the same on every backend.
+database's :mod:`.backends` backend.  Grouping is one dict pass over the
+key vector, so each group keeps its rows in arrival order and every
+float fold sees its values in that order.
 
 The compiled program is cached on ``SelectPlan.columnar``; the plan
 cache discards the whole payload when a referenced descriptor version
 changes, so the IR is invalidated exactly with the plan that produced
 it.  Anything but a typed ``QueryError`` raised inside the machinery
-surfaces as :class:`KernelFallback`, which the executor answers by
-running the same program once more on the pure-Python backend.  Scan,
-dispatch and fetch errors pass through untouched (batches are pulled
-outside the guarded sections), so storage faults fail as storage faults.
+(a bug, an injected fault) fails the statement as a ``QueryError`` with
+the original error as its cause.  Scan, dispatch and fetch errors pass
+through untouched (batches are pulled outside the guarded sections), so
+storage faults fail as storage faults.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..errors import PredicateError, QueryError
+from ..errors import QueryError
 from ..services.predicate import Col
 from ..services.vectors import ColumnBatch
 from . import kernels
 from .kernels import evaluate
 
-__all__ = ["Program", "Runtime", "KernelFallback", "sorted_ordinals",
-           "lower_select"]
+__all__ = ["Program", "Runtime", "sorted_ordinals", "lower_select"]
 
 
-class KernelFallback(Exception):
-    """The columnar machinery itself failed (a bug, an injected fault);
-    ``__cause__`` is the original error.  Never raised for scan or
-    dispatch errors, nor for a ``PredicateError`` the statement earned."""
+def _engine_fault(exc: Exception) -> QueryError:
+    """The error a failure of the columnar machinery itself surfaces
+    as; raised ``from`` the original."""
+    return QueryError(f"SELECT failed in the columnar engine: {exc!r}")
 
 
 def sorted_ordinals(keys: Sequence[Sequence], order_by) -> List[int]:
@@ -181,18 +180,18 @@ class Program:
                 if self.cross_filter is not None:
                     batch = self._filter(rt, batch)
                 done = sink.add(batch)
-            except (KernelFallback, QueryError):
+            except QueryError:
                 raise  # earned by the statement, or by a wrong needed-set
             except Exception as exc:
-                raise KernelFallback from exc
+                raise _engine_fault(exc) from exc
             if done:
                 break  # LIMIT satisfied: stop pulling batches
         try:
             return sink.finish()
-        except PredicateError:
+        except QueryError:
             raise
         except Exception as exc:
-            raise KernelFallback from exc
+            raise _engine_fault(exc) from exc
 
     def _filter(self, rt: Runtime, batch):
         truth = evaluate(self.cross_filter, batch, rt.params, rt.backend,
@@ -263,7 +262,7 @@ class Program:
         except QueryError:
             raise
         except Exception as exc:
-            raise KernelFallback from exc
+            raise _engine_fault(exc) from exc
         yield PairBatch(left, right, left_sel, right_sel, self.left_width,
                         backend)
 
@@ -375,8 +374,8 @@ class _FoldSink:
 
 
 class _GroupSink:
-    """GROUP BY: key and argument vectors accumulate per batch; one
-    stable sort groups them at the end."""
+    """GROUP BY: key and argument vectors accumulate per batch; one dict
+    pass groups them at the end."""
 
     def __init__(self, program: Program, rt: Runtime):
         self.program = program
@@ -402,34 +401,21 @@ class _GroupSink:
         return False
 
     def finish(self) -> List[tuple]:
-        """Sort-based grouping: one stable sort, run boundaries in one
-        pass, folds over gathered ordinals.  Groups emit sorted by
-        ``repr(key)`` with arrival order preserved inside each group."""
+        """Key → row ordinals in one ``dict.setdefault`` pass, so each
+        group folds its values in arrival order; groups emit sorted by
+        ``repr(key)``."""
         keys, vectors = self.keys, self.vectors
         if not keys:
             return []
         stats, specs = self.rt.stats, self.program.aggregates
-        order, starts = self.rt.backend.group_runs(keys)
+        groups: Dict[object, List[int]] = {}
+        setdefault = groups.setdefault
+        for ordinal, key in enumerate(keys):
+            setdefault(key, []).append(ordinal)
         stats.bump_many({"executor.columnar.kernel_calls": 1,
                          "executor.columnar.ir.kernel_calls": 1,
-                         "executor.columnar.ir.group.rows": len(keys)})
-        groups: Dict[object, List[int]] = {}
-        merged = []
-        total = len(order)
-        for si, start in enumerate(starts):
-            end = starts[si + 1] if si + 1 < len(starts) else total
-            key = keys[order[start]]
-            ordinals = order[start:end]
-            existing = groups.get(key)
-            if existing is None:
-                groups[key] = ordinals
-            else:
-                # Equal keys split across runs (mixed-repr equal values):
-                # merge and restore arrival order.
-                existing.extend(ordinals)
-                merged.append(key)
-        for key in merged:
-            groups[key].sort()
+                         "executor.columnar.ir.group.rows": len(keys),
+                         "executor.columnar.ir.group.groups": len(groups)})
         out = []
         for key in sorted(groups, key=repr):
             ordinals = groups[key]
@@ -446,7 +432,6 @@ class _GroupSink:
                     row.append(kernels.fold_aggregate(kind, values,
                                                       len(ordinals)))
             out.append(tuple(row))
-        stats.bump_many({"executor.columnar.ir.group.groups": len(groups)})
         return out
 
 

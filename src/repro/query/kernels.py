@@ -9,7 +9,7 @@ primitives (comprehension loops over one column, ``zip``,
 
 Scalar expressions have no kernel of their own: the bound
 :class:`~repro.services.predicate.Expr` tree is the kernel.  Its ``run``
-hands whole vectors to a pluggable :mod:`.backends` backend, and
+hands whole vectors to the :mod:`.backends` backend, and
 :func:`evaluate` (the predicate service's, re-exported here for the
 operator IR) re-evaluates a batch row by row when — and only when —
 ``run`` raised a ``PredicateError``, because the one thing a vector
@@ -50,7 +50,7 @@ def fold_aggregate(kind: str, values: list, row_count: int):
     """Finish one aggregate from its accumulated non-NULL value list.
 
     ``sum`` runs over the values in arrival order, so a float fold is
-    bit-identical on every backend and to a per-row fold over a scan.
+    bit-identical to a per-row fold over a scan.
     """
     if kind == "count_star":
         return row_count

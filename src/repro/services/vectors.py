@@ -12,9 +12,9 @@ here, below the query layer, because storage methods filter their
   Python-level operations per batch and lets the C-implemented
   primitives (``zip``, comprehension bytecode) do the per-row work;
 * :class:`VectorOps` — the pure-Python vector primitives ``Expr.run`` is
-  written against.  The query layer's kernel backends
-  (:mod:`repro.query.backends`) extend this class with the join and
-  grouping primitives and, for NumPy, with packed fast paths.
+  written against.  The query layer's kernel backend
+  (:mod:`repro.query.backends`) extends this class with the join
+  primitives.
 
 A batch answers ``len()``, ``column(i)``, ``rows()`` and
 ``narrow(selection)`` — the protocol the operator IR's filter and sinks
@@ -157,8 +157,7 @@ class VectorOps:
     elements are SQL NULL.  Truth vectors hold ``True``/``False``/``None``
     (three-valued logic).  Selection vectors are sorted lists of row
     ordinals.  Each method is one Python-level dispatch per batch; the
-    per-row work runs inside C-implemented primitives.  This is the
-    reference implementation every kernel backend must match bit-for-bit.
+    per-row work runs inside C-implemented primitives.
 
     What an operator *means* is defined once, by the scalar tables in
     :mod:`.predicate`.  ``arith`` and ``compare`` nevertheless spell
@@ -168,8 +167,6 @@ class VectorOps:
     costs a fifth less per row than ``operator.gt(a, b)``.  Whatever they
     raise is re-derived row by row from the table (``predicate.evaluate``).
     """
-
-    name = "python"
 
     # -- scalar expression primitives ----------------------------------
     def arith(self, op: str, left, right) -> list:

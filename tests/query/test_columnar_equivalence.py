@@ -1,14 +1,11 @@
 """Single-table SELECT shapes against the reference evaluator.
 
-Every supported query shape runs through the engine — on the pure-Python
-kernel backend and, when importable, the NumPy one — and must produce
+Every supported query shape runs through the engine and must produce
 exactly what ``tests/query/reference.py`` computes row by row from
 ``Relation.scan()`` (bit-identical floats included: engine and
-reference fold the same values in the same order).  The counter
-contract is checked too — the batch schedule
-(``executor.scan_batches``) and the dispatch/buffer work below it must
-not depend on the backend — and fault injection proves a kernel fault
-costs a rerun on the Python backend, never the answer.
+reference fold the same values in the same order).  Fault injection
+proves a kernel fault fails the statement as a typed error and leaves
+the transaction usable.
 """
 
 from __future__ import annotations
@@ -17,15 +14,10 @@ import pytest
 
 from repro import Database
 from repro.errors import QueryError
-from repro.query import backends
 
 from . import reference
 
 ROWS = 300  # several doubling batches (32+64+128+...)
-
-BACKENDS = ["python"]
-if backends.numpy_available():
-    BACKENDS.append("numpy")
 
 
 def _seed_rows():
@@ -39,9 +31,8 @@ def _seed_rows():
     return rows
 
 
-def make_db(backend=None, rows=ROWS):
-    db = Database(page_size=1024, buffer_capacity=128,
-                  kernel_backend=backend)
+def make_db(rows=ROWS):
+    db = Database(page_size=1024, buffer_capacity=128)
     table = db.create_table("emp", [
         ("id", "INT", False), ("name", "STRING"), ("dept", "STRING"),
         ("salary", "FLOAT"), ("active", "BOOL")])
@@ -97,9 +88,8 @@ QUERIES = [
 @pytest.mark.parametrize("statement", QUERIES)
 def test_equivalence_matrix(statement):
     params = {"d": "eng", "s": 1100.0} if ":d" in statement else None
-    for backend in BACKENDS:
-        engine, expected = both_paths(make_db(backend), statement, params)
-        assert engine == expected, backend
+    engine, expected = both_paths(make_db(), statement, params)
+    assert engine == expected
 
 
 def test_columnar_path_actually_taken(cdb):
@@ -159,69 +149,35 @@ def test_short_circuit_or_is_retried_per_row(cdb):
         assert engine == expected
         # Only the batch (or page) holding row 0 is retried.
         assert 0 < delta["predicate.row_evals"] <= ROWS
-        assert delta.get("executor.columnar.fallbacks", 0) == 0
-
-
-def test_scan_counters_identical_between_backends():
-    """The batch schedule and everything below it (dispatch, buffer,
-    storage counters) must not depend on which kernel backend the
-    program runs on."""
-    if len(BACKENDS) < 2:
-        pytest.skip("NumPy not available")
-    _assert_backend_independent(
-        "SELECT id, salary FROM emp WHERE salary > 1100.0",
-        ("executor.scan_batches", "dispatch.", "buffer.", "heap.", "lock"))
-
-
-def test_aggregate_counters_identical_between_backends():
-    if len(BACKENDS) < 2:
-        pytest.skip("NumPy not available")
-    _assert_backend_independent(
-        "SELECT dept, COUNT(*), SUM(salary) FROM emp WHERE id < 200 "
-        "GROUP BY dept",
-        ("executor.scan_batches", "dispatch.", "buffer.", "heap."))
-
-
-def _assert_backend_independent(statement, families):
-    deltas = []
-    for backend in BACKENDS:
-        db = make_db(backend)
-        db.execute(statement)  # warm the plan cache
-        before = db.services.stats.snapshot()
-        db.execute(statement)
-        deltas.append(db.services.stats.delta(before))
-    first, second = deltas
-    for name in set(first) | set(second):
-        if name.startswith(families):
-            assert first.get(name, 0) == second.get(name, 0), \
-                f"{name}: {first.get(name)} != {second.get(name)}"
 
 
 # ---------------------------------------------------------------------------
 # Fault containment
 # ---------------------------------------------------------------------------
 
-def test_kernel_fault_reruns_on_the_python_backend(cdb):
-    """One kernel fault: the answer comes from rerunning the program on
-    the Python backend."""
+def test_kernel_fault_is_a_query_error(cdb):
+    """One kernel fault fails the statement with the fault as its cause;
+    the transaction stays usable, the fault is spent, and the next run
+    of the same program answers."""
     statement = "SELECT dept, COUNT(*), AVG(salary) FROM emp GROUP BY dept"
     expected = reference.run(cdb, statement)
-    cdb.services.faults.arm("columnar.kernel", error=RuntimeError("kernel"),
-                            nth=1)
+    cause = RuntimeError("kernel")
+    cdb.services.faults.arm("columnar.kernel", error=cause, nth=1)
     stats = cdb.services.stats
     programs = stats.get("executor.columnar.ir.programs")
-    assert cdb.execute(statement) == expected
-    assert stats.get("executor.columnar.fallbacks") == 1
+    cdb.begin()
+    with pytest.raises(QueryError) as excinfo:
+        cdb.execute(statement)
+    assert excinfo.value.__cause__ is cause
+    assert cdb.services.faults.injected("columnar.kernel") == 1
     assert stats.get("executor.columnar.ir.programs") == programs + 1
-    # The one-shot fault fired and the engine is healthy again.
     assert cdb.execute(statement) == expected
-    assert stats.get("executor.columnar.fallbacks") == 1
+    cdb.commit()
 
 
 def test_persistent_kernel_fault_surfaces_as_query_error(cdb):
-    """Armed for every fire, the rerun fails too: a typed error with the
-    cause chained, and the transaction left as after any failed
-    statement."""
+    """Armed for every fire: a typed error with the cause chained, and
+    the transaction left as after any failed statement."""
     statement = "SELECT id FROM emp WHERE dept = 'eng'"
     expected = reference.run(cdb, statement)
     cause = RuntimeError("kernel")
@@ -232,7 +188,7 @@ def test_persistent_kernel_fault_surfaces_as_query_error(cdb):
     with pytest.raises(QueryError) as excinfo:
         cdb.execute(statement)
     assert excinfo.value.__cause__ is cause
-    assert cdb.services.stats.get("executor.columnar.fallbacks") == 1
+    assert cdb.services.faults.injected("columnar.kernel") == 1
     cdb.services.faults.disarm("columnar.kernel")
     # The transaction is still open and usable; its insert is intact.
     assert sorted(cdb.execute(statement)) == sorted(expected + [(1000,)])
@@ -240,11 +196,19 @@ def test_persistent_kernel_fault_surfaces_as_query_error(cdb):
     assert cdb.execute(statement) == expected
 
 
-def test_fallback_preserves_projection_and_topk(cdb):
+def test_kernel_fault_in_projection_and_topk_is_a_query_error(cdb):
+    """A fault in the top-k sink fails the statement; the transaction's
+    own write stays, and the same program then answers with it."""
     statement = ("SELECT id, salary FROM emp WHERE salary IS NOT NULL "
                  "ORDER BY salary DESC LIMIT 5")
     expected = reference.run(cdb, statement)
-    cdb.services.faults.arm("columnar.kernel", error=RuntimeError("kernel"),
-                            nth=1)
+    cause = RuntimeError("kernel")
+    cdb.services.faults.arm("columnar.kernel", error=cause, nth=1)
+    cdb.begin()
+    cdb.execute("INSERT INTO emp VALUES (1000, 'zed', 'eng', 9999.0, TRUE)")
+    with pytest.raises(QueryError) as excinfo:
+        cdb.execute(statement)
+    assert excinfo.value.__cause__ is cause
+    assert cdb.execute(statement) == [(1000, 9999.0)] + expected[:4]
+    cdb.rollback()
     assert cdb.execute(statement) == expected
-    assert cdb.services.stats.get("executor.columnar.fallbacks") == 1

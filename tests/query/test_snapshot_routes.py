@@ -23,13 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Box, Database
-from repro.query import backends
 from repro.query.parser import parse_statement
 from repro.query.planner import plan_select
 
 from . import reference
-
-BACKENDS = ["python"] + (["numpy"] if backends.numpy_available() else [])
 
 CUSTOMERS, ORDERS, KEYS = 50, 200, 60
 #: Rows below this id belong to the writer that is open across the
@@ -38,9 +35,8 @@ CUSTOMERS, ORDERS, KEYS = 50, 200, 60
 RESERVED = 5
 
 
-def build(backend: str, join_index: bool = True) -> Database:
-    db = Database(page_size=1024, buffer_capacity=512,
-                  kernel_backend=backend)
+def build(join_index: bool = True) -> Database:
+    db = Database(page_size=1024, buffer_capacity=512)
     cust = db.create_table("cust", [("cid", "INT", False),
                                     ("name", "STRING"), ("region", "INT"),
                                     ("loc", "BOX")])
@@ -163,9 +159,9 @@ class World:
     and the world without a join index has it hold ``ord`` and ``cust``.
     """
 
-    def __init__(self, backend: str, rng, join_index: bool):
+    def __init__(self, rng, join_index: bool):
         self.rng = rng
-        self.db = build(backend, join_index)
+        self.db = build(join_index)
         self.shapes = sorted(name for name in SHAPES
                              if join_index or name != "join_index")
         self.reader = self.db.connect()
@@ -308,14 +304,13 @@ STEPS = ("set_amount", "set_join_column", "move_customer", "delete_order",
 
 
 @pytest.mark.parametrize("join_index", [False, True])
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(steps=st.lists(st.sampled_from(STEPS), min_size=2, max_size=10),
        rng=st.randoms(use_true_random=False))
 def test_every_route_agrees_with_the_reference_under_a_snapshot(
-        backend, join_index, steps, rng):
-    world = World(backend, rng, join_index)
+        join_index, steps, rng):
+    world = World(rng, join_index)
     world.read(rng.sample(world.shapes, 3))  # memoise before any step
     for step in steps:
         getattr(world, step)()
@@ -327,12 +322,11 @@ def test_every_route_agrees_with_the_reference_under_a_snapshot(
     world.reader.commit()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_every_shape_takes_its_route_under_a_snapshot(backend):
+def test_every_shape_takes_its_route_under_a_snapshot():
     """The differential test is only about routes if the routes run: each
     shape moves its route's counter, nothing is downgraded but the
     join-index pairs, and no heap is scanned for an indexed shape."""
-    db = build(backend)
+    db = build()
     reader, writer = db.connect(), db.connect()
     reader.begin(snapshot=True)
     with writer.transaction():
@@ -426,7 +420,7 @@ def _delta(db, run):
 def test_snapshot_point_select_costs_what_the_locking_one_costs():
     """*h* node pins and one heap pin, warm — and *h* alone when the key
     is patched, because the record then comes from the version store."""
-    db = build("python")
+    db = build()
     statement, params = SHAPES["point"][0], {"oid": 7}
     type_id = db.registry.attachment_type_by_name("btree_index").type_id
     field = db.catalog.handle("ord").descriptor.attachment_field(type_id)
@@ -456,7 +450,7 @@ def test_snapshot_point_select_costs_what_the_locking_one_costs():
 
 
 def test_join_index_pairs_serve_a_snapshot_only_while_nothing_is_patched():
-    db = build("python")
+    db = build()
     reader, writer = db.connect(), db.connect()
     reader.begin(snapshot=True)
     rows, delta = _delta(db, lambda: run_shape(reader, "join_index", {}))
@@ -476,7 +470,7 @@ def test_join_index_pairs_serve_a_snapshot_only_while_nothing_is_patched():
 
 
 def test_covering_read_under_a_snapshot_stays_in_the_index():
-    db = build("python")
+    db = build()
     statement, params = SHAPES["covering"][0], {"lo": 100, "hi": 160}
     reader, writer = db.connect(), db.connect()
     reader.begin(snapshot=True)

@@ -7,8 +7,7 @@ from repro.core.records import Box, RecordView
 from repro.core.schema import Field, Schema
 from repro.errors import PredicateError
 from repro.query import kernels
-from repro.query.backends import (NumpyBackend, PythonBackend,
-                                  numpy_available)
+from repro.query.backends import PythonBackend
 from repro.services.predicate import (And, Arith, Between, Cmp, Col, Const,
                                       Func, InList, IsNull, Like, Neg, Not,
                                       Or, Param, Predicate, parse_expression)
@@ -204,7 +203,6 @@ def _outcome(compute):
         return "PredicateError"
 
 
-_BACKENDS = [PythonBackend()] + ([NumpyBackend()] if numpy_available() else [])
 _SHORT_CIRCUIT = Or([Cmp("=", Col("i"), Const(0)),
                      Cmp(">", Arith("/", Const(10), Col("i")), Const(1))])
 
@@ -222,11 +220,10 @@ def test_batch_entry_point_equals_record_entry_point(expr, batch):
     chosen = rows if selection is None else [rows[i] for i in selection]
     expected = _outcome(lambda: [
         bound.eval(RecordView.from_record(row), _PARAMS) for row in chosen])
-    for backend in _BACKENDS:
-        got = _outcome(lambda: kernels.evaluate(
-            bound, ColumnBatch(rows, len(WIDE)), _PARAMS, backend, None,
-            selection))
-        assert got == expected, backend.name
+    got = _outcome(lambda: kernels.evaluate(
+        bound, ColumnBatch(rows, len(WIDE)), _PARAMS, PythonBackend(), None,
+        selection))
+    assert got == expected
     if selection is None:
         # The storage-pushdown entry point is the same tree again.
         predicate = Predicate.from_bound(bound, WIDE, _PARAMS)

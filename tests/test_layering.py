@@ -4,7 +4,8 @@ Storage methods and attachments are reached through procedure vectors and
 recovery handlers registered at run time, so nothing under
 ``repro/services`` may import a storage method, an access method or the
 query layer, or name a storage method's log resource (``"storage.<name>"``)
-to single out its records.
+to single out its records.  Nor does the library lean on an optional
+package: it imports no NumPy.
 """
 
 import ast
@@ -46,4 +47,17 @@ def test_services_import_no_extension_and_name_no_storage_resource():
                       if module.startswith(BANNED)]
         offenders += [(path.name, literal)
                       for literal in resource_literals(path)]
+    assert offenders == []
+
+
+def test_the_library_imports_no_numpy():
+    """One kernel backend, in pure Python: nothing under ``repro``
+    imports NumPy, not even behind a guard."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        package = ["repro", *path.relative_to(root).parent.parts]
+        offenders += [(path.name, module)
+                      for module in imported_modules(path, package)
+                      if module.split(".")[0] == "numpy"]
     assert offenders == []
