@@ -12,6 +12,12 @@ back.  Two claims are checked, both from deterministic counters:
   states on the pushdown path (``fragment.rows``).  At 8 shards the
   reduction must be >= 8x.
 
+* **Rows over the wire under a join.**  The same relation grouped
+  through a dimension join (``emp JOIN dept_info ... GROUP BY floor``)
+  rolls up first: the fact relation's partial groups by join key are a
+  pushed-down group fragment, and only those meet the dimension rows on
+  the coordinator.  At 8 shards it too must ship >= 8x fewer rows.
+
 * **Fan-out.**  All fragments of the statement pass through **one**
   ``ScatterGather.run`` call, one fragment per shard.  Fragments run in
   shard order on the calling thread (they are pure Python under one GIL:
@@ -47,6 +53,10 @@ SHARD_COUNTS = (4, 8)
 SCHEMA = [("id", "INT"), ("dept", "STRING"), ("pay", "INT")]
 STATEMENT = ("SELECT dept, COUNT(*), SUM(pay), AVG(pay), MIN(pay), "
              "MAX(pay) FROM emp GROUP BY dept")
+FLOORS = 3
+JOIN_STATEMENT = ("SELECT dept_info.floor, COUNT(*), SUM(emp.pay), "
+                  "AVG(emp.pay) FROM emp JOIN dept_info "
+                  "ON emp.dept = dept_info.dept GROUP BY floor")
 
 
 def records(rows):
@@ -59,11 +69,14 @@ def build_sharded(shards, rows):
     db.create_table("emp", SCHEMA, storage_method="sharded",
                     attributes={"shards": shards, "latency": 0.5})
     db.table("emp").insert_many(records(rows))
+    db.create_table("dept_info", [("dept", "STRING"), ("floor", "INT")]
+                    ).insert_many([(f"d{i}", i % FLOORS)
+                                   for i in range(GROUPS)])
     return db
 
 
-def measure(rows, shards):
-    """Counter deltas for one grouped aggregate, pushdown vs pull-up."""
+def measure(rows, shards, statement=STATEMENT):
+    """Counter deltas for one grouped statement, pushdown vs pull-up."""
     db = build_sharded(shards, rows)
     stats = db.services.stats
     executor = db.query_engine.executor
@@ -85,12 +98,12 @@ def measure(rows, shards):
     before = snap()
     pool.run = watched_run
     try:
-        pushed = db.execute(STATEMENT)
+        pushed = db.execute(statement)
     finally:
         del pool.run
     after_push = snap()
     executor.pushdown_enabled = False
-    pulled = db.execute(STATEMENT)
+    pulled = db.execute(statement)
     executor.pushdown_enabled = True
     after_pull = snap()
     assert pushed == pulled  # bit-identical or the numbers mean nothing
@@ -115,9 +128,11 @@ def measure(rows, shards):
 
 def pushdown_profile(rows=N, shard_counts=SHARD_COUNTS):
     scaling = {n: measure(rows, n) for n in shard_counts}
+    join_scaling = {n: measure(rows, n, JOIN_STATEMENT)
+                    for n in shard_counts}
 
-    def reduction(n):
-        m = scaling[n]
+    def reduction(n, measured=scaling):
+        m = measured[n]
         return round(m["pullup_wire_rows"]
                      / max(1, m["pushdown_wire_rows"]), 2)
 
@@ -125,21 +140,27 @@ def pushdown_profile(rows=N, shard_counts=SHARD_COUNTS):
     derived = {
         "wire_reduction": {n: reduction(n) for n in shard_counts},
         "wire_reduction_8x": reduction(top),
+        "join_wire_reduction": {n: reduction(n, join_scaling)
+                                for n in shard_counts},
+        "join_wire_reduction_8x": reduction(top, join_scaling),
         # every fragment of the statement in one run call, one per shard
         "single_fanout": all(
             m["scatter_runs"] == [n] and m["pushdown_fragments"] == n
-            for n, m in scaling.items()),
+            for measured in (scaling, join_scaling)
+            for n, m in measured.items()),
         # one remote call per shard, both paths: pushdown is never
         # chattier than the block scan it replaces
         "extra_messages": max(s["pushdown_messages"] - s["pullup_messages"]
-                              for s in scaling.values()),
+                              for measured in (scaling, join_scaling)
+                              for s in measured.values()),
     }
     return bench_payload(
         "E23-cross-shard-pushdown",
         config={"rows": rows, "groups": GROUPS,
                 "shard_counts": list(shard_counts),
-                "statement": STATEMENT},
-        counters={"scaling": list(scaling.values())},
+                "statement": STATEMENT, "join_statement": JOIN_STATEMENT},
+        counters={"scaling": list(scaling.values()),
+                  "join_scaling": list(join_scaling.values())},
         derived=derived)
 
 
@@ -154,6 +175,10 @@ def profile():
 
 def test_grouped_aggregate_ships_8x_fewer_rows_at_8_shards(profile):
     assert profile["derived"]["wire_reduction_8x"] >= 8.0
+
+
+def test_join_group_ships_8x_fewer_rows_at_8_shards(profile):
+    assert profile["derived"]["join_wire_reduction_8x"] >= 8.0
 
 
 def test_scatter_gather_fanout_speedup(profile):
@@ -203,6 +228,7 @@ def main(argv=None) -> int:
     print(payload)
     derived = result["derived"]
     ok = (derived["wire_reduction_8x"] >= 8.0
+          and derived["join_wire_reduction_8x"] >= 8.0
           and derived["single_fanout"]
           and derived["extra_messages"] <= 0)
     return 0 if ok else 1

@@ -146,7 +146,8 @@ class JoinIndexAttachment(AttachmentType):
         for batch in self.stored_batches(ctx, other_handle):
             for right_key, record in batch:
                 value = record[instance["other_field_index"]]
-                rights.setdefault(value, []).append(right_key)
+                if value is not None:  # NULL joins nothing
+                    rights.setdefault(value, []).append(right_key)
         for batch in batches:
             for left_key, record in batch:
                 value = record[instance["field_index"]]

@@ -162,10 +162,6 @@ class ExtensionRegistry:
     def attachment_types(self) -> tuple:
         return tuple(a for a in self._attachment_types if a is not None)
 
-    @property
-    def max_attachment_id(self) -> int:
-        return len(self._attachment_types) - 1
-
     def __repr__(self) -> str:
         return (f"ExtensionRegistry({len(self.storage_methods)} storage "
                 f"methods, {len(self.attachment_types)} attachment types)")

@@ -102,9 +102,6 @@ class Schema:
     def has_field(self, name: str) -> bool:
         return name.lower() in self._index
 
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
-
     def indexes_of(self, names: Sequence[str]) -> Tuple[int, ...]:
         return tuple(self.field_index(n) for n in names)
 

@@ -17,6 +17,7 @@ from ..errors import QueryError
 from .ast import (CreateIndexStmt, CreateTableStmt, DeleteStmt,
                   DropIndexStmt, DropTableStmt, InsertStmt, SelectStmt,
                   UpdateStmt)
+from . import fragments
 from .executor import Executor
 from .parser import parse_statement
 from .planner import SelectPlan, plan_select, plan_table_access
@@ -66,7 +67,8 @@ class QueryEngine:
                 lambda: self._translate_select(ctx, statement_text))
             if plan.kind != "select":
                 raise QueryError("EXPLAIN supports SELECT statements")
-            return plan.payload.explain()
+            return plan.payload.explain(
+                fragments.rollup_for(ctx, plan.payload))
 
     # ------------------------------------------------------------------
     # SELECT

@@ -15,8 +15,8 @@ one ``fetch_many`` call, the keyed joins emit blocks of combined rows —
 and hands that stream to the plan's :class:`~.ir.Program`, the one
 engine that filters, folds, sorts and projects it on the database's
 kernel backend; a failure inside the program is the statement's
-``QueryError``.  Filter predicates are compiled once per plan
-(see :class:`~.plans.CompiledPredicateCache`) rather than per execution.
+``QueryError`` (a grouped join may roll up first: ``rollup_for``).  Filter
+predicates are compiled once per plan (``CompiledPredicateCache``).
 """
 
 from __future__ import annotations
@@ -68,6 +68,16 @@ class Executor:
         fast = self._aggregate_fast_path(ctx, plan)
         if fast is not None:
             return fast
+        rollup = fragments.rollup_for(ctx, plan)
+        if rollup is not None:
+            # The roll-up split: partial groups from this ``run_select``,
+            # then the JOIN relation's rows by the hash join's route.
+            ctx.stats.bump("executor.rollups")
+            right_handle = [*plan.handles.values()][-1]
+            return fragments.merge_rollup(
+                plan, self.run_select(ctx, rollup.partial, params),
+                self._record_batches(ctx, right_handle, plan.join.right_access,
+                                     params, rollup.right_fields))
         pushed = self._try_pushdown(ctx, plan, params)
         if pushed is not None:
             return pushed

@@ -24,8 +24,8 @@ the pull-up answer bit-for-bit:
   storage method, because per-shard fragments cannot reproduce the
   interleaved tie order of the global stream.
 
-Everything else returns ``None`` from :func:`plan_fragment` and the
-query stays on the pull-up path.
+Everything else stays on the pull-up path; a join may aggregate first
+instead (eager aggregation, :func:`rollup_for`).
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from .ir import sorted_ordinals
 from .planner import QualifiedSchema, SelectPlan, TableAccess, make_eligible
 
 __all__ = ["FragmentFallback", "FragmentPlan", "plan_fragment",
-           "fragment_for", "build_child_plan", "run_fragment_on",
-           "merge_fragment_results", "pushdown_estimate",
+           "fragment_for", "plan_rollup", "rollup_for", "merge_rollup",
+           "build_child_plan", "run_fragment_on", "merge_fragment_results",
+           "pushdown_estimate",
            "projection_narrows", "ships_less"]
 
 #: Column types whose SUM re-associates exactly under regrouping.  The
@@ -73,7 +74,7 @@ class FragmentPlan:
                  "child_needs_sort", "child_limit", "child_group_index",
                  "merge_specs", "key_slot", "rows_slot",
                  "items", "star", "order_by", "limit", "group_index",
-                 "child_plans")
+                 "child_plans", "partial", "right_fields")
 
     def __init__(self):
         for name in self.__slots__:
@@ -92,11 +93,11 @@ def fragment_for(plan: SelectPlan) -> Optional[FragmentPlan]:
 
 
 def plan_fragment(plan: SelectPlan) -> Optional[FragmentPlan]:
-    """Split ``plan`` at the scan boundary, or ``None`` if no split
-    reproduces the pull-up answer exactly."""
-    if plan.join is not None or getattr(plan, "covering", False):
-        return None
-    if not plan.access.is_storage:
+    """Split ``plan`` at the scan boundary (a join: before it), or
+    ``None`` if no split reproduces the pull-up answer exactly."""
+    if plan.join is not None:
+        return plan_rollup(plan)
+    if getattr(plan, "covering", False) or not plan.access.is_storage:
         return None
     fragment = FragmentPlan()
     fragment.alias = plan.alias
@@ -199,6 +200,75 @@ def _exact_sum_column(expr, schema) -> bool:
     if not isinstance(expr, Col) or expr.index is None:
         return False
     return schema.fields[expr.index].type_code in _EXACT_SUM_TYPES
+
+
+# ---------------------------------------------------------------------------
+# The roll-up split: group the FROM relation before a dimension join
+# ---------------------------------------------------------------------------
+
+#: Rows per join key the FROM relation must be expected to hold for the
+#: roll-up split to run: past every crossover measured against the hash
+#: join (13 at 8 shards, 5 on a heap; EXPERIMENTS.md, E23 crossover).
+ROLLUP_ROWS_PER_KEY = 16
+
+
+def plan_rollup(plan: SelectPlan) -> Optional[FragmentPlan]:
+    """Eager aggregation of a hash join grouped by a non-FLOAT JOIN column
+    whose other items aggregate FROM columns exactly: a ``partial`` plan
+    grouping the FROM relation by join key (run by :func:`rollup_for`)."""
+    join, group = plan.join, plan.group_index
+    handle = plan.handles[plan.alias]
+    width = len(handle.schema.fields)
+    if join.method != "hash" or plan.where is not None or plan.order_by \
+            or plan.limit is not None or group is None or group < width \
+            or plan.combined_schema.fields[group].type_code == "FLOAT":
+        return None  # FLOAT keys that compare equal may differ in repr
+    for expr, __, aggregate in plan.items:
+        if expr is not None and not (isinstance(expr, Col) and (
+                expr.index == group if aggregate is None
+                else expr.index < width)):
+            return None
+    partial = SelectPlan(
+        statement_text=f"<rollup:{plan.table}>", table=plan.table,
+        alias=plan.alias, access=plan.access, group_index=join.left_index,
+        combined_schema=QualifiedSchema.combine([(plan.alias, handle.schema)]),
+        items=[item for item in plan.items if item[2]],
+        handles={plan.alias: handle})
+    rollup = _plan_aggregate_fragment(partial, FragmentPlan())
+    if not (rollup and partial.items):
+        return None  # a float sum, or no aggregate
+    partial.items = rollup.child_items
+    rollup.key_slot = len(partial.items)   # the group value, appended
+    specs = iter(rollup.merge_specs)
+    rollup.merge_specs = [next(specs) if aggregate
+                          else ("first", rollup.key_slot)
+                          for __, __, aggregate in plan.items]
+    rollup.partial, rollup.group_index = partial, group - width
+    rollup.right_fields = tuple(sorted({join.right_index, group - width}))
+    return rollup
+
+
+def rollup_for(ctx, plan: SelectPlan) -> Optional[FragmentPlan]:
+    """The join plan's roll-up split, if it is to run now."""
+    # Decided at every run: over ROLLUP_ROWS_PER_KEY FROM rows expected
+    # per join key, keys by the statistics sketch or the rows' square root.
+    rollup = plan.join is not None and fragment_for(plan)
+    return rollup if rollup and ships_less(
+        ctx, plan.handles[plan.alias], rollup.partial, rollup,
+        ROLLUP_ROWS_PER_KEY) else None
+
+
+def merge_rollup(plan: SelectPlan, partials: List[Tuple],
+                 right_batches) -> List[Tuple]:
+    """The roll-up's partial groups meet the JOIN relation's rows."""
+    # Once per matching row, NULL never joins; then merge as shards' do.
+    rollup, right_key = plan.fragment, plan.join.right_index
+    by_key = {row[-1]: row for row in partials if row[-1] is not None}
+    rows = [by_key[key] + (value,) for batch in right_batches
+            for key, value in zip(batch.column(right_key),
+                                  batch.column(rollup.group_index))
+            if key in by_key]
+    return merge_fragment_results(rollup, [rows], None)
 
 
 # ---------------------------------------------------------------------------

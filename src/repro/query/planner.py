@@ -145,12 +145,14 @@ class SelectPlan:
         if self.where_cache is None:
             self.where_cache = CompiledPredicateCache()
 
-    def explain(self) -> dict:
+    def explain(self, rollup=None) -> dict:
         out = {"access": self.access.explain()}
         if getattr(self, "covering", False):
             out["covering"] = True  # answered from the index alone
         if self.join is not None:
             out["join"] = self.join.explain()
+            if rollup is not None:  # its partials' key is their last item
+                out["rollup"] = {"by": rollup.child_items[-1][0].name}
         if self.order_by:
             out["order_by"] = [(self.combined_schema.fields[i].name, asc)
                                for i, asc in self.order_by]

@@ -306,11 +306,6 @@ class Transaction:
         return self.state is TxnState.ACTIVE
 
     @property
-    def read_only(self) -> bool:
-        """Whether this is a snapshot (multi-version read) transaction."""
-        return self.snapshot is not None
-
-    @property
     def settled(self) -> bool:
         """Whether the outcome is decided (committed or aborted).
 
@@ -581,11 +576,6 @@ class TransactionManager:
         if relocked and self.stats is not None:
             self.stats.bump("txn.indoubt.locks_reacquired", relocked)
 
-    def indoubt_transactions(self) -> tuple:
-        """Active transactions sitting in PREPARED state under a gtid."""
-        return tuple(t for t in self._active.values()
-                     if t.state is TxnState.PREPARED and t.gtid is not None)
-
     def heuristic_abort(self, txn: Transaction) -> None:
         """Unilaterally abort an in-doubt PREPARED participant.
 
@@ -696,9 +686,6 @@ class TransactionManager:
         if not self._snapshots:
             return None
         return min(s.lsn for s in self._snapshots.values())
-
-    def live_snapshots(self) -> tuple:
-        return tuple(self._snapshots.values())
 
     def _reclaim_versions(self) -> None:
         self.versions.reclaim(self._commit_lsns, self._active.keys(),
@@ -902,15 +889,4 @@ class TwoPhaseCoordinator:
                 self._bump("txn.2pc.indoubt")
         self._bump("txn.2pc.commits_delivered",
                    len(list(participants)) - len(indoubt))
-        return indoubt
-
-    def deliver_abort(self, participants) -> list:
-        """Deliver the abort decision (presumed abort tolerates loss)."""
-        indoubt = []
-        for participant in participants:
-            try:
-                participant.abort()
-            except GatewayError:
-                indoubt.append(participant)
-                self._bump("txn.2pc.indoubt")
         return indoubt

@@ -138,3 +138,26 @@ def test_qualified_schema_resolution():
         combined.field_index("id")  # ambiguous
     with pytest.raises(Exception):
         combined.field_index("ghost")
+
+
+def test_explain_shows_the_rollup_split(db):
+    """A hash join grouped by a column of the JOIN relation, aggregating
+    the FROM relation, names the column its partial groups are by;
+    shapes the split refuses show nothing."""
+    fact = db.create_table("sales", [("id", "INT"), ("region", "STRING"),
+                                     ("amount", "INT"), ("rate", "FLOAT")])
+    dim = db.create_table("region_info", [("region", "STRING"),
+                                          ("zone", "INT")])
+    fact.insert_many([(i, f"r{i % 8}", i, i / 2) for i in range(400)])
+    dim.insert_many([(f"r{i}", i % 3) for i in range(8)])
+    join = "FROM sales s JOIN region_info ON s.region = region_info.region"
+    plan = db.explain(f"SELECT zone, COUNT(*), SUM(s.amount) {join} "
+                      "GROUP BY zone")
+    assert plan["join"]["method"] == "hash"
+    assert plan["rollup"] == {"by": "s.region"}
+    for refused in (f"SELECT zone, SUM(s.rate) {join} GROUP BY zone",
+                    f"SELECT zone, COUNT(*) {join} WHERE s.id < zone "
+                    "GROUP BY zone",
+                    f"SELECT * {join}",
+                    "SELECT region, COUNT(*) FROM sales GROUP BY region"):
+        assert "rollup" not in db.explain(refused)

@@ -6,7 +6,10 @@ import pytest
 from repro import Database
 from repro.access.statistics import _kmv_add, kmv_union, kmv_union_estimate
 from repro.core.context import ExecutionContext
-from repro.errors import FencingError, GatewayError, StorageError
+from repro.errors import (FencingError, GatewayError, InjectedFault,
+                          QueryError, StorageError)
+
+from ..query.test_rollup import join_path
 
 DEPTS = 4
 
@@ -268,6 +271,67 @@ def test_injected_fault_mid_fragment_falls_back_to_pullup():
     stats = db.services.stats
     assert stats.get("sharded.pushdown.fallbacks") == 1
     assert stats.get("executor.pushdown.fallbacks") == 1
+
+
+ROLLUP = ("SELECT dept_info.zone, COUNT(*), SUM(emp.pay), AVG(emp.pay) "
+          "FROM emp JOIN dept_info ON emp.dept = dept_info.dept "
+          "GROUP BY zone")
+
+
+#: Enough rows that, without statistics, the √n keys the gate assumes
+#: leave over 16 rows per key.
+ROLLUP_ROWS = 400
+
+
+def with_dimension(db):
+    """``dept_info`` (a heap): departments d0-d3 in zones 0, 1, 0, 1."""
+    db.create_table("dept_info", [("dept", "STRING"), ("zone", "INT")]
+                    ).insert_many([(f"d{i}", i % 2) for i in range(DEPTS)])
+    return db
+
+
+def test_kernel_fault_in_a_rollup_is_the_statements_query_error():
+    """Pulled up, the partial groups are the coordinator's program (a
+    pushed-down one runs in the children, under their own faults)."""
+    db, table = make_emp(shards=2)
+    fill(table, ROLLUP_ROWS)
+    expected = with_dimension(db).execute(ROLLUP)
+    db.query_engine.executor.pushdown_enabled = False
+    db.services.faults.arm("columnar.kernel", nth=1)
+    with pytest.raises(QueryError) as caught:
+        db.execute(ROLLUP)
+    assert isinstance(caught.value.__cause__, InjectedFault)
+    assert db.execute(ROLLUP) == expected
+    assert db.services.stats.get("executor.rollups") == 3
+
+
+def test_fault_mid_rollup_fragment_falls_back_to_pullup_of_the_partial():
+    db, table = make_emp(shards=2)
+    fill(table, ROLLUP_ROWS)
+    expected = with_dimension(db).execute(ROLLUP)
+    assert expected == join_path(db, ROLLUP)[0]
+    db.services.faults.arm("shard.1.remote_call", nth=1)
+    stats = db.services.stats
+    before = stats.snapshot()
+    assert db.execute(ROLLUP) == expected
+    delta = stats.delta(before)
+    assert delta.get("executor.rollups") == 1
+    assert delta.get("sharded.pushdown.fallbacks") == 1
+    assert delta.get("executor.pushdown.fallbacks") == 1
+
+
+def test_dead_shard_with_degraded_reads_rolls_up_the_join_partial_answer():
+    db, table = make_emp(shards=2, degraded_reads=True)
+    fill(table, ROLLUP_ROWS)
+    with_dimension(db)
+    db.services.faults.arm("shard.1.primary", error=GatewayError, nth=1,
+                           one_shot=False)
+    rolled = db.execute(ROLLUP)
+    assert rolled == join_path(db, ROLLUP)[0]
+    assert 0 < sum(count for __, count, __s, __a in rolled) < ROLLUP_ROWS
+    stats = db.services.stats
+    assert stats.get("executor.rollups") == 1
+    assert stats.get("remote.degraded_fragments") >= 1
 
 
 def test_fencing_error_falls_back_instead_of_failing_over():
