@@ -16,11 +16,13 @@ coordinator.  Two claims are measured, both from deterministic counters
 * **Atomicity under faults.**  A sweep of injected crash schedules —
   a shard dying after its PREPARE vote, the coordinator restarting
   before any commit decision is delivered, the coordinator crashing
-  before the decision is stable, and a circuit-breaker-open shard
-  rejecting a write — must leave every cross-shard transaction
-  all-or-nothing: after resolution/restart the union of shard contents
-  is byte-identical to either the full expected state or the baseline,
-  never a mixture.
+  before the decision is stable, a circuit-breaker-open shard rejecting
+  a write, an abort decision lost after every child voted yes, and a
+  truncating checkpoint after a lost commit delivery — must leave every
+  cross-shard transaction all-or-nothing: after resolution/restart the
+  union of shard contents is byte-identical to either the full expected
+  state or the baseline, never a mixture, and no child is left PREPARED
+  (``prepared_left``).
 
 Runnable directly for the CI smoke profile::
 
@@ -37,8 +39,9 @@ import pytest
 from repro import Database
 from repro.core.context import ExecutionContext
 from repro.core.hashing import shard_of
-from repro.errors import GatewayError
+from repro.errors import GatewayError, StorageError
 from repro.services import events as ev
+from repro.services.transactions import TxnState
 
 try:
     from benchmarks._helpers import bench_payload
@@ -162,9 +165,9 @@ def _classify(union, expected):
     return "partial"
 
 
-def _schedule_shard_lost_after_prepare(shards, data):
-    """A shard's commit delivery is lost after it voted; the stable
-    decision re-commits it once the shard heals."""
+def _lose_delivery_to_shard_0(shards, data):
+    """Commit ``data`` with the commit delivery to shard 0 lost after it
+    voted; the channel heals afterwards."""
     db, table = build_sharded(shards)
     txn, ctx = _begin(db)
     ctx.defer(ev.AT_COMMIT, lambda __, ___: db.services.faults.arm(
@@ -172,6 +175,22 @@ def _schedule_shard_lost_after_prepare(shards, data):
     db.data.insert_batch(ctx, db.catalog.handle("emp"), data)
     db.services.transactions.commit(txn)
     db.services.faults.disarm()
+    return db
+
+
+def _prepared_left(db):
+    """Children still PREPARED: each one holds its locks and changes
+    until a decision reaches it."""
+    descriptor = db.catalog.handle("emp").descriptor.storage_descriptor
+    return sum(txn.state is TxnState.PREPARED
+               for child in descriptor["databases"]
+               for txn in child.services.transactions.active_transactions())
+
+
+def _schedule_shard_lost_after_prepare(shards, data):
+    """A shard's commit delivery is lost after it voted; the stable
+    decision re-commits it once the shard heals."""
+    db = _lose_delivery_to_shard_0(shards, data)
     resolved = db.resolve_indoubt()
     return db, "all", {"resolved": resolved}
 
@@ -222,11 +241,45 @@ def _schedule_breaker_open_shard(shards, data):
     return db, "none", {}
 
 
+def _schedule_abort_decision_lost(shards, data):
+    """Every child votes yes, then a commit-time veto aborts the
+    transaction and the abort to shard 0 is lost; resolution resends it."""
+    db, table = build_sharded(shards)
+    txn, ctx = _begin(db)
+    db.data.insert_batch(ctx, db.catalog.handle("emp"), data)
+
+    def veto(__, ___):  # queued behind the phase 1 the write registered
+        db.services.faults.arm("shard.0.remote_call", error=GatewayError,
+                               nth=1, one_shot=False)
+        raise StorageError("veto after phase 1")
+    ctx.defer(ev.BEFORE_PREPARE, veto)
+    try:
+        db.services.transactions.commit(txn)
+    except StorageError:
+        pass
+    db.services.faults.disarm()
+    resolved = db.resolve_indoubt()
+    return db, "none", {"resolved": resolved,
+                        "prepared_left": _prepared_left(db)}
+
+
+def _schedule_truncating_checkpoint(shards, data):
+    """A truncating checkpoint, then a restart, after a lost commit
+    delivery: truncation must not strand the child the decision names."""
+    db = _lose_delivery_to_shard_0(shards, data)
+    db.checkpoint("sharp", truncate=True)
+    db.restart()
+    return db, "all", {"prepared_left": _prepared_left(db)}
+
+
 SCHEDULES = [
     ("shard_lost_after_prepare", _schedule_shard_lost_after_prepare),
     ("coordinator_restart_redelivers", _schedule_coordinator_restart),
     ("decision_never_stable", _schedule_decision_never_stable),
     ("breaker_open_fails_closed", _schedule_breaker_open_shard),
+    ("abort_decision_lost", _schedule_abort_decision_lost),
+    ("truncating_checkpoint_after_lost_delivery",
+     _schedule_truncating_checkpoint),
 ]
 
 
@@ -281,6 +334,8 @@ def test_one_block_message_per_batch_per_shard(profile):
 def test_fault_matrix_reports_zero_atomicity_violations(profile):
     assert profile["derived"]["atomicity_violations"] == 0
     assert all(s["ok"] for s in profile["counters"]["fault_matrix"])
+    assert all(s.get("prepared_left", 0) == 0
+               for s in profile["counters"]["fault_matrix"])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +387,9 @@ def main(argv=None) -> int:
     derived = result["derived"]
     ok = (derived["insert_speedup_4x"] >= 3.0
           and derived["scan_speedup_4x"] >= 3.0
-          and derived["atomicity_violations"] == 0)
+          and derived["atomicity_violations"] == 0
+          and not any(s.get("prepared_left")
+                      for s in result["counters"]["fault_matrix"]))
     return 0 if ok else 1
 
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from typing import Dict, Optional, Sequence, Union
 
 from ..errors import (AdmissionError, TransactionError,
-                      UnknownCheckpointModeError)
+                      UnknownCheckpointModeError, UnknownObjectError)
 from ..services import SystemServices
 from ..services import wal as wal_records
 from ..services.transactions import TxnState
@@ -307,6 +307,10 @@ class Database:
         """
         if mode not in ("fuzzy", "sharp"):
             raise UnknownCheckpointModeError(mode)
+        if truncate:
+            # Truncation must never reclaim the enlist or decision record
+            # a prepared child still waits on: settle every child first.
+            self.resolve_indoubt()
         info = self.services.checkpoint(truncate=truncate,
                                         flush_pages=(mode == "sharp"))
         self.services.stats.bump("db.checkpoints")
@@ -443,49 +447,56 @@ class Database:
                     rebuild(ctx, handle, field, batches)
                 rebuilt += len(todo)
         summary["attachment_types_rebuilt"] = rebuilt
-        # Coordinator-side resolution: decisions this database logged and
-        # committed are re-delivered to participants still in doubt.
+        # Coordinator-side resolution: every child of a transaction the
+        # crash ended is settled — committed if its decision is stable,
+        # presumed aborted otherwise.
         summary["indoubt_resolved"] = self.resolve_indoubt()
         return summary
 
     def resolve_indoubt(self) -> int:
-        """Re-deliver surviving commit decisions to in-doubt participants.
+        """Settle the children of every distributed transaction whose
+        coordinator transaction has ended.
 
-        Walks the retained log for decision records (logical UPDATEs with
-        ``op == "decision"``) written by transactions whose COMMIT is
-        stable, and hands each to the owning storage method's
-        ``resolve_decision`` hook — which commits the still-prepared
-        participants it can reach.  Decisions of loser transactions need
-        no delivery: restart undo already presumed abort for them.
+        One walk over the retained log collects the ``enlist`` and
+        ``decision`` records (logical UPDATEs) a storage method logs for a
+        distributed transaction, and the COMMITs.  For each global id
+        whose coordinator transaction is no longer active (an in-doubt
+        one still is), the owning storage method's ``resolve_indoubt``
+        hook settles every child still holding it: commit if the
+        transaction logged a decision and a COMMIT, else presumed abort —
+        so a lost abort is resent exactly like a lost commit.
 
-        Idempotent, and also callable on demand — e.g. after a crashed
-        shard comes back up, the coordinator re-resolves so the shard's
-        re-registered in-doubt transactions settle.  Returns how many
-        participants were resolved.
+        Idempotent; run by restart and by a truncating checkpoint, and
+        callable on demand — e.g. after a crashed shard comes back up, so
+        its re-registered in-doubt transactions settle.  Returns how many
+        children were settled.
         """
-        wal = self.services.wal
-        committed = set()
-        decisions = []
-        for record in wal.forward():
+        committed, decided, enlisted = set(), set(), {}
+        for record in self.services.wal.forward():
             if record.kind == wal_records.COMMIT:
                 committed.add(record.txn_id)
             elif (record.kind == wal_records.UPDATE
-                    and record.payload.get("op") == "decision"):
-                decisions.append(record)
+                    and record.payload.get("op") in ("enlist", "decision")):
+                gtid = record.payload["gtid"]
+                enlisted[gtid] = record
+                if record.payload["op"] == "decision":
+                    decided.add(gtid)
+        verdicts: Dict[int, dict] = {}  # relation id -> gtid -> commit?
+        for gtid, record in enlisted.items():
+            # A live or in-doubt coordinator transaction settles its own.
+            if self.services.transactions.get(record.txn_id) is None:
+                relation_id = record.payload["relation_id"]
+                verdicts.setdefault(relation_id, {})[gtid] = (
+                    gtid in decided and record.txn_id in committed)
         resolved = 0
-        for record in decisions:
-            if record.txn_id not in committed:
-                continue
+        for relation_id, by_gtid in verdicts.items():
             try:
-                entry = self.catalog.entry_by_id(
-                    record.payload["relation_id"])
-            except Exception:
-                continue  # relation dropped since; nothing to deliver to
+                entry = self.catalog.entry_by_id(relation_id)
+            except UnknownObjectError:
+                continue  # relation dropped since; its children went with it
             method = self.registry.storage_method(
                 entry.handle.descriptor.storage_method_id)
-            hook = getattr(method, "resolve_decision", None)
-            if hook is not None:
-                resolved += hook(self, entry.handle, record.payload)
+            resolved += method.resolve_indoubt(self, entry.handle, by_gtid)
         if resolved:
             self.services.stats.bump("txn.indoubt.resolved", resolved)
         return resolved

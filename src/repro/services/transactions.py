@@ -48,7 +48,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, FrozenSet, List, Optional
 
-from ..errors import (GatewayError, ReadOnlyTransactionError, SnapshotError,
+from ..errors import (ReadOnlyTransactionError, SnapshotError,
                       TransactionError)
 from . import events as ev
 from . import wal as wal_records
@@ -59,7 +59,7 @@ from .scans import ABSENT, ScanService
 from .wal import LogManager
 
 __all__ = ["TxnState", "Transaction", "TransactionManager",
-           "TwoPhaseCoordinator", "Snapshot", "VersionStore", "ABSENT"]
+           "Snapshot", "VersionStore", "ABSENT"]
 
 
 class Snapshot:
@@ -792,101 +792,3 @@ class TransactionManager:
     def get(self, txn_id: int) -> Optional[Transaction]:
         return self._active.get(txn_id)
 
-
-class TwoPhaseCoordinator:
-    """Drives N participants through presumed-abort two-phase commit.
-
-    Participants implement a small protocol (duck-typed; the sharded
-    storage method wraps each shard's child transaction in one):
-
-    * ``wrote`` — whether the participant modified anything.  Read-only
-      participants skip both phases entirely (the classic read-only
-      optimization): they have nothing to make durable and nothing to
-      undo, so the coordinator never prepares them.
-    * ``prepare(gtid)`` — phase 1: vote by entering PREPARED with the
-      vote forced to the participant's log.  Raising means *no*.
-    * ``commit_decided()`` / ``abort_decided()`` — phase 2 delivery.
-    * ``abort()`` — best-effort cleanup of a participant that may or may
-      not have prepared (phase-1 failure paths); must be idempotent.
-
-    The *decision record* is not written here: the caller logs it in the
-    coordinator's own transaction (see ``log_decision``) so that its
-    durability rides the coordinator's COMMIT force — stable decision and
-    stable commit are one atomic event, which is what restart resolution
-    keys off (decision survives → deliver commit; decision lost → the
-    coordinator transaction is a loser and undo presumes abort).
-    """
-
-    def __init__(self, services):
-        self.services = services
-
-    def _bump(self, name: str, amount: int = 1) -> None:
-        stats = getattr(self.services, "stats", None)
-        if stats is not None:
-            stats.bump(name, amount)
-
-    # -- phase 1 ---------------------------------------------------------------
-    def prepare_all(self, gtid: str, participants) -> list:
-        """Collect votes; returns the prepared (write) participants.
-
-        Read-only participants are skipped.  A failed vote aborts every
-        participant already prepared (and best-effort aborts the rest),
-        then re-raises — the caller's transaction aborts with it.
-        """
-        prepared = []
-        voters = [p for p in participants if getattr(p, "wrote", True)]
-        self._bump("txn.2pc.readonly_skips",
-                   len(list(participants)) - len(voters))
-        for participant in voters:
-            try:
-                participant.prepare(gtid)
-            except Exception:
-                self._bump("txn.2pc.votes_no")
-                for other in voters:
-                    try:
-                        other.abort()
-                    except GatewayError:
-                        self._bump("txn.2pc.indoubt")
-                    except Exception:
-                        # Any other cleanup failure (e.g. a racing state
-                        # change) must neither stop the remaining aborts
-                        # nor mask the original vote failure; the
-                        # participant stays unsettled, i.e. in doubt.
-                        self._bump("txn.2pc.indoubt")
-                        self._bump("txn.2pc.cleanup_failures")
-                raise
-            prepared.append(participant)
-        self._bump("txn.2pc.prepared", len(prepared))
-        return prepared
-
-    # -- the decision record ---------------------------------------------------
-    def log_decision(self, txn_id: int, resource: str, payload: dict):
-        """Log the commit decision inside the coordinator's transaction.
-
-        The record is an ordinary logical UPDATE for ``resource``; its
-        *undo* is the presumed-abort path (the owning extension aborts
-        the participants), so a coordinator crash before the decision is
-        stable resolves to abort with no extra machinery.
-        """
-        self._bump("txn.2pc.decisions_logged")
-        return self.services.recovery.log_update(txn_id, resource, payload)
-
-    # -- phase 2 ---------------------------------------------------------------
-    def deliver_commit(self, participants) -> list:
-        """Deliver the commit decision; returns participants left in doubt.
-
-        A delivery failure (the channel is down) does *not* fail the
-        transaction — the decision is already durable — it leaves that
-        participant prepared and in doubt, to be resolved when the peer
-        (or the coordinator) restarts and re-reads the decision.
-        """
-        indoubt = []
-        for participant in participants:
-            try:
-                participant.commit_decided()
-            except GatewayError:
-                indoubt.append(participant)
-                self._bump("txn.2pc.indoubt")
-        self._bump("txn.2pc.commits_delivered",
-                   len(list(participants)) - len(indoubt))
-        return indoubt

@@ -36,37 +36,42 @@ one **read ladder** (:meth:`ShardedStorageMethod._read_shard`): the
 primary through its channel, then the most-caught-up standby, then a
 degraded skip or the original error.
 
-Cross-shard atomicity is presumed-abort two-phase commit built on the
-explicit participant API of :class:`~repro.services.transactions
-.TransactionManager` and driven by :class:`~repro.services.transactions
-.TwoPhaseCoordinator`:
+Cross-shard atomicity is presumed-abort two-phase commit, coordinated
+here over the explicit participant API of
+:class:`~repro.services.transactions.TransactionManager`:
 
 * The first write by a local transaction logs an ``enlist`` record naming
   the global transaction id, so the coordinator durably knows a distributed
   transaction existed before any child can promise anything.
-* At ``BEFORE_PREPARE`` the method runs phase 1 (force the local log, then
-  ``prepare`` every written child — each a remote call that can fail) and
-  logs the commit *decision* as an ordinary update record whose durability
-  rides the coordinator's COMMIT force.
-* At ``AT_COMMIT`` it delivers the decision; a dead channel leaves that
-  child prepared and **in doubt**, to be resolved by
-  :meth:`~repro.core.database.Database.resolve_indoubt` re-reading the
-  stable decision (the :meth:`resolve_decision` hook below).
-* Undoing the enlist/decision records — abort or coordinator restart — is
-  the presumed-abort path: every child transaction still found under the
-  global id is rolled back.  During a *partial* rollback of a live local
-  transaction the records are compensated but the children stay: the
-  mirrored savepoint rollback has already reversed their work.
+* At ``BEFORE_PREPARE`` :meth:`~ShardedStorageMethod._phase_one` forces
+  the local log, then asks every child that wrote to ``prepare`` (a remote
+  call that can fail; read-only children are skipped), and logs the commit
+  *decision* as an ordinary update record whose durability rides the
+  coordinator's COMMIT force.  A NO vote re-raises: the local transaction
+  aborts, and its end aborts the children.
+* At ``AT_COMMIT`` :meth:`~ShardedStorageMethod._deliver` sends the
+  decision; a dead channel leaves that child prepared and **in doubt**.
+* At ``AT_END`` every child the decision did not settle is aborted —
+  unprepared ones directly (connection-drop semantics: a remote DBMS
+  aborts a lost client's unprepared work itself, so no message is
+  charged), prepared ones by an abort message that can be lost too.
+
+Every child is settled by one body, :func:`_settle`, under the decided
+verb: through the shard's channel during a live transaction, directly at
+resolution.  Resolution is one walk:
+:meth:`~repro.core.database.Database.resolve_indoubt` (run by restart,
+before a truncating checkpoint, after a promotion, or on demand) reads
+the retained log's enlist and decision records, and for each global id
+whose coordinator transaction has ended settles every child still
+holding it — commit if a decision and a COMMIT are stable, abort
+otherwise (presumed abort).  A lost abort is thereby resent exactly like
+a lost commit.  Undoing an enlist/decision record only marks it for
+re-logging: a partial rollback's mirrored savepoint rollback has already
+reversed the children's work.
 
 Savepoints mirror into the children (set and rollback, never release —
 matching the local protocol where release keeps the log records), so a
 statement-level rollback of a fan-out write is exact on every shard.
-
-Unprepared child transactions left behind by a local abort are rolled back
-directly at ``AT_END`` — connection-drop semantics: a remote DBMS aborts a
-lost client's unprepared work itself, so no message is charged.  Prepared
-children, by contrast, are only ever settled by a delivered decision or by
-presumed abort.
 
 DDL attributes: ``shards`` (create that many fresh child databases) or
 ``databases`` (bring your own), ``key`` (partition field, default the first
@@ -104,8 +109,7 @@ from typing import Dict, Optional
 
 from ..core.context import ExecutionContext
 from ..core.hashing import shard_of
-from ..core.storage_method import (RelationHandle, StorageMethod,
-                                   logged_relation)
+from ..core.storage_method import RelationHandle, StorageMethod
 from ..errors import FencingError, GatewayError, StorageError
 from ..query.cost import AccessCost, default_selectivity
 from ..services import events as ev
@@ -114,7 +118,7 @@ from ..services.remote import RemoteTransport, block_scan
 from ..services.replication import DOWN, MODES, ReplicationService
 from ..services.scans import Scan, ShippedRows, ShippedScan
 from ..services.scatter import shared_pool
-from ..services.transactions import TwoPhaseCoordinator, TxnState
+from ..services.transactions import TxnState
 
 __all__ = ["ShardedStorageMethod"]
 
@@ -135,11 +139,9 @@ def _mirror_name(name) -> str:
 class _ShardParticipant:
     """One child database enlisted in a local transaction.
 
-    Implements the duck-typed participant protocol of
-    :class:`TwoPhaseCoordinator` (``wrote``/``prepare``/``commit_decided``/
-    ``abort``); every protocol message crosses the shard's transport, so
-    votes and decisions are subject to the same faults, retries and breaker
-    as data traffic.
+    Every protocol message crosses the shard's transport (:meth:`call`),
+    so votes and decisions are subject to the same faults, retries and
+    breaker as data traffic.
     """
 
     __slots__ = ("index", "database", "txn", "channel", "transport", "stats",
@@ -215,35 +217,55 @@ class _ShardParticipant:
             self.repl.on_prepared(self.index,
                                   self.database.services.wal.flushed_lsn)
 
-    def commit_decided(self) -> None:
-        if self.txn.settled:
-            return
-        self.call(lambda: self.manager.commit_decided(self.txn))
-        if self.repl is not None:
-            self.repl.on_decided(self.index)
 
-    def abort_decided(self) -> None:
-        if self.txn.settled:
-            return
-        self.call(lambda: self.manager.abort_decided(self.txn))
-        if self.repl is not None:
-            self.repl.on_decided(self.index)
+def _settle(database, gtid: str, commit: bool, stats, via=None) -> bool:
+    """Settle ``database``'s child transaction holding ``gtid`` under the
+    decided verb; returns whether one was left to settle.
 
-    def abort(self) -> None:
-        """Roll the child back — through the channel when it has voted.
+    A PREPARED child receives the decision: through participant ``via``'s
+    channel during a live transaction, directly at resolution — which *is*
+    the resolution channel; charging faults there could wedge restart.
+    An unprepared child is rolled back directly whatever the verb (a
+    commit prepared every child that wrote).  A child already gone may
+    have been heuristically aborted: that matches an abort, and
+    contradicts a commit, which is counted — never silent.
+    """
+    manager = database.services.transactions
+    child_txn = manager.find_gtid(gtid)
+    if child_txn is None:
+        if manager.heuristic_aborts.pop(gtid, None) is not None and commit:
+            stats.bump("txn.2pc.heuristic_mismatches")
+        return False
+    if child_txn.state is not TxnState.PREPARED:
+        manager.abort(child_txn)
+        return True
+    verb = manager.commit_decided if commit else manager.abort_decided
+    if via is None:
+        verb(child_txn)
+        return True
+    via.call(lambda: verb(child_txn))
+    if via.repl is not None:
+        via.repl.on_decided(via.index)
+    return True
 
-        An unprepared child is rolled back directly (connection-drop
-        semantics: the remote side aborts a lost client's active work
-        itself), so cleanup of never-prepared children cannot fail on a
-        dead channel.  A prepared child made a durable promise, so its
-        abort is a real decision message that can be lost.
-        """
-        if self.txn.settled:
-            return
-        if self.txn.state is TxnState.PREPARED:
-            self.abort_decided()
-        else:
-            self.manager.abort(self.txn)
+
+def _settle_all(participants, gtid: str, commit: bool, stats) -> int:
+    """Settle each participant's child through its channel; returns how
+    many stay unsettled, i.e. in doubt.  A failure that is not the
+    channel's (e.g. a racing state change) is counted too and stops
+    neither the rest nor the caller's own outcome or error."""
+    left = 0
+    for participant in participants:
+        try:
+            _settle(participant.database, gtid, commit, stats, participant)
+        except GatewayError:
+            left += 1
+        except Exception:
+            left += 1
+            stats.bump("txn.2pc.cleanup_failures")
+    if left:
+        stats.bump("txn.2pc.indoubt", left)
+    return left
 
 
 class _Enlistment:
@@ -262,46 +284,20 @@ class _Enlistment:
 
 
 class _ShardedHandler(ResourceHandler):
-    """Presumed abort for the ``enlist``/``decision`` records."""
+    """Undo of the ``enlist``/``decision`` records."""
 
     def __init__(self, method: "ShardedStorageMethod"):
         self.method = method
 
     def undo(self, services, payload: dict, clr_lsn: int) -> None:
-        txn = services.transactions.get(payload["txn_id"])
-        if not getattr(services, "in_restart", False) and txn is not None:
-            # A live rollback — partial (savepoint) or a full abort.  The
-            # mirrored savepoint rollback and the AT_END cleanup own the
-            # children here; compensating the record only means the next
-            # write must re-log it to keep the durable pointer.
-            ent = self.method._runtime.get(
-                payload["txn_id"], {}).get(payload["relation_id"])
-            if ent is not None and ent.gtid == payload["gtid"]:
-                ent.logged = False
-            return
-        # Full abort or coordinator restart: presume abort on every child
-        # still holding the global transaction.  Delivery is direct — this
-        # *is* the resolution channel, charging faults here could wedge
-        # restart itself.
-        relation = logged_relation(services, payload)
-        gtid = payload["gtid"]
-        # A dropped relation's children went with it: nothing to deliver.
-        for index in payload.get("shards", ()) if relation is not None else ():
-            child = relation.descriptor.storage_descriptor["databases"][index]
-            manager = child.services.transactions
-            child_txn = manager.find_gtid(gtid)
-            if child_txn is None or child_txn.settled:
-                # A heuristic abort that matches the presumed-abort outcome
-                # is no mismatch; retire the marker.
-                manager.heuristic_aborts.pop(gtid, None)
-                continue
-            if child_txn.state is TxnState.PREPARED:
-                manager.abort_decided(child_txn)
-            else:
-                manager.abort(child_txn)
-            services.stats.bump("sharded.presumed_aborts")
-        self.method._runtime.get(payload["txn_id"], {}).pop(
-            payload["relation_id"], None)
+        """Compensating the record only means the next write must re-log
+        it to keep the durable pointer.  The children are settled by the
+        mirrored savepoint rollback (partial), the end of the transaction
+        (full abort), or the resolution walk (restart)."""
+        ent = self.method._runtime.get(
+            payload["txn_id"], {}).get(payload["relation_id"])
+        if ent is not None and ent.gtid == payload["gtid"]:
+            ent.logged = False
 
     def redo(self, services, lsn: int, payload: dict) -> None:
         """Children are their own durability domains; nothing to redo."""
@@ -614,20 +610,19 @@ class ShardedStorageMethod(StorageMethod):
             ctx.stats.bump("sharded.enlistments")
         return participant
 
-    def _log_enlist(self, ctx: ExecutionContext, ent: _Enlistment,
-                    descriptor: dict) -> None:
+    def _log_enlist(self, ctx: ExecutionContext, ent: _Enlistment) -> None:
         """The durable pointer: a coordinator crash must still find every
-        child that may have voted, so the record names all shards."""
+        child that may have voted — the resolution walk settles every
+        shard of the relation the record names."""
         ctx.log(self.resource, {"op": "enlist", "gtid": ent.gtid,
                                 "relation_id": ent.relation_id,
-                                "txn_id": ctx.txn_id,
-                                "shards": list(range(descriptor["shards"]))})
+                                "txn_id": ctx.txn_id})
         ent.logged = True
 
     def _mark_write(self, ctx: ExecutionContext, handle: RelationHandle,
                     ent: _Enlistment) -> None:
         if not ent.logged:
-            self._log_enlist(ctx, ent, self._descriptor(handle))
+            self._log_enlist(ctx, ent)
         if not ent.hooked:
             ent.hooked = True
             ctx.defer(ev.BEFORE_PREPARE, self._phase_one, (ctx, handle))
@@ -637,10 +632,10 @@ class ShardedStorageMethod(StorageMethod):
     def _phase_one(self, txn_id: int, data) -> None:
         """Phase 1, run as a deferred BEFORE_PREPARE action at local commit.
 
-        Raising here vetoes the local commit (the transaction aborts), which
-        is exactly right while no child has been told to prepare — and once
-        one has, a later veto re-raises out of ``prepare_all`` after the
-        already-prepared children were rolled back.
+        Read-only children skip both phases (they have nothing to make
+        durable).  A failed vote re-raises, which vetoes the local commit:
+        the transaction aborts, and :meth:`_on_txn_end` aborts every child,
+        the ones that already voted yes included.
         """
         ctx, handle = data
         ent = self._runtime.get(txn_id, {}).get(handle.relation_id)
@@ -649,22 +644,31 @@ class ShardedStorageMethod(StorageMethod):
         voters = [p for p in ent.participants.values() if p.wrote]
         if not voters:
             return
+        stats = ctx.stats
+        stats.bump("txn.2pc.readonly_skips",
+                   len(ent.participants) - len(voters))
         if not ent.logged:
             # Every write record was compensated by partial rollbacks; the
             # children still vote, so the durable pointer must come back.
-            self._log_enlist(ctx, ent, self._descriptor(handle))
+            self._log_enlist(ctx, ent)
         # The enlist record must be stable before any child makes a durable
         # promise, or a coordinator crash could strand prepared children
         # with nothing on stable storage pointing at them.
         ctx.services.wal.flush()
-        coordinator = TwoPhaseCoordinator(ctx.services)
-        ent.prepared = coordinator.prepare_all(ent.gtid,
-                                              list(ent.participants.values()))
-        coordinator.log_decision(
-            txn_id, self.resource,
-            {"op": "decision", "gtid": ent.gtid,
-             "relation_id": ent.relation_id, "txn_id": txn_id,
-             "shards": [p.index for p in ent.prepared]})
+        for participant in voters:
+            try:
+                participant.prepare(ent.gtid)
+            except Exception:
+                stats.bump("txn.2pc.votes_no")
+                raise
+        stats.bump("txn.2pc.prepared", len(voters))
+        ent.prepared = voters
+        # The decision rides the coordinator's COMMIT force: a stable
+        # decision and a stable commit are one atomic event.
+        stats.bump("txn.2pc.decisions_logged")
+        ctx.log(self.resource, {"op": "decision", "gtid": ent.gtid,
+                                "relation_id": ent.relation_id,
+                                "txn_id": txn_id})
 
     def _deliver(self, txn_id: int, data) -> None:
         """Phase 2, run as a deferred AT_COMMIT action.
@@ -678,10 +682,10 @@ class ShardedStorageMethod(StorageMethod):
         ent = self._runtime.get(txn_id, {}).get(handle.relation_id)
         if ent is None or not ent.prepared:
             return
-        coordinator = TwoPhaseCoordinator(ctx.services)
-        left = coordinator.deliver_commit(ent.prepared)
+        left = _settle_all(ent.prepared, ent.gtid, True, ctx.stats)
+        ctx.stats.bump("txn.2pc.commits_delivered", len(ent.prepared) - left)
         if left:
-            ctx.stats.bump("sharded.indoubt_children", len(left))
+            ctx.stats.bump("sharded.indoubt_children", left)
 
     # -- modification -----------------------------------------------------------
     def insert(self, ctx, handle, record):
@@ -1071,34 +1075,29 @@ class ShardedStorageMethod(StorageMethod):
                           ordered_by=self._child_order(ctx, descriptor),
                           route=("sharded_scan", shards))
 
-    # -- restart resolution --------------------------------------------------------
-    def resolve_decision(self, database, handle, payload: dict) -> int:
-        """Redeliver a stable commit decision to still-prepared children.
+    # -- resolution ----------------------------------------------------------------
+    def resolve_indoubt(self, database, handle, verdicts: dict) -> int:
+        """Settle every child still holding a global id of ``verdicts``
+        (gtid -> commit?); returns how many were settled.
 
-        Called by :meth:`Database.resolve_indoubt` after a restart (or
-        after a crashed shard comes back).  Delivery is direct — this is
-        the resolution channel itself.
+        Called by the resolution walk of :meth:`Database.resolve_indoubt`
+        for the ids whose coordinator transaction has ended.  Delivery is
+        direct.  Only the ids a child still holds — a live or in-doubt
+        transaction, or a heuristic-abort marker — can need settling.
         """
-        descriptor = handle.descriptor.storage_descriptor
-        gtid = payload["gtid"]
-        resolved = 0
-        for index in payload.get("shards", ()):
-            child = descriptor["databases"][index]
+        stats = database.services.stats
+        settled = aborted = 0
+        for child in handle.descriptor.storage_descriptor["databases"]:
             manager = child.services.transactions
-            child_txn = manager.find_gtid(gtid)
-            if child_txn is None or child_txn.settled:
-                # A vanished prepared child that heuristically aborted
-                # contradicts this durable COMMIT: its changes are gone
-                # while its siblings' are committed.  Surface the damage
-                # instead of silently counting the child as resolved.
-                if manager.heuristic_aborts.pop(gtid, None) is not None:
-                    database.services.stats.bump("txn.2pc.heuristic_mismatches")
-                continue
-            if child_txn.state is TxnState.PREPARED:
-                manager.commit_decided(child_txn)
-                resolved += 1
-        self._runtime.pop(payload["txn_id"], None)
-        return resolved
+            held = [txn.gtid for txn in manager.active_transactions()]
+            for gtid in held + list(manager.heuristic_aborts):
+                if gtid in verdicts and _settle(child, gtid, verdicts[gtid],
+                                                stats):
+                    settled += 1
+                    aborted += not verdicts[gtid]
+        if aborted:
+            stats.bump("sharded.presumed_aborts", aborted)
+        return settled
 
     # -- event subscribers ---------------------------------------------------------
     def _on_savepoint_set(self, txn_id: int, info: dict) -> None:
@@ -1118,32 +1117,19 @@ class ShardedStorageMethod(StorageMethod):
                     participant.manager.rollback_to(child_txn, name)
 
     def _on_txn_end(self, services, txn_id: int, info: dict) -> None:
-        """End-of-transaction cleanup on the coordinator side.
-
-        Unprepared children are rolled back directly (connection-drop
-        semantics).  Prepared children depend on the local outcome: after
-        a local *abort* they receive the abort decision (a real message —
-        a dead channel leaves them prepared, to be drained by their own
-        database's close/restart under presumed abort); after a local
-        *commit* a still-prepared child is in doubt and must wait for the
-        decision to be redelivered, so it is left strictly alone.
-        """
+        """End-of-transaction cleanup on the coordinator side: every child
+        the outcome has not settled is aborted (:func:`_settle`).  After a
+        local *commit* a still-prepared child is in doubt — the decision
+        is stable, and only resolution may settle it — so it is left
+        strictly alone.  A lost abort leaves its child in doubt as well,
+        to be resent by the resolution walk."""
         by_relation = self._runtime.pop(txn_id, None)
         if not by_relation:
             return
         local = services.transactions.get(txn_id)
         committed = local is not None and local.state is TxnState.COMMITTED
         for ent in by_relation.values():
-            for participant in ent.participants.values():
-                child_txn = participant.txn
-                if child_txn.settled:
-                    continue
-                if child_txn.state is TxnState.PREPARED:
-                    if committed:
-                        continue
-                    try:
-                        participant.abort_decided()
-                    except GatewayError:
-                        services.stats.bump("txn.2pc.indoubt")
-                    continue
-                participant.manager.abort(child_txn)
+            _settle_all([p for p in ent.participants.values()
+                         if not (committed
+                                 and p.txn.state is TxnState.PREPARED)],
+                        ent.gtid, False, services.stats)

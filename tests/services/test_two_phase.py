@@ -1,13 +1,18 @@
-"""Explicit two-phase commit: participant API, coordinator, in-doubt restart."""
+"""Explicit two-phase commit: the participant API and in-doubt restart.
+
+The coordinator side is the sharded storage method
+(tests/storage/test_sharded.py)."""
 
 import pytest
 
 from repro import Database
 from repro.core.context import ExecutionContext
+from repro.core.hashing import shard_of
 from repro.errors import (GatewayError, LockError, ReadOnlyTransactionError,
                           TransactionError)
+from repro.services import events as ev
 from repro.services import wal as wal_records
-from repro.services.transactions import TwoPhaseCoordinator, TxnState
+from repro.services.transactions import TxnState
 
 
 def make_db():
@@ -168,73 +173,50 @@ def test_close_drains_prepared_limbo():
     assert txn.state is TxnState.ABORTED
 
 
-# -- the coordinator over stub participants -----------------------------------------
 
-class StubParticipant:
-    def __init__(self, wrote=True, fail_prepare=False, fail_commit=False,
-                 fail_abort=False):
-        self.wrote = wrote
-        self.fail_prepare = fail_prepare
-        self.fail_commit = fail_commit
-        self.fail_abort = fail_abort
-        self.events = []
+# -- the coordinator (the sharded storage method) over two shards -------------------
 
-    def prepare(self, gtid):
-        if self.fail_prepare:
-            raise GatewayError("vote lost")
-        self.events.append(("prepare", gtid))
-
-    def commit_decided(self):
-        if self.fail_commit:
-            raise GatewayError("decision lost")
-        self.events.append(("commit",))
-
-    def abort(self):
-        if self.fail_abort:
-            raise TransactionError("participant state changed underfoot")
-        self.events.append(("abort",))
+def make_sharded():
+    db = Database(page_size=1024)
+    db.create_table("emp", [("id", "INT"), ("name", "STRING")],
+                    storage_method="sharded", attributes={"shards": 2})
+    return db, db.catalog.handle("emp").descriptor.storage_descriptor[
+        "databases"]
 
 
 def test_prepare_all_skips_read_only_participants():
-    db = make_db()
-    coordinator = TwoPhaseCoordinator(db.services)
-    writer, reader = StubParticipant(), StubParticipant(wrote=False)
-    prepared = coordinator.prepare_all("g", [writer, reader])
-    assert prepared == [writer]
-    assert reader.events == []
+    db, dbs = make_sharded()
+    table = db.table("emp")
+    table.insert_many([(i, f"n{i}") for i in range(10)])
+    reader = shard_of((0,), 2)
+    new_id = next(i for i in range(100, 200) if shard_of((i,), 2) != reader)
+    reader_lsn = dbs[reader].services.wal.current_lsn
+    prepared = db.services.stats.get("txn.2pc.prepared")
+    db.begin()
+    table.insert((new_id, "written"))
+    assert table.scan(where="id = 0")[0][1] == (0, "n0")
+    db.commit()
     assert db.services.stats.get("txn.2pc.readonly_skips") == 1
-
-
-def test_failed_vote_aborts_the_other_voters_and_reraises():
-    db = make_db()
-    coordinator = TwoPhaseCoordinator(db.services)
-    good, bad = StubParticipant(), StubParticipant(fail_prepare=True)
-    with pytest.raises(GatewayError):
-        coordinator.prepare_all("g", [good, bad])
-    assert ("abort",) in good.events
-    assert db.services.stats.get("txn.2pc.votes_no") == 1
-
-
-def test_failed_vote_cleanup_survives_a_dead_voter():
-    """A cleanup abort that fails with a non-gateway error must neither
-    stop the remaining voters' rollback nor mask the vote failure."""
-    db = make_db()
-    coordinator = TwoPhaseCoordinator(db.services)
-    dead = StubParticipant(fail_abort=True)
-    good = StubParticipant()
-    bad = StubParticipant(fail_prepare=True)
-    with pytest.raises(GatewayError):
-        coordinator.prepare_all("g", [dead, good, bad])
-    assert ("abort",) in good.events
-    assert db.services.stats.get("txn.2pc.indoubt") == 1
-    assert db.services.stats.get("txn.2pc.cleanup_failures") == 1
+    assert db.services.stats.get("txn.2pc.prepared") == prepared + 1
+    assert dbs[reader].services.wal.current_lsn == reader_lsn
+    assert dbs[reader].services.transactions.active_transactions() == ()
 
 
 def test_lost_commit_delivery_leaves_the_participant_in_doubt():
-    db = make_db()
-    coordinator = TwoPhaseCoordinator(db.services)
-    good, deaf = StubParticipant(), StubParticipant(fail_commit=True)
-    indoubt = coordinator.deliver_commit([good, deaf])
-    assert indoubt == [deaf]
-    assert ("commit",) in good.events
+    db, dbs = make_sharded()
+    txn = db.services.transactions.begin()
+    ctx = ExecutionContext(txn, db.services, db)
+    # Runs after phase 1 and before delivery: every message to shard 1 is lost.
+    ctx.defer(ev.AT_COMMIT, lambda __, ___: db.services.faults.arm(
+        "shard.1.remote_call", error=GatewayError, nth=1, one_shot=False))
+    db.data.insert_batch(ctx, db.catalog.handle("emp"),
+                         [(i, f"n{i}") for i in range(10)])
+    db.services.transactions.commit(txn)
+    db.services.faults.disarm()
+    assert txn.state is TxnState.COMMITTED
     assert db.services.stats.get("txn.2pc.indoubt") == 1
+    assert db.services.stats.get("txn.2pc.commits_delivered") == 1
+    assert dbs[0].services.transactions.active_transactions() == ()
+    (deaf,) = dbs[1].services.transactions.active_transactions()
+    assert deaf.state is TxnState.PREPARED
+    assert dbs[1].services.transactions.find_gtid(deaf.gtid) is deaf

@@ -5,8 +5,9 @@ import pytest
 from repro import Database
 from repro.core.context import ExecutionContext
 from repro.core.hashing import shard_of
-from repro.errors import GatewayError, StorageError
+from repro.errors import GatewayError, StorageError, TransactionError
 from repro.services import events as ev
+from repro.services.transactions import TxnState
 
 ROWS = [(i, f"n{i}") for i in range(10)]
 
@@ -302,6 +303,107 @@ def test_live_abort_after_prepare_delivers_the_abort():
     __, dbs = children(db)
     for child in dbs:
         assert child.services.transactions.active_transactions() == ()
+
+
+def prepared_children(db, *names):
+    return [txn for name in names for child in children(db, name)[1]
+            for txn in child.services.transactions.active_transactions()
+            if txn.state is TxnState.PREPARED]
+
+
+def lose_shard_1_votes(db, ctx):
+    """From a BEFORE_PREPARE action: every later message to shard 1 is
+    lost, starting with the vote of any relation whose phase 1 runs after
+    this action."""
+    ctx.defer(ev.BEFORE_PREPARE, lambda __, ___: db.services.faults.arm(
+        "shard.1.remote_call", error=GatewayError, nth=1, one_shot=False))
+
+
+def test_failed_vote_aborts_the_other_voters_and_reraises():
+    db, table = make_sharded(shards=2)
+    txn, ctx = begin_ctx(db)
+    lose_shard_1_votes(db, ctx)  # queued before phase 1
+    db.data.insert_batch(ctx, db.catalog.handle("emp"), ROWS)
+    with pytest.raises(GatewayError):
+        db.services.transactions.commit(txn)
+    db.services.faults.disarm()
+    __, dbs = children(db)
+    assert db.services.stats.get("txn.2pc.votes_no") == 1
+    # shard 0 voted yes and received the abort; shard 1 never voted
+    assert dbs[0].services.stats.get("txn.2pc.aborts_decided") == 1
+    for child in dbs:
+        assert child.services.transactions.active_transactions() == ()
+    assert shard_union(db) == []
+
+
+def test_failed_vote_cleanup_survives_a_non_gateway_failure(monkeypatch):
+    """A cleanup abort that fails with a non-gateway error leaves that
+    child in doubt, counted, and never masks the vote failure."""
+    db, table = make_sharded(shards=2)
+    __, dbs = children(db)
+
+    def underfoot(child_txn):
+        raise TransactionError("participant state changed underfoot")
+    monkeypatch.setattr(dbs[0].services.transactions, "abort_decided",
+                        underfoot)
+    txn, ctx = begin_ctx(db)
+    lose_shard_1_votes(db, ctx)
+    db.data.insert_batch(ctx, db.catalog.handle("emp"), ROWS)
+    with pytest.raises(GatewayError):
+        db.services.transactions.commit(txn)
+    db.services.faults.disarm()
+    assert db.services.stats.get("txn.2pc.indoubt") == 1
+    assert db.services.stats.get("txn.2pc.cleanup_failures") == 1
+    assert len(prepared_children(db, "emp")) == 1
+    monkeypatch.undo()
+    assert db.resolve_indoubt() == 1  # presumed abort settles it
+    assert prepared_children(db, "emp") == []
+    assert shard_union(db) == []
+
+
+def test_lost_abort_decision_is_resent_by_resolution():
+    """One transaction writes ``a`` then ``b``; shard 1 dies between their
+    phase 1s, so ``a``'s children prepared, ``b``'s vote fails, and the
+    abort to ``a``'s shard 1 is lost.  Resolution resends it."""
+    db = Database(page_size=1024)
+    for name in ("a", "b"):
+        db.create_table(name, [("id", "INT"), ("name", "STRING")],
+                        storage_method="sharded", attributes={"shards": 2})
+    txn, ctx = begin_ctx(db)
+    db.data.insert_batch(ctx, db.catalog.handle("a"), ROWS)
+    lose_shard_1_votes(db, ctx)  # queued between a's and b's phase 1
+    db.data.insert_batch(ctx, db.catalog.handle("b"), ROWS)
+    with pytest.raises(GatewayError):
+        db.services.transactions.commit(txn)
+    assert db.services.stats.get("txn.2pc.indoubt") == 1
+    assert len(prepared_children(db, "a", "b")) == 1
+    db.services.faults.disarm()
+    assert db.resolve_indoubt() == 1
+    assert db.services.stats.get("sharded.presumed_aborts") == 1
+    assert prepared_children(db, "a", "b") == []
+    assert shard_union(db, "a") == shard_union(db, "b") == []
+    assert db.table("a").count() == db.table("b").count() == 0
+
+
+@pytest.mark.parametrize("mode", ["sharp", "fuzzy"])
+def test_truncating_checkpoint_keeps_an_undelivered_decision(mode):
+    """Truncation never reclaims the decision a prepared child still
+    waits for: the checkpoint settles the child first."""
+    db, table = make_sharded(shards=2)
+    txn, ctx = begin_ctx(db)
+    ctx.defer(ev.AT_COMMIT, lambda __, ___: db.services.faults.arm(
+        "shard.0.remote_call", error=GatewayError, nth=1, one_shot=False))
+    db.data.insert_batch(ctx, db.catalog.handle("emp"), ROWS)
+    db.services.transactions.commit(txn)  # the delivery to shard 0 is lost
+    db.services.faults.disarm()
+    assert len(prepared_children(db, "emp")) == 1
+    info = db.checkpoint(mode, truncate=True)
+    assert info["truncated"] > 0
+    assert prepared_children(db, "emp") == []
+    assert shard_union(db) == sorted(ROWS)
+    db.restart()
+    assert prepared_children(db, "emp") == []
+    assert shard_union(db) == sorted(ROWS)
 
 
 def test_breaker_open_shard_fails_writes_closed_and_degrades_reads():
