@@ -22,6 +22,13 @@ instance descriptor carries its indexed columns and its page-based
 scans yield a :class:`~repro.core.records.RecordView` of the key fields so
 filter predicates run before the base record is fetched.
 
+A record whose key holds a NULL has no entry: NULL is outside every range
+and every uniqueness rule, so the routes and probes that the planner and
+executor take never need it, and ``IS NULL`` is answered by a scan.  A
+record NULL past the leading key field would be missed by a range over
+the leading one, so it marks the instance ``partial``, which offers no
+route until a rebuild finds no such record.
+
 DDL attributes: ``columns`` (list of column names, required),
 ``unique`` (bool, default False), ``max_entries`` (node fanout bound).
 """
@@ -70,6 +77,8 @@ class BTreeIndexScan(Scan):
         self.position: Optional[Tuple[tuple, object]] = None
         self._tree = BTree(ctx.buffer, instance["tree"],
                            instance.get("max_entries", DEFAULT_MAX_ENTRIES))
+        if None in (low or ()) or None in (high or ()):
+            self.state = AFTER  # a NULL bound matches no entry
         self._filter_here = (predicate is not None
                              and predicate.evaluable_on(self.key_fields))
 
@@ -180,24 +189,39 @@ class BTreeIndexAttachment(AttachmentType):
     def _build(self, ctx, handle, instance, batches) -> None:
         """Bulk-build from the relation's stored records, ``batches``."""
         tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
+        instance["partial"] = False
         for batch in batches:
-            entries = sorted((self._key_of(instance, record), record_key)
-                             for record_key, record in batch)
+            entries = self._entries(handle, instance, batch)
             self._add(tree, instance, entries, "cannot build unique index: ")
         ctx.stats.bump("btree_index.builds")
 
     def rebuild(self, ctx, handle, field, batches) -> None:
         """Reconstruct every instance from the relation's ``batches``."""
+        partial = any(i.get("partial") for i in field["instances"].values())
         for instance in field["instances"].values():
             self.reset_tree(BTree, ctx.buffer, instance["tree"],
                             instance["max_entries"])
             self._build(ctx, handle, instance, batches)
+        if partial:
+            handle.descriptor.version += 1  # a withheld route may be back
         ctx.stats.bump("btree_index.rebuilds")
 
     # -- attached procedures -----------------------------------------------------
     @staticmethod
     def _key_of(instance: dict, record: Tuple) -> tuple:
         return tuple(record[i] for i in instance["key_fields"])
+
+    def _entries(self, handle, instance: dict, items) -> list:
+        """The key-sorted ``(index key, record key)`` entries of the
+        ``(record key, record)`` ``items`` whose key holds no NULL."""
+        entries = [(self._key_of(instance, record), key)
+                   for key, record in items]
+        kept = sorted(entry for entry in entries if None not in entry[0])
+        if len(kept) < len(entries) and not instance.get("partial") \
+                and any(None in index_key[1:] for index_key, __ in entries):
+            instance["partial"] = True
+            handle.descriptor.version += 1  # cached plans hold its routes
+        return kept
 
     def _add(self, tree: BTree, instance: dict, entries: list,
              doing: str = "") -> None:
@@ -225,22 +249,24 @@ class BTreeIndexAttachment(AttachmentType):
                 continue  # no indexed fields were modified
             tree = BTree(ctx.buffer, instance["tree"],
                          instance["max_entries"])
-            if instance["unique"] and old_index_key != new_index_key \
+            removed, added = (self._entries(handle, instance, (item,))
+                              for item in ((old_key, old_record),
+                                           (new_key, new_record)))
+            if instance["unique"] and added \
+                    and old_index_key != new_index_key \
                     and tree.search(new_index_key):
                 raise UniqueViolation(
                     self.name,
                     f"duplicate key {new_index_key!r} in unique index "
                     f"{instance['name']!r}")
-            tree.delete(old_index_key, old_key)
-            tree.insert(new_index_key, new_key)
-            ctx.log(self.resource, {
-                "op": "remove_many", "relation_id": handle.relation_id,
-                "instance": instance["name"],
-                "entries": [[list(old_index_key), old_key]]})
-            ctx.log(self.resource, {
-                "op": "add_many", "relation_id": handle.relation_id,
-                "instance": instance["name"],
-                "entries": [[list(new_index_key), new_key]]})
+            for op, apply, entries in (("remove_many", tree.delete, removed),
+                                       ("add_many", tree.insert, added)):
+                for index_key, key in entries:
+                    apply(index_key, key)
+                    ctx.log(self.resource, {
+                        "op": op, "relation_id": handle.relation_id,
+                        "instance": instance["name"],
+                        "entries": [[list(index_key), key]]})
             ctx.stats.bump("btree_index.maintenance_ops")
 
     def on_delete(self, ctx, handle, field, key, old_record) -> None:
@@ -254,9 +280,9 @@ class BTreeIndexAttachment(AttachmentType):
         for instance in field["instances"].values():
             tree = BTree(ctx.buffer, instance["tree"],
                          instance["max_entries"])
-            entries = sorted(
-                (self._key_of(instance, record), key)
-                for key, record in zip(keys, new_records))
+            entries = self._entries(handle, instance, zip(keys, new_records))
+            if not entries:
+                continue  # every key held a NULL
             self._add(tree, instance, entries)
             ctx.log(self.resource, {
                 "op": "add_many", "relation_id": handle.relation_id,
@@ -268,8 +294,9 @@ class BTreeIndexAttachment(AttachmentType):
         for instance in field["instances"].values():
             tree = BTree(ctx.buffer, instance["tree"],
                          instance["max_entries"])
-            entries = sorted((self._key_of(instance, old), key)
-                             for key, old in items)
+            entries = self._entries(handle, instance, items)
+            if not entries:
+                continue  # every key held a NULL
             tree.delete_many(entries)
             ctx.log(self.resource, {
                 "op": "remove_many", "relation_id": handle.relation_id,
@@ -284,6 +311,8 @@ class BTreeIndexAttachment(AttachmentType):
             input_key = (input_key,)
         tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
         ctx.stats.bump("btree_index.fetches")
+        if None in input_key:
+            return []  # NULL equals nothing, and has no entry
         if len(input_key) == len(instance["key_fields"]):
             return tree.search(input_key)
         # Partial key: all entries whose key has this prefix.
@@ -311,6 +340,8 @@ class BTreeIndexAttachment(AttachmentType):
         """Low cost when there is a predicate on the key of the B-tree."""
         key_fields = instance["key_fields"]
         leading = key_fields[0]
+        if instance.get("partial"):
+            return None  # a record NULL past the leading field is missing
         relevant = [p for p in eligible
                     if p.is_simple and p.field_index == leading
                     and p.op in ("=", "<", "<=", ">", ">=")]

@@ -7,10 +7,13 @@ operations comprising the storage method and attachment extensions."
 Every storage method and attachment in this library exchanges records in
 one canonical form: a tuple of Python field values ordered by the relation
 schema, plus a binary wire form used on pages.  The binary form is a small
-row format — a null bitmap, then the non-null field values in schema order,
-fixed-width values as they are and variable-length ones behind a two-byte
-length — that the schema's compiled decoder reads where it lies, while the
-row is still in the buffer pool.
+row format — a null bitmap, every fixed-width field at its full width (zero
+bytes when NULL), a two-byte length per variable-length field, then the
+variable-length bytes — so every fixed field and every length sits at an
+offset the schema alone decides.  The schema's compiled encoder packs that
+prefix with one ``Struct.pack``, and its compiled decoders read a record's
+wanted fields with one ``unpack_from`` where the record lies, while it is
+still in the buffer pool.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Sequence, Tuple
 
 from ..errors import SchemaError
 
-__all__ = ["Box", "encode_value", "decode_value", "encode_record", "decode_record",
+__all__ = ["Box", "encode_record", "decode_record", "compile_encoder",
            "compile_decoder", "compile_page_decoder", "RecordView"]
 
 
@@ -81,88 +84,77 @@ class Box:
 
 
 # ---------------------------------------------------------------------------
-# Binary field encoding.
-#
-# Wire format per value (type tags come from the schema, not the wire):
-#   INT    -> 8-byte signed little-endian
-#   FLOAT  -> 8-byte IEEE double
-#   BOOL   -> 1 byte
-#   STRING -> u16 length + utf-8 bytes
-#   BYTES  -> u16 length + raw bytes
-#   BOX    -> 4 IEEE doubles
+# Binary record layout (field types come from the schema, not the wire):
+#   1. the null bitmap, one bit a field (1 = NULL);
+#   2. every fixed-width field in schema order, zero bytes when NULL:
+#        INT -> 8-byte signed, FLOAT -> 8-byte IEEE double, BOOL -> 1 byte,
+#        BOX -> 4 IEEE doubles;
+#   3. one u16 length a STRING / BYTES field in schema order, 0 when NULL;
+#   4. the variable-length bytes (utf-8 for STRING) in schema order.
+# All little-endian.  Everything before (4) sits at offsets the schema
+# alone decides, so one ``struct`` reads or writes it whole.
 # ---------------------------------------------------------------------------
 
-_INT = struct.Struct("<q")
-_FLOAT = struct.Struct("<d")
-_BOOL = struct.Struct("<B")
-_LEN = struct.Struct("<H")
-_BOX = struct.Struct("<dddd")
+_FIXED_FORMATS = {"INT": "q", "FLOAT": "d", "BOOL": "?", "BOX": "dddd"}
+_NO_BOX = Box(0, 0, 0, 0)
 
 
-def encode_value(type_code: str, value) -> bytes:
-    """Encode one non-null field value to its binary wire form."""
-    if type_code == "INT":
-        return _INT.pack(value)
-    if type_code == "FLOAT":
-        return _FLOAT.pack(value)
-    if type_code == "BOOL":
-        return _BOOL.pack(1 if value else 0)
-    if type_code == "STRING":
-        raw = value.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise SchemaError(f"string too long ({len(raw)} bytes)")
-        return _LEN.pack(len(raw)) + raw
-    if type_code == "BYTES":
-        if len(value) > 0xFFFF:
-            raise SchemaError(f"bytes too long ({len(value)} bytes)")
-        return _LEN.pack(len(value)) + bytes(value)
-    if type_code == "BOX":
-        return _BOX.pack(value.x_lo, value.y_lo, value.x_hi, value.y_hi)
-    raise SchemaError(f"unknown field type {type_code!r}")
+def _layout(fields):
+    """``(bitmap bytes, fixed-width positions, variable-length positions,
+    struct format of everything before the variable-length bytes)`` of
+    one field list."""
+    bitmap = (len(fields) + 7) // 8
+    fixed = [i for i, f in enumerate(fields) if f.type_code in _FIXED_FORMATS]
+    variable = [i for i, f in enumerate(fields)
+                if f.type_code not in _FIXED_FORMATS]
+    codes = "".join(_FIXED_FORMATS[fields[i].type_code] for i in fixed)
+    return bitmap, fixed, variable, f"<{'B' * bitmap}{codes}" + \
+        "H" * len(variable)
 
 
-def decode_value(type_code: str, buf: memoryview, offset: int):
-    """Decode one field value; returns ``(value, next_offset)``."""
-    if type_code == "INT":
-        return _INT.unpack_from(buf, offset)[0], offset + 8
-    if type_code == "FLOAT":
-        return _FLOAT.unpack_from(buf, offset)[0], offset + 8
-    if type_code == "BOOL":
-        return bool(_BOOL.unpack_from(buf, offset)[0]), offset + 1
-    if type_code == "STRING":
-        (n,) = _LEN.unpack_from(buf, offset)
-        start = offset + 2
-        return bytes(buf[start:start + n]).decode("utf-8"), start + n
-    if type_code == "BYTES":
-        (n,) = _LEN.unpack_from(buf, offset)
-        start = offset + 2
-        return bytes(buf[start:start + n]), start + n
-    if type_code == "BOX":
-        x_lo, y_lo, x_hi, y_hi = _BOX.unpack_from(buf, offset)
-        return Box(x_lo, y_lo, x_hi, y_hi), offset + 32
-    raise SchemaError(f"unknown field type {type_code!r}")
+def compile_encoder(name, fields):
+    """Build ``encode(record) -> bytes`` for one field list: the bitmap,
+    fixed-width fields and lengths in one ``Struct.pack``, the
+    variable-length bytes behind them.  A string or bytes value over
+    0xFFFF bytes (or any value ``struct`` refuses) raises
+    :class:`SchemaError`."""
+    n = len(fields)
+    bitmap, fixed, variable, fmt = _layout(fields)
+    values = [f"v{i}" for i in range(n)]
+    lines = ["def encode(record):",
+             f"    if len(record) != {n}:",
+             "        raise SchemaError(f'record has {len(record)} fields, "
+             f"schema {{name!r}} has {n}')",
+             f"    {', '.join(values)}, = record",
+             *(f"    m{b} = 0" for b in range(bitmap))]
+    for i, field in enumerate(fields):
+        empty = {"STRING": "b''", "BYTES": "b''", "BOX": "no_box"}.get(
+            field.type_code, "0")
+        lines += [f"    if v{i} is None:",
+                  f"        m{i // 8} |= {1 << i % 8}; v{i} = {empty}"]
+        if field.type_code == "STRING":
+            lines += ["    else:", f"        v{i} = v{i}.encode('utf-8')"]
+    args = [f"m{b}" for b in range(bitmap)]
+    for i in fixed:
+        args += [f"v{i}.{c}" for c in Box.__slots__] \
+            if fields[i].type_code == "BOX" else [f"v{i}"]
+    args += [f"len(v{i})" for i in variable]
+    lines += ["    try:",
+              f"        return pack({', '.join(args)})"
+              + "".join(f" + v{i}" for i in variable),
+              "    except struct_error as exc:",
+              "        raise SchemaError(f'record does not fit schema "
+              "{name!r}: {exc}') from None"]
+    names = {"pack": struct.Struct(fmt).pack, "struct_error": struct.error,
+             "SchemaError": SchemaError, "no_box": _NO_BOX, "name": name}
+    exec("\n".join(lines), names)  # built from type codes only
+    return names["encode"]
 
 
 def encode_record(schema, record: Sequence) -> bytes:
-    """Encode a full record to the on-page wire form.
-
-    Layout: null bitmap (one bit per field, 1 = NULL), then the non-null
-    field values in schema order.
-    """
-    n = len(schema.fields)
-    if len(record) != n:
-        raise SchemaError(
-            f"record has {len(record)} fields, schema {schema.name!r} has {n}")
-    bitmap = bytearray((n + 7) // 8)
-    parts = [bytes(bitmap)]  # placeholder, replaced below
-    body = []
-    for i, (field, value) in enumerate(zip(schema.fields, record)):
-        if value is None:
-            bitmap[i // 8] |= 1 << (i % 8)
-        else:
-            body.append(encode_value(field.type_code, value))
-    parts[0] = bytes(bitmap)
-    return b"".join(parts + body)
+    """Encode a full record to the on-page wire form with the schema's
+    compiled encoder (:func:`compile_encoder`)."""
+    return schema.encoder(record)
 
 
 def decode_record(schema, raw, offset: int = 0) -> Tuple:
@@ -175,85 +167,64 @@ def decode_record(schema, raw, offset: int = 0) -> Tuple:
     return schema.decoder(raw, offset)
 
 
-def _decode_with_nulls(fields, buf, offset: int) -> Tuple:
-    """The general decode: one bitmap test and one ``decode_value`` a field."""
-    pos = offset + (len(fields) + 7) // 8
-    values = []
-    for i, field in enumerate(fields):
-        if buf[offset + i // 8] & (1 << (i % 8)):
-            values.append(None)
-        else:
-            value, pos = decode_value(field.type_code, buf, pos)
-            values.append(value)
-    return tuple(values)
+def _record_reads(fields, wanted, indent):
+    """The generated body that reads one record at ``off`` of ``buf`` into
+    ``v<i>`` for each ``wanted`` field position: its statements and the
+    names they use.
 
-
-_FIXED_FORMATS = {"INT": "q", "FLOAT": "d", "BOOL": "B", "BOX": "dddd"}
-
-
-def _record_reads(fields, wanted, on_null, indent):
-    """The generated body that reads one record at ``off`` of ``buf``:
-    the statements (a record with a NULL bit set runs ``on_null``, where
-    ``general`` decodes it whole), the value expression of each
-    ``wanted`` field position, and the names the statements use.
-
-    A record without NULLs has a layout the field types alone decide:
-    each run of fixed-width fields, with the length prefix of the
-    variable-length field that follows, is one ``unpack_from`` — pad
-    bytes stand for the fields nobody asked for — a string is sliced out
-    of ``buf`` only when wanted, and nothing past the last wanted field
-    is read at all.
+    One ``unpack_from`` reads the bitmap bytes, fixed-width fields and
+    string lengths the wanted fields need — pad bytes stand for the rest,
+    and nothing past the last of them is read — then each wanted string
+    is sliced out of ``buf``.  A set bit of the bitmap turns its wanted
+    value into ``None``; a record without NULLs tests one byte.
     """
-    names = {"fields": fields, "general": _decode_with_nulls, "Box": Box}
-    bitmap = (len(fields) + 7) // 8
-    null_test = "buf[off]" if bitmap == 1 else f"any(buf[off:off + {bitmap}])"
-    lines = [f"if {null_test}:", *("    " + line for line in on_null),
-             f"p = off + {bitmap}"]
-    last = max(wanted, default=-1)
-    values = {}
-    i = 0
-    while i <= last:
-        fmt, targets, unpack = "<", [], f"s{i}"
-        while i <= last and fields[i].type_code in _FIXED_FORMATS:
-            type_code = fields[i].type_code
-            code = _FIXED_FORMATS[type_code]
-            if i not in wanted:
-                code = f"{struct.calcsize('<' + code)}x"
-            elif type_code == "BOX":
-                corners = [f"v{i}_{c}" for c in range(4)]
-                targets += corners
-                values[i] = f"Box({', '.join(corners)})"
-            else:
-                targets.append(f"v{i}")
-                values[i] = f"v{i} != 0" if type_code == "BOOL" else f"v{i}"
-            fmt += code
-            i += 1
-        # A STRING or BYTES field ends the run: its length rides along.
-        run = struct.Struct(fmt + "H" if i <= last else fmt)
-        names[unpack] = run.unpack_from
-        if i <= last:
-            targets.append("n")
-        lines.append(f"{', '.join(targets)}, = {unpack}(buf, p)")
-        if i in wanted:
-            value = "str(buf[p:e], 'utf-8')" \
-                if fields[i].type_code == "STRING" else "bytes(buf[p:e])"
-            lines += [f"p += {run.size}", "e = p + n", f"v{i} = {value}",
-                      "p = e"]
-            values[i] = f"v{i}"
-        elif i <= last:
-            lines.append(f"p += {run.size} + n")
-        i += 1
-    return [indent + line for line in lines], values, names
+    bitmap, fixed, variable, prefix = _layout(fields)
+    wanted = set(wanted)
+    last = max((i for i in variable if i in wanted), default=-1)
+    strings = [i for i in variable if i <= last]
+    reads = [("B", f"m{b}") if any(i // 8 == b for i in wanted)
+             else ("x", None) for b in range(bitmap)]
+    for i in fixed:
+        code = _FIXED_FORMATS[fields[i].type_code]
+        if i not in wanted:
+            reads.append((f"{struct.calcsize('<' + code)}x", None))
+        elif code == "dddd":
+            reads += [("d", f"v{i}_{c}") for c in range(4)]
+        else:
+            reads.append((code, f"v{i}"))
+    reads += [("H", f"n{i}") for i in strings]
+    while reads[-1][1] is None:
+        reads.pop()                       # nothing past the last read
+    unpack = struct.Struct("<" + "".join(code for code, __ in reads))
+    names = {"unpack": unpack.unpack_from, "Box": Box}
+    lines = [", ".join(t for __, t in reads if t) + ", = unpack(buf, off)"]
+    lines += [f"v{i} = Box({', '.join(f'v{i}_{c}' for c in range(4))})"
+              for i in fixed if i in wanted and fields[i].type_code == "BOX"]
+    if strings:
+        lines.append(f"p = off + {struct.calcsize(prefix)}")
+    for i in strings:
+        if i not in wanted:
+            lines.append(f"p += n{i}")
+            continue
+        value = "str(buf[p:e], 'utf-8')" \
+            if fields[i].type_code == "STRING" else "bytes(buf[p:e])"
+        lines += [f"e = p + n{i}", f"v{i} = {value}", "p = e"]
+    if strings:
+        lines.pop()                       # nothing is read after it
+    for b in range(bitmap):
+        mine = sorted(i for i in wanted if i // 8 == b)
+        if mine:
+            lines += [f"if m{b}:", *(f"    if m{b} & {1 << i % 8}: v{i} = None"
+                                     for i in mine)]
+    return [indent + line for line in lines], names
 
 
 def compile_decoder(fields):
     """Build ``decode(buf, offset=0) -> tuple`` for one field list
     (generated, see :func:`_record_reads`)."""
-    reads, values, names = _record_reads(
-        fields, range(len(fields)), ["return general(fields, buf, off)"],
-        "    ")
+    reads, names = _record_reads(fields, range(len(fields)), "    ")
     lines = ["def decode(buf, off=0):", *reads, "    return (%s,)"
-             % ", ".join(values[i] for i in range(len(fields)))]
+             % ", ".join(f"v{i}" for i in range(len(fields)))]
     exec("\n".join(lines), names)  # built from type codes only
     return names["decode"]
 
@@ -267,14 +238,11 @@ def compile_page_decoder(fields, wanted: Sequence[int]):
     distinct = sorted(set(wanted))
     if not distinct:
         return lambda buf, offsets: ()
-    reads, values, names = _record_reads(
-        fields, distinct, ["row = general(fields, buf, off)",
-                           *(f"a{i}(row[{i}])" for i in distinct),
-                           "continue"], " " * 8)
+    reads, names = _record_reads(fields, distinct, " " * 8)
     lines = ["def decode_page(buf, offsets):",
              *(f"    c{i} = []; a{i} = c{i}.append" for i in distinct),
              "    for off in offsets:", *reads,
-             *(f"        a{i}({values[i]})" for i in distinct),
+             *(f"        a{i}(v{i})" for i in distinct),
              f"    return ({''.join(f'c{i}, ' for i in wanted)})"]
     exec("\n".join(lines), names)  # built from type codes only
     return names["decode_page"]

@@ -12,13 +12,15 @@ from functools import cached_property
 from typing import Sequence, Tuple
 
 from ..errors import SchemaError
-from .records import Box, compile_decoder, compile_page_decoder
+from .records import (Box, compile_decoder, compile_encoder,
+                      compile_page_decoder)
 
 __all__ = ["FIELD_TYPES", "Field", "Schema"]
 
 #: The supported field type codes and a Python-level type check for each.
 FIELD_TYPES = {
-    "INT": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "INT": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                      and -2**63 <= v < 2**63),
     "FLOAT": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "STRING": lambda v: isinstance(v, str),
     "BOOL": lambda v: isinstance(v, bool),
@@ -104,6 +106,12 @@ class Schema:
 
     def indexes_of(self, names: Sequence[str]) -> Tuple[int, ...]:
         return tuple(self.field_index(n) for n in names)
+
+    @cached_property
+    def encoder(self):
+        """``encode(record) -> bytes`` for this record layout, compiled on
+        first use."""
+        return compile_encoder(self.name, self.fields)
 
     @cached_property
     def decoder(self):

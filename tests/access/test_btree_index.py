@@ -332,3 +332,80 @@ def test_undo_of_a_batch_is_a_batch(db, node_dumps):
     tree.validate()
     assert [k[0] for k, __ in tree.range()] == list(range(300))
     assert tree.entry_count == 300
+
+
+# ---------------------------------------------------------------------------
+# NULL keys: no entry, no route, no uniqueness
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("unique", [False, True], ids=["plain", "unique"])
+@pytest.mark.parametrize("code", ["INT", "STRING"])
+def test_null_keys_stay_out_of_the_tree_routes_and_uniqueness(db, code,
+                                                               unique):
+    """Built over NULLs, then NULLs inserted and updated to and from: the
+    tree holds the non-NULL keys only, ``=`` and ranges still take the
+    index and equal a heap scan, ``IS NULL`` never takes it, and a
+    restart rebuilds the same."""
+    value = (lambda i: i) if code == "INT" else (lambda i: f"k{i:04d}")
+    table = db.create_table("n", [("id", "INT", False), ("v", code)])
+    table.insert_many([(i, None if i % 3 == 0 else value(i if unique
+                                                        else i // 2))
+                       for i in range(300)])
+    db.create_index("n_v", "n", ["v"], unique=unique)
+    table.insert((300, None))
+    table.insert_many([(301, None), (302, None)])
+    db.execute("UPDATE n SET v = NULL WHERE id = 1")
+    top = 300 if unique else 150                # past every stored value
+    db.execute("UPDATE n SET v = :v WHERE id = 3", {"v": value(top)})
+    if unique:
+        with pytest.raises(UniqueViolation):
+            table.insert((303, value(10)))
+    att = db.registry.attachment_type_by_name("btree_index")
+    instance = db.catalog.handle("n").descriptor.attachment_field(
+        att.type_id)["instances"]["n_v"]
+    a, b, c = value(40), value(46), value(top - 10)
+    shapes = {f"v = {a!r}": lambda v: v == a,
+              f"v >= {a!r} AND v < {b!r}":
+              lambda v: v is not None and a <= v < b,
+              f"v > {c!r}": lambda v: v is not None and v > c,
+              "v IS NULL": lambda v: v is None}
+
+    def check():
+        rows = [record for __, record in table.scan()]
+        assert instance["tree"]["nentries"] == sum(r[1] is not None
+                                                   for r in rows)
+        for where, keep in shapes.items():
+            statement = f"SELECT id FROM n WHERE {where}"
+            got = sorted(r[0] for r in db.execute(statement))
+            assert got == sorted(r[0] for r in rows if keep(r[1])), where
+            route = str(db.explain(statement)["access"]["route"])
+            # STRING ranges have no interpolation: they scan by cost
+            assert ("btree_index" in route) == (
+                where.startswith("v =") or code == "INT"
+                and where != "v IS NULL"), where
+        assert db.execute("SELECT id FROM n WHERE v = :a",
+                          {"a": None}) == []
+
+    check()
+    db.restart()
+    check()
+
+
+def test_a_null_past_the_leading_field_withdraws_the_range_route(db):
+    """A range over ``a`` would miss a record whose ``b`` is NULL: once one
+    is stored the index offers no route, and a rebuild that finds none
+    gives the route back."""
+    table = db.create_table("c", [("a", "INT"), ("b", "INT")])
+    table.insert_many([(i, i * 10) for i in range(400)])
+    db.create_index("c_ab", "c", ["a", "b"])
+    statement = "SELECT a, b FROM c WHERE a >= 100 AND a < 110"
+    assert "btree_index" in str(db.explain(statement)["access"]["route"])
+    table.insert_many([(105, None), (None, 7)])
+    assert "btree_index" not in str(db.explain(statement)["access"]["route"])
+    assert set(db.execute(statement)) == {
+        *((i, i * 10) for i in range(100, 110)), (105, None)}
+    key = next(k for k, r in table.scan() if r == (105, None))
+    table.update(key, {"b": 1})
+    db.restart()
+    assert "btree_index" in str(db.explain(statement)["access"]["route"])
+    assert len(db.execute(statement)) == 11

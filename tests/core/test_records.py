@@ -1,11 +1,12 @@
 """Record and field-value representation: encoding, views, boxes."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.records import (Box, RecordView, decode_record,
-                                decode_value, encode_record, encode_value)
+from repro.core.records import Box, RecordView, decode_record, encode_record
 from repro.core.schema import Field, Schema
 from repro.errors import SchemaError
 from repro.services.pages import TOMBSTONE, PageView
@@ -36,24 +37,26 @@ def test_encode_record_arity_checked(schema):
 
 
 def test_value_roundtrip_each_type():
-    cases = [("INT", -2**40), ("FLOAT", -0.125), ("BOOL", False),
-             ("STRING", "ünïcode"), ("BYTES", b"abc"),
-             ("BOX", Box(-1.5, 0, 2.5, 3))]
-    for code, value in cases:
-        raw = encode_value(code, value)
-        decoded, offset = decode_value(code, memoryview(raw), 0)
-        assert decoded == value
-        assert offset == len(raw)
+    cases = [("INT", -2**40, 8), ("FLOAT", -0.125, 8), ("BOOL", False, 1),
+             ("STRING", "ünïcode", 2 + 9), ("BYTES", b"abc", 2 + 3),
+             ("BOX", Box(-1.5, 0, 2.5, 3), 32)]
+    for code, value, width in cases:
+        one = Schema("t", [Field("f", code)])
+        raw = encode_record(one, (value,))
+        assert decode_record(one, memoryview(raw)) == (value,)
+        assert len(raw) == 1 + width
 
 
 def test_string_length_limit():
-    with pytest.raises(SchemaError):
-        encode_value("STRING", "x" * 70000)
-
-
-def test_unknown_type_rejected():
-    with pytest.raises(SchemaError):
-        encode_value("DECIMAL", 1)
+    """A STRING or BYTES value over 0xFFFF bytes is a SchemaError from the
+    record encoder; at the limit it round-trips."""
+    both = Schema("t", [Field("s", "STRING"), Field("b", "BYTES")])
+    for record in (("x" * 70000, b""), ("", b"x" * 0x10000),
+                   ("é" * 0x8000, None)):      # 0x10000 bytes of utf-8
+        with pytest.raises(SchemaError):
+            encode_record(both, record)
+    record = ("x" * 0xFFFF, b"y" * 0xFFFF)
+    assert decode_record(both, encode_record(both, record)) == record
 
 
 # ---------------------------------------------------------------------------
@@ -130,30 +133,78 @@ _VALUES = {
 }
 
 
+def field_codes(max_size):
+    """Field type lists: any mix, all STRING or all BYTES."""
+    return st.one_of(
+        st.lists(st.sampled_from(sorted(_VALUES)), min_size=1,
+                 max_size=max_size),
+        *(st.lists(st.just(code), min_size=1, max_size=max_size)
+          for code in ("STRING", "BYTES")))
+
+
+@st.composite
+def record_of(draw, codes, nulls):
+    """One record of ``codes``: no NULLs (``"none"``), a NULL anywhere
+    (``"some"``), or at least half the fields NULL (``"heavy"``)."""
+    if nulls == "heavy":
+        null = draw(st.sets(st.integers(0, len(codes) - 1),
+                            min_size=(len(codes) + 1) // 2))
+    elif nulls == "some":
+        null = draw(st.sets(st.integers(0, len(codes) - 1)))
+    else:
+        null = ()
+    return tuple(None if i in null else draw(_VALUES[code])
+                 for i, code in enumerate(codes))
+
+
+NULLS = st.sampled_from(["none", "some", "heavy"])
+
+
 @st.composite
 def schema_and_record(draw):
-    codes = draw(st.lists(st.sampled_from(sorted(_VALUES)), min_size=1,
-                          max_size=12))   # up to two null-bitmap bytes
+    codes = draw(field_codes(12))   # up to two null-bitmap bytes
     fields = [Field(f"f{i}", code) for i, code in enumerate(codes)]
-    record = tuple(draw(st.one_of(st.none(), _VALUES[code]))
-                   if draw(st.booleans()) else draw(_VALUES[code])
-                   for code in codes)
-    return Schema("t", fields), record
+    return Schema("t", fields), draw(record_of(codes, draw(NULLS)))
+
+
+_FIXED = {"INT": "<q", "FLOAT": "<d", "BOOL": "<B", "BOX": "<dddd"}
 
 
 def reference_decode(schema, buf, offset):
-    """One ``decode_value`` a field, NULLs from the bitmap — the decode the
-    compiled one must equal, kept here on purpose."""
-    n = len(schema.fields)
-    view = memoryview(bytes(buf))
-    pos = offset + (n + 7) // 8
+    """Each field read on its own from the layout — bitmap, fixed-width
+    fields at full width, a u16 length per STRING / BYTES field, then
+    their bytes — the decode the compiled one must equal, kept here on
+    purpose.  A NULL must have left zero bytes and a zero length."""
+    fields = schema.fields
+    view = bytes(buf)
+    pos = offset + (len(fields) + 7) // 8
+    at = {}
+    for i, field in enumerate(fields):              # the fixed prefix
+        if field.type_code in _FIXED:
+            at[i] = pos
+            pos += struct.calcsize(_FIXED[field.type_code])
+    for i, field in enumerate(fields):              # the lengths
+        if field.type_code not in _FIXED:
+            at[i] = struct.unpack_from("<H", view, pos)[0]
+            pos += 2
     values = []
-    for i, field in enumerate(schema.fields):
-        if view[offset + i // 8] & (1 << (i % 8)):
-            values.append(None)
+    for i, field in enumerate(fields):
+        null = view[offset + i // 8] >> (i % 8) & 1
+        code = field.type_code
+        if code in _FIXED:
+            width = struct.calcsize(_FIXED[code])
+            raw = view[at[i]:at[i] + width]
+            parts = struct.unpack(_FIXED[code], raw)
+            value = Box(*parts) if code == "BOX" else \
+                bool(parts[0]) if code == "BOOL" else parts[0]
         else:
-            value, pos = decode_value(field.type_code, view, pos)
-            values.append(value)
+            raw = view[pos:pos + at[i]]
+            pos += at[i]
+            value = raw.decode("utf-8") if code == "STRING" else raw
+        if null:
+            assert raw == bytes(len(raw))
+            value = None
+        values.append(value)
     return tuple(values), pos
 
 
@@ -173,6 +224,21 @@ def test_compiled_decoder_in_place_equals_reference(pair, offset, tail):
     assert decode_record(schema, raw) == record
 
 
+@settings(max_examples=200, deadline=None)
+@given(schema_and_record())
+def test_encoded_length_is_bitmap_fixed_widths_lengths_and_bytes(pair):
+    schema, record = pair
+    widths = {"INT": 8, "FLOAT": 8, "BOOL": 1, "BOX": 32}
+    codes = [field.type_code for field in schema.fields]
+    variable = [value for code, value in zip(codes, record)
+                if code not in widths]
+    assert len(encode_record(schema, record)) == (
+        (len(codes) + 7) // 8
+        + sum(widths.get(code, 2) for code in codes)
+        + sum(len(v.encode("utf-8") if isinstance(v, str) else v)
+              for v in variable if v is not None))
+
+
 def test_decoder_is_compiled_once_per_schema(schema):
     assert schema.decoder is schema.decoder
     other = Schema("u", schema.fields)
@@ -187,14 +253,11 @@ def test_decoder_is_compiled_once_per_schema(schema):
 
 @st.composite
 def schema_page_and_wanted(draw):
-    codes = draw(st.lists(st.sampled_from(sorted(_VALUES)), min_size=1,
-                          max_size=10))
+    codes = draw(field_codes(10))
     schema = Schema("t", [Field(f"f{i}", code)
                           for i, code in enumerate(codes)])
-    null_free = draw(st.booleans())     # exercise the generated path alone
-    records = draw(st.lists(st.tuples(*[
-        _VALUES[code] if null_free else st.one_of(st.none(), _VALUES[code])
-        for code in codes]), max_size=8))
+    nulls = draw(NULLS)
+    records = draw(st.lists(record_of(codes, nulls), max_size=8))
     dead = draw(st.sets(st.integers(0, max(len(records) - 1, 0))))
     # Any order, repeats allowed, and the empty set (COUNT(*)).
     wanted = tuple(draw(st.lists(st.integers(0, len(codes) - 1),

@@ -85,3 +85,16 @@ def test_indexes_of():
     schema = Schema("t", [Field("a", "INT"), Field("b", "INT"),
                           Field("c", "INT")])
     assert schema.indexes_of(["c", "a"]) == (2, 0)
+
+
+def test_int_outside_64_bits_is_a_schema_error(db):
+    """Refused by the type check, before the encoder's ``struct`` sees it:
+    nothing reaches the relation."""
+    table = db.create_table("t", [("id", "INT"), ("name", "STRING")])
+    for value in (2**63, -2**63 - 1):
+        with pytest.raises(SchemaError):
+            table.insert((value, "a"))
+    assert table.scan() == []
+    table.insert_many([(2**63 - 1, "a"), (-2**63, "b")])
+    assert sorted(r for __, r in table.scan()) == [(-2**63, "b"),
+                                                   (2**63 - 1, "a")]
