@@ -28,7 +28,7 @@ try:
 except ImportError:          # executed directly: python benchmarks/bench_...
     from _helpers import bench_payload
 
-N = 2000
+N = 4000
 MIN_REDO_RATIO = 50
 MIN_LOGGED_OPS = 10_000
 
@@ -46,8 +46,9 @@ def run_workload(db, rows):
     """rows inserts + rows/3 updates + rows/7 deletes, one transaction each.
 
     Tuple-at-a-time on purpose: every operation is its own transaction, so
-    the log carries BEGIN/UPDATE/COMMIT/END per operation and the stable
-    log grows to several times ``rows`` records.
+    the log carries an UPDATE and a COMMIT per operation (and a record per
+    page allocated) and the stable log grows to about three times ``rows``
+    records.
     """
     table = db.create_table("t", [("id", "INT"), ("v", "STRING")])
     keys = [table.insert((i, "v%d" % i)) for i in range(rows)]

@@ -115,7 +115,7 @@ class RecoveryManager:
     def log_update(self, txn_id: int, resource: str, payload: dict) -> LogRecord:
         """Append a logical operation record for a recoverable extension."""
         self.handler(resource)  # fail fast if nothing could ever undo it
-        return self.wal.log(txn_id, wal_records.UPDATE, resource, payload)
+        return self.wal.append(txn_id, wal_records.UPDATE, resource, payload)
 
     # -- redo, one record at a time -------------------------------------------------
     def redo(self, record: LogRecord) -> bool:
@@ -132,7 +132,7 @@ class RecoveryManager:
     def rollback(self, txn_id: int, to_lsn: int = 0) -> int:
         """Undo the transaction's operations with LSN > ``to_lsn``.
 
-        ``to_lsn`` of a savepoint record gives partial rollback; 0 gives
+        ``to_lsn`` of a savepoint gives partial rollback; 0 gives
         total rollback.  Returns the number of operations undone.
         """
         undone = 0
@@ -155,7 +155,7 @@ class RecoveryManager:
             elif record.kind == wal_records.CLR:
                 lsn = record.undo_next  # skip what was already undone
             else:
-                # BEGIN / SAVEPOINT / ABORT markers: nothing to undo.
+                # ABORT / PREPARE / COMMIT markers: nothing to undo.
                 lsn = record.prev_lsn
         return undone
 
@@ -188,12 +188,14 @@ class RecoveryManager:
                     # to restart, there is no such transaction — listing
                     # it would make analysis call it a loser.
                     continue
-                if wal.record(last).kind in (wal_records.COMMIT,
-                                             wal_records.END):
+                if (wal.record(last).kind in (wal_records.COMMIT,
+                                              wal_records.END)
+                        or transactions.commit_lsn(txn.txn_id)):
                     # The checkpoint can fire mid-commit (the trigger runs
-                    # inside the COMMIT/END append, before the manager
-                    # marks the transaction committed).  Its fate is
-                    # already sealed in the log below this checkpoint —
+                    # inside the COMMIT/END append, or inside a record the
+                    # at-commit work logs after the COMMIT, before the
+                    # manager marks the transaction committed).  Its fate
+                    # is already sealed in the log below this checkpoint —
                     # and stable, because the checkpoint flush covers
                     # every earlier record — so putting it in the ATT
                     # would make analysis call committed work a loser and

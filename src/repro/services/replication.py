@@ -110,18 +110,19 @@ class Standby:
         self.applied_lsn = base_lsn
         self.acked_lsn = base_lsn
         self.epoch_seen = 0
-        #: Transactions whose COMMIT/ABORT has been received and whose END
-        #: has not been applied yet, from the records up to
-        #: ``_settled_through``.  It lives as long as the standby does: a
-        #: rebuilt or readmitted one is a new ``Standby`` over a new log.
+        #: Transactions whose COMMIT/ABORT has been received and whose last
+        #: record — a plain COMMIT, else the END that follows — has not
+        #: been applied yet, from the records up to ``_settled_through``.
+        #: It lives as long as the standby does: a rebuilt or readmitted
+        #: one is a new ``Standby`` over a new log.
         self._settled = set()
         self._settled_through = base_lsn
         database.services.transactions.mirror()
 
     @property
     def settled_pending(self) -> int:
-        """Transactions decided in the received stream and not yet applied
-        through their END: at most those in flight up to the horizon."""
+        """Transactions decided in the received stream whose last record is
+        not applied yet: at most those in flight up to the horizon."""
         return len(self._settled)
 
     # -- standby side ----------------------------------------------------------
@@ -175,7 +176,12 @@ class Standby:
                     and record.txn_id not in settled):
                 break
             services.recovery.redo(record)
-            if record.kind == wal_records.END:
+            # A transaction leaves at its last record: a plain COMMIT, or
+            # the END after an ABORT's CLRs or a marked COMMIT's at-commit
+            # records.
+            if record.kind == wal_records.END or (
+                    record.kind == wal_records.COMMIT
+                    and not record.payload.get("end")):
                 settled.discard(record.txn_id)
             self.applied_lsn = record.lsn
             applied += 1

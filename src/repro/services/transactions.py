@@ -10,16 +10,16 @@ Coordinates the common services on the paper's transaction events:
   transaction listeners (the scan service closes open scans).
 * **abort** — drive the log-based rollback of every operation, then release
   locks and notify listeners.
-* **savepoints** — write a SAVEPOINT record, let the scan service capture
+* **savepoints** — remember the end of log, let the scan service capture
   key-sequential positions (their changes are not logged), and on partial
-  rollback drive the undo back to the savepoint LSN and restore positions.
+  rollback drive the undo back to that LSN and restore positions.
 
-A transaction exists in the log from its first logged record: BEGIN is
-written immediately before it (``LogManager.log``), so a writer's log is
-BEGIN, its operations, COMMIT, END, while a transaction that logged
-nothing — a locking reader — commits or aborts without appending or
-forcing anything.  It still fires every event, releases its locks and has
-its scans closed; to restart, checkpoints and log shipping it never was.
+A transaction exists in the log from its first record: a writer logs its
+operations and COMMIT (then END if at-commit work logged after it), an
+abort ends ABORT, CLRs, END, and a transaction that logged nothing — a
+locking reader — commits or aborts without appending or forcing anything.
+It still fires every event, releases its locks and has its scans closed;
+to restart, checkpoints and log shipping it never was.
 
 Group commit: with ``group_commit_limit`` set, commits *enqueue* their
 COMMIT record instead of forcing the log one transaction at a time; one
@@ -290,7 +290,7 @@ class Transaction:
         #: consistent read point every read resolves against.  Writers
         #: (the lock-based serializable mode) leave it ``None``.
         self.snapshot: Optional[Snapshot] = None
-        self.savepoints: Dict[str, int] = {}     # name -> SAVEPOINT record LSN
+        self.savepoints: Dict[str, int] = {}     # name -> end of log when set
         self._savepoint_order: list = []
         #: Per-transaction modification-operation sequence.  The dispatch
         #: layer derives operation-savepoint names from (txn id, this
@@ -423,7 +423,11 @@ class TransactionManager:
         # no COMMIT, no force, no END — to the log it never existed.
         logged = at_commit or self.wal.last_lsn(txn.txn_id)
         if logged:
-            record = self.wal.log(txn.txn_id, wal_records.COMMIT)
+            # At-commit work may log after the COMMIT: the mark tells a
+            # standby to hold the transaction until the END that follows.
+            record = self.wal.append(txn.txn_id, wal_records.COMMIT,
+                                     payload={"end": True} if at_commit
+                                     else None)
             # Visibility is decided by the COMMIT record's LSN: a snapshot
             # taken at LSN S sees exactly the writers whose COMMIT appended
             # at or below S.  Stamping here (before the flush) means commits
@@ -446,7 +450,7 @@ class TransactionManager:
         elif self.stats is not None:
             self.stats.bump("txn.unlogged_ends")
         self.events.fire(txn.txn_id, ev.AT_COMMIT)
-        if logged:
+        if at_commit:
             self.wal.append(txn.txn_id, wal_records.END)
         self.locks.release_all(txn.txn_id)
         txn.state = TxnState.COMMITTED
@@ -483,8 +487,8 @@ class TransactionManager:
         txn.state = TxnState.PREPARED
         txn.gtid = gtid
         self._by_gtid[gtid] = txn
-        self.wal.log(txn.txn_id, wal_records.PREPARE,
-                     payload={"gtid": gtid})
+        self.wal.append(txn.txn_id, wal_records.PREPARE,
+                        payload={"gtid": gtid})
         self.wal.flush()
         if self.stats is not None:
             self.stats.bump("txn.prepares")
@@ -740,15 +744,18 @@ class TransactionManager:
                 f"only apply to transactions that modify data")
         if name in txn.savepoints:
             raise TransactionError(f"savepoint {name!r} already exists")
-        record = self.wal.log(txn.txn_id, wal_records.SAVEPOINT,
-                              payload={"name": name})
+        # The end of log, not the transaction's last LSN: note_versions
+        # tags an operation's transitions with the end of log, which an
+        # auto-checkpoint can move past the operation's record, and those
+        # transitions lie below the savepoint.
+        lsn = self.wal.current_lsn
         if self.stats is not None:
             self.stats.bump("txn.savepoints_set")
-        txn.savepoints[name] = record.lsn
+        txn.savepoints[name] = lsn
         txn._savepoint_order.append(name)
         # Scan positions are captured now (their changes are not logged).
         self.events.fire(txn.txn_id, ev.SAVEPOINT_SET, name=name)
-        return record.lsn
+        return lsn
 
     def rollback_to(self, txn: Transaction, name: str) -> int:
         """Partial rollback to a savepoint; returns operations undone.

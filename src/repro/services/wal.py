@@ -12,6 +12,10 @@ matching extension handler to undo or redo the operation.
 Compensation log records (CLRs) make rollback itself restartable, exactly
 as in ARIES-style systems.
 
+The log carries what some reader reads: no BEGIN (a transaction's first
+record begins it), no SAVEPOINT (a savepoint is an LSN held in memory), and
+END only after an ABORT or a COMMIT marked ``{"end": True}`` (see END below).
+
 Stability is modelled explicitly: :meth:`LogManager.flush` advances the
 stable prefix, and a simulated crash discards everything after it.
 
@@ -33,17 +37,18 @@ from typing import Callable, Dict, Iterator, List, Optional
 from ..errors import RecoveryError
 
 __all__ = ["LogRecord", "LogManager",
-           "BEGIN", "UPDATE", "CLR", "SAVEPOINT", "PREPARE", "COMMIT",
-           "ABORT", "END", "CHECKPOINT_BEGIN", "CHECKPOINT_END"]
+           "UPDATE", "CLR", "PREPARE", "COMMIT", "ABORT", "END",
+           "CHECKPOINT_BEGIN", "CHECKPOINT_END"]
 
 # Log record kinds.
-BEGIN = "BEGIN"
 UPDATE = "UPDATE"          # a logical operation by a storage method/attachment
 CLR = "CLR"                # compensation: records one undone operation
-SAVEPOINT = "SAVEPOINT"
 PREPARE = "PREPARE"        # 2PC participant vote: carries the global txn id
-COMMIT = "COMMIT"
+COMMIT = "COMMIT"          # payload {"end": True}: an END follows
 ABORT = "ABORT"
+# END follows an ABORT: restart reads ABORT without END as a rollback that
+# did not finish.  It follows a COMMIT marked {"end": True}: a standby holds
+# the transaction until the records its at-commit work logs are applied.
 END = "END"
 CHECKPOINT_BEGIN = "CHECKPOINT_BEGIN"  # fuzzy checkpoint opened
 CHECKPOINT_END = "CHECKPOINT_END"      # carries the ATT and DPT snapshots
@@ -93,7 +98,7 @@ class LogManager:
         self._records: List[LogRecord] = []
         self._base = 0               # records reclaimed below oldest_lsn
         self._flushed_lsn = 0
-        self._master_lsn = 0         # latest complete checkpoint's BEGIN
+        self._master_lsn = 0         # latest complete CHECKPOINT_BEGIN
         self._last_lsn: Dict[int, int] = {}   # txn_id -> last LSN written
         self._first_lsn: Dict[int, int] = {}  # txn_id -> first LSN written
         # Automatic checkpoint trigger (installed by SystemServices).
@@ -119,15 +124,6 @@ class LogManager:
             self._first_lsn[txn_id] = lsn
         self._maybe_auto_checkpoint()
         return record
-
-    def log(self, txn_id: int, kind: str, resource: Optional[str] = None,
-            payload: Optional[dict] = None) -> LogRecord:
-        """:meth:`append` for a live transaction, which exists in the log
-        from its first logged record: its BEGIN is written here, right
-        before that record — one that never logs leaves no trace."""
-        if txn_id not in self._last_lsn:
-            self.append(txn_id, BEGIN)
-        return self.append(txn_id, kind, resource, payload)
 
     def last_lsn(self, txn_id: int) -> int:
         """The transaction's newest LSN (0: it has logged nothing)."""

@@ -162,7 +162,7 @@ def test_read_only_autocommit_statement_leaves_the_log_untouched():
     session.close()
 
 
-def test_writer_log_is_begin_operations_commit_end():
+def test_writer_log_is_operations_then_commit():
     db = make_db()
     session = db.connect()
     log = db.services.wal
@@ -176,14 +176,11 @@ def test_writer_log_is_begin_operations_commit_end():
     records = [r for r in log.forward(start + 1)]
     assert {r.txn_id for r in records} == {txn.txn_id}
     kinds = [r.kind for r in records]
-    assert kinds[0] == wal.BEGIN and kinds[-2:] == [wal.COMMIT, wal.END]
-    assert set(kinds[1:-2]) <= {wal.UPDATE, wal.SAVEPOINT}
-    assert wal.UPDATE in kinds
-    # BEGIN sits one below the transaction's first operation and heads its
-    # backchain; the commit was forced.
-    assert records[0].lsn == records[1].lsn - 1 == log.first_lsn(txn.txn_id)
+    assert kinds[-1] == wal.COMMIT and set(kinds[:-1]) == {wal.UPDATE}
+    # The first operation heads the backchain; the commit was forced.
+    assert records[0].lsn == log.first_lsn(txn.txn_id)
     assert records[0].prev_lsn == 0 and records[1].prev_lsn == records[0].lsn
-    assert log.flushed_lsn >= records[-2].lsn
+    assert log.flushed_lsn >= records[-1].lsn
     session.close()
 
 

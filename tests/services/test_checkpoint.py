@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import RecoveryError
 from repro.services import SystemServices
+from repro.services import events as ev
 from repro.services import wal
 from repro.services.recovery import ResourceHandler
 
@@ -255,7 +256,7 @@ def test_truncation_never_reclaims_undo_horizon_of_active_txn(env):
 def test_auto_checkpoint_fires_every_interval(env):
     services, store = env
     services.enable_auto_checkpoint(10)
-    for __ in range(10):
+    for __ in range(20):                      # 40 records: UPDATE, COMMIT
         txn = services.transactions.begin()
         apply(services, store, txn, "x", 1)
         services.transactions.commit(txn)
@@ -267,15 +268,15 @@ def test_auto_checkpoint_fires_every_interval(env):
 
 
 def test_checkpoint_during_commit_excludes_finished_txn_from_att(env):
-    """The trigger fires inside the END append, while the committing
+    """The trigger fires inside the COMMIT append, while the committing
     transaction is still registered as active.  Its COMMIT precedes the
     checkpoint, so an ATT entry would make restart analysis call it a
     loser and undo committed work."""
     services, store = env
-    services.enable_auto_checkpoint(4)
-    txn = services.transactions.begin()       # 1: BEGIN
-    apply(services, store, txn, "x", 5)       # 2: UPDATE
-    services.transactions.commit(txn)         # 3: COMMIT, 4: END -> checkpoint
+    services.enable_auto_checkpoint(2)
+    txn = services.transactions.begin()
+    apply(services, store, txn, "x", 5)       # 1: UPDATE
+    services.transactions.commit(txn)         # 2: COMMIT -> checkpoint
     assert services.wal.master_lsn > services.wal.last_lsn(txn.txn_id)
     att = services.recovery._checkpoint_tables(services.wal.master_lsn)[0]
     assert txn.txn_id not in att
@@ -283,6 +284,29 @@ def test_checkpoint_during_commit_excludes_finished_txn_from_att(env):
     summary = services.recovery.restart()
     assert txn.txn_id not in summary["losers"]
     assert store["values"]["x"] == 5
+
+
+def test_checkpoint_during_at_commit_work_excludes_committed_txn(env):
+    """At-commit work may log after the COMMIT, and a checkpoint may land
+    between that record and the END.  A crash that loses the END must not
+    make restart undo the committed transaction."""
+    services, store = env
+    txn = services.transactions.begin()
+    apply(services, store, txn, "x", 5)
+
+    def at_commit(txn_id, data):
+        apply(services, store, txn, "y", 1)
+        services.checkpoint()
+
+    services.events.defer(txn.txn_id, ev.AT_COMMIT, at_commit)
+    services.transactions.commit(txn)
+    assert services.wal.lose_unflushed() == 1          # the END
+    att = services.recovery._checkpoint_tables(services.wal.master_lsn)[0]
+    assert txn.txn_id not in att
+    services.crash()
+    summary = services.recovery.restart()
+    assert txn.txn_id not in summary["losers"]
+    assert store["values"] == {"x": 5, "y": 1}
 
 
 def test_auto_checkpoint_disable(env):

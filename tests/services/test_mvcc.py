@@ -60,6 +60,31 @@ def test_reader_spanning_writers_abort_sees_neither_state():
     assert sorted(db.table("emp").rows()) == baseline
 
 
+@pytest.mark.parametrize("interval", range(2, 9))
+def test_savepoint_rollback_beside_a_reader_under_auto_checkpoints(interval):
+    """A savepoint marks the end of log, not the writer's last LSN: an
+    auto-checkpoint can append between an update's record and the LSN its
+    transitions are tagged with.  Marked at the writer's last LSN, the
+    rollback would cancel the update made before the savepoint too, and
+    the reader would see that uncommitted update."""
+    db = make_db(auto_checkpoint_interval=interval)
+    reader, writer = db.connect(), db.connect()
+    baseline = snapshot_rows(reader)
+    reader.begin(snapshot=True)
+    writer.begin()
+    table = writer.table("emp")
+    table.update_where("id = 1", {"salary": 1.0})
+    writer.savepoint("sp")
+    table.update_where("id = 2", {"salary": 2.0})
+    writer.rollback_to("sp")
+    assert snapshot_rows(reader) == baseline
+    writer.commit()
+    assert snapshot_rows(reader) == baseline     # commit is after my LSN
+    reader.commit()
+    rows = sorted(db.table("emp").rows())
+    assert rows[0] == (1, "alice", 1.0) and rows[1:] == baseline[1:]
+
+
 def test_snapshot_sees_deleted_rows_resurrected():
     db = make_db()
     reader, writer = db.connect(), db.connect()

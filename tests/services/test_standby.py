@@ -10,7 +10,9 @@ import inspect
 import pytest
 
 from repro import Database
+from repro.core.context import ExecutionContext
 from repro.core.records import decode_record
+from repro.services import events as ev
 from repro.services import wal as wal_records
 from repro.services.replication import Standby
 from tests.storage.test_replication import derived, derived_from_pages
@@ -75,18 +77,77 @@ def lsn_of(primary, kind, nth=-1):
             if r.kind == kind][nth]
 
 
+def insert_at_commit(primary, txn, record):
+    """Defer to ``txn``'s commit an insert logged under it, so the insert's
+    record lies between its COMMIT and its END."""
+    def insert(txn_id, data):
+        handle = primary.catalog.handle("emp")
+        method = primary.registry.storage_method(
+            handle.descriptor.storage_method_id)
+        method.insert(ExecutionContext(txn, primary.services, primary),
+                      handle, record)
+    primary.services.events.defer(txn.txn_id, ev.AT_COMMIT, insert)
+
+
 def test_end_that_arrives_a_ship_after_its_commit(pair):
     primary, standby = pair
-    primary.table("emp").insert_many([(i, f"n{i}") for i in range(5)])
+    session = primary.connect()
+    txn = session.begin()
+    session.table("emp").insert_many([(i, f"n{i}") for i in range(5)])
+    insert_at_commit(primary, txn, (5, "at commit"))
+    session.commit()
     commit = lsn_of(primary, wal_records.COMMIT)
-    assert lsn_of(primary, wal_records.END) == commit + 1
+    end = lsn_of(primary, wal_records.END)
+    assert primary.services.wal.record(commit).payload == {"end": True}
+    assert end > commit + 1      # the at-commit insert logged in between
     ship(primary, standby, up_to=commit)
-    assert standby.applied_lsn == commit and rows(standby.database) == rows(
-        primary)
+    assert standby.applied_lsn == commit and len(rows(standby.database)) == 5
     assert standby.settled_pending == 1      # decided, its END still to come
+    ship(primary, standby, up_to=end - 1)
+    assert standby.applied_lsn == end - 1 and standby.settled_pending == 1
     ship(primary, standby)
-    assert standby.applied_lsn == standby.received_lsn == commit + 1
+    assert standby.applied_lsn == standby.received_lsn == end
+    assert rows(standby.database) == rows(primary)
+    assert len(rows(primary)) == 6 and standby.settled_pending == 0
+
+
+def test_a_plain_commit_settles_at_its_commit(pair):
+    """A commit with no at-commit work writes no END: its COMMIT is its
+    last record, and the standby lets it go as it applies that."""
+    primary, standby = pair
+    table = primary.table("emp")
+    for i in range(50):
+        table.insert((i, f"n{i}"))
+    ship(primary, standby)
+    assert all(r.kind != wal_records.END
+               for r in primary.services.wal.forward())
+    assert standby.applied_lsn == standby.received_lsn
     assert standby.settled_pending == 0
+    assert rows(standby.database) == rows(primary)
+
+
+def test_a_dropped_relation_applies_its_trailing_records_then_drains():
+    """DROP TABLE releases storage at commit, so its COMMIT is marked and
+    an END follows; the standby holds it until that END is applied."""
+    primary, replica = fresh(), fresh()
+    for db in (primary, replica):
+        db.create_table("tmp", SCHEMA)
+    base = replica.services.wal.current_lsn
+    replica.services.wal.flush()
+    standby = Standby(0, "r0", replica, {}, base)
+    primary.table("tmp").insert_many([(i, "x" * 40) for i in range(200)])
+    primary.table("emp").insert((0, "kept"))
+    ship(primary, standby)
+    primary.drop_table("tmp")
+    commit = lsn_of(primary, wal_records.COMMIT)
+    assert primary.services.wal.record(commit).payload == {"end": True}
+    ship(primary, standby, up_to=commit)
+    assert standby.applied_lsn == commit and standby.settled_pending == 1
+    ship(primary, standby)
+    assert lsn_of(primary, wal_records.END) == standby.applied_lsn
+    assert standby.applied_lsn == standby.received_lsn
+    assert standby.settled_pending == 0
+    assert rows(standby.database) == rows(primary) == [(0, "kept")]
 
 
 def test_transaction_that_spans_three_ships(pair):
@@ -188,7 +249,7 @@ def test_each_received_record_is_read_at_most_twice(pair, monkeypatch):
     """Once to settle, once to apply — whatever the log already holds."""
     primary, standby = pair
     table = primary.table("emp")
-    for i in range(400):
+    for i in range(600):
         table.insert((i, f"n{i}"))
     log = standby.database.services.wal
     steps = []
@@ -199,14 +260,18 @@ def test_each_received_record_is_read_at_most_twice(pair, monkeypatch):
             steps[-1] += 1
             yield record
 
+    # Every ship ends on a transaction's last record (ten transactions of
+    # two records, and a page allocation now and then), so no call stops
+    # at a record that a later one reads again.
+    ends = [r.lsn for r in primary.services.wal.forward(
+        standby.received_lsn + 1) if r.kind == wal_records.COMMIT]
     monkeypatch.setattr(log, "forward", counting_forward)
     shipped = []
-    for __ in range(50):
+    for n in range(50):
         steps.append(0)
-        shipped.append(ship(primary, standby,
-                            up_to=standby.received_lsn + 20))
-    assert shipped == [20] * 50
-    assert all(read <= 2 * 20 for read in steps)
+        shipped.append(ship(primary, standby, up_to=ends[10 * n + 9]))
+    assert all(20 <= count <= 22 for count in shipped)
+    assert all(read <= 2 * count for read, count in zip(steps, shipped))
     assert max(steps[-10:]) <= max(steps[:10])   # flat, not growing
     assert sum(steps) <= 2 * sum(shipped)
     # A call with nothing new reads nothing.
@@ -231,9 +296,9 @@ def test_rebuilt_standby_starts_empty_and_catches_up():
     primary = descriptor["databases"][0]
     assert fresh_standby.acked_lsn == primary.services.wal.flushed_lsn
     assert fresh_standby.applied_lsn == fresh_standby.received_lsn
-    # (The decision is shipped as soon as it is stable; its END rides the
-    # next ship — the one transaction the set may still hold.)
-    assert fresh_standby.settled_pending <= 1
+    # The decision is shipped as soon as it is stable, and a child's
+    # commit has no at-commit work, so its COMMIT is its last record.
+    assert fresh_standby.settled_pending == 0
     assert child_ntuples(fresh_standby.database, descriptor) == 31
 
 
@@ -321,6 +386,7 @@ def test_a_promoted_standby_derives_the_state_it_never_kept():
 
 @pytest.mark.parametrize("test", [
     test_end_that_arrives_a_ship_after_its_commit,
+    test_a_plain_commit_settles_at_its_commit,
     test_transaction_that_spans_three_ships,
     test_aborted_transaction_applies_with_its_compensations,
     test_forced_apply_in_the_middle_of_a_transaction_then_recovery,

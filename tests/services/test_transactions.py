@@ -2,31 +2,47 @@
 
 import pytest
 
-from repro.errors import TransactionError, VetoError
+from repro.errors import RecoveryError, TransactionError, VetoError
 from repro.services import SystemServices
 from repro.services import events as ev
 from repro.services import wal
+from repro.services.recovery import ResourceHandler
 from repro.services.transactions import TxnState
 
 
+class NoopHandler(ResourceHandler):
+    """A resource whose logged operations change nothing."""
+
+    def undo(self, services, payload, clr_lsn):
+        pass
+
+    def redo(self, services, lsn, payload):
+        pass
+
+
 def logged_begin(services):
-    """A transaction with one logged operation (a savepoint): its BEGIN is
-    written with its first record, so an empty one leaves no log at all."""
+    """A transaction with one logged operation (a no-op UPDATE): it exists
+    in the log from that first record, so an empty one leaves no log."""
+    try:
+        services.recovery.handler("test.noop")
+    except RecoveryError:
+        services.recovery.register_handler("test.noop", NoopHandler())
     txn = services.transactions.begin()
-    services.transactions.savepoint(txn, "logged")
+    services.recovery.log_update(txn.txn_id, "test.noop", {})
     return txn
 
 
-def test_begin_writes_begin_record(services):
-    txn = services.transactions.begin()
+def test_first_record_begins_the_transaction(services):
+    quiet = services.transactions.begin()
+    services.transactions.savepoint(quiet, "sp")  # a savepoint logs nothing
     assert services.wal.current_lsn == 0  # nothing until it logs something
-    first = services.transactions.savepoint(txn, "sp")
+    logged_begin(services)
+    txn = logged_begin(services)
     records = list(services.wal.forward())
-    assert records[0].kind == wal.BEGIN
-    assert records[0].txn_id == txn.txn_id
-    # BEGIN sits immediately below the transaction's first operation.
-    assert records[0].lsn == first - 1
-    assert services.wal.first_lsn(txn.txn_id) == records[0].lsn
+    assert [r.kind for r in records] == [wal.UPDATE, wal.UPDATE]
+    assert records[1].txn_id == txn.txn_id and records[1].prev_lsn == 0
+    # The first record is the transaction's undo horizon.
+    assert services.wal.first_lsn(txn.txn_id) == records[1].lsn
 
 
 def test_commit_forces_log_and_releases_locks(services):
@@ -37,8 +53,10 @@ def test_commit_forces_log_and_releases_locks(services):
     assert txn.state is TxnState.COMMITTED
     assert services.wal.flushed_lsn >= services.wal.last_lsn(txn.txn_id) - 1
     assert services.locks.locks_held(txn.txn_id) == frozenset()
+    # A plain COMMIT is the transaction's last record.
     kinds = [r.kind for r in services.wal.forward()]
-    assert kinds == [wal.BEGIN, wal.SAVEPOINT, wal.COMMIT, wal.END]
+    assert kinds == [wal.UPDATE, wal.COMMIT]
+    assert services.wal.record(2).payload == {}
 
 
 def test_abort_writes_abort_then_end(services):
@@ -46,7 +64,7 @@ def test_abort_writes_abort_then_end(services):
     services.transactions.abort(txn)
     assert txn.state is TxnState.ABORTED
     kinds = [r.kind for r in services.wal.forward()]
-    assert kinds == [wal.BEGIN, wal.SAVEPOINT, wal.ABORT, wal.END]
+    assert kinds == [wal.UPDATE, wal.ABORT, wal.CLR, wal.END]
 
 
 @pytest.mark.parametrize("end", ["commit", "abort"])
@@ -81,8 +99,10 @@ def test_pending_at_commit_action_keeps_the_logged_commit_path(services):
     services.events.defer(txn.txn_id, ev.AT_COMMIT, lambda t, d: None)
     services.transactions.commit(txn)
     kinds = [r.kind for r in services.wal.forward()]
-    assert kinds == [wal.BEGIN, wal.COMMIT, wal.END]
-    assert services.wal.flushed_lsn >= 2
+    assert kinds == [wal.COMMIT, wal.END]
+    # The marked COMMIT tells a standby that an END follows.
+    assert services.wal.record(1).payload == {"end": True}
+    assert services.wal.flushed_lsn >= 1
 
 
 def test_crash_with_never_logged_transaction_open_leaves_no_loser(services):
@@ -154,7 +174,7 @@ def test_at_commit_actions_run_after_commit_record(services):
     services.events.defer(txn.txn_id, ev.AT_COMMIT,
                           lambda t, d: seen.append(services.wal.flushed_lsn))
     services.transactions.commit(txn)
-    assert seen and seen[0] >= 2  # the COMMIT record was already stable
+    assert seen and seen[0] >= 1  # the COMMIT record was already stable
 
 
 def test_deferred_actions_do_not_run_on_abort(services):
@@ -185,8 +205,8 @@ def test_group_commit_defers_durability_until_group_flush(services):
     for __ in range(3):
         txn = logged_begin(services)
         services.transactions.commit(txn)
-        # last_lsn is the END record; the COMMIT record precedes it.
-        commit_lsns.append(services.wal.last_lsn(txn.txn_id) - 1)
+        # last_lsn is the COMMIT record: a plain commit writes no END.
+        commit_lsns.append(services.wal.last_lsn(txn.txn_id))
         # A commit that logged nothing has no COMMIT record to stabilize:
         # it never joins the group.
         services.transactions.commit(services.transactions.begin())
@@ -223,7 +243,7 @@ def test_group_commit_prunes_already_stable_commits(services):
 def test_unflushed_group_commit_lost_at_crash(services):
     services.transactions.group_commit_limit = 8
     txn = logged_begin(services)
-    services.wal.flush()  # the BEGIN record reaches the stable log
+    services.wal.flush()  # the first record reaches the stable log
     services.transactions.commit(txn)
     assert services.wal.lose_unflushed() > 0  # the deferred-durability window
     summary = services.recovery.restart()

@@ -9,15 +9,15 @@ from repro.services.wal import LogManager
 
 def test_lsns_are_sequential_from_one():
     log = LogManager()
-    a = log.append(1, wal.BEGIN)
+    a = log.append(1, wal.UPDATE, "r", {})
     b = log.append(1, wal.UPDATE, "storage.heap", {"op": "insert"})
     assert (a.lsn, b.lsn) == (1, 2)
 
 
 def test_per_transaction_backchain():
     log = LogManager()
-    log.append(1, wal.BEGIN)
-    log.append(2, wal.BEGIN)
+    log.append(1, wal.UPDATE, "r", {})
+    log.append(2, wal.UPDATE, "r", {})
     log.append(1, wal.UPDATE, "r", {})
     log.append(2, wal.UPDATE, "r", {})
     chain = [r.lsn for r in log.transaction_chain(1)]
@@ -38,19 +38,19 @@ def test_flush_advances_stable_prefix_monotonically():
 
 def test_lose_unflushed_drops_suffix_and_rebuilds_chains():
     log = LogManager()
-    log.append(1, wal.BEGIN)
+    log.append(1, wal.UPDATE, "r", {})
     log.append(1, wal.UPDATE, "r", {"n": 1})
     log.flush()
     log.append(1, wal.UPDATE, "r", {"n": 2})
     lost = log.lose_unflushed()
     assert lost == 1
     assert len(log) == 2
-    assert log.last_lsn(1) == 2
+    assert (log.first_lsn(1), log.last_lsn(1)) == (1, 2)
 
 
 def test_record_lookup_bounds():
     log = LogManager()
-    log.append(1, wal.BEGIN)
+    log.append(1, wal.UPDATE, "r", {})
     with pytest.raises(RecoveryError):
         log.record(0)
     with pytest.raises(RecoveryError):

@@ -147,7 +147,7 @@ def ids(table):
 def test_failed_log_append_leaves_no_unlogged_record(db, btab):
     for i in range(5):
         btab.insert((i, "v"))
-    db.services.faults.arm("wal.append", nth=3)
+    db.services.faults.arm("wal.append", nth=1)  # the insert's one record
     with pytest.raises(InjectedFault):
         btab.insert((100, "x"))
     db.services.faults.disarm()

@@ -210,8 +210,9 @@ def test_what_a_scan_returns_does_not_alias_the_image(storage, rows):
 # ---------------------------------------------------------------------------
 
 def failed_insert(db, table):
-    """Inserts whose log append fails at each of the first calls."""
-    for nth in range(1, 4):
+    """Inserts whose log append fails at each of its calls: the
+    operation's record, then the COMMIT (a commit that fails aborts)."""
+    for nth in range(1, 3):
         db.services.faults.arm("wal.append", nth=nth)
         with pytest.raises(InjectedFault):
             table.insert_many([(1000 + nth, "never", 1.0)])
