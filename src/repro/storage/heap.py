@@ -18,10 +18,12 @@ to build the relation from the log.  The tuple count kept beside it is
 derived from the pages: the forward path, undo and redo outside restart
 keep it in step (``_keep``), and restart counts the pages again when the
 crash may have left it wrong.
-The page bodies, by address, and the scan leaf (:class:`PageLeaf`) are
-also the B-tree-organised method's.  The leaf keeps what it decodes off a
-resident page in the frame's :class:`PageImage`, which a page's first
-visit since it was installed does not keep and any write drops.
+The read-only publishing method is this one as a subclass, written once
+and never logged; the page bodies, by address, and the scan leaf
+(:class:`PageLeaf`) are also the B-tree-organised method's.  The leaf
+keeps what it decodes off a resident page in the frame's
+:class:`PageImage`, which a page's first visit since it was installed
+does not keep and any write drops.
 
 DDL attributes: ``fill_hint`` (float in (0, 1], advisory page fill target).
 """

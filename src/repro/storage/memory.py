@@ -200,10 +200,10 @@ class MemoryStorageMethod(StorageMethod):
         descriptor = handle.descriptor.storage_descriptor
         self._require(descriptor, key)
         ctx.lock_record(handle.relation_id, key, LockMode.X)
-        descriptor["rows"][key] = new_record
         ctx.log(self.resource, {"op": "update", "key": key,
                                 "old": old_record,
                                 "relation_id": descriptor["relation_id"]})
+        descriptor["rows"][key] = new_record
         ctx.stats.bump("memory.updates")
         return key
 
@@ -211,33 +211,33 @@ class MemoryStorageMethod(StorageMethod):
         self.delete_batch(ctx, handle, ((key, old_record),))
 
     # -- set-at-a-time modification -------------------------------------------------
+    # Every change is locked, checked and logged before the dict moves: a
+    # refused lock or a failed log append leaves nothing applied.
     def insert_batch(self, ctx, handle, records):
         """Assign all surrogate keys and write one grouped log record."""
         descriptor = handle.descriptor.storage_descriptor
-        keys = []
-        for record in records:
-            key = descriptor["next_key"]
-            descriptor["next_key"] = key + 1
+        start = descriptor["next_key"]
+        keys = list(range(start, start + len(records)))
+        descriptor["next_key"] = start + len(records)
+        for key in keys:
             ctx.lock_record(handle.relation_id, key, LockMode.X)
-            descriptor["rows"][key] = record
-            keys.append(key)
         ctx.log(self.resource, {"op": "insert_multi", "keys": keys,
                                 "relation_id": descriptor["relation_id"]})
+        descriptor["rows"].update(zip(keys, records))
         ctx.stats.bump("memory.inserts", len(keys))
         return keys
 
     def delete_batch(self, ctx, handle, items) -> None:
         descriptor = handle.descriptor.storage_descriptor
-        keys, olds = [], []
-        for key, old in items:
+        keys = [key for key, __ in items]
+        for key in keys:
             self._require(descriptor, key)
             ctx.lock_record(handle.relation_id, key, LockMode.X)
-            del descriptor["rows"][key]
-            keys.append(key)
-            olds.append(old)
         ctx.log(self.resource, {"op": "delete_multi", "keys": keys,
-                                "olds": olds,
+                                "olds": [old for __, old in items],
                                 "relation_id": descriptor["relation_id"]})
+        for key in keys:
+            del descriptor["rows"][key]
         ctx.stats.bump("memory.deletes", len(keys))
 
     # -- access -------------------------------------------------------------------------

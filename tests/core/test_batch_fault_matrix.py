@@ -4,8 +4,9 @@ A single-record ``insert``/``update``/``delete`` is a batch of one, so the
 same cases run at batch size 1 (through the single-record API), 3, and 64
 (the lock-escalation threshold) against each storage method and each way
 a modification can fail — a built-in constraint veto, a veto or a foreign
-exception from a tuple-at-a-time third-party attachment, and faults
-injected into the storage-method and index procedure-vector calls.
+exception from a tuple-at-a-time third-party attachment, faults
+injected into the storage-method and index procedure-vector calls, and a
+failed log append inside the storage method.
 Whatever failed, rollback must restore storage and every attachment, and
 the escaping error must say where it fired.
 
@@ -93,7 +94,8 @@ PLANTED = {"unique": (None, None), "veto": (VETO, VETO_DELETE),
            "fault": (POISON, POISON_DELETE)}
 #: failure -> fault point armed inside the procedure-vector call
 ARMED = {"storage": "dispatch.storage.{op}",
-         "index": "dispatch.attached.btree_index.{op}"}
+         "index": "dispatch.attached.btree_index.{op}",
+         "log": "wal.append"}  # the storage method's first log record
 CASES = [(size, storage, failure, op)
          for size in SIZES for storage in STORAGES
          for failure in list(PLANTED) + list(ARMED)
@@ -152,7 +154,7 @@ def test_failed_modification_is_located_and_rolled_back(size, storage,
     assert error.operation == op
     assert error.attachment_id == {
         "unique": "unique", "veto": "tripwire", "fault": "tripwire",
-        "storage": None, "index": "btree_index"}[failure]
+        "storage": None, "index": "btree_index", "log": None}[failure]
     # Planted failures belong to one record; a failed vector call does not.
     assert error.batch_index == (at if failure in PLANTED else None)
     if expected is ExtensionFault:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database
-from repro.errors import StorageError
+from repro.errors import LockConflictError, StorageError
 
 
 @pytest.fixture
@@ -95,3 +95,18 @@ def test_delete_under_scan_semantics(db, temp_table):
         __, record = scan.next()
         assert record[0] == 1
     db.commit()
+
+
+def test_a_delete_refused_mid_batch_removes_nothing(db, temp_table):
+    """A reader holds one row of the batch: the delete must conflict
+    before it removes any row, or its rollback has nothing to restore."""
+    temp_table.insert_many([(i, "v") for i in range(4)])
+    reader, writer = db.connect(), db.connect()
+    reader.begin()
+    assert reader.execute("SELECT v FROM scratch WHERE id = 3") == [("v",)]
+    writer.begin()
+    with pytest.raises(LockConflictError):
+        writer.execute("DELETE FROM scratch WHERE id >= 0")
+    writer.rollback()
+    reader.commit()
+    assert sorted(temp_table.rows()) == [(i, "v") for i in range(4)]

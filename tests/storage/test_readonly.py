@@ -3,7 +3,8 @@
 import pytest
 
 from repro import Database
-from repro.errors import ReadOnlyError, StorageError
+from repro.errors import PageError, ReadOnlyError, SchemaError, \
+    StorageError
 
 
 def publish(db, name="pub", n=20):
@@ -16,27 +17,37 @@ def publish(db, name="pub", n=20):
     return db.table(name)
 
 
+def keys_of(table):
+    """Record keys are heap addresses: learn them from a scan."""
+    return [key for key, __ in table.scan()]
+
+
 def test_publish_then_read(db):
     table = publish(db)
     assert table.count() == 20
-    assert table.fetch(0) == (0, "title_0")
-    assert table.fetch(19) == (19, "title_19")
-    assert table.fetch(20) is None
+    keys = keys_of(table)
+    assert table.fetch(keys[0]) == (0, "title_0")
+    assert table.fetch(keys[19]) == (19, "title_19")
+    page, slot = keys[19]
+    assert table.fetch((page, slot + 1)) is None
 
 
 def test_ordinal_keys_in_publication_order(db):
     table = publish(db)
-    assert [key for key, __ in table.scan()] == list(range(20))
+    pairs = table.scan()
+    assert [record[0] for __, record in pairs] == list(range(20))
+    assert len({key for key, __ in pairs}) == 20
 
 
 def test_modifications_rejected(db):
     table = publish(db)
+    key = keys_of(table)[0]
     with pytest.raises(ReadOnlyError):
         table.insert((99, "x"))
     with pytest.raises(ReadOnlyError):
-        table.delete(0)
+        table.delete(key)
     with pytest.raises(ReadOnlyError):
-        table.update(0, {"title": "x"})
+        table.update(key, {"title": "x"})
 
 
 def test_double_publish_rejected(db):
@@ -51,6 +62,7 @@ def test_double_publish_rejected(db):
 def test_published_data_survives_crash_without_logging(db):
     log_before = len(db.services.wal)
     table = publish(db, n=50)
+    key = keys_of(table)[25]
     # Publishing wrote no UPDATE log records (only the DDL entry exists).
     from repro.services import wal
     data_records = [r for r in db.services.wal.forward(log_before + 1)
@@ -58,7 +70,29 @@ def test_published_data_survives_crash_without_logging(db):
     assert data_records == []
     db.restart()
     assert table.count() == 50
-    assert table.fetch(25) == (25, "title_25")
+    assert table.fetch(key) == (25, "title_25")
+
+
+@pytest.mark.parametrize("bad,error", [
+    ((30, 31), SchemaError),              # refused by the schema check
+    ((30, "t" * 2000), PageError),        # larger than an empty page
+])
+def test_a_failed_publish_leaves_nothing(db, bad, error):
+    db.create_table("pub", [("id", "INT"), ("title", "STRING")],
+                    storage_method="readonly")
+    handle = db.catalog.handle("pub")
+    method = db.registry.storage_method(handle.descriptor.storage_method_id)
+    table, held = db.table("pub"), db.services.disk.allocated_pages
+    with pytest.raises(error):
+        with db.autocommit() as ctx:
+            method.publish(ctx, handle, [(i, f"title_{i}") for i in range(30)]
+                           + [bad])
+    assert table.count() == 0 and table.rows() == []
+    assert db.services.disk.allocated_pages == held
+    with db.autocommit() as ctx:
+        assert method.publish(ctx, handle, [(i, "again") for i in range(5)]) \
+            == 5
+    assert sorted(table.rows()) == [(i, "again") for i in range(5)]
 
 
 def test_scan_with_filter(db):
@@ -70,11 +104,12 @@ def test_scan_with_filter(db):
 def test_attachments_on_published_relation(db):
     """Indexes can be attached after mastering (built from a scan)."""
     table = publish(db, n=30)
+    key = keys_of(table)[7]
     db.create_index("pub_id", "pub", ["id"])
     from repro import AccessPath
     att = db.registry.attachment_type_by_name("btree_index")
     assert table.fetch((7,), access_path=AccessPath(att.type_id, "pub_id")) \
-        == [7]
+        == [key]
 
 
 def test_queries_over_published_relation(db):
