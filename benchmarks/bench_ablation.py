@@ -7,7 +7,8 @@ A1 — operation savepoints: every dispatched modification establishes an
 A2 — descriptor width: the record-oriented descriptor keeps NULL fields
      for absent attachment types; show that many registered-but-unused
      types cost nothing per modification.
-A3 — buffer pool capacity: scans under eviction pressure vs a warm pool.
+A3 — buffer pool capacity: scans under eviction pressure vs a warm pool,
+     and the misses of a repeated scan of a relation larger than the pool.
 A4 — covering index reads vs index + base-relation fetch.
 """
 
@@ -105,6 +106,30 @@ def test_a3_scan_under_buffer_pressure(benchmark, capacity):
     benchmark.extra_info["buffer_frames"] = capacity
     benchmark.extra_info["evictions"] = db.services.stats.get(
         "buffer.evictions")
+
+
+def _scan_misses(db, table):
+    stats = db.services.stats
+    before = stats.get("buffer.misses")
+    assert table.count(where="id >= 0") == 4000
+    return stats.get("buffer.misses") - before
+
+
+@pytest.mark.parametrize("capacity", [8, 64])
+def test_a3_repeated_scan_larger_than_the_pool(benchmark, capacity):
+    """A looping scan faults each page it finds missing into the pool's
+    next victim, so from the second scan on it misses the relation's pages
+    less the frames it keeps (at plain LRU it missed every page)."""
+    db, table = _scan_db(capacity)
+    handle = db.catalog.handle("t")
+    pages = len(handle.descriptor.storage_descriptor["pages"])
+    assert pages > capacity
+    _scan_misses(db, table)
+    second = _scan_misses(db, table)
+    assert second <= pages - (capacity - 2)
+    benchmark(lambda: table.count(where="id >= 0"))
+    benchmark.extra_info.update(buffer_frames=capacity, relation_pages=pages,
+                                second_scan_misses=second)
 
 
 # ---------------------------------------------------------------------------

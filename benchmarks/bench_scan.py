@@ -1,9 +1,9 @@
 """E15 — set-at-a-time vs tuple-at-a-time scans on the read path.
 
 The batched pipeline extracts records page-at-a-time under one buffer pin
-(``next_batch``), pre-installs upcoming pages (buffer read-ahead), turns a
-batch of index-probe record keys into one ``fetch_many`` storage call, and
-stops pulling batches once a LIMIT is satisfied.  For a 10 000-row full
+(``next_batch``), turns a batch of index-probe record keys into one
+``fetch_many`` storage call, and stops pulling batches once a LIMIT is
+satisfied.  For a 10 000-row full
 scan the batched path must pin at least 5x fewer buffer pages and make at
 least 3x fewer scan dispatch calls than tuple-at-a-time; LIMIT 10 must
 touch under 5% of the relation's pages.
@@ -92,9 +92,7 @@ def _measure(db, fn):
 
 def _buffer_counters(delta: dict) -> dict:
     return {"pins": delta.get("buffer.pins", 0),
-            "misses": delta.get("buffer.misses", 0),
-            "readahead_installed": delta.get("buffer.readahead.installed", 0),
-            "readahead_hits": delta.get("buffer.readahead.hits", 0)}
+            "misses": delta.get("buffer.misses", 0)}
 
 
 def scan_profile(rows: int = N) -> dict:
@@ -137,8 +135,7 @@ def scan_profile(rows: int = N) -> dict:
         "limit_10": dict(
             _buffer_counters(limit),
             short_circuits=limit.get("executor.limit_short_circuits", 0),
-            pages_touched=limit.get("buffer.pins", 0)
-            + limit.get("buffer.readahead.installed", 0),
+            pages_touched=limit.get("buffer.pins", 0),
         ),
         "index_probe": dict(
             _buffer_counters(probe),

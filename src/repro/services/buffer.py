@@ -9,6 +9,15 @@ are still in the buffer pool" — storage methods and attachments here do
 exactly that, operating on pinned :class:`~repro.services.pages.PageView`
 objects.
 
+One exception to LRU serves the looping sequential scan, for which Chou &
+DeWitt's DBMIN (VLDB 1985) prescribes MRU: a scan that reads a relation
+larger than the pool in page order revisits a page only after every other,
+so a page it faults into a full pool goes to the eviction end.  The next
+miss evicts that frame again: a repeated scan keeps the pages it found
+resident, with their decoded images, cycles one frame through the rest,
+and leaves the hot pages of other traffic alone.  A hit is an ordinary LRU
+touch, so the resident set is stable.
+
 A *crash* is simulated by discarding every frame without flushing; restart
 recovery then rebuilds state from the device plus the stable prefix of the
 log.
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..errors import BufferError_, ChecksumError
 from .disk import BlockDevice
@@ -37,15 +46,14 @@ __all__ = ["BufferPool"]
 
 
 class _Frame:
-    __slots__ = ("page_id", "data", "pin_count", "dirty", "prefetched",
-                 "rec_lsn", "rec_candidate", "image")
+    __slots__ = ("page_id", "data", "pin_count", "dirty", "rec_lsn",
+                 "rec_candidate", "image")
 
     def __init__(self, page_id: int, data: bytearray):
         self.page_id = page_id
         self.data = data
         self.pin_count = 0
         self.dirty = False
-        self.prefetched = False
         #: LSN of the first update since the frame was last clean (0: clean).
         self.rec_lsn = 0
         #: Conservative floor for rec_lsn, captured when a clean frame is
@@ -59,11 +67,6 @@ class _Frame:
 
 class BufferPool:
     """A fixed-capacity page cache over a :class:`BlockDevice`."""
-
-    #: Misses on this many consecutive page ids trigger read-ahead.
-    READAHEAD_RUN = 3
-    #: Number of upcoming pages pre-installed per read-ahead trigger.
-    READAHEAD_WINDOW = 8
 
     def __init__(self, device: BlockDevice, capacity: int = 256,
                  wal_flush: Optional[Callable[[int], None]] = None,
@@ -80,8 +83,6 @@ class BufferPool:
         # LRU order: least-recently-used frames at the front, so eviction
         # pops from the front instead of scanning every frame.
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
-        self._last_page = -2  # sequential-pattern detector state
-        self._seq_run = 0
 
     def set_wal_flush(self, wal_flush: Callable[[int], None]) -> None:
         """Install the log-force hook (wired up after the WAL is created)."""
@@ -132,34 +133,43 @@ class BufferPool:
             frame.pin_count -= 1
 
     def fetch_image(self, page_id: int,
-                    make: Callable[[PageView, bool], object]):
+                    make: Callable[[PageView, bool], object],
+                    looping: bool = False):
         """Pin the page (the caller unpins) and return its bytes with the
         frame's image, which the caller may only add to, under the pin.  A
         frame without one gets ``make(page, keep)``, not kept (``keep``
-        false) on the page's first visit since it was installed: a miss,
-        or the first demand pin of a read-ahead page."""
-        frame = self._frames.get(page_id)
-        keep = frame is not None and not frame.prefetched
-        frame = self._pin(page_id)
+        false) when this pin faulted the page in.  A ``looping`` pin — a
+        scan of a relation larger than the pool, in page order — that had
+        to evict leaves its frame at the eviction end of the LRU order, and
+        a looping hit on the frame there leaves it there."""
+        keep = page_id in self._frames
+        frame = self._pin(page_id, looping)
         image = frame.image
         if image is None:
-            image = make(PageView(page_id, frame.data), keep)
+            try:
+                image = make(PageView(page_id, frame.data), keep)
+            except BaseException:
+                frame.pin_count -= 1
+                raise
             if keep:
                 frame.image = image
         return frame.data, image
 
-    def _pin(self, page_id: int) -> _Frame:
+    def _pin(self, page_id: int, looping: bool = False) -> _Frame:
         frame = self._frames.get(page_id)
         if frame is None:
             self.stats.bump("buffer.misses")
-            self._note_miss(page_id)
+            full = len(self._frames) >= self.capacity
             frame = self._install(page_id, self._read_verified(page_id))
+            if looping and full:
+                self._frames.move_to_end(page_id, last=False)
         else:
             self.stats.bump("buffer.hits")
-            if frame.prefetched:
-                frame.prefetched = False
-                self.stats.bump("buffer.readahead.hits")
-            self._frames.move_to_end(page_id)
+            # A looping pin that finds its page next in line for eviction
+            # is the loop again on the page it just faulted in (a batch
+            # that ended mid-page): a touch would evict a page it keeps.
+            if not looping or next(iter(self._frames)) != page_id:
+                self._frames.move_to_end(page_id)
         if frame.pin_count == 0 and not frame.dirty:
             # First pin of a clean frame: no log record of this pin's
             # modifications can exist yet, so the current log end bounds
@@ -168,50 +178,6 @@ class BufferPool:
         frame.pin_count += 1
         self.stats.bump("buffer.pins")
         return frame
-
-    def prefetch(self, page_ids: Iterable[int]) -> int:
-        """Pre-install pages without pinning them.
-
-        Sequential scans call this with the pages they are about to touch,
-        so the subsequent :meth:`fetch` calls hit in the pool.  Prefetch
-        never evicts — pages are installed only while free frames remain —
-        and silently skips pages already cached or not on the device.
-        Returns the number of pages installed.
-        """
-        installed = 0
-        for page_id in page_ids:
-            if page_id in self._frames:
-                continue
-            if len(self._frames) >= self.capacity:
-                self.stats.bump("buffer.readahead.skipped")
-                break
-            if not self.device.exists(page_id):
-                continue
-            raw = self.device.read(page_id)
-            if not verify_checksum(raw):
-                # Don't install a corrupt image speculatively; the demand
-                # fetch of this page will raise the ChecksumError.
-                self.stats.bump("buffer.checksum.prefetch_skipped")
-                continue
-            frame = _Frame(page_id, bytearray(raw))
-            frame.prefetched = True
-            self._frames[page_id] = frame
-            installed += 1
-        if installed:
-            self.stats.bump("buffer.readahead.installed", installed)
-        return installed
-
-    def _note_miss(self, page_id: int) -> None:
-        """Detect sequential miss patterns and read ahead of them."""
-        if page_id == self._last_page + 1:
-            self._seq_run += 1
-            if self._seq_run >= self.READAHEAD_RUN:
-                self.stats.bump("buffer.readahead.triggered")
-                self.prefetch(range(page_id + 1,
-                                    page_id + 1 + self.READAHEAD_WINDOW))
-        else:
-            self._seq_run = 0
-        self._last_page = page_id
 
     def unpin(self, page_id: int, dirty: bool = False, image=None) -> None:
         """Release a pin.  A dirty unpin drops the frame's decoded image —

@@ -319,25 +319,24 @@ class HeapScan(Scan):
         self.state = BEFORE
         self.position: Optional[Tuple[int, int]] = None  # (page index, slot)
 
-    #: Pages prefetched ahead of the one being extracted during a batch.
-    _PREFETCH_PAGES = 4
-
     def next_batch(self, n: int) -> ColumnBatch:
         """Extract up to ``n`` qualifying records page-at-a-time, as a
         batch that carries their keys: each page pinned once and read by
-        the :class:`PageLeaf`, the returned keys locked per page.  The
-        pages about to be crossed are pre-installed in the buffer pool."""
+        the :class:`PageLeaf`, the returned keys locked per page.  Over a
+        relation larger than the buffer pool the pins are ``looping``: a
+        page this scan faults in is the pool's next victim."""
         self._check_open()
         if n < 1:
             raise ScanError(f"next_batch needs a positive count, got {n}")
         pages: List[int] = self.handle.descriptor.storage_descriptor["pages"]
         page_index, slot = (0, -1) if self.position is None else self.position
         buffer, stats = self.ctx.buffer, self.ctx.stats
+        looping = len(pages) > buffer.capacity
         leaf = PageLeaf(self.handle.schema, self.fields, self.predicate, stats)
         keys = leaf.keys
         while page_index < len(pages) and len(keys) < n:
             page_id = pages[page_index]
-            data, image = buffer.fetch_image(page_id, PageImage)
+            data, image = buffer.fetch_image(page_id, PageImage, looping)
             try:
                 slots = image.live if slot < 0 \
                     else [s for s in image.live if s > slot]
@@ -364,10 +363,6 @@ class HeapScan(Scan):
             page_index += 1
             slot = -1
             self.position = (page_index, -1)
-            if len(keys) < n and page_index < len(pages):
-                # The batch crosses into the next page: read ahead of it.
-                buffer.prefetch(pages[page_index:
-                                      page_index + self._PREFETCH_PAGES])
         if not keys:
             self.state = AFTER
         return leaf.batch()

@@ -115,7 +115,7 @@ def test_free_page_requires_unpinned():
 
 
 # ---------------------------------------------------------------------------
-# Read-ahead
+# Replacement: LRU, except that a looping pin's fault is the next victim
 # ---------------------------------------------------------------------------
 
 def flushed_pages(pool, n):
@@ -130,50 +130,51 @@ def flushed_pages(pool, n):
     return ids
 
 
-def test_prefetch_installs_unpinned_frames():
-    device, pool = make_pool(capacity=8)
-    ids = flushed_pages(pool, 3)
-    assert pool.prefetch(ids) == 3
-    assert pool.cached_pages == 3
-    assert all(pool.pin_count(i) == 0 for i in ids)
-    before = device.reads
-    with pool.pinned(ids[0]):
-        pass
-    assert device.reads == before  # served from the pool
-    assert pool.stats.get("buffer.readahead.hits") == 1
+def looping_pass(pool, ids, pins=1):
+    """Pin every page in order as a looping scan does, ``pins`` times in a
+    row (a scan whose batch ended mid-page pins that page again); the
+    first pins that hit."""
+    hits = 0
+    for page_id in ids:
+        hits += page_id in pool._frames
+        for __ in range(pins):
+            pool.fetch_image(page_id, lambda page, keep: None, looping=True)
+            pool.unpin(page_id)
+    return hits
 
 
-def test_prefetch_never_evicts():
-    device, pool = make_pool(capacity=2)
-    resident = flushed_pages(pool, 3)
-    pool.prefetch(resident[:2])
-    assert pool.cached_pages == 2
-    skipped_before = pool.stats.get("buffer.readahead.skipped")
-    assert pool.prefetch(resident[2:]) == 0  # pool full: skip, don't evict
-    assert pool.stats.get("buffer.readahead.skipped") == skipped_before + 1
-    assert pool.cached_pages == 2
+@pytest.mark.parametrize("pins", [1, 2])
+def test_repeated_looping_passes_keep_the_pages_they_found(pins):
+    device, pool = make_pool(capacity=4)
+    ids = flushed_pages(pool, 12)
+    hits = [looping_pass(pool, ids, pins) for __ in range(6)]
+    # One frame cycles through the misses, re-pinned or not; the others
+    # stay resident.  At plain LRU a loop over three times the pool never
+    # hits.
+    assert hits[0] == 0 and hits[1] == pool.capacity - 1
+    assert len(set(hits[1:])) == 1
 
 
-def test_prefetch_skips_cached_and_missing_pages():
-    device, pool = make_pool(capacity=8)
-    page = pool.new_page(1)
-    pool.unpin(page.page_id, dirty=True)
-    assert pool.prefetch([page.page_id, page.page_id + 999]) == 0
-
-
-def test_sequential_misses_trigger_readahead():
-    device, pool = make_pool(capacity=32)
+def test_a_looping_pass_through_a_full_pool_evicts_one_other_page():
+    device, pool = make_pool(capacity=4)
     ids = flushed_pages(pool, 16)
-    # A run of consecutive-page misses pre-installs the pages ahead.
-    for page_id in ids[:4]:
+    resident, loop = ids[:4], ids[4:]
+    for page_id in resident:           # fill the pool by key
         with pool.pinned(page_id):
             pass
-    assert pool.stats.get("buffer.readahead.triggered") >= 1
-    assert pool.stats.get("buffer.readahead.installed") >= 1
-    before = device.reads
-    with pool.pinned(ids[4]):
-        pass
-    assert device.reads == before  # read ahead of the scan
+    looping_pass(pool, loop)
+    # The first fault took the LRU frame; every later one took its own.
+    assert [page_id for page_id in pool._frames
+            if page_id in resident] == resident[1:]
+
+
+def test_a_looping_fault_with_room_and_a_looping_hit_are_plain_lru():
+    device, pool = make_pool(capacity=4)
+    ids = flushed_pages(pool, 3)
+    looping_pass(pool, ids)            # room left: each fault goes last
+    assert list(pool._frames) == ids
+    looping_pass(pool, ids[1:2])       # a hit is a touch
+    assert list(pool._frames) == [ids[0], ids[2], ids[1]]
 
 
 def test_rec_lsn_tracks_first_dirtying_update():
@@ -247,15 +248,6 @@ def test_flush_while_pinned_rearms_candidate():
     assert pool.dirty_page_table() == {page.page_id: 4}
 
 
-def test_random_misses_do_not_trigger_readahead():
-    device, pool = make_pool(capacity=32)
-    ids = flushed_pages(pool, 12)
-    for page_id in (ids[0], ids[5], ids[2], ids[9], ids[7]):
-        with pool.pinned(page_id):
-            pass
-    assert pool.stats.get("buffer.readahead.triggered") == 0
-
-
 # ---------------------------------------------------------------------------
 # Decoded images: one decode per resident frame
 # ---------------------------------------------------------------------------
@@ -298,6 +290,19 @@ def test_decoded_releases_its_pin_when_the_decoder_raises():
         pool.decoded(page_id, broken)
     assert pool.pin_count(page_id) == 0
     assert pool._frames[page_id].image is None
+
+
+def test_fetch_image_releases_its_pin_when_make_raises():
+    device, pool = make_pool()
+    page_id, __, __ = decoded_page(pool)
+
+    def broken(view, keep):
+        raise ValueError("cannot decode")
+    with pytest.raises(ValueError):
+        pool.fetch_image(page_id, broken)
+    assert pool.pin_count(page_id) == 0
+    assert pool._frames[page_id].image is None
+    pool.crash()                       # no leaked pin
 
 
 @pytest.mark.parametrize("event", ["unpin_dirty", "evict", "free", "crash"])

@@ -74,22 +74,6 @@ def test_fault_in_of_corrupt_page_raises_checksum_error():
     assert device.stats.get("buffer.checksum.failures") == 1
 
 
-def test_prefetch_skips_corrupt_pages():
-    pool, device = make_pool()
-    pids = []
-    for __ in range(3):
-        page = pool.new_page(1)
-        pool.unpin(page.page_id, dirty=True)
-        pids.append(page.page_id)
-    pool.flush_all()
-    pool.crash()
-    device.write(pids[1], b"\xff" * device.page_size)
-    assert pool.prefetch(pids) == 2
-    assert device.stats.get("buffer.checksum.prefetch_skipped") == 1
-    with pytest.raises(ChecksumError):
-        pool.fetch(pids[1])
-
-
 # -- restart torn-page repair ------------------------------------------------
 def test_restart_repairs_corrupt_page_from_checkpoint_archive():
     db = Database(page_size=1024, buffer_capacity=64)

@@ -9,6 +9,8 @@ drops the image, so a warm scan after any write equals a cold read of the
 same pages — on heap and btree_file relations alike.
 """
 
+import random
+
 import pytest
 
 from repro import Database
@@ -145,30 +147,6 @@ def test_a_first_visit_keeps_nothing_and_decodes_the_chosen_rows_only(
     assert all(frame.image is None for frame in frames(db))
 
 
-def test_read_ahead_pages_keep_nothing_on_their_first_demand_pin():
-    buffer = Database(page_size=512).services.buffer
-    pages = [buffer.new_page(1).page_id for __ in range(3)]
-    for page_id in pages:
-        buffer.unpin(page_id, dirty=True)
-    buffer.flush_all()
-    buffer._frames.clear()
-    assert buffer.prefetch(pages) == 3
-    made = []
-
-    def make(page, keep):
-        made.append(keep)
-        return object()
-    data, image = buffer.fetch_image(pages[0], make)
-    buffer.unpin(pages[0])
-    assert made == [False] and buffer._frames[pages[0]].image is None
-    __, kept = buffer.fetch_image(pages[0], make)
-    buffer.unpin(pages[0])
-    assert made == [False, True] and buffer._frames[pages[0]].image is kept
-    assert buffer.fetch_image(pages[0], make)[1] is kept and len(made) == 2
-    buffer.unpin(pages[0], dirty=True)
-    assert buffer._frames[pages[0]].image is None
-
-
 @pytest.mark.parametrize("storage", sorted(STORAGES))
 def test_a_scan_that_resumes_mid_page_reads_the_image(storage, monkeypatch):
     db, table = build(storage)
@@ -203,6 +181,86 @@ def test_what_a_scan_returns_does_not_alias_the_image(storage, rows):
                 column = batch.column(index)
                 column[:] = [None] * len(column)
     assert reads(table) == expected
+
+
+# ---------------------------------------------------------------------------
+# A looping heap scan keeps what it found resident, and nothing else moves
+# ---------------------------------------------------------------------------
+
+def small_pool(storage="heap", rows=500, capacity=8, batch=None):
+    """``rows`` shuffled records (in ``batch``-sized inserts) in a pool of
+    ``capacity`` frames, and a function that scans them all and returns
+    the scan's ``(misses, hits)``."""
+    db = Database(page_size=512, buffer_capacity=capacity)
+    table = db.create_table("emp", SCHEMA, storage_method=storage,
+                            attributes=STORAGES[storage])
+    ids = list(range(rows))
+    random.Random(7).shuffle(ids)
+    batch = batch or rows
+    for start in range(0, rows, batch):
+        table.insert_many([(i, f"n{i:03d}", i * 0.5)
+                           for i in ids[start:start + batch]])
+    stats = db.services.stats
+
+    def scan():
+        before = stats.get("buffer.misses"), stats.get("buffer.hits")
+        assert len(table.rows(None, FIELDS)) == rows
+        return (stats.get("buffer.misses") - before[0],
+                stats.get("buffer.hits") - before[1])
+    return db, scan
+
+
+def test_repeated_scans_of_a_heap_larger_than_the_pool_hit_alike(
+        monkeypatch):
+    db, scan = small_pool()
+    capacity = db.services.buffer.capacity
+    assert len(pages(db)) > 3 * capacity
+    seen = [scan() for __ in range(6)]
+    # At plain LRU a loop over more pages than the pool never hits.
+    assert len(set(seen[1:])) == 1 and seen[1][1] >= capacity - 2
+    # The pages it finds resident hold their images and decode nothing.
+    buffer = db.services.buffer
+    kept = sum(isinstance(buffer._frames[page_id].image, PageImage)
+               for page_id in pages(db) if page_id in buffer._frames)
+    assert kept >= capacity - 2
+    calls = count_page_decodes(monkeypatch, db.catalog.handle("emp").schema)
+    assert scan() == seen[1] and len(calls) <= sum(seen[1]) - kept
+
+
+def test_a_page_pinned_by_key_survives_a_scan_of_a_heap_three_times_the_pool():
+    db, scan = small_pool()
+    buffer = db.services.buffer
+    hot = db.create_table("hot", SCHEMA)
+    hot.insert((1, "hot", 1.0))
+    hot_page = pages(db, "hot")[0]
+    with buffer.pinned(hot_page):
+        pass
+    scan()
+    assert hot_page in buffer._frames
+
+
+def test_a_heap_that_fits_the_pool_is_scanned_into_it_at_plain_lru():
+    """The rule is the loop's: a small relation scanned after a loop filled
+    the pool still becomes resident."""
+    db, scan = small_pool()
+    buffer = db.services.buffer
+    small = db.create_table("small", SCHEMA)
+    small.insert_many([(i, "s", 1.0) for i in range(40)])
+    assert 1 < len(pages(db, "small")) < buffer.capacity
+    buffer.flush_all()
+    buffer._frames.clear()
+    scan()
+    small.rows()
+    assert all(page_id in buffer._frames for page_id in pages(db, "small"))
+
+
+def test_a_key_order_scan_of_a_btree_file_misses_as_at_plain_lru():
+    """The btree_file scan revisits pages as it follows the key directory,
+    so its pins stay LRU: the same fault counts as plain LRU (as the
+    looping rule it faults a page about fourteen times a scan)."""
+    db, scan = small_pool("btree_file", rows=2000, capacity=16, batch=200)
+    assert len(pages(db)) == 118
+    assert [scan()[0] for __ in range(3)] == [127, 118, 118]
 
 
 # ---------------------------------------------------------------------------
