@@ -29,6 +29,13 @@ record NULL past the leading key field would be missed by a range over
 the leading one, so it marks the instance ``partial``, which offers no
 route until a rebuild finds no such record.
 
+A unique instance probes a whole batch (stored keys and the batch's own)
+before it adds an entry, and its :class:`~repro.errors.UniqueViolation`
+names the instance and the offending row's position in batch order.  The
+``unique`` constraint is this type with uniqueness always on and no
+access path; counters are named by the type (``btree_index.*``,
+``unique.*``).
+
 DDL attributes: ``columns`` (list of column names, required),
 ``unique`` (bool, default False), ``max_entries`` (node fanout bound).
 """
@@ -147,17 +154,17 @@ class BTreeIndexAttachment(AttachmentType):
         max_entries = attributes.pop("max_entries", DEFAULT_MAX_ENTRIES)
         if attributes:
             raise StorageError(
-                f"btree_index: unknown attributes {sorted(attributes)}")
+                f"{self.name}: unknown attributes {sorted(attributes)}")
         if not columns:
-            raise StorageError("btree_index requires a 'columns' attribute")
+            raise StorageError(f"{self.name} requires a 'columns' attribute")
         for column in columns:
             if not schema.orderable(column):
                 raise StorageError(
-                    f"btree_index column {column!r} has unorderable type "
+                    f"{self.name} column {column!r} has unorderable type "
                     f"{schema.field(column).type_code}")
         if not isinstance(max_entries, int) or max_entries < 4:
             raise StorageError(
-                f"btree_index: max_entries must be an int >= 4, got "
+                f"{self.name}: max_entries must be an int >= 4, got "
                 f"{max_entries!r}")
         return {"columns": list(columns), "unique": bool(unique),
                 "max_entries": max_entries}
@@ -191,9 +198,8 @@ class BTreeIndexAttachment(AttachmentType):
         tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
         instance["partial"] = False
         for batch in batches:
-            entries = self._entries(handle, instance, batch)
-            self._add(tree, instance, entries, "cannot build unique index: ")
-        ctx.stats.bump("btree_index.builds")
+            self._add(tree, instance, self._entries(handle, instance, batch))
+        ctx.stats.bump(self.name + ".builds")
 
     def rebuild(self, ctx, handle, field, batches) -> None:
         """Reconstruct every instance from the relation's ``batches``."""
@@ -204,7 +210,7 @@ class BTreeIndexAttachment(AttachmentType):
             self._build(ctx, handle, instance, batches)
         if partial:
             handle.descriptor.version += 1  # a withheld route may be back
-        ctx.stats.bump("btree_index.rebuilds")
+        ctx.stats.bump(self.name + ".rebuilds")
 
     # -- attached procedures -----------------------------------------------------
     @staticmethod
@@ -212,28 +218,34 @@ class BTreeIndexAttachment(AttachmentType):
         return tuple(record[i] for i in instance["key_fields"])
 
     def _entries(self, handle, instance: dict, items) -> list:
-        """The key-sorted ``(index key, record key)`` entries of the
+        """The ``(index key, record key)`` entries, in batch order, of the
         ``(record key, record)`` ``items`` whose key holds no NULL."""
         entries = [(self._key_of(instance, record), key)
                    for key, record in items]
-        kept = sorted(entry for entry in entries if None not in entry[0])
+        kept = [entry for entry in entries if None not in entry[0]]
         if len(kept) < len(entries) and not instance.get("partial") \
                 and any(None in index_key[1:] for index_key, __ in entries):
             instance["partial"] = True
             handle.descriptor.version += 1  # cached plans hold its routes
         return kept
 
+    @staticmethod
+    def _veto(instance: dict, index_key: tuple, batch_index=None):
+        return UniqueViolation(
+            instance["name"], f"duplicate key {index_key!r} for UNIQUE "
+            f"({', '.join(instance['columns'])})", batch_index=batch_index)
+
     def _add(self, tree: BTree, instance: dict, entries: list,
-             doing: str = "") -> None:
-        """Add key-sorted ``entries``; under a unique rule, veto the lot
-        first if one would duplicate a key, stored or in the batch."""
+             keys=None) -> None:
+        """Add ``entries``; under a unique rule, veto the lot first if one
+        would duplicate a key, stored or earlier in the batch, naming its
+        position among the batch's record ``keys`` when they are given."""
         if instance["unique"]:
             taken = tree.first_duplicate([key for key, __ in entries])
             if taken is not None:
-                raise UniqueViolation(
-                    self.name,
-                    f"{doing}duplicate key {entries[taken][0]!r} in unique "
-                    f"index {instance['name']!r}")
+                index_key, record_key = entries[taken]
+                raise self._veto(instance, index_key, None if keys is None
+                                 else list(keys).index(record_key))
         tree.insert_many(entries)
 
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
@@ -245,29 +257,26 @@ class BTreeIndexAttachment(AttachmentType):
             old_index_key = self._key_of(instance, old_record)
             new_index_key = self._key_of(instance, new_record)
             if old_index_key == new_index_key and old_key == new_key:
-                ctx.stats.bump("btree_index.update_skips")
+                ctx.stats.bump(self.name + ".update_skips")
                 continue  # no indexed fields were modified
             tree = BTree(ctx.buffer, instance["tree"],
                          instance["max_entries"])
-            removed, added = (self._entries(handle, instance, (item,))
-                              for item in ((old_key, old_record),
-                                           (new_key, new_record)))
-            if instance["unique"] and added \
-                    and old_index_key != new_index_key \
+            if None in new_index_key:
+                # No entry to add, but the record may mark the tree partial.
+                self._entries(handle, instance, ((new_key, new_record),))
+            elif instance["unique"] and old_index_key != new_index_key \
                     and tree.search(new_index_key):
-                raise UniqueViolation(
-                    self.name,
-                    f"duplicate key {new_index_key!r} in unique index "
-                    f"{instance['name']!r}")
-            for op, apply, entries in (("remove_many", tree.delete, removed),
-                                       ("add_many", tree.insert, added)):
-                for index_key, key in entries:
+                raise self._veto(instance, new_index_key)
+            for op, apply, index_key, key in (
+                    ("remove_many", tree.delete, old_index_key, old_key),
+                    ("add_many", tree.insert, new_index_key, new_key)):
+                if None not in index_key:
                     apply(index_key, key)
                     ctx.log(self.resource, {
                         "op": op, "relation_id": handle.relation_id,
                         "instance": instance["name"],
                         "entries": [[list(index_key), key]]})
-            ctx.stats.bump("btree_index.maintenance_ops")
+            ctx.stats.bump(self.name + ".maintenance_ops")
 
     def on_delete(self, ctx, handle, field, key, old_record) -> None:
         self.on_delete_batch(ctx, handle, field, ((key, old_record),))
@@ -283,12 +292,12 @@ class BTreeIndexAttachment(AttachmentType):
             entries = self._entries(handle, instance, zip(keys, new_records))
             if not entries:
                 continue  # every key held a NULL
-            self._add(tree, instance, entries)
+            self._add(tree, instance, entries, keys)
             ctx.log(self.resource, {
                 "op": "add_many", "relation_id": handle.relation_id,
                 "instance": instance["name"],
                 "entries": [[list(k), v] for k, v in entries]})
-            ctx.stats.bump("btree_index.maintenance_ops", len(entries))
+            ctx.stats.bump(self.name + ".maintenance_ops", len(entries))
 
     def on_delete_batch(self, ctx, handle, field, items) -> None:
         for instance in field["instances"].values():
@@ -302,7 +311,7 @@ class BTreeIndexAttachment(AttachmentType):
                 "op": "remove_many", "relation_id": handle.relation_id,
                 "instance": instance["name"],
                 "entries": [[list(k), v] for k, v in entries]})
-            ctx.stats.bump("btree_index.maintenance_ops", len(entries))
+            ctx.stats.bump(self.name + ".maintenance_ops", len(entries))
 
     # -- direct access operations ------------------------------------------------------
     def fetch(self, ctx, handle, instance, input_key) -> List:
@@ -310,7 +319,7 @@ class BTreeIndexAttachment(AttachmentType):
         if not isinstance(input_key, tuple):
             input_key = (input_key,)
         tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
-        ctx.stats.bump("btree_index.fetches")
+        ctx.stats.bump(self.name + ".fetches")
         if None in input_key:
             return []  # NULL equals nothing, and has no entry
         if len(input_key) == len(instance["key_fields"]):

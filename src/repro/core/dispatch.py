@@ -40,7 +40,7 @@ from ..services.scans import ABSENT, SnapshotScan, key_ordered
 from ..services.vectors import ColumnBatch
 from .context import ExecutionContext
 from .registry import ExtensionRegistry
-from .storage_method import RelationHandle
+from .storage_method import RelationHandle, StorageMethod
 
 __all__ = ["DataManager", "AccessPath", "STORAGE_ACCESS"]
 
@@ -452,18 +452,6 @@ class DataManager:
         return self.services.transactions.snapshot_patch(
             snapshot, handle.relation_id)
 
-    @staticmethod
-    def _apply_read(record, fields, predicate):
-        """Predicate + projection for a snapshot image, matching what the
-        storage method would have applied had the read been pushed down."""
-        if record is None or record is ABSENT:
-            return None
-        if predicate is not None and not predicate.matches(record):
-            return None
-        if fields is None:
-            return tuple(record)
-        return tuple(record[i] for i in fields)
-
     def patched_keys(self, ctx: ExecutionContext, handle: RelationHandle):
         """The record keys whose current record — and with it every
         current index entry — is not what ``ctx``'s snapshot sees (none
@@ -499,12 +487,14 @@ class DataManager:
         patch = self._relation_patch(handle, snapshot)
         if key in patch:
             ctx.stats.bump("mvcc.records_patched")
-            return self._apply_read(patch[key], fields, predicate)
-        record = self._storage_call(
-            ctx, handle, "fetch",
-            self.registry.storage_fetch[method.method_id],
-            ctx, handle, key, None, None)
-        return self._apply_read(record, fields, predicate)
+            record = patch[key]
+        else:
+            record = self._storage_call(
+                ctx, handle, "fetch",
+                self.registry.storage_fetch[method.method_id],
+                ctx, handle, key, None, None)
+        return StorageMethod.shape_read(
+            None if record is ABSENT else record, fields, predicate)
 
     def _snapshot_fetch_many(self, ctx, handle, method, keys, fields,
                              predicate, snapshot) -> list:
@@ -520,7 +510,8 @@ class DataManager:
         pairs = []
         for key in keys:
             image = patch[key] if key in patch else raw.get(key)
-            item = self._apply_read(image, fields, predicate)
+            item = StorageMethod.shape_read(
+                None if image is ABSENT else image, fields, predicate)
             if item is not None:
                 pairs.append((key, item))
         return pairs

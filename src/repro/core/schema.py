@@ -29,8 +29,11 @@ FIELD_TYPES = {
 }
 
 #: Types on which ordering comparisons (and therefore B-tree keys and
-#: key-sequential ordering) are defined.
-ORDERABLE_TYPES = frozenset({"INT", "FLOAT", "STRING", "BOOL", "BYTES"})
+#: key-sequential ordering) are defined, each with the Python types its
+#: values order against.
+ORDERABLE_TYPES = {"INT": (int, float), "FLOAT": (int, float),
+                   "BOOL": (int, float), "STRING": str,
+                   "BYTES": (bytes, bytearray)}
 
 
 class Field:
@@ -165,6 +168,11 @@ class Schema:
 
     def orderable(self, name: str) -> bool:
         return self.field(name).type_code in ORDERABLE_TYPES
+
+    def comparable(self, index: int, value) -> bool:
+        """Whether ``value`` orders against field ``index``'s values."""
+        return isinstance(value, ORDERABLE_TYPES.get(
+            self.fields[index].type_code, ()))
 
     # -- value protocol --------------------------------------------------------
     def __eq__(self, other) -> bool:

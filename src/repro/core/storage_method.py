@@ -262,15 +262,16 @@ class StorageMethod(abc.ABC):
                           route=("scan",))
 
     @staticmethod
-    def _shape_read(record, fields, predicate):
-        """What a direct-by-key read returns for a stored ``record``:
-        None when it is absent or fails ``predicate``, else the record
-        or its ``fields``."""
+    def shape_read(record, fields, predicate):
+        """What a direct-by-key read returns for a stored ``record`` (or a
+        snapshot's image of one, which may be a list): None when it is
+        absent or fails ``predicate``, else the record or its ``fields``
+        as a tuple."""
         if record is None or (predicate is not None
                               and not predicate.matches(record)):
             return None
         if fields is None:
-            return record
+            return tuple(record)
         return tuple(record[i] for i in fields)
 
     def key_fields(self, handle: RelationHandle) -> Tuple[int, ...]:

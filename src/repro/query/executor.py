@@ -259,7 +259,7 @@ class Executor:
             return
         route = None
         if type_name == "btree_index":
-            route = self._btree_route(access.relevant, params)
+            route = self._btree_route(handle.schema, access.relevant, params)
         elif type_name == "rtree":
             route = self._rtree_route(access.relevant, params)
         scan = attachment.open_scan(ctx, handle, instance, predicate, route)
@@ -326,7 +326,7 @@ class Executor:
         instance = attachment.instance(field, instance_name)
         predicate = access.compiled_predicate(handle.schema, params,
                                               ctx.stats)
-        route = self._btree_route(access.relevant, params)
+        route = self._btree_route(handle.schema, access.relevant, params)
         width = len(handle.schema)
         key_fields = instance["key_fields"]
         ctx.stats.bump("executor.covering_scans")
@@ -353,11 +353,17 @@ class Executor:
     def _operand_value(pred: EligiblePredicate, params: dict):
         return pred.operand.eval(_EMPTY_VIEW, params)
 
-    def _btree_route(self, relevant, params: dict):
+    def _btree_route(self, schema, relevant, params: dict):
         low = high = None
         low_inclusive = high_inclusive = True
         for pred in relevant:
             value = self._operand_value(pred, params)
+            if value is None:
+                return ("btree_range", (None,), None, True, True)  # no entry
+            if not schema.comparable(pred.field_index, value):
+                # A bound of another type: every entry, and the filter
+                # answers as a scan's does (no row, or PredicateError).
+                return ("btree_range", None, None, True, True)
             if pred.op == "=":
                 low = high = (value,)
                 low_inclusive = high_inclusive = True

@@ -194,7 +194,7 @@ class ForeignStorageMethod(StorageMethod):
         if record is None:
             return None
         ctx.stats.bump("foreign.fetches")
-        return self._shape_read(record, fields, predicate)
+        return self.shape_read(record, fields, predicate)
 
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Ship the whole key set in one message (a block-fetch protocol)
@@ -205,7 +205,7 @@ class ForeignStorageMethod(StorageMethod):
             "gateway.degraded_fetches", ())
         pairs = []
         for key, record in fetched:
-            record = self._shape_read(record, fields, predicate)
+            record = self.shape_read(record, fields, predicate)
             if record is not None:
                 pairs.append((key, record))
         ctx.stats.bump("foreign.fetches", len(pairs))

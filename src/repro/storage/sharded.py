@@ -861,7 +861,7 @@ class ShardedStorageMethod(StorageMethod):
         if record is _UNREACHED or record is None:
             return None
         ctx.stats.bump("sharded.fetches")
-        return self._shape_read(record, fields, predicate)
+        return self.shape_read(record, fields, predicate)
 
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Group the key set by shard: one block-fetch message per shard,
@@ -889,7 +889,7 @@ class ShardedStorageMethod(StorageMethod):
                 fetched[(index, remote_key)] = record
         results = []
         for key in keys:
-            record = self._shape_read(fetched.get(key), fields, predicate)
+            record = self.shape_read(fetched.get(key), fields, predicate)
             if record is not None:
                 results.append((key, record))
         ctx.stats.bump("sharded.fetches", len(results))

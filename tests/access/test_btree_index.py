@@ -4,6 +4,7 @@ import pytest
 
 from repro import AccessPath, Database, UniqueViolation
 from repro.access.btree_core import BTree, _Node
+from repro.errors import ReproError
 from repro.services.scans import AFTER, ON
 from tests import conftest
 
@@ -409,3 +410,52 @@ def test_a_null_past_the_leading_field_withdraws_the_range_route(db):
     db.restart()
     assert "btree_index" in str(db.explain(statement)["access"]["route"])
     assert len(db.execute(statement)) == 11
+
+
+# ---------------------------------------------------------------------------
+# A bound of another type: the route answers as the scan does
+# ---------------------------------------------------------------------------
+
+MISTYPED = [("SELECT * FROM t WHERE a = 'x'", {}),
+            ("SELECT * FROM t WHERE a = :p", {"p": "x"}),
+            ("SELECT a FROM t WHERE a = :p", {"p": "x"}),
+            ("UPDATE t SET s = 'q' WHERE a = :p", {"p": "x"}),
+            ("DELETE FROM t WHERE a = :p", {"p": "x"}),
+            ("DELETE FROM t WHERE a = 'x' AND a > 1000", {}),
+            ("SELECT * FROM t WHERE a BETWEEN upper('x') AND 0", {}),
+            ("SELECT * FROM t WHERE a > 'x'", {}),
+            ("SELECT * FROM t WHERE a IN ('x', 3)", {}),
+            ("SELECT * FROM t WHERE a IN ('x', 'y')", {}),
+            ("SELECT * FROM t WHERE a = :p", {"p": 3})]
+
+
+def mistyped_answers(kind):
+    """Every MISTYPED statement's rows, count or typed error over the same
+    20 rows, reached through no index or an index of ``kind``."""
+    db = Database(page_size=1024)
+    table = db.create_table("t", [("a", "INT"), ("s", "STRING")])
+    table.insert_many([(i, f"s{i}") for i in range(20)])
+    if kind == "hash":
+        db.create_index("t_a", "t", ["a"], kind="hash_index")
+    elif kind is not None:
+        db.create_index("t_a", "t", ["a"], unique=kind == "unique")
+    if kind is not None:
+        route = str(db.explain(MISTYPED[0][0])["access"]["route"])
+        assert "t_a" in route
+    answers = []
+    for statement, params in MISTYPED:
+        try:
+            result = db.execute(statement, params)
+        except ReproError as exc:  # a built-in exception fails the test
+            result = type(exc)
+        answers.append(sorted(result) if isinstance(result, list)
+                       else result)
+    return answers
+
+
+@pytest.mark.parametrize("kind", ["plain", "unique", "hash"])
+def test_a_bound_of_another_type_answers_as_the_scan_does(kind):
+    """``a = 'x'`` over an INT key matches no row and ``a > 'x'`` is a
+    PredicateError on a scan; a B-tree route with such a bound (alone,
+    beside another bound, or from a parameter) answers the same."""
+    assert mistyped_answers(kind) == mistyped_answers(None)
