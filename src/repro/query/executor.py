@@ -22,14 +22,14 @@ predicates are compiled once per plan (``CompiledPredicateCache``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import islice
+from itertools import chain, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.records import RecordView
 from ..errors import QueryError
 from ..services.vectors import ColumnBatch
 from . import fragments, ir
-from .cost import EligiblePredicate
+from .cost import EligiblePredicate, btree_range
 from .planner import JoinStep, SelectPlan, TableAccess
 
 __all__ = ["Executor"]
@@ -146,12 +146,9 @@ class Executor:
             rt.ordered = not any(patched_keys(ctx, handle)
                                  for handle in plan.handles.values())
         if join is None:
-            if plan.covering:
-                batches = self._covering_batches(ctx, left_handle, plan,
-                                                 params)
-                return (ColumnBatch(rows, program.width) for rows in batches)
             return self._record_batches(ctx, left_handle, plan.access, params,
-                                        program.left_fields, plan.limit)
+                                        program.left_fields, plan.limit,
+                                        plan.covering)
         right_handle = next(handle for alias, handle in plan.handles.items()
                             if alias != plan.alias)
         method = join.method
@@ -180,17 +177,9 @@ class Executor:
     # ------------------------------------------------------------------
     # Access routes
     # ------------------------------------------------------------------
-    def _access_rows(self, ctx, handle, access: TableAccess,
-                     params: dict, limit: Optional[int] = None
-                     ) -> Iterator[Tuple[object, Tuple]]:
-        """Yield (record key, full record) through the chosen route."""
-        for batch in self._access_key_batches(ctx, handle, access, params,
-                                              limit):
-            yield from batch
-
     def _record_batches(self, ctx, handle, access: TableAccess,
                         params: dict, fields: Optional[Tuple[int, ...]],
-                        limit: Optional[int] = None
+                        limit: Optional[int] = None, covering: bool = False
                         ) -> Iterator[ColumnBatch]:
         """The route's batches as a program reads them.  A locking
         reader's storage scan is asked for ``fields`` alone and the
@@ -202,7 +191,7 @@ class Executor:
             fields = None
         width = len(handle.schema.fields)
         for batch in self._access_key_batches(ctx, handle, access, params,
-                                              limit, fields):
+                                              limit, fields, covering):
             if not isinstance(batch, ColumnBatch):
                 batch = ColumnBatch([record for __, record in batch], width,
                                     fields=fields)
@@ -210,28 +199,31 @@ class Executor:
 
     def _access_key_batches(self, ctx, handle, access: TableAccess,
                             params: dict, limit: Optional[int],
-                            fields: Optional[Tuple[int, ...]] = None
+                            fields: Optional[Tuple[int, ...]] = None,
+                            covering: bool = False
                             ) -> Iterator[Sequence[Tuple[object, Tuple]]]:
         """Yield batches of (record key, record) through the chosen
         route — the one pump under SELECT sources, UPDATE and DELETE.
         Records are whole, except that the storage route hands ``fields``
-        to the scan it opens.
+        to the scan it opens, and a ``covering`` B-tree answers from its
+        keys alone: the key fields, NULL elsewhere.  An exact route is
+        handed the residual filter, tested by a B-tree's key filter when
+        the key can answer it and by the fetch otherwise.
 
         Every route serves a snapshot reader.  The storage route reads
         through dispatch, which patches each record in place.  An
         access-path route answers the snapshot's images of the patched
-        records that pass the residual filter — which contains the
-        route's own conjuncts, so a record whose indexed field has since
-        moved is judged on the value the snapshot sees — and then its
-        current hits outside the patch, fetched as a locking reader
-        fetches them: for those, current state is the snapshot's.
+        records that pass the whole predicate — a record whose indexed
+        field has since moved is judged on the value the snapshot sees —
+        and then its current hits outside the patch, fetched as a locking
+        reader fetches them: for those, current state is the snapshot's.
         """
         database = self.database
-        predicate = access.compiled_predicate(handle.schema, params,
-                                              ctx.stats)
+        schema = handle.schema
         method = database.registry.storage_method(
             handle.descriptor.storage_method_id)
         if access.is_storage:
+            predicate = access.compiled_predicate(schema, params, ctx.stats)
             opener = method if ctx.txn.snapshot is None else database.data
             yield from self._pump(
                 ctx, opener.open_scan(ctx, handle, fields, predicate), access,
@@ -244,26 +236,47 @@ class Executor:
             raise QueryError(
                 f"plan refers to dropped attachments on {handle.name!r}")
         instance = attachment.instance(field, instance_name)
-        patched, images = database.data.snapshot_candidates(ctx, handle,
-                                                            predicate)
-        if images:
-            yield images
+        if type_name == "btree_index":
+            route, exact = self._btree_route(schema, access.relevant, params)
+        elif type_name == "hash_index":
+            route, exact = self._hash_probe_key(schema, instance,
+                                                access.relevant, params)
+        else:  # an R-tree searches by its first relevant box
+            pred, exact = access.relevant[0], False
+            route = ("rtree_search", pred.op,
+                     self._operand_value(pred, params))
+        predicate = access.compiled_predicate(schema, params, ctx.stats,
+                                              exact)
+        patched = ()
+        if ctx.txn.snapshot is not None:
+            patched, images = database.data.snapshot_candidates(
+                ctx, handle, access.compiled_predicate(schema, params,
+                                                       ctx.stats))
+            if images:
+                yield images
         if type_name == "hash_index":
-            probe = self._hash_probe_key(instance, access.relevant, params)
             keys = [key for key in attachment.fetch(ctx, handle, instance,
-                                                    probe)
-                    if key not in patched]
+                                                    route)
+                    if key not in patched] if route is not None else ()
             if keys:
                 yield list(method.fetch_many(ctx, handle, keys, None,
                                              predicate))
             return
-        route = None
-        if type_name == "btree_index":
-            route = self._btree_route(handle.schema, access.relevant, params)
-        elif type_name == "rtree":
-            route = self._rtree_route(access.relevant, params)
         scan = attachment.open_scan(ctx, handle, instance, predicate, route)
+        if type_name == "btree_index" and predicate is not None \
+                and predicate.evaluable_on(instance["key_fields"]):
+            predicate = None  # the key filter tested it
+        if covering:
+            ctx.stats.bump("executor.covering_scans")
+            key_fields = instance["key_fields"]
         for batch in self._pump(ctx, scan, access, limit):
+            if covering:
+                nulls = [None] * len(batch)
+                rows = zip(*[batch.column(i) if i in key_fields else nulls
+                             for i in range(len(schema))])
+                yield [(key, row) for key, row in zip(batch.keys, rows)
+                       if key not in patched]
+                continue
             # The access path returned record keys; fetch the whole
             # batch of records via the storage method in one call,
             # filtering in the buffer pool.
@@ -310,87 +323,43 @@ class Executor:
         ctx.stats.bump("executor.batch_size_hints")
         return size
 
-    def _covering_batches(self, ctx, handle, plan: SelectPlan,
-                          params: dict) -> Iterator[List[Tuple]]:
-        """Answer entirely from a B-tree index: the access path returns the
-        record fields present in its key; the base relation is never
-        touched."""
-        database = self.database
-        access = plan.access
-        __, type_id, instance_name, __name = access.access
-        attachment = database.registry.attachment_type(type_id)
-        field = handle.descriptor.attachment_field(type_id)
-        if field is None:
-            raise QueryError(
-                f"plan refers to dropped attachments on {handle.name!r}")
-        instance = attachment.instance(field, instance_name)
-        predicate = access.compiled_predicate(handle.schema, params,
-                                              ctx.stats)
-        route = self._btree_route(handle.schema, access.relevant, params)
-        width = len(handle.schema)
-        key_fields = instance["key_fields"]
-        ctx.stats.bump("executor.covering_scans")
-        # Entries of patched records are not the snapshot's; its images
-        # of them (whole records, of which only key fields are read)
-        # answer instead.
-        patched, images = database.data.snapshot_candidates(ctx, handle,
-                                                            predicate)
-        if images:
-            yield [record for __, record in images]
-        scan = attachment.open_scan(ctx, handle, instance, predicate, route)
-        for batch in self._pump(ctx, scan, access, plan.limit):
-            rows = []
-            for record_key, view in batch:
-                if record_key in patched:
-                    continue
-                row = [None] * width
-                for index in key_fields:
-                    row[index] = view[index]
-                rows.append(tuple(row))
-            yield rows
-
     @staticmethod
     def _operand_value(pred: EligiblePredicate, params: dict):
         return pred.operand.eval(_EMPTY_VIEW, params)
 
     def _btree_route(self, schema, relevant, params: dict):
-        low = high = None
-        low_inclusive = high_inclusive = True
+        """The intersection of the relevant bounds, exact: each holds for
+        every entry in it.  Not exact: a bound of another type than the key
+        (every entry, and the whole filter answers as a scan's does) or a
+        NULL or NaN one (no entry)."""
+        bounds, empty = [], False
         for pred in relevant:
             value = self._operand_value(pred, params)
-            if value is None:
-                return ("btree_range", (None,), None, True, True)  # no entry
-            if not schema.comparable(pred.field_index, value):
-                # A bound of another type: every entry, and the filter
-                # answers as a scan's does (no row, or PredicateError).
-                return ("btree_range", None, None, True, True)
-            if pred.op == "=":
-                low = high = (value,)
-                low_inclusive = high_inclusive = True
-            elif pred.op in (">", ">="):
-                if low is None or (value,) > low:
-                    low = (value,)
-                    low_inclusive = pred.op == ">="
-            elif pred.op in ("<", "<="):
-                if high is None or (value,) < high:
-                    high = (value,)
-                    high_inclusive = pred.op == "<="
-        return ("btree_range", low, high, low_inclusive, high_inclusive)
+            if value is not None \
+                    and not schema.comparable(pred.field_index, value):
+                return ("btree_range", None, None, True, True), False
+            empty = empty or value is None or value != value
+            bounds.append((pred.op, value))
+        if empty:
+            return ("btree_range", (None,), None, True, True), False
+        return btree_range(bounds), True
 
-    def _hash_probe_key(self, instance: dict, relevant, params: dict
-                        ) -> tuple:
-        by_field = {pred.field_index: self._operand_value(pred, params)
-                    for pred in relevant if pred.op == "="}
+    def _hash_probe_key(self, schema, instance: dict, relevant,
+                        params: dict):
+        """The probe key, exact when every value is of its field's type
+        (``None``: two equalities on one field disagree, so no row can
+        pass)."""
+        by_field, exact = {}, True
+        for pred in relevant:
+            value = self._operand_value(pred, params)
+            if by_field.setdefault(pred.field_index, value) != value:
+                return None, True
+            exact = exact and schema.comparable(pred.field_index, value)
         try:
-            return tuple(by_field[i] for i in instance["key_fields"])
+            return tuple(by_field[i] for i in instance["key_fields"]), exact
         except KeyError:
             raise QueryError(
                 "hash probe plan lost its equality predicates") from None
-
-    def _rtree_route(self, relevant, params: dict):
-        pred = relevant[0]
-        box = self._operand_value(pred, params)
-        return ("rtree_search", pred.op, box)
 
     # ------------------------------------------------------------------
     # Joins
@@ -492,8 +461,9 @@ class Executor:
         block: List[Tuple[Tuple, List, List]] = []
         probe_ops = 0  # one op per outer-row index probe
         try:
-            for __, left_record in self._access_rows(
-                    ctx, left_handle, plan.access, params, plan.limit):
+            for __, left_record in chain.from_iterable(
+                    self._access_key_batches(ctx, left_handle, plan.access,
+                                             params, plan.limit)):
                 value = left_record[join.left_index]
                 if value is None:
                     continue
@@ -513,8 +483,10 @@ class Executor:
                 ctx.stats.bump("executor.row_ops", probe_ops)
 
     def _resolve_probe(self, right_handle, right_index: int):
-        """A callable mapping a join value to inner record keys."""
+        """A callable mapping a join value to inner record keys; one of
+        another type than an ordered key finds none, as in a hash join."""
         database = self.database
+        comparable = right_handle.schema.comparable
         for type_name in ("hash_index", "btree_index"):
             attachment = database.registry.attachment_type_by_name(type_name)
             field = right_handle.descriptor.attachment_field(
@@ -524,7 +496,10 @@ class Executor:
             for instance in field["instances"].values():
                 if list(instance["key_fields"]) == [right_index]:
                     def probe(ctx, value, attachment=attachment,
-                              instance=instance):
+                              instance=instance,
+                              ordered=type_name == "btree_index"):
+                        if ordered and not comparable(right_index, value):
+                            return []
                         return attachment.fetch(ctx, right_handle, instance,
                                                 (value,))
                     return probe
@@ -532,6 +507,8 @@ class Executor:
             right_handle.descriptor.storage_method_id)
         if tuple(method.key_fields(right_handle)) == (right_index,):
             def probe(ctx, value):
+                if not comparable(right_index, value):
+                    return []
                 record = method.fetch(ctx, right_handle, (value,))
                 return [(value,)] if record is not None else []
             return probe
@@ -599,7 +576,8 @@ class Executor:
                    params: Optional[dict]) -> int:
         params = params or {}
         items = []
-        for key, record in self._access_rows(ctx, handle, access, params):
+        for key, record in chain.from_iterable(
+                self._access_key_batches(ctx, handle, access, params, None)):
             view = RecordView.from_record(record)
             values = list(record)
             for index, expr in assignments.items():
@@ -611,7 +589,7 @@ class Executor:
     def run_delete(self, ctx, handle, access: TableAccess,
                    params: Optional[dict]) -> int:
         params = params or {}
-        victims = [key for key, __ in
-                   self._access_rows(ctx, handle, access, params)]
+        victims = [key for batch in self._access_key_batches(
+                   ctx, handle, access, params, None) for key, __ in batch]
         self.database.data.delete_batch(ctx, handle, victims)
         return len(victims)

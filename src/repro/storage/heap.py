@@ -670,7 +670,8 @@ class HeapStorageMethod(StorageMethod):
     def _read_at(self, ctx, handle, keys, by_page: dict, fields, predicate):
         """``(key, values)``, in ``keys`` order, for each key ``by_page``
         (page id → ``(keys, slots)``) places in a live slot whose record
-        passes ``predicate``: per page one S ``lock_records``, one pin."""
+        passes ``predicate``: per page one S ``lock_records``, one pin and
+        one ``select`` over the page's records."""
         # Locked before the slot is read: a slot a writer emptied and has
         # not committed conflicts, rather than reading as no record.
         found = []
@@ -679,16 +680,18 @@ class HeapStorageMethod(StorageMethod):
             ctx.lock_records(handle.relation_id, page_keys, LockMode.S)
             page = ctx.buffer.fetch(page_id)
             try:
-                for key, offset in zip(page_keys, page.offsets(slots)):
-                    if offset == TOMBSTONE:
-                        continue
-                    record = decode(page.data, offset)
-                    if predicate is not None and not predicate.matches(record):
-                        continue
-                    found.append((key, record if fields is None
-                                  else tuple(record[i] for i in fields)))
+                live = [(key, decode(page.data, offset)) for key, offset
+                        in zip(page_keys, page.offsets(slots))
+                        if offset != TOMBSTONE]
+                if predicate is not None and live:
+                    live = [live[i] for i in predicate.select(ColumnBatch(
+                        [record for __, record in live], len(handle.schema)),
+                        ctx.stats)]
             finally:
                 ctx.buffer.unpin(page_id)
+            found += live if fields is None else [
+                (key, tuple(record[i] for i in fields))
+                for key, record in live]
         ctx.stats.bump(self.name + ".fetches", len(found))
         if len(by_page) < 2:  # one page's keys are in ``keys`` order
             return found
