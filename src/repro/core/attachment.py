@@ -259,9 +259,14 @@ class AttachmentType(abc.ABC):
                   route=None) -> Scan:
         """Key-sequential access over the mapping structure.
 
-        Yields ``(record_key, view)`` where ``view`` exposes whatever
-        record fields are present in the access-path key (so the common
-        predicate evaluator can filter before the base record is fetched).
+        A batch iterates as ``(record_key, fields)`` pairs, ``fields``
+        holding the record fields present in the access-path key, so the
+        common predicate evaluator can filter before the base record is
+        fetched.  Read them by schema position through the batch: a
+        key-ordered path (a :class:`~repro.services.scans.KeyScan`: B-tree,
+        hash file) returns a ``ColumnBatch`` whose ``column(i)`` is schema
+        field ``i``, but its pairs hold the index-key tuple in key order;
+        an R-tree's pairs hold a ``RecordView`` at schema positions.
         """
         raise UnknownObjectError(
             f"attachment type {self.name!r} is not an access path")
