@@ -31,8 +31,9 @@ layout at length; in short:
   filter (not when a value is NULL or of another type than its field).
   The scan (:class:`~repro.services.scans.KeyScan`) tests a filter on
   the key fields with one ``select`` per chunk of entries.
-* A NaN key field is stored as NULL (``scans.key_of``): no probe
-  equals it, and the entry is found again when its record goes.
+* A NaN key field is stored as NULL (``scans.index_key``): no probe
+  equals it, and the entry is found again when its record goes.  A
+  ``bytearray`` is stored and probed as the ``bytes`` it equals.
 
 DDL attributes: ``columns`` (required), ``buckets`` (initial directory
 size, default 8).
@@ -52,7 +53,7 @@ from ..errors import StorageError
 from ..query.cost import AccessCost, implied_conjuncts
 from ..services.pages import HEADER_SIZE, NO_PAGE, SLOT_SIZE, PageView
 from ..services.predicate import Const
-from ..services.scans import KeyScan, Scan, key_of
+from ..services.scans import KeyScan, Scan, index_key, key_of
 
 __all__ = ["HashIndexAttachment", "HashIndexScan"]
 
@@ -457,7 +458,8 @@ class HashIndexAttachment(AttachmentType):
 
     # -- direct access operations ------------------------------------------------------
     def fetch(self, ctx, handle, instance, input_key) -> List:
-        key = input_key if isinstance(input_key, tuple) else (input_key,)
+        key = index_key(input_key if isinstance(input_key, tuple)
+                        else (input_key,))
         buckets = instance["buckets"]
         found: List = []
         for image in _chain(ctx.buffer, buckets[_hash(key) % len(buckets)]):

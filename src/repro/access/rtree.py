@@ -340,15 +340,15 @@ class RTreeScan(Scan):
         if not chunk:
             self.state = AFTER
             return []
+        # One lock call for the batch; a conflict leaves the scan where it
+        # was, so a retry sees these entries again.
+        self.ctx.lock_records(self.handle.relation_id,
+                              [value for __, value in chunk], LockMode.S)
         self.position = index + len(chunk) - 1
         self.state = ON
         self.ctx.stats.bump("rtree.entries_scanned", len(chunk))
-        batch = []
-        for box, value in chunk:
-            self.ctx.lock_record(self.handle.relation_id, value, LockMode.S)
-            batch.append((value, RecordView.from_fields((self.field_index,),
-                                                        (box,))))
-        return batch
+        return [(value, RecordView.from_fields((self.field_index,), (box,)))
+                for box, value in chunk]
 
     def save_position(self) -> ScanPosition:
         return ScanPosition(self.state, self.position)

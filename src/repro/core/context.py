@@ -88,11 +88,11 @@ class ExecutionContext:
         """:meth:`lock_record` for a page's worth of keys at once: one
         ``covers`` check, one intent lock, one ``acquire_many``.
 
-        Read escalation: once the transaction has taken
-        ``LOCK_ESCALATION_THRESHOLD`` S record locks on the relation this
-        way it *tries* for one relation-level S lock, which covers every
-        later page.  A transaction writing the relation (IX/SIX/X) makes
-        the try fail; nothing waits or raises, and record locking goes on.
+        A read asks only for keys it does not hold (a record is locked S
+        or X, either serves it).  If they would bring its record reads of
+        the relation to ``LOCK_ESCALATION_THRESHOLD``, it first *tries*
+        for relation S, which covers them and every later batch; another
+        transaction's IX/SIX/X refuses it, and the batch locks records.
         """
         if not keys:
             return
@@ -103,15 +103,20 @@ class ExecutionContext:
         relation = ("rel", relation_id)
         if locks.covers(txn_id, relation, mode):
             return
-        locks.acquire(txn_id, relation, _INTENT[mode])
-        taken = locks.acquire_many(
-            txn_id, [("rec", relation_id, key) for key in keys], mode)
-        if mode is LockMode.S and taken:
+        records = [("rec", relation_id, key) for key in keys]
+        if mode is LockMode.S:
+            records = locks.unheld(txn_id, records)
+            if not records:
+                return
             reads = self.txn.record_reads
-            reads[relation_id] = total = reads.get(relation_id, 0) + taken
+            reads[relation_id] = total = reads.get(relation_id, 0) \
+                + len(records)
             if total >= LOCK_ESCALATION_THRESHOLD \
                     and locks.try_acquire(txn_id, relation, LockMode.S):
                 self.services.stats.bump("locks.read_escalations")
+                return
+        locks.acquire(txn_id, relation, _INTENT[mode])
+        locks.acquire_many(txn_id, records, mode)
 
     def defer(self, event: str, callback, data=None) -> None:
         self.services.events.defer(self.txn_id, event, callback, data)

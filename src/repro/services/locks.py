@@ -29,10 +29,11 @@ from ..errors import DeadlockError, LockConflictError, LockError
 
 __all__ = ["LockMode", "LockManager", "LOCK_ESCALATION_THRESHOLD"]
 
-#: Record locks a transaction takes on one relation before it trades them
-#: for one relation-level lock: writers escalate a batch at least this
-#: large to X up front (``core.dispatch``), readers try for S once they
-#: have locked this many records (``ExecutionContext.lock_records``).
+#: Record locks a transaction would take on one relation before it takes
+#: one relation-level lock instead, decided before a batch is locked:
+#: writers escalate a batch at least this large to X (``core.dispatch``),
+#: readers try for S before the batch that would bring their record reads
+#: to this many (``ExecutionContext.lock_records``).
 LOCK_ESCALATION_THRESHOLD = 64
 
 
@@ -162,6 +163,11 @@ class LockManager:
     def cancel_wait(self, txn_id: int) -> None:
         """Withdraw any registered wait for the transaction."""
         self._waits_for.pop(txn_id, None)
+
+    def unheld(self, txn_id: int, resources) -> list:
+        """The ``resources`` the transaction holds no lock on, in order."""
+        held = self._held.get(txn_id, ())
+        return [resource for resource in resources if resource not in held]
 
     def covers(self, txn_id: int, resource: Hashable, mode: LockMode) -> bool:
         """Whether the lock held on ``resource`` already subsumes ``mode``

@@ -28,8 +28,8 @@ from .events import EventService
 from .locks import LockMode
 from .vectors import ColumnBatch
 
-__all__ = ["ScanPosition", "Scan", "KeyScan", "key_of", "ScanService",
-           "SnapshotScan",
+__all__ = ["ScanPosition", "Scan", "KeyScan", "key_of", "index_key",
+           "ScanService", "SnapshotScan",
            "ShippedRows", "ShippedScan",
            "ABSENT", "BEFORE", "ON", "AFTER", "SCAN_BATCH", "key_ordered"]
 
@@ -140,11 +140,18 @@ class Scan:
 
 
 def key_of(instance: dict, record) -> tuple:
-    """``record``'s key in a B-tree or hash file ``instance``, a NaN read
-    as NULL: NaN equals and orders against nothing, so no bound or probe
-    wants it, and a NaN key could never be found again to be removed."""
-    key = [record[i] for i in instance["key_fields"]]
-    return tuple([value if value == value else None for value in key])
+    """``record``'s key in a B-tree or hash file ``instance``."""
+    return index_key([record[i] for i in instance["key_fields"]])
+
+
+def index_key(values) -> tuple:
+    """An index key or probe.  A NaN is NULL: it equals and orders
+    against nothing, so no probe wants it and its entry could never be
+    found again to be removed.  A ``bytearray`` (a BYTES field holds the
+    one it was given until decoded) is the ``bytes`` it equals."""
+    return tuple([None if value != value else bytes(value)
+                  if isinstance(value, bytearray) else value
+                  for value in values])
 
 
 class KeyScan(Scan):

@@ -297,8 +297,8 @@ class Transaction:
         #: counter), so nested and cascaded operations in the same
         #: transaction get unique names without any global state.
         self.op_seq = 0
-        #: relation id -> S record locks taken a page at a time through
-        #: ``ExecutionContext.lock_records`` (the read-escalation count).
+        #: relation id -> records a read asked to S-lock a batch at a time
+        #: through ``ExecutionContext.lock_records`` (the escalation count).
         self.record_reads: Dict[int, int] = {}
 
     @property

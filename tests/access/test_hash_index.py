@@ -478,3 +478,21 @@ def test_placement_is_the_same_under_any_hash_seed():
         reports.append(json.loads(done.stdout))
     assert reports[0] == reports[1]
     assert len(reports[0]["directory"]) > 8
+
+
+@pytest.mark.parametrize("kind", [None, "btree_index", "hash_index"])
+def test_a_bytearray_probe_answers_as_a_scan_does(kind):
+    """A ``bytearray`` equals the ``bytes`` a BYTES field holds, as a
+    probe value and as the value a record was inserted with."""
+    db = Database()
+    table = db.create_table("t", [("a", "INT"), ("b", "BYTES")])
+    table.insert_many([(i, bytes([i])) for i in range(50)])
+    if kind is not None:
+        db.create_index("t_b", "t", ["b"], kind=kind)
+        assert "t_b" in db.explain("SELECT a FROM t WHERE b = :p")[
+            "access"]["route"]
+    table.insert((99, bytearray(b"zz")))
+    query = "SELECT a FROM t WHERE b = :p"
+    assert db.execute(query, {"p": bytearray(b"\x05")}) == [(5,)]
+    assert db.execute(query, {"p": b"zz"}) == [(99,)]
+    assert db.execute(query, {"p": bytearray(b"zz")}) == [(99,)]

@@ -8,6 +8,7 @@ from repro import AccessPath, Box, Database
 from repro.access.rtree import RTree
 from repro.services.buffer import BufferPool
 from repro.services.disk import BlockDevice
+from repro.services.locks import LockMode
 from repro.workloads import rectangle_records
 
 
@@ -156,3 +157,31 @@ def test_rebuild_after_crash(spatial):
     keys = table.fetch(("enclosed_by", window), access_path=ap)
     expected = [k for k, r in table.scan() if window.encloses(r[1])]
     assert sorted(keys, key=repr) == sorted(expected, key=repr)
+
+
+def test_a_wide_spatial_scan_escalates_to_relation_s(db):
+    """The R-tree scan locks a batch at a time through ``lock_records``,
+    so a window over hundreds of boxes ends on one relation S lock."""
+    table = db.create_table("wide", [("id", "INT"), ("region", "BOX")])
+    table.insert_many(rectangle_records(240, seed=5, world=100.0))
+    db.create_attachment("wide", "rtree", "wide_rtree", {"column": "region"})
+    att = db.registry.attachment_type_by_name("rtree")
+    handle = db.catalog.handle("wide")
+    instance = att.instance(handle.descriptor.attachment_field(att.type_id),
+                            "wide_rtree")
+    route = ("rtree_search", "OVERLAPS", Box(-1, -1, 101, 101))
+    before = db.services.stats.snapshot()
+    db.begin()
+    with db.autocommit() as ctx:
+        scan = att.open_scan(ctx, handle, instance, route=route)
+        found = []
+        while batch := scan.next_batch(50):
+            found.extend(batch)
+        locks = db.services.locks
+        assert len(found) == 240
+        assert locks.held_mode(ctx.txn_id, ("rel", handle.relation_id)) \
+            is LockMode.S
+        assert len([r for r in locks.locks_held(ctx.txn_id)
+                    if r[0] == "rec"]) == 50
+    assert db.services.stats.delta(before)["locks.read_escalations"] == 1
+    db.commit()

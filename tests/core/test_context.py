@@ -76,6 +76,19 @@ def test_lock_records_escalates_reads_at_the_threshold(db, ctx):
     assert stats.get("locks.read_escalations") == 1
 
 
+def test_lock_records_asks_only_for_keys_not_held(db, ctx):
+    locks, stats = db.services.locks, db.services.stats
+    ctx.lock_records(7, ["k1", "k2"], LockMode.X)
+    ctx.lock_records(7, ["k3"], LockMode.S)
+    calls = stats.get("locks.acquire_calls")
+    ctx.lock_records(7, ["k1", "k2", "k3"], LockMode.S)  # all held
+    assert stats.get("locks.acquire_calls") == calls
+    ctx.lock_records(7, ["k3", "k4"], LockMode.S)        # intent + k4
+    assert stats.get("locks.acquire_calls") == calls + 2
+    assert locks.held_mode(ctx.txn_id, ("rec", 7, "k1")) is LockMode.X
+    assert ctx.txn.record_reads[7] == 2
+
+
 def test_lock_records_under_a_snapshot_takes_nothing(db):
     session = db.connect()
     ctx = ExecutionContext(session.begin(snapshot=True), db.services, db)

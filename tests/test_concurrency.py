@@ -253,3 +253,74 @@ def test_snapshot_scan_takes_no_locks_and_the_same_bypass_total(db, wide):
 def reader_locks(db, session):
     return db.services.stats.session_get(session.session_id,
                                          "locks.acquire_calls")
+
+
+# ---------------------------------------------------------------------------
+# Granularity decided before a batch is locked
+# ---------------------------------------------------------------------------
+
+RANGE = "SELECT id, v FROM r WHERE id >= 100 AND id < 500"
+
+
+@pytest.fixture
+def ranged():
+    """8 000 rows under a unique B-tree: a 400-row range takes the index."""
+    db = Database()
+    table = db.create_table("r", [("id", "INT", False), ("v", "STRING")])
+    table.insert_many([(i, f"v{i}") for i in range(8000)])
+    db.create_index("r_id", "r", ["id"], unique=True)
+    assert "r_id" in db.explain(RANGE)["access"]["route"]
+    return db
+
+
+def lock_counts(db, session, statement):
+    """The statement's rows, lock requests and read escalations."""
+    before = db.services.stats.snapshot()
+    rows = session.execute(statement)
+    delta = db.services.stats.delta(before)
+    return (rows, delta.get("locks.acquire_calls", 0),
+            delta.get("locks.read_escalations", 0))
+
+
+def test_an_indexed_point_read_makes_two_lock_requests(ranged):
+    """The intent lock and the record lock; the fetch behind the index
+    entry asks for nothing it already holds."""
+    session = ranged.connect()
+    session.begin()
+    assert lock_counts(ranged, session, "SELECT v FROM r WHERE id = 7") \
+        == ([("v7",)], 2, 0)
+    session.commit()
+
+
+def test_a_wide_index_range_takes_relation_s_and_no_record_locks(ranged):
+    session = ranged.connect()
+    txn = session.begin()
+    rows, requests, escalations = lock_counts(ranged, session, RANGE)
+    assert sorted(rows) == [(i, f"v{i}") for i in range(100, 500)]
+    assert (requests, escalations) == (1, 1)
+    locks = ranged.services.locks
+    relation = ("rel", ranged.catalog.handle("r").relation_id)
+    assert locks.locks_held(txn.txn_id) == {relation}
+    assert locks.held_mode(txn.txn_id, relation) is LockMode.S
+    session.commit()
+
+
+def test_a_wide_range_beside_a_writer_locks_records_and_waits_for_none(
+        ranged):
+    """Relation S is only ever tried: a writer's IX refuses it, and the
+    reader locks each record as it always did."""
+    writer, reader = ranged.connect(), ranged.connect()
+    writer.begin()
+    writer.execute("INSERT INTO r VALUES (9000, 'new')")  # outside the range
+    txn = reader.begin()
+    rows, __, escalations = lock_counts(ranged, reader, RANGE)
+    assert sorted(rows) == [(i, f"v{i}") for i in range(100, 500)]
+    assert escalations == 0
+    locks = ranged.services.locks
+    relation_id = ranged.catalog.handle("r").relation_id
+    assert locks.held_mode(txn.txn_id, ("rel", relation_id)) is LockMode.IS
+    assert len([r for r in locks.locks_held(txn.txn_id)
+                if r[0] == "rec"]) == 400
+    assert locks.waits_for() == {}
+    reader.commit()
+    writer.commit()
