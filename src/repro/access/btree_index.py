@@ -26,7 +26,7 @@ route is the intersection of its bounds, which the filter never re-tests.
 A record whose key holds a NULL has no entry: NULL is outside every range
 and every uniqueness rule, so the routes and probes that the planner and
 executor take never need it, and ``IS NULL`` is answered by a scan.  A
-NaN key field is read as NULL (``scans.key_of``): it orders against
+NaN key field is read as NULL (``scans.keys_of``): it orders against
 nothing, so an entry for it would sit in no range and unsort its leaf.  A record NULL past
 the leading key field would be missed by a range over the leading one,
 so it marks the instance ``partial``, which offers no route until a
@@ -47,14 +47,14 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.attachment import AttachmentType
+from ..core.attachment import AttachmentType, tag_batch_index
 from ..core.context import ExecutionContext
 from ..core.storage_method import RelationHandle
 from ..errors import PageError, StorageError, UniqueViolation
 from ..query.cost import (AccessCost, btree_range, default_selectivity,
                           implied_conjuncts)
 from ..services.predicate import Const, Predicate
-from ..services.scans import AFTER, KeyScan, Scan, key_of
+from ..services.scans import AFTER, KeyScan, Scan, changed_keys, keys_of
 from .btree_core import BTree, DEFAULT_MAX_ENTRIES
 
 __all__ = ["BTreeIndexAttachment", "BTreeIndexScan"]
@@ -151,7 +151,7 @@ class BTreeIndexAttachment(AttachmentType):
         tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
         instance["partial"] = False
         for batch in batches:
-            self._add(tree, instance, self._entries(handle, instance, batch))
+            self._add(tree, instance, self._pairs(handle, instance, batch))
         ctx.stats.bump(self.name + ".builds")
 
     def rebuild(self, ctx, handle, field, batches) -> None:
@@ -166,17 +166,21 @@ class BTreeIndexAttachment(AttachmentType):
         ctx.stats.bump(self.name + ".rebuilds")
 
     # -- attached procedures -----------------------------------------------------
-    def _entries(self, handle, instance: dict, items) -> list:
+    def _entries(self, handle, instance: dict, keys, records) -> list:
         """The ``(index key, record key)`` entries, in batch order, of the
-        ``(record key, record)`` ``items`` whose key holds no NULL."""
-        entries = [(key_of(instance, record), key)
-                   for key, record in items]
+        ``records`` at ``keys`` whose index key holds no NULL."""
+        entries = list(zip(keys_of(instance, records), keys))
         kept = [entry for entry in entries if None not in entry[0]]
         if len(kept) < len(entries) and not instance.get("partial") \
                 and any(None in index_key[1:] for index_key, __ in entries):
             instance["partial"] = True
             handle.descriptor.version += 1  # cached plans hold its routes
         return kept
+
+    def _pairs(self, handle, instance: dict, items) -> list:
+        """:meth:`_entries` of ``(record key, record)`` ``items``."""
+        return self._entries(handle, instance, [key for key, __ in items],
+                             [record for __, record in items])
 
     @staticmethod
     def _veto(instance: dict, index_key: tuple, batch_index=None):
@@ -197,35 +201,33 @@ class BTreeIndexAttachment(AttachmentType):
                                  else list(keys).index(record_key))
         tree.insert_many(entries)
 
+    def _move(self, ctx, handle, instance: dict, old_key, new_key,
+              new_record, old_index_key: tuple, new_index_key: tuple) -> None:
+        """Move one updated record's entry (the old out, the new in)."""
+        tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
+        if None in new_index_key:
+            # No entry to add, but the record may mark the tree partial.
+            self._entries(handle, instance, (new_key,), (new_record,))
+        elif instance["unique"] and old_index_key != new_index_key \
+                and tree.search(new_index_key):
+            raise self._veto(instance, new_index_key)
+        for op, apply, index_key, key in (
+                ("remove_many", tree.delete, old_index_key, old_key),
+                ("add_many", tree.insert, new_index_key, new_key)):
+            if None not in index_key:
+                apply(index_key, key)
+                ctx.log(self.resource, {
+                    "op": op, "relation_id": handle.relation_id,
+                    "instance": instance["name"],
+                    "entries": [[list(index_key), key]]})
+
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
         self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
 
     def on_update(self, ctx, handle, field, old_key, new_key, old_record,
                   new_record) -> None:
-        for instance in field["instances"].values():
-            old_index_key = key_of(instance, old_record)
-            new_index_key = key_of(instance, new_record)
-            if old_index_key == new_index_key and old_key == new_key:
-                ctx.stats.bump(self.name + ".update_skips")
-                continue  # no indexed fields were modified
-            tree = BTree(ctx.buffer, instance["tree"],
-                         instance["max_entries"])
-            if None in new_index_key:
-                # No entry to add, but the record may mark the tree partial.
-                self._entries(handle, instance, ((new_key, new_record),))
-            elif instance["unique"] and old_index_key != new_index_key \
-                    and tree.search(new_index_key):
-                raise self._veto(instance, new_index_key)
-            for op, apply, index_key, key in (
-                    ("remove_many", tree.delete, old_index_key, old_key),
-                    ("add_many", tree.insert, new_index_key, new_key)):
-                if None not in index_key:
-                    apply(index_key, key)
-                    ctx.log(self.resource, {
-                        "op": op, "relation_id": handle.relation_id,
-                        "instance": instance["name"],
-                        "entries": [[list(index_key), key]]})
-            ctx.stats.bump(self.name + ".maintenance_ops")
+        self.on_update_batch(ctx, handle, field,
+                             ((old_key, new_key, old_record, new_record),))
 
     def on_delete(self, ctx, handle, field, key, old_record) -> None:
         self.on_delete_batch(ctx, handle, field, ((key, old_record),))
@@ -238,7 +240,7 @@ class BTreeIndexAttachment(AttachmentType):
         for instance in field["instances"].values():
             tree = BTree(ctx.buffer, instance["tree"],
                          instance["max_entries"])
-            entries = self._entries(handle, instance, zip(keys, new_records))
+            entries = self._entries(handle, instance, keys, new_records)
             if not entries:
                 continue  # every key held a NULL
             self._add(tree, instance, entries, keys)
@@ -248,11 +250,43 @@ class BTreeIndexAttachment(AttachmentType):
                 "entries": [[list(k), v] for k, v in entries]})
             ctx.stats.bump(self.name + ".maintenance_ops", len(entries))
 
+    def on_update_batch(self, ctx, handle, field, items) -> None:
+        """Only the rows whose key or record key changed touch a tree, row
+        by row and, within a row, instance by instance; a veto names its
+        row, and the counters hold what that walk reached."""
+        instances = list(field["instances"].values())
+        moves: dict = {}
+        for position, instance in enumerate(instances):
+            for index, old, new in changed_keys(instance, items):
+                moves.setdefault(index, []).append(
+                    (position, instance, old, new))
+        if not moves:
+            ctx.stats.bump(self.name + ".update_skips",
+                           len(items) * len(instances))
+            return
+        done, reached = 0, len(items) * len(instances)
+        try:
+            for index in sorted(moves):
+                old_key, new_key, __, new_record = items[index]
+                for position, instance, old, new in moves[index]:
+                    reached = index * len(instances) + position
+                    self._move(ctx, handle, instance, old_key, new_key,
+                               new_record, old, new)
+                    done += 1
+            reached = len(items) * len(instances)
+        except Exception as exc:
+            tag_batch_index(exc, index)
+            raise
+        finally:
+            ctx.stats.bump_many({name: amount for name, amount in (
+                (self.name + ".update_skips", reached - done),
+                (self.name + ".maintenance_ops", done)) if amount})
+
     def on_delete_batch(self, ctx, handle, field, items) -> None:
         for instance in field["instances"].values():
             tree = BTree(ctx.buffer, instance["tree"],
                          instance["max_entries"])
-            entries = self._entries(handle, instance, items)
+            entries = self._pairs(handle, instance, items)
             if not entries:
                 continue  # every key held a NULL
             tree.delete_many(entries)

@@ -53,7 +53,8 @@ from ..errors import StorageError
 from ..query.cost import AccessCost, implied_conjuncts
 from ..services.pages import HEADER_SIZE, NO_PAGE, SLOT_SIZE, PageView
 from ..services.predicate import Const
-from ..services.scans import KeyScan, Scan, index_key, key_of
+from ..services.scans import (KeyScan, Scan, changed_keys, index_key,
+                              keys_of)
 
 __all__ = ["HashIndexAttachment", "HashIndexScan"]
 
@@ -237,9 +238,10 @@ class HashIndexAttachment(AttachmentType):
         if fewer — and ``_add_many`` then writes each bucket page once."""
         buffer = ctx.buffer
         self._free_pages(buffer, instance)
-        entries = [(key_of(instance, record), record_key)
-                   for batch in batches
-                   for record_key, record in batch]
+        entries = []
+        for batch in batches:
+            entries.extend(zip(keys_of(instance, [r for __, r in batch]),
+                               [key for key, __ in batch]))
         size = instance["initial"]
         if entries:
             sample = entries[:64]
@@ -417,17 +419,8 @@ class HashIndexAttachment(AttachmentType):
 
     def on_update(self, ctx, handle, field, old_key, new_key, old_record,
                   new_record) -> None:
-        for instance in field["instances"].values():
-            old_hash_key = key_of(instance, old_record)
-            new_hash_key = key_of(instance, new_record)
-            if old_hash_key == new_hash_key and old_key == new_key:
-                ctx.stats.bump("hash_index.update_skips")
-                continue
-            self._change(ctx, handle, instance, "remove_many",
-                         [(old_hash_key, old_key)])
-            self._change(ctx, handle, instance, "add_many",
-                         [(new_hash_key, new_key)])
-            ctx.stats.bump("hash_index.maintenance_ops")
+        self.on_update_batch(ctx, handle, field,
+                             ((old_key, new_key, old_record, new_record),))
 
     def on_delete(self, ctx, handle, field, key, old_record) -> None:
         self.on_delete_batch(ctx, handle, field, ((key, old_record),))
@@ -445,15 +438,29 @@ class HashIndexAttachment(AttachmentType):
     # -- set-at-a-time attached procedures ---------------------------------------
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
         for instance in field["instances"].values():
-            self._change(ctx, handle, instance, "add_many", [
-                (key_of(instance, record), key)
-                for key, record in zip(keys, new_records)])
+            self._change(ctx, handle, instance, "add_many", list(zip(
+                keys_of(instance, new_records), keys)))
             ctx.stats.bump("hash_index.maintenance_ops", len(keys))
+
+    def on_update_batch(self, ctx, handle, field, items) -> None:
+        """Only the rows whose key or record key changed move: out with
+        one ``remove_many``, back with one ``add_many`` per instance."""
+        for instance in field["instances"].values():
+            moves = changed_keys(instance, items)
+            if moves:
+                self._change(ctx, handle, instance, "remove_many", [
+                    (old, items[index][0]) for index, old, __ in moves])
+                self._change(ctx, handle, instance, "add_many", [
+                    (new, items[index][1]) for index, __, new in moves])
+            ctx.stats.bump_many({name: amount for name, amount in (
+                ("hash_index.update_skips", len(items) - len(moves)),
+                ("hash_index.maintenance_ops", len(moves))) if amount})
 
     def on_delete_batch(self, ctx, handle, field, items) -> None:
         for instance in field["instances"].values():
-            self._change(ctx, handle, instance, "remove_many", [
-                (key_of(instance, old), key) for key, old in items])
+            self._change(ctx, handle, instance, "remove_many", list(zip(
+                keys_of(instance, [old for __, old in items]),
+                [key for key, __ in items])))
             ctx.stats.bump("hash_index.maintenance_ops", len(items))
 
     # -- direct access operations ------------------------------------------------------

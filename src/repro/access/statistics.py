@@ -32,11 +32,10 @@ DDL attributes: ``columns`` — optional list of column names to track
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import Optional
 
 from ..core.attachment import STALE, AttachmentType
-from ..core.hashing import HASH_SPACE, stable_hash
+from ..core.hashing import HASH_SPACE, stable_hashes
 from ..errors import StorageError
 
 __all__ = ["StatisticsAttachment", "TableStatistics", "statistics_for",
@@ -48,23 +47,13 @@ _KMV_K = 64
 
 _HASH_SPACE = float(HASH_SPACE)
 
-#: The sketch hash is the shared stable (salt-free CRC) hash, so sketch
-#: contents are reproducible across processes and agree with shard routing.
-_value_hash = stable_hash
-
 
 def _kmv_add(kmv: list, value) -> None:
     """Fold one value into the k-minimum-values sketch (sorted list of
-    distinct hashes, at most ``_KMV_K`` long)."""
-    h = _value_hash(value)
-    at = bisect_left(kmv, h)
-    if at < len(kmv) and kmv[at] == h:
-        return
-    if len(kmv) < _KMV_K:
-        insort(kmv, h)
-    elif h < kmv[-1]:
-        insort(kmv, h)
-        kmv.pop()
+    distinct hashes, at most ``_KMV_K`` long).  The sketch hash is the
+    shared stable (salt-free CRC) hash, so sketch contents are
+    reproducible across processes and agree with shard routing."""
+    kmv[:] = kmv_union([kmv, stable_hashes((value,))])
 
 
 def _kmv_estimate(kmv: list) -> int:
@@ -115,11 +104,48 @@ def sketch_state(database, handle, index: int):
 
 
 def _copy_state(state: dict) -> dict:
-    """Deep-enough copy for undo logging (nested per-column dicts and
-    sketch lists are mutated in place by maintenance)."""
+    """Deep-enough copy for undo logging: maintenance changes the
+    per-column dicts in place, and replaces a sketch list, never changes
+    one."""
     return {"row_count": state["row_count"],
-            "columns": {index: dict(column, kmv=list(column["kmv"]))
+            "columns": {index: dict(column)
                         for index, column in state["columns"].items()}}
+
+
+def _absorb(column: dict, values) -> None:
+    """Fold one column's ``values`` into its state — NULL count, extremes,
+    sketch — as a fold a value at a time would."""
+    nulls = values.count(None)
+    if nulls:
+        column["nulls"] += nulls
+        values = [value for value in values if value is not None]
+        if not values:
+            return
+    column["min"], column["max"] = _extremes(
+        column["min"], column["max"], values)
+    kmv, hashes = column["kmv"], stable_hashes(values)
+    # A full sketch takes only a hash below its k-th; one not full, any new.
+    if min(hashes) < kmv[-1] if len(kmv) == _KMV_K \
+            else not hashes.issubset(kmv):
+        column["kmv"] = kmv_union([kmv, hashes])
+
+
+def _extremes(low, high, present: list) -> tuple:
+    """The extremes with the non-NULL ``present`` values folded in: builtin
+    ``min`` / ``max`` seeded with the current one is that fold.  A column
+    of unorderable values (boxes) keeps the first it saw as both."""
+    try:
+        if low is None:
+            return min(present), max(present)
+        return min(low, *present), max(high, *present)
+    except TypeError:
+        return (present[0], present[0]) if low is None else (low, high)
+
+
+def _meets(values, low, high) -> bool:
+    """Whether a retired value equals an extreme (then re-derived)."""
+    return any(value is not None and (value == low or value == high)
+               for value in values)
 
 
 class StatisticsAttachment(AttachmentType):
@@ -177,51 +203,71 @@ class StatisticsAttachment(AttachmentType):
         """One pass over the relation's ``batches`` (default: a scan)
         re-derives every tracked column's statistics."""
         state = self._empty_state(instance["field_indexes"])
-        columns = state["columns"]
         for batch in batches or self.stored_batches(ctx, handle):
+            columns = list(zip(*[record for __, record in batch]))
             state["row_count"] += len(batch)
-            for __, record in batch:
-                for index, column in columns.items():
-                    self._absorb(column, record[index])
+            for index, column in state["columns"].items() if columns else ():
+                _absorb(column, columns[index])
         instance["state"] = state
         instance["derived_lsn"] = ctx.services.wal.current_lsn
         ctx.stats.bump("statistics.recomputations")
 
     # -- attached procedures ---------------------------------------------------
-    # The batch hooks log one before-image per batch and fold the whole
-    # batch into the sketch state in one pass; the per-record hooks below
-    # remain for tuple-at-a-time callers.
+    # The batch hooks log one before-image per batch and fold the batch
+    # into the state a column at a time (see :func:`_absorb`).
 
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
+        columns = list(zip(*new_records))
         for instance in field["instances"].values():
             self._log_old(ctx, handle, instance)
             state = instance["state"]
             state["row_count"] += len(new_records)
             for index, column in state["columns"].items():
-                for record in new_records:
-                    self._absorb(column, record[index])
+                _absorb(column, columns[index])
         self._bump_batch(ctx, field, len(new_records))
 
     def on_update_batch(self, ctx, handle, field, items) -> None:
+        """A changed value retires the old one and absorbs the new; an old
+        value equal to an extreme as it stood at its row makes it stale."""
+        olds = list(zip(*[item[2] for item in items]))
+        news = list(zip(*[item[3] for item in items]))
         for instance in field["instances"].values():
             self._log_old(ctx, handle, instance)
-            state = instance["state"]
-            for index, column in state["columns"].items():
-                for __, __new_key, old_record, new_record in items:
-                    if old_record[index] == new_record[index]:
-                        continue
-                    self._retire(column, old_record[index])
-                    self._absorb(column, new_record[index])
+            for index, column in instance["state"]["columns"].items():
+                # Values all equal, or the same objects (a NaN kept as it
+                # was would retire and absorb itself: no change), skip.
+                if olds[index] == news[index]:
+                    continue
+                pairs = [(old, new) for old, new
+                         in zip(olds[index], news[index]) if old != new]
+                retired = [old for old, __ in pairs]
+                low, high = column["min"], column["max"]
+                column["nulls"] -= retired.count(None)
+                _absorb(column, [new for __, new in pairs])
+                if column["stale"]:
+                    continue
+                if column["min"] is low and column["max"] is high:
+                    column["stale"] = _meets(retired, low, high)
+                    continue
+                for old, new in pairs:  # the extremes moved in the batch
+                    if _meets((old,), low, high):
+                        column["stale"] = True
+                        break
+                    if new is not None:
+                        low, high = _extremes(low, high, [new])
         self._bump_batch(ctx, field, len(items))
 
     def on_delete_batch(self, ctx, handle, field, items) -> None:
+        olds = list(zip(*[old for __, old in items]))
         for instance in field["instances"].values():
             self._log_old(ctx, handle, instance)
             state = instance["state"]
             state["row_count"] -= len(items)
             for index, column in state["columns"].items():
-                for __, old_record in items:
-                    self._retire(column, old_record[index])
+                column["nulls"] -= olds[index].count(None)
+                # The sketch cannot forget; the extremes invalidate lazily.
+                column["stale"] = column["stale"] or _meets(
+                    olds[index], column["min"], column["max"])
         self._bump_batch(ctx, field, len(items))
 
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
@@ -245,29 +291,6 @@ class StatisticsAttachment(AttachmentType):
     def _log_old(self, ctx, handle, instance) -> None:
         self.log_kept(ctx, handle.relation_id, instance,
                       {"old_state": _copy_state(instance["state"])})
-
-    @staticmethod
-    def _absorb(column: dict, value) -> None:
-        if value is None:
-            column["nulls"] += 1
-            return
-        try:
-            if column["min"] is None or value < column["min"]:
-                column["min"] = value
-            if column["max"] is None or value > column["max"]:
-                column["max"] = value
-        except TypeError:
-            pass  # unorderable values (boxes, bytes) keep no extremes
-        _kmv_add(column["kmv"], value)
-
-    @staticmethod
-    def _retire(column: dict, value) -> None:
-        if value is None:
-            column["nulls"] -= 1
-            return
-        # The sketch cannot forget; the extremes invalidate lazily.
-        if value == column["min"] or value == column["max"]:
-            column["stale"] = True
 
     # -- reading ---------------------------------------------------------------
     def view(self, ctx, handle, instance) -> "TableStatistics":

@@ -25,13 +25,16 @@ DDL attributes: ``predicate`` (expression text, required),
 from __future__ import annotations
 
 
-from ..core.attachment import AttachmentType
-from ..errors import CheckViolation, StorageError
+from ..core.attachment import AttachmentType, tag_batch_index
+from ..core.records import RecordView
+from ..errors import CheckViolation, PredicateError, StorageError
 from ..services import events as ev
 from ..services.predicate import Predicate
-from ..services.scans import SCAN_BATCH
+from ..services.vectors import ColumnBatch, VectorOps
 
 __all__ = ["CheckConstraintAttachment"]
+
+_VECTOR_OPS = VectorOps()
 
 
 class CheckConstraintAttachment(AttachmentType):
@@ -60,19 +63,11 @@ class CheckConstraintAttachment(AttachmentType):
                     "deferred": attributes["deferred"]}
         # Existing records must already satisfy an immediate constraint.
         predicate = self._compiled(handle, instance)
-        method = ctx.database.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        scan = method.open_scan(ctx, handle)
-        try:
-            while True:
-                batch = scan.next_batch(SCAN_BATCH)
-                if not batch:
-                    break
-                for __, record in batch:
-                    self._test(instance, predicate, record)
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        for batch in self.stored_batches(ctx, handle):
+            failure = self._failure(instance, predicate,
+                                    [record for __, record in batch])
+            if failure is not None:
+                raise failure[1]
         return instance
 
     def destroy_instance(self, ctx, handle, instance_name, instance) -> None:
@@ -86,36 +81,76 @@ class CheckConstraintAttachment(AttachmentType):
             instance["_compiled"] = predicate
         return predicate
 
-    def _test(self, instance: dict, predicate: Predicate, record) -> None:
-        from ..core.records import RecordView
-        view = RecordView.from_record(record)
-        result = predicate.expr.eval(view, predicate.params)
-        if result is False:
-            raise CheckViolation(
-                instance["name"],
-                f"record {record!r} violates CHECK ({instance['predicate']})")
+    @staticmethod
+    def _failure(instance: dict, predicate: Predicate, records):
+        """``(row, exception)`` of the first of ``records`` whose value is
+        FALSE, or whose test raises (then found a row at a time: ``run``
+        cannot short-circuit), or ``None``."""
+        expr, params = predicate.expr, predicate.params
+        batch = ColumnBatch.from_columns(
+            {i: [record[i] for record in records]
+             for i in predicate.fields_needed},
+            len(records), len(predicate.schema))
+        try:
+            values = expr.run(batch, params, _VECTOR_OPS, None)
+        except PredicateError:
+            values = None
+        for row, record in enumerate(records):
+            try:
+                value = values[row] if values is not None else \
+                    expr.eval(RecordView.from_record(record), params)
+            except Exception as exc:
+                return row, exc
+            if value is False:
+                return row, CheckViolation(
+                    instance["name"], f"record {record!r} violates CHECK "
+                    f"({instance['predicate']})")
+        return None
 
     # -- attached procedures -------------------------------------------------------------
     def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        for instance in field["instances"].values():
-            if instance["deferred"]:
-                self._defer(ctx, handle, instance, key)
-            else:
-                self._test(instance, self._compiled(handle, instance),
-                           new_record)
-            ctx.stats.bump("check.evaluations")
+        self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
 
     def on_update(self, ctx, handle, field, old_key, new_key, old_record,
                   new_record) -> None:
-        for instance in field["instances"].values():
-            if instance["deferred"]:
-                self._defer(ctx, handle, instance, new_key)
-            else:
-                self._test(instance, self._compiled(handle, instance),
-                           new_record)
-            ctx.stats.bump("check.evaluations")
+        self.on_update_batch(ctx, handle, field,
+                             ((old_key, new_key, old_record, new_record),))
+
+    def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
+        self._check(ctx, handle, field, keys, new_records)
+
+    def on_update_batch(self, ctx, handle, field, items) -> None:
+        self._check(ctx, handle, field, [item[1] for item in items],
+                    [item[3] for item in items])
 
     # Deletes cannot violate an intra-record constraint.
+
+    def _check(self, ctx, handle, field, keys, records) -> None:
+        """Test every immediate instance, queue a recheck per key for every
+        deferred one: the first failing (row, instance) vetoes, and only
+        what a walk in that order did before it is queued and counted."""
+        instances = list(field["instances"].values())
+        stop, failure = (len(records), 0), None
+        for position, instance in enumerate(instances):
+            if not instance["deferred"]:
+                found = self._failure(instance,
+                                      self._compiled(handle, instance),
+                                      records[:stop[0]])
+                if found is not None:
+                    stop, failure = (found[0], position), found[1]
+        deferred = [(position, instance)
+                    for position, instance in enumerate(instances)
+                    if instance["deferred"]]
+        for row, key in enumerate(keys[:stop[0] + 1] if deferred else ()):
+            for position, instance in deferred:
+                if (row, position) < stop:
+                    self._defer(ctx, handle, instance, key)
+        evaluations = stop[0] * len(instances) + stop[1]
+        if evaluations:
+            ctx.stats.bump("check.evaluations", evaluations)
+        if failure is not None:
+            tag_batch_index(failure, stop[0])
+            raise failure
 
     def _defer(self, ctx, handle, instance, key) -> None:
         """Queue the re-check for "before transaction enters prepared
@@ -140,7 +175,10 @@ class CheckConstraintAttachment(AttachmentType):
             record = method.fetch(inner_ctx, entry.handle, record_key)
             if record is None:
                 return  # the record was deleted again before commit
-            self._test(inner, self._compiled(entry.handle, inner), record)
+            failure = self._failure(inner, self._compiled(entry.handle, inner),
+                                    [record])
+            if failure is not None:
+                raise failure[1]
             database.services.stats.bump("check.deferred_evaluations")
 
         ctx.defer(ev.BEFORE_PREPARE, recheck,

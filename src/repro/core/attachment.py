@@ -211,7 +211,11 @@ class AttachmentType(abc.ABC):
     # from set-at-a-time maintenance (indexes sorting their entries,
     # constraints batching existence probes) — the batch hook, with the
     # per-record hook as the one-line batch of one.  A veto raised anywhere
-    # rolls the whole set back to the operation savepoint.
+    # rolls the whole set back to the operation savepoint.  Built-ins:
+    # ``btree_index`` (so ``unique``), ``hash_index`` and ``statistics``
+    # implement all three batch hooks, ``check`` insert and update, and
+    # ``referential`` insert and delete; ``aggregate``, ``join_index``,
+    # ``rtree``, ``trigger`` and referential's update are per-record.
 
     def on_insert_batch(self, ctx: ExecutionContext, handle: RelationHandle,
                         field: dict, keys: Sequence,

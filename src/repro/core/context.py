@@ -73,20 +73,17 @@ class ExecutionContext:
         self.lock(("rel", relation_id), mode)
 
     def lock_record(self, relation_id: int, key, mode: LockMode) -> None:
-        """Record lock under the usual IS/IX intent on the relation.
-
-        Skipped entirely when the transaction already holds a relation-level
-        lock that subsumes ``mode`` (set-at-a-time operations escalate large
-        batches to one relation lock instead of record-at-a-time locking).
-        """
-        if self.services.locks.covers(self.txn_id, ("rel", relation_id), mode):
-            return
-        self.lock(("rel", relation_id), _INTENT[mode])
-        self.lock(("rec", relation_id, key), mode)
+        """Record lock under the usual IS/IX intent on the relation: the
+        batch of one of :meth:`lock_records`."""
+        self.lock_records(relation_id, (key,), mode)
 
     def lock_records(self, relation_id: int, keys, mode: LockMode) -> None:
-        """:meth:`lock_record` for a page's worth of keys at once: one
-        ``covers`` check, one intent lock, one ``acquire_many``.
+        """Record locks under the usual IS/IX intent on the relation, a
+        page's worth of keys at once: one ``covers`` check, one intent
+        lock, one ``acquire_many``.  Skipped entirely when the transaction
+        already holds a relation-level lock that subsumes ``mode``
+        (set-at-a-time operations escalate large batches to one relation
+        lock instead of record-at-a-time locking).
 
         A read asks only for keys it does not hold (a record is locked S
         or X, either serves it).  If they would bring its record reads of
@@ -96,7 +93,7 @@ class ExecutionContext:
         """
         if not keys:
             return
-        if self.txn.snapshot is not None:  # what lock_record would bypass
+        if self.txn.snapshot is not None:  # each key bypasses intent + record
             self.services.stats.bump("mvcc.lock_bypasses", 2 * len(keys))
             return
         locks, txn_id = self.services.locks, self.txn_id

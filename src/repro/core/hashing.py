@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import zlib
 
-__all__ = ["stable_hash", "shard_of", "HASH_SPACE"]
+__all__ = ["stable_hash", "stable_hashes", "shard_of", "HASH_SPACE"]
 
 #: The hash range: CRC32 values are uniform over 32 bits.
 HASH_SPACE = 2 ** 32
@@ -27,6 +27,13 @@ def stable_hash(value) -> int:
     keeps arbitrary unicode encodable.
     """
     return zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
+
+
+def stable_hashes(values) -> set:
+    """``{stable_hash(value) for value in values}``, each distinct text
+    hashed once."""
+    return {zlib.crc32(text.encode("utf-8", "backslashreplace"))
+            for text in set(map(repr, values))}
 
 
 def shard_of(value, shards: int) -> int:

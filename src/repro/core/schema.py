@@ -160,11 +160,13 @@ class Schema:
 
     def apply_update(self, record: Sequence, updates: dict) -> Tuple:
         """Return a new record tuple with ``updates`` ({index: value})
-        applied."""
+        applied.  The values are not validated here: ``check_partial``
+        made ``updates``, and the data manager checks every record it is
+        given to store."""
         values = list(record)
         for i, value in updates.items():
             values[i] = value
-        return self.check_record(values)
+        return tuple(values)
 
     def orderable(self, name: str) -> bool:
         return self.field(name).type_code in ORDERABLE_TYPES

@@ -20,6 +20,7 @@ Two common-service obligations follow:
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from ..errors import ScanError
@@ -28,8 +29,8 @@ from .events import EventService
 from .locks import LockMode
 from .vectors import ColumnBatch
 
-__all__ = ["ScanPosition", "Scan", "KeyScan", "key_of", "index_key",
-           "ScanService", "SnapshotScan",
+__all__ = ["ScanPosition", "Scan", "KeyScan", "keys_of", "changed_keys",
+           "index_key", "ScanService", "SnapshotScan",
            "ShippedRows", "ShippedScan",
            "ABSENT", "BEFORE", "ON", "AFTER", "SCAN_BATCH", "key_ordered"]
 
@@ -139,9 +140,26 @@ class Scan:
             raise ScanError("scan used after close")
 
 
-def key_of(instance: dict, record) -> tuple:
-    """``record``'s key in a B-tree or hash file ``instance``."""
-    return index_key([record[i] for i in instance["key_fields"]])
+def keys_of(instance: dict, records) -> list:
+    """Each of ``records``' keys in a B-tree or hash file ``instance``
+    (read as :func:`index_key` reads a probe), a key field at a time."""
+    return list(zip(*[_plain([record[i] for record in records])
+                      for i in instance["key_fields"]]))
+
+
+def changed_keys(instance: dict, items) -> list:
+    """``(batch index, old key, new key)`` of each update item whose key
+    in ``instance`` or record key changed.  Key fields equal as stored are
+    equal as read, so only the other items' keys are read."""
+    fields = itemgetter(*instance["key_fields"])
+    moved = [(index, item) for index, item in enumerate(items)
+             if item[0] != item[1] or fields(item[2]) != fields(item[3])]
+    if not moved:
+        return moved
+    olds = keys_of(instance, [item[2] for __, item in moved])
+    news = keys_of(instance, [item[3] for __, item in moved])
+    return [(index, old, new) for (index, item), old, new
+            in zip(moved, olds, news) if old != new or item[0] != item[1]]
 
 
 def index_key(values) -> tuple:
@@ -149,9 +167,12 @@ def index_key(values) -> tuple:
     against nothing, so no probe wants it and its entry could never be
     found again to be removed.  A ``bytearray`` (a BYTES field holds the
     one it was given until decoded) is the ``bytes`` it equals."""
-    return tuple([None if value != value else bytes(value)
-                  if isinstance(value, bytearray) else value
-                  for value in values])
+    return tuple(_plain(values))
+
+
+def _plain(values) -> list:
+    return [None if value != value else bytes(value)
+            if isinstance(value, bytearray) else value for value in values]
 
 
 class KeyScan(Scan):

@@ -101,6 +101,39 @@ def test_lock_records_under_a_snapshot_takes_nothing(db):
     session.commit()
 
 
+def test_single_fetches_count_toward_read_escalation(db, ctx):
+    table = db.create_table("t", [("v", "INT")])
+    keys = table.insert_many([(i,) for i in range(LOCK_ESCALATION_THRESHOLD)])
+    relation = ("rel", table.handle.relation_id)
+    locks, stats = db.services.locks, db.services.stats
+    for key in keys[:-1]:
+        db.data.fetch(ctx, table.handle, key)
+    assert locks.held_mode(ctx.txn_id, relation) is LockMode.IS
+    db.data.fetch(ctx, table.handle, keys[-1])      # the threshold-th read
+    assert locks.held_mode(ctx.txn_id, relation) is LockMode.S
+    assert stats.get("locks.read_escalations") == 1
+    assert ctx.txn.record_reads[table.handle.relation_id] == len(keys)
+
+
+def test_a_fetched_key_is_not_locked_again(db, ctx, monkeypatch):
+    table = db.create_table("t", [("v", "INT")])
+    key, = table.insert_many([(1,)])
+    locks, stats = db.services.locks, db.services.stats
+    granted = []
+    grant = locks._grant
+    monkeypatch.setattr(locks, "_grant", lambda txn_id, resource, *args:
+                        granted.append(resource) or grant(txn_id, resource,
+                                                          *args))
+    calls = []
+    for __ in range(2):
+        before = stats.get("locks.acquire_calls")
+        assert db.data.fetch(ctx, table.handle, key) == (1,)
+        calls.append(stats.get("locks.acquire_calls") - before)
+    assert granted.count(("rec", table.handle.relation_id, key)) == 1
+    assert calls[1] == calls[0] - 2     # neither the intent nor the record
+    assert ctx.txn.record_reads[table.handle.relation_id] == 1
+
+
 def test_defer_queues_on_event_service(db, ctx):
     from repro.services import events as ev
     ran = []

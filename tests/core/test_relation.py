@@ -25,6 +25,27 @@ def test_update_validates_field_names(employee):
         employee.update(key, {"salary": "not a float"})
 
 
+def test_mistyped_update_where_changes_nothing(employee):
+    before = sorted(employee.rows())
+    with pytest.raises(SchemaError):
+        employee.update_where("salary > 0", {"salary": "not a float"})
+    assert sorted(employee.rows()) == before
+
+
+def test_update_checks_each_new_record_once(employee, monkeypatch):
+    schema = employee.handle.schema
+    checked = []
+    check = schema.check_record
+    monkeypatch.setattr(schema, "check_record",
+                        lambda record: checked.append(record) or check(record))
+    assert employee.update_where("salary > 0", {"salary": 1.0}) == 5
+    assert len(checked) == 5 and all(r[3] == 1.0 for r in checked)
+    checked.clear()
+    key = employee.scan(where="id = 1")[0][0]
+    employee.update(key, {"salary": 2.0})
+    assert len(checked) == 1
+
+
 def test_update_missing_record(employee):
     with pytest.raises(StorageError):
         employee.update((999, 9), {"salary": 1.0})
