@@ -221,17 +221,6 @@ class BTreeIndexAttachment(AttachmentType):
                     "instance": instance["name"],
                     "entries": [[list(index_key), key]]})
 
-    def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
-
-    def on_update(self, ctx, handle, field, old_key, new_key, old_record,
-                  new_record) -> None:
-        self.on_update_batch(ctx, handle, field,
-                             ((old_key, new_key, old_record, new_record),))
-
-    def on_delete(self, ctx, handle, field, key, old_record) -> None:
-        self.on_delete_batch(ctx, handle, field, ((key, old_record),))
-
     # -- set-at-a-time attached procedures ---------------------------------------
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
         """One tree instantiation, one key-sorted bulk apply (each leaf

@@ -413,18 +413,6 @@ class HashIndexAttachment(AttachmentType):
             instance["nentries"] -= len(
                 self._take(buffer, instance, slot, group))
 
-    # -- attached procedures -------------------------------------------------------------
-    def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
-
-    def on_update(self, ctx, handle, field, old_key, new_key, old_record,
-                  new_record) -> None:
-        self.on_update_batch(ctx, handle, field,
-                             ((old_key, new_key, old_record, new_record),))
-
-    def on_delete(self, ctx, handle, field, key, old_record) -> None:
-        self.on_delete_batch(ctx, handle, field, ((key, old_record),))
-
     def _change(self, ctx, handle, instance: dict, op: str,
                 entries: list) -> None:
         """Apply one set of entries and log it: one record per instance."""

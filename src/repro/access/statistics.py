@@ -270,17 +270,6 @@ class StatisticsAttachment(AttachmentType):
                     olds[index], column["min"], column["max"])
         self._bump_batch(ctx, field, len(items))
 
-    def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        self.on_insert_batch(ctx, handle, field, [key], [new_record])
-
-    def on_update(self, ctx, handle, field, old_key, new_key, old_record,
-                  new_record) -> None:
-        self.on_update_batch(ctx, handle, field,
-                             [(old_key, new_key, old_record, new_record)])
-
-    def on_delete(self, ctx, handle, field, key, old_record) -> None:
-        self.on_delete_batch(ctx, handle, field, [(key, old_record)])
-
     @staticmethod
     def _bump_batch(ctx, field, nrecords: int) -> None:
         ctx.stats.bump_many({

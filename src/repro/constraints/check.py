@@ -108,14 +108,6 @@ class CheckConstraintAttachment(AttachmentType):
         return None
 
     # -- attached procedures -------------------------------------------------------------
-    def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
-
-    def on_update(self, ctx, handle, field, old_key, new_key, old_record,
-                  new_record) -> None:
-        self.on_update_batch(ctx, handle, field,
-                             ((old_key, new_key, old_record, new_record),))
-
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:
         self._check(ctx, handle, field, keys, new_records)
 

@@ -209,8 +209,8 @@ class AttachmentType(abc.ABC):
     # per-record hook above, reached through these defaults (which tag an
     # escaping error with the record's batch index), or — when it profits
     # from set-at-a-time maintenance (indexes sorting their entries,
-    # constraints batching existence probes) — the batch hook, with the
-    # per-record hook as the one-line batch of one.  A veto raised anywhere
+    # constraints batching existence probes) — the batch hook alone, with
+    # no per-record body for that operation.  A veto raised anywhere
     # rolls the whole set back to the operation savepoint.  Built-ins:
     # ``btree_index`` (so ``unique``), ``hash_index`` and ``statistics``
     # implement all three batch hooks, ``check`` insert and update, and

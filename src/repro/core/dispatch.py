@@ -40,7 +40,7 @@ from ..services.scans import ABSENT, SnapshotScan, key_ordered
 from ..services.vectors import ColumnBatch
 from .context import ExecutionContext
 from .registry import ExtensionRegistry
-from .storage_method import RelationHandle, StorageMethod
+from .storage_method import RelationHandle
 
 __all__ = ["DataManager", "AccessPath", "STORAGE_ACCESS"]
 
@@ -339,8 +339,9 @@ class DataManager:
                 handle.descriptor.storage_method_id)
             snapshot = self._snapshot_of(ctx)
             if snapshot is not None:
-                return self._snapshot_fetch(ctx, handle, method, key,
-                                            fields, predicate, snapshot)
+                pairs = self._snapshot_fetch_many(
+                    ctx, handle, method, [key], fields, predicate, snapshot)
+                return pairs[0][1] if pairs else None
             return self._storage_call(
                 ctx, handle, "fetch",
                 self.registry.storage_fetch[method.method_id],
@@ -425,11 +426,11 @@ class DataManager:
     # at — or committed after — the snapshot LSN).  The patch is keyed by
     # record key, which is also what every access path returns, and a key
     # outside it has current record = snapshot image, hence current index
-    # entries = snapshot index entries.  So the storage path below patches
-    # each record in place, and an access route (``Executor``) keeps its
-    # current hits outside the patch and takes the rest from
-    # ``snapshot_candidates``.  An access-path ``fetch`` through this
-    # layer returns *current* record keys; re-read them through ``fetch``.
+    # entries = snapshot index entries.  So every snapshot read follows one
+    # rule: read current storage as a locking reader does, drop the keys
+    # in the patch, and answer those from the patch's images
+    # (``_snapshot_images``).  An access-path ``fetch`` through this layer
+    # returns *current* record keys; re-read them through ``fetch``.
 
     @staticmethod
     def _snapshot_of(ctx: ExecutionContext):
@@ -472,80 +473,55 @@ class DataManager:
         if snapshot is None:
             return (), []
         patch = self._relation_patch(handle, snapshot)
-        pairs = [item for item in patch.items() if item[1] is not ABSENT]
-        if predicate is not None and pairs:
-            matching = predicate.select(ColumnBatch(
-                [r for __, r in pairs], len(handle.schema)))
-            pairs = [pairs[i] for i in matching]
-        if pairs:
-            ctx.stats.bump("mvcc.records_patched", len(pairs))
-        return patch.keys(), key_ordered(
-            [(key, tuple(image)) for key, image in pairs])
+        return patch.keys(), self._snapshot_images(
+            ctx, handle, patch.items(), None, predicate)
 
-    def _snapshot_fetch(self, ctx, handle, method, key, fields, predicate,
-                        snapshot):
-        patch = self._relation_patch(handle, snapshot)
-        if key in patch:
-            ctx.stats.bump("mvcc.records_patched")
-            record = patch[key]
-        else:
-            record = self._storage_call(
-                ctx, handle, "fetch",
-                self.registry.storage_fetch[method.method_id],
-                ctx, handle, key, None, None)
-        return StorageMethod.shape_read(
-            None if record is ABSENT else record, fields, predicate)
+    @staticmethod
+    def _snapshot_images(ctx, handle, pairs, fields, predicate) -> list:
+        """The ``(key, image)`` patch items of ``pairs`` the snapshot sees
+        and ``predicate`` passes, laid out as ``fields``, in key order: the
+        answer for the keys a snapshot read dropped from current state."""
+        pairs = [item for item in pairs if item[1] is not ABSENT]
+        if predicate is not None and pairs:
+            chosen = predicate.select(ColumnBatch(
+                [image for __, image in pairs], len(handle.schema)))
+            pairs = [pairs[i] for i in chosen]
+        if not pairs:
+            return pairs
+        ctx.stats.bump("mvcc.records_patched", len(pairs))
+        if fields is None:
+            return key_ordered([(key, tuple(image)) for key, image in pairs])
+        return key_ordered([(key, tuple([image[i] for i in fields]))
+                            for key, image in pairs])
 
     def _snapshot_fetch_many(self, ctx, handle, method, keys, fields,
                              predicate, snapshot) -> list:
         patch = self._relation_patch(handle, snapshot)
-        unpatched = [k for k in keys if k not in patch]
-        raw = dict(self._storage_call(
+        unpatched = [key for key in keys if key not in patch]
+        pairs = self._storage_call(
             ctx, handle, "fetch_many",
             self.registry.storage_fetch_many[method.method_id],
-            ctx, handle, unpatched, None, None)) if unpatched else {}
-        if len(unpatched) < len(keys):
-            ctx.stats.bump("mvcc.records_patched",
-                           len(keys) - len(unpatched))
-        pairs = []
-        for key in keys:
-            image = patch[key] if key in patch else raw.get(key)
-            item = StorageMethod.shape_read(
-                None if image is ABSENT else image, fields, predicate)
-            if item is not None:
-                pairs.append((key, item))
-        return pairs
+            ctx, handle, unpatched, fields, predicate) if unpatched else []
+        if len(unpatched) == len(keys):
+            return pairs
+        found = dict(pairs)
+        found.update(self._snapshot_images(
+            ctx, handle, [(key, patch[key]) for key in keys if key in patch],
+            fields, predicate))
+        return [(key, found[key]) for key in keys if key in found]
 
     def _snapshot_open_scan(self, ctx, handle, method, fields, predicate,
                             snapshot):
-        """A raw storage scan wrapped to serve the snapshot.
-
-        The base scan carries no predicate or projection — both must run
-        *after* patching, on snapshot images rather than current state.
-        """
-        base = self._storage_call(
-            ctx, handle, "open_scan",
-            self.registry.storage_open_scan[method.method_id],
-            ctx, handle, None, None)
-
-        width = len(handle.schema)
-
-        def transform(pairs):
-            """Predicate + projection over a batch of patched pairs — the
-            set-at-a-time filtering a locking scan gets from pushdown."""
-            if predicate is not None and pairs:
-                chosen = predicate.select(ColumnBatch(
-                    [record for __, record in pairs], width))
-                pairs = [pairs[i] for i in chosen]
-            if fields is None:
-                return [(key, tuple(record)) for key, record in pairs]
-            return [(key, tuple(record[i] for i in fields))
-                    for key, record in pairs]
-
+        """The storage scan a locking reader opens, less the patched keys,
+        then their images (:class:`SnapshotScan`)."""
         wrapped = SnapshotScan(
-            base,
-            patch_fn=lambda: self._relation_patch(handle, snapshot),
-            transform=transform, stats=ctx.stats)
+            self._storage_call(
+                ctx, handle, "open_scan",
+                self.registry.storage_open_scan[method.method_id],
+                ctx, handle, fields, predicate),
+            lambda: self._relation_patch(handle, snapshot),
+            lambda pairs: self._snapshot_images(ctx, handle, pairs, fields,
+                                                predicate))
         ctx.services.scans.register(wrapped)
         return wrapped
 

@@ -214,14 +214,6 @@ class AuthorizationError(ReproError):
     """The uniform authorization facility denied an operation."""
 
 
-class PlanInvalidatedError(ReproError):
-    """A bound plan refers to a dropped relation or access path.
-
-    Callers normally never see this: the plan cache catches it and
-    automatically re-translates the query (the paper's behaviour).
-    """
-
-
 class QueryError(ReproError):
     """A query could not be parsed, planned, or executed."""
 

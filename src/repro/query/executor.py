@@ -186,6 +186,13 @@ class Executor:
         heap's column-resident batch passes untouched; fetched records
         and snapshot images are whole.  A plain list of pairs is wrapped
         rows-first, in the layout it was asked for."""
+        # A snapshot storage route reads whole records too, measured: with
+        # ``fields`` its first statement on a page a writer dirtied decodes
+        # only what it reads into the page image's column cache, and the
+        # next statement pays the decode of the other columns per page
+        # where a whole-record decode was paid once and cached
+        # (snapshot_storm scan 5.0 -> 2.4-3.3 ms, but group 3.2 -> 4.0-4.9
+        # and top-k 3.1 -> 3.6-3.8).
         if fields is not None and not (access.is_storage
                                        and ctx.txn.snapshot is None):
             fields = None
@@ -210,13 +217,14 @@ class Executor:
         handed the residual filter, tested by a B-tree's key filter when
         the key can answer it and by the fetch otherwise.
 
-        Every route serves a snapshot reader.  The storage route reads
-        through dispatch, which patches each record in place.  An
-        access-path route answers the snapshot's images of the patched
-        records that pass the whole predicate — a record whose indexed
-        field has since moved is judged on the value the snapshot sees —
-        and then its current hits outside the patch, fetched as a locking
-        reader fetches them: for those, current state is the snapshot's.
+        Every route serves a snapshot reader by one rule: current hits
+        outside the relation's patch, read as a locking reader reads them
+        (for those, current state is the snapshot's), and the snapshot's
+        images of the patched records that pass the whole predicate — a
+        record whose indexed field has since moved is judged on the value
+        the snapshot sees.  The storage route reads through dispatch, whose
+        scan answers the images after its current hits; an access-path
+        route answers them first.
         """
         database = self.database
         schema = handle.schema

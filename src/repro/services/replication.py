@@ -557,23 +557,6 @@ class ReplicationService:
         self.stats.bump("repl.rejoins")
         return standby.acked_lsn - before
 
-    def readmit_deposed(self, index: int) -> Standby:
-        """Rebuild the most recently deposed primary as a fresh standby.
-
-        Its log may have diverged past the promotion point (an unshipped
-        suffix the new primary never saw); divergence is resolved by
-        rebuild-and-full-replay, never by splicing logs.
-        """
-        replica_set = self.sets[index]
-        if not replica_set.deposed:
-            raise ReplicationError(f"shard {index}: nothing to readmit")
-        replica_set.deposed.pop(0)  # the old instance is discarded
-        standby = self._new_standby(index)
-        replica_set.standbys.append(standby)
-        self.stats.bump("repl.rebuilds")
-        self.ship(index)
-        return standby
-
     def _rebuild_standby(self, index: int, standby: Standby) -> None:
         """Full resync for a standby that fell off the retained log."""
         fresh = self._new_standby(index)

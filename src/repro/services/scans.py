@@ -19,7 +19,7 @@ Two common-service obligations follow:
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
@@ -44,7 +44,8 @@ SCAN_BATCH = 256
 #: Sentinel: under a snapshot, this record key must not be seen at all
 #: (the version store's "the record did not exist" image).  Defined here
 #: (the scan boundary) so both the transaction service's version store
-#: and the snapshot scan wrapper can share it without an import cycle.
+#: and the dispatch layer's snapshot reads share it without an import
+#: cycle.
 ABSENT = object()
 
 
@@ -247,66 +248,65 @@ class KeyScan(Scan):
 
 
 class SnapshotScan(Scan):
-    """Wraps a raw storage scan to serve a snapshot reader.
+    """A locking reader's storage scan, less the keys of a snapshot's
+    rewind patch, then the snapshot's images of those keys.
 
-    The base scan must deliver *full* ``(key, record)`` pairs with no
-    predicate or projection pushed down — the wrapper rewinds each record
-    to its snapshot image first (``patch_fn`` returns the relation's
-    current rewind patch, recomputed per batch so writes committed *after*
-    the snapshot mid-scan are still patched back out), then applies the
-    caller's ``transform`` to the batch of patched pairs (predicate +
-    projection; it returns the surviving items).
-
-    Records the snapshot saw but a later writer deleted (or relocated)
-    are no longer in storage at all: the wrapper *resurrects* them from
-    the patch once the base scan is exhausted, in deterministic key
-    order.
+    ``patch_fn`` returns the relation's patch.  It is re-read per batch,
+    so a write committed after the snapshot mid-scan is still patched
+    back out: a batch that holds no patched key passes untouched, any
+    other is narrowed to its unpatched rows.  Once the base scan is
+    exhausted, ``images`` (which filters, projects and key-orders patch
+    items) answers every key a patch held during the scan that the scan
+    did not return as current — the ones it dropped, and the ones a
+    writer deleted or moved.
     """
 
-    def __init__(self, base: Scan, patch_fn, transform, stats=None):
+    def __init__(self, base: Scan, patch_fn, images):
         super().__init__(base.txn_id)
         self.base = base
         self._patch_fn = patch_fn
-        self._transform = transform
-        self._stats = stats
-        self._seen: set = set()
-        self._base_exhausted = False
-        self._resurrect: List = []
+        self._images = images
+        self._patch = (None, 0)  # the patch last read, and its size then
+        self._items: Dict = {}  # every patch item read, by key
+        self._patches = 0  # distinct patches read
+        self._returned: List = []  # the key lists returned as current
+        self._tail = None  # the images still owed, once the base is done
 
     # -- the Scan protocol ------------------------------------------------------
-    def next_batch(self, n: int) -> list:
+    def next_batch(self, n: int):
         if n < 1:
             raise ScanError(f"next_batch needs a positive count, got {n}")
         self._check_open()
-        out: list = []
-        # An empty non-final batch would read as end-of-scan to callers,
-        # so keep pulling until we produce at least one item or truly run
-        # out (base exhausted *and* resurrection list drained).
-        while not out and not self._base_exhausted:
+        while self._tail is None:
             batch = self.base.next_batch(n)
-            if not batch:
-                self._base_exhausted = True
-                self._prepare_resurrection()
-                break
             patch = self._patch_fn()
-            candidates = []
-            patched = 0
-            for key, record in batch:
-                self._seen.add(key)
-                if key in patch:
-                    patched += 1
-                    record = patch[key]
-                    if record is ABSENT:
-                        continue  # born after the snapshot: invisible
-                candidates.append((key, record))
-            if patched and self._stats is not None:
-                self._stats.bump("mvcc.records_patched", patched)
-            out.extend(self._transform(candidates))
-        while len(out) < n and self._resurrect:
-            take = min(n - len(out), len(self._resurrect))
-            chunk = self._resurrect[:take]
-            del self._resurrect[:take]
-            out.extend(self._transform(chunk))
+            if patch is not self._patch[0] or len(patch) != self._patch[1]:
+                # A patch only grows until the version store's epoch moves
+                # and the store builds a new one, so the same patch at the
+                # same size holds nothing unread.  A key's image never
+                # changes while the snapshot lives.
+                self._patch = (patch, len(patch))
+                self._items.update(patch)
+                self._patches += 1
+            if not batch:
+                self._tail = self._owed()
+                break
+            keys = batch.keys if isinstance(batch, ColumnBatch) \
+                else [key for key, __ in batch]
+            patched = patch.keys() & keys
+            if patched:
+                keep = [i for i, key in enumerate(keys) if key not in patched]
+                if not keep:
+                    continue
+                if isinstance(batch, ColumnBatch):
+                    batch = batch.narrow(keep)
+                    keys = batch.keys
+                else:
+                    batch = [batch[i] for i in keep]
+                    keys = [keys[i] for i in keep]
+            self._returned.append(keys)
+            return batch
+        out, self._tail = self._tail[:n], self._tail[n:]
         return out
 
     def save_position(self) -> ScanPosition:
@@ -320,14 +320,14 @@ class SnapshotScan(Scan):
             self.base.close()
         super().close()
 
-    # -- internals --------------------------------------------------------------
-    def _prepare_resurrection(self) -> None:
-        pending = key_ordered(
-            [(key, image) for key, image in self._patch_fn().items()
-             if image is not ABSENT and key not in self._seen])
-        if pending and self._stats is not None:
-            self._stats.bump("mvcc.records_resurrected", len(pending))
-        self._resurrect = pending
+    def _owed(self) -> list:
+        # Under one patch no key it holds was returned as current.  A key
+        # enters (a commit after the scan returned it) or leaves (its
+        # writer rolled back after the scan passed it) only as it moves.
+        returned = set(chain.from_iterable(self._returned)) \
+            if self._patches > 1 else ()
+        return self._images([item for item in self._items.items()
+                             if item[0] not in returned])
 
 
 class ShippedRows:

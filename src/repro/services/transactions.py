@@ -564,9 +564,7 @@ class TransactionManager:
         and in-doubt transactions' writes were X-serialized originally.
         """
         relocked = 0
-        lsn = self.wal.last_lsn(txn.txn_id)
-        while lsn:
-            record = self.wal.record(lsn)
+        for record in self.wal.transaction_chain(txn.txn_id):
             if record.kind in (wal_records.UPDATE, wal_records.CLR):
                 handler = self.recovery.handler(record.resource)
                 for relation_id, key in handler.locked_records(
@@ -576,7 +574,6 @@ class TransactionManager:
                     self.locks.acquire(txn.txn_id, ("rec", relation_id, key),
                                        LockMode.X)
                     relocked += 1
-            lsn = record.prev_lsn
         if relocked and self.stats is not None:
             self.stats.bump("txn.indoubt.locks_reacquired", relocked)
 
