@@ -51,7 +51,7 @@ from ..core.attachment import AttachmentType, tag_batch_index
 from ..core.context import ExecutionContext
 from ..core.storage_method import RelationHandle
 from ..errors import PageError, StorageError, UniqueViolation
-from ..query.cost import (AccessCost, btree_range, default_selectivity,
+from ..query.cost import (AccessCost, default_selectivity,
                           implied_conjuncts)
 from ..services.predicate import Const, Predicate
 from ..services.scans import AFTER, KeyScan, Scan, changed_keys, keys_of
@@ -98,6 +98,7 @@ class BTreeIndexAttachment(AttachmentType):
     name = "btree_index"
     is_access_path = True
     recoverable = True
+    returns_key_columns = True
 
     # -- DDL -------------------------------------------------------------------
     def validate_attributes(self, schema, attributes):
@@ -292,8 +293,9 @@ class BTreeIndexAttachment(AttachmentType):
             input_key = (input_key,)
         tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
         ctx.stats.bump(self.name + ".fetches")
-        if None in input_key:
-            return []  # NULL equals nothing, and has no entry
+        if not all(map(handle.schema.comparable, instance["key_fields"],
+                       input_key)):
+            return []  # NULL equals nothing; another type orders nowhere
         if len(input_key) == len(instance["key_fields"]):
             return tree.search(input_key)
         # Partial key: all entries whose key has this prefix.
@@ -315,6 +317,36 @@ class BTreeIndexAttachment(AttachmentType):
         ctx.services.scans.register(scan)
         return scan
 
+    def bind_route(self, handle, instance, relevant, values):
+        """``("btree_range", low, high, low_inclusive, high_inclusive)``,
+        the intersection of the relevant bounds, exact: an ``=`` bounds
+        both ends and on a tie the exclusive bound wins, so each holds for
+        every entry in it.  Not exact: a bound of another type than the key
+        (every entry, and the whole filter answers as a scan's does) or a
+        NULL or NaN one (no entry)."""
+        low = high = None
+        low_inclusive = high_inclusive = exact = True
+        for pred, value in zip(relevant, values):
+            if value is not None \
+                    and not handle.schema.comparable(pred.field_index, value):
+                return ("btree_range", None, None, True, True), False
+            exact = exact and value is not None and value == value
+            if not exact:
+                continue
+            op, bound = pred.op, (value,)
+            if op != "<" and op != "<=" and (low is None or bound > low
+                                             or bound == low and op == ">"):
+                low, low_inclusive = bound, op != ">"
+            if op != ">" and op != ">=" and (high is None or bound < high
+                                             or bound == high and op == "<"):
+                high, high_inclusive = bound, op != "<"
+        if not exact:
+            return ("btree_range", (None,), None, True, True), False
+        return ("btree_range", low, high, low_inclusive, high_inclusive), True
+
+    def equality_key(self, instance):
+        return tuple(instance["key_fields"])
+
     # -- cost estimation ------------------------------------------------------------------
     def estimate_cost(self, ctx, handle, instance_name, instance, eligible
                       ) -> Optional[AccessCost]:
@@ -334,11 +366,11 @@ class BTreeIndexAttachment(AttachmentType):
         tuples = max(1, method.record_count(ctx, handle))
         selectivity = default_selectivity(relevant)
         equality = any(pred.op == "=" for pred in relevant)
-        literals = [(pred.op, pred.operand.value) for pred in relevant
+        literals = [pred for pred in relevant
                     if isinstance(pred.operand, Const)]
-        comparable = [(op, value) for op, value in literals
-                      if handle.schema.comparable(leading, value)]
-        route = btree_range(comparable)
+        route, exact = self.bind_route(
+            handle, instance, literals,
+            [pred.operand.value for pred in literals])
         low, high = route[1], route[2]
         interpolated = self._interpolate_selectivity(ctx, instance, low, high)
         if interpolated is not None:
@@ -368,7 +400,7 @@ class BTreeIndexAttachment(AttachmentType):
                           relevant=tuple(relevant),
                           ordered_by=tuple(key_fields), route=route,
                           consumed=implied_conjuncts(relevant, eligible)
-                          if len(comparable) == len(literals) else ())
+                          if exact else ())
 
     def _interpolate_selectivity(self, ctx, instance: dict,
                                  low: Optional[tuple],

@@ -26,11 +26,13 @@ layout at length; in short:
   a crash: restart rebuilds the file from the batches it read once from
   the relation for every structure on it, the directory sized once from
   the entry count.
-* **A probe consumes its equalities**: every record key it returns holds
-  the probed key, so the executor hands the fetch only the residual
+* **A probe consumes its equalities**: a route (``bind_route``) is
+  ``("hash_probe", key)``, and every record key its scan returns holds
+  the probed key, so the executor hands the scan only the residual
   filter (not when a value is NULL or of another type than its field).
-  The scan (:class:`~repro.services.scans.KeyScan`) tests a filter on
-  the key fields with one ``select`` per chunk of entries.
+  The scan (:class:`~repro.services.scans.KeyScan`) walks the entries
+  ``fetch`` finds and tests a filter on the key fields with one
+  ``select`` per chunk of entries.
 * A NaN key field is stored as NULL (``scans.index_key``): no probe
   equals it, and the entry is found again when its record goes.  A
   ``bytearray`` is stored and probed as the ``bytes`` it equals.
@@ -113,8 +115,9 @@ def _chain(buffer, page_id: int) -> Iterator[_Bucket]:
 class HashIndexScan(KeyScan):
     """Key-sequential access in *split order*: bucket after bucket the way
     splits unfold them, within a bucket by the hash's bits lowest first
-    (:func:`_split_rank`), then by record key.  It exists for completeness
-    (the planner only routes equality lookups here).
+    (:func:`_split_rank`), then by record key.  A probe's scan walks only
+    the entries its key's ``fetch`` found, in that order (the planner
+    routes only equality lookups here).
 
     The position is the ``(hash, record key)`` of the last entry looked at
     — its place in the order, not in a page — so a bucket that splits,
@@ -125,6 +128,13 @@ class HashIndexScan(KeyScan):
 
     counter = "hash_index.entries_scanned"
     _sorted = ((), [])  # a chain's images, its entries in order
+
+    def __init__(self, ctx, handle, instance: dict, predicate,
+                 probed: Optional[list] = None):
+        super().__init__(ctx, handle, instance, predicate)
+        #: A probe's ``(key, record key)`` entries, in ``fetch`` order; the
+        #: scan walks them alone.  ``None``: every entry, in split order.
+        self.probed = probed
 
     def _bucket(self, slot: int) -> list:
         """``(rank, (hash, key, record key))`` per entry of the bucket at
@@ -159,9 +169,13 @@ class HashIndexScan(KeyScan):
         return slot + 1 if slot + 1 < initial else None
 
     def _entries(self):
-        """``(key, record key)`` after the position, bucket after bucket,
-        each chain read (and ordered) once."""
+        """``(key, record key)`` after the position: the probe's, or
+        bucket after bucket, each chain read (and ordered) once."""
         instance, position = self.instance, self.position
+        if self.probed is not None:
+            yield from self.probed[0 if position is None
+                                   else self.probed.index(position) + 1:]
+            return
         slot, after = 0, None
         if position is not None:
             slot = position[0] % len(instance["buckets"])
@@ -177,6 +191,8 @@ class HashIndexScan(KeyScan):
             slot, after = self._following(slot), None
 
     def _position_of(self, entry):
+        if self.probed is not None:
+            return entry
         key, value = entry
         return (_hash(key), value)
 
@@ -457,16 +473,42 @@ class HashIndexAttachment(AttachmentType):
                         else (input_key,))
         buckets = instance["buckets"]
         found: List = []
+        ctx.stats.bump("hash_index.fetches")
+        if None in key:
+            return found  # NULL equals nothing
         for image in _chain(ctx.buffer, buckets[_hash(key) % len(buckets)]):
             found.extend(image.entries.get(key, ()))
-        ctx.stats.bump("hash_index.fetches")
         return found
 
     def open_scan(self, ctx, handle, instance, predicate=None,
                   route=None) -> Scan:
-        scan = HashIndexScan(ctx, handle, instance, predicate)
+        """Every entry, or with a ``("hash_probe", key)`` route the entries
+        a :meth:`fetch` of ``key`` finds (none for a ``None`` key)."""
+        probed = None
+        if route is not None:
+            key = route[1]
+            probed = [] if key is None else [
+                (index_key(key), value)
+                for value in self.fetch(ctx, handle, instance, key)]
+        scan = HashIndexScan(ctx, handle, instance, predicate, probed)
         ctx.services.scans.register(scan)
         return scan
+
+    def bind_route(self, handle, instance, relevant, values):
+        """The probe key, exact when every value is of its field's type
+        (``None``: two equalities on one field disagree, so no row can
+        pass, exactly)."""
+        by_field, exact = {}, True
+        for pred, value in zip(relevant, values):
+            if by_field.setdefault(pred.field_index, value) != value:
+                return ("hash_probe", None), True
+            exact = exact and handle.schema.comparable(pred.field_index,
+                                                       value)
+        return ("hash_probe", tuple(by_field.get(i)
+                                    for i in instance["key_fields"])), exact
+
+    def equality_key(self, instance):
+        return tuple(instance["key_fields"])
 
     # -- cost estimation ------------------------------------------------------------------
     def estimate_cost(self, ctx, handle, instance_name, instance, eligible
@@ -484,11 +526,12 @@ class HashIndexAttachment(AttachmentType):
         # The bucket a probe would read — the one the constants select, or
         # the first for a parameter — says what a probe meets: its chain's
         # pages, and its entries shared among its keys.
-        operands = {p.field_index: p.operand for p in relevant}
+        literals = [p for p in relevant if isinstance(p.operand, Const)]
+        route, exact = self.bind_route(handle, instance, literals,
+                                       [p.operand.value for p in literals])
         buckets, slot = instance["buckets"], 0
-        if all(isinstance(operand, Const) for operand in operands.values()):
-            slot = _hash(tuple(operands[i].value
-                               for i in instance["key_fields"])) % len(buckets)
+        if len(literals) == len(relevant) and route[1] is not None:
+            slot = _hash(route[1]) % len(buckets)
         chain = list(_chain(ctx.buffer, buckets[slot]))
         keys = {key for image in chain for key in image.entries}
         expected = max(1.0, sum(
@@ -506,11 +549,8 @@ class HashIndexAttachment(AttachmentType):
                     expected = max(1.0, tuples * selectivity)
         expected = min(expected, float(tuples))
         # The chain's pages + one base fetch per match.
-        exact = all(handle.schema.comparable(p.field_index, p.operand.value)
-                    for p in relevant if isinstance(p.operand, Const))
         return AccessCost(io_pages=len(chain) + expected, cpu_tuples=expected,
                           expected_tuples=expected,
-                          relevant=tuple(relevant), route=("hash_probe",),
+                          relevant=tuple(relevant), route=route,
                           consumed=implied_conjuncts(relevant, eligible)
                           if exact else ())
-    # NOTE: the executor probes via fetch() when the route is hash_probe.

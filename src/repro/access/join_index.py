@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.attachment import AttachmentType
+from ..core.attachment import AttachmentType, matching_keys
 from ..errors import StorageError
 from ..query.cost import AccessCost
+from ..services.locks import LockMode
 
 __all__ = ["JoinIndexAttachment"]
 
@@ -199,22 +200,20 @@ class JoinIndexAttachment(AttachmentType):
             self._pair_up(ctx, handle, instance, key, old_record, add=False)
 
     def _pair_up(self, ctx, handle, instance, key, record, add: bool) -> None:
-        """Add or remove the pairs this record participates in."""
+        """Add or remove the pairs this record participates in: the other
+        side's records that match it, found by its equality probe when it
+        has one, S-locked as a scan of them locks them."""
         database = ctx.database
-        if instance["role"] == "left":
-            value = record[instance["field_index"]]
-            other_handle = database.catalog.handle(instance["other"])
-            other_index = instance["other_field_index"]
-            matches = self._matching_keys(ctx, other_handle, other_index,
-                                          value)
-            pair_list = [(key, m) for m in matches]
-        else:
-            value = record[instance["other_field_index"]]
-            other_handle = database.catalog.handle(instance["relation"])
-            other_index = instance["field_index"]
-            matches = self._matching_keys(ctx, other_handle, other_index,
-                                          value)
-            pair_list = [(m, key) for m in matches]
+        on_left = instance["role"] == "left"
+        own, other = "field_index", "other_field_index"
+        if not on_left:
+            own, other = other, own
+        other_handle = database.catalog.handle(
+            instance["other" if on_left else "relation"])
+        matches = list(matching_keys(ctx, other_handle, (instance[other],),
+                                     (record[instance[own]],)))
+        ctx.lock_records(other_handle.relation_id, matches, LockMode.S)
+        pair_list = [(key, m) if on_left else (m, key) for m in matches]
         owner = database.catalog.handle(instance["relation"])
         left = self._left(owner, instance)
         for left_key, right_key in pair_list:
@@ -227,17 +226,6 @@ class JoinIndexAttachment(AttachmentType):
             self.log_kept(ctx, owner.relation_id, left, {
                 "op": op, "left_key": left_key, "right_key": right_key})
             ctx.stats.bump("join_index.maintenance_ops")
-
-    @staticmethod
-    def _matching_keys(ctx, other_handle, field_index: int, value) -> List:
-        if value is None:
-            return []
-        database = ctx.database
-        method = database.registry.storage_method(
-            other_handle.descriptor.storage_method_id)
-        return [other_key for other_key, record in ctx.services.scans.drain(
-            method.open_scan(ctx, other_handle))
-            if record[field_index] == value]
 
     # -- direct access operations ------------------------------------------------------
     def fetch(self, ctx, handle, instance, input_key) -> List:

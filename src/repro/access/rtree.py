@@ -507,6 +507,10 @@ class RTreeAttachment(AttachmentType):
         ctx.services.scans.register(scan)
         return scan
 
+    def bind_route(self, handle, instance, relevant, values):
+        """A search by the first relevant box, which consumes nothing."""
+        return ("rtree_search", relevant[0].op, values[0]), False
+
     # -- cost estimation ------------------------------------------------------------------
     def estimate_cost(self, ctx, handle, instance_name, instance, eligible
                       ) -> Optional[AccessCost]:
@@ -529,6 +533,4 @@ class RTreeAttachment(AttachmentType):
         chosen = relevant[0]
         return AccessCost(io_pages=touched, cpu_tuples=expected,
                           expected_tuples=expected,
-                          relevant=(chosen,),
-                          route=("rtree_pred", chosen.field_index,
-                                 chosen.op))
+                          relevant=(chosen,))

@@ -32,12 +32,12 @@ columns), ``parent_columns`` (referenced columns), ``on_delete``
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional
 
-from ..core.attachment import AttachmentType
+from ..core.attachment import AttachmentType, matching_keys
 from ..errors import ReferentialViolation, StorageError
 from ..services import events as ev
-from ..services.scans import SCAN_BATCH
 
 __all__ = ["ReferentialIntegrityAttachment"]
 
@@ -98,7 +98,8 @@ class ReferentialIntegrityAttachment(AttachmentType):
             "deferred": attributes["deferred"],
         }
         # Existing children must already satisfy the constraint.
-        for __, record in self._scan_all(ctx, handle):
+        for __, record in chain.from_iterable(
+                self.stored_batches(ctx, handle)):
             values = self._values(record, instance["child_fields"])
             if values is not None and not self._parent_exists(
                     ctx, instance, values):
@@ -278,57 +279,14 @@ class ReferentialIntegrityAttachment(AttachmentType):
         ctx.defer(ev.BEFORE_PREPARE, recheck, values_list)
 
     def _parent_exists(self, ctx, instance: dict, values: tuple) -> bool:
-        """Test the parent relation, via an index when one exists."""
-        database = ctx.database
-        parent_handle = database.catalog.handle(instance["parent"])
-        keys = self._index_probe(ctx, parent_handle,
-                                 instance["parent_fields"], values)
-        if keys is not None:
-            return bool(keys)
-        for __, record in self._scan_all(ctx, parent_handle):
-            if tuple(record[i] for i in instance["parent_fields"]) == values:
-                return True
-        return False
+        """Test the parent relation, by its equality probe when it has one
+        (a scan stops at the first match)."""
+        parent_handle = ctx.database.catalog.handle(instance["parent"])
+        return next(matching_keys(ctx, parent_handle,
+                                  instance["parent_fields"], values),
+                    None) is not None
 
     def _matching_children(self, ctx, instance: dict, values: tuple) -> List:
-        database = ctx.database
-        child_handle = database.catalog.handle(instance["child"])
-        keys = self._index_probe(ctx, child_handle,
-                                 instance["child_fields"], values)
-        if keys is not None:
-            return keys
-        return [key for key, record in self._scan_all(ctx, child_handle)
-                if tuple(record[i]
-                         for i in instance["child_fields"]) == values]
-
-    @staticmethod
-    def _index_probe(ctx, handle, fields: List[int], values: tuple
-                     ) -> Optional[List]:
-        """Use a B-tree or hash access path on exactly these fields, if any."""
-        database = ctx.database
-        for type_name in ("btree_index", "hash_index"):
-            attachment = database.registry.attachment_type_by_name(type_name)
-            field = handle.descriptor.attachment_field(attachment.type_id)
-            if field is None:
-                continue
-            for instance in field["instances"].values():
-                if list(instance["key_fields"]) == list(fields):
-                    return attachment.fetch(ctx, handle, instance,
-                                            tuple(values))
-        return None
-
-    @staticmethod
-    def _scan_all(ctx, handle):
-        database = ctx.database
-        method = database.registry.storage_method(
-            handle.descriptor.storage_method_id)
-        scan = method.open_scan(ctx, handle)
-        try:
-            while True:
-                batch = scan.next_batch(SCAN_BATCH)
-                if not batch:
-                    break
-                yield from batch
-        finally:
-            scan.close()
-            ctx.services.scans.unregister(scan)
+        child_handle = ctx.database.catalog.handle(instance["child"])
+        return list(matching_keys(ctx, child_handle, instance["child_fields"],
+                                  values))

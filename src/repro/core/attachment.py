@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from ..errors import PageError, UnknownObjectError
 from ..query.cost import AccessCost, EligiblePredicate
@@ -40,7 +40,7 @@ from .context import ExecutionContext
 from .storage_method import RelationHandle, logged_relation
 
 __all__ = ["AttachmentType", "LogicalUndoHandler", "STALE", "instances_of",
-           "tag_batch_index"]
+           "tag_batch_index", "equality_probe", "matching_keys"]
 
 #: The ``derived_lsn`` of a descriptor-resident instance whose state is
 #: known to be wrong: its next read and the next restart derive it again.
@@ -70,6 +70,53 @@ def instances_of(field: dict) -> Dict[str, dict]:
     can enumerate instances without knowing the type.
     """
     return field.get("instances", {})
+
+
+def equality_probe(database, handle: RelationHandle, fields: Sequence[int]
+                   ) -> Optional[Tuple[float, Callable]]:
+    """``(cost, probe)``: ``probe(ctx, values)`` returns the record keys
+    of ``handle``'s records whose ``fields`` equal ``values`` by the
+    ``fetch`` of an access path whose ``equality_key`` is ``fields``, else
+    of a storage method keyed on them; ``None`` when only a scan can."""
+    fields = tuple(fields)
+    registry = database.registry
+    for type_id, field in handle.descriptor.present_attachments():
+        attachment = registry.attachment_type(type_id)
+        if not attachment.is_access_path:
+            continue
+        for instance in field["instances"].values():
+            if attachment.equality_key(instance) == fields:
+                return AccessCost.IO_WEIGHT * 3.0, (
+                    lambda ctx, values, attachment=attachment,
+                    instance=instance: attachment.fetch(ctx, handle,
+                                                        instance, values))
+    method = registry.storage_method(handle.descriptor.storage_method_id)
+    if tuple(method.key_fields(handle)) != fields:
+        return None
+    comparable = handle.schema.comparable
+
+    def probe(ctx, values):
+        if all(map(comparable, fields, values)) \
+                and method.fetch(ctx, handle, values) is not None:
+            return [values]
+        return []
+    return AccessCost.IO_WEIGHT * 2.0, probe
+
+
+def matching_keys(ctx: ExecutionContext, handle: RelationHandle,
+                  fields: Sequence[int], values: tuple) -> Iterator:
+    """The record keys :func:`equality_probe` finds, else a scan (which
+    stops when the caller does); NULL equals nothing."""
+    if None in values:
+        return
+    found = equality_probe(ctx.database, handle, fields)
+    if found is not None:
+        yield from found[1](ctx, values)
+        return
+    for batch in AttachmentType.stored_batches(ctx, handle):
+        for key, record in batch:
+            if tuple(record[i] for i in fields) == values:
+                yield key
 
 
 class LogicalUndoHandler(ResourceHandler):
@@ -117,13 +164,16 @@ class AttachmentType(abc.ABC):
     * ``recoverable`` — whether the attachment logs its own storage
       changes (pure checks log nothing);
     * ``descriptor_resident`` — whether its state lives in the relation
-      descriptor, which a crash keeps, rather than in pages, which it loses.
+      descriptor, which a crash keeps, rather than in pages, which it loses;
+    * ``returns_key_columns`` — whether its scans' batches hold the key
+      fields as columns (a ``KeyScan``'s), which answer a covering query.
     """
 
     name: str = ""
     is_access_path: bool = False
     recoverable: bool = False
     descriptor_resident: bool = False
+    returns_key_columns: bool = False
 
     #: Assigned by the registry; indexes the attachment procedure vectors
     #: and the relation descriptor fields.
@@ -261,7 +311,8 @@ class AttachmentType(abc.ABC):
                   instance: dict,
                   predicate: Optional[Predicate] = None,
                   route=None) -> Scan:
-        """Key-sequential access over the mapping structure.
+        """Key-sequential access over the mapping structure, within the
+        ``route`` :meth:`bind_route` bound (``None``: every entry).
 
         A batch iterates as ``(record_key, fields)`` pairs, ``fields``
         holding the record fields present in the access-path key, so the
@@ -270,10 +321,26 @@ class AttachmentType(abc.ABC):
         key-ordered path (a :class:`~repro.services.scans.KeyScan`: B-tree,
         hash file) returns a ``ColumnBatch`` whose ``column(i)`` is schema
         field ``i``, but its pairs hold the index-key tuple in key order;
-        an R-tree's pairs hold a ``RecordView`` at schema positions.
+        an R-tree's pairs hold a ``RecordView`` at schema positions.  A
+        scan that tests ``predicate`` on its keys sets ``key_filter``.
         """
         raise UnknownObjectError(
             f"attachment type {self.name!r} is not an access path")
+
+    def bind_route(self, handle: RelationHandle, instance: dict,
+                   relevant: Sequence[EligiblePredicate], values: Sequence
+                   ) -> Tuple[object, bool]:
+        """``(route, exact)``: the search :meth:`open_scan` takes for the
+        ``relevant`` predicates, their operands valued ``values``, and
+        whether each holds for every record key it yields.  The executor
+        binds at every run, :meth:`estimate_cost` its literals (what it
+        consumes).  By default: every entry, not exact."""
+        return None, False
+
+    def equality_key(self, instance: dict) -> Optional[Tuple[int, ...]]:
+        """The fields whose values :meth:`fetch` finds the equal records
+        of, or ``None``."""
+        return None
 
     def estimate_cost(self, ctx: ExecutionContext, handle: RelationHandle,
                       instance_name: str, instance: dict,

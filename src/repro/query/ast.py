@@ -133,7 +133,7 @@ class CreateIndexStmt(Statement):
     __slots__ = ("name", "table", "columns", "unique", "kind")
 
     def __init__(self, name: str, table: str, columns: List[str],
-                 unique: bool = False, kind: str = "btree_index"):
+                 unique: bool = False, kind: Optional[str] = None):
         self.name = name
         self.table = table
         self.columns = columns

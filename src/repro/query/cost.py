@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 __all__ = ["AccessCost", "EligiblePredicate", "DEFAULT_SELECTIVITY",
-           "default_selectivity", "btree_range", "implied_conjuncts"]
+           "default_selectivity", "implied_conjuncts"]
 
 #: Selectivity guesses per comparison operator, used when an extension has
 #: no better information (classic System R constants).
@@ -40,24 +40,6 @@ def default_selectivity(eligible) -> float:
         selectivity *= (DEFAULT_SELECTIVITY.get(pred.op, 0.5)
                         if pred.is_simple else 0.5)
     return selectivity
-
-
-def btree_range(bounds) -> tuple:
-    """``("btree_range", low, high, low_inclusive, high_inclusive)``, the
-    intersection of ``bounds``: ``(op, value)`` pairs on one key field, the
-    values ordered against each other.  An ``=`` bounds both ends, and on
-    a tie the exclusive bound wins, so every bound holds in the range."""
-    low = high = None
-    low_inclusive = high_inclusive = True
-    for op, value in bounds:
-        bound = (value,)
-        if op != "<" and op != "<=" and (
-                low is None or bound > low or bound == low and op == ">"):
-            low, low_inclusive = bound, op != ">"
-        if op != ">" and op != ">=" and (
-                high is None or bound < high or bound == high and op == "<"):
-            high, high_inclusive = bound, op != "<"
-    return ("btree_range", low, high, low_inclusive, high_inclusive)
 
 
 def implied_conjuncts(relevant, eligible) -> tuple:
@@ -110,8 +92,10 @@ class AccessCost:
     * ``ordered_by`` — field indexes the output is ordered by, or None;
     * ``consumed`` — the conjuncts every record the route yields satisfies,
       which nothing tests again (see :func:`implied_conjuncts`);
-    * ``route`` — opaque extension data the executor hands back when the
-      route is chosen (e.g. which B-tree instance, key range bounds).
+    * ``route`` — opaque extension data naming the search the estimate
+      assumed (an access path's: its ``bind_route`` of the literal
+      operands).  Nothing executes it: the executor binds the route it
+      runs at every run, under the statement's parameters.
     """
 
     __slots__ = ("io_pages", "cpu_tuples", "expected_tuples", "relevant",

@@ -185,11 +185,11 @@ class QueryEngine:
             db.drop_table(statement.name)
             return None
         if isinstance(statement, CreateIndexStmt):
-            attributes = {"columns": statement.columns}
-            if statement.kind == "btree_index" and statement.unique:
-                attributes["unique"] = True
-            return db.create_attachment(statement.table, statement.kind,
-                                        statement.name, attributes)
+            options = {"unique": True} if statement.unique else {}
+            if statement.kind is not None:
+                options["kind"] = statement.kind
+            return db.create_index(statement.name, statement.table,
+                                   statement.columns, **options)
         if isinstance(statement, DropIndexStmt):
             db.drop_attachment(statement.name)
             return None

@@ -25,11 +25,11 @@ from collections import OrderedDict
 from itertools import chain, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.attachment import equality_probe
 from ..core.records import RecordView
 from ..errors import QueryError
 from ..services.vectors import ColumnBatch
 from . import fragments, ir
-from .cost import EligiblePredicate, btree_range
 from .planner import JoinStep, SelectPlan, TableAccess
 
 __all__ = ["Executor"]
@@ -212,10 +212,11 @@ class Executor:
         """Yield batches of (record key, record) through the chosen
         route — the one pump under SELECT sources, UPDATE and DELETE.
         Records are whole, except that the storage route hands ``fields``
-        to the scan it opens, and a ``covering`` B-tree answers from its
-        keys alone: the key fields, NULL elsewhere.  An exact route is
-        handed the residual filter, tested by a B-tree's key filter when
-        the key can answer it and by the fetch otherwise.
+        to the scan it opens, and a ``covering`` route answers from its
+        keys alone: the key fields, NULL elsewhere.  The access path binds
+        its route (``bind_route``); an exact one is handed the residual
+        filter, tested by the scan's ``key_filter`` when the keys can
+        answer it and by the fetch otherwise.
 
         Every route serves a snapshot reader by one rule: current hits
         outside the relation's patch, read as a locking reader reads them
@@ -237,22 +238,17 @@ class Executor:
                 ctx, opener.open_scan(ctx, handle, fields, predicate), access,
                 limit)
             return
-        __, type_id, instance_name, type_name = access.access
+        __, type_id, instance_name, __ = access.access
         attachment = database.registry.attachment_type(type_id)
         field = handle.descriptor.attachment_field(type_id)
         if field is None:
             raise QueryError(
                 f"plan refers to dropped attachments on {handle.name!r}")
         instance = attachment.instance(field, instance_name)
-        if type_name == "btree_index":
-            route, exact = self._btree_route(schema, access.relevant, params)
-        elif type_name == "hash_index":
-            route, exact = self._hash_probe_key(schema, instance,
-                                                access.relevant, params)
-        else:  # an R-tree searches by its first relevant box
-            pred, exact = access.relevant[0], False
-            route = ("rtree_search", pred.op,
-                     self._operand_value(pred, params))
+        route, exact = attachment.bind_route(
+            handle, instance, access.relevant,
+            [pred.operand.eval(_EMPTY_VIEW, params)
+             for pred in access.relevant])
         predicate = access.compiled_predicate(schema, params, ctx.stats,
                                               exact)
         patched = ()
@@ -262,18 +258,9 @@ class Executor:
                                                        ctx.stats))
             if images:
                 yield images
-        if type_name == "hash_index":
-            keys = [key for key in attachment.fetch(ctx, handle, instance,
-                                                    route)
-                    if key not in patched] if route is not None else ()
-            if keys:
-                yield list(method.fetch_many(ctx, handle, keys, None,
-                                             predicate))
-            return
         scan = attachment.open_scan(ctx, handle, instance, predicate, route)
-        if type_name == "btree_index" and predicate is not None \
-                and predicate.evaluable_on(instance["key_fields"]):
-            predicate = None  # the key filter tested it
+        if scan.key_filter is not None:
+            predicate = None  # the scan tested it on the keys
         if covering:
             ctx.stats.bump("executor.covering_scans")
             key_fields = instance["key_fields"]
@@ -330,44 +317,6 @@ class Executor:
             size *= 2
         ctx.stats.bump("executor.batch_size_hints")
         return size
-
-    @staticmethod
-    def _operand_value(pred: EligiblePredicate, params: dict):
-        return pred.operand.eval(_EMPTY_VIEW, params)
-
-    def _btree_route(self, schema, relevant, params: dict):
-        """The intersection of the relevant bounds, exact: each holds for
-        every entry in it.  Not exact: a bound of another type than the key
-        (every entry, and the whole filter answers as a scan's does) or a
-        NULL or NaN one (no entry)."""
-        bounds, empty = [], False
-        for pred in relevant:
-            value = self._operand_value(pred, params)
-            if value is not None \
-                    and not schema.comparable(pred.field_index, value):
-                return ("btree_range", None, None, True, True), False
-            empty = empty or value is None or value != value
-            bounds.append((pred.op, value))
-        if empty:
-            return ("btree_range", (None,), None, True, True), False
-        return btree_range(bounds), True
-
-    def _hash_probe_key(self, schema, instance: dict, relevant,
-                        params: dict):
-        """The probe key, exact when every value is of its field's type
-        (``None``: two equalities on one field disagree, so no row can
-        pass)."""
-        by_field, exact = {}, True
-        for pred in relevant:
-            value = self._operand_value(pred, params)
-            if by_field.setdefault(pred.field_index, value) != value:
-                return None, True
-            exact = exact and schema.comparable(pred.field_index, value)
-        try:
-            return tuple(by_field[i] for i in instance["key_fields"]), exact
-        except KeyError:
-            raise QueryError(
-                "hash probe plan lost its equality predicates") from None
 
     # ------------------------------------------------------------------
     # Joins
@@ -441,7 +390,12 @@ class Executor:
             right_handle.descriptor.storage_method_id)
         right_predicate = join.right_access.compiled_predicate(
             right_handle.schema, params, ctx.stats)
-        probe = self._resolve_probe(right_handle, join.right_index)
+        found = equality_probe(self.database, right_handle,
+                               (join.right_index,))
+        if found is None:
+            raise QueryError(
+                "index nested-loop plan lost its inner access path")
+        probe = found[1]
         ctx.stats.bump("executor.index_nl_joins")
         # Under a snapshot a probe's patched keys are dropped, and the
         # inner images carrying the probed value join in their place.
@@ -476,7 +430,7 @@ class Executor:
                 if value is None:
                     continue
                 probe_ops += 1
-                right_keys = [key for key in probe(ctx, value)
+                right_keys = [key for key in probe(ctx, (value,))
                               if key not in patched]
                 right_images = images_of.get(value, ())
                 if right_keys or right_images:
@@ -489,38 +443,6 @@ class Executor:
         finally:
             if probe_ops:
                 ctx.stats.bump("executor.row_ops", probe_ops)
-
-    def _resolve_probe(self, right_handle, right_index: int):
-        """A callable mapping a join value to inner record keys; one of
-        another type than an ordered key finds none, as in a hash join."""
-        database = self.database
-        comparable = right_handle.schema.comparable
-        for type_name in ("hash_index", "btree_index"):
-            attachment = database.registry.attachment_type_by_name(type_name)
-            field = right_handle.descriptor.attachment_field(
-                attachment.type_id)
-            if field is None:
-                continue
-            for instance in field["instances"].values():
-                if list(instance["key_fields"]) == [right_index]:
-                    def probe(ctx, value, attachment=attachment,
-                              instance=instance,
-                              ordered=type_name == "btree_index"):
-                        if ordered and not comparable(right_index, value):
-                            return []
-                        return attachment.fetch(ctx, right_handle, instance,
-                                                (value,))
-                    return probe
-        method = database.registry.storage_method(
-            right_handle.descriptor.storage_method_id)
-        if tuple(method.key_fields(right_handle)) == (right_index,):
-            def probe(ctx, value):
-                if not comparable(right_index, value):
-                    return []
-                record = method.fetch(ctx, right_handle, (value,))
-                return [(value,)] if record is not None else []
-            return probe
-        raise QueryError("index nested-loop plan lost its inner access path")
 
     # ------------------------------------------------------------------
     # Aggregation

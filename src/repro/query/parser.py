@@ -314,7 +314,7 @@ def _parse_create_index(tokens: _Tokens, unique: bool) -> CreateIndexStmt:
     while tokens.accept("op", ","):
         columns.append(_identifier(tokens))
     tokens.expect("op", ")")
-    kind = "btree_index"
+    kind = None  # the database's default index type
     if _accept_keyword(tokens, "using"):
         kind = _identifier(tokens)
     return CreateIndexStmt(name, table, columns, unique, kind)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.attachment import equality_probe
 from ..core.schema import Field, Schema
 from ..errors import QueryError, SchemaError
 from ..services.predicate import (And, Col, Expr, conjuncts,
@@ -341,17 +342,18 @@ def plan_select(ctx, statement: SelectStmt, text: str) -> SelectPlan:
 
 def _covers_needed(ctx, handle, access: TableAccess, items, star: bool,
                    where, order_by, group_index) -> bool:
-    """True when a chosen B-tree index can answer the query by itself.
+    """True when the chosen access path can answer the query by itself.
 
     The paper: "Some access path attachments may be able to return record
     fields when the access path key is a multi-field value" — when every
-    field the query touches lives in the index key, the executor skips the
+    field the query touches lives in the index key of a path whose scans
+    return key columns (``returns_key_columns``), the executor skips the
     base-relation fetch entirely.
     """
     if access.is_storage or star:
         return False
-    __, type_id, instance_name, type_name = access.access
-    if type_name != "btree_index":
+    __, type_id, instance_name, __ = access.access
+    if not ctx.database.registry.attachment_type(type_id).returns_key_columns:
         return False
     field = handle.descriptor.attachment_field(type_id)
     if field is None:
@@ -425,10 +427,10 @@ def _plan_join(ctx, statement: SelectStmt, combined: QualifiedSchema,
 
     # 2. Index nested loop: one keyed probe on the inner join column per
     # row the outer access is expected to return.
-    probe_cost = _inner_probe_cost(ctx, right_handle, right_index)
-    if probe_cost is not None:
+    probe = equality_probe(database, right_handle, (right_index,))
+    if probe is not None:
         options.append(("index_nl",
-                        outer.total + outer.expected_tuples * probe_cost,
+                        outer.total + outer.expected_tuples * probe[0],
                         None))
 
     # 3. Hash join: read the inner relation through its own route and
@@ -441,22 +443,3 @@ def _plan_join(ctx, statement: SelectStmt, combined: QualifiedSchema,
     ctx.stats.bump("planner.join_selections")
     return JoinStep(method, join.table, left_index, right_index,
                     right_access, instance_name, cost)
-
-
-def _inner_probe_cost(ctx, handle, field_index: int) -> Optional[float]:
-    """Cost of one keyed probe on the inner relation, if a route exists."""
-    database = ctx.database
-    registry = database.registry
-    for type_name in ("hash_index", "btree_index"):
-        attachment = registry.attachment_type_by_name(type_name)
-        field = handle.descriptor.attachment_field(attachment.type_id)
-        if field is None:
-            continue
-        for instance in field["instances"].values():
-            if list(instance["key_fields"]) == [field_index]:
-                # probe (1-2 pages) + one base fetch
-                return AccessCost.IO_WEIGHT * 3.0
-    method = registry.storage_method(handle.descriptor.storage_method_id)
-    if tuple(method.key_fields(handle)) == (field_index,):
-        return AccessCost.IO_WEIGHT * 2.0  # keyed storage (btree_file)
-    return None

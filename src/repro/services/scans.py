@@ -91,6 +91,10 @@ class Scan:
     *meaning* of positions stays inside the extension.
     """
 
+    #: The predicate the scan tests on its entries' keys before any record
+    #: is read; ``None`` when it tests none.
+    key_filter = None
+
     def __init__(self, txn_id: int):
         self.txn_id = txn_id
         self.closed = False
@@ -195,7 +199,7 @@ class KeyScan(Scan):
         self.key_fields = tuple(instance["key_fields"])
         self.state = BEFORE
         self.position = None
-        self._filter = predicate if predicate is not None \
+        self.key_filter = predicate if predicate is not None \
             and predicate.evaluable_on(self.key_fields) else None
 
     def _entries(self):
@@ -221,8 +225,8 @@ class KeyScan(Scan):
             if chunk:
                 last = chunk[-1]
             keys, values = zip(*chunk) if chunk else ((), ())
-            if self._filter is not None and keys:
-                chosen = self._filter.select(ColumnBatch(
+            if self.key_filter is not None and keys:
+                chosen = self.key_filter.select(ColumnBatch(
                     keys, width, fields=self.key_fields), self.ctx.stats)
                 if len(chosen) < len(keys):
                     keys = [keys[i] for i in chosen]

@@ -63,3 +63,17 @@ def test_box_values_through_sql_insert(db):
     rows = db.execute("SELECT id FROM sites WHERE area ENCLOSES "
                       "box(1, 1, 2, 2)")
     assert rows == [(1,)]
+
+
+def test_unique_index_of_a_kind_that_has_no_unique_rule_is_refused(db):
+    """``UNIQUE`` reaches the index type as its ``unique`` attribute: a
+    type without one refuses it instead of building a plain index."""
+    from repro import UniqueViolation
+    from repro.errors import StorageError
+    db.execute("CREATE TABLE t (k INT)")
+    with pytest.raises(StorageError):
+        db.execute("CREATE UNIQUE INDEX t_k ON t (k) USING hash_index")
+    db.execute("CREATE UNIQUE INDEX t_k ON t (k) USING btree_index")
+    db.execute("INSERT INTO t VALUES (1)")
+    with pytest.raises(UniqueViolation):
+        db.execute("INSERT INTO t VALUES (1)")

@@ -61,3 +61,37 @@ def test_the_library_imports_no_numpy():
                       for module in imported_modules(path, package)
                       if module.split(".")[0] == "numpy"]
     assert offenders == []
+
+
+#: The built-in access-path type names the query and constraint layers may
+#: still spell out, each for the one feature that is that type's alone.
+NAMED_ACCESS_PATHS = {
+    "join_index": "the join-index join method: the planner costs an "
+                  "instance's precomputed pairs and one executor source "
+                  "(Executor._join_via_index) walks them",
+    "aggregate": "the COUNT(*) fast path (Executor._aggregate_fast_path) "
+                 "answers from the aggregate attachment's value",
+}
+
+
+def test_query_and_constraints_name_no_access_path_type():
+    """The planner hands eligible predicates to any access path, the path
+    binds its own route, and one equality probe
+    (``core.attachment.equality_probe``) finds a keyed path for joins and
+    constraints, so no string constant under ``repro/query`` or
+    ``repro/constraints`` names a type of ``repro/access`` but the listed
+    exceptions."""
+    from repro.access import builtin_attachment_types
+    root = Path(repro.__file__).parent
+    names = {attachment.name for attachment in builtin_attachment_types()
+             if type(attachment).__module__.startswith("repro.access.")}
+    assert set(NAMED_ACCESS_PATHS) <= names
+    offenders = []
+    for package in ("query", "constraints"):
+        for path in sorted((root / package).glob("*.py")):
+            offenders += [
+                (f"{package}/{path.name}", node.lineno, node.value)
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and node.value in names
+                and node.value not in NAMED_ACCESS_PATHS]
+    assert offenders == []
