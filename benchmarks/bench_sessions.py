@@ -24,6 +24,9 @@ Three measured claims:
 
 The admission profile additionally connects 1000+ sessions to show the
 pool bound is a real limit (the N+1st connect raises ``AdmissionError``).
+A last sweep patches 0 / 200 / 1 000 keys under a snapshot reader and
+counts the images one point read tests (``mvcc.images_tested``): at most
+one at every size, because an index route looks its images up by key.
 
 Runnable directly for the CI smoke profile::
 
@@ -49,6 +52,7 @@ MIXED_SESSIONS = 16          # half readers, half writers
 COMMITTERS = 8               # concurrent committers in the group-commit phase
 COMMIT_ROUNDS = 16           # rounds of COMMITTERS commits each
 SCALE_SESSIONS = 1_000       # admission-control head count
+PATCH_SIZES = (0, 200, 1_000)  # keys a writer patches under a snapshot
 
 
 def build_db(rows: int, **kwargs) -> Database:
@@ -236,6 +240,42 @@ def admission_scale(rows: int, n_sessions: int = SCALE_SESSIONS) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Phase 4 — a snapshot point read as the relation's patch grows
+# ---------------------------------------------------------------------------
+
+def patched_point_reads(rows: int, sizes=PATCH_SIZES) -> dict:
+    """For each size, a snapshot reader's point reads after a writer
+    committed that many updates under it: the images each read tested
+    (``mvcc.images_tested``) and answered (``mvcc.records_patched``), for
+    a patched key and for an unpatched one."""
+    db = build_db(max(rows, 2 * sizes[-1]), max_sessions=4)
+    stats = db.services.stats
+    point = "SELECT * FROM employee WHERE id = :id"
+    out = {}
+    for size in sizes:
+        reader, writer = db.connect(), db.connect()
+        reader.begin(snapshot=True)
+        reader.execute(point, {"id": 1})
+        if size:
+            writer.execute(f"UPDATE employee SET salary = salary + 1 "
+                           f"WHERE id >= 1 AND id <= {size}")
+        reads = {}
+        for name, row_id in (("patched", 1), ("unpatched", size + 1)):
+            before = stats.snapshot()
+            assert len(reader.execute(point, {"id": row_id})) == 1
+            delta = stats.delta(before)
+            reads[name] = {
+                "images_tested": delta.get("mvcc.images_tested", 0),
+                "records_patched": delta.get("mvcc.records_patched", 0)}
+        reader.commit()
+        out[str(size)] = reads
+        reader.close()
+        writer.close()
+    db.close()
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
 
@@ -245,6 +285,7 @@ def sessions_profile(rows: int = ROWS,
     mixed = mixed_traffic(rows, n_sessions)
     group = group_commit_gain(rows)
     scale = admission_scale(rows, scale_sessions)
+    patched = patched_point_reads(rows)
 
     derived = {
         "readers_lock_free": mixed["reader_lock_acquires"] == 0
@@ -261,6 +302,9 @@ def sessions_profile(rows: int = ROWS,
                           and scale["over_limit_rejected"] == 1,
         "per_session_stats_attributed":
             scale["probe_per_session_lock_acquires"] > 0,
+        "point_read_images_tested_max": max(
+            read["images_tested"] for reads in patched.values()
+            for read in reads.values()),
     }
     config = {
         "rows": rows,
@@ -273,6 +317,7 @@ def sessions_profile(rows: int = ROWS,
         "mixed": mixed,
         "group_commit": group,
         "admission": scale,
+        "patched_point_reads": patched,
     }
     return bench_payload("E19-sessions", config, counters, derived)
 
@@ -305,6 +350,12 @@ def test_admission_bound(profile):
     assert profile["derived"]["admission_held"]
 
 
+def test_a_snapshot_point_read_tests_one_image_at_every_patch_size(profile):
+    reads = profile["counters"]["patched_point_reads"]
+    assert sorted(reads, key=int) == [str(n) for n in PATCH_SIZES]
+    assert profile["derived"]["point_read_images_tested_max"] <= 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=ROWS)
@@ -328,7 +379,8 @@ def main() -> int:
           and derived["snapshot_bit_identical"]
           and derived["group_commit_ok"]
           and derived["admission_held"]
-          and derived["per_session_stats_attributed"])
+          and derived["per_session_stats_attributed"]
+          and derived["point_read_images_tested_max"] <= 1)
     return 0 if ok else 1
 
 

@@ -70,7 +70,10 @@ class ExecutionContext:
         self.services.locks.acquire(self.txn_id, resource, mode)
 
     def lock_relation(self, relation_id: int, mode: LockMode) -> None:
-        self.lock(("rel", relation_id), mode)
+        """Relation lock, unless the transaction holds it in ``mode``."""
+        relation = ("rel", relation_id)
+        if self.services.locks.held_mode(self.txn.txn_id, relation) != mode:
+            self.lock(relation, mode)
 
     def lock_record(self, relation_id: int, key, mode: LockMode) -> None:
         """Record lock under the usual IS/IX intent on the relation: the
@@ -79,11 +82,11 @@ class ExecutionContext:
 
     def lock_records(self, relation_id: int, keys, mode: LockMode) -> None:
         """Record locks under the usual IS/IX intent on the relation, a
-        page's worth of keys at once: one ``covers`` check, one intent
-        lock, one ``acquire_many``.  Skipped entirely when the transaction
-        already holds a relation-level lock that subsumes ``mode``
-        (set-at-a-time operations escalate large batches to one relation
-        lock instead of record-at-a-time locking).
+        page's worth of keys at once: one ``covers`` check, the intent
+        lock (unless held in that mode), one ``acquire_many``.  Skipped
+        entirely when the transaction already holds a relation-level lock
+        that subsumes ``mode`` (set-at-a-time operations escalate large
+        batches to one relation lock instead of record-at-a-time locking).
 
         A read asks only for keys it does not hold (a record is locked S
         or X, either serves it).  If they would bring its record reads of
@@ -96,9 +99,10 @@ class ExecutionContext:
         if self.txn.snapshot is not None:  # each key bypasses intent + record
             self.services.stats.bump("mvcc.lock_bypasses", 2 * len(keys))
             return
-        locks, txn_id = self.services.locks, self.txn_id
+        locks, txn_id = self.services.locks, self.txn.txn_id
         relation = ("rel", relation_id)
-        if locks.covers(txn_id, relation, mode):
+        held = locks.held_mode(txn_id, relation)
+        if held is not None and locks.covers(txn_id, relation, mode):
             return
         records = [("rec", relation_id, key) for key in keys]
         if mode is LockMode.S:
@@ -112,7 +116,8 @@ class ExecutionContext:
                     and locks.try_acquire(txn_id, relation, LockMode.S):
                 self.services.stats.bump("locks.read_escalations")
                 return
-        locks.acquire(txn_id, relation, _INTENT[mode])
+        if held != _INTENT[mode]:
+            locks.acquire(txn_id, relation, _INTENT[mode])
         locks.acquire_many(txn_id, records, mode)
 
     def defer(self, event: str, callback, data=None) -> None:

@@ -77,6 +77,10 @@ for _a in _M:
             _JOIN[(_a, _b)] = _M.X
 
 
+#: The holders of a resource nobody locks (never stored, never changed).
+_NO_HOLDERS: Dict[int, LockMode] = {}
+
+
 def compatible(a: LockMode, b: LockMode) -> bool:
     return _COMPATIBLE[(a, b)]
 
@@ -224,7 +228,7 @@ class LockManager:
 
     # -- introspection -----------------------------------------------------------------
     def held_mode(self, txn_id: int, resource: Hashable) -> Optional[LockMode]:
-        return self._holders.get(resource, {}).get(txn_id)
+        return self._holders.get(resource, _NO_HOLDERS).get(txn_id)
 
     def holders(self, resource: Hashable) -> Dict[int, LockMode]:
         return dict(self._holders.get(resource, {}))

@@ -72,7 +72,7 @@ class Snapshot:
     """
 
     __slots__ = ("snapshot_id", "lsn", "active_ids", "owner_txn_id",
-                 "invalidated", "patches")
+                 "invalidated", "patches", "images")
 
     def __init__(self, snapshot_id: int, lsn: int,
                  active_ids: FrozenSet[int], owner_txn_id: int):
@@ -86,6 +86,9 @@ class Snapshot:
         #: relation id -> (store epoch, transitions consumed, patch): the
         #: memo :meth:`VersionStore.patch` keeps, which dies with this.
         self.patches: Dict[int, tuple] = {}
+        #: relation id -> the index of that patch's images the dispatch
+        #: layer builds with each new version of the memo above.
+        self.images: Dict[int, object] = {}
 
     def check_valid(self) -> None:
         if self.invalidated:
