@@ -40,7 +40,8 @@ from .context import ExecutionContext
 from .storage_method import RelationHandle, logged_relation
 
 __all__ = ["AttachmentType", "LogicalUndoHandler", "STALE", "instances_of",
-           "tag_batch_index", "equality_probe", "matching_keys"]
+           "tag_batch_index", "equality_keys", "equality_probe",
+           "matching_keys"]
 
 #: The ``derived_lsn`` of a descriptor-resident instance whose state is
 #: known to be wrong: its next read and the next restart derive it again.
@@ -72,6 +73,16 @@ def instances_of(field: dict) -> Dict[str, dict]:
     return field.get("instances", {})
 
 
+def equality_keys(registry, handle: RelationHandle) -> Iterator[tuple]:
+    """``(attachment type, instance, equality_key)`` of each access-path
+    instance on ``handle``."""
+    for type_id, field in handle.descriptor.present_attachments():
+        attachment = registry.attachment_type(type_id)
+        if attachment.is_access_path:
+            for instance in field["instances"].values():
+                yield attachment, instance, attachment.equality_key(instance)
+
+
 def equality_probe(database, handle: RelationHandle, fields: Sequence[int]
                    ) -> Optional[Tuple[float, Callable]]:
     """``(cost, probe)``: ``probe(ctx, values)`` returns the record keys
@@ -80,16 +91,12 @@ def equality_probe(database, handle: RelationHandle, fields: Sequence[int]
     of a storage method keyed on them; ``None`` when only a scan can."""
     fields = tuple(fields)
     registry = database.registry
-    for type_id, field in handle.descriptor.present_attachments():
-        attachment = registry.attachment_type(type_id)
-        if not attachment.is_access_path:
-            continue
-        for instance in field["instances"].values():
-            if attachment.equality_key(instance) == fields:
-                return AccessCost.IO_WEIGHT * 3.0, (
-                    lambda ctx, values, attachment=attachment,
-                    instance=instance: attachment.fetch(ctx, handle,
-                                                        instance, values))
+    for attachment, instance, key in equality_keys(registry, handle):
+        if key == fields:
+            return AccessCost.IO_WEIGHT * 3.0, (
+                lambda ctx, values, attachment=attachment,
+                instance=instance: attachment.fetch(ctx, handle,
+                                                    instance, values))
     method = registry.storage_method(handle.descriptor.storage_method_id)
     if tuple(method.key_fields(handle)) != fields:
         return None
