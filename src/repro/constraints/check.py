@@ -27,14 +27,12 @@ from __future__ import annotations
 
 from ..core.attachment import AttachmentType, tag_batch_index
 from ..core.records import RecordView
-from ..errors import CheckViolation, PredicateError, StorageError
+from ..errors import CheckViolation, StorageError
 from ..services import events as ev
-from ..services.predicate import Predicate
-from ..services.vectors import ColumnBatch, VectorOps
+from ..services.predicate import Predicate, evaluate
+from ..services.vectors import ColumnBatch
 
 __all__ = ["CheckConstraintAttachment"]
-
-_VECTOR_OPS = VectorOps()
 
 
 class CheckConstraintAttachment(AttachmentType):
@@ -65,7 +63,8 @@ class CheckConstraintAttachment(AttachmentType):
         predicate = self._compiled(handle, instance)
         for batch in self.stored_batches(ctx, handle):
             failure = self._failure(instance, predicate,
-                                    [record for __, record in batch])
+                                    [record for __, record in batch],
+                                    ctx.stats)
             if failure is not None:
                 raise failure[1]
         return instance
@@ -82,18 +81,19 @@ class CheckConstraintAttachment(AttachmentType):
         return predicate
 
     @staticmethod
-    def _failure(instance: dict, predicate: Predicate, records):
+    def _failure(instance: dict, predicate: Predicate, records, stats):
         """``(row, exception)`` of the first of ``records`` whose value is
-        FALSE, or whose test raises (then found a row at a time: ``run``
-        cannot short-circuit), or ``None``."""
+        FALSE, or whose test raises, or ``None``.  When the batch raises,
+        the rows are walked again one at a time: a FALSE row may come
+        before the one that raised."""
         expr, params = predicate.expr, predicate.params
         batch = ColumnBatch.from_columns(
             {i: [record[i] for record in records]
              for i in predicate.fields_needed},
             len(records), len(predicate.schema))
         try:
-            values = expr.run(batch, params, _VECTOR_OPS, None)
-        except PredicateError:
+            values = evaluate(expr, batch, params, stats)
+        except Exception:
             values = None
         for row, record in enumerate(records):
             try:
@@ -127,7 +127,7 @@ class CheckConstraintAttachment(AttachmentType):
             if not instance["deferred"]:
                 found = self._failure(instance,
                                       self._compiled(handle, instance),
-                                      records[:stop[0]])
+                                      records[:stop[0]], ctx.stats)
                 if found is not None:
                     stop, failure = (found[0], position), found[1]
         deferred = [(position, instance)
@@ -168,7 +168,7 @@ class CheckConstraintAttachment(AttachmentType):
             if record is None:
                 return  # the record was deleted again before commit
             failure = self._failure(inner, self._compiled(entry.handle, inner),
-                                    [record])
+                                    [record], inner_ctx.stats)
             if failure is not None:
                 raise failure[1]
             database.services.stats.bump("check.deferred_evaluations")

@@ -547,7 +547,7 @@ def _visible(ctx, pairs, width: int, fields, predicate) -> list:
     if predicate is not None and pairs:
         ctx.stats.bump("mvcc.images_tested", len(pairs))
         pairs = [pairs[i] for i in predicate.select(ColumnBatch(
-            [image for __, image in pairs], width))]
+            [image for __, image in pairs], width), ctx.stats)]
     if not pairs:
         return pairs
     ctx.stats.bump("mvcc.records_patched", len(pairs))
@@ -564,9 +564,10 @@ class PatchImages:
     up by the value of each field that leads an access path (another
     field's lookup is built on first use).  ``version`` is the patch
     memo's ``(store epoch, transitions consumed)``.  Values are looked up
-    as an index holds them (``scans.index_key``): a ``bytearray`` as the
-    ``bytes`` it equals, and a NULL or NaN value in no lookup, as no
-    comparison with the field passes it."""
+    as an index holds them (``scans.index_key``): a ``bytearray`` probe
+    as the ``bytes`` it equals (a stored record holds ``bytes``, see
+    ``Schema.check_record``), and a NULL or NaN value in no lookup, as
+    no comparison with the field passes it."""
 
     __slots__ = ("version", "keys", "pairs", "_schema", "_by_field")
 
@@ -589,8 +590,6 @@ class PatchImages:
             for pair in self.pairs:
                 value = pair[1][field]
                 if value is not None and value == value:
-                    if value.__class__ is bytearray:
-                        value = bytes(value)
                     equal.setdefault(value, []).append(pair)
             schema = self._schema
             found = self._by_field[field] = (equal, sorted(equal) if (

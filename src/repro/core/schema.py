@@ -91,6 +91,8 @@ class Schema:
         self.fields: Tuple[Field, ...] = tuple(fields)
         self._index = {f.name: i for i, f in enumerate(self.fields)}
         self._page_decoders: dict = {}
+        self._bytes_at = tuple(i for i, f in enumerate(self.fields)
+                               if f.type_code == "BYTES")
 
     # -- lookups -------------------------------------------------------------
     def field_index(self, name: str) -> int:
@@ -137,8 +139,9 @@ class Schema:
         """Validate and normalise a record against this schema.
 
         Accepts any sequence of values in field order and returns the
-        canonical tuple form.  Raises :class:`SchemaError` on arity or type
-        mismatches.
+        canonical tuple form, a BYTES ``bytearray`` as the hashable
+        ``bytes`` it equals (as a heap decodes it).  Raises
+        :class:`SchemaError` on arity or type mismatches.
         """
         if len(record) != len(self.fields):
             raise SchemaError(
@@ -146,6 +149,10 @@ class Schema:
                 f"has {len(self.fields)} fields")
         for field, value in zip(self.fields, record):
             field.check_value(value)
+        if self._bytes_at and any(record[i].__class__ is bytearray
+                                  for i in self._bytes_at):
+            return tuple(bytes(value) if value.__class__ is bytearray
+                         else value for value in record)
         return tuple(record)
 
     def check_partial(self, updates: dict) -> dict:

@@ -4,24 +4,30 @@ The IR (:mod:`.ir`) describes *what* column-level work a plan performs;
 the backend is *how* each vector primitive runs: lists of Python values
 in, lists of Python values out, ``None`` meaning SQL NULL throughout.
 Per-row work stays inside C-implemented primitives (comprehension
-bytecode, ``zip``, ``sorted``, ``dict``).  The scalar-expression
-primitives are the predicate service's
-:class:`~repro.services.vectors.VectorOps`, unchanged; this class adds
-the join primitives.  ``Database.kernel_backend`` holds one per database.
+bytecode, ``zip``, ``sorted``, ``dict``).  Scalar expressions are not
+here: each bound tree generates its own comprehensions
+(:mod:`repro.services.predicate`).  What is left is selection-vector
+work and the join primitives.  ``Database.kernel_backend`` holds one per
+database.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from ..services.vectors import VectorOps
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["PythonBackend"]
 
 
-class PythonBackend(VectorOps):
-    """The vector primitives the IR programs against: the predicate
-    service's scalar half plus the hash and merge join primitives."""
+class PythonBackend:
+    """The vector primitives the IR programs against: selection vectors
+    plus the hash and merge join primitives."""
+
+    # -- selection vectors ---------------------------------------------
+    def select_true(self, values) -> List[int]:
+        return [i for i, v in enumerate(values) if v is True]
+
+    def gather(self, values, selection: Sequence[int]) -> list:
+        return [values[i] for i in selection]
 
     # -- join primitives -----------------------------------------------
     def hash_build(self, keys) -> Dict[object, List[int]]:

@@ -412,8 +412,6 @@ class Executor:
         by_value: Dict[object, list] = {}
 
         def inner_images(value) -> list:
-            if isinstance(value, bytearray):  # BYTES: the bytes it equals
-                value = bytes(value)
             found = by_value.get(value)
             if found is None:
                 found = by_value[value] = images.select(

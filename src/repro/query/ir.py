@@ -24,9 +24,10 @@ A bound :class:`~.planner.SelectPlan` lowers (:func:`lower_select`) to a
 
 Scalar expressions anywhere (filter, projections, aggregate arguments)
 are the plan's bound :class:`~repro.services.predicate.Expr` trees, run
-through :func:`~.kernels.evaluate`, whose per-row retry keeps
-short-circuit semantics; every vector primitive goes through the
-database's :mod:`.backends` backend.  Grouping is one dict pass over the
+as the code each generates (``predicate.select`` for the filter,
+``predicate.evaluate`` for value vectors), whose per-row retry keeps
+short-circuit semantics; gathers and joins go through the database's
+:mod:`.backends` backend.  Grouping is one dict pass over the
 key vector, so each group keeps its rows in arrival order and every
 float fold sees its values in that order.
 
@@ -45,10 +46,9 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..errors import QueryError
-from ..services.predicate import Col
+from ..services.predicate import Col, evaluate, select
 from ..services.vectors import ColumnBatch
 from . import kernels
-from .kernels import evaluate
 
 __all__ = ["Program", "Runtime", "sorted_ordinals", "lower_select"]
 
@@ -194,12 +194,10 @@ class Program:
             raise _engine_fault(exc) from exc
 
     def _filter(self, rt: Runtime, batch):
-        truth = evaluate(self.cross_filter, batch, rt.params, rt.backend,
-                         rt.stats)
-        selection = rt.backend.select_true(truth)
+        selection = select(self.cross_filter, batch, rt.params, rt.stats)
         rt.stats.bump_many({"executor.columnar.kernel_calls": 1,
-                            "executor.columnar.ir.kernel_calls": 2,
-                            "executor.columnar.ir.filter.rows": len(truth)})
+                            "executor.columnar.ir.kernel_calls": 1,
+                            "executor.columnar.ir.filter.rows": len(batch)})
         return batch.narrow(selection)
 
     def project(self, rt: Runtime, batch) -> List[tuple]:
@@ -208,7 +206,7 @@ class Program:
             return batch.rows()
         if self.project_indexes is not None:
             return kernels.project_rows(batch, self.project_indexes)
-        vectors = [evaluate(expr, batch, rt.params, rt.backend, rt.stats)
+        vectors = [evaluate(expr, batch, rt.params, rt.stats)
                    for expr in self.project_exprs]
         rt.stats.bump_many({"executor.columnar.ir.kernel_calls":
                             len(vectors),
@@ -342,8 +340,8 @@ class _FoldSink:
         rt, specs = self.rt, self.program.aggregates
         if self.first is None and len(batch):
             self.first = [
-                evaluate(expr, batch, rt.params, rt.backend, rt.stats,
-                         (0,))[0] if kind == "first" else None
+                evaluate(expr, batch, rt.params, rt.stats, (0,))[0]
+                if kind == "first" else None
                 for kind, __, expr in specs]
         self.row_count += len(batch)
         for slot, (kind, index, expr) in enumerate(specs):
@@ -352,8 +350,7 @@ class _FoldSink:
             if index is not None:
                 vector = batch.column(index)
             else:
-                vector = evaluate(expr, batch, rt.params, rt.backend,
-                                  rt.stats)
+                vector = evaluate(expr, batch, rt.params, rt.stats)
                 rt.stats.bump("executor.columnar.ir.kernel_calls")
             self.values[slot].extend(
                 vector if None not in vector
@@ -396,7 +393,7 @@ class _GroupSink:
                 self.vectors[slot].extend(batch.column(index))
             else:
                 self.vectors[slot].extend(
-                    evaluate(expr, batch, rt.params, rt.backend, rt.stats))
+                    evaluate(expr, batch, rt.params, rt.stats))
                 rt.stats.bump("executor.columnar.ir.kernel_calls")
         return False
 

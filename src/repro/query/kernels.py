@@ -7,14 +7,13 @@ primitives (comprehension loops over one column, ``zip``,
 ``sum``/``min``/``max``) instead of a tree-walking ``expr.eval`` plus a
 ``RecordView`` per row per operator.
 
-Scalar expressions have no kernel of their own: the bound
-:class:`~repro.services.predicate.Expr` tree is the kernel.  Its ``run``
-hands whole vectors to the :mod:`.backends` backend, and
-:func:`evaluate` (the predicate service's, re-exported here for the
-operator IR) re-evaluates a batch row by row when — and only when —
-``run`` raised a ``PredicateError``, because the one thing a vector
-evaluation cannot reproduce is short-circuit evaluation.  What is left
-here is what the sinks do with the vectors: projection and folds.
+Scalar expressions have no kernel here: the bound
+:class:`~repro.services.predicate.Expr` tree generates its own, one
+comprehension per tree shape, and the predicate service's ``evaluate``
+re-evaluates a batch row by row when — and only when — that code
+raised, because the one thing a whole-row evaluation cannot reproduce is
+short-circuit evaluation.  What is left here is what the sinks do with
+the vectors: projection and folds.
 """
 
 from __future__ import annotations
@@ -22,9 +21,16 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..errors import PredicateError
-from ..services.predicate import evaluate
+from ..services import predicate
 
 __all__ = ["evaluate", "project_rows", "zip_vectors", "fold_aggregate"]
+
+
+def evaluate(expr, batch, params, backend=None, stats=None,
+             selection=None) -> list:
+    """:func:`repro.services.predicate.evaluate` in the argument order of
+    the per-node evaluator it replaced (generated code needs no backend)."""
+    return predicate.evaluate(expr, batch, params, stats, selection)
 
 
 # ---------------------------------------------------------------------------

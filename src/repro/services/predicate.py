@@ -16,10 +16,11 @@ This module provides exactly that shared facility:
   ``LIKE``, registered scalar functions, and the spatial predicates the
   paper names for the R-tree access path (``ENCLOSES``, plus
   ``ENCLOSED_BY`` and ``OVERLAPS``) — one tree with two entry points,
-  ``eval`` for one record and ``run`` for a batch
-  (:mod:`.vectors`), both reading each operator's meaning from the same
-  scalar tables, and :func:`evaluate`, which makes the batch answer
-  agree with the per-record one where short-circuit evaluation matters;
+  ``eval`` for one record and, for a batch (:mod:`.vectors`), the
+  Python source each node's ``emit`` returns, compiled once per tree
+  shape into one selection and one value-vector comprehension;
+  :func:`select` and :func:`evaluate` run those, and re-evaluate a
+  batch row by row where short-circuit evaluation matters;
 * a text parser (``parse_expression`` / :meth:`Predicate.parse`), used both
   by the mini-SQL front end and by DDL attribute lists (check-constraint
   predicates arrive as strings);
@@ -40,16 +41,17 @@ from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
 
 from ..errors import PredicateError
 from ..core.records import Box, RecordView
-from .vectors import VectorOps
 
 __all__ = ["Expr", "Const", "Col", "Param", "Cmp", "And", "Or", "Not",
            "Arith", "Neg", "IsNull", "InList", "Between", "Like", "Func",
            "Predicate", "parse_expression", "conjuncts", "simple_comparison",
-           "register_function", "evaluate", "COMPARISON_OPS", "SPATIAL_OPS"]
+           "register_function", "evaluate", "select", "COMPARISON_OPS",
+           "SPATIAL_OPS"]
 
 # ---------------------------------------------------------------------------
-# What each operator means, once: the scalar tables both entry points
-# (``Expr.eval`` per record, ``Expr.run`` per batch) read.
+# What each operator means, once: the scalar tables ``Expr.eval`` reads
+# (generated code inlines the comparison and arithmetic symbols, and
+# calls the rest).
 # ---------------------------------------------------------------------------
 
 _ARITHMETIC: Dict[str, Callable] = {
@@ -131,19 +133,14 @@ for _name, _fn in [
 # Expression AST
 # ---------------------------------------------------------------------------
 
-def _domain_size(batch, selection) -> int:
-    return len(batch) if selection is None else len(selection)
-
-
-def _eval_rows(expr: "Expr", batch, params, selection) -> list:
-    """``expr.eval`` for each row of the batch restricted to ``selection``,
-    over views of the columns ``expr`` reads (a batch need hold no more)."""
+def _eval_rows(expr: "Expr", batch, params) -> list:
+    """``expr.eval`` for each row of the batch, over views of the columns
+    ``expr`` reads (a batch need hold no more)."""
     indexes = sorted(expr.columns())
     columns = [batch.column(index) for index in indexes]
-    domain = range(len(batch)) if selection is None else selection
     return [expr.eval(RecordView({index: column[i] for index, column
                                   in zip(indexes, columns)}), params)
-            for i in domain]
+            for i in range(len(batch))]
 
 
 def _operand(expr: "Expr", level: int) -> str:
@@ -155,22 +152,68 @@ def _operand(expr: "Expr", level: int) -> str:
     return f"({text})" if expr._level < level else text
 
 
+def _param(params, name: str):
+    if not params or name not in params:
+        raise PredicateError(f"parameter :{name} was not supplied")
+    return params[name]
+
+
+class _Emitter:
+    """What one ``emit`` walk collects besides the expression's source:
+    the columns it reads (``r<i>`` holds schema position ``i`` of the
+    row), the constants the code is made with (``k<n>``), the lines run
+    once per batch (``h<n>``) and fresh temporaries (``t<n>``)."""
+
+    def __init__(self):
+        self.columns: Set[int] = set()
+        self.constants: list = []
+        self.prologue: List[str] = []
+        self.temps = 0
+
+    def column(self, index: int) -> str:
+        self.columns.add(index)
+        return f"r{index}"
+
+    def constant(self, value) -> str:
+        self.constants.append(value)
+        return f"k{len(self.constants) - 1}"
+
+    def operand(self, source: str) -> Tuple[str, str]:
+        """``(first use, later uses)`` of a value read more than once: a
+        name as it is, anything else bound to a temporary on first use."""
+        if source.isidentifier():
+            return source, source
+        self.temps += 1
+        return f"(t{self.temps} := {source})", f"t{self.temps}"
+
+    def strict(self, sources: Sequence[str], body: Callable) -> str:
+        """``body(*names)``, or NULL if an operand is.  Every operand is
+        evaluated first, as ``eval`` does; a test over names alone may
+        stop at the first NULL."""
+        uses = [self.operand(source) for source in sources]
+        names = [name for __, name in uses]
+        if all(first == name for first, name in uses):
+            test = " or ".join(f"{name} is None" for name in names)
+        else:
+            test = " | ".join(f"({first} is None)" for first, __ in uses)
+        return f"(None if {test} else {body(*names)})"
+
+
 class Expr:
     """Base expression node: one tree, two entry points.
 
     ``eval(view, params)`` is the value for one record, computed while
-    the record is in the buffer pool; ``run(batch, params, backend,
-    selection)`` is the value for each row of a batch restricted to
-    ``selection`` (``None`` = every row), as a list with ``None`` for SQL
-    NULL, computed by handing whole vectors to ``backend`` (a
-    :class:`~.vectors.VectorOps`) so dispatch cost is O(tree size) per
-    batch, not per row.  ``run`` evaluates every sub-expression over the
-    whole batch and so cannot short-circuit: call it through
-    :func:`evaluate`.  A node class that defines only ``eval`` inherits a
-    row-at-a-time ``run``.
+    the record is in the buffer pool.  ``emit(emitter)`` is the Python
+    source of the same value for the row in the ``r<i>`` variables, in
+    the same three-valued logic (NULL is ``None``), compiled once per tree
+    *shape* into comprehensions over a batch's columns (:func:`select`,
+    :func:`evaluate`).  That code evaluates every sub-expression — it
+    never short-circuits — so when it raises, the batch is re-evaluated
+    row by row with ``eval``.  A tree with a node class that defines only
+    ``eval`` is always evaluated row by row.
     """
 
-    __slots__ = ()
+    __slots__ = ("_kernel",)
     #: Attributes holding sub-expressions (one node or a tuple of nodes),
     #: in evaluation order — what ``bind``/``columns``/``column_names`` walk.
     _children: Tuple[str, ...] = ()
@@ -180,9 +223,14 @@ class Expr:
     def eval(self, view: RecordView, params: Optional[dict] = None):
         raise NotImplementedError
 
-    def run(self, batch, params: Optional[dict], backend,
-            selection: Optional[Sequence[int]]) -> list:
-        return _eval_rows(self, batch, params, selection)
+    def emit(self, emitter: _Emitter) -> str:
+        raise NotImplementedError
+
+    def run(self, batch, params: Optional[dict] = None, backend=None,
+            selection: Optional[Sequence[int]] = None) -> list:
+        """:func:`evaluate`, for callers of the per-node evaluator it
+        replaced (nothing calls ``backend``)."""
+        return evaluate(self, batch, params, None, selection)
 
     def children(self) -> List["Expr"]:
         out: List[Expr] = []
@@ -240,8 +288,8 @@ class Const(Expr):
     def eval(self, view, params=None):
         return self.value
 
-    def run(self, batch, params, backend, selection):
-        return [self.value] * _domain_size(batch, selection)
+    def emit(self, emitter):
+        return emitter.constant(self.value)
 
     def to_text(self):
         if isinstance(self.value, str):
@@ -266,12 +314,9 @@ class Col(Expr):
             raise PredicateError(f"column {self.name!r} is unbound")
         return view[self.index]
 
-    def run(self, batch, params, backend, selection):
+    def emit(self, emitter):
         index, = self.columns()
-        column = batch.column(index)
-        if selection is None:
-            return column
-        return backend.gather(column, selection)
+        return emitter.column(index)
 
     def bind(self, schema):
         return Col(self.name, schema.field_index(self.name))
@@ -297,12 +342,15 @@ class Param(Expr):
         self.name = name.lower()
 
     def eval(self, view, params=None):
-        if not params or self.name not in params:
-            raise PredicateError(f"parameter :{self.name} was not supplied")
-        return params[self.name]
+        return _param(params, self.name)
 
-    def run(self, batch, params, backend, selection):
-        return [self.eval(None, params)] * _domain_size(batch, selection)
+    def emit(self, emitter):
+        # Looked up once per batch; the name is a constant, so the code
+        # serves every parameter.
+        name = f"h{len(emitter.prologue)}"
+        emitter.prologue.append(
+            f"{name} = _param(P, {emitter.constant(self.name)})")
+        return name
 
     def to_text(self):
         return f":{self.name}"
@@ -333,12 +381,13 @@ class Cmp(Expr):
             raise PredicateError(
                 f"cannot compare {lhs!r} {self.op} {rhs!r}") from exc
 
-    def run(self, batch, params, backend, selection):
-        left = self.left.run(batch, params, backend, selection)
-        right = self.right.run(batch, params, backend, selection)
+    def emit(self, emitter):
+        operands = [self.left.emit(emitter), self.right.emit(emitter)]
         if self.op in SPATIAL_OPS:
-            return backend.apply(_COMPARISON[self.op], [left, right])
-        return backend.compare(self.op, left, right)
+            test = emitter.constant(_COMPARISON[self.op])
+            return emitter.strict(operands, lambda a, b: f"{test}({a}, {b})")
+        op = "==" if self.op == "=" else self.op
+        return emitter.strict(operands, lambda a, b: f"{a} {op} {b}")
 
     def to_text(self):
         return (f"{_operand(self.left, 5)} {self.op} "
@@ -363,10 +412,8 @@ class And(Expr):
                 unknown = True
         return None if unknown else True
 
-    def run(self, batch, params, backend, selection):
-        return backend.logical_and(
-            [item.run(batch, params, backend, selection)
-             for item in self.items])
+    def emit(self, emitter):
+        return _conjunction(emitter, self.items)[0]
 
     def to_text(self):
         return " AND ".join(_operand(i, 3) for i in self.items)
@@ -390,13 +437,29 @@ class Or(Expr):
                 unknown = True
         return None if unknown else False
 
-    def run(self, batch, params, backend, selection):
-        return backend.logical_or(
-            [item.run(batch, params, backend, selection)
-             for item in self.items])
+    def emit(self, emitter):
+        # Every item is evaluated, past a TRUE one: as the per-node
+        # evaluator did, ``a = 0 OR 10 / a > 1`` divides and its batch
+        # is retried row by row (``predicate.row_evals`` counts it).
+        uses = [emitter.operand(item.emit(emitter)) for item in self.items]
+        hit = " | ".join(f"({first} is True)" for first, __ in uses)
+        unknown = " or ".join(f"{name} is None" for __, name in uses)
+        return f"(True if {hit} else (None if {unknown} else False))"
 
     def to_text(self):
         return " OR ".join(_operand(i, 2) for i in self.items)
+
+
+def _conjunction(emitter: _Emitter, items) -> Tuple[str, str]:
+    """An AND's value and its test (the value is TRUE): the items are
+    evaluated as ``eval`` evaluates them, in order up to a FALSE one."""
+    uses = [emitter.operand(item.emit(emitter)) for item in items]
+    reached = " or ".join(f"{first} is False" for first, __ in uses)
+    unknown = " or ".join(f"{name} is None" for __, name in uses)
+    test = [f"{first} is not False" for first, __ in uses] \
+        + [f"{name} is not None" for __, name in uses]
+    return (f"(False if {reached} else (None if {unknown} else True))",
+            " and ".join(test))
 
 
 class Not(Expr):
@@ -411,9 +474,8 @@ class Not(Expr):
         value = self.item.eval(view, params)
         return None if value is None else not value
 
-    def run(self, batch, params, backend, selection):
-        return backend.logical_not(
-            self.item.run(batch, params, backend, selection))
+    def emit(self, emitter):
+        return emitter.strict([self.item.emit(emitter)], lambda a: f"not {a}")
 
     def to_text(self):
         return f"NOT {_operand(self.item, 3)}"
@@ -445,10 +507,11 @@ class Arith(Expr):
             raise PredicateError(
                 f"cannot evaluate {lhs!r} {self.op} {rhs!r}") from exc
 
-    def run(self, batch, params, backend, selection):
-        return backend.arith(self.op,
-                             self.left.run(batch, params, backend, selection),
-                             self.right.run(batch, params, backend, selection))
+    def emit(self, emitter):
+        op = self.op
+        return emitter.strict(
+            [self.left.emit(emitter), self.right.emit(emitter)],
+            lambda a, b: f"{a} {op} {b}")
 
     def to_text(self):
         # Left-associative: an equal-strength right operand keeps its
@@ -473,8 +536,8 @@ class Neg(Expr):
         except TypeError as exc:
             raise PredicateError(f"cannot negate {value!r}") from exc
 
-    def run(self, batch, params, backend, selection):
-        return backend.neg(self.item.run(batch, params, backend, selection))
+    def emit(self, emitter):
+        return emitter.strict([self.item.emit(emitter)], lambda a: f"-{a}")
 
     def to_text(self):
         return f"-{_operand(self.item, 7)}"
@@ -493,9 +556,9 @@ class IsNull(Expr):
         is_null = self.item.eval(view, params) is None
         return not is_null if self.negated else is_null
 
-    def run(self, batch, params, backend, selection):
-        return backend.is_null(
-            self.item.run(batch, params, backend, selection), self.negated)
+    def emit(self, emitter):
+        test = "is not" if self.negated else "is"
+        return f"({self.item.emit(emitter)} {test} None)"
 
     def to_text(self):
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
@@ -515,23 +578,10 @@ class InList(Expr):
         return _member(self.item.eval(view, params),
                        (value.eval(view, params) for value in self.values))
 
-    def run(self, batch, params, backend, selection):
-        needles = self.item.run(batch, params, backend, selection)
-        if not all(isinstance(v, (Const, Param)) for v in self.values):
-            # Candidates that may depend on the row: x IN (a, b) ≡
-            # x = a OR x = b under three-valued logic, as in ``_member``.
-            return backend.logical_or(
-                [backend.compare(
-                    "=", needles, value.run(batch, params, backend, selection))
-                 for value in self.values])
-        # Constants and parameters: evaluated once per batch.
-        candidates = [value.eval(None, params) for value in self.values]
-        try:
-            members = {c for c in candidates if c is not None}
-        except TypeError:
-            # Unhashable candidates (boxes): elementwise equality.
-            return [_member(needle, candidates) for needle in needles]
-        return backend.in_list(needles, members, None in candidates)
+    def emit(self, emitter):
+        needle = self.item.emit(emitter)
+        candidates = ", ".join(value.emit(emitter) for value in self.values)
+        return f"_member({needle}, ({candidates},))"  # all evaluated
 
     def to_text(self):
         inner = ", ".join(_operand(v, 5) for v in self.values)
@@ -561,11 +611,11 @@ class Between(Expr):
                 f"cannot compare {value!r} BETWEEN {lo!r} AND {hi!r}") \
                 from exc
 
-    def run(self, batch, params, backend, selection):
-        return backend.between(
-            self.item.run(batch, params, backend, selection),
-            self.lo.run(batch, params, backend, selection),
-            self.hi.run(batch, params, backend, selection))
+    def emit(self, emitter):
+        return emitter.strict(
+            [self.item.emit(emitter), self.lo.emit(emitter),
+             self.hi.emit(emitter)],
+            lambda value, lo, hi: f"{lo} <= {value} <= {hi}")
 
     def to_text(self):
         return (f"{_operand(self.item, 5)} BETWEEN {_operand(self.lo, 5)} "
@@ -608,9 +658,10 @@ class Like(Expr):
         value = self.item.eval(view, params)
         return None if value is None else self.match(value)
 
-    def run(self, batch, params, backend, selection):
-        return backend.apply(
-            self.match, [self.item.run(batch, params, backend, selection)])
+    def emit(self, emitter):
+        match = emitter.constant(self.match)
+        return emitter.strict([self.item.emit(emitter)],
+                              lambda a: f"{match}({a})")
 
     def to_text(self):
         escaped = self.pattern.replace("'", "''")
@@ -643,37 +694,123 @@ class Func(Expr):
             return None
         return self.call(*values)
 
-    def run(self, batch, params, backend, selection):
+    def emit(self, emitter):
+        call = emitter.constant(self.call)
         if not self.args:
-            return [self.call() for __ in range(_domain_size(batch, selection))]
-        return backend.apply(
-            self.call, [a.run(batch, params, backend, selection)
-                        for a in self.args])
+            return f"{call}()"
+        return emitter.strict([a.emit(emitter) for a in self.args],
+                              lambda *a: f"{call}({', '.join(a)})")
 
     def to_text(self):
         inner = ", ".join(a.to_text() for a in self.args)
         return f"{self.name}({inner})"
 
 
-def evaluate(expr: Expr, batch, params: Optional[dict], backend, stats=None,
+# ---------------------------------------------------------------------------
+# Generated code: one selection and one value vector per tree shape
+# ---------------------------------------------------------------------------
+
+#: What generated code may raise where ``eval`` would not (it evaluates
+#: past a short-circuit), or where it would raise a ``PredicateError``:
+#: the batch is then re-evaluated row by row.
+_RETRIED = (TypeError, ValueError, ArithmeticError, PredicateError)
+
+_TEMPLATE = """\
+def make({constants}):
+    def selects(batch, P):
+{prologue}        return [i for i, ({row}) in enumerate({rows}) if {test}]
+    def values(batch, P):
+{prologue}        return [{body} for ({row}) in {rows}]
+    return selects, values
+"""
+
+#: Generated code by source text.  The source names columns by schema
+#: position and no value of the tree (constants are ``make``'s arguments,
+#: parameters ``P``), so it is the tree's shape: a re-parsed or re-bound
+#: predicate of a shape seen before finds its code here.  Least recently
+#: used first; at most ``_CODE_CAP`` entries.
+_CODE: Dict[str, Callable] = {}
+_CODE_CAP = 256
+
+
+def _compile(expr: Expr, stats) -> Optional[Tuple[Callable, Callable]]:
+    """``expr``'s generated ``(selects, values)`` (``None``: it evaluates
+    row by row), from the cache when its shape is there."""
+    emitter = _Emitter()
+    try:
+        # A conjunction, the common filter, selects by its own test.
+        body, test = _conjunction(emitter, expr.items) \
+            if isinstance(expr, And) else (expr.emit(emitter), None)
+    except (NotImplementedError, PredicateError):
+        return None  # a node class without ``emit``, or an unbound column
+    columns = sorted(emitter.columns)
+    prologue = [f"c{i} = batch.column({i})" for i in columns] \
+        + emitter.prologue
+    row = ", ".join(f"r{i}" for i in columns) or "_"
+    rows = f"zip({', '.join(f'c{i}' for i in columns)})" if columns[1:] \
+        else f"c{columns[0]}" if columns else "range(len(batch))"
+    source = _TEMPLATE.format(
+        constants=", ".join(f"k{n}" for n in range(len(emitter.constants))),
+        prologue="".join(f"        {line}\n" for line in prologue),
+        body=body, test=test or f"{body} is True", row=row, rows=rows)
+    make = _CODE.pop(source, None)
+    if make is None:
+        namespace = {"_param": _param, "_member": _member}
+        exec(source, namespace)  # built from node classes and positions
+        make = namespace["make"]
+        while len(_CODE) >= _CODE_CAP:
+            del _CODE[next(iter(_CODE))]
+            if stats is not None:
+                stats.bump("predicate.code_evictions")
+        if stats is not None:
+            stats.bump("predicate.compilations")
+    elif stats is not None:
+        stats.bump("predicate.code_hits")
+    _CODE[source] = make
+    return make(*emitter.constants)
+
+
+def evaluate(expr: Expr, batch, params: Optional[dict], stats=None,
              selection: Optional[Sequence[int]] = None) -> list:
     """``expr``'s value for each row of the batch (restricted to
-    ``selection``): the batch entry point, with the retry that makes it
-    agree with the per-record one.
+    ``selection``): the generated value vector, with the retry that makes
+    it agree with ``eval``.
 
-    ``run`` evaluates whole sub-expressions; ``eval`` short-circuits
-    (``a = 0 OR 10 / a > 1`` never divides where ``a`` is 0).  When
-    ``run`` raises a ``PredicateError`` this batch is re-evaluated row by
-    row, so the error surfaces — or not — exactly as the per-record
-    definition says.
+    The generated code evaluates more than ``eval`` (every operand and
+    every OR item), which short-circuits (``a = 0 OR 10 / a > 1`` never
+    divides where ``a`` is 0).  When the code raises, this batch is
+    re-evaluated row by row, so the error surfaces — or not — exactly as
+    the per-record definition says.
     """
+    if selection is not None:
+        batch = batch.narrow(selection)
+    return _run(expr, batch, params, stats, 1)
+
+
+def select(expr: Expr, batch, params: Optional[dict], stats=None
+           ) -> List[int]:
+    """Sorted ordinals of the rows of ``batch`` for which ``expr`` is
+    *true*: the generated selection, with :func:`evaluate`'s retry."""
+    return _run(expr, batch, params, stats, 0)
+
+
+def _run(expr, batch, params, stats, entry: int):
+    """The generated ``selects`` (``entry`` 0) or ``values`` (1), or the
+    same answer from ``eval`` row by row when the code raised.  The code
+    is made on the tree's first use and kept on it."""
     try:
-        return expr.run(batch, params, backend, selection)
-    except PredicateError:
-        if stats is not None:
-            stats.bump_many({"predicate.row_evals":
-                             _domain_size(batch, selection)})
-        return _eval_rows(expr, batch, params, selection)
+        kernel = expr._kernel
+    except AttributeError:
+        kernel = expr._kernel = _compile(expr, stats)
+    if kernel is not None:
+        try:
+            return kernel[entry](batch, params)
+        except _RETRIED:
+            pass
+    if stats is not None:
+        stats.bump("predicate.row_evals", len(batch))
+    values = _eval_rows(expr, batch, params)
+    return values if entry else [i for i, v in enumerate(values) if v is True]
 
 
 # ---------------------------------------------------------------------------
@@ -930,13 +1067,6 @@ def _parse_primary(tokens: _Tokens) -> Expr:
 # Bound predicate wrapper — what storage methods and attachments receive
 # ---------------------------------------------------------------------------
 
-#: What batch scans filter with.  The storage-pushdown path has no
-#: per-database backend handle and stays on the pure-Python primitives,
-#: which keeps it deterministic; the operator IR passes the database's
-#: configured backend to :func:`evaluate` instead.
-_VECTOR_OPS = VectorOps()
-
-
 class Predicate:
     """A filter predicate bound to a schema.
 
@@ -946,9 +1076,8 @@ class Predicate:
     access-path key) is still in the buffer pool.  Rows for which the
     predicate is unknown (NULL) are rejected, as in SQL.
 
-    Batch scans call :meth:`select` instead: the same bound tree filters
-    each batch column-at-a-time with O(1) Python-level dispatch,
-    producing a selection vector.
+    Batch scans call :meth:`select` instead: the tree's generated
+    selection filters a batch in one comprehension over its columns.
     """
 
     def __init__(self, expr: Expr, schema, params: Optional[dict] = None):
@@ -984,18 +1113,14 @@ class Predicate:
         return self.expr.eval(view, self.params) is True
 
     def select(self, batch, stats=None) -> List[int]:
-        """Selection vector: sorted ordinals of the rows of ``batch`` that
-        match.  ``batch`` need hold only :attr:`fields_needed`.
-
-        The expression's truth vector is computed column-at-a-time over
-        the whole batch (see :func:`evaluate` for the row-by-row retry);
-        the result is exactly the rows for which the predicate is *true*.
-        """
-        truth = evaluate(self.expr, batch, self.params, _VECTOR_OPS, stats)
+        """Selection vector: :func:`select` — sorted ordinals of the rows
+        of ``batch`` for which the predicate is *true*.  ``batch`` need
+        hold only :attr:`fields_needed`."""
+        selected = select(self.expr, batch, self.params, stats)
         if stats is not None:
             stats.bump_many({"predicate.vector_selects": 1,
                              "predicate.vector_rows": len(batch)})
-        return _VECTOR_OPS.select_true(truth)
+        return selected
 
     def evaluable_on(self, available_fields) -> bool:
         """True when every referenced field is in ``available_fields`` —

@@ -170,8 +170,8 @@ def changed_keys(instance: dict, items) -> list:
 def index_key(values) -> tuple:
     """An index key or probe.  A NaN is NULL: it equals and orders
     against nothing, so no probe wants it and its entry could never be
-    found again to be removed.  A ``bytearray`` (a BYTES field holds the
-    one it was given until decoded) is the ``bytes`` it equals."""
+    found again to be removed.  A ``bytearray`` probe is the ``bytes`` it
+    equals (``Schema.check_record`` stores it so)."""
     return tuple(_plain(values))
 
 
