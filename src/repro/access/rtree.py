@@ -33,7 +33,7 @@ from ..core.storage_method import RelationHandle
 from ..errors import PageError, ScanError, StorageError
 from ..query.cost import AccessCost, DEFAULT_SELECTIVITY
 from ..services.locks import LockMode
-from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
+from ..services.scans import AFTER, ON, Scan
 
 __all__ = ["RTreeAttachment", "RTree", "RTreeScan"]
 
@@ -326,8 +326,6 @@ class RTreeScan(Scan):
         self.handle = handle
         self.field_index = instance["field_index"]
         self.matches = matches
-        self.state = BEFORE
-        self.position: Optional[int] = None
 
     def next_batch(self, n: int) -> list:
         """Slice the materialised match list — the spatial search already
@@ -349,13 +347,6 @@ class RTreeScan(Scan):
         self.ctx.stats.bump("rtree.entries_scanned", len(chunk))
         return [(value, RecordView.from_fields((self.field_index,), (box,)))
                 for box, value in chunk]
-
-    def save_position(self) -> ScanPosition:
-        return ScanPosition(self.state, self.position)
-
-    def restore_position(self, saved: ScanPosition) -> None:
-        self.state = saved.state
-        self.position = saved.item
 
 
 class RTreeAttachment(AttachmentType):

@@ -479,21 +479,26 @@ class DataManager:
             return pairs
         found = dict(pairs)
         found.update(_visible(
-            ctx, [(key, patch[key]) for key in keys if key in patch],
+            ctx, [(key, patch[key]) for key in keys
+                  if patch.get(key, ABSENT) is not ABSENT],
             len(handle.schema), fields, predicate))
         return [(key, found[key]) for key in keys if key in found]
 
     def _snapshot_open_scan(self, ctx, handle, method, fields, predicate):
         """The storage scan a locking reader opens, less the patched keys,
-        then their images (:class:`SnapshotScan`)."""
+        then their images (:class:`SnapshotScan`): under one patch version
+        the :class:`PatchImages` pairs, already key-ordered."""
+        snapshot = ctx.txn.snapshot
         wrapped = SnapshotScan(
             self._storage_call(
                 ctx, handle, "open_scan",
                 self.registry.storage_open_scan[method.method_id],
                 ctx, handle, fields, predicate),
-            lambda: self._relation_patch(handle, ctx.txn.snapshot),
-            lambda pairs: _visible(ctx, pairs, len(handle.schema), fields,
-                                   predicate))
+            lambda: self._relation_patch(handle, snapshot),
+            lambda pairs: _visible(
+                ctx, snapshot.images[handle.relation_id].pairs
+                if pairs is None else pairs, len(handle.schema), fields,
+                predicate))
         ctx.services.scans.register(wrapped)
         return wrapped
 
@@ -539,11 +544,10 @@ class DataManager:
 
 
 def _visible(ctx, pairs, width: int, fields, predicate) -> list:
-    """The ``(key, image)`` patch items of ``pairs`` the snapshot sees (not
-    ``ABSENT``) and ``predicate`` passes, tested with one ``select``, laid
-    out as ``fields``, in key order: the answer for the keys a snapshot
-    read dropped from current state."""
-    pairs = [item for item in pairs if item[1] is not ABSENT]
+    """The ``(key, image)`` patch items of ``pairs`` (images the snapshot
+    sees, not ``ABSENT``) that ``predicate`` passes, tested with one
+    ``select``, laid out as ``fields``, in the order given: the answer for
+    the keys a snapshot read dropped from current state."""
     if predicate is not None and pairs:
         ctx.stats.bump("mvcc.images_tested", len(pairs))
         pairs = [pairs[i] for i in predicate.select(ColumnBatch(
@@ -552,17 +556,17 @@ def _visible(ctx, pairs, width: int, fields, predicate) -> list:
         return pairs
     ctx.stats.bump("mvcc.records_patched", len(pairs))
     if fields is None:
-        return key_ordered([(key, tuple(image)) for key, image in pairs])
-    return key_ordered([(key, tuple([image[i] for i in fields]))
-                        for key, image in pairs])
+        return [(key, tuple(image)) for key, image in pairs]
+    return [(key, tuple([image[i] for i in fields])) for key, image in pairs]
 
 
 class PatchImages:
     """One relation's rewind patch under one snapshot, as an access route
     reads it: ``keys`` to drop from its current hits, and ``pairs``, the
-    ``(key, image)`` pairs the snapshot sees there (not ``ABSENT``), looked
-    up by the value of each field that leads an access path (another
-    field's lookup is built on first use).  ``version`` is the patch
+    ``(key, image)`` pairs the snapshot sees there (not ``ABSENT``), in
+    key order, looked up by the value of each field that leads an access
+    path (another field's lookup is built on first use).  Both are built
+    once per patch version: ``version`` is the patch
     memo's ``(store epoch, transitions consumed)``.  Values are looked up
     as an index holds them (``scans.index_key``): a ``bytearray`` probe
     as the ``bytes`` it equals (a stored record holds ``bytes``, see
@@ -574,8 +578,8 @@ class PatchImages:
     def __init__(self, version: tuple, patch: dict, schema, fields):
         self.version = version
         self.keys = patch.keys()
-        self.pairs = [item for item in patch.items()
-                      if item[1] is not ABSENT]
+        self.pairs = key_ordered([item for item in patch.items()
+                                  if item[1] is not ABSENT])
         self._schema = schema
         self._by_field = {}
         for field in fields:
@@ -621,7 +625,8 @@ class PatchImages:
             bisect_right if ">" in ops else bisect_left)(values, low)
         stop = len(values) if high is None else (
             bisect_left if "<" in ops else bisect_right)(values, high)
-        return [pair for value in values[start:stop] for pair in equal[value]]
+        return key_ordered([pair for value in values[start:stop]
+                            for pair in equal[value]])
 
 
 class _OperationScope:

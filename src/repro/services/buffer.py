@@ -182,7 +182,9 @@ class BufferPool:
     def unpin(self, page_id: int, dirty: bool = False, image=None) -> None:
         """Release a pin.  A dirty unpin drops the frame's decoded image —
         the bytes it mirrored may have changed — unless the writer hands
-        over ``image``, the decoded form of exactly what it wrote."""
+        over ``image``: the decoded form of exactly what it wrote, or the
+        frame's own image with what the write changed marked for the next
+        reader to decode again (a heap page's ``PageImage.stale``)."""
         frame = self._frames.get(page_id)
         if frame is None or frame.pin_count == 0:
             raise BufferError_(f"unpin of unpinned page {page_id}")

@@ -52,9 +52,10 @@ ABSENT = object()
 def key_ordered(pairs: list) -> list:
     """Sort ``(record key, image)`` pairs by key, in place — the order in
     which a snapshot reader meets images that come from the version
-    store rather than from storage."""
+    store rather than from storage.  Keys are distinct, so the images are
+    never compared."""
     try:
-        pairs.sort()
+        pairs.sort(key=itemgetter(0))
     except TypeError:  # heterogeneous keys: still deterministic
         pairs.sort(key=repr)
     return pairs
@@ -98,6 +99,9 @@ class Scan:
     def __init__(self, txn_id: int):
         self.txn_id = txn_id
         self.closed = False
+        #: BEFORE, ON or AFTER ``position``: an item whose meaning is the
+        #: extension's, which the default save and restore keep as it is.
+        self.state, self.position = BEFORE, None
 
     def next(self):
         """Return the next item after the current position, or ``None`` at
@@ -132,10 +136,10 @@ class Scan:
         return batch
 
     def save_position(self) -> ScanPosition:
-        raise NotImplementedError
+        return ScanPosition(self.state, self.position)
 
     def restore_position(self, position: ScanPosition) -> None:
-        raise NotImplementedError
+        self.state, self.position = position.state, position.item
 
     def close(self) -> None:
         self.closed = True
@@ -197,8 +201,6 @@ class KeyScan(Scan):
         self.handle = handle
         self.instance = instance
         self.key_fields = tuple(instance["key_fields"])
-        self.state = BEFORE
-        self.position = None
         self.key_filter = predicate if predicate is not None \
             and predicate.evaluable_on(self.key_fields) else None
 
@@ -243,13 +245,6 @@ class KeyScan(Scan):
         self.state = ON if len(chunk) == n else AFTER
         return ColumnBatch(keys, width, values, self.key_fields)
 
-    def save_position(self) -> ScanPosition:
-        return ScanPosition(self.state, self.position)
-
-    def restore_position(self, saved: ScanPosition) -> None:
-        self.state = saved.state
-        self.position = saved.item
-
 
 class SnapshotScan(Scan):
     """A locking reader's storage scan, less the keys of a snapshot's
@@ -259,10 +254,11 @@ class SnapshotScan(Scan):
     so a write committed after the snapshot mid-scan is still patched
     back out: a batch that holds no patched key passes untouched, any
     other is narrowed to its unpatched rows.  Once the base scan is
-    exhausted, ``images`` (which filters, projects and key-orders patch
-    items) answers every key a patch held during the scan that the scan
-    did not return as current — the ones it dropped, and the ones a
-    writer deleted or moved.
+    exhausted, ``images`` (which filters and projects key-ordered patch
+    items; given ``None``, those of the one patch version read) answers
+    every key a patch held during the scan that the scan did not return
+    as current — the ones it dropped, and the ones a writer deleted or
+    moved.
     """
 
     def __init__(self, base: Scan, patch_fn, images):
@@ -328,10 +324,12 @@ class SnapshotScan(Scan):
         # Under one patch no key it holds was returned as current.  A key
         # enters (a commit after the scan returned it) or leaves (its
         # writer rolled back after the scan passed it) only as it moves.
-        returned = set(chain.from_iterable(self._returned)) \
-            if self._patches > 1 else ()
-        return self._images([item for item in self._items.items()
-                             if item[0] not in returned])
+        if self._patches == 1:
+            return self._images(None)
+        returned = set(chain.from_iterable(self._returned))
+        return self._images(key_ordered([
+            item for item in self._items.items()
+            if item[1] is not ABSENT and item[0] not in returned]))
 
 
 class ShippedRows:
@@ -362,8 +360,6 @@ class ShippedScan(Scan):
         self.ctx = ctx
         self.source = source
         self.counter = counter
-        self.state = BEFORE
-        self.position = None
 
     def next_batch(self, n: int) -> list:
         self._check_open()
@@ -378,13 +374,6 @@ class ShippedScan(Scan):
         self.state = ON
         self.ctx.stats.bump(self.counter, len(chunk))
         return chunk
-
-    def save_position(self) -> ScanPosition:
-        return ScanPosition(self.state, self.position)
-
-    def restore_position(self, saved: ScanPosition) -> None:
-        self.state = saved.state
-        self.position = saved.item
 
 
 class ScanService:

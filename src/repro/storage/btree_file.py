@@ -38,10 +38,10 @@ from ..query.cost import AccessCost, default_selectivity
 from ..services.locks import LockMode
 from ..services.pages import TOMBSTONE
 from ..services.predicate import Predicate
-from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
+from ..services.scans import AFTER, ON, Scan
 from ..services.vectors import ColumnBatch
-from .heap import HeapStorageMethod, PageImage, PageLeaf, \
-    _HeapHandler, _slots_and_images
+from .heap import HeapStorageMethod, PageLeaf, _HeapHandler, \
+    _slots_and_images
 
 __all__ = ["BTreeFileStorageMethod", "BTreeFileScan"]
 
@@ -89,8 +89,6 @@ class BTreeFileScan(Scan):
         self.predicate = predicate
         self.low = low
         self.high = high
-        self.state = BEFORE
-        self.position: Optional[tuple] = None  # last key returned
 
     def next_batch(self, n: int) -> ColumnBatch:
         """Up to ``n`` records in key order: each run of consecutive
@@ -115,14 +113,9 @@ class BTreeFileScan(Scan):
             page_id, end = directory[index][1], index + 1
             while end < stop and directory[end][1] == page_id:
                 end += 1
-            run = directory[index:end]
-            data, image = buffer.fetch_image(page_id, PageImage)
-            try:
-                room = n - len(keys)
-                chosen = leaf.read(data, image,
-                                   [slot for __, __, slot in run], room)
-            finally:
-                buffer.unpin(page_id)
+            run, room = directory[index:end], n - len(keys)
+            __, chosen = leaf.visit(buffer, page_id, room,
+                                    [slot for __, __, slot in run])
             self.state = ON
             run_keys = [tuple(run[i][0]) for i in chosen]
             self.ctx.lock_records(self.handle.relation_id, run_keys,
@@ -140,13 +133,6 @@ class BTreeFileScan(Scan):
         if not keys:
             self.state = AFTER
         return leaf.batch()
-
-    def save_position(self) -> ScanPosition:
-        return ScanPosition(self.state, self.position)
-
-    def restore_position(self, saved: ScanPosition) -> None:
-        self.state = saved.state
-        self.position = saved.item
 
 
 class BTreeFileStorageMethod(HeapStorageMethod):

@@ -23,7 +23,9 @@ and never logged; the page bodies, by address, and the scan leaf
 (:class:`PageLeaf`) are also the B-tree-organised method's.  The leaf
 keeps what it decodes off a resident page in the frame's
 :class:`PageImage`, which a page's first visit since it was installed
-does not keep and any write drops.
+does not keep.  A forward update or delete marks the slots it touched on
+the image the frame holds, and the next read decodes just those again;
+an insert, undo, redo and formatting drop the image.
 
 DDL attributes: ``fill_hint`` (float in (0, 1], advisory page fill target).
 """
@@ -41,7 +43,7 @@ from ..services.locks import LockMode
 from ..services.pages import HEADER_SIZE, TOMBSTONE, PageView
 from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
-from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
+from ..services.scans import AFTER, ON, Scan
 from ..services.vectors import ColumnBatch
 
 __all__ = ["HeapStorageMethod", "HeapScan", "PageImage", "PageLeaf",
@@ -54,6 +56,20 @@ def _ensure_formatted(page: PageView) -> None:
     """Format a page that never reached the device before the crash."""
     if page.free_offset < HEADER_SIZE:
         PageView.format(page.page_id, page.data, PAGE_TYPE_HEAP)
+
+
+def _no_image(page: PageView, keep: bool) -> None:
+    """A writer's ``make``: it never creates a page image."""
+
+
+def _pin_changing(buffer, page_id: int, slots: list):
+    """Pin ``page_id`` to rewrite or empty ``slots``: the page, and the
+    frame's image with them marked ``stale`` for the dirty unpin to keep
+    (``None`` when the frame holds none)."""
+    data, image = buffer.fetch_image(page_id, _no_image)
+    if image is not None:
+        image.stale.update(slots)
+    return PageView(page_id, data), image
 
 
 def _slots_and_images(payload: dict):
@@ -207,19 +223,39 @@ class _HeapHandler(ResourceHandler):
 
 class PageImage:
     """What the scan leaf decoded off one page (``BufferPool.fetch_image``):
-    the slot directory, whole columns and records, by slot.  It only grows
-    — a column or record once present never changes — under a pin of the
-    bytes it mirrors; one the frame does not keep decodes what its one
+    the slot directory, whole columns and records, by slot.  It grows under
+    a pin of the bytes it mirrors.  A writer that rewrites or empties slots
+    adds them to ``stale`` (``_pin_changing``), and the next reader's
+    :meth:`refresh` decodes those slots again before it reads; nothing
+    else in it changes.  One the frame does not keep decodes what its one
     read asks for."""
 
-    __slots__ = ("offsets", "live", "keep", "columns", "rows")
+    __slots__ = ("offsets", "live", "keep", "columns", "rows", "stale")
 
     def __init__(self, page: PageView, keep: bool):
         offsets = self.offsets = page.directory()[0]
         self.live = [s for s in range(len(offsets))
                      if offsets[s] != TOMBSTONE] \
             if TOMBSTONE in offsets else list(range(len(offsets)))
-        self.keep, self.columns, self.rows = keep, {}, {}
+        self.keep, self.columns, self.rows, self.stale = keep, {}, {}, set()
+
+    def refresh(self, schema, page: PageView) -> None:
+        """Read the directory again (a rewrite may have compacted the
+        page) and decode the ``stale`` slots still live again, for the
+        columns and records held.  Only a slot marked stale can have been
+        emptied."""
+        offsets = self.offsets = page.directory()[0]
+        stale, self.stale = self.stale, set()
+        slots = [s for s in stale if offsets[s] != TOMBSTONE]
+        if len(slots) < len(stale):  # what an emptied slot held goes unread
+            self.live = [s for s in self.live if offsets[s] != TOMBSTONE]
+        decode, rows = schema.decoder, self.rows
+        for s in slots:
+            record = decode(page.data, offsets[s])
+            if s in rows:
+                rows[s] = record
+            for field, column in self.columns.items():
+                column[s] = record[field]
 
     def values(self, decode, fields, data, slots: list, fill: bool) -> list:
         """``decode``'s columns of ``fields`` at ``slots``, new lists; with
@@ -250,7 +286,7 @@ class PageImage:
 
 class PageLeaf:
     """The page scan leaf: one batch read off slotted pages, a page at a
-    time under the caller's pin, through its :class:`PageImage`.
+    time under one pin (:meth:`visit`), through its :class:`PageImage`.
     :meth:`read` filters the predicate's fields as columns while the values
     are still in the buffer pool, then takes the output fields of the
     records it keeps only, whole records or ``fields`` columns.  The caller
@@ -258,7 +294,7 @@ class PageLeaf:
 
     def __init__(self, schema, fields: Optional[Tuple[int, ...]],
                  predicate: Optional[Predicate], stats):
-        self.width, self.fields = len(schema), fields
+        self.schema, self.width, self.fields = schema, len(schema), fields
         self.predicate, self.stats = predicate, stats
         if predicate is not None:
             self.needed = tuple(sorted(predicate.fields_needed))
@@ -268,6 +304,22 @@ class PageLeaf:
         self.keys: list = []
         self.rows: list = []                           # whole records, or
         self.columns = [[] for __ in fields or ()]     # one list per field
+
+    def visit(self, buffer, page_id: int, room: int, slots=None,
+              after: int = -1, looping: bool = False):
+        """Pin ``page_id``, bring the frame's image up to date, :meth:`read`
+        ``slots`` (by default the live slots past ``after``) and unpin;
+        returns the slots and the indexes :meth:`read` chose."""
+        data, image = buffer.fetch_image(page_id, PageImage, looping)
+        try:
+            if image.stale:
+                image.refresh(self.schema, PageView(page_id, data))
+            if slots is None:
+                slots = image.live if after < 0 \
+                    else [s for s in image.live if s > after]
+            return slots, self.read(data, image, slots, room)
+        finally:
+            buffer.unpin(page_id)
 
     def read(self, data, image: PageImage, slots: list, room: int):
         """Keep the first ``room`` of the records at ``slots`` of the
@@ -316,8 +368,6 @@ class HeapScan(Scan):
         self.handle = handle
         self.fields = tuple(fields) if fields is not None else None
         self.predicate = predicate
-        self.state = BEFORE
-        self.position: Optional[Tuple[int, int]] = None  # (page index, slot)
 
     def next_batch(self, n: int) -> ColumnBatch:
         """Extract up to ``n`` qualifying records page-at-a-time, as a
@@ -335,15 +385,9 @@ class HeapScan(Scan):
         leaf = PageLeaf(self.handle.schema, self.fields, self.predicate, stats)
         keys = leaf.keys
         while page_index < len(pages) and len(keys) < n:
-            page_id = pages[page_index]
-            data, image = buffer.fetch_image(page_id, PageImage, looping)
-            try:
-                slots = image.live if slot < 0 \
-                    else [s for s in image.live if s > slot]
-                room = n - len(keys)
-                chosen = leaf.read(data, image, slots, room)
-            finally:
-                buffer.unpin(page_id)
+            page_id, room = pages[page_index], n - len(keys)
+            slots, chosen = leaf.visit(buffer, page_id, room, None, slot,
+                                       looping)
             if slots:
                 self.state = ON
             page_keys = [(page_id, slots[i]) for i in chosen]
@@ -366,13 +410,6 @@ class HeapScan(Scan):
         if not keys:
             self.state = AFTER
         return leaf.batch()
-
-    def save_position(self) -> ScanPosition:
-        return ScanPosition(self.state, self.position)
-
-    def restore_position(self, saved: ScanPosition) -> None:
-        self.state = saved.state
-        self.position = saved.item
 
 
 class HeapStorageMethod(StorageMethod):
@@ -591,7 +628,9 @@ class HeapStorageMethod(StorageMethod):
             if index not in moving:
                 by_page.setdefault(page_id, []).append((index, slot))
         for page_id, writes in by_page.items():
-            page, slots, olds, news = ctx.buffer.fetch(page_id), [], [], []
+            page, image = _pin_changing(ctx.buffer, page_id,
+                                        [slot for __, slot in writes])
+            slots, olds, news = [], [], []
             try:
                 for index, slot in writes:
                     raw = encode_record(schema, items[index][2])
@@ -615,7 +654,7 @@ class HeapStorageMethod(StorageMethod):
                               "old_raws": olds}, True)  # unlogged: undone
                 raise
             finally:
-                ctx.buffer.unpin(page_id, dirty=True)
+                ctx.buffer.unpin(page_id, dirty=True, image=image)
         if len(moved) < len(items):
             ctx.stats.bump(self.name + ".updates", len(items) - len(moved))
         if len(moved) > len(moving):
@@ -643,11 +682,11 @@ class HeapStorageMethod(StorageMethod):
         for page_id, slot in addresses:
             by_page.setdefault(page_id, []).append(slot)
         for page_id, slots in by_page.items():
-            page = ctx.buffer.fetch(page_id)
+            page, image = _pin_changing(ctx.buffer, page_id, slots)
             try:
                 self._delete_on(ctx, handle, page, slots)
             finally:
-                ctx.buffer.unpin(page_id, dirty=True)
+                ctx.buffer.unpin(page_id, dirty=True, image=image)
 
     def _delete_on(self, ctx, handle, page: PageView, slots: list) -> None:
         """Remove ``slots`` of the pinned ``page``: a ``delete_multi``."""

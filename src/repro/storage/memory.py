@@ -28,7 +28,7 @@ from ..errors import RecordNotFoundError, ScanError, StorageError
 from ..services.locks import LockMode
 from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
-from ..services.scans import AFTER, BEFORE, ON, Scan, ScanPosition
+from ..services.scans import AFTER, ON, Scan
 from ..services.vectors import ColumnBatch
 
 __all__ = ["MemoryStorageMethod", "MemoryScan"]
@@ -54,8 +54,6 @@ class MemoryScan(Scan):
         self.rows = rows
         self.fields = tuple(fields) if fields is not None else None
         self.predicate = predicate
-        self.state = BEFORE
-        self.position: Optional[int] = None  # last key returned
         self._keys = sorted(rows)
 
     def next_batch(self, n: int) -> list:
@@ -114,13 +112,6 @@ class MemoryScan(Scan):
         if not batch:
             self.state = AFTER
         return batch
-
-    def save_position(self) -> ScanPosition:
-        return ScanPosition(self.state, self.position)
-
-    def restore_position(self, saved: ScanPosition) -> None:
-        self.state = saved.state
-        self.position = saved.item
 
 
 class _MemoryHandler(ResourceHandler):

@@ -119,3 +119,41 @@ def test_a_writer_that_aborts_mid_scan_leaves_each_row_once(method):
     reader.commit()
     assert len(got) == len({record[0] for record in got})
     assert sorted(got) == expected
+
+
+@pytest.mark.parametrize("mid_scan_commit", [False, True],
+                         ids=["one-patch-version", "two-versions"])
+@pytest.mark.parametrize("method", ["heap", "memory", "btree_file"])
+def test_a_snapshot_scan_answers_its_patched_keys_last_in_key_order(
+        method, mid_scan_commit):
+    """The tail is the images of the patched keys the scan did not return
+    as current, in record-key order: under one patch version as the
+    patch's images were sorted once, after a commit mid-scan as the items
+    the scan gathered, sorted again."""
+    db = build(method, 300)
+    expected = sorted(record for __, record in db.table("t").scan())
+    reader, writer = db.connect(), db.connect()
+    txn = reader.begin(snapshot=True)
+    ctx = ExecutionContext(txn, db.services, reader)
+    writer.begin()
+    writer.execute("UPDATE t SET v = -1 WHERE g = 3")
+    writer.execute("DELETE FROM t WHERE id >= 100 AND id < 110")
+    writer.commit()
+    patched = {i for i in range(300) if i % 5 == 3 or 100 <= i < 110}
+    scan = db.data.open_scan(ctx, db.catalog.handle("t"))
+    pairs = list(scan.next_batch(100))
+    if mid_scan_commit:
+        writer.begin()
+        writer.execute("UPDATE t SET v = -2 WHERE g = 4")
+        writer.commit()
+        returned = {record[0] for __, record in pairs}
+        patched |= {i for i in range(300) if i % 5 == 4} - returned
+    while batch := scan.next_batch(100):
+        pairs += list(batch)
+    scan.close()
+    reader.commit()
+    assert sorted(tuple(record) for __, record in pairs) == expected
+    tail = pairs[-len(patched):]
+    assert {record[0] for __, record in tail} == patched
+    keys = [key for key, __ in tail]
+    assert keys == sorted(keys)

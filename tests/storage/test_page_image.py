@@ -2,11 +2,14 @@
 
 The scan leaf keeps what it decodes in the buffer frame's image
 (``heap.PageImage``, through ``BufferPool.fetch_image``); the next scan of
-the page, while it stays resident and unchanged, reads it from there.  A
-page's first visit since it was installed keeps nothing and decodes what
-the leaf always decoded.  Every write path ends in a dirty unpin, which
-drops the image, so a warm scan after any write equals a cold read of the
-same pages — on heap and btree_file relations alike.
+the page, while it stays resident, reads it from there.  A page's first
+visit since it was installed keeps nothing and decodes what the leaf
+always decoded.  A forward update or delete marks the slots it touched on
+the image the frame holds, and the next read decodes those slots again
+before it serves any; every other write path (insert, undo, redo,
+formatting, publishing) drops the image on its dirty unpin.  Either way a
+warm scan after any write equals a cold read of the same pages — on heap
+and btree_file relations alike.
 """
 
 import random
@@ -366,3 +369,231 @@ def test_a_published_readonly_relation_scanned_warm_equals_a_cold_read(
     calls = count_page_decodes(monkeypatch, handle.schema)
     check_warm_equals_cold(db, table, "pub")
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# A forward rewrite or delete keeps the image: the next read decodes the
+# slots it touched, and only those
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+def count_record_decodes(monkeypatch, schema):
+    """Wrap ``schema.decoder``: the offset of each whole record decoded."""
+    offsets, decode = [], schema.decoder
+    monkeypatch.setitem(schema.__dict__, "decoder", lambda buf, off=0: (
+        offsets.append(off) or decode(buf, off)))
+    return offsets
+
+
+def shown(rows):
+    """Rows as a multiset that NaN does not break."""
+    return sorted(map(repr, rows))
+
+
+#: write -> (the write, the live slots it leaves to decode again).  NULL
+#: and NaN are rewritten in place: neither record grows.
+TOUCHING = {
+    "in-place-update": (lambda table: table.update_where(
+        "id >= 10 AND id < 13", {"name": None, "score": NAN}), 3),
+    "delete": (lambda table: table.delete_where("id >= 30 AND id < 33"), 0),
+}
+
+
+@pytest.mark.parametrize("write", sorted(TOUCHING))
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_a_warm_scan_after_a_rewrite_decodes_only_the_touched_slots(
+        storage, write, monkeypatch):
+    db, table = build(storage)
+    warm(db, table)
+    images = [frame.image for frame in frames(db)]
+    touch, decoded = TOUCHING[write]
+    touch(table)
+    assert all(frame.image is image
+               for frame, image in zip(frames(db), images))
+    schema = db.catalog.handle("emp").schema
+    calls = count_page_decodes(monkeypatch, schema)
+    rows = count_record_decodes(monkeypatch, schema)
+    got = reads(table)
+    # Each touched slot still live, once, as a whole record: the refresh
+    # takes the columns the image holds from it.
+    assert calls == [] and len(rows) == decoded
+    del calls[:], rows[:]
+    assert reads(table) == got and calls == [] and rows == []
+    records = cold(db)
+    assert shown(got[0]) == shown(records)
+    assert shown(got[1]) == shown(
+        record for record in records
+        if record[2] is not None and record[2] >= 0)
+    assert all(not frame.image.stale for frame in frames(db))
+
+
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_a_snapshot_from_before_a_rewrite_scans_warm_and_sees_its_values(
+        storage, monkeypatch):
+    db, table = build(storage)
+    query = "SELECT id, name, score FROM emp"
+    before = shown(db.execute(query))
+    reader = db.connect()
+    reader.begin(snapshot=True)
+    assert shown(reader.execute(query)) == before
+    warm(db, table)
+    # The update's own scan refreshes the slots the delete emptied.
+    table.delete_where("id >= 40 AND id < 43")
+    table.update_where("id >= 10 AND id < 20", {"name": "u", "score": NAN})
+    schema = db.catalog.handle("emp").schema
+    calls = count_page_decodes(monkeypatch, schema)
+    rows = count_record_decodes(monkeypatch, schema)
+    assert shown(reader.execute(query)) == before
+    assert calls == [] and len(rows) == 10  # the rewritten records only
+    after = shown(db.connect().execute(query))
+    assert after == shown(cold(db)) != before
+    reader.commit()
+
+
+# ---------------------------------------------------------------------------
+# A seeded mix of writes, each followed by a check against the page bytes
+# ---------------------------------------------------------------------------
+
+MIX = [("id", "INT"), ("name", "STRING"), ("score", "FLOAT"),
+       ("blob", "BYTES")]
+
+
+class Mix:
+    """A relation written at random, checked against its pages after each
+    step."""
+
+    def __init__(self, storage, seed):
+        self.storage, self.rng = storage, random.Random(seed)
+        self.db = Database(page_size=512)
+        self.db.create_table("mix", MIX, storage_method=storage,
+                             attributes=STORAGES[storage])
+        self.next_id = 0
+        self.insert(80)
+
+    @property
+    def table(self):
+        return self.db.table("mix")
+
+    def value(self):
+        rng = self.rng
+        return rng.choice([None, NAN, -2.5, 0.0, rng.random() * 10])
+
+    def row(self):
+        self.next_id += 1
+        return (self.next_id, f"n{self.next_id}", self.value(),
+                bytearray(self.rng.randbytes(self.rng.randrange(0, 6))))
+
+    def insert(self, count):
+        self.table.insert_many([self.row() for __ in range(count)])
+
+    def ids(self):
+        low = self.rng.randrange(self.next_id)
+        return f"id >= {low} AND id < {low + self.rng.randrange(1, 8)}"
+
+    def rewrite(self):
+        """One in-place, growing or page-moving update, or a delete."""
+        rng, table = self.rng, self.table
+        kind = rng.choice(["in-place", "in-place", "growing", "moving",
+                           "delete"])
+        if kind == "in-place":  # NULL, NaN, a float and a shorter BYTES
+            table.update_where(self.ids(), {
+                "score": self.value(), "name": rng.choice([None, "s"]),
+                "blob": bytearray(b"b")})
+        elif kind == "growing":
+            table.update_where(self.ids(), {
+                "name": "g" * rng.randrange(8, 60)})
+        elif kind == "moving":
+            low = rng.randrange(self.next_id)
+            table.update_where(f"id = {low} OR id = {low + 1}",
+                               {"name": "m" * 300, "score": NAN})
+        else:
+            table.delete_where(self.ids())
+
+    def rolled_back(self):
+        db = self.db
+        db.begin()
+        self.rewrite()
+        self.insert(self.rng.randrange(1, 4))
+        self.rewrite()
+        db.rollback()
+
+    def savepoint_undone(self):
+        db = self.db
+        db.begin()
+        self.rewrite()
+        db.savepoint("sp")
+        self.rewrite()
+        self.insert(2)
+        self.rewrite()
+        db.rollback_to("sp")
+        db.commit()
+
+    def restart(self):
+        self.db.restart()
+
+    def warm_scan(self):
+        self.table.rows()
+        self.table.rows("score >= 0.0", ["id", "blob"])
+
+    def in_scan_order(self):
+        """``(scan order, record)`` of every record on the pages: a heap
+        scan's (page index, slot), a btree_file scan's key."""
+        db = self.db
+        schema = db.catalog.handle("mix").schema
+        found = []
+        for index, page_id in enumerate(pages(db, "mix")):
+            with db.services.buffer.pinned(page_id) as page:
+                for slot, raw in page.records():
+                    record = decode_record(schema, raw)
+                    found.append(((index, slot) if self.storage == "heap"
+                                  else (record[0],), record))
+        return sorted(found, key=lambda item: item[0])
+
+    def suspended_scan(self):
+        """A scan stopped mid-page, a rewrite in its transaction, then the
+        rest of the scan: the records after its position, as written."""
+        db = self.db
+        handle = db.catalog.handle("mix")
+        method = db.registry.storage_method(
+            handle.descriptor.storage_method_id)
+        db.begin()
+        with db.autocommit() as ctx:
+            scan = method.open_scan(ctx, handle, None, None)
+            first = [key for key, __ in scan.next_batch(
+                self.rng.randrange(3, 15))]
+            self.rewrite()
+            rest = db.services.scans.drain(scan)
+        last = first[-1]
+        if self.storage == "heap":
+            last = (pages(db, "mix").index(last[0]), last[1])
+        assert [repr(record) for __, record in rest] == [
+            repr(record) for order, record in self.in_scan_order()
+            if order > last]
+        db.commit()
+
+    def check(self):
+        records = cold(self.db, "mix")
+        table = self.table
+        assert shown(table.rows()) == shown(records)
+        assert shown(table.rows("score >= 0.0", ["id", "blob"])) == shown(
+            (record[0], record[3]) for record in records
+            if record[2] is not None and record[2] >= 0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_a_random_mix_of_writes_and_warm_scans_equals_the_pages(storage,
+                                                               seed):
+    mix = Mix(storage, seed)
+    steps = [mix.rewrite] * 6 + [
+        lambda: mix.insert(mix.rng.randrange(1, 6)), mix.rolled_back,
+        mix.savepoint_undone, mix.restart, mix.suspended_scan] \
+        + [mix.warm_scan] * 3
+    mix.warm_scan()
+    for __ in range(40):
+        mix.rng.choice(steps)()
+        mix.check()
+    assert any(isinstance(frame.image, PageImage)
+               for frame in frames(mix.db, "mix"))
