@@ -147,7 +147,8 @@ class JoinIndexAttachment(AttachmentType):
         for batch in self.stored_batches(ctx, other_handle):
             for right_key, record in batch:
                 value = record[instance["other_field_index"]]
-                if value is not None:  # NULL joins nothing
+                # NULL and NaN join nothing
+                if value is not None and value == value:
                     rights.setdefault(value, []).append(right_key)
         for batch in batches:
             for left_key, record in batch:

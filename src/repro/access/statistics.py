@@ -48,14 +48,6 @@ _KMV_K = 64
 _HASH_SPACE = float(HASH_SPACE)
 
 
-def _kmv_add(kmv: list, value) -> None:
-    """Fold one value into the k-minimum-values sketch (sorted list of
-    distinct hashes, at most ``_KMV_K`` long).  The sketch hash is the
-    shared stable (salt-free CRC) hash, so sketch contents are
-    reproducible across processes and agree with shard routing."""
-    kmv[:] = kmv_union([kmv, stable_hashes((value,))])
-
-
 def _kmv_estimate(kmv: list) -> int:
     if len(kmv) < _KMV_K:
         return len(kmv)
@@ -325,13 +317,6 @@ class TableStatistics:
         if column is None:
             return None
         return _kmv_estimate(column["kmv"])
-
-    def null_fraction(self, index: int) -> Optional[float]:
-        column = self.column(index)
-        rows = self.row_count
-        if column is None or not rows:
-            return None
-        return min(1.0, max(0.0, column["nulls"] / rows))
 
     def selectivity(self, index: int, op: str, value) -> Optional[float]:
         """Estimated fraction of rows satisfying ``column <op> value``,

@@ -113,8 +113,9 @@ def equality_probe(database, handle: RelationHandle, fields: Sequence[int]
 def matching_keys(ctx: ExecutionContext, handle: RelationHandle,
                   fields: Sequence[int], values: tuple) -> Iterator:
     """The record keys :func:`equality_probe` finds, else a scan (which
-    stops when the caller does); NULL equals nothing."""
-    if None in values:
+    stops when the caller does); NULL and NaN equal nothing (a tuple
+    compares an element by identity first)."""
+    if any(value is None or value != value for value in values):
         return
     found = equality_probe(ctx.database, handle, fields)
     if found is not None:

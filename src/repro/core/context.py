@@ -122,7 +122,3 @@ class ExecutionContext:
 
     def defer(self, event: str, callback, data=None) -> None:
         self.services.events.defer(self.txn_id, event, callback, data)
-
-    def spawn(self, txn: Transaction) -> "ExecutionContext":
-        """A context for the same services/database but another transaction."""
-        return ExecutionContext(txn, self.services, self.database)

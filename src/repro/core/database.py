@@ -12,27 +12,26 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Optional, Sequence, Union
 
-from ..errors import (AdmissionError, TransactionError,
-                      UnknownCheckpointModeError, UnknownObjectError)
+from ..errors import (AdmissionError, UnknownCheckpointModeError,
+                      UnknownObjectError)
 from ..services import SystemServices
 from ..services import wal as wal_records
 from ..services.transactions import TxnState
 from .attachment import AttachmentType
 from .authorization import AuthorizationService
 from .catalog import Catalog
-from .context import ExecutionContext
 from .ddl import DataDefinition
 from .dependency import DependencyTracker
 from .dispatch import DataManager
 from .registry import ExtensionRegistry
 from .relation import Relation
 from .schema import Field, Schema
-from .session import Session
+from .session import Session, TransactionScope
 
 __all__ = ["Database"]
 
 
-class Database:
+class Database(TransactionScope):
     """An extensible relational database instance."""
 
     def __init__(self, page_size: int = 4096, buffer_capacity: int = 256,
@@ -57,7 +56,6 @@ class Database:
         self.data = DataManager(self.registry, self.services)
         self.ddl = DataDefinition(self)
         self.principal = principal
-        self._session_txn = None
         self._query_engine = None
         #: Admission control: the bounded session pool.
         self.max_sessions = max_sessions
@@ -99,82 +97,6 @@ class Database:
             self.registry.register_storage_method(method, recovery)
         for attachment in builtin_attachment_types():
             self.registry.register_attachment_type(attachment, recovery)
-
-    # ------------------------------------------------------------------
-    # Transactions
-    # ------------------------------------------------------------------
-    def begin(self):
-        """Open an explicit session transaction."""
-        if self._session_txn is not None and self._session_txn.active:
-            raise TransactionError("a session transaction is already open")
-        self._session_txn = self.services.transactions.begin()
-        return self._session_txn
-
-    def commit(self) -> None:
-        txn = self._require_session()
-        self._session_txn = None
-        try:
-            self.services.transactions.commit(txn)
-        except Exception:
-            if not txn.settled:
-                self.services.transactions.abort(txn)
-            raise
-
-    def rollback(self) -> None:
-        txn = self._require_session()
-        self._session_txn = None
-        self.services.transactions.abort(txn)
-
-    def savepoint(self, name: str) -> int:
-        return self.services.transactions.savepoint(self._require_session(),
-                                                    name)
-
-    def rollback_to(self, name: str) -> int:
-        return self.services.transactions.rollback_to(self._require_session(),
-                                                      name)
-
-    @contextmanager
-    def transaction(self):
-        """``with db.transaction() as ctx:`` — commit on exit, abort on error."""
-        txn = self.begin()
-        try:
-            yield ExecutionContext(txn, self.services, self)
-            self._session_txn = None
-            self.services.transactions.commit(txn)
-        except Exception:
-            if not txn.settled:
-                self._session_txn = None
-                self.services.transactions.abort(txn)
-            raise
-
-    @contextmanager
-    def autocommit(self):
-        """Join the open session transaction, or run one just for this call."""
-        if self._session_txn is not None and self._session_txn.active:
-            yield ExecutionContext(self._session_txn, self.services, self)
-            return
-        txn = self.services.transactions.begin()
-        try:
-            yield ExecutionContext(txn, self.services, self)
-            self.services.transactions.commit(txn)
-        except Exception:
-            # `not settled` (rather than `active`) also catches a commit
-            # that failed after PREPARED — e.g. an injected log-flush
-            # fault — whose changes and locks would otherwise leak, and
-            # whose unflushed COMMIT record would silently become durable
-            # at the next log force.
-            if not txn.settled:
-                self.services.transactions.abort(txn)
-            raise
-
-    def _require_session(self):
-        if self._session_txn is None or not self._session_txn.active:
-            raise TransactionError("no session transaction is open")
-        return self._session_txn
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._session_txn is not None and self._session_txn.active
 
     # ------------------------------------------------------------------
     # DDL conveniences
@@ -338,10 +260,8 @@ class Database:
         """
         for session in list(self._sessions.values()):
             session.close()  # aborts the session's open transaction
-        if self._session_txn is not None and self._session_txn.active:
-            txn = self._session_txn
-            self._session_txn = None
-            self.services.transactions.abort(txn)
+        if self.in_transaction:
+            self._abort(self._txn)
         # Drain PREPARED limbo: a participant whose coordinator died (or a
         # commit that failed between states) must not hold locks and
         # undecided changes past shutdown.  An orderly close is this
@@ -378,7 +298,7 @@ class Database:
 
         Returns the recovery summary.
         """
-        self._session_txn = None
+        self._txn = None
         # Sessions survive a restart (the connection is not the crash
         # domain here) but their in-flight transactions and snapshots do
         # not: undo images are volatile, so every live snapshot is

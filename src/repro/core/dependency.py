@@ -68,8 +68,5 @@ class DependencyTracker:
         self.invalidations += len(dependents)
         return len(dependents)
 
-    def dependents_of(self, token: str) -> int:
-        return len(self._dependents.get(token, ()))
-
     def __repr__(self) -> str:
         return f"DependencyTracker({len(self._dependents)} tracked tokens)"

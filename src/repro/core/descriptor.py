@@ -72,9 +72,6 @@ class RelationDescriptor:
     def attachment_count(self) -> int:
         return sum(1 for _ in self.present_attachments())
 
-    def has_attachments(self) -> bool:
-        return any(field is not None for field in self._fields)
-
     # -- record-oriented encoding ------------------------------------------------
     def encode(self) -> bytes:
         """Serialise to the record-oriented catalog form.
@@ -97,9 +94,6 @@ class RelationDescriptor:
         descriptor._fields = fields
         descriptor.version = version
         return descriptor
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
     def __repr__(self) -> str:
         present = [i for i, _ in self.present_attachments()]

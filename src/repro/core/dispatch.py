@@ -190,9 +190,6 @@ class DataManager:
         """Reset the offense count (after a successful rebuild)."""
         self._offenses.pop((relation_id, type_id), None)
 
-    def offenses(self, relation_id: int, type_id: int) -> int:
-        return self._offenses.get((relation_id, type_id), 0)
-
     def _fan_out(self, ctx: ExecutionContext, handle: RelationHandle,
                  op: str, vector: list, count: int, *args) -> None:
         """Step two: drive one attached-procedure vector over the relation.

@@ -106,9 +106,6 @@ class Schema:
     def field(self, name: str) -> Field:
         return self.fields[self.field_index(name)]
 
-    def has_field(self, name: str) -> bool:
-        return name.lower() in self._index
-
     def indexes_of(self, names: Sequence[str]) -> Tuple[int, ...]:
         return tuple(self.field_index(n) for n in names)
 

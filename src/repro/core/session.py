@@ -29,18 +29,130 @@ writer session.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from functools import partial
 from typing import Optional
 
 from ..errors import SessionError, TransactionError
 from .context import ExecutionContext
 from .relation import Relation
 
-__all__ = ["Session"]
+__all__ = ["Session", "TransactionScope"]
+
+_UNATTRIBUTED = nullcontext()
 
 
-class Session:
+class TransactionScope:
+    """The one transaction surface of :class:`~repro.core.database.Database`
+    and :class:`Session`: an explicit transaction (``begin`` → ``commit`` /
+    ``rollback``, savepoints, ``transaction()``) or one per call
+    (``autocommit()``).  A subclass declares only what differs: the stats
+    scope its transactions' work is counted under, its closed check and
+    its misuse texts (formatted with the scope)."""
+
+    _txn = None
+    _ALREADY_OPEN = "a session transaction is already open"
+    _NONE_OPEN = "no session transaction is open"
+
+    def _attributed(self):
+        """The stats scope this scope's transaction work runs under."""
+        return _UNATTRIBUTED
+
+    def _check_open(self) -> None:
+        """Only a session can be closed."""
+
+    def begin(self):
+        """Open an explicit session transaction."""
+        return self._begin(False)
+
+    def _begin(self, snapshot: bool):
+        self._check_open()
+        if self._txn is not None and self._txn.active:
+            raise TransactionError(self._ALREADY_OPEN.format(self))
+        with self._attributed():
+            self._txn = self.services.transactions.begin(snapshot=snapshot)
+        return self._txn
+
+    def commit(self) -> None:
+        self._commit(self._require_txn())
+
+    def rollback(self) -> None:
+        self._abort(self._require_txn())
+
+    def _commit(self, txn) -> None:
+        self._txn = None
+        with self._attributed():
+            try:
+                self.services.transactions.commit(txn)
+            except Exception:
+                if not txn.settled:
+                    self.services.transactions.abort(txn)
+                raise
+
+    def _abort(self, txn) -> None:
+        self._txn = None
+        with self._attributed():
+            self.services.transactions.abort(txn)
+
+    def savepoint(self, name: str) -> int:
+        return self.services.transactions.savepoint(self._require_txn(), name)
+
+    def rollback_to(self, name: str) -> int:
+        return self.services.transactions.rollback_to(self._require_txn(),
+                                                      name)
+
+    @contextmanager
+    def transaction(self):
+        """``with db.transaction() as ctx:`` — commit on exit, abort on error."""
+        yield from self._committing(self.begin())
+
+    def _committing(self, txn):
+        try:
+            yield ExecutionContext(txn, self.services, self)
+        except Exception:
+            if not txn.settled:
+                self._abort(txn)
+            raise
+        self._commit(txn)
+
+    @contextmanager
+    def autocommit(self):
+        """Join the open transaction, or run one just for this call."""
+        self._check_open()
+        with self._attributed():
+            if self._txn is not None and self._txn.active:
+                yield ExecutionContext(self._txn, self.services, self)
+                return
+            txn = self.services.transactions.begin()
+            try:
+                yield ExecutionContext(txn, self.services, self)
+                self.services.transactions.commit(txn)
+            except Exception:
+                # `not settled` (rather than `active`) also catches a commit
+                # that failed after PREPARED — e.g. an injected log-flush
+                # fault — whose changes and locks would otherwise leak, and
+                # whose unflushed COMMIT record would silently become durable
+                # at the next log force.
+                if not txn.settled:
+                    self.services.transactions.abort(txn)
+                raise
+
+    def _require_txn(self):
+        self._check_open()
+        if self._txn is None or not self._txn.active:
+            raise TransactionError(self._NONE_OPEN.format(self))
+        return self._txn
+
+    @property
+    def in_transaction(self) -> bool:
+        return self._txn is not None and self._txn.active
+
+
+class Session(TransactionScope):
     """One caller's connection to a shared database."""
+
+    _ALREADY_OPEN = "session {0.session_id} already has an open transaction"
+    _NONE_OPEN = "session {0.session_id} has no open transaction"
 
     def __init__(self, database, session_id: int,
                  principal: Optional[str] = None):
@@ -48,8 +160,12 @@ class Session:
         self.session_id = session_id
         self.principal = principal if principal is not None \
             else database.principal
-        self._txn = None
         self.closed = False
+        #: Every bump of this session's transactions is attributed to it
+        #: as well as engine-wide, so per-session counters reconcile in
+        #: benchmarks.
+        self._attributed = partial(database.services.stats.session,
+                                   session_id)
 
     # ------------------------------------------------------------------
     # Shared engine surface (duck-types Database for Relation/queries)
@@ -79,7 +195,7 @@ class Session:
         return self.database.dependencies
 
     # ------------------------------------------------------------------
-    # Per-session transactions
+    # Per-session transactions: the snapshot option is the session's
     # ------------------------------------------------------------------
     def begin(self, snapshot: bool = False):
         """Open this session's transaction.
@@ -88,85 +204,12 @@ class Session:
         are served from a consistent point-in-time view and acquire no
         locks (see ``services/transactions.py``).
         """
-        self._check_open()
-        if self._txn is not None and self._txn.active:
-            raise TransactionError(
-                f"session {self.session_id} already has an open transaction")
-        with self.services.stats.session(self.session_id):
-            self._txn = self.services.transactions.begin(snapshot=snapshot)
-        return self._txn
-
-    def commit(self) -> None:
-        txn = self._require_txn()
-        self._txn = None
-        with self.services.stats.session(self.session_id):
-            try:
-                self.services.transactions.commit(txn)
-            except Exception:
-                if not txn.settled:
-                    self.services.transactions.abort(txn)
-                raise
-
-    def rollback(self) -> None:
-        txn = self._require_txn()
-        self._txn = None
-        with self.services.stats.session(self.session_id):
-            self.services.transactions.abort(txn)
-
-    def savepoint(self, name: str) -> int:
-        return self.services.transactions.savepoint(self._require_txn(), name)
-
-    def rollback_to(self, name: str) -> int:
-        return self.services.transactions.rollback_to(self._require_txn(),
-                                                      name)
+        return self._begin(snapshot)
 
     @contextmanager
     def transaction(self, snapshot: bool = False):
         """``with session.transaction() as ctx:`` — commit on exit."""
-        txn = self.begin(snapshot=snapshot)
-        try:
-            yield ExecutionContext(txn, self.services, self)
-            self._txn = None
-            with self.services.stats.session(self.session_id):
-                self.services.transactions.commit(txn)
-        except Exception:
-            if not txn.settled:
-                self._txn = None
-                with self.services.stats.session(self.session_id):
-                    self.services.transactions.abort(txn)
-            raise
-
-    @contextmanager
-    def autocommit(self):
-        """Join this session's open transaction, or run one for the call.
-
-        Every bump inside the block is attributed to this session as well
-        as engine-wide, so per-session counters reconcile in benchmarks.
-        """
-        self._check_open()
-        with self.services.stats.session(self.session_id):
-            if self._txn is not None and self._txn.active:
-                yield ExecutionContext(self._txn, self.services, self)
-                return
-            txn = self.services.transactions.begin()
-            try:
-                yield ExecutionContext(txn, self.services, self)
-                self.services.transactions.commit(txn)
-            except Exception:
-                if not txn.settled:
-                    self.services.transactions.abort(txn)
-                raise
-
-    def _require_txn(self):
-        self._check_open()
-        if self._txn is None or not self._txn.active:
-            raise TransactionError(
-                f"session {self.session_id} has no open transaction")
-        return self._txn
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._txn is not None and self._txn.active
+        yield from self._committing(self.begin(snapshot=snapshot))
 
     # ------------------------------------------------------------------
     # Work surface
@@ -197,11 +240,8 @@ class Session:
         """
         if self.closed:
             return
-        if self._txn is not None and self._txn.active:
-            txn = self._txn
-            self._txn = None
-            with self.services.stats.session(self.session_id):
-                self.services.transactions.abort(txn)
+        if self.in_transaction:
+            self._abort(self._txn)
         self.closed = True
         self.database._disconnect(self)
         self.services.stats.bump("sessions.closed")

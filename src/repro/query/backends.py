@@ -22,21 +22,18 @@ class PythonBackend:
     """The vector primitives the IR programs against: selection vectors
     plus the hash and merge join primitives."""
 
-    # -- selection vectors ---------------------------------------------
-    def select_true(self, values) -> List[int]:
-        return [i for i, v in enumerate(values) if v is True]
-
     def gather(self, values, selection: Sequence[int]) -> list:
         return [values[i] for i in selection]
 
     # -- join primitives -----------------------------------------------
     def hash_build(self, keys) -> Dict[object, List[int]]:
-        """Key → build-side ordinals (insertion order); NULL keys never
-        join, so they are left out of the table."""
+        """Key → build-side ordinals (insertion order); NULL and NaN keys
+        never join, so they are left out of the table (and so a probe
+        finds no NaN, though a dict finds a key by identity first)."""
         table: Dict[object, List[int]] = {}
         setdefault = table.setdefault
         for ordinal, key in enumerate(keys):
-            if key is not None:
+            if key is not None and key == key:
                 setdefault(key, []).append(ordinal)
         return table
 
@@ -60,18 +57,19 @@ class PythonBackend:
                     ) -> Tuple[List[int], List[int]]:
         """Equi-join two key vectors that already arrive sorted ascending:
         detect runs of equal keys on each side and emit the cross product
-        of matching runs, left-major."""
+        of matching runs, left-major.  A NULL or a NaN (which orders
+        against nothing) is passed over."""
         left_out: List[int] = []
         right_out: List[int] = []
         i = j = 0
         nl, nr = len(left_keys), len(right_keys)
         while i < nl and j < nr:
             lk = left_keys[i]
-            if lk is None:
+            if lk is None or lk != lk:
                 i += 1
                 continue
             rk = right_keys[j]
-            if rk is None:
+            if rk is None or rk != rk:
                 j += 1
                 continue
             if lk < rk:

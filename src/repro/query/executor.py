@@ -533,7 +533,8 @@ class Executor:
     def run_delete(self, ctx, handle, access: TableAccess,
                    params: Optional[dict]) -> int:
         params = params or {}
+        # Keys only: the delete reads the records it removes.
         victims = [key for batch in self._access_key_batches(
-                   ctx, handle, access, params, None) for key, __ in batch]
+                   ctx, handle, access, params, None, ()) for key, __ in batch]
         self.database.data.delete_batch(ctx, handle, victims)
         return len(victims)

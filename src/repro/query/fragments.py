@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 from ..access.statistics import statistics_for
 from ..core.records import RecordView
 from ..services.predicate import Col, conjuncts
-from .ir import sorted_ordinals
+from .ir import NAN_GROUP, sorted_ordinals
 from .planner import QualifiedSchema, SelectPlan, TableAccess, make_eligible
 
 __all__ = ["FragmentFallback", "FragmentPlan", "plan_fragment",
@@ -261,9 +261,11 @@ def rollup_for(ctx, plan: SelectPlan) -> Optional[FragmentPlan]:
 def merge_rollup(plan: SelectPlan, partials: List[Tuple],
                  right_batches) -> List[Tuple]:
     """The roll-up's partial groups meet the JOIN relation's rows."""
-    # Once per matching row, NULL never joins; then merge as shards' do.
+    # Once per matching row, NULL and NaN never join; then merge as
+    # shards' do.
     rollup, right_key = plan.fragment, plan.join.right_index
-    by_key = {row[-1]: row for row in partials if row[-1] is not None}
+    by_key = {row[-1]: row for row in partials
+              if row[-1] is not None and row[-1] == row[-1]}
     rows = [by_key[key] + (value,) for batch in right_batches
             for key, value in zip(batch.column(right_key),
                                   batch.column(rollup.group_index))
@@ -350,7 +352,9 @@ def merge_fragment_results(fragment: FragmentPlan,
         groups = {}
         for rows in sources:
             for row in rows:
-                groups.setdefault(row[fragment.key_slot], []).append(row)
+                key = row[fragment.key_slot]
+                groups.setdefault(key if key == key else NAN_GROUP,
+                                  []).append(row)
         return [_merge_partials(fragment, groups[key])
                 for key in sorted(groups, key=repr)]
     if fragment.child_needs_sort:

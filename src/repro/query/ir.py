@@ -50,7 +50,13 @@ from ..services.predicate import Col, evaluate, select
 from ..services.vectors import ColumnBatch
 from . import kernels
 
-__all__ = ["Program", "Runtime", "sorted_ordinals", "lower_select"]
+__all__ = ["Program", "Runtime", "sorted_ordinals", "lower_select",
+           "NAN_GROUP"]
+
+#: The group key of every NaN where partial groups merge by dict (a dict
+#: finds a key by identity before equality, and each NaN is its own
+#: object): GROUP BY puts every NaN in one group, as it does every NULL.
+NAN_GROUP = float("nan")
 
 
 def _engine_fault(exc: Exception) -> QueryError:
@@ -409,6 +415,12 @@ class _GroupSink:
         setdefault = groups.setdefault
         for ordinal, key in enumerate(keys):
             setdefault(key, []).append(ordinal)
+        # A dict finds a key by identity before equality, so each NaN
+        # object began a group of its own: every NaN is one group.
+        nans = [key for key in groups if key != key]
+        if len(nans) > 1:
+            groups[nans[0]] = sorted(ordinal for key in nans
+                                     for ordinal in groups.pop(key))
         stats.bump_many({"executor.columnar.kernel_calls": 1,
                          "executor.columnar.ir.kernel_calls": 1,
                          "executor.columnar.ir.group.rows": len(keys),

@@ -21,16 +21,8 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..errors import PredicateError
-from ..services import predicate
 
-__all__ = ["evaluate", "project_rows", "zip_vectors", "fold_aggregate"]
-
-
-def evaluate(expr, batch, params, backend=None, stats=None,
-             selection=None) -> list:
-    """:func:`repro.services.predicate.evaluate` in the argument order of
-    the per-node evaluator it replaced (generated code needs no backend)."""
-    return predicate.evaluate(expr, batch, params, stats, selection)
+__all__ = ["project_rows", "zip_vectors", "fold_aggregate"]
 
 
 # ---------------------------------------------------------------------------

@@ -84,14 +84,6 @@ class BufferPool:
         # pops from the front instead of scanning every frame.
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
 
-    def set_wal_flush(self, wal_flush: Callable[[int], None]) -> None:
-        """Install the log-force hook (wired up after the WAL is created)."""
-        self._wal_flush = wal_flush
-
-    def set_lsn_source(self, lsn_source: Callable[[], int]) -> None:
-        """Install the current-LSN probe used for rec_lsn tracking."""
-        self._lsn_source = lsn_source
-
     def _next_lsn(self) -> int:
         """The lowest LSN any not-yet-written log record can get.
 
@@ -238,11 +230,6 @@ class BufferPool:
             elif frame.pin_count:
                 table[page_id] = frame.rec_candidate or 1
         return table
-
-    def min_rec_lsn(self) -> int:
-        """The redo lower bound over the current dirty set (0: nothing dirty)."""
-        table = self.dirty_page_table()
-        return min(table.values()) if table else 0
 
     def free_page(self, page_id: int) -> None:
         """Drop a page from the pool and the device (must be unpinned)."""

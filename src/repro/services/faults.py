@@ -113,9 +113,6 @@ class FaultInjector:
             self._plans.pop(point, None)
         self.armed = bool(self._plans)
 
-    def is_armed(self, point: str) -> bool:
-        return point in self._plans
-
     # -- the injection points call this ----------------------------------------
     def fire(self, point: str) -> None:
         """Raise the armed error if the point's schedule says so."""

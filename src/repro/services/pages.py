@@ -205,11 +205,9 @@ class PageView:
         return sum(self._directory(  # a tombstone's length is 0
             self.slot_count if count is None else count)[1])
 
-    def compact(self) -> None:
-        """Rewrite live records contiguously to defragment free space."""
-        self._compact(self._space()[0])
-
     def _compact(self, count: int) -> int:
+        """Rewrite the live records of the first ``count`` slots
+        contiguously; returns the new free offset."""
         data, write_at = self.data, HEADER_SIZE
         offsets, lengths = self._directory(count)
         live = [(slot, bytes(data[offset:offset + lengths[slot]]))

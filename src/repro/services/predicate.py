@@ -226,12 +226,6 @@ class Expr:
     def emit(self, emitter: _Emitter) -> str:
         raise NotImplementedError
 
-    def run(self, batch, params: Optional[dict] = None, backend=None,
-            selection: Optional[Sequence[int]] = None) -> list:
-        """:func:`evaluate`, for callers of the per-node evaluator it
-        replaced (nothing calls ``backend``)."""
-        return evaluate(self, batch, params, None, selection)
-
     def children(self) -> List["Expr"]:
         out: List[Expr] = []
         for name in self._children:

@@ -119,12 +119,6 @@ class Standby:
         self._settled_through = base_lsn
         database.services.transactions.mirror()
 
-    @property
-    def settled_pending(self) -> int:
-        """Transactions decided in the received stream whose last record is
-        not applied yet: at most those in flight up to the horizon."""
-        return len(self._settled)
-
     # -- standby side ----------------------------------------------------------
     def receive(self, epoch: int, wire: List[dict]) -> int:
         """Append a shipped batch, flush it, and advance the apply horizon.

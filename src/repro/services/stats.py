@@ -133,9 +133,6 @@ class StatsService:
     def session_snapshot(self, session_id: int) -> dict:
         return dict(self._per_session.get(session_id, ()))
 
-    def session_ids(self) -> tuple:
-        return tuple(self._per_session)
-
     def drop_session(self, session_id: int) -> None:
         """Forget a closed session's counters (engine-wide ones remain);
         a session with a live scope is emptied but stays registered."""

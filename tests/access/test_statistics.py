@@ -34,7 +34,8 @@ def test_initial_computation_over_existing_records(tracked):
     column = with_stats(db, "employee", lambda s: s.column(SALARY))
     assert column["min"] == 70000.0 and column["max"] == 120000.0
     assert with_stats(db, "employee", lambda s: s.distinct(DEPT)) == 3
-    assert with_stats(db, "employee", lambda s: s.null_fraction(NAME)) == 0.0
+    assert with_stats(db, "employee",
+                      lambda s: s.column(NAME)["nulls"] / s.row_count) == 0.0
 
 
 def test_columns_attribute_restricts_tracking(db, employee):
@@ -67,11 +68,13 @@ def test_incremental_maintenance(tracked):
     assert with_stats(db, "employee",
                       lambda s: s.column(SALARY))["max"] == 200000.0
     assert with_stats(db, "employee",
-                      lambda s: s.null_fraction(NAME)) == pytest.approx(1 / 6)
+                      lambda s: s.column(NAME)["nulls"] / s.row_count) \
+        == pytest.approx(1 / 6)
 
     key = employee.scan(where="id = 6")[0][0]
     employee.update(key, {"name": "frank"})
-    assert with_stats(db, "employee", lambda s: s.null_fraction(NAME)) == 0.0
+    assert with_stats(db, "employee",
+                      lambda s: s.column(NAME)["nulls"] / s.row_count) == 0.0
 
     employee.delete(key)
     assert with_stats(db, "employee", lambda s: s.row_count) == 5
@@ -242,7 +245,8 @@ def test_null_fraction_scales_selectivity(db):
     table = db.create_table("n", [("v", "INT")])
     table.insert_many([(None,)] * 50 + [(i,) for i in range(50)])
     db.create_attachment("n", "statistics", "n_stats")
-    assert with_stats(db, "n", lambda s: s.null_fraction(0)) == 0.5
+    assert with_stats(db, "n",
+                      lambda s: s.column(0)["nulls"] / s.row_count) == 0.5
     sel = with_stats(db, "n", lambda s: s.selectivity(0, "<", 25))
     # Half the rows are NULL and cannot satisfy any comparison.
     assert sel == pytest.approx(0.5 * 25 / 49, abs=0.01)

@@ -120,7 +120,7 @@ def test_rebuild_attachment_restores_quarantined_instance(buggy_db):
     assert "bp1" in field["instances"]
     assert not field.get("quarantined")
     assert buggy.rebuilds >= 1
-    assert db.data.offenses(handle.relation_id, buggy.type_id) == 0
+    assert db.data._offenses.get((handle.relation_id, buggy.type_id), 0) == 0
     assert db.services.stats.get("containment.quarantine.rebuilds") == 1
 
 
@@ -214,7 +214,7 @@ def test_fetch_many_via_access_path_runs_behind_the_barrier(buggy_db):
     assert (fault.relation, fault.attachment_id, fault.operation) == \
         ("t", "buggy_path", "fetch_many")
     assert db.services.stats.get("containment.extension_faults") == 1
-    assert db.data.offenses(handle.relation_id, buggy.type_id) == 1
+    assert db.data._offenses.get((handle.relation_id, buggy.type_id), 0) == 1
 
 
 def test_old_record_fetch_runs_behind_the_barrier():

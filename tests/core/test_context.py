@@ -140,10 +140,3 @@ def test_defer_queues_on_event_service(db, ctx):
     ctx.defer(ev.AT_COMMIT, lambda t, d: ran.append(d), "payload")
     db.services.transactions.commit(ctx.txn)
     assert ran == ["payload"]
-
-
-def test_spawn_shares_services_with_other_transaction(db, ctx):
-    other = db.services.transactions.begin()
-    sibling = ctx.spawn(other)
-    assert sibling.services is ctx.services
-    assert sibling.txn_id != ctx.txn_id

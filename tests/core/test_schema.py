@@ -32,7 +32,7 @@ def test_schema_rejects_duplicates_and_empty():
 def test_field_lookup_case_insensitive():
     schema = Schema("t", [Field("id", "INT"), Field("name", "STRING")])
     assert schema.field_index("NAME") == 1
-    assert schema.has_field("Id")
+    assert schema.field_index("Id") == 0
     with pytest.raises(SchemaError):
         schema.field_index("missing")
 

@@ -77,6 +77,45 @@ def test_double_begin_rejected():
         session.rollback()
 
 
+def test_misuse_texts_of_both_transaction_scopes():
+    """The database and a session each name their own transaction in a
+    misuse error; a closed session refuses every transaction call; only a
+    session's transaction takes ``snapshot=``."""
+    db = make_db()
+    session = db.connect()
+    for scope, none_open, already_open in (
+            (db, "no session transaction is open",
+             "a session transaction is already open"),
+            (session, f"session {session.session_id} has no open transaction",
+             f"session {session.session_id} already has an open transaction")):
+        for call in (scope.commit, scope.rollback,
+                     lambda: scope.savepoint("s"),
+                     lambda: scope.rollback_to("s")):
+            with pytest.raises(TransactionError) as info:
+                call()
+            assert str(info.value) == none_open
+        scope.begin()
+        for call in (scope.begin, lambda: scope.transaction().__enter__()):
+            with pytest.raises(TransactionError) as info:
+                call()
+            assert str(info.value) == already_open
+        scope.rollback()
+        assert not scope.in_transaction
+    for call in (lambda: db.begin(snapshot=True),
+                 lambda: db.transaction(snapshot=True)):
+        with pytest.raises(TypeError):
+            call()
+    session.close()
+    for call in (session.begin, session.commit, session.rollback,
+                 lambda: session.savepoint("s"),
+                 lambda: session.rollback_to("s"),
+                 lambda: session.transaction().__enter__(),
+                 lambda: session.autocommit().__enter__()):
+        with pytest.raises(SessionError) as info:
+            call()
+        assert str(info.value) == f"session {session.session_id} is closed"
+
+
 def test_session_relation_operations_and_transaction_scope():
     db = make_db()
     with db.connect() as session:

@@ -14,8 +14,7 @@ from repro import Database
 from repro.core.schema import Field, Schema
 from repro.errors import PredicateError, QueryError
 from repro.query import kernels
-from repro.query.backends import PythonBackend
-from repro.services.predicate import Expr, Predicate
+from repro.services.predicate import Expr, Predicate, evaluate
 from repro.services.vectors import ColumnBatch
 
 SCHEMA = Schema("t", [Field("id", "INT", nullable=False),
@@ -66,9 +65,9 @@ FILTERS = [
 def test_kernel_selection_matches_row_evaluation(text):
     predicate = Predicate.parse(text, SCHEMA)
     batch = ColumnBatch(ROWS, len(SCHEMA))
-    backend = PythonBackend()
-    truth = predicate.expr.run(batch, {}, backend, None)
-    assert backend.select_true(truth) == selection_by_rows(predicate)
+    truth = evaluate(predicate.expr, batch, {})
+    assert [i for i, value in enumerate(truth) if value is True] \
+        == selection_by_rows(predicate)
 
 
 @pytest.mark.parametrize("text", FILTERS)

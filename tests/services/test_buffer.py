@@ -8,9 +8,9 @@ from repro.services.disk import BlockDevice
 from repro.services.pages import PageView
 
 
-def make_pool(capacity=4, page_size=256):
+def make_pool(capacity=4, page_size=256, **hooks):
     device = BlockDevice(page_size=page_size)
-    return device, BufferPool(device, capacity=capacity)
+    return device, BufferPool(device, capacity=capacity, **hooks)
 
 
 def test_new_page_is_pinned_and_formatted_lazily():
@@ -65,9 +65,8 @@ def test_eviction_fails_when_all_pinned():
 
 
 def test_wal_flush_hook_called_before_write_back():
-    device, pool = make_pool(capacity=1)
     forced = []
-    pool.set_wal_flush(forced.append)
+    device, pool = make_pool(capacity=1, wal_flush=forced.append)
     page = pool.new_page(1)
     page.page_lsn = 42
     pool.unpin(page.page_id, dirty=True)
@@ -178,9 +177,8 @@ def test_a_looping_fault_with_room_and_a_looping_hit_are_plain_lru():
 
 
 def test_rec_lsn_tracks_first_dirtying_update():
-    device, pool = make_pool()
     lsn = [10]
-    pool.set_lsn_source(lambda: lsn[0])
+    device, pool = make_pool(lsn_source=lambda: lsn[0])
     page = pool.new_page(1)
     pool.unpin(page.page_id, dirty=True)
     # Dirtied while the log end was 10: no record of the change can have an
@@ -190,13 +188,12 @@ def test_rec_lsn_tracks_first_dirtying_update():
     with pool.pinned(page.page_id, dirty=True):
         pass
     assert pool.dirty_page_table() == {page.page_id: 11}
-    assert pool.min_rec_lsn() == 11
+    assert min(pool.dirty_page_table().values()) == 11
 
 
 def test_rec_lsn_resets_on_write_back():
-    device, pool = make_pool()
     lsn = [5]
-    pool.set_lsn_source(lambda: lsn[0])
+    device, pool = make_pool(lsn_source=lambda: lsn[0])
     page = pool.new_page(1)
     pool.unpin(page.page_id, dirty=True)
     pool.flush_page(page.page_id)
@@ -212,9 +209,8 @@ def test_dirty_page_table_includes_pinned_clean_frames():
     """A modification may be in flight under a pin (logged but not yet
     unpinned-dirty); the candidate LSN captured at pin time keeps the
     checkpoint's redo bound conservative."""
-    device, pool = make_pool()
     lsn = [7]
-    pool.set_lsn_source(lambda: lsn[0])
+    device, pool = make_pool(lsn_source=lambda: lsn[0])
     page = pool.new_page(1)
     pool.unpin(page.page_id, dirty=True)
     pool.flush_page(page.page_id)
@@ -231,13 +227,12 @@ def test_dirty_page_table_without_lsn_source_degrades_to_one():
     pool.unpin(page.page_id, dirty=True)
     # Standalone pools (no WAL wired) report rec_lsn 1: redo from the start.
     assert pool.dirty_page_table() == {page.page_id: 1}
-    assert BufferPool(device).min_rec_lsn() == 0
+    assert BufferPool(device).dirty_page_table() == {}
 
 
 def test_flush_while_pinned_rearms_candidate():
-    device, pool = make_pool()
     lsn = [3]
-    pool.set_lsn_source(lambda: lsn[0])
+    device, pool = make_pool(lsn_source=lambda: lsn[0])
     page = pool.new_page(1)
     pool.unpin(page.page_id, dirty=True)
     pool.fetch(page.page_id)

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from repro.core.records import Box, RecordView
 from repro.core.schema import Field, Schema
 from repro.errors import PredicateError
-from repro.query import kernels
-from repro.query.backends import PythonBackend
 from repro.services.predicate import (And, Arith, Between, Cmp, Col, Const,
                                       Func, InList, IsNull, Like, Neg, Not,
-                                      Or, Param, Predicate, parse_expression)
+                                      Or, Param, Predicate, evaluate,
+                                      parse_expression)
 from repro.services.vectors import ColumnBatch
 
 SCHEMA = Schema("t", [Field("a", "INT"), Field("b", "INT"),
@@ -95,8 +94,9 @@ def test_matches_is_true_only(expr, row):
 
 
 # ---------------------------------------------------------------------------
-# The two entry points of the one tree agree: ``run`` per batch (through
-# ``kernels.evaluate``) against ``eval`` per record, over the whole AST.
+# The two entry points of the one tree agree: its generated code per batch
+# (through ``predicate.evaluate``) against ``eval`` per record, over the
+# whole AST.
 # ---------------------------------------------------------------------------
 
 WIDE = Schema("w", [Field("i", "INT"), Field("f", "FLOAT"),
@@ -220,9 +220,8 @@ def test_batch_entry_point_equals_record_entry_point(expr, batch):
     chosen = rows if selection is None else [rows[i] for i in selection]
     expected = _outcome(lambda: [
         bound.eval(RecordView.from_record(row), _PARAMS) for row in chosen])
-    got = _outcome(lambda: kernels.evaluate(
-        bound, ColumnBatch(rows, len(WIDE)), _PARAMS, PythonBackend(), None,
-        selection))
+    got = _outcome(lambda: evaluate(
+        bound, ColumnBatch(rows, len(WIDE)), _PARAMS, None, selection))
     assert got == expected
     if selection is None:
         # The storage-pushdown entry point is the same tree again.
@@ -238,7 +237,6 @@ def test_short_circuit_retry_is_counted():
     stats = Database().services.stats
     rows = [(0,), (5,), (20,), (None,)]
     bound = _SHORT_CIRCUIT.bind(Schema("t", [Field("i", "INT")]))
-    assert kernels.evaluate(bound, ColumnBatch(rows, 1), None,
-                            PythonBackend(), stats) \
+    assert evaluate(bound, ColumnBatch(rows, 1), None, stats) \
         == [True, True, False, None]
     assert stats.get("predicate.row_evals") == len(rows)

@@ -102,13 +102,13 @@ def test_end_that_arrives_a_ship_after_its_commit(pair):
     assert end > commit + 1      # the at-commit insert logged in between
     ship(primary, standby, up_to=commit)
     assert standby.applied_lsn == commit and len(rows(standby.database)) == 5
-    assert standby.settled_pending == 1      # decided, its END still to come
+    assert len(standby._settled) == 1      # decided, its END still to come
     ship(primary, standby, up_to=end - 1)
-    assert standby.applied_lsn == end - 1 and standby.settled_pending == 1
+    assert standby.applied_lsn == end - 1 and len(standby._settled) == 1
     ship(primary, standby)
     assert standby.applied_lsn == standby.received_lsn == end
     assert rows(standby.database) == rows(primary)
-    assert len(rows(primary)) == 6 and standby.settled_pending == 0
+    assert len(rows(primary)) == 6 and len(standby._settled) == 0
 
 
 def test_a_plain_commit_settles_at_its_commit(pair):
@@ -122,7 +122,7 @@ def test_a_plain_commit_settles_at_its_commit(pair):
     assert all(r.kind != wal_records.END
                for r in primary.services.wal.forward())
     assert standby.applied_lsn == standby.received_lsn
-    assert standby.settled_pending == 0
+    assert len(standby._settled) == 0
     assert rows(standby.database) == rows(primary)
 
 
@@ -142,11 +142,11 @@ def test_a_dropped_relation_applies_its_trailing_records_then_drains():
     commit = lsn_of(primary, wal_records.COMMIT)
     assert primary.services.wal.record(commit).payload == {"end": True}
     ship(primary, standby, up_to=commit)
-    assert standby.applied_lsn == commit and standby.settled_pending == 1
+    assert standby.applied_lsn == commit and len(standby._settled) == 1
     ship(primary, standby)
     assert lsn_of(primary, wal_records.END) == standby.applied_lsn
     assert standby.applied_lsn == standby.received_lsn
-    assert standby.settled_pending == 0
+    assert len(standby._settled) == 0
     assert rows(standby.database) == rows(primary) == [(0, "kept")]
 
 
@@ -169,7 +169,7 @@ def test_transaction_that_spans_three_ships(pair):
     ship(primary, standby)
     assert standby.applied_lsn == standby.received_lsn
     assert rows(standby.database) == rows(primary) and len(rows(primary)) == 40
-    assert standby.settled_pending == 0
+    assert len(standby._settled) == 0
 
 
 def test_aborted_transaction_applies_with_its_compensations(pair):
@@ -189,10 +189,10 @@ def test_aborted_transaction_applies_with_its_compensations(pair):
                for r in primary.services.wal.forward(stalled + 1))
     ship(primary, standby, up_to=lsn_of(primary, wal_records.ABORT))
     # Settled by the ABORT: the operations apply, the CLRs not yet here.
-    assert standby.applied_lsn > stalled and standby.settled_pending == 1
+    assert standby.applied_lsn > stalled and len(standby._settled) == 1
     ship(primary, standby)
     assert standby.applied_lsn == standby.received_lsn
-    assert standby.settled_pending == 0
+    assert len(standby._settled) == 0
     assert rows(standby.database) == rows(primary) == [
         (i, f"n{i}") for i in range(6)]
     descriptor = standby.database.catalog.handle(
@@ -225,9 +225,9 @@ def test_settled_set_is_bounded_by_transactions_in_flight(pair):
         table.insert_many([(batch * 10 + i, "x") for i in range(3)])
         if batch % 7 == 0:
             ship(primary, standby)
-            assert standby.settled_pending == 0
+            assert len(standby._settled) == 0
     ship(primary, standby)
-    assert standby.settled_pending == 0
+    assert len(standby._settled) == 0
     # One writer left open holds the horizon: what commits behind it is
     # settled and waits, and drains when the writer ends.
     blocker = primary.connect()
@@ -236,11 +236,11 @@ def test_settled_set_is_bounded_by_transactions_in_flight(pair):
     for i in range(5):
         table.insert((9100 + i, "behind"))
     ship(primary, standby)
-    assert standby.settled_pending == 5
+    assert len(standby._settled) == 5
     assert standby.applied_lsn < standby.received_lsn
     blocker.commit()
     ship(primary, standby)
-    assert standby.settled_pending == 0
+    assert len(standby._settled) == 0
     assert standby.applied_lsn == standby.received_lsn
     assert rows(standby.database) == rows(primary)
 
@@ -290,7 +290,7 @@ def test_rebuilt_standby_starts_empty_and_catches_up():
     assert old.applied_lsn == old.received_lsn > 0
     repl._rebuild_standby(0, old)
     fresh_standby = repl.sets[0].standbys[0]
-    assert fresh_standby is not old and fresh_standby.settled_pending == 0
+    assert fresh_standby is not old and len(fresh_standby._settled) == 0
     assert fresh_standby.applied_lsn < old.applied_lsn
     table.insert((100, "after the rebuild"))
     primary = descriptor["databases"][0]
@@ -298,7 +298,7 @@ def test_rebuilt_standby_starts_empty_and_catches_up():
     assert fresh_standby.applied_lsn == fresh_standby.received_lsn
     # The decision is shipped as soon as it is stable, and a child's
     # commit has no at-commit work, so its COMMIT is its last record.
-    assert fresh_standby.settled_pending == 0
+    assert len(fresh_standby._settled) == 0
     assert child_ntuples(fresh_standby.database, descriptor) == 31
 
 

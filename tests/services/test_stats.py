@@ -48,10 +48,10 @@ def test_session_scope_mirrors_and_reconciles():
         stats.bump("x", 10)
     assert stats.session_get(1, "x") == 5 and stats.session_get(1, "y") == 1
     assert stats.session_get(2, "x") == 10
-    assert set(stats.session_ids()) == {1, 2}
+    assert set(stats._per_session) == {1, 2}
     # Sum over sessions + the out-of-session remainder = the engine total.
     assert stats.get("x") == 16 == 1 + sum(
-        stats.session_get(sid, "x") for sid in stats.session_ids())
+        stats.session_get(sid, "x") for sid in stats._per_session)
 
 
 def test_nested_session_scopes_restore_the_outer_mirror():
@@ -93,7 +93,7 @@ def test_reset_and_drop_inside_a_live_scope_keep_the_attribution():
         with stats.session(2):
             stats.bump("x")
             stats.reset()
-            assert stats.session_ids() == (1, 2)   # 3 has no live scope
+            assert tuple(stats._per_session) == (1, 2)   # 3 has no live scope
             stats.bump("x")
         stats.bump("x", 5)
         stats.drop_session(1)
@@ -103,7 +103,7 @@ def test_reset_and_drop_inside_a_live_scope_keep_the_attribution():
     assert stats.session_snapshot(2) == {"x": 1}
     assert stats.snapshot() == {"x": 6, "y": 1}
     stats.drop_session(1)                          # no scope: forgotten
-    assert stats.session_ids() == (2,)
+    assert tuple(stats._per_session) == (2,)
 
 
 def test_bumps_in_a_scope_construct_no_counter(monkeypatch):

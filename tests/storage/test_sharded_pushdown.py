@@ -4,8 +4,9 @@ failover, and the lazy merged scan."""
 import pytest
 
 from repro import Database
-from repro.access.statistics import _kmv_add, kmv_union, kmv_union_estimate
+from repro.access.statistics import kmv_union, kmv_union_estimate
 from repro.core.context import ExecutionContext
+from repro.core.hashing import stable_hashes
 from repro.errors import (FencingError, GatewayError, InjectedFault,
                           QueryError, StorageError)
 
@@ -216,21 +217,13 @@ def test_child_statistics_refused_with_replicas():
 
 
 def test_kmv_union_estimates_global_distinct():
-    sketches = []
-    for shard in range(4):
-        kmv = []
-        for value in range(shard * 10, shard * 10 + 10):
-            _kmv_add(kmv, value)
-        sketches.append(kmv)
+    sketches = [kmv_union([stable_hashes(range(shard * 10, shard * 10 + 10))])
+                for shard in range(4)]
     assert kmv_union_estimate(sketches) == 40  # under K: exact
     assert kmv_union_estimate([sketches[0], sketches[0]]) == 10  # dedup
     assert kmv_union([]) == []
-    big = []
-    for shard in range(4):
-        kmv = []
-        for value in range(shard * 1000, shard * 1000 + 500):
-            _kmv_add(kmv, value)
-        big.append(kmv)
+    big = [kmv_union([stable_hashes(range(shard * 1000, shard * 1000 + 500))])
+           for shard in range(4)]
     assert 1400 <= kmv_union_estimate(big) <= 2600  # 2000 distinct
 
 

@@ -251,3 +251,26 @@ def test_delete_where_reads_keys_only(storage, monkeypatch):
     assert sorted(table.rows()) == [(i, i % 7) for i in range(50)
                                     if i % 7 != 3]
     assert table.count() == 43
+
+
+@pytest.mark.parametrize("storage", ["heap", "btree_file", "memory",
+                                     "sharded"])
+def test_sql_delete_reads_keys_only(storage, monkeypatch):
+    """The executor opens the storage method's scan itself (a locking
+    reader does not go through dispatch), so the spy sits there."""
+    db, table = _made(storage)
+    method = db.registry.storage_method(
+        table.handle.descriptor.storage_method_id)
+    asked = []
+    open_scan = method.open_scan
+
+    def spy(ctx, handle, fields=None, predicate=None, **kwargs):
+        asked.append(fields)
+        return open_scan(ctx, handle, fields, predicate, **kwargs)
+
+    monkeypatch.setattr(method, "open_scan", spy)
+    assert db.execute("DELETE FROM t WHERE k = 3 OR id >= 50") == 17
+    assert asked == [()]
+    monkeypatch.undo()
+    assert sorted(table.rows()) == [(i, i % 7) for i in range(50)
+                                    if i % 7 != 3]

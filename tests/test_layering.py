@@ -95,3 +95,41 @@ def test_query_and_constraints_name_no_access_path_type():
                 if isinstance(node, ast.Constant) and node.value in names
                 and node.value not in NAMED_ACCESS_PATHS]
     assert offenders == []
+
+
+def unused_imports(path: Path):
+    """``(line, name)`` for each name an import in ``path`` binds that the
+    module never reads: not as a name, not inside a quoted annotation and
+    not in its ``__all__`` (a package re-exports that way).  A
+    ``__future__`` import is a directive, not a name."""
+    tree = ast.parse(path.read_text())
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0],
+                             node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno)
+                            for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            used.update(element.value for element in node.value.elts)
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            if isinstance(getattr(annotation, "value", None), str):
+                used.update(name.id for name in ast.walk(
+                    ast.parse(annotation.value, mode="eval"))
+                    if isinstance(name, ast.Name))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_library_keeps_no_unused_import():
+    root = Path(repro.__file__).parent
+    offenders = [(str(path.relative_to(root)), line, name)
+                 for path in sorted(root.rglob("*.py"))
+                 for line, name in unused_imports(path)]
+    assert offenders == []
