@@ -132,9 +132,6 @@ class ReferentialIntegrityAttachment(AttachmentType):
                                                               None)
 
     # -- attached procedures -------------------------------------------------------------
-    def on_insert(self, ctx, handle, field, key, new_record) -> None:
-        self.on_insert_batch(ctx, handle, field, (key,), (new_record,))
-
     def on_update(self, ctx, handle, field, old_key, new_key, old_record,
                   new_record) -> None:
         for instance in field["instances"].values():
@@ -160,9 +157,6 @@ class ReferentialIntegrityAttachment(AttachmentType):
                             f"cannot change referenced key {old_values!r}: "
                             f"{len(children)} child record(s) reference it")
                 ctx.stats.bump("referential.parent_checks")
-
-    def on_delete(self, ctx, handle, field, key, old_record) -> None:
-        self.on_delete_batch(ctx, handle, field, ((key, old_record),))
 
     # -- set-at-a-time attached procedures ---------------------------------------
     def on_insert_batch(self, ctx, handle, field, keys, new_records) -> None:

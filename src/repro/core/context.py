@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from ..services import SystemServices
-from ..services.locks import LOCK_ESCALATION_THRESHOLD, LockMode
+from ..services.locks import LOCK_ESCALATION_THRESHOLD, LockMode, join_modes
 from ..services.transactions import Transaction
 from ..services.wal import LogRecord
 
@@ -83,10 +83,11 @@ class ExecutionContext:
     def lock_records(self, relation_id: int, keys, mode: LockMode) -> None:
         """Record locks under the usual IS/IX intent on the relation, a
         page's worth of keys at once: one ``covers`` check, the intent
-        lock (unless held in that mode), one ``acquire_many``.  Skipped
-        entirely when the transaction already holds a relation-level lock
-        that subsumes ``mode`` (set-at-a-time operations escalate large
-        batches to one relation lock instead of record-at-a-time locking).
+        lock (unless the held mode includes it: IX and SIX include IS, SIX
+        includes IX), one ``acquire_many``.  Skipped entirely when the
+        transaction already holds a relation-level lock that subsumes
+        ``mode`` (set-at-a-time operations escalate large batches to one
+        relation lock instead of record-at-a-time locking).
 
         A read asks only for keys it does not hold (a record is locked S
         or X, either serves it).  If they would bring its record reads of
@@ -116,8 +117,9 @@ class ExecutionContext:
                     and locks.try_acquire(txn_id, relation, LockMode.S):
                 self.services.stats.bump("locks.read_escalations")
                 return
-        if held != _INTENT[mode]:
-            locks.acquire(txn_id, relation, _INTENT[mode])
+        intent = _INTENT[mode]
+        if held is None or join_modes(held, intent) is not held:
+            locks.acquire(txn_id, relation, intent)
         locks.acquire_many(txn_id, records, mode)
 
     def defer(self, event: str, callback, data=None) -> None:

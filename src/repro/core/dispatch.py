@@ -38,11 +38,10 @@ from ..errors import (ExtensionFault, ReadOnlyError,
 from ..services.locks import LOCK_ESCALATION_THRESHOLD, LockMode
 from ..services.predicate import Predicate
 from ..services.scans import ABSENT, SnapshotScan, key_ordered
-from ..services.vectors import ColumnBatch
 from .attachment import equality_keys
 from .context import ExecutionContext
 from .registry import ExtensionRegistry
-from .storage_method import RelationHandle
+from .storage_method import RelationHandle, read_pairs
 
 __all__ = ["DataManager", "AccessPath", "PatchImages", "STORAGE_ACCESS"]
 
@@ -541,20 +540,15 @@ class DataManager:
 
 
 def _visible(ctx, pairs, width: int, fields, predicate) -> list:
-    """The ``(key, image)`` patch items of ``pairs`` (images the snapshot
-    sees, not ``ABSENT``) that ``predicate`` passes, tested with one
-    ``select``, laid out as ``fields``, in the order given: the answer for
+    """:func:`read_pairs` of the ``(key, image)`` patch items ``pairs``
+    (images the snapshot sees, not ``ABSENT``), counted: the answer for
     the keys a snapshot read dropped from current state."""
     if predicate is not None and pairs:
         ctx.stats.bump("mvcc.images_tested", len(pairs))
-        pairs = [pairs[i] for i in predicate.select(ColumnBatch(
-            [image for __, image in pairs], width), ctx.stats)]
-    if not pairs:
-        return pairs
-    ctx.stats.bump("mvcc.records_patched", len(pairs))
-    if fields is None:
-        return [(key, tuple(image)) for key, image in pairs]
-    return [(key, tuple([image[i] for i in fields])) for key, image in pairs]
+    pairs = read_pairs(pairs, width, fields, predicate, ctx.stats)
+    if pairs:
+        ctx.stats.bump("mvcc.records_patched", len(pairs))
+    return pairs
 
 
 class PatchImages:

@@ -69,13 +69,21 @@ class ExtensionRegistry:
 
         When the method is recoverable and supplies a ``recovery_handler()``,
         the handler is registered with the recovery manager passed in
-        ``recovery``.
+        ``recovery``.  A method must implement at least one form of each
+        operation: the base derives either from the other.
         """
         if not method.name:
             raise RegistryError("storage method needs a name")
         if method.name in self._storage_by_name:
             raise RegistryError(
                 f"storage method {method.name!r} already registered")
+        for forms in (("insert", "insert_batch"), ("update", "update_batch"),
+                      ("delete", "delete_batch"), ("fetch", "fetch_many")):
+            if all(getattr(type(method), form) is getattr(StorageMethod, form)
+                   for form in forms):
+                raise RegistryError(
+                    f"storage method {method.name!r} implements neither "
+                    f"{forms[0]} nor {forms[1]}")
         method_id = len(self._storage_methods)
         method.method_id = method_id
         self._storage_methods.append(method)

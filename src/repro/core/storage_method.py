@@ -24,9 +24,11 @@ from ..errors import StorageError, UnknownObjectError
 from ..query.cost import AccessCost, EligiblePredicate
 from ..services.predicate import Predicate
 from ..services.scans import Scan
+from ..services.vectors import ColumnBatch
 from .context import ExecutionContext
 
-__all__ = ["StorageMethod", "RelationHandle", "logged_relation"]
+__all__ = ["StorageMethod", "RelationHandle", "logged_relation",
+           "read_pairs"]
 
 
 def logged_relation(services, payload: dict) -> Optional["RelationHandle"]:
@@ -41,6 +43,19 @@ def logged_relation(services, payload: dict) -> Optional["RelationHandle"]:
         return database.catalog.entry_by_id(payload["relation_id"]).handle
     except UnknownObjectError:
         return None
+
+
+def read_pairs(pairs, width: int, fields, predicate, stats) -> list:
+    """The ``(key, record)`` ``pairs`` whose records ``predicate`` passes,
+    tested with one ``select``, each laid out as ``fields`` (``None``: the
+    whole record) in a tuple, in the order given: what a direct-by-key
+    read returns for the records it found."""
+    if predicate is not None and pairs:
+        pairs = [pairs[i] for i in predicate.select(ColumnBatch(
+            [record for __, record in pairs], width), stats)]
+    if fields is None:
+        return [(key, tuple(record)) for key, record in pairs]
+    return [(key, tuple([record[i] for i in fields])) for key, record in pairs]
 
 
 class RelationHandle:
@@ -131,29 +146,31 @@ class StorageMethod(abc.ABC):
         keeps none."""
 
     # -- relation modification -----------------------------------------------------
-    @abc.abstractmethod
-    def insert(self, ctx: ExecutionContext, handle: RelationHandle,
-               record: Tuple):
-        """Store a record; returns its record key."""
-
-    @abc.abstractmethod
-    def update(self, ctx: ExecutionContext, handle: RelationHandle,
-               key, old_record: Tuple, new_record: Tuple):
-        """Replace a record; returns its (possibly changed) record key."""
-
-    @abc.abstractmethod
-    def delete(self, ctx: ExecutionContext, handle: RelationHandle,
-               key, old_record: Tuple) -> None:
-        """Remove a record by key."""
-
-    # -- set-at-a-time relation modification ---------------------------------------
     # The dispatch layer calls only the batch hooks, once per relation
     # modification (one operation savepoint, one relation lock for the
     # whole set; a single record is a set of one).  A method implements one
-    # form per operation: the per-record routine above, reached through
-    # these defaults, or — when there is a real bulk advantage (filling
-    # pages before unpinning them, logging one record group per page) — the
-    # batch hook, with the per-record routine as the one-line batch of one.
+    # form per operation and the base derives the other: the per-record
+    # routine, reached through the batch defaults, or — when there is a
+    # real bulk advantage (filling pages before unpinning them, logging one
+    # record group per page, one message per shard) — the batch hook, with
+    # the per-record routine its batch of one.  The two defaults call each
+    # other, so the registry refuses a method that implements neither.
+
+    def insert(self, ctx: ExecutionContext, handle: RelationHandle,
+               record: Tuple):
+        """Store a record; returns its record key."""
+        return self.insert_batch(ctx, handle, (record,))[0]
+
+    def update(self, ctx: ExecutionContext, handle: RelationHandle,
+               key, old_record: Tuple, new_record: Tuple):
+        """Replace a record; returns its (possibly changed) record key."""
+        return self.update_batch(ctx, handle,
+                                 ((key, old_record, new_record),))[0]
+
+    def delete(self, ctx: ExecutionContext, handle: RelationHandle,
+               key, old_record: Tuple) -> None:
+        """Remove a record by key."""
+        self.delete_batch(ctx, handle, ((key, old_record),))
 
     def insert_batch(self, ctx: ExecutionContext, handle: RelationHandle,
                      records: Sequence[Tuple]) -> list:
@@ -176,7 +193,9 @@ class StorageMethod(abc.ABC):
             self.delete(ctx, handle, key, old)
 
     # -- access -------------------------------------------------------------------------
-    @abc.abstractmethod
+    # Direct-by-key access follows the same rule: ``fetch`` or
+    # ``fetch_many``.  The built-ins implement ``fetch_many`` (one pin per
+    # page, one message per remote site): a single key is a set of one.
     def fetch(self, ctx: ExecutionContext, handle: RelationHandle, key,
               fields: Optional[Sequence[int]] = None,
               predicate: Optional[Predicate] = None) -> Optional[Tuple]:
@@ -186,6 +205,8 @@ class StorageMethod(abc.ABC):
         rejects the record (evaluated against the buffered record, before
         any copy-out).  ``fields=None`` returns the whole record.
         """
+        pairs = self.fetch_many(ctx, handle, (key,), fields, predicate)
+        return pairs[0][1] if pairs else None
 
     def fetch_many(self, ctx: ExecutionContext, handle: RelationHandle,
                    keys: Sequence,
@@ -195,10 +216,8 @@ class StorageMethod(abc.ABC):
 
         Returns ``(key, values)`` pairs in input-key order, omitting keys
         that do not exist or whose records the filter predicate rejects.
-        The default degrades to per-key :meth:`fetch`; page-addressed
-        methods override it to group the keys by page and pin each page
-        once — the read-side counterpart of the batch modification hooks.
-        The executor's index-probe routes run on this.
+        The default is per-key :meth:`fetch`.  The executor's index-probe
+        routes run on this.
         """
         pairs = []
         for key in keys:
@@ -260,19 +279,6 @@ class StorageMethod(abc.ABC):
                           expected_tuples=max(1.0, tuples * selectivity),
                           relevant=tuple(eligible), ordered_by=ordered,
                           route=("scan",))
-
-    @staticmethod
-    def shape_read(record, fields, predicate):
-        """What a direct-by-key read returns for a stored ``record`` (or a
-        snapshot's image of one, which may be a list): None when it is
-        absent or fails ``predicate``, else the record or its ``fields``
-        as a tuple."""
-        if record is None or (predicate is not None
-                              and not predicate.matches(record)):
-            return None
-        if fields is None:
-            return tuple(record)
-        return tuple(record[i] for i in fields)
 
     def key_fields(self, handle: RelationHandle) -> Tuple[int, ...]:
         """Field indexes composing the record key, when the key is composed

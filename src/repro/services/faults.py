@@ -26,6 +26,7 @@ import random
 from typing import Dict, Optional
 
 from ..errors import InjectedFault
+from .stats import StatsService
 
 __all__ = ["FaultInjector", "InjectedFault"]
 
@@ -82,7 +83,7 @@ class FaultInjector:
     """
 
     def __init__(self, stats=None):
-        self.stats = stats
+        self.stats = stats if stats is not None else StatsService()
         self._plans: Dict[str, _FaultPlan] = {}
         self._fired: Dict[str, int] = {}
         #: True when any point is armed — the hot-path guard.
@@ -126,9 +127,8 @@ class FaultInjector:
         error = plan.make_error()
         if plan.one_shot:
             self.disarm(point)
-        if self.stats is not None:
-            self.stats.bump("faults.injected")
-            self.stats.bump(f"faults.injected.{point}")
+        self.stats.bump("faults.injected")
+        self.stats.bump(f"faults.injected.{point}")
         raise error
 
     # -- introspection -----------------------------------------------------------

@@ -26,6 +26,7 @@ import enum
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from ..errors import DeadlockError, LockConflictError, LockError
+from .stats import StatsService
 
 __all__ = ["LockMode", "LockManager", "LOCK_ESCALATION_THRESHOLD"]
 
@@ -93,7 +94,7 @@ class LockManager:
     """Grants, upgrades, releases, and deadlock detection."""
 
     def __init__(self, stats=None):
-        self.stats = stats
+        self.stats = stats if stats is not None else StatsService()
         # resource -> {txn_id: mode}
         self._holders: Dict[Hashable, Dict[int, LockMode]] = {}
         # txn_id -> set of resources held
@@ -108,8 +109,7 @@ class LockManager:
         Returns the mode now held.  Raises :class:`DeadlockError` when the
         implied wait closes a cycle, :class:`LockConflictError` otherwise.
         """
-        if self.stats is not None:
-            self.stats.bump("locks.acquire_calls")
+        self.stats.bump("locks.acquire_calls")
         return self._grant(txn_id, resource, mode)
 
     def acquire_many(self, txn_id: int, resources, mode: LockMode) -> int:
@@ -119,8 +119,7 @@ class LockManager:
         raise for it, with the resources before it still held.  Returns
         how many locks the transaction did not hold before.
         """
-        if self.stats is not None:
-            self.stats.bump("locks.acquire_calls", len(resources))
+        self.stats.bump("locks.acquire_calls", len(resources))
         held = self._held.setdefault(txn_id, set())
         before = len(held)
         for resource in resources:
@@ -131,8 +130,7 @@ class LockManager:
                     mode: LockMode) -> bool:
         """:meth:`acquire` without the wait: a conflicting request is
         refused — no wait edge, no exception — and False returned."""
-        if self.stats is not None:
-            self.stats.bump("locks.acquire_calls")
+        self.stats.bump("locks.acquire_calls")
         return self._grant(txn_id, resource, mode, wait=False) is not None
 
     def _grant(self, txn_id: int, resource: Hashable, mode: LockMode,
@@ -155,8 +153,7 @@ class LockManager:
             cycle = self._find_cycle(txn_id)
             if cycle:
                 self.cancel_wait(txn_id)
-                if self.stats is not None:
-                    self.stats.bump("locks.deadlocks_detected")
+                self.stats.bump("locks.deadlocks_detected")
                 raise DeadlockError(self._normalize_cycle(cycle))
             raise LockConflictError(resource, wanted, blockers)
         holders[txn_id] = wanted

@@ -1065,13 +1065,12 @@ class Predicate:
     """A filter predicate bound to a schema.
 
     Storage methods and access-path attachments receive a ``Predicate``
-    (plus the list of fields the caller needs, see the dispatch layer) and
-    call :meth:`matches` against a :class:`RecordView` while the record (or
-    access-path key) is still in the buffer pool.  Rows for which the
-    predicate is unknown (NULL) are rejected, as in SQL.
-
-    Batch scans call :meth:`select` instead: the tree's generated
-    selection filters a batch in one comprehension over its columns.
+    (plus the list of fields the caller needs, see the dispatch layer).
+    The built-ins call :meth:`select` while the records (or access-path
+    keys) are still in the buffer pool: the tree's generated selection
+    filters a batch in one comprehension over its columns.  :meth:`matches`
+    tests one record, for an extension that reads record at a time.  Rows
+    for which the predicate is unknown (NULL) are rejected, as in SQL.
     """
 
     def __init__(self, expr: Expr, schema, params: Optional[dict] = None):

@@ -56,6 +56,7 @@ from .events import EventService
 from .locks import LockManager, LockMode
 from .recovery import RecoveryManager
 from .scans import ABSENT, ScanService
+from .stats import StatsService
 from .wal import LogManager
 
 __all__ = ["TxnState", "Transaction", "TransactionManager",
@@ -126,7 +127,7 @@ class VersionStore:
     """
 
     def __init__(self, stats=None):
-        self.stats = stats
+        self.stats = stats if stats is not None else StatsService()
         self._by_relation: Dict[int, List[_Version]] = {}
         self._by_txn: Dict[int, List[_Version]] = {}
         #: Moves whenever a noted transition is cancelled or dropped —
@@ -144,7 +145,7 @@ class VersionStore:
             relation_entries.append(entry)
             txn_entries.append(entry)
             count += 1
-        if count and self.stats is not None:
+        if count:
             self.stats.bump("mvcc.versions_noted", count)
 
     def cancel(self, txn_id: int, above_lsn: int) -> int:
@@ -257,8 +258,7 @@ class VersionStore:
                 del self._by_txn[txn_id]
         if dropped:
             self.epoch += 1
-            if self.stats is not None:
-                self.stats.bump("mvcc.versions_reclaimed", dropped)
+            self.stats.bump("mvcc.versions_reclaimed", dropped)
         return dropped
 
     def clear(self) -> None:
@@ -339,7 +339,7 @@ class TransactionManager:
         self.locks = locks
         self.events = events
         self.scans = scans
-        self.stats = stats
+        self.stats = stats if stats is not None else StatsService()
         self._next_id = 1
         self._active: Dict[int, Transaction] = {}
         #: Two-phase commit: gtid -> prepared (or enlisted) transaction,
@@ -357,7 +357,7 @@ class TransactionManager:
         self._group_queue: list = []  # pending COMMIT record LSNs
         # -- multi-version read support --------------------------------
         #: Undo-image index the scan boundary patches reads with.
-        self.versions = VersionStore(stats)
+        self.versions = VersionStore(self.stats)
         #: txn_id -> COMMIT record LSN, stamped when COMMIT is appended.
         self._commit_lsns: Dict[int, int] = {}
         self._snapshots: Dict[int, Snapshot] = {}
@@ -396,8 +396,7 @@ class TransactionManager:
             self._next_snapshot_id += 1
             self._snapshots[snap.snapshot_id] = snap
             txn.snapshot = snap
-            if self.stats is not None:
-                self.stats.bump("txn.snapshots_begun")
+            self.stats.bump("txn.snapshots_begun")
         return txn
 
     def commit(self, txn: Transaction) -> None:
@@ -444,13 +443,12 @@ class TransactionManager:
             # force solo.
             if allow_group and self.group_commit_limit > 0 and not at_commit:
                 self._group_queue.append(record.lsn)
-                if self.stats is not None:
-                    self.stats.bump("txn.group_commit.enqueued")
+                self.stats.bump("txn.group_commit.enqueued")
                 if len(self._group_queue) >= self.group_commit_limit:
                     self.commit_group()
             else:
                 self.wal.flush()
-        elif self.stats is not None:
+        else:
             self.stats.bump("txn.unlogged_ends")
         self.events.fire(txn.txn_id, ev.AT_COMMIT)
         if at_commit:
@@ -493,8 +491,7 @@ class TransactionManager:
         self.wal.append(txn.txn_id, wal_records.PREPARE,
                         payload={"gtid": gtid})
         self.wal.flush()
-        if self.stats is not None:
-            self.stats.bump("txn.prepares")
+        self.stats.bump("txn.prepares")
 
     def commit_decided(self, txn: Transaction) -> None:
         """Phase-2 commit of a PREPARED participant (coordinator said yes)."""
@@ -503,8 +500,7 @@ class TransactionManager:
                 f"transaction {txn.txn_id} is {txn.state.value}; only a "
                 f"prepared transaction can receive a commit decision")
         self._commit_prepared(txn, allow_group=False)
-        if self.stats is not None:
-            self.stats.bump("txn.2pc.commits_decided")
+        self.stats.bump("txn.2pc.commits_decided")
 
     def abort_decided(self, txn: Transaction) -> None:
         """Phase-2 abort of a PREPARED participant (presumed abort)."""
@@ -513,8 +509,7 @@ class TransactionManager:
                 f"transaction {txn.txn_id} is {txn.state.value}; only a "
                 f"prepared transaction can receive an abort decision")
         self.abort(txn)
-        if self.stats is not None:
-            self.stats.bump("txn.2pc.aborts_decided")
+        self.stats.bump("txn.2pc.aborts_decided")
 
     def find_gtid(self, gtid: str) -> Optional[Transaction]:
         """The live transaction enlisted under ``gtid`` (None if settled)."""
@@ -549,8 +544,7 @@ class TransactionManager:
             self._by_gtid[gtid] = txn
         self._next_id = max(self._next_id, txn_id + 1)
         self._relock_indoubt(txn)
-        if self.stats is not None:
-            self.stats.bump("txn.indoubt.registered")
+        self.stats.bump("txn.indoubt.registered")
         return txn
 
     def _relock_indoubt(self, txn: Transaction) -> None:
@@ -577,7 +571,7 @@ class TransactionManager:
                     self.locks.acquire(txn.txn_id, ("rec", relation_id, key),
                                        LockMode.X)
                     relocked += 1
-        if relocked and self.stats is not None:
+        if relocked:
             self.stats.bump("txn.indoubt.locks_reacquired", relocked)
 
     def heuristic_abort(self, txn: Transaction) -> None:
@@ -600,8 +594,7 @@ class TransactionManager:
         self.abort(txn, heuristic=True)
         if gtid is not None:
             self.heuristic_aborts[gtid] = txn.txn_id
-        if self.stats is not None:
-            self.stats.bump("txn.2pc.heuristic_aborts")
+        self.stats.bump("txn.2pc.heuristic_aborts")
 
     def abort(self, txn: Transaction, heuristic: bool = False) -> None:
         if txn.state in (TxnState.COMMITTED, TxnState.ABORTED):
@@ -628,7 +621,7 @@ class TransactionManager:
             # right after a "completed" abort loses the CLR/ABORT/END chain
             # and restart must redo and then re-undo the whole transaction.
             self.wal.flush()
-        elif self.stats is not None:
+        else:
             # Nothing logged, so nothing to undo and nothing to record.
             self.stats.bump("txn.unlogged_ends")
         # Deferred actions never run for an aborted transaction.
@@ -659,8 +652,7 @@ class TransactionManager:
             txn.state = state
             self._active.pop(txn.txn_id, None)
             self._reclaim_versions()
-            if self.stats is not None:
-                self.stats.bump("txn.read_only_finished")
+            self.stats.bump("txn.read_only_finished")
 
     # -- multi-version reads ----------------------------------------------------------
     def snapshot_patch(self, snapshot: Snapshot, relation_id: int) -> dict:
@@ -724,9 +716,8 @@ class TransactionManager:
         if not pending:
             return 0
         self.wal.flush(max(pending))
-        if self.stats is not None:
-            self.stats.bump("txn.group_commit.flushes")
-            self.stats.bump("txn.group_commit.stabilized", len(pending))
+        self.stats.bump("txn.group_commit.flushes")
+        self.stats.bump("txn.group_commit.stabilized", len(pending))
         return len(pending)
 
     def pending_group_commits(self) -> int:
@@ -749,8 +740,7 @@ class TransactionManager:
         # auto-checkpoint can move past the operation's record, and those
         # transitions lie below the savepoint.
         lsn = self.wal.current_lsn
-        if self.stats is not None:
-            self.stats.bump("txn.savepoints_set")
+        self.stats.bump("txn.savepoints_set")
         txn.savepoints[name] = lsn
         txn._savepoint_order.append(name)
         # Scan positions are captured now (their changes are not logged).

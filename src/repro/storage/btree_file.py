@@ -176,9 +176,9 @@ class BTreeFileStorageMethod(HeapStorageMethod):
     def key_of(self, handle, record: Tuple) -> tuple:
         key = tuple(record[i]
                     for i in handle.descriptor.storage_descriptor["key_fields"])
-        if any(v is None for v in key):
-            raise StorageError(
-                f"btree_file key fields must be non-null, got {key!r}")
+        if any(v is None or v != v for v in key):  # NaN reads as NULL
+            raise StorageError(f"btree_file key fields must be non-null "
+                               f"and not NaN, got {key!r}")
         return key
 
     # -- modification ---------------------------------------------------------------
@@ -228,10 +228,6 @@ class BTreeFileStorageMethod(HeapStorageMethod):
         self._remove(ctx, handle, addresses)
 
     # -- access -------------------------------------------------------------------------
-    def fetch(self, ctx, handle, key, fields=None, predicate=None):
-        pairs = self.fetch_many(ctx, handle, (key,), fields, predicate)
-        return pairs[0][1] if pairs else None
-
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Resolve the keys through the directory, then read them by the
         heap's body, one pin per page."""

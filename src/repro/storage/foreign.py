@@ -37,7 +37,8 @@ probe, default 8).
 from __future__ import annotations
 
 from ..core.authorization import SELECT
-from ..core.storage_method import StorageMethod, logged_relation
+from ..core.storage_method import StorageMethod, logged_relation, \
+    read_pairs
 from ..errors import ForeignError, GatewayError, StorageError
 from ..query.cost import AccessCost, default_selectivity
 from ..services.recovery import ResourceHandler
@@ -132,9 +133,6 @@ class ForeignStorageMethod(StorageMethod):
         return descriptor, descriptor["database"].table(descriptor["relation"])
 
     # -- modification ---------------------------------------------------------------
-    def insert(self, ctx, handle, record):
-        return self.insert_batch(ctx, handle, (record,))[0]
-
     def update(self, ctx, handle, key, old_record, new_record):
         descriptor, remote = self._remote(handle)
         changes = {field.name: value for field, value
@@ -146,9 +144,6 @@ class ForeignStorageMethod(StorageMethod):
                                 "relation_id": descriptor["relation_id"]})
         ctx.stats.bump("foreign.updates")
         return new_key
-
-    def delete(self, ctx, handle, key, old_record) -> None:
-        self.delete_batch(ctx, handle, ((key, old_record),))
 
     # -- set-at-a-time modification -------------------------------------------------
     def insert_batch(self, ctx, handle, records):
@@ -188,14 +183,6 @@ class ForeignStorageMethod(StorageMethod):
             ctx.stats.bump(degraded_counter)
             return degraded
 
-    def fetch(self, ctx, handle, key, fields=None, predicate=None):
-        record = self._read(ctx, handle, lambda remote: remote.fetch(key),
-                            "gateway.degraded_fetches", None)
-        if record is None:
-            return None
-        ctx.stats.bump("foreign.fetches")
-        return self.shape_read(record, fields, predicate)
-
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Ship the whole key set in one message (a block-fetch protocol)
         instead of one round trip per key."""
@@ -203,11 +190,8 @@ class ForeignStorageMethod(StorageMethod):
             ctx, handle,
             lambda remote: [(key, remote.fetch(key)) for key in keys],
             "gateway.degraded_fetches", ())
-        pairs = []
-        for key, record in fetched:
-            record = self.shape_read(record, fields, predicate)
-            if record is not None:
-                pairs.append((key, record))
+        pairs = read_pairs([pair for pair in fetched if pair[1] is not None],
+                           len(handle.schema), fields, predicate, ctx.stats)
         ctx.stats.bump("foreign.fetches", len(pairs))
         return pairs
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.context import ExecutionContext
-from ..core.records import decode_record, encode_record
+from ..core.records import encode_record
 from ..core.storage_method import RelationHandle, StorageMethod, \
     logged_relation
 from ..errors import PageError, RecordNotFoundError, ScanError, StorageError
@@ -459,16 +459,6 @@ class HeapStorageMethod(StorageMethod):
         if handle.descriptor.storage_descriptor["derived_lsn"] > stable_lsn:
             self._derive(ctx, handle)
 
-    # -- modification ---------------------------------------------------------------
-    def insert(self, ctx, handle, record):
-        return self.insert_batch(ctx, handle, (record,))[0]
-
-    def update(self, ctx, handle, key, old, new):
-        return self.update_batch(ctx, handle, ((key, old, new),))[0]
-
-    def delete(self, ctx, handle, key, old_record) -> None:
-        self.delete_batch(ctx, handle, ((key, old_record),))
-
     # -- set-at-a-time modification -------------------------------------------------
     def insert_batch(self, ctx, handle, records):
         """Fill each page in one pass: its slots chosen from one directory
@@ -540,29 +530,6 @@ class HeapStorageMethod(StorageMethod):
         self._remove(ctx, handle, [key for key, __ in items])
 
     # -- access -------------------------------------------------------------------------
-    def fetch(self, ctx, handle, key, fields=None, predicate=None):
-        try:
-            page_id, slot = key
-        except (TypeError, ValueError):
-            raise RecordNotFoundError(f"bad heap record key {key!r}") from None
-        descriptor = handle.descriptor.storage_descriptor
-        if not self._owns_page(descriptor, page_id):
-            return None
-        ctx.lock_record(handle.relation_id, key, LockMode.S)
-        page = ctx.buffer.fetch(page_id)
-        try:
-            if slot >= page.slot_count or not page.slot_in_use(slot):
-                return None
-            record = decode_record(handle.schema, page.read(slot))
-            ctx.stats.bump("heap.fetches")
-            if predicate is not None and not predicate.matches(record):
-                return None
-            if fields is None:
-                return record
-            return tuple(record[i] for i in fields)
-        finally:
-            ctx.buffer.unpin(page_id)
-
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Direct fetch of many record addresses with one pin per page."""
         descriptor = handle.descriptor.storage_descriptor

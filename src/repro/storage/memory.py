@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.context import ExecutionContext
 from ..core.storage_method import RelationHandle, StorageMethod, \
-    logged_relation
+    logged_relation, read_pairs
 from ..errors import RecordNotFoundError, ScanError, StorageError
 from ..services.locks import LockMode
 from ..services.predicate import Predicate
@@ -184,9 +184,6 @@ class MemoryStorageMethod(StorageMethod):
         return _MemoryHandler()
 
     # -- modification ---------------------------------------------------------------
-    def insert(self, ctx, handle, record):
-        return self.insert_batch(ctx, handle, (record,))[0]
-
     def update(self, ctx, handle, key, old_record, new_record):
         descriptor = handle.descriptor.storage_descriptor
         self._require(descriptor, key)
@@ -197,9 +194,6 @@ class MemoryStorageMethod(StorageMethod):
         descriptor["rows"][key] = new_record
         ctx.stats.bump("memory.updates")
         return key
-
-    def delete(self, ctx, handle, key, old_record) -> None:
-        self.delete_batch(ctx, handle, ((key, old_record),))
 
     # -- set-at-a-time modification -------------------------------------------------
     # Every change is locked, checked and logged before the dict moves: a
@@ -232,33 +226,14 @@ class MemoryStorageMethod(StorageMethod):
         ctx.stats.bump("memory.deletes", len(keys))
 
     # -- access -------------------------------------------------------------------------
-    def fetch(self, ctx, handle, key, fields=None, predicate=None):
-        descriptor = handle.descriptor.storage_descriptor
-        record = descriptor["rows"].get(key)
-        if record is None:
-            return None
-        ctx.lock_record(handle.relation_id, key, LockMode.S)
-        ctx.stats.bump("memory.fetches")
-        if predicate is not None and not predicate.matches(record):
-            return None
-        if fields is None:
-            return record
-        return tuple(record[i] for i in fields)
-
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Direct dict lookups for the whole key set; one stats bump."""
         rows = handle.descriptor.storage_descriptor["rows"]
-        present = [key for key in keys if key in rows]
-        ctx.lock_records(handle.relation_id, present, LockMode.S)
-        pairs = []
-        for key in present:
-            record = rows[key]
-            if predicate is not None and not predicate.matches(record):
-                continue
-            if fields is None:
-                pairs.append((key, record))
-            else:
-                pairs.append((key, tuple(record[i] for i in fields)))
+        present = [(key, rows[key]) for key in keys if key in rows]
+        ctx.lock_records(handle.relation_id, [key for key, __ in present],
+                         LockMode.S)
+        pairs = read_pairs(present, len(handle.schema), fields, predicate,
+                           ctx.stats)
         ctx.stats.bump("memory.fetches", len(pairs))
         return pairs
 

@@ -109,7 +109,8 @@ from typing import Dict, Optional
 
 from ..core.context import ExecutionContext
 from ..core.hashing import shard_of
-from ..core.storage_method import RelationHandle, StorageMethod
+from ..core.storage_method import RelationHandle, StorageMethod, \
+    read_pairs
 from ..errors import FencingError, GatewayError, StorageError
 from ..query.cost import AccessCost, default_selectivity
 from ..services import events as ev
@@ -688,16 +689,6 @@ class ShardedStorageMethod(StorageMethod):
             ctx.stats.bump("sharded.indoubt_children", left)
 
     # -- modification -----------------------------------------------------------
-    def insert(self, ctx, handle, record):
-        return self.insert_batch(ctx, handle, (record,))[0]
-
-    def update(self, ctx, handle, key, old_record, new_record):
-        return self.update_batch(ctx, handle,
-                                 ((key, old_record, new_record),))[0]
-
-    def delete(self, ctx, handle, key, old_record) -> None:
-        self.delete_batch(ctx, handle, ((key, old_record),))
-
     def _write(self, ctx, handle, ent, index: int, op: str, batch):
         """One block-write message: the child's ``op`` over ``batch``."""
         participant = self._participant(ctx, handle, ent, index)
@@ -850,18 +841,23 @@ class ShardedStorageMethod(StorageMethod):
 
     # -- access -------------------------------------------------------------------
     def fetch(self, ctx, handle, key, fields=None, predicate=None):
+        """One key's message, its filter and projection shipped with it
+        (as a scan's are).  Kept beside :meth:`fetch_many`: as a one-key
+        ``fetch_many``, E24 ``shard_scatter`` point reads took 44.3 µs to
+        this body's 41.3 (ten seed-1 pairs; 40.2 before either)."""
         relation = self._descriptor(handle)["relation"]
         index, remote_key = key
         record = self._read_shard(
             ctx, handle, self._enlist(ctx, handle), index,
             self._start_report(ctx),
             lambda database, child_ctx: database.data.fetch(
-                child_ctx, database.catalog.handle(relation), remote_key),
+                child_ctx, database.catalog.handle(relation), remote_key,
+                fields, predicate),
             "remote.degraded_fetches")
         if record is _UNREACHED or record is None:
             return None
         ctx.stats.bump("sharded.fetches")
-        return self.shape_read(record, fields, predicate)
+        return record
 
     def fetch_many(self, ctx, handle, keys, fields=None, predicate=None):
         """Group the key set by shard: one block-fetch message per shard,
@@ -887,11 +883,9 @@ class ShardedStorageMethod(StorageMethod):
                                                len(pairs))
             for remote_key, record in pairs:
                 fetched[(index, remote_key)] = record
-        results = []
-        for key in keys:
-            record = self.shape_read(fetched.get(key), fields, predicate)
-            if record is not None:
-                results.append((key, record))
+        results = read_pairs(
+            [(key, fetched[key]) for key in keys if key in fetched],
+            len(handle.schema), fields, predicate, ctx.stats)
         ctx.stats.bump("sharded.fetches", len(results))
         return results
 

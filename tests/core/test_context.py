@@ -83,10 +83,22 @@ def test_lock_records_asks_only_for_keys_not_held(db, ctx):
     calls = stats.get("locks.acquire_calls")
     ctx.lock_records(7, ["k1", "k2", "k3"], LockMode.S)  # all held
     assert stats.get("locks.acquire_calls") == calls
-    ctx.lock_records(7, ["k3", "k4"], LockMode.S)        # intent + k4
-    assert stats.get("locks.acquire_calls") == calls + 2
+    ctx.lock_records(7, ["k3", "k4"], LockMode.S)        # k4: IX has IS
+    assert stats.get("locks.acquire_calls") == calls + 1
     assert locks.held_mode(ctx.txn_id, ("rec", 7, "k1")) is LockMode.X
     assert ctx.txn.record_reads[7] == 2
+
+
+def test_lock_records_under_six_asks_for_no_intent(db, ctx):
+    locks, stats = db.services.locks, db.services.stats
+    ctx.lock_relation(7, LockMode.SIX)
+    calls = stats.get("locks.acquire_calls")
+    ctx.lock_records(7, ["k1"], LockMode.X)    # records only: SIX has IX
+    assert stats.get("locks.acquire_calls") == calls + 1
+    ctx.lock_records(7, ["k2"], LockMode.S)    # SIX covers S reads
+    assert stats.get("locks.acquire_calls") == calls + 1
+    assert locks.held_mode(ctx.txn_id, ("rel", 7)) is LockMode.SIX
+    assert locks.held_mode(ctx.txn_id, ("rec", 7, "k1")) is LockMode.X
 
 
 def test_lock_records_under_a_snapshot_takes_nothing(db):

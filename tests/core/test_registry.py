@@ -4,6 +4,7 @@ import pytest
 
 from repro import Database
 from repro.core.registry import ExtensionRegistry
+from repro.core.storage_method import StorageMethod
 from repro.errors import RegistryError
 from repro.storage.heap import HeapStorageMethod
 from repro.storage.memory import MemoryStorageMethod
@@ -36,6 +37,36 @@ def test_procedure_vectors_indexed_by_method_id():
     assert registry.storage_insert[heap.method_id].__self__ is heap
     assert registry.storage_delete[heap.method_id].__func__ \
         is HeapStorageMethod.delete
+
+
+BATCH_FORMS = {"insert": "insert_batch", "update": "update_batch",
+               "delete": "delete_batch", "fetch": "fetch_many"}
+
+
+def partial_method(*operations):
+    """A storage method that implements the set form of ``operations``
+    alone, and neither form of any other."""
+    body = {BATCH_FORMS[op]: lambda self, ctx, handle, *args: []
+            for op in operations}
+    body.update(name="partial", record_count=lambda self, ctx, handle: 0,
+                create_instance=lambda self, *args: {},
+                destroy_instance=lambda self, *args: None,
+                open_scan=lambda self, *args: None)
+    return type("Partial", (StorageMethod,), body)()
+
+
+@pytest.mark.parametrize("missing", sorted(BATCH_FORMS))
+def test_a_method_with_neither_form_of_an_operation_is_refused(missing):
+    method = partial_method(*(op for op in BATCH_FORMS if op != missing))
+    with pytest.raises(RegistryError,
+                       match=f"neither {missing} nor {BATCH_FORMS[missing]}"):
+        ExtensionRegistry().register_storage_method(method)
+
+
+def test_a_method_with_set_forms_alone_registers():
+    method = partial_method(*BATCH_FORMS)
+    ExtensionRegistry().register_storage_method(method)
+    assert method.fetch(None, None, 1) is None   # an empty fetch_many
 
 
 def test_duplicate_names_rejected():

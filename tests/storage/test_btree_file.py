@@ -1,5 +1,7 @@
 """B-tree-organised storage: field-composed keys, ordered scans."""
 
+import math
+
 import pytest
 
 from repro import Database, UniqueViolation
@@ -30,6 +32,25 @@ def test_duplicate_storage_keys_rejected(btab):
 def test_null_key_fields_rejected(btab):
     with pytest.raises(StorageError):
         btab.insert((None, "x"))
+
+
+def test_nan_key_fields_rejected_as_null(db):
+    """A B-tree key reads NaN as NULL: no shape of NaN key is stored,
+    whether the rows hold distinct NaN objects or share one."""
+    table = db.create_table("f", [("f", "FLOAT"), ("v", "INT")],
+                            storage_method="btree_file",
+                            attributes={"key": ["f"]})
+    for rows in ([(float("nan"), 1)], [(float("nan"), 2)],
+                 [(math.nan, 1), (math.nan, 2)]):
+        with pytest.raises(StorageError, match="NaN"):
+            table.insert_many(rows)
+    with pytest.raises(StorageError, match="NaN"):
+        table.insert((math.nan, 3))
+    table.insert((1.5, 4))
+    with pytest.raises(StorageError, match="NaN"):
+        table.update((1.5,), {"f": math.nan})
+    assert table.rows() == [(1.5, 4)]
+    assert table.fetch((math.nan,)) is None
 
 
 def test_key_sequential_access_in_key_order(btab):

@@ -133,3 +133,41 @@ def test_the_library_keeps_no_unused_import():
                  for path in sorted(root.rglob("*.py"))
                  for line, name in unused_imports(path)]
     assert offenders == []
+
+
+#: Each generic operation's two forms, per record and per set: a built-in
+#: implements one and its base class derives the other.
+STORAGE_FORMS = (("insert", "insert_batch"), ("update", "update_batch"),
+                 ("delete", "delete_batch"), ("fetch", "fetch_many"))
+ATTACHED_FORMS = (("on_insert", "on_insert_batch"),
+                  ("on_update", "on_update_batch"),
+                  ("on_delete", "on_delete_batch"))
+#: The built-ins that keep both forms of one operation, and why.
+BOTH_FORMS = {
+    ("sharded", "fetch"): "a one-key fetch_many made E24 shard_scatter "
+                          "point reads 44.3 µs, this body 41.3 (ten seed-1 "
+                          "pairs)",
+}
+
+
+def test_each_builtin_implements_one_form_per_operation():
+    """No built-in storage method or attachment type carries two bodies
+    for one operation: below the base class, its class defines at most
+    one of each pair of forms, but the listed exceptions."""
+    from repro import Database
+    from repro.core.attachment import AttachmentType
+    from repro.core.storage_method import StorageMethod
+    registry = Database().registry
+    offenders = []
+    for extensions, base, forms in (
+            (registry.storage_methods, StorageMethod, STORAGE_FORMS),
+            (registry.attachment_types, AttachmentType, ATTACHED_FORMS)):
+        for extension in extensions:
+            defined = set()
+            for klass in type(extension).__mro__[
+                    :type(extension).__mro__.index(base)]:
+                defined.update(vars(klass))
+            offenders += [(extension.name, single) for single, batch in forms
+                          if {single, batch} <= defined
+                          and (extension.name, single) not in BOTH_FORMS]
+    assert offenders == []
