@@ -7,24 +7,10 @@ access.  Keys are tuples of field values; values are opaque record keys
 Duplicate keys are allowed — the index stores one entry per (key, value)
 pair.
 
-Crash recovery for the tree is *rebuild-based* (see DESIGN.md): the
-tree never writes log records itself; transactional undo is provided one
-level up by the attachment's logical undo handler issuing inverse
-``insert``/``delete`` calls.  Its pages do not survive a crash, so after
-a restart the owning attachment empties it (``AttachmentType.reset_tree``)
-and rebuilds it from the batches restart read once from the base
-relation for every structure on it.
-
-Each node occupies one page (a single slotted-page record holding the
-pickled node).  Splits keep both an entry-count bound and a byte bound so
-pickled nodes always fit their page.
-
-Nodes are read through the buffer frame's decoded image
-(``BufferPool.decoded``): unpickled once per resident frame, a visit still
-a pin, each node on a probe's path read once.  The image is shared, so
-nobody changes what ``_read`` returns: a writer changes a ``copy()``, only
-a page write that succeeded makes it visible, and the copy it wrote — now
-frozen too — is handed to the frame as its new image.
+Each node is one page of :class:`~repro.access.page_tree.PageTree`,
+which keeps the page discipline.  The tree logs nothing: undo is the
+attachment's inverse ``insert`` / ``delete``, restart a rebuild.
+Splits keep an entry-count and a byte bound, so a node fits its page.
 
 Writes are set-at-a-time: ``insert_many`` / ``delete_many`` / ``first_duplicate``
 sort their batch by key and work it a leaf at a time (``_run``) — a leaf
@@ -41,9 +27,9 @@ from operator import itemgetter, le, lt
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from ..errors import PageError, StorageError
-from ..services.buffer import BufferPool
-from ..services.pages import HEADER_SIZE, SLOT_SIZE, PageView
+from ..errors import StorageError
+from ..services.pages import PageView
+from .page_tree import PageTree
 
 __all__ = ["BTree"]
 
@@ -87,60 +73,13 @@ class _Node:
         return node
 
 
-class BTree:
-    """A B+tree bound to a buffer pool and a mutable state dict.
+class BTree(PageTree):
+    """A B+tree bound to a buffer pool and a mutable state dict
+    (:class:`~repro.access.page_tree.PageTree`)."""
 
-    ``state`` (normally part of an attachment instance descriptor) carries
-    ``root`` (page id), ``height``, ``nentries``, and ``pages`` (count).
-    """
-
-    def __init__(self, buffer: BufferPool, state: dict,
-                 max_entries: int = DEFAULT_MAX_ENTRIES):
-        self.buffer = buffer
-        self.state = state
-        self.max_entries = max_entries
-        self._byte_capacity = (buffer.device.page_size - HEADER_SIZE
-                               - 2 * SLOT_SIZE - 8)
-
-    # -- construction -----------------------------------------------------------
-    @classmethod
-    def create(cls, buffer: BufferPool, state: Optional[dict] = None,
-               max_entries: int = DEFAULT_MAX_ENTRIES) -> "BTree":
-        """Allocate an empty tree; fills and returns ``state``."""
-        if state is None:
-            state = {}
-        tree = cls(buffer, state, max_entries)
-        root = _Node(leaf=True)
-        state["root"] = tree._allocate(root, root.dump())
-        state["height"] = 1
-        state["nentries"] = 0
-        state["pages"] = 1
-        return tree
-
-    def destroy(self) -> None:
-        """Free every page of the tree."""
-        self._free_subtree(self.state["root"])
-        self.state["root"] = -1
-        self.state["height"] = 0
-        self.state["nentries"] = 0
-        self.state["pages"] = 0
-
-    def reset(self) -> None:
-        """Destroy and recreate empty (used by rebuild-on-restart)."""
-        if self.state.get("root", -1) != -1:
-            self._free_subtree(self.state["root"])
-        root = _Node(leaf=True)
-        self.state["root"] = self._allocate(root, root.dump())
-        self.state["height"] = 1
-        self.state["nentries"] = 0
-        self.state["pages"] = 1
-
-    def _free_subtree(self, page_id: int) -> None:
-        node = self._read(page_id)
-        if not node.leaf:
-            for child in node.children:
-                self._free_subtree(child)
-        self.buffer.free_page(page_id)
+    node_type = _Node
+    page_type = PAGE_TYPE_BTREE_NODE
+    max_entries = DEFAULT_MAX_ENTRIES
 
     # -- entry operations ---------------------------------------------------------
     def insert(self, key: tuple, value) -> None:
@@ -502,32 +441,3 @@ class BTree:
             return None
 
         return largest(self.state["root"])
-
-    def _read(self, page_id: int) -> _Node:
-        """The node on ``page_id`` — the buffer frame's decoded image,
-        shared with every other reader: never mutate it, ``copy()`` first."""
-        return self.buffer.decoded(page_id, _Node.load)
-
-    def _write(self, page_id: int, node: _Node, raw: bytes) -> None:
-        """Put ``raw`` — ``node.dump()`` — on the page; ``node``, which
-        nobody changes from here on, becomes the frame's image."""
-        page = self.buffer.fetch(page_id)
-        try:
-            page.update(0, raw)
-        except PageError:
-            # ``update`` put the old record back: the frame stays as clean
-            # as it was and keeps its image.
-            self.buffer.unpin(page_id)
-            raise
-        self.buffer.unpin(page_id, dirty=True, image=node)
-
-    def _allocate(self, node: _Node, raw: bytes) -> int:
-        page = self.buffer.new_page(PAGE_TYPE_BTREE_NODE)
-        image = None
-        try:
-            page.insert(raw)
-            image = node  # as in _write
-        finally:
-            self.buffer.unpin(page.page_id, dirty=True, image=image)
-        self.state["pages"] = self.state.get("pages", 0) + 1
-        return page.page_id

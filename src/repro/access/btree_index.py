@@ -50,7 +50,7 @@ from typing import List, Optional
 from ..core.attachment import AttachmentType, tag_batch_index
 from ..core.context import ExecutionContext
 from ..core.storage_method import RelationHandle
-from ..errors import PageError, StorageError, UniqueViolation
+from ..errors import StorageError, UniqueViolation
 from ..query.cost import (AccessCost, default_selectivity,
                           implied_conjuncts)
 from ..services.predicate import Const, Predicate
@@ -77,8 +77,7 @@ class BTreeIndexScan(KeyScan):
         self.high = high
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
-        self._tree = BTree(ctx.buffer, instance["tree"],
-                           instance.get("max_entries", DEFAULT_MAX_ENTRIES))
+        self._tree = BTree.of(ctx.buffer, instance)
         if None in (low or ()) or None in (high or ()):
             self.state = AFTER  # a NULL bound matches no entry
 
@@ -136,20 +135,14 @@ class BTreeIndexAttachment(AttachmentType):
         return instance
 
     def destroy_instance(self, ctx, handle, instance_name, instance) -> None:
-        tree = BTree(ctx.buffer, instance["tree"],
-                     instance.get("max_entries", DEFAULT_MAX_ENTRIES))
-        try:
-            tree.destroy()
-        except PageError:
-            pass  # pages lost to a crash; the simulated device absorbs them
+        BTree.of(ctx.buffer, instance).destroy()
 
     def undo_logged(self, services, instance: dict, payload: dict) -> None:
-        BTree(services.buffer, instance["tree"], instance.get(
-            "max_entries", DEFAULT_MAX_ENTRIES)).undo_logged(payload)
+        BTree.of(services.buffer, instance).undo_logged(payload)
 
     def _build(self, ctx, handle, instance, batches) -> None:
         """Bulk-build from the relation's stored records, ``batches``."""
-        tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
+        tree = BTree.of(ctx.buffer, instance)
         instance["partial"] = False
         for batch in batches:
             self._add(tree, instance, self._pairs(handle, instance, batch))
@@ -159,8 +152,7 @@ class BTreeIndexAttachment(AttachmentType):
         """Reconstruct every instance from the relation's ``batches``."""
         partial = any(i.get("partial") for i in field["instances"].values())
         for instance in field["instances"].values():
-            self.reset_tree(BTree, ctx.buffer, instance["tree"],
-                            instance["max_entries"])
+            BTree.of(ctx.buffer, instance).reset()
             self._build(ctx, handle, instance, batches)
         if partial:
             handle.descriptor.version += 1  # a withheld route may be back
@@ -205,7 +197,7 @@ class BTreeIndexAttachment(AttachmentType):
     def _move(self, ctx, handle, instance: dict, old_key, new_key,
               new_record, old_index_key: tuple, new_index_key: tuple) -> None:
         """Move one updated record's entry (the old out, the new in)."""
-        tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
+        tree = BTree.of(ctx.buffer, instance)
         if None in new_index_key:
             # No entry to add, but the record may mark the tree partial.
             self._entries(handle, instance, (new_key,), (new_record,))
@@ -228,8 +220,7 @@ class BTreeIndexAttachment(AttachmentType):
         the batch touches is written once) and one log record per instance
         per *batch* instead of per record."""
         for instance in field["instances"].values():
-            tree = BTree(ctx.buffer, instance["tree"],
-                         instance["max_entries"])
+            tree = BTree.of(ctx.buffer, instance)
             entries = self._entries(handle, instance, keys, new_records)
             if not entries:
                 continue  # every key held a NULL
@@ -274,8 +265,7 @@ class BTreeIndexAttachment(AttachmentType):
 
     def on_delete_batch(self, ctx, handle, field, items) -> None:
         for instance in field["instances"].values():
-            tree = BTree(ctx.buffer, instance["tree"],
-                         instance["max_entries"])
+            tree = BTree.of(ctx.buffer, instance)
             entries = self._pairs(handle, instance, items)
             if not entries:
                 continue  # every key held a NULL
@@ -291,7 +281,7 @@ class BTreeIndexAttachment(AttachmentType):
         """Map an index key (full or tuple) to the matching record keys."""
         if not isinstance(input_key, tuple):
             input_key = (input_key,)
-        tree = BTree(ctx.buffer, instance["tree"], instance["max_entries"])
+        tree = BTree.of(ctx.buffer, instance)
         ctx.stats.bump(self.name + ".fetches")
         if not all(map(handle.schema.comparable, instance["key_fields"],
                        input_key)):
@@ -414,8 +404,7 @@ class BTreeIndexAttachment(AttachmentType):
         """
         if low is None and high is None:
             return None
-        tree = BTree(ctx.buffer, instance["tree"],
-                     instance.get("max_entries", DEFAULT_MAX_ENTRIES))
+        tree = BTree.of(ctx.buffer, instance)
         min_key = tree.min_key()
         max_key = tree.max_key()
         if min_key is None or max_key is None:

@@ -31,7 +31,7 @@ import abc
 import copy
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-from ..errors import PageError, UnknownObjectError
+from ..errors import UnknownObjectError
 from ..query.cost import AccessCost, EligiblePredicate
 from ..services.predicate import Predicate
 from ..services.recovery import ResourceHandler
@@ -376,16 +376,6 @@ class AttachmentType(abc.ABC):
         finally:
             scan.close()
             ctx.services.scans.unregister(scan)
-
-    @staticmethod
-    def reset_tree(tree_class, buffer, state: dict, *args) -> None:
-        """Empty ``state``'s page tree for a rebuild, or abandon its pages
-        for a new tree when a crash left them unreadable."""
-        try:
-            tree_class(buffer, state, *args).reset()
-        except PageError:
-            state.clear()
-            tree_class.create(buffer, state, *args)
 
     def instance(self, field: dict, name: str) -> dict:
         try:

@@ -184,6 +184,18 @@ def assert_images_coherent(pool):
             assert node_fields(frame.image) == node_fields(fresh), page_id
 
 
+def test_a_node_that_fits_no_new_page_gives_the_page_back():
+    """The right half of a split that fits no page used to keep the page
+    it was refused by: allocated, and owned by nobody."""
+    tree, pool = make_tree(page_size=512)
+    tree.insert_many([((1, ""), "a"), ((2, ""), "b")])
+    allocated = pool.device.allocated_pages
+    with pytest.raises(PageError):
+        tree.insert((3, "x" * 600), "c")
+    assert pool.device.allocated_pages == allocated == tree.page_count
+    assert list(tree.range()) == [((1, ""), "a"), ((2, ""), "b")]
+
+
 def test_failed_node_write_leaves_page_and_image_alone():
     tree, pool = make_tree(page_size=512)
     tree.insert((1, ""), "a")

@@ -171,3 +171,33 @@ def test_each_builtin_implements_one_form_per_operation():
                           if {single, batch} <= defined
                           and (extension.name, single) not in BOTH_FORMS]
     assert offenders == []
+
+
+#: The buffer pool's page calls: what pins, writes under a pin, or frees.
+PAGE_CALLS = {"new_page", "fetch", "fetch_image", "pinned", "unpin",
+              "free_page", "decoded"}
+#: The one page call a tree module keeps: the B-tree descent reads its
+#: nodes through ``BufferPool.decoded`` unrolled (the store's ``_read``
+#: without the call per level).
+TREE_PAGE_CALLS = {("btree_core.py", "_run", "decoded")}
+
+
+def test_the_trees_reach_their_pages_only_through_the_page_tree():
+    """A B-tree or R-tree node is a page of ``access/page_tree.py``: the
+    tree modules name none of the buffer pool's page calls and build no
+    ``PageView``, so every page they pin, write or free is the store's,
+    but for the listed read."""
+    access = Path(repro.__file__).parent / "access"
+    offenders = set()
+    for name in ("btree_core.py", "rtree.py"):
+        for function in ast.walk(ast.parse((access / name).read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute) \
+                        and node.attr in PAGE_CALLS:
+                    offenders.add((name, function.name, node.attr))
+                elif isinstance(node, ast.Call) \
+                        and getattr(node.func, "id", None) == "PageView":
+                    offenders.add((name, function.name, "PageView"))
+    assert offenders == TREE_PAGE_CALLS
